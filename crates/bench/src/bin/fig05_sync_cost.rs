@@ -114,8 +114,9 @@ fn main() {
     }
     println!(
         "(skipped = empty windows the fast-forward jumped; the pre-overhaul\n\
-         executor paid 2 barriers for each of them. On a 1-core host the\n\
-         wait column measures scheduling, not network sync — the model\n\
-         above feeds the evaluation.)"
+         executor paid 2 barriers for each of them. With more partitions\n\
+         than cores every wait parks at once and the wait column measures\n\
+         scheduling, not synchronization — the model above feeds the\n\
+         evaluation.)"
     );
 }

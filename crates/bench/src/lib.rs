@@ -392,34 +392,36 @@ pub fn print_improvements(rows: &[SuiteRow]) {
     }
 }
 
-/// Measure the *actual* cost of one barrier round across `n` OS threads
-/// on this machine, averaged over `rounds` barriers. Used by the Figure 5
-/// harness to print a measured series next to the model. (On a small
-/// host this measures thread-barrier cost, not Myrinet MPI cost; the
-/// model — `massf_engine::synccost::SyncCostModel` — is what feeds the
+/// Measure the *actual* cost of one round of the executor's own barrier
+/// ([`massf_engine::WindowBarrier`]) across `n` OS threads on this
+/// machine, averaged over `rounds` rounds. Used by the Figure 5 harness
+/// to print a measured series next to the model, and by `perf/` to
+/// calibrate the cluster model. (On a small host this measures
+/// thread-barrier cost, not Myrinet MPI cost; the model —
+/// `massf_engine::synccost::SyncCostModel` — is what feeds the
 /// evaluation.) Lives here rather than in the engine because it reads
 /// host wall-clock time, which deterministic-critical crates must not
 /// do (simlint D2).
 pub fn measure_barrier_cost_us(n: usize, rounds: usize) -> f64 {
-    use std::sync::Barrier;
+    use massf_engine::WindowBarrier;
     use std::time::Instant;
     if n <= 1 {
         return 0.0;
     }
-    let barrier = Barrier::new(n);
+    let barrier = WindowBarrier::new(n);
     let elapsed_us = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for _ in 0..n - 1 {
             let barrier = &barrier;
             handles.push(scope.spawn(move || {
                 for _ in 0..rounds {
-                    barrier.wait();
+                    barrier.wait().expect("no participant unwinds");
                 }
             }));
         }
         let start = Instant::now();
         for _ in 0..rounds {
-            barrier.wait();
+            barrier.wait().expect("no participant unwinds");
         }
         let e = start.elapsed().as_secs_f64() * 1e6;
         for h in handles {

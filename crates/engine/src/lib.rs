@@ -25,7 +25,9 @@
 //!   form returns a structured [`MassfError::LookaheadViolation`]
 //!   instead of panicking, and [`try_run_parallel_observed`] wraps every
 //!   barrier in a [`BarrierObserver`] for bench-side sync-cost
-//!   measurement. The pre-overhaul executor survives as
+//!   measurement. Windows are separated by [`WindowBarrier`], a
+//!   spin-then-park barrier that a panicking partition breaks instead
+//!   of deadlocking. The pre-overhaul executor survives as
 //!   [`baseline::run_parallel_locked`] for A/B benchmarking.
 //! * [`synccost`] — the TeraGrid cluster synchronization-cost model of
 //!   the paper's Figure 5, plus a live barrier-cost measurement.
@@ -44,6 +46,7 @@
 #![forbid(unsafe_code)]
 
 pub mod arena;
+pub mod barrier;
 pub mod baseline;
 pub mod event;
 pub mod model;
@@ -56,6 +59,7 @@ pub mod synccost;
 pub mod time;
 
 pub use arena::{EventArena, EventHandle};
+pub use barrier::{BarrierBroken, WindowBarrier};
 pub use event::{external_tag, EventRecord, LpId, EXTERNAL_SOURCE};
 pub use massf_topology::MassfError;
 pub use model::{seed_events, Emitter, Model};

@@ -37,9 +37,16 @@
 //! of the whole simulation, and every window before it is empty. Long
 //! idle stretches (fault epochs, TCP RTO backoff) collapse from
 //! thousands of barrier pairs to one. Relaxed atomics suffice for the
-//! published times because `Barrier::wait` establishes happens-before
-//! between everything written before the barrier and everything read
-//! after it.
+//! published times because [`WindowBarrier::wait`] establishes
+//! happens-before between everything written before the barrier and
+//! everything read after it (its generation word is the Release/Acquire
+//! edge; see [`crate::barrier`]).
+//!
+//! **Barrier**: waits spin on the generation word for a fixed iteration
+//! budget before parking, because a window's work is often shorter than
+//! a futex sleep plus a cross-core wake. A panic on any partition
+//! thread breaks the barrier, so peers leave their loops and the panic
+//! reaches the caller instead of deadlocking the run.
 //!
 //! Statistics are streamed into `TRACE_BUCKETS`-bounded arrays by
 //! partition 0 between the two barriers of each executed window (see
@@ -50,6 +57,7 @@
 //! as the A/B comparison target for the `engine_hotpath` bench.
 
 use crate::arena::{EventArena, QueuedEvent};
+use crate::barrier::WindowBarrier;
 use crate::event::{EventRecord, LpId};
 use crate::model::{seed_events, Emitter, Model};
 use crate::resume::ResumeState;
@@ -60,15 +68,14 @@ use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Barrier;
 
 /// Hook for measuring wall-clock barrier-wait time from *outside* the
 /// engine. The engine itself never reads host clocks (the simlint
 /// wall-clock gate); the bench crate implements this trait with
 /// `Instant`-based timing and passes it into
 /// [`try_run_parallel_observed`]. The observer is invoked around every
-/// `Barrier::wait` — outside the deterministic event path, so it cannot
-/// affect simulation results.
+/// [`WindowBarrier::wait`] — outside the deterministic event path, so it
+/// cannot affect simulation results.
 pub trait BarrierObserver: Sync {
     /// Called by partition `p`'s thread immediately before it blocks on
     /// a barrier.
@@ -287,12 +294,12 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
     // of the window just executed (stats-reduction input).
     let next_times: Vec<AtomicU64> = (0..partitions).map(|_| AtomicU64::new(IDLE)).collect();
     let win_counts: Vec<AtomicU64> = (0..partitions).map(|_| AtomicU64::new(0)).collect();
-    let barrier = Barrier::new(partitions);
-    // A thread must never unilaterally panic between barriers — its
-    // peers would block in `Barrier::wait` forever. Lookahead
-    // violations instead raise this flag; all threads observe it at the
-    // next barrier and shut down together, each reporting its earliest
-    // offending event time.
+    let barrier = WindowBarrier::new(partitions);
+    // Lookahead violations and arena misuse raise this flag instead of
+    // panicking; all threads observe it after the same barrier and shut
+    // down together, each reporting its earliest offending event time.
+    // (A thread that does panic — a model bug — breaks the barrier
+    // through its `break_on_unwind` guard; the panic is re-raised below.)
     let poison = AtomicBool::new(false);
 
     let results: Vec<ThreadResult<M>> = std::thread::scope(|scope| {
@@ -305,6 +312,14 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
             let poison = &poison;
             let counters_init = &counters_init;
             handles.push(scope.spawn(move || {
+                let _break_on_unwind = barrier.break_on_unwind();
+                // One barrier round; false once a peer has unwound.
+                let sync = || {
+                    observer.wait_begin(p);
+                    let round = barrier.wait();
+                    observer.wait_end(p);
+                    round.is_ok()
+                };
                 let mut shard = shard;
                 // Per-thread payload arena + handle heap: local events
                 // never leave this thread, so slot recycling stays
@@ -347,11 +362,9 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
                 // information.
                 let next = heap.peek().map_or(IDLE, |&Reverse(ev)| ev.time.as_ns());
                 next_times[p].store(next, Ordering::Relaxed);
-                observer.wait_begin(p);
-                barrier.wait();
-                observer.wait_end(p);
+                let mut live = sync();
 
-                loop {
+                while live {
                     // Every partition computes the same global minimum
                     // from the same published values (happens-before via
                     // the barrier), so all take the same branch.
@@ -429,13 +442,10 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
                         }
                     }
                     // All sends for window `w` complete.
-                    observer.wait_begin(p);
-                    barrier.wait();
-                    observer.wait_end(p);
-                    if poison.load(Ordering::Relaxed) {
+                    if !sync() || poison.load(Ordering::Relaxed) {
                         // Coordinated shutdown: every thread sees the
-                        // flag after the same barrier and returns, so no
-                        // peer is left blocking.
+                        // flag (or the broken barrier) after the same
+                        // round and returns, so no peer is left blocking.
                         break;
                     }
                     // Reduce this window's counts into the bucketed
@@ -483,9 +493,7 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
                     // Nobody may compute the next window (or start
                     // sending into it) until every partition has drained
                     // and published.
-                    observer.wait_begin(p);
-                    barrier.wait();
-                    observer.wait_end(p);
+                    live = sync();
                 }
                 // At loop exit every in-flight event has been exchanged
                 // (the exit check precedes popping, after a barrier), so
@@ -521,9 +529,14 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
                 }
             }));
         }
+        // A partition that panicked (a model bug) broke the barrier, so
+        // every peer has returned; re-raise with the original payload.
         handles
             .into_iter()
-            .map(|h| h.join().expect("partition thread panicked"))
+            .map(|h| match h.join() {
+                Ok(result) => result,
+                Err(payload) => std::panic::resume_unwind(payload),
+            })
             .collect()
     });
 
@@ -860,6 +873,59 @@ mod tests {
         );
         // Events at t=0,3,6 run; t=9 is beyond end.
         assert_eq!(stats.total_events, 3);
+    }
+
+    /// A handler that panics used to leave its peers blocked in the
+    /// barrier forever (and `thread::scope` never returned). The run
+    /// goes on a helper thread so that a regression fails this test
+    /// instead of hanging the suite.
+    #[test]
+    fn handler_panic_propagates_instead_of_deadlocking() {
+        /// Token ring; only the `fragile` shard gives up.
+        struct Fragile {
+            fragile: bool,
+            handled: u32,
+        }
+        impl Model for Fragile {
+            type Event = u8;
+            fn handle(&mut self, target: LpId, _now: SimTime, _ev: u8, out: &mut Emitter<'_, u8>) {
+                self.handled += 1;
+                assert!(
+                    !self.fragile || self.handled < 10,
+                    "shard gives up on event {}",
+                    self.handled
+                );
+                out.emit(SimTime::from_ms(1), LpId(1 - target.0), 0);
+            }
+        }
+        let shard = |fragile| Fragile {
+            fragile,
+            handled: 0,
+        };
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(|| {
+                try_run_parallel(
+                    vec![shard(false), shard(true)],
+                    2,
+                    &[0, 1],
+                    vec![(SimTime::ZERO, LpId(0), 0)],
+                    SimTime::from_secs(1),
+                    SimTime::from_ms(1),
+                )
+                .map(|(_, stats)| stats.total_events)
+            });
+            // The receiver may have timed out and gone; nothing to do then.
+            let _ = done_tx.send(outcome);
+        });
+        let payload = done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("executor deadlocked after a handler panic")
+            .expect_err("the handler's panic must reach the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("a formatted assert! message is a String");
+        assert_eq!(message, "shard gives up on event 10");
     }
 
     /// Two LPs ping-pong a token with a long idle gap between bursts:

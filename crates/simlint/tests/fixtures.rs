@@ -56,6 +56,24 @@ fn d2_atomic_min_pattern_is_clean() {
 }
 
 #[test]
+fn d2_spin_park_barrier_pattern_is_clean() {
+    // The window barrier's atomic generation + `spin_loop` + iteration
+    // budget + condvar park must pass every rule without suppressions.
+    for krate in ["engine", "core", "bench"] {
+        let found = scan_fixture("d2_spin_park_barrier.rs", krate);
+        assert!(found.is_empty(), "{krate}: {found:?}");
+    }
+}
+
+#[test]
+fn d2_clock_bounded_spin_is_flagged() {
+    // The same spin bounded by `Instant::now()` reads the host clock.
+    let found = scan_fixture("d2_spin_clock_bound.rs", "engine");
+    assert_eq!(found, vec![(Rule::WallClock, 12)], "{found:?}");
+    assert!(scan_fixture("d2_spin_clock_bound.rs", "bench").is_empty());
+}
+
+#[test]
 fn d1_route_interning_pattern_is_clean() {
     // The million-host layout's interning table (point HashMap lookups
     // only) and CSR port table (sorted-array walks) must pass every

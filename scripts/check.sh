@@ -7,7 +7,8 @@
 #                             engine_hotpath, engine_throughput,
 #                             partitioner, mem_footprint,
 #                             checkpoint_study, fluid_scaling and
-#                             rebalance_study smoke runs)
+#                             rebalance_study smoke runs, and the
+#                             benchmark crate's own gate, perf/check.sh)
 #   scripts/check.sh --fast   skip the release-mode smoke runs
 #
 # Each stage is wall-clock timed; a summary table prints at the end.
@@ -75,6 +76,8 @@ if [ "$FAST" -eq 0 ]; then
         cargo run --release -q -p massf-bench --bin fluid_scaling -- --smoke
     stage "rebalance_study --smoke" \
         cargo run --release -q -p massf-bench --bin rebalance_study -- --smoke
+    stage "perf/check.sh (benchmark crate: fmt, clippy, tests, --quick suite)" \
+        bash perf/check.sh
 else
     echo "== release-mode smoke runs skipped (--fast) =="
 fi
