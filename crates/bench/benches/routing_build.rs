@@ -87,17 +87,10 @@ fn bench_multi_as_resolution(c: &mut Criterion) {
     group.finish();
 }
 
-/// Thread scaling of the parallel table builds: warming a full OSPF SPT
-/// table and constructing a MultiAsResolver (per-AS domain fan-out) at
-/// 1, 2, and 4 worker threads. Tables are bit-identical across rows.
+/// Thread scaling of the parallel routing build: constructing a
+/// MultiAsResolver (per-AS domain fan-out) at 1, 2, and 4 worker
+/// threads. Resolvers are bit-identical across rows.
 fn bench_routing_thread_scaling(c: &mut Criterion) {
-    let net = generate_flat_network(&FlatTopologyConfig {
-        routers: 1_000,
-        hosts: 200,
-        metro_count: 80,
-        ..FlatTopologyConfig::default()
-    });
-    let members: Vec<_> = net.nodes.iter().map(|n| n.id).collect();
     let cfg = MultiAsTopologyConfig {
         as_count: 50,
         routers_per_as: 20,
@@ -109,23 +102,6 @@ fn bench_routing_thread_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("routing_build_threads");
     group.sample_size(10);
     for threads in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("ospf_warm_full_table_1k", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    massf_parutil::with_threads(threads, || {
-                        let d = massf_routing::OspfDomain::new(
-                            &net,
-                            members.clone(),
-                            CostMetric::Latency,
-                        );
-                        d.warm_full_table();
-                        d.member_count()
-                    })
-                })
-            },
-        );
         group.bench_with_input(
             BenchmarkId::new("multi_as_resolver_50as", threads),
             &threads,

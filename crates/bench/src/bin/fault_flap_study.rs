@@ -386,6 +386,7 @@ fn main() {
         0,
         faults.reconvergence_count()
     );
+    println!("  (= fault epochs entered, not tables built: trees are computed per destination on first route)");
 
     // HPROF drift: map the network with the clean profile and with the
     // faulted profile; report how far the assignment and the resulting
@@ -522,6 +523,28 @@ fn main() {
             faulted.profile.completed_flows > 0,
             "faulted run completed no flows"
         );
+        // Where the script cut a primary path (a downed link that was the
+        // base route between its own endpoints) the epoch routes
+        // differently; the trailing clean epoch routes like the base.
+        let last = faults.epoch_count() - 1;
+        assert!(faults.epoch_state(last).is_clean(), "flap never recovered");
+        let base = faults.resolver_for_epoch(0);
+        let mut cuts_checked = 0usize;
+        for e in 1..last {
+            for &dead in &faults.epoch_state(e).dead_links {
+                let (a, b) = (net.links[dead as usize].a, net.links[dead as usize].b);
+                let direct = Some(vec![a, b]);
+                if base.route(a, b) != direct {
+                    continue;
+                }
+                cuts_checked += 1;
+                let during = faults.resolver_for_epoch(e).route(a, b);
+                assert_ne!(during, direct, "epoch {e} routes over dead link {dead}");
+                let after = faults.resolver_for_epoch(last).route(a, b);
+                assert_eq!(after, direct, "clean epoch lost the path over link {dead}");
+            }
+        }
+        assert!(cuts_checked > 0, "no flap cut a primary path");
         // Hits are workload-dependent (the tiny smoke traffic rarely
         // repeats a pair within one epoch); repeated-pair hit behavior
         // is asserted by the route_resolution bench smoke instead.

@@ -19,13 +19,14 @@
 //!   bit-identical across thread counts: any partition asking at any
 //!   wall-clock moment gets the same answer.
 //!
-//! Routing reconverges *online*: each epoch's [`PathResolver`] is built
-//! lazily (behind a `OnceLock`) the first time the epoch is routed in —
-//! for flat single-AS worlds by re-running OSPF with dead links filtered
-//! out and warming the full table on the shared worker pool
-//! (`OspfDomain::warm_full_table`), for multi-AS worlds by re-running the
-//! BGP decision process on the reduced AS graph
-//! (`MultiAsResolver::with_failed_adjacencies`).
+//! Routing reconverges *online* and on demand. Entering an epoch builds
+//! (once, behind a `OnceLock`) its link-state view: for flat worlds the
+//! OSPF domain with dead links filtered out, for multi-AS worlds the BGP
+//! RIB on the reduced AS graph
+//! (`MultiAsResolver::with_failed_adjacencies`). Shortest-path trees are
+//! paid at first route: an epoch computes a destination's tree when it
+//! first routes there and keeps it, so a fault costs the trees its
+//! traffic uses, never the full table.
 //!
 //! `massf-netsim` consumes this crate: `SharedNet` carries an optional
 //! `Arc<FaultState>`, drops packets that touch a dead link or node, and

@@ -42,8 +42,9 @@ type ResolverFactory = dyn Fn(&EpochState) -> Arc<dyn PathResolver> + Send + Syn
 /// Every query is a pure function of virtual time, never of wall-clock
 /// or thread interleaving, which preserves the engine's bit-identical
 /// parallel execution. Epoch resolvers are built at most once (behind
-/// `OnceLock`s) by whichever partition routes in that epoch first; the
-/// build itself is deterministic, so who builds it cannot matter.
+/// `OnceLock`s) by whichever partition enters that epoch first, its
+/// shortest-path trees by whichever first routes to that destination;
+/// both are pure functions of the epoch, so who builds cannot matter.
 pub struct FaultState {
     script: FaultScript,
     /// Start time of epoch `e + 1` (epoch 0 starts at time zero).
@@ -56,8 +57,8 @@ pub struct FaultState {
     node_transitions: HashMap<u32, Vec<(SimTime, bool)>>,
     resolvers: Vec<OnceLock<Arc<dyn PathResolver>>>,
     factory: Box<ResolverFactory>,
-    /// Epoch resolvers actually built (epoch 0's pre-set base excluded):
-    /// the number of online reconvergence episodes this run performed.
+    /// Epochs entered after epoch 0: the online reconvergence episodes
+    /// of this run (episodes, not routing tables built).
     reconvergences: AtomicUsize,
 }
 
@@ -174,19 +175,23 @@ impl FaultState {
         }))
     }
 
-    /// Compile `script` for a flat single-AS world: each faulty epoch's
-    /// resolver re-runs OSPF over the network with dead links and dead
-    /// nodes' links filtered out, then warms the full SPT table on the
-    /// shared worker pool (the reconvergence cost the paper's online
-    /// setting pays).
+    /// Compile `script` for a flat single-AS world. Entering a faulty
+    /// epoch builds only the OSPF domain with dead links and dead nodes'
+    /// links filtered out; a destination's SPT is computed the first
+    /// time the epoch routes to it and never evicted (capacity = node
+    /// count). A clean epoch *is* the base network: it shares `base`.
     pub fn flat(
         net: &Network,
         metric: CostMetric,
         script: FaultScript,
     ) -> Result<Arc<Self>, MassfError> {
         let base: Arc<dyn PathResolver> = Arc::new(massf_routing::FlatResolver::new(net, metric));
+        let base_for_factory = base.clone();
         let owned = Arc::new(net.clone());
         let factory = Box::new(move |epoch: &EpochState| -> Arc<dyn PathResolver> {
+            if epoch.is_clean() {
+                return base_for_factory.clone();
+            }
             let members: Vec<NodeId> = owned.nodes.iter().map(|n| n.id).collect();
             let dead_links = &epoch.dead_links;
             let dead_nodes = &epoch.dead_nodes;
@@ -201,7 +206,6 @@ impl FaultState {
                         && dead_nodes.binary_search(&l.b.0).is_err()
                 },
             );
-            domain.warm_full_table();
             Arc::new(EpochFlatResolver { domain })
         });
         Self::with_factory(net, script, base, factory)
@@ -256,7 +260,7 @@ impl FaultState {
                 .iter()
                 .map(|&(a, b)| (a as usize, b as usize))
                 .collect();
-            match base_typed.with_failed_adjacencies(&owned, metric, &fails) {
+            match base_typed.with_failed_adjacencies(&owned, &fails) {
                 Ok(r) => Arc::new(r),
                 // Unreachable: adjacency events were validated above and
                 // distinct edges stay removable in any order.
@@ -333,16 +337,16 @@ impl FaultState {
         })
     }
 
-    /// Force the reconvergence for the epoch in force at `t` (the fault
-    /// event handler calls this so rebuild cost is paid at fault time,
-    /// not at the next routed packet).
+    /// Enter the epoch in force at `t` (the fault event handler calls
+    /// this so the epoch's link-state view / BGP RIB is paid for at
+    /// fault time; shortest-path trees still wait for their first route).
     pub fn reconverge_at(&self, t: SimTime) {
         self.resolver_for_epoch(self.epoch_at(t));
     }
 
-    /// Online reconvergence episodes performed so far: epochs whose
-    /// resolver was actually (re)built. Deterministic at end of run —
-    /// the *set* of epochs routed in does not depend on thread count.
+    /// Online reconvergence episodes so far: epochs after the first
+    /// that the run entered. Deterministic at end of run — the *set* of
+    /// epochs entered does not depend on thread count.
     pub fn reconvergence_count(&self) -> usize {
         self.reconvergences.load(Ordering::Relaxed)
     }
@@ -359,7 +363,7 @@ fn last_state(transitions: &[(SimTime, bool)], t: SimTime) -> bool {
     }
 }
 
-/// Per-epoch flat resolver: one filtered, fully warmed OSPF domain.
+/// Per-epoch flat resolver: one filtered, never-evicting OSPF domain.
 struct EpochFlatResolver {
     domain: OspfDomain,
 }
@@ -455,7 +459,14 @@ mod tests {
         assert_eq!(during, vec![ha, r0, r2, r1, hb], "must take the detour");
         assert_eq!(after, pre, "recovery restores the primary path");
         assert_ne!(pre, during, "pre-fault path differs from post-fault path");
-        assert_eq!(fs.reconvergence_count(), 2, "one rebuild per faulty epoch");
+        assert!(
+            Arc::ptr_eq(
+                fs.resolver_at(SimTime::from_ms(10)),
+                fs.resolver_at(SimTime::from_ms(250))
+            ),
+            "a clean epoch is the base network, not a second copy of it"
+        );
+        assert_eq!(fs.reconvergence_count(), 2, "one episode per epoch entered");
     }
 
     #[test]

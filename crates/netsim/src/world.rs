@@ -1855,10 +1855,11 @@ impl<A: AppLogic> Model for NetWorld<A> {
             }
             NetEvent::Fault { kind: _kind } => {
                 profile.fault_events += 1;
-                // Pay the reconvergence (SPT/RIB rebuild) at fault time
-                // rather than at the next routed packet. Idempotent and
-                // deterministic: the build is a pure function of the
-                // epoch, whichever partition triggers it first.
+                // Enter the new epoch now: its link-state view (filtered
+                // OSPF adjacency / BGP RIB) is paid at fault time, each
+                // shortest-path tree at the first route that needs it.
+                // Idempotent and deterministic: both are pure functions
+                // of the epoch, whichever partition triggers them first.
                 if let Some(f) = &shared.faults {
                     f.reconverge_at(now);
                 }

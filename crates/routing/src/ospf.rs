@@ -5,7 +5,8 @@
 //! multi-AS network. Shortest-path trees (SPTs) are computed per
 //! *destination* with Dijkstra and cached, so path queries cost
 //! O(path length) after the first query to a destination and the domain
-//! never materializes an O(N²) table unless explicitly warmed.
+//! never materializes an O(N²) table: it holds the trees that were
+//! actually routed on, at most `cache_capacity` of them.
 //!
 //! ## Storage and locking
 //!
@@ -14,11 +15,11 @@
 //! doubles as the next-hop table, and distances are recomputed on demand
 //! by walking parents and summing link costs (4 bytes per node per
 //! destination instead of 12; a 20,000-router full table is 1.6 GB, not
-//! 4.8 GB). Lazily computed SPTs live in a bounded FIFO cache behind a
-//! mutex; [`OspfDomain::warm_full_table`] instead computes every
-//! destination on the shared worker pool (reusing per-worker Dijkstra
-//! scratch buffers) and freezes the result into a lock-free read-only
-//! table, so post-warm queries from parallel engines never contend.
+//! 4.8 GB — which is why no caller builds one). SPTs are computed on
+//! first use and live in one bounded FIFO cache behind a mutex, the only
+//! SPT store and the only read path. A domain whose capacity is at least
+//! its core size (the fault subsystem's per-epoch domains) never evicts,
+//! so it converges to exactly the trees its traffic needs.
 //!
 //! ## Host aggregation
 //!
@@ -27,19 +28,19 @@
 //! this: members that are single-homed hosts are classified as
 //! *aggregated leaves* at build time and excluded from the Dijkstra
 //! graph entirely — SPTs (and their parent arrays, and the destination
-//! axis of the full table) cover only the *core* (routers plus any
+//! axis of the cache) cover only the *core* (routers plus any
 //! multi-homed or isolated oddballs). Queries compose a leaf endpoint as
 //! `[host] + core walk from its attach router` (and symmetrically at the
 //! destination), which is exact because the access link is the host's
 //! only edge. For the paper's topologies — tens of hosts per router —
-//! this shrinks routing state by the host:router ratio squared for a
-//! warmed table: one routing entry per attached router, not per host.
+//! this shrinks each tree by the host:router ratio and the number of
+//! distinct trees by it again: one routing entry per attached router,
+//! not per host.
 
 // simlint: allow-file(cast-lossy) -- local router indices are positions in `members`, bounded by the domain size which is far below u32::MAX
 use massf_topology::{Network, NodeId, NodeKind};
 use parking_lot::Mutex;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::OnceLock;
 
 /// Link cost metric for SPF.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,8 +79,8 @@ struct Spt {
     parent: Box<[u32]>,
 }
 
-/// Reusable Dijkstra working memory: one allocation per worker instead
-/// of one per destination when warming a full table.
+/// Reusable Dijkstra working memory: one allocation per domain instead
+/// of one per destination.
 #[derive(Default)]
 struct SptScratch {
     dist: Vec<u64>,
@@ -88,9 +89,10 @@ struct SptScratch {
 
 /// An OSPF routing domain over a subset of a [`Network`]'s nodes.
 ///
-/// Queries are thread-safe: lazily computed SPTs sit in a bounded FIFO
-/// cache behind a mutex, and a warmed full table is frozen behind a
-/// `OnceLock` that readers hit without any lock.
+/// Queries are thread-safe: SPTs are computed on first use into a
+/// bounded FIFO cache behind a mutex. Each tree is a pure function of
+/// the domain and the destination, so neither query order nor the
+/// querying thread can change an answer — only who pays for the tree.
 pub struct OspfDomain {
     /// Member nodes (routers and hosts of the domain), defining local
     /// indices.
@@ -110,9 +112,6 @@ pub struct OspfDomain {
     attach: Box<[(u32, u64)]>,
     metric: CostMetric,
     cache: Mutex<SptCache>,
-    /// The full per-destination table installed by `warm_full_table`;
-    /// once set it is immutable and read lock-free.
-    frozen: OnceLock<Box<[Spt]>>,
 }
 
 struct SptCache {
@@ -236,7 +235,6 @@ impl OspfDomain {
                 capacity: cache_capacity.max(1),
                 scratch: SptScratch::default(),
             }),
-            frozen: OnceLock::new(),
         }
     }
 
@@ -256,7 +254,8 @@ impl OspfDomain {
     }
 
     /// Number of core (non-aggregated) members — the size of every SPT
-    /// parent array and of the warmed table's destination axis.
+    /// parent array and the number of distinct trees the domain can
+    /// ever hold.
     pub fn core_count(&self) -> usize {
         self.core_member.len()
     }
@@ -307,37 +306,7 @@ impl OspfDomain {
         Spt { parent }
     }
 
-    /// Precompute the SPT of every *core* destination on the shared
-    /// worker pool (aggregated leaves need none — see the module docs)
-    /// and freeze the result into a lock-free read-only table (the
-    /// bounded lazy cache is bypassed from then on, so warming is never
-    /// undone by eviction and post-warm queries take no lock).
-    ///
-    /// Each destination's Dijkstra is independent and deterministic, so
-    /// the warmed table is identical at any thread count; subsequent
-    /// `path`/`next_hop`/`distance` queries are pure table reads.
-    /// Idempotent: a second call (even concurrent) is a no-op.
-    pub fn warm_full_table(&self) {
-        if self.frozen.get().is_some() {
-            return;
-        }
-        let n = self.core_member.len();
-        // Chunked fan-out so each worker reuses one Dijkstra scratch
-        // (dist buffer + heap) across all its destinations.
-        let spts: Vec<Spt> = massf_parutil::par_map_chunks(n, |range| {
-            let mut scratch = SptScratch::default();
-            range
-                .map(|dst| self.compute_spt(dst as u32, &mut scratch))
-                .collect()
-        });
-        let _ = self.frozen.set(spts.into_boxed_slice());
-    }
-
     fn with_spt<R>(&self, dst_local: u32, f: impl FnOnce(&Spt) -> R) -> R {
-        // Warmed table: immutable, no lock.
-        if let Some(table) = self.frozen.get() {
-            return f(&table[dst_local as usize]);
-        }
         let mut cache = self.cache.lock();
         if !cache.map.contains_key(&dst_local) {
             let cache = &mut *cache;
@@ -676,22 +645,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_full_table_matches_lazy_queries() {
-        let (net, ids) = diamond();
-        let lazy = OspfDomain::new(&net, ids.clone(), CostMetric::Latency);
-        // Warming must survive a tiny configured capacity (it grows it).
-        let warmed = OspfDomain::with_cache_capacity(&net, ids.clone(), CostMetric::Latency, 1);
-        warmed.warm_full_table();
-        for &s in &ids {
-            for &d in &ids {
-                assert_eq!(lazy.path(s, d), warmed.path(s, d));
-                assert_eq!(lazy.distance(s, d), warmed.distance(s, d));
-                assert_eq!(lazy.next_hop(s, d), warmed.next_hop(s, d));
-            }
-        }
-    }
-
-    #[test]
     fn path_endpoints_and_continuity() {
         let (net, ids) = diamond();
         let d = OspfDomain::new(&net, ids.clone(), CostMetric::Latency);
@@ -776,18 +729,8 @@ mod tests {
     }
 
     #[test]
-    fn aggregated_hosts_survive_warm_and_faults() {
+    fn aggregated_hosts_survive_faults() {
         let (net, routers, members) = diamond_with_hosts();
-        let lazy = OspfDomain::new(&net, members.clone(), CostMetric::Latency);
-        let warmed = OspfDomain::with_cache_capacity(&net, members.clone(), CostMetric::Latency, 1);
-        warmed.warm_full_table();
-        for &s in &members {
-            for &t in &members {
-                assert_eq!(lazy.path(s, t), warmed.path(s, t), "{s:?}→{t:?}");
-                assert_eq!(lazy.distance(s, t), warmed.distance(s, t));
-                assert_eq!(lazy.next_hop(s, t), warmed.next_hop(s, t));
-            }
-        }
         // Kill h3's access link: the host becomes an unreachable
         // (isolated, hence core) member; everyone else still routes.
         let h3 = members[6];

@@ -15,7 +15,7 @@
 use crate::bgp::BgpRib;
 use crate::ospf::{CostMetric, OspfDomain};
 use massf_topology::mabrite::MultiAsNetwork;
-use massf_topology::{AsClass, MassfError, MultiAsTopologyConfig, Network, NodeId};
+use massf_topology::{AsClass, AsGraph, MassfError, MultiAsTopologyConfig, Network, NodeId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -80,8 +80,11 @@ impl PathResolver for FlatResolver {
 
 /// BGP + OSPF resolution for multi-AS networks.
 pub struct MultiAsResolver {
-    /// One OSPF domain per AS (routers + hosts of that AS).
-    domains: Vec<OspfDomain>,
+    /// One OSPF domain per AS (routers + hosts of that AS). Independent
+    /// of the AS graph, so resolvers derived by
+    /// [`MultiAsResolver::with_failed_adjacencies`] share them — and the
+    /// shortest-path trees they have computed so far.
+    domains: Arc<[OspfDomain]>,
     rib: BgpRib,
     /// AS of every node.
     as_of: Vec<u16>,
@@ -138,22 +141,13 @@ impl MultiAsResolver {
             gateways.entry((ab, aa)).or_insert((link.b, link.a));
         }
 
-        let primary_provider: Vec<u16> = (0..n_as)
-            .map(|a| {
-                m.as_graph
-                    .providers(a)
-                    .into_iter()
-                    .min()
-                    .map(|p| p as u16)
-                    .unwrap_or(u16::MAX)
-            })
-            .collect();
+        let primary_provider = primary_providers(&m.as_graph);
         let is_stub: Vec<bool> = (0..n_as)
             .map(|a| m.as_graph.classes[a] == AsClass::Stub)
             .collect();
 
         MultiAsResolver {
-            domains,
+            domains: domains.into(),
             rib,
             as_of,
             gateways,
@@ -168,34 +162,19 @@ impl MultiAsResolver {
         &self.rib
     }
 
-    /// Simulate the failure of the inter-AS adjacency between `as_a`
-    /// and `as_b` (paper Section 5.1.2 step 6d: multi-homed stubs keep
-    /// default *and backup* routes). Returns a resolver whose BGP
-    /// routing has re-converged on the reduced AS graph and whose stub
-    /// default routing falls back to the next provider. `None` if the
-    /// ASes were not adjacent.
-    pub fn with_failed_adjacency(
-        &self,
-        m: &MultiAsNetwork,
-        metric: CostMetric,
-        as_a: usize,
-        as_b: usize,
-    ) -> Option<Self> {
-        self.with_failed_adjacencies(m, metric, &[(as_a, as_b)])
-            .ok()
-    }
-
-    /// Like [`MultiAsResolver::with_failed_adjacency`] but for any
-    /// number of *concurrent* adjacency failures: BGP re-converges once
-    /// on the AS graph with every listed edge removed, so double faults
-    /// compose (the result either reroutes around both or reports a
-    /// destination unreachable — it never panics). Fails with
-    /// [`MassfError::NotAdjacent`] when a listed pair is not an edge of
-    /// the AS graph.
+    /// Simulate concurrent failures of inter-AS adjacencies (paper
+    /// Section 5.1.2 step 6d: multi-homed stubs keep default *and
+    /// backup* routes). Returns a resolver whose BGP routing has
+    /// re-converged once on the AS graph with every listed edge removed
+    /// and whose stub default routing falls back to the next provider,
+    /// so double faults compose (the result either reroutes around both
+    /// or reports a destination unreachable — it never panics). Only
+    /// inter-domain state is recomputed; the per-AS OSPF domains are
+    /// shared with `self`. Fails with [`MassfError::NotAdjacent`] when
+    /// a listed pair is not an edge of the AS graph.
     pub fn with_failed_adjacencies(
         &self,
         m: &MultiAsNetwork,
-        metric: CostMetric,
         failures: &[(usize, usize)],
     ) -> Result<Self, MassfError> {
         let mut reduced = m.as_graph.clone();
@@ -206,23 +185,22 @@ impl MultiAsResolver {
             }
             reduced = reduced.without_edge(as_a, as_b);
         }
-        let mut failed = Self::with_options(m, metric, self.stub_default_routing);
-        failed.rib = BgpRib::compute(&reduced);
+        let mut gateways = self.gateways.clone();
         for &(as_a, as_b) in failures {
-            failed.gateways.remove(&(as_a as u16, as_b as u16));
-            failed.gateways.remove(&(as_b as u16, as_a as u16));
+            gateways.remove(&(as_a as u16, as_b as u16));
+            gateways.remove(&(as_b as u16, as_a as u16));
         }
-        // Re-derive primary providers from the reduced graph (a stub
-        // whose sole provider link failed falls back to its backup).
-        for a in 0..reduced.n {
-            failed.primary_provider[a] = reduced
-                .providers(a)
-                .into_iter()
-                .min()
-                .map(|p| p as u16)
-                .unwrap_or(u16::MAX);
-        }
-        Ok(failed)
+        Ok(MultiAsResolver {
+            domains: Arc::clone(&self.domains),
+            rib: BgpRib::compute(&reduced),
+            as_of: self.as_of.clone(),
+            gateways,
+            // A stub whose sole provider link failed falls back to its
+            // backup.
+            primary_provider: primary_providers(&reduced),
+            is_stub: self.is_stub.clone(),
+            stub_default_routing: self.stub_default_routing,
+        })
     }
 
     /// The OSPF domain of AS `a`.
@@ -248,6 +226,20 @@ impl MultiAsResolver {
             .next_as(cur as usize, dst_as as usize)
             .map(|a| a as u16)
     }
+}
+
+/// Lowest-numbered provider of every AS of `graph` (`u16::MAX` = none).
+fn primary_providers(graph: &AsGraph) -> Vec<u16> {
+    (0..graph.n)
+        .map(|a| {
+            graph
+                .providers(a)
+                .into_iter()
+                .min()
+                .map(|p| p as u16)
+                .unwrap_or(u16::MAX)
+        })
+        .collect()
 }
 
 impl PathResolver for MultiAsResolver {
@@ -495,7 +487,7 @@ mod failover_tests {
 
         // Fail the primary provider adjacency; the backup takes over.
         let failed = resolver
-            .with_failed_adjacency(&m, CostMetric::Latency, stub, primary as usize)
+            .with_failed_adjacencies(&m, &[(stub, primary as usize)])
             .expect("adjacent");
         assert_ne!(failed.primary_provider[stub], primary);
         assert_ne!(failed.primary_provider[stub], u16::MAX);
@@ -534,13 +526,8 @@ mod failover_tests {
         let m = generate_multi_as_network(&cfg);
         let resolver = MultiAsResolver::with_options(&m, CostMetric::Latency, true);
         // An AS is never adjacent to itself.
-        assert!(resolver
-            .with_failed_adjacency(&m, CostMetric::Latency, 0, 0)
-            .is_none());
         assert_eq!(
-            resolver
-                .with_failed_adjacencies(&m, CostMetric::Latency, &[(0, 0)])
-                .err(),
+            resolver.with_failed_adjacencies(&m, &[(0, 0)]).err(),
             Some(massf_topology::MassfError::NotAdjacent { as_a: 0, as_b: 0 })
         );
     }
@@ -575,10 +562,35 @@ mod failover_tests {
             return;
         }
         let failed = resolver
-            .with_failed_adjacencies(&m, CostMetric::Latency, &[fail_a, fail_b])
+            .with_failed_adjacencies(&m, &[fail_a, fail_b])
             .expect("both pairs are AS-graph edges");
 
+        // Only inter-domain state is rebuilt: every OSPF domain is the
+        // base resolver's own.
+        for a in 0..m.as_graph.n {
+            assert!(std::ptr::eq(failed.domain(a), resolver.domain(a)), "AS {a}");
+        }
+        // Reference: the from-scratch construction — fresh domains from
+        // the network, then the reduced graph's RIB, gateways and
+        // providers patched in.
+        let reduced = m
+            .as_graph
+            .without_edge(fail_a.0, fail_a.1)
+            .without_edge(fail_b.0, fail_b.1);
+        let mut reference = MultiAsResolver::with_options(&m, CostMetric::Latency, true);
+        reference.rib = BgpRib::compute(&reduced);
+        for (a, b) in [fail_a, fail_b] {
+            reference.gateways.remove(&(a as u16, b as u16));
+            reference.gateways.remove(&(b as u16, a as u16));
+        }
+        reference.primary_provider = primary_providers(&reduced);
+
         let hosts = m.network.host_ids();
+        for &s in &hosts {
+            for &d in &hosts {
+                assert_eq!(failed.route(s, d), reference.route(s, d), "{s:?}→{d:?}");
+            }
+        }
         let mut routed = 0;
         for i in 0..hosts.len().min(10) {
             for j in (i + 1)..hosts.len().min(10) {
@@ -618,7 +630,7 @@ mod failover_tests {
             .expect("AS graph has edges");
         assert_eq!(
             resolver
-                .with_failed_adjacencies(&m, CostMetric::Latency, &[(a, b), (a, b)])
+                .with_failed_adjacencies(&m, &[(a, b), (a, b)])
                 .err(),
             Some(massf_topology::MassfError::NotAdjacent { as_a: a, as_b: b })
         );
@@ -641,7 +653,7 @@ mod failover_tests {
         }
         let resolver = MultiAsResolver::with_options(&m, CostMetric::Latency, true);
         let failed = resolver
-            .with_failed_adjacency(&m, CostMetric::Latency, cores[0], cores[1])
+            .with_failed_adjacencies(&m, &[(cores[0], cores[1])])
             .expect("cores are adjacent");
         assert_eq!(failed.rib().reachability_fraction(), 1.0);
     }

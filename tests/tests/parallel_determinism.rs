@@ -1,7 +1,7 @@
 //! Determinism regression tests for the shared worker-pool layer:
-//! every parallelized phase — the HPROF threshold sweep, OSPF table
-//! warming, and multi-AS resolver construction — must produce results
-//! bit-identical to its sequential execution, at any thread count.
+//! every parallelized phase — the HPROF threshold sweep and multi-AS
+//! resolver construction — must produce results bit-identical to its
+//! sequential execution, at any thread count.
 //!
 //! These pin the ISSUE's acceptance criterion that figure output is
 //! byte-identical across `--threads` settings: all figure numbers
@@ -11,7 +11,7 @@ use massf_core::prelude::*;
 use massf_integration::{tiny_mapping_config, tiny_multi_as, tiny_single_as};
 use massf_netsim::{Agent, FaultScript, FaultState, NetSimBuilder, NoApp};
 use massf_parutil::with_threads;
-use massf_routing::{CostMetric, MultiAsResolver, OspfDomain};
+use massf_routing::{CostMetric, MultiAsResolver};
 use massf_topology::{
     generate_flat_network, generate_multi_as_network, FlatTopologyConfig, MultiAsTopologyConfig,
 };
@@ -80,30 +80,6 @@ fn full_suite_rows_identical_across_thread_counts() {
     assert_eq!(run(1), run(4));
 }
 
-#[test]
-fn ospf_full_table_identical_across_thread_counts() {
-    let scenario = tiny_single_as(3);
-    let net = &scenario.net;
-    let members: Vec<_> = net.nodes.iter().map(|n| n.id).collect();
-    let table_at = |threads: usize| {
-        with_threads(threads, || {
-            let d = OspfDomain::new(net, members.clone(), CostMetric::Latency);
-            d.warm_full_table();
-            let mut table = Vec::new();
-            for &s in &members {
-                for &t in members.iter().step_by(7) {
-                    table.push((d.next_hop(s, t), d.distance(s, t)));
-                }
-            }
-            table
-        })
-    };
-    let seq = table_at(1);
-    for threads in [2, 4] {
-        assert_eq!(seq, table_at(threads), "threads = {threads}");
-    }
-}
-
 /// A fault-injected network run must be bit-identical between the
 /// sequential engine and the parallel engine at any partition / worker
 /// count. The script deliberately places one fault at *exactly* the
@@ -116,9 +92,10 @@ fn fault_injected_run_identical_across_thread_counts() {
     let hosts = net.host_ids();
     let collision = SimTime::from_ms(50);
 
-    // Fresh per run: epoch resolvers are built lazily (and, with PR 1's
-    // pool, in parallel), so each run must reconverge at its own thread
-    // count rather than inherit tables warmed by a previous run.
+    // Fresh per run: epoch resolvers and their shortest-path trees are
+    // built lazily by whichever partition needs them first, so each run
+    // must reconverge at its own thread count rather than inherit trees
+    // computed by a previous run.
     let make_faults = || {
         let mut script = FaultScript::new();
         script.link_down(collision, net.links[0].id);
