@@ -16,9 +16,10 @@
 //!
 //! `--smoke` runs a seconds-scale fixture for CI and self-checks the
 //! acceptance properties: ≥ 50× event reduction, max-min invariants at
-//! the probe point, and sequential ↔ parallel bit-identity (window
-//! capped at `FLUID_CONTROL_DELAY`). The full run sustains 1 048 576
-//! concurrent fluid flows.
+//! the probe point, sequential ↔ parallel bit-identity (window
+//! capped at `FLUID_CONTROL_DELAY`), and the fixture's deterministic
+//! event and solver counters equal to the recorded ones. The full run
+//! sustains 1 048 576 concurrent fluid flows.
 
 use massf_engine::{run_sequential, SimTime};
 use massf_netsim::packet::segments_for;
@@ -188,7 +189,19 @@ fn main() {
             "parallel fluid profile diverged from sequential"
         );
         par_line = format!(",\n    \"parallel_bit_identical\": true, \"partitions\": {parts}");
-        eprintln!("# smoke checks passed (reduction ≥ 50×, seq ↔ par bit-identical)");
+        // Deterministic fixture: a solver edit that moves simulated
+        // behaviour fails here by counter name (BENCH_fluid.json).
+        let fl = &out.profile.fluid;
+        for (name, got, recorded) in [
+            ("fluid_events", out.stats.total_events, 109_760),
+            ("rate_recomputes", fl.rate_recomputes, 4_194_304),
+            ("bottleneck_recomputes", fl.bottleneck_recomputes, 32_768),
+            ("finish_arms", fl.finish_arms, 93_248),
+            ("cap_updates", fl.cap_updates, 128),
+        ] {
+            assert_eq!(got, recorded, "{name} moved from its recorded value");
+        }
+        eprintln!("# smoke checks passed (≥ 50×, seq ↔ par bit-identical, recorded counters)");
     }
 
     let events_per_sec = out.stats.total_events as f64 / (fluid_ms / 1e3);

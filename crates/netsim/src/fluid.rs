@@ -60,7 +60,8 @@ use crate::world::{validate_route, SharedNet};
 use massf_engine::{Emitter, LpId, SimTime};
 use massf_faults::FaultKind;
 use massf_topology::{MassfError, NodeId};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 /// The LP that owns all fluid solver state. Node 0 exists in every
@@ -175,8 +176,8 @@ pub struct FluidFlowEntryState {
 /// Canonical image of all fluid state, independent of slab slot
 /// recycling: flows sorted by id, coordinator-side per-slot arrays
 /// (`packet_bps`, `reported_bps`) either empty (fluid never active) or
-/// exactly `2·links` long. Link membership, aggregates, and the path
-/// memo are derived and rebuilt on restore.
+/// exactly `2·links` long. Link membership, per-flow slot lists,
+/// aggregates, and the path memo are derived and rebuilt on restore.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FluidWorldState {
     /// Live fluid flows, sorted by flow id.
@@ -203,6 +204,9 @@ impl FluidWorldState {
 struct FluidSlab {
     flow: Vec<FlowId>,
     path: Vec<Arc<[NodeId]>>,
+    /// The (link, direction) slot of every hop of `path`, derived when
+    /// the path is set: the solver walks this, never the topology.
+    slots: Vec<Arc<[u32]>>,
     /// Demand cap, bytes/s.
     demand: Vec<u64>,
     /// Current max-min rate, bytes/s.
@@ -224,6 +228,7 @@ impl FluidSlab {
         FluidSlab {
             flow: Vec::new(),
             path: Vec::new(),
+            slots: Vec::new(),
             demand: Vec::new(),
             rate: Vec::new(),
             armed_rate: Vec::new(),
@@ -259,32 +264,63 @@ pub(crate) struct FluidState {
     /// Path memo for the coordinator (the world's sharded route cache
     /// is owned per *source* LP and must not be touched from here).
     /// Cleared on fault-epoch change.
-    path_memo: BTreeMap<u64, Arc<[NodeId]>>,
+    path_memo: BTreeMap<u64, Route>,
     memo_epoch: u32,
     /// Generation-stamped scratch marks for closure computation (no
     /// per-solve set allocation at million-flow scale).
     link_mark: Vec<u32>,
     flow_mark: Vec<u32>,
-    /// Closure-local index of each marked flow slot, valid for the
-    /// current `mark_gen` only.
+    /// Closure-local index of each marked flow slot / link slot, valid
+    /// for the current `mark_gen` only.
     flow_local: Vec<u32>,
+    link_local: Vec<u32>,
     mark_gen: u32,
-    scratch_links: Vec<u32>,
-    scratch_flows: Vec<u32>,
+    /// Link slots the next solve starts its closure from.
+    seeds: Vec<u32>,
+    scratch: Scratch,
+    /// Test oracle switch: water-fill by the linear scan in `tests`.
+    #[cfg(test)]
+    scan_oracle: Option<Arc<SharedNet>>,
 }
 
-/// Visit the (link, direction) slot of every hop of `path`; returns
-/// `false` if a hop is not an existing link (hostile input — callers
-/// validate first, this is the backstop).
-fn for_path_slots(shared: &SharedNet, path: &[NodeId], mut f: impl FnMut(u32)) -> bool {
-    for w in path.windows(2) {
-        let Some(link) = shared.link_between(w[0], w[1]) else {
-            return false;
-        };
-        let dir = u32::from(link.a != w[0]);
-        f(link.id.0 * 2 + dir);
-    }
-    true
+/// A resolved path with the slot of every hop.
+type Route = (Arc<[NodeId]>, Arc<[u32]>);
+
+/// Per-solve buffers, kept between solves so the steady state
+/// allocates nothing. Link-indexed ones are indexed like `links`,
+/// flow-indexed ones like `fl`.
+#[derive(Default)]
+struct Scratch {
+    /// Closure link slots, sorted.
+    links: Vec<u32>,
+    /// Closure flows as `(flow id, slab slot)`, sorted.
+    fl: Vec<(u64, u32)>,
+    avail: Vec<u64>,
+    /// Unfixed flows per link.
+    cnt: Vec<u64>,
+    fixed: Vec<bool>,
+    newrate: Vec<u64>,
+    by_demand: Vec<(u64, u32)>,
+    /// Lazy min-heap of `(share, closure link index)`; an entry is
+    /// stale once its link's share has moved on.
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Share of each link's newest heap entry.
+    queued: Vec<u64>,
+    /// Links whose share the current round changed (with repeats).
+    touched: Vec<u32>,
+    #[cfg(test)]
+    heap_pushes: u64,
+}
+
+/// The (link, direction) slot of every hop of `path`; `None` if a hop
+/// is not an existing link (hostile input — callers validate first,
+/// this is the backstop).
+fn path_slots(shared: &SharedNet, path: &[NodeId]) -> Option<Arc<[u32]>> {
+    let slot = |w: &[NodeId]| {
+        let link = shared.link_between(w[0], w[1])?;
+        Some(link.id.0 * 2 + u32::from(link.a != w[0]))
+    };
+    path.windows(2).map(slot).collect()
 }
 
 /// The node that serializes onto slot `s` (`s = link·2 + dir`; dir 0
@@ -318,9 +354,12 @@ impl FluidState {
             link_mark: vec![0; slots],
             flow_mark: Vec::new(),
             flow_local: Vec::new(),
+            link_local: vec![0; slots],
             mark_gen: 0,
-            scratch_links: Vec::new(),
-            scratch_flows: Vec::new(),
+            seeds: Vec::new(),
+            scratch: Scratch::default(),
+            #[cfg(test)]
+            scan_oracle: None,
         }
     }
 
@@ -335,14 +374,15 @@ impl FluidState {
     }
 
     /// Resolve `src → dst` against the fault epoch at `now` through the
-    /// coordinator's own memo (interns one `Arc` per pair per epoch).
+    /// coordinator's own memo (interns one path and one slot list per
+    /// pair per epoch). A path with a hop that is not a link is no route.
     fn resolve(
         &mut self,
         shared: &SharedNet,
         now: SimTime,
         src: NodeId,
         dst: NodeId,
-    ) -> Option<Arc<[NodeId]>> {
+    ) -> Option<Route> {
         let epoch = match &shared.faults {
             Some(f) => f.epoch_at(now) as u32,
             None => 0,
@@ -355,9 +395,10 @@ impl FluidState {
         if let Some(p) = self.path_memo.get(&key) {
             return Some(p.clone());
         }
-        let p = shared.resolver_at(now).route_arc(src, dst)?;
-        self.path_memo.insert(key, p.clone());
-        Some(p)
+        let path = shared.resolver_at(now).route_arc(src, dst)?;
+        let route = (path.clone(), path_slots(shared, &path)?);
+        self.path_memo.insert(key, route.clone());
+        Some(route)
     }
 
     /// Advance `remaining` to `now` at the exact stored rate.
@@ -402,6 +443,7 @@ impl FluidState {
         }
         self.slab.flow.push(FlowId(0));
         self.slab.path.push(Arc::from([]));
+        self.slab.slots.push(Arc::from([]));
         self.slab.demand.push(0);
         self.slab.rate.push(0);
         self.slab.armed_rate.push(0);
@@ -413,20 +455,22 @@ impl FluidState {
         self.slab.len() - 1
     }
 
-    fn add_membership(&mut self, shared: &SharedNet, f: usize, seeds: &mut Vec<u32>) {
-        let path = self.slab.path[f].clone();
-        for_path_slots(shared, &path, |s| {
+    /// Route flow slot `f` over `route` and seed the next solve with
+    /// its links.
+    fn add_membership(&mut self, f: usize, (path, slots): Route) {
+        for &s in slots.iter() {
             self.members[s as usize].push(f as u32);
-            seeds.push(s);
-        });
+        }
+        self.seeds.extend_from_slice(&slots);
+        self.slab.path[f] = path;
+        self.slab.slots[f] = slots;
     }
 
-    fn remove_membership(&mut self, shared: &SharedNet, f: usize, seeds: &mut Vec<u32>) {
-        let path = self.slab.path[f].clone();
-        for_path_slots(shared, &path, |s| {
+    fn remove_membership(&mut self, f: usize) {
+        for &s in self.slab.slots[f].iter() {
             self.members[s as usize].retain(|&m| m != f as u32);
-            seeds.push(s);
-        });
+        }
+        self.seeds.extend_from_slice(&self.slab.slots[f]);
     }
 
     /// Handle [`NetEvent::FluidStart`].
@@ -447,7 +491,7 @@ impl FluidState {
             profile.fluid.unroutable += 1;
             return None;
         }
-        let Some(path) = self.resolve(shared, now, src, dst) else {
+        let Some(route) = self.resolve(shared, now, src, dst) else {
             profile.fluid.unroutable += 1;
             return None;
         };
@@ -456,7 +500,6 @@ impl FluidState {
         profile.fluid.started += 1;
         let f = self.alloc_slot();
         self.slab.flow[f] = flow;
-        self.slab.path[f] = path;
         // peak_bps is bits/s at the API surface (matching link
         // bandwidth); stored demand is bytes/s, floored at 1 so a
         // bounded flow can always finish.
@@ -471,9 +514,8 @@ impl FluidState {
         self.slab.updated[f] = now;
         self.slab.epoch[f] = 0;
         self.slab.by_id.insert(flow.0, f as u32);
-        let mut seeds = Vec::new();
-        self.add_membership(shared, f, &mut seeds);
-        self.solve(shared, now, &seeds, profile, out);
+        self.add_membership(f, route);
+        self.solve(shared, now, profile, out);
         Some(flow)
     }
 
@@ -496,15 +538,14 @@ impl FluidState {
         if self.slab.remaining[f] == 0 {
             let path = self.slab.path[f].clone();
             let (src, dst) = (path[0], *path.last().unwrap_or(&path[0]));
-            let mut seeds = Vec::new();
-            self.remove_membership(shared, f, &mut seeds);
+            self.remove_membership(f);
             self.slab.by_id.remove(&flow.0);
             self.slab.rate[f] = 0;
             self.slab.armed_rate[f] = 0;
             self.slab.path[f] = Arc::from([]);
             self.slab.free.push(f as u32);
             profile.fluid.completed += 1;
-            self.solve(shared, now, &seeds, profile, out);
+            self.solve(shared, now, profile, out);
             Some((src, dst))
         } else if self.slab.rate[f] > 0 {
             // Early alarm (the rate dropped since arming, lazily):
@@ -541,7 +582,8 @@ impl FluidState {
         if self.members[s].is_empty() {
             return;
         }
-        self.solve(shared, now, &[slot], profile, out);
+        self.seeds.push(slot);
+        self.solve(shared, now, profile, out);
     }
 
     /// Handle [`NetEvent::FluidFault`]: reroute or terminate every
@@ -560,16 +602,11 @@ impl FluidState {
         // keep their (still valid) detour paths, mirroring packet TCP,
         // which also fails over only on loss. Adjacency failures cannot
         // be localized to links, so every flow re-resolves.
-        let mut touched: Vec<u32> = Vec::new();
         match kind {
-            FaultKind::LinkDown(l) => {
-                touched.push(l.0 * 2);
-                touched.push(l.0 * 2 + 1);
-            }
+            FaultKind::LinkDown(l) => self.seeds.extend([l.0 * 2, l.0 * 2 + 1]),
             FaultKind::RouterCrash(n) => {
                 for &l in shared.incident_links(n) {
-                    touched.push(l * 2);
-                    touched.push(l * 2 + 1);
+                    self.seeds.extend([l * 2, l * 2 + 1]);
                 }
             }
             FaultKind::AsAdjacencyFail { .. } => {}
@@ -577,7 +614,7 @@ impl FluidState {
             | FaultKind::RouterRecover(_)
             | FaultKind::AsAdjacencyRestore { .. } => return Vec::new(),
         }
-        let mut affected: Vec<(u64, u32)> = match kind {
+        let affected: Vec<(u64, u32)> = match kind {
             FaultKind::AsAdjacencyFail { .. } => self
                 .slab
                 .by_id
@@ -586,7 +623,7 @@ impl FluidState {
                 .collect(),
             _ => {
                 let mut v: Vec<(u64, u32)> = Vec::new();
-                for &s in &touched {
+                for &s in &self.seeds {
                     if let Some(m) = self.members.get(s as usize) {
                         v.extend(m.iter().map(|&f| (self.slab.flow[f as usize].0, f)));
                     }
@@ -596,24 +633,21 @@ impl FluidState {
                 v
             }
         };
-        affected.sort_unstable();
         let mut aborted = Vec::new();
-        let mut seeds: Vec<u32> = touched;
         for &(_, fslot) in &affected {
             let f = fslot as usize;
             self.settle(f, now);
             let old = self.slab.path[f].clone();
             let (src, dst) = (old[0], *old.last().unwrap_or(&old[0]));
             match self.resolve(shared, now, src, dst) {
-                Some(new) if new == old => {}
+                Some(new) if new.0 == old => {}
                 Some(new) => {
-                    self.remove_membership(shared, f, &mut seeds);
-                    self.slab.path[f] = new;
-                    self.add_membership(shared, f, &mut seeds);
+                    self.remove_membership(f);
+                    self.add_membership(f, new);
                     profile.fluid.rerouted += 1;
                 }
                 None => {
-                    self.remove_membership(shared, f, &mut seeds);
+                    self.remove_membership(f);
                     self.slab.by_id.remove(&self.slab.flow[f].0);
                     self.slab.rate[f] = 0;
                     self.slab.armed_rate[f] = 0;
@@ -624,24 +658,24 @@ impl FluidState {
                 }
             }
         }
-        if !seeds.is_empty() {
-            self.solve(shared, now, &seeds, profile, out);
+        if !self.seeds.is_empty() {
+            self.solve(shared, now, profile, out);
         }
         aborted
     }
 
-    /// Recompute max-min fair rates over the closure of `seeds`:
-    /// starting from the seed link directions, alternate
+    /// Recompute max-min fair rates over the closure of `self.seeds`
+    /// (consumed): starting from the seed link directions, alternate
     /// link → member flows → their path links to a fixed point, settle
     /// every closure flow, then water-fill with a monotone integer
     /// level. Emission order is canonical (finish alarms in flow-id
     /// order, cap updates in slot order), so slab slot recycling can
-    /// never reorder events.
+    /// never reorder events. Costs O(closure hops · log), walking only
+    /// cached slot lists.
     fn solve(
         &mut self,
         shared: &SharedNet,
         now: SimTime,
-        seeds: &[u32],
         profile: &mut ProfileData,
         out: &mut Emitter<'_, NetEvent>,
     ) {
@@ -654,155 +688,54 @@ impl FluidState {
             self.mark_gen = 1;
         }
         let gen = self.mark_gen;
-        let mut links = std::mem::take(&mut self.scratch_links);
-        let mut flows = std::mem::take(&mut self.scratch_flows);
-        links.clear();
-        flows.clear();
-        for &s in seeds {
+        let mut w = std::mem::take(&mut self.scratch);
+        w.links.clear();
+        w.fl.clear();
+        for s in self.seeds.drain(..) {
             if let Some(m) = self.link_mark.get_mut(s as usize) {
                 if *m != gen {
                     *m = gen;
-                    links.push(s);
+                    w.links.push(s);
                 }
             }
         }
         let mut i = 0;
-        while i < links.len() {
-            let s = links[i] as usize;
-            i += 1;
-            let mut mi = 0;
-            while mi < self.members[s].len() {
-                let f = self.members[s][mi] as usize;
-                mi += 1;
+        while i < w.links.len() {
+            for &f in &self.members[w.links[i] as usize] {
+                let f = f as usize;
                 if self.flow_mark[f] != gen {
                     self.flow_mark[f] = gen;
-                    flows.push(f as u32);
-                    let path = self.slab.path[f].clone();
-                    for_path_slots(shared, &path, |slot| {
+                    w.fl.push((self.slab.flow[f].0, f as u32));
+                    for &slot in self.slab.slots[f].iter() {
                         let m = &mut self.link_mark[slot as usize];
                         if *m != gen {
                             *m = gen;
-                            links.push(slot);
+                            w.links.push(slot);
                         }
-                    });
+                    }
                 }
             }
+            i += 1;
         }
-        links.sort_unstable();
+        w.links.sort_unstable();
+        for (li, &s) in w.links.iter().enumerate() {
+            self.link_local[s as usize] = li as u32;
+        }
 
         // 2. Canonical flow order + closure-local indices.
-        let mut fl: Vec<(u64, u32)> = flows
-            .iter()
-            .map(|&f| (self.slab.flow[f as usize].0, f))
-            .collect();
-        fl.sort_unstable();
-        for (li, &(_, f)) in fl.iter().enumerate() {
-            self.flow_local[f as usize] = li as u32;
-        }
-        for &(_, f) in &fl {
+        w.fl.sort_unstable();
+        for (fi, &(_, f)) in w.fl.iter().enumerate() {
+            self.flow_local[f as usize] = fi as u32;
             self.settle(f as usize, now);
         }
 
-        // 3. Water-fill. `avail`/`unfixed` are indexed like `links`
-        // (sorted, binary-searchable); demands ascend once, and each
-        // round either fixes the globally smallest unfixed demand (it
-        // is ≤ every fair share, so demand-limited) or saturates the
-        // minimum-share link, fixing all its unfixed members at the
-        // floor share. Every round fixes ≥ 1 flow.
-        let lidx = |links: &[u32], s: u32| -> usize {
-            links.partition_point(|&x| x < s) // s is always present
-        };
-        let mut avail: Vec<u64> = links.iter().map(|&s| self.cap_avail(s as usize)).collect();
-        let mut unfixed_cnt: Vec<u64> = vec![0; links.len()];
-        for &(_, f) in &fl {
-            let path = self.slab.path[f as usize].clone();
-            for_path_slots(shared, &path, |s| {
-                unfixed_cnt[lidx(&links, s)] += 1;
-            });
-        }
-        let mut fixed = vec![false; fl.len()];
-        let mut newrate = vec![0u64; fl.len()];
-        let mut by_demand: Vec<(u64, u32)> = fl
-            .iter()
-            .enumerate()
-            .map(|(li, &(_, f))| (self.slab.demand[f as usize], li as u32))
-            .collect();
-        by_demand.sort_unstable();
-        let mut dp = 0usize;
-        let mut left = fl.len();
-        while left > 0 {
-            let mut min_share = u64::MAX;
-            let mut min_link = usize::MAX;
-            for (li, &cnt) in unfixed_cnt.iter().enumerate() {
-                if let Some(share) = avail[li].checked_div(cnt) {
-                    if share < min_share {
-                        min_share = share;
-                        min_link = li;
-                    }
-                }
-            }
-            debug_assert!(min_link != usize::MAX, "every flow traverses ≥ 1 link");
-            while dp < by_demand.len() && fixed[by_demand[dp].1 as usize] {
-                dp += 1;
-            }
-            let fix = |fi: usize,
-                       r: u64,
-                       fixed: &mut [bool],
-                       newrate: &mut [u64],
-                       avail: &mut [u64],
-                       unfixed_cnt: &mut [u64],
-                       left: &mut usize| {
-                fixed[fi] = true;
-                newrate[fi] = r;
-                *left -= 1;
-                let f = fl[fi].1 as usize;
-                let path = self.slab.path[f].clone();
-                for_path_slots(shared, &path, |s| {
-                    let li = lidx(&links, s);
-                    avail[li] = avail[li].saturating_sub(r);
-                    unfixed_cnt[li] = unfixed_cnt[li].saturating_sub(1);
-                });
-            };
-            if dp < by_demand.len() && by_demand[dp].0 <= min_share {
-                let fi = by_demand[dp].1 as usize;
-                let d = by_demand[dp].0;
-                fix(
-                    fi,
-                    d,
-                    &mut fixed,
-                    &mut newrate,
-                    &mut avail,
-                    &mut unfixed_cnt,
-                    &mut left,
-                );
-            } else {
-                let s = links[min_link] as usize;
-                let mut mi = 0;
-                while mi < self.members[s].len() {
-                    let f = self.members[s][mi] as usize;
-                    mi += 1;
-                    if self.flow_mark[f] == gen {
-                        let fi = self.flow_local[f] as usize;
-                        if !fixed[fi] {
-                            fix(
-                                fi,
-                                min_share,
-                                &mut fixed,
-                                &mut newrate,
-                                &mut avail,
-                                &mut unfixed_cnt,
-                                &mut left,
-                            );
-                        }
-                    }
-                }
-            }
-        }
+        // 3. New rates, indexed like `w.fl`.
+        self.water_fill(&mut w);
 
         // 4. Apply rates and (re-)arm finish alarms, flow-id order.
-        for (fi, &(_, f)) in fl.iter().enumerate() {
+        for (fi, &(_, f)) in w.fl.iter().enumerate() {
             let f = f as usize;
-            let r = newrate[fi];
+            let r = w.newrate[fi];
             if r != self.slab.rate[f] {
                 self.slab.rate[f] = r;
                 profile.fluid.rate_recomputes += 1;
@@ -817,8 +750,8 @@ impl FluidState {
         }
 
         // 5. Refresh aggregates; report level changes, slot order.
-        profile.fluid.bottleneck_recomputes += links.len() as u64;
-        for &s in &links {
+        profile.fluid.bottleneck_recomputes += w.links.len() as u64;
+        for &s in &w.links {
             let s = s as usize;
             let mut agg = 0u64;
             for &f in &self.members[s] {
@@ -844,8 +777,89 @@ impl FluidState {
                 );
             }
         }
-        self.scratch_links = links;
-        self.scratch_flows = flows;
+        self.scratch = w;
+    }
+
+    /// Max-min water-fill over the closure in `w` (`links`, `fl` and
+    /// the `*_local` indices are set). Demands ascend once, and each
+    /// round either fixes the globally smallest unfixed demand (it is
+    /// ≤ every fair share, so demand-limited) or saturates the
+    /// minimum-share link — smallest `(share, link index)`, peeked so a
+    /// demand round leaves it queued — fixing all its unfixed members
+    /// at the floor share. Every round fixes ≥ 1 flow.
+    fn water_fill(&self, w: &mut Scratch) {
+        #[cfg(test)]
+        if let Some(shared) = &self.scan_oracle {
+            w.newrate = tests::water_fill_scan(self, shared, &w.links, &w.fl);
+            return;
+        }
+        w.avail.clear();
+        w.cnt.clear();
+        w.queued.clear();
+        w.heap.clear();
+        for (li, &s) in w.links.iter().enumerate() {
+            w.avail.push(self.cap_avail(s as usize));
+            // Every member of a closure link is a closure flow.
+            w.cnt.push(self.members[s as usize].len() as u64);
+            let share = w.avail[li].checked_div(w.cnt[li]);
+            w.queued.push(share.unwrap_or(u64::MAX));
+            w.heap.extend(share.map(|sh| Reverse((sh, li as u32))));
+        }
+        w.fixed.clear();
+        w.fixed.resize(w.fl.len(), false);
+        w.newrate.clear();
+        w.newrate.resize(w.fl.len(), 0);
+        w.by_demand.clear();
+        let demands = (0..w.fl.len()).map(|fi| (self.slab.demand[w.fl[fi].1 as usize], fi as u32));
+        w.by_demand.extend(demands);
+        w.by_demand.sort_unstable();
+        let (mut dp, mut left) = (0usize, w.fl.len());
+        while left > 0 {
+            while w.heap.peek().is_some_and(|&Reverse((share, li))| {
+                w.avail[li as usize].checked_div(w.cnt[li as usize]) != Some(share)
+            }) {
+                w.heap.pop();
+            }
+            let (min_share, min_link) = w.heap.peek().map_or((u64::MAX, u32::MAX), |e| e.0);
+            debug_assert!(min_link != u32::MAX, "every flow traverses ≥ 1 link");
+            while dp < w.by_demand.len() && w.fixed[w.by_demand[dp].1 as usize] {
+                dp += 1;
+            }
+            let mut fix = |fi: usize, r: u64| {
+                if !std::mem::replace(&mut w.fixed[fi], true) {
+                    w.newrate[fi] = r;
+                    left -= 1;
+                    for &s in self.slab.slots[w.fl[fi].1 as usize].iter() {
+                        let li = self.link_local[s as usize];
+                        w.avail[li as usize] = w.avail[li as usize].saturating_sub(r);
+                        w.cnt[li as usize] = w.cnt[li as usize].saturating_sub(1);
+                        w.touched.push(li);
+                    }
+                }
+            };
+            if dp < w.by_demand.len() && w.by_demand[dp].0 <= min_share {
+                fix(w.by_demand[dp].1 as usize, w.by_demand[dp].0);
+            } else {
+                for &f in &self.members[w.links[min_link as usize] as usize] {
+                    fix(self.flow_local[f as usize] as usize, min_share);
+                }
+            }
+            // Queue each changed share once per round, not per fix.
+            for li in w.touched.drain(..) {
+                let l = li as usize;
+                match w.avail[l].checked_div(w.cnt[l]) {
+                    Some(share) if share != w.queued[l] => {
+                        w.queued[l] = share;
+                        w.heap.push(Reverse((share, li)));
+                        #[cfg(test)]
+                        {
+                            w.heap_pushes += 1;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
     }
 
     /// Canonical export (see [`FluidWorldState`]).
@@ -922,9 +936,10 @@ impl FluidState {
                 )));
             }
             validate_route(shared, &e.path, "fluid")?;
+            let slots = path_slots(shared, &e.path)
+                .ok_or_else(|| bad("fluid path hop is not a link".into()))?;
             let f = fs.alloc_slot();
             fs.slab.flow[f] = e.flow;
-            fs.slab.path[f] = Arc::from(e.path.as_slice());
             fs.slab.demand[f] = e.demand_bps;
             fs.slab.rate[f] = e.rate_bps;
             fs.slab.armed_rate[f] = e.armed_rate_bps;
@@ -932,10 +947,10 @@ impl FluidState {
             fs.slab.updated[f] = e.updated;
             fs.slab.epoch[f] = e.epoch;
             fs.slab.by_id.insert(e.flow.0, f as u32);
-            let mut seeds = Vec::new();
-            fs.add_membership(shared, f, &mut seeds);
+            fs.add_membership(f, (Arc::from(e.path.as_slice()), slots));
         }
-        // Aggregates are derived: rebuild without emitting reports.
+        fs.seeds.clear(); // nothing to re-solve: the rates came with the state
+                          // Aggregates are derived: rebuild without emitting reports.
         for s in 0..slots {
             let mut agg = 0u64;
             for &f in &fs.members[s] {
@@ -976,15 +991,10 @@ impl FluidState {
                 return Err(format!("flow {id:#x}: rate {rate} above demand {demand}"));
             }
             if rate < demand {
-                let mut bottlenecked = false;
-                for (s, members) in self.members.iter().enumerate() {
-                    if members.contains(&(f as u32))
-                        && self.cap_avail(s).saturating_sub(self.agg_bps[s]) < members.len() as u64
-                    {
-                        bottlenecked = true;
-                        break;
-                    }
-                }
+                let bottlenecked = self.slab.slots[f].iter().any(|&s| {
+                    let s = s as usize;
+                    self.cap_avail(s).saturating_sub(self.agg_bps[s]) < self.members[s].len() as u64
+                });
                 if !bottlenecked {
                     return Err(format!(
                         "flow {id:#x}: below demand ({rate} < {demand}) with no saturated link"
@@ -1088,9 +1098,13 @@ mod tests {
     use super::*;
     use crate::packet::segments_for;
     use crate::world::{events_per_roundtrip, AppLogic, NetWorld, NoApp, SimApi};
-    use massf_engine::run_sequential;
-    use massf_routing::{CostMetric, FlatResolver};
-    use massf_topology::{AsId, Network, NodeKind, Point};
+    use massf_engine::{run_sequential, Model};
+    use massf_faults::{FaultScript, FaultState};
+    use massf_routing::{CostMetric, FlatResolver, PathResolver};
+    use massf_topology::{AsId, LinkId, Network, NodeKind, Point};
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     /// host A — r1 — r2 — B; the middle link is the bottleneck. With
     /// `bottleneck_bps = 8e6` the shareable capacity is exactly
@@ -1317,5 +1331,565 @@ mod tests {
         assert_eq!(st1.fluid_est_start, st2.fluid_est_start);
         assert_eq!(st1.fluid_est_bytes, st2.fluid_est_bytes);
         assert_eq!(st1.fluid_est_reported, st2.fluid_est_reported);
+    }
+
+    // ---- The heap-driven water-fill against the scan it replaced ----
+
+    /// The scan-based water-fill the heap replaced, kept as the oracle:
+    /// every hop re-resolved through the topology, closure indices by
+    /// binary search, one linear minimum scan per round (strictly
+    /// smaller share wins, so the lowest link index among equals). It
+    /// shares nothing with `FluidState::water_fill` but the closure it
+    /// is handed, so it also checks the cached slot lists and
+    /// `link_local`.
+    pub(super) fn water_fill_scan(
+        fs: &FluidState,
+        shared: &SharedNet,
+        links: &[u32],
+        fl: &[(u64, u32)],
+    ) -> Vec<u64> {
+        let hops = |f: u32| -> Vec<usize> {
+            let slot = |w: &[NodeId]| {
+                let link = shared
+                    .link_between(w[0], w[1])
+                    .expect("live paths follow links");
+                link.id.0 * 2 + u32::from(link.a != w[0])
+            };
+            let lidx = |s: u32| links.partition_point(|&x| x < s); // s is always present
+            fs.slab.path[f as usize]
+                .windows(2)
+                .map(|w| lidx(slot(w)))
+                .collect()
+        };
+        let mut avail: Vec<u64> = links.iter().map(|&s| fs.cap_avail(s as usize)).collect();
+        let mut unfixed_cnt = vec![0u64; links.len()];
+        for &(_, f) in fl {
+            for li in hops(f) {
+                unfixed_cnt[li] += 1;
+            }
+        }
+        let mut fixed = vec![false; fl.len()];
+        let mut newrate = vec![0u64; fl.len()];
+        let mut by_demand: Vec<(u64, usize)> = (0..fl.len())
+            .map(|fi| (fs.slab.demand[fl[fi].1 as usize], fi))
+            .collect();
+        by_demand.sort_unstable();
+        let mut dp = 0usize;
+        let mut left = fl.len();
+        while left > 0 {
+            let mut min_share = u64::MAX;
+            let mut min_link = usize::MAX;
+            for (li, &cnt) in unfixed_cnt.iter().enumerate() {
+                if let Some(share) = avail[li].checked_div(cnt) {
+                    if share < min_share {
+                        min_share = share;
+                        min_link = li;
+                    }
+                }
+            }
+            assert!(min_link != usize::MAX, "every flow traverses ≥ 1 link");
+            while dp < by_demand.len() && fixed[by_demand[dp].1] {
+                dp += 1;
+            }
+            let (round, r) = if dp < by_demand.len() && by_demand[dp].0 <= min_share {
+                (vec![by_demand[dp].1], by_demand[dp].0)
+            } else {
+                let members = &fs.members[links[min_link] as usize];
+                let round = members.iter().map(|&f| fs.flow_local[f as usize] as usize);
+                (round.collect(), min_share)
+            };
+            for fi in round {
+                if !std::mem::replace(&mut fixed[fi], true) {
+                    newrate[fi] = r;
+                    left -= 1;
+                    for li in hops(fl[fi].1) {
+                        avail[li] = avail[li].saturating_sub(r);
+                        unfixed_cnt[li] = unfixed_cnt[li].saturating_sub(1);
+                    }
+                }
+            }
+        }
+        newrate
+    }
+
+    fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The coordinator LP alone as a `Model`: fluid control events
+    /// drive one `FluidState`, and every event handled is logged with
+    /// the solver state it left behind — per-flow rate, armed rate,
+    /// alarm epoch, residual and path, the reported aggregates, and the
+    /// counters — so two runs compare step by step. The log holds every
+    /// emitted event too: each is handled (time, target, payload) unless
+    /// it falls past the horizon, and then the armed state pins it.
+    struct Coordinator {
+        shared: Arc<SharedNet>,
+        fs: FluidState,
+        counter: u32,
+        profile: ProfileData,
+        log: Vec<String>,
+    }
+
+    impl Coordinator {
+        fn new(shared: &Arc<SharedNet>, scan_oracle: bool) -> Self {
+            let mut fs = FluidState::new(shared);
+            fs.scan_oracle = scan_oracle.then(|| shared.clone());
+            Coordinator {
+                shared: shared.clone(),
+                fs,
+                counter: 0,
+                profile: ProfileData::new(shared.lp_count(), shared.net.links.len()),
+                log: Vec::new(),
+            }
+        }
+
+        fn run(mut self, events: &[(SimTime, LpId, NetEvent)], end: SimTime) -> Self {
+            let n = self.shared.lp_count();
+            run_sequential(&mut self, n, events.to_vec(), end);
+            self
+        }
+
+        /// Rates of the live flows, in flow-id order.
+        fn rates(&self) -> Vec<u64> {
+            self.fs.export().flows.iter().map(|f| f.rate_bps).collect()
+        }
+    }
+
+    impl Model for Coordinator {
+        type Event = NetEvent;
+
+        fn handle(
+            &mut self,
+            target: LpId,
+            now: SimTime,
+            ev: NetEvent,
+            out: &mut Emitter<'_, NetEvent>,
+        ) {
+            let mut line = format!("{}ns → {}: {ev:?}\n ", now.as_ns(), target.0);
+            let (fs, shared, profile) = (&mut self.fs, &*self.shared, &mut self.profile);
+            fs.scratch.heap_pushes = 0; // reads: re-queues of the last solve
+            match ev {
+                NetEvent::FluidStart {
+                    src,
+                    dst,
+                    bytes,
+                    peak_bps,
+                } => {
+                    let c = &mut self.counter;
+                    fs.start(shared, now, src, dst, bytes, peak_bps, c, profile, out);
+                }
+                NetEvent::FluidFinish { flow, epoch } => {
+                    fs.finish(shared, now, flow, epoch, profile, out);
+                }
+                NetEvent::FluidPacketLoad { slot, bps } => {
+                    fs.packet_load(shared, now, slot, bps, profile, out)
+                }
+                NetEvent::FluidFault { kind } => {
+                    fs.fault(shared, now, kind, profile, out);
+                }
+                _ => {} // cap updates: logged, nothing to do at this end
+            }
+            assert!(fs.seeds.is_empty(), "seeds outlived their solve");
+            if let Err(e) = fs.check_invariants() {
+                panic!("after {line}: {e}");
+            }
+            let st = fs.export();
+            let mut state = String::new();
+            for f in &st.flows {
+                let path = fnv(f.path.iter().flat_map(|n| n.0.to_le_bytes()));
+                state += &format!(
+                    " {:x}:{}/{}/{}/{}/{path:x}",
+                    f.flow.0, f.rate_bps, f.armed_rate_bps, f.epoch, f.remaining_bns
+                );
+            }
+            for (s, &r) in st.reported_bps.iter().enumerate() {
+                if r != u64::MAX {
+                    state += &format!(" s{s}={r}");
+                }
+            }
+            if state.len() > 2048 {
+                state = format!(" state#{:x}", fnv(state.bytes()));
+            }
+            line += &format!("{state}\n  {:?}", profile.fluid);
+            self.log.push(line);
+        }
+    }
+
+    /// Run `events` through the heap solver and through the scan
+    /// oracle, both starting at closure generation `gen0`; every step
+    /// must agree. Returns the heap run.
+    fn both_from(
+        shared: &Arc<SharedNet>,
+        events: &[(SimTime, LpId, NetEvent)],
+        end: SimTime,
+        gen0: u32,
+    ) -> Coordinator {
+        let [heap, scan] = [false, true].map(|oracle| {
+            let mut c = Coordinator::new(shared, oracle);
+            c.fs.mark_gen = gen0;
+            c.run(events, end)
+        });
+        for (i, (h, s)) in heap.log.iter().zip(&scan.log).enumerate() {
+            assert_eq!(
+                h, s,
+                "step {i}: heap (left) and scan oracle (right) part ways"
+            );
+        }
+        assert_eq!(heap.log.len(), scan.log.len());
+        assert_eq!(heap.profile.fluid, scan.profile.fluid);
+        heap
+    }
+
+    fn both(
+        shared: &Arc<SharedNet>,
+        events: &[(SimTime, LpId, NetEvent)],
+        end: SimTime,
+    ) -> Coordinator {
+        both_from(shared, events, end, 0)
+    }
+
+    /// Routers `0..n` joined by `links` = `(a, b, capacity in bytes/s)`,
+    /// link ids (so slot order) in the order given.
+    fn mesh(n: u32, links: &[(u32, u32, u64)]) -> Network {
+        let mut net = Network::new();
+        for i in 0..n {
+            net.add_node(NodeKind::Router, Point::new(f64::from(i), 0.0), AsId(0));
+        }
+        for &(a, b, cap) in links {
+            net.add_link(NodeId(a), NodeId(b), cap as f64 * 8.0, 1.0);
+        }
+        net
+    }
+
+    fn flat(net: Network) -> Arc<SharedNet> {
+        let resolver = Arc::new(FlatResolver::new(&net, CostMetric::Latency));
+        SharedNet::new(net, resolver)
+    }
+
+    /// `FluidStart` at `ms`; `demand` in bytes/s, 0 = unbounded.
+    fn start_at(ms: u64, src: u32, dst: u32, bytes: u64, demand: u64) -> (SimTime, LpId, NetEvent) {
+        let (_, lp, ev) = fluid_start(NodeId(src), NodeId(dst), bytes, demand * 8);
+        (SimTime::from_ms(ms), lp, ev)
+    }
+
+    const BIG: u64 = 1_000_000_000_000;
+
+    #[test]
+    fn equal_floor_shares_saturate_the_lowest_slot_first() {
+        // Chain 0 —A— 1 —B— 2, A = 10 B/s under three flows, B = 7 B/s
+        // under two: both floor to 3. A holds the lower slot, so it
+        // saturates first; its through flow leaves B 7 − 3 = 4 for B's
+        // other member. (B first would give that member 3.)
+        let events = [
+            start_at(0, 0, 1, BIG, 0),
+            start_at(0, 0, 1, BIG, 0),
+            start_at(0, 0, 2, BIG, 0),
+            start_at(0, 1, 2, BIG, 0),
+        ];
+        let end = SimTime::from_ms(10);
+        let c = both(&flat(mesh(3, &[(0, 1, 10), (1, 2, 7)])), &events, end);
+        assert_eq!(c.rates(), vec![3, 3, 3, 4]);
+        // Mirror image: the 7 B/s link now holds the lower slot and
+        // goes first; the 10 B/s link is left 7 for two flows.
+        let events = [
+            start_at(0, 0, 1, BIG, 0),
+            start_at(0, 0, 2, BIG, 0),
+            start_at(0, 1, 2, BIG, 0),
+            start_at(0, 1, 2, BIG, 0),
+        ];
+        let c = both(&flat(mesh(3, &[(0, 1, 7), (1, 2, 10)])), &events, end);
+        assert_eq!(c.rates(), vec![3, 3, 3, 3]);
+    }
+
+    #[test]
+    fn a_share_that_rose_is_read_fresh_not_from_its_stale_entry() {
+        // Chain 0 —X— 1 —Y— 2 —Z— 3 with X = 30, Y = 6, Z = 20 B/s.
+        // Queued at first: Y 6/3 = 2, X 30/3 = 10, Z 20/2 = 10. Y
+        // saturates and pins three flows at 2, which *raises* X to
+        // 26/1 and Z to 18/1: the queued 10s are stale, and the flows
+        // left on X and Z must get 26 and 18, Z (smaller) first.
+        let events = [
+            start_at(0, 0, 2, BIG, 0), // X Y
+            start_at(0, 0, 1, BIG, 0), // X
+            start_at(0, 1, 2, BIG, 0), // Y
+            start_at(0, 2, 3, BIG, 0), // Z
+            start_at(0, 0, 3, BIG, 0), // X Y Z: one closure
+        ];
+        let shared = flat(mesh(4, &[(0, 1, 30), (1, 2, 6), (2, 3, 20)]));
+        let c = both(&shared, &events, SimTime::from_ms(10));
+        assert_eq!(c.rates(), vec![2, 26, 2, 18, 2]);
+    }
+
+    #[test]
+    fn demand_equal_to_the_minimum_share_is_demand_limited() {
+        // One 10 B/s link, demands 5 and ∞: the share is 10/2 = 5 and
+        // `<=` fixes the first flow by demand. The link was only
+        // peeked, so it is still queued to saturate for the second.
+        let events = [start_at(0, 0, 1, BIG, 5), start_at(0, 0, 1, BIG, 0)];
+        let end = SimTime::from_ms(10);
+        let c = both(&flat(mesh(2, &[(0, 1, 10)])), &events, end);
+        assert_eq!(c.rates(), vec![5, 5]);
+        // At 11 B/s the branch taken shows: demand-limited leaves
+        // 11 − 5 = 6 for the other flow; saturating gives both 5.
+        let c = both(&flat(mesh(2, &[(0, 1, 11)])), &events, end);
+        assert_eq!(c.rates(), vec![5, 6]);
+    }
+
+    #[test]
+    fn a_thousand_members_saturate_in_one_round_with_one_requeue_per_neighbour() {
+        // 1 024 flows 0 → 3 over the 1 MB/s link 1 — 2, one flow 0 → 4
+        // sharing only the access link 0 — 1 with them.
+        let caps = [
+            (0, 1, 125_000_000),
+            (1, 2, 1_000_000),
+            (2, 3, 125_000_000),
+            (1, 4, 125_000_000),
+        ];
+        let mut events: Vec<_> = (0..1024).map(|_| start_at(0, 0, 3, BIG, 0)).collect();
+        events.push(start_at(0, 0, 4, BIG, 0));
+        // One more solve over the whole closure: 100 kB/s of packets
+        // on the bottleneck (slot 2 = link 1, forward).
+        events.push((
+            SimTime::from_ms(1),
+            LpId(FLUID_COORDINATOR.0),
+            NetEvent::FluidPacketLoad {
+                slot: 2,
+                bps: 100_000,
+            },
+        ));
+        let c = both(&flat(mesh(5, &caps)), &events, SimTime::from_ms(2));
+        let mut want = vec![900_000 / 1024; 1024];
+        want.push(125_000_000 - 1024 * (900_000 / 1024));
+        assert_eq!(c.rates(), want);
+        // Saturating 1 — 2 fixes 1 024 flows and changes the share of
+        // 0 — 1 1 024 times; it is re-queued once. The links that ran
+        // out of unfixed flows are not re-queued at all.
+        assert_eq!(c.fs.scratch.heap_pushes, 1);
+    }
+
+    #[test]
+    fn closure_generation_wrap_keeps_link_local_consistent() {
+        // Starts and finishes on the three-link chain, with the
+        // generation counter wrapping on the third solve.
+        let shared = flat(mesh(4, &[(0, 1, 30), (1, 2, 6), (2, 3, 20)]));
+        let events = [
+            start_at(0, 0, 2, 40, 0),
+            start_at(0, 0, 1, 400, 0),
+            start_at(1, 1, 2, 4_000, 0),
+            start_at(2, 2, 3, 200, 7),
+            start_at(3, 0, 3, BIG, 0),
+            start_at(3, 3, 0, 90, 0),
+        ];
+        let end = SimTime::from_secs(3_600);
+        let wrapped = both_from(&shared, &events, end, u32::MAX - 2);
+        assert!(wrapped.fs.mark_gen < 1_000, "the run must cross the wrap");
+        assert_eq!(wrapped.profile.fluid.completed, 5);
+        let plain = both(&shared, &events, end);
+        assert_eq!(wrapped.log, plain.log);
+    }
+
+    // ---- A path with a hop that is not a link is no route ----
+
+    /// Routes like the flat resolver it wraps, except that `from → to`
+    /// is answered with `bogus`.
+    struct Detour {
+        inner: FlatResolver,
+        from: NodeId,
+        to: NodeId,
+        bogus: Vec<NodeId>,
+    }
+
+    impl PathResolver for Detour {
+        fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
+            if (src, dst) == (self.from, self.to) {
+                Some(self.bogus.clone())
+            } else {
+                self.inner.route(src, dst)
+            }
+        }
+    }
+
+    /// The `dumbbell` network with `a → b` answered `a, r1, b`: the
+    /// first hop is a link, the second is not.
+    fn dumbbell_net_with_detour() -> (Network, Detour, NodeId, NodeId) {
+        let (shared, a, b) = dumbbell(8e6);
+        let net = shared.net.clone();
+        let detour = Detour {
+            inner: FlatResolver::new(&net, CostMetric::Latency),
+            from: a,
+            to: b,
+            bogus: vec![a, NodeId(a.0 + 1), b],
+        };
+        (net, detour, a, b)
+    }
+
+    #[test]
+    fn start_over_a_non_link_hop_is_unroutable_not_half_registered() {
+        let (net, detour, a, b) = dumbbell_net_with_detour();
+        let shared = SharedNet::new(net, Arc::new(detour));
+        let events = [
+            fluid_start(a, b, 1_000_000, 0),
+            fluid_start(b, a, 1_000_000, 0),
+        ];
+        let c = Coordinator::new(&shared, false).run(&events, SimTime::from_ms(10));
+        assert_eq!(c.profile.fluid.unroutable, 1);
+        assert_eq!(c.profile.fluid.started, 1, "b → a routes normally");
+        assert_eq!(c.fs.slab.len(), 1, "no slot allocated for the bogus path");
+        let registered: usize = c.fs.members.iter().map(Vec::len).sum();
+        assert_eq!(registered, 3, "only the three hops of b → a");
+    }
+
+    #[test]
+    fn reroute_over_a_non_link_hop_aborts_through_the_callback() {
+        #[derive(Default)]
+        struct Aborts(Vec<(NodeId, NodeId)>);
+        impl AppLogic for Aborts {
+            fn on_flow_complete(&mut self, _: NodeId, _: FlowId, _: &mut SimApi<'_, '_>) {}
+            fn on_timer(&mut self, _: NodeId, _: u64, _: &mut SimApi<'_, '_>) {}
+            fn on_fluid_aborted(
+                &mut self,
+                src: NodeId,
+                _: FlowId,
+                dst: NodeId,
+                _: &mut SimApi<'_, '_>,
+            ) {
+                self.0.push((src, dst));
+            }
+        }
+        // Epoch 0 routes normally; the epoch after the middle link
+        // fails answers a → b with the bogus path.
+        let (net, detour, a, b) = dumbbell_net_with_detour();
+        let detour: Arc<dyn PathResolver> = Arc::new(detour);
+        let mut script = FaultScript::new();
+        script.link_down(SimTime::from_ms(100), LinkId(1));
+        let base = Arc::new(FlatResolver::new(&net, CostMetric::Latency));
+        let faults =
+            FaultState::with_factory(&net, script, base, Box::new(move |_| detour.clone()))
+                .expect("script validates");
+        let shared = SharedNet::with_faults(net, faults);
+        let events = vec![
+            fluid_start(a, b, 1_000_000_000, 0),
+            (
+                SimTime::from_ms(100),
+                LpId(FLUID_COORDINATOR.0),
+                NetEvent::FluidFault {
+                    kind: FaultKind::LinkDown(LinkId(1)),
+                },
+            ),
+        ];
+        let (world, _) = run(shared, Aborts::default(), events, SimTime::from_ms(200));
+        assert_eq!(world.app().0, vec![(a, b)]);
+        assert_eq!(world.profile().fluid.aborted, 1);
+        assert_eq!(world.profile().fluid.rerouted, 0);
+        assert_eq!(world.fluid_live_flows(), 0);
+        world
+            .check_fluid_invariants()
+            .expect("no half-member flow left behind");
+    }
+
+    // ---- Oracle proptest ----
+
+    /// A random small world and a random fluid control schedule over
+    /// it: a router ring with chords and hosts, capacities drawn from a
+    /// few round values (so equal shares and demand = share ties are
+    /// common), link flaps and a router crash, starts with finite and
+    /// unbounded demands, packet-load reports, and an adjacency fault
+    /// (every flow re-resolves).
+    fn random_schedule(seed: u64) -> (Arc<SharedNet>, Vec<(SimTime, LpId, NetEvent)>) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let caps = [1_000_000u64, 1_000_000, 2_000_000, 3_000_000, 125_000_000];
+        let routers = rng.gen_range(3u32..8);
+        let hosts = rng.gen_range(3u32..9);
+        let mut net = Network::new();
+        for i in 0..routers {
+            net.add_node(NodeKind::Router, Point::new(f64::from(i), 0.0), AsId(0));
+        }
+        let mut add_link = |net: &mut Network, a: u32, b: u32| {
+            let cap = caps[rng.gen_range(0..caps.len())];
+            let latency = 0.25 * f64::from(rng.gen_range(1u32..9));
+            net.add_link(NodeId(a), NodeId(b), cap as f64 * 8.0, latency);
+        };
+        for i in 0..routers {
+            add_link(&mut net, i, (i + 1) % routers);
+        }
+        let core_links = routers;
+        for i in 0..routers {
+            if routers > 3 && i % 2 == 0 {
+                add_link(&mut net, i, (i + 2) % routers);
+            }
+        }
+        for h in 0..hosts {
+            let id = net.add_node(NodeKind::Host, Point::new(f64::from(h), 1.0), AsId(0));
+            add_link(&mut net, id.0, h % routers);
+        }
+        let coordinator = LpId(FLUID_COORDINATOR.0);
+        let mut events = Vec::new();
+        let mut script = FaultScript::new();
+        // Flaps on distinct ring links, and one router crash.
+        let mut mirror = |script: &mut FaultScript, ms: u64, kind: FaultKind| {
+            script.push(SimTime::from_ms(ms), kind);
+            events.push((
+                SimTime::from_ms(ms),
+                coordinator,
+                NetEvent::FluidFault { kind },
+            ));
+        };
+        for l in 0..rng.gen_range(0..core_links.min(3)) {
+            let down = rng.gen_range(1u64..400);
+            mirror(&mut script, down, FaultKind::LinkDown(LinkId(l)));
+            mirror(
+                &mut script,
+                down + rng.gen_range(1u64..300),
+                FaultKind::LinkUp(LinkId(l)),
+            );
+        }
+        if rng.gen_bool(0.5) {
+            let r = NodeId(rng.gen_range(0..routers));
+            let down = rng.gen_range(1u64..400);
+            mirror(&mut script, down, FaultKind::RouterCrash(r));
+            mirror(
+                &mut script,
+                down + rng.gen_range(1u64..300),
+                FaultKind::RouterRecover(r),
+            );
+        }
+        if rng.gen_bool(0.5) {
+            let kind = FaultKind::AsAdjacencyFail { as_a: 0, as_b: 1 };
+            let at = SimTime::from_ms(rng.gen_range(1u64..400));
+            events.push((at, coordinator, NetEvent::FluidFault { kind }));
+        }
+        let faults = FaultState::flat(&net, CostMetric::Latency, script).expect("script validates");
+        let slots = net.links.len() as u32 * 2;
+        for _ in 0..rng.gen_range(1usize..40) {
+            let src = routers + rng.gen_range(0..hosts);
+            let dst = routers + rng.gen_range(0..hosts); // src == dst: unroutable
+            let bytes = rng.gen_range(1_000u64..2_000_000);
+            let demand = [0, 0, 250_000, 500_000, 1_000_000, 333_333][rng.gen_range(0..6usize)];
+            events.push(start_at(rng.gen_range(0u64..500), src, dst, bytes, demand));
+        }
+        for _ in 0..rng.gen_range(0usize..20) {
+            let slot = rng.gen_range(0..slots + 2); // past the end: ignored
+            let bps = [0, 125_000, 500_000, 1_000_000, 200_000_000][rng.gen_range(0..5usize)];
+            let at = SimTime::from_ms(rng.gen_range(0u64..700));
+            events.push((at, coordinator, NetEvent::FluidPacketLoad { slot, bps }));
+        }
+        (SharedNet::with_faults(net, faults), events)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random worlds and schedules: the heap-driven solver and the
+        /// scan oracle agree on every rate, alarm, report and counter
+        /// after every event, and the fairness invariants hold there.
+        #[test]
+        fn heap_water_fill_matches_the_scan_oracle_step_by_step(seed in any::<u64>()) {
+            let (shared, events) = random_schedule(seed);
+            let c = both(&shared, &events, SimTime::from_secs(30));
+            prop_assert!(c.profile.fluid.started + c.profile.fluid.unroutable > 0);
+        }
     }
 }
