@@ -13,7 +13,9 @@
 //! `--smoke` runs a fast self-checking mode (used by scripts/check.sh):
 //! cached and uncached resolution must return identical paths on every
 //! topology variant, under eviction pressure (capacity 1) and with the
-//! cache disabled (capacity 0).
+//! cache disabled (capacity 0); and a resolver asked requests and
+//! responses alternately must reuse the requests' shortest-path trees
+//! for the responses yet answer exactly as one-directional resolvers do.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use massf_core::prelude::*;
@@ -106,6 +108,42 @@ fn bench_flat_repeated_pairs(c: &mut Criterion) {
     );
 }
 
+/// `pairs` with every pair followed by its reverse: a request and its
+/// response, the shape of every TCP conversation.
+fn request_response(pairs: &[(NodeId, NodeId)]) -> Vec<(NodeId, NodeId)> {
+    pairs.iter().flat_map(|&(s, d)| [(s, d), (d, s)]).collect()
+}
+
+/// Cold resolution of conversations: a fresh resolver every iteration,
+/// so the time is the shortest-path trees the pair set makes it build.
+/// `one_way` asks only the requests; `both_ways` asks each response
+/// right after — twice the queries, served from the request's tree.
+fn bench_flat_request_response(c: &mut Criterion) {
+    let net = flat_network(2_000);
+    let hosts = net.host_ids();
+    let one_way = pairs(&hosts, PAIRS);
+    let both_ways = request_response(&one_way);
+    let cold = |set: &[(NodeId, NodeId)]| {
+        let r = FlatResolver::new(&net, CostMetric::Latency);
+        let hops: usize = set
+            .iter()
+            .map(|&(s, d)| r.route(s, d).map_or(0, |p| p.len()))
+            .sum();
+        (hops, r.domain().spt_stats())
+    };
+
+    let mut group = c.benchmark_group("flat_2k_request_response");
+    group.sample_size(20);
+    group.bench_function("one_way", |b| b.iter(|| cold(&one_way)));
+    group.bench_function("both_ways", |b| b.iter(|| cold(&both_ways)));
+    group.finish();
+    eprintln!(
+        "flat request/response SPT stats: one_way {:?}, both_ways {:?}",
+        cold(&one_way).1,
+        cold(&both_ways).1
+    );
+}
+
 fn bench_multi_as_repeated_pairs(c: &mut Criterion) {
     let cfg = multi_as_config();
     let m = generate_multi_as_network(&cfg);
@@ -184,6 +222,7 @@ fn bench_faulted_epochs(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_flat_repeated_pairs,
+    bench_flat_request_response,
     bench_multi_as_repeated_pairs,
     bench_faulted_epochs
 );
@@ -236,6 +275,39 @@ fn run_smoke() {
             _ => assert!(stats.hits > 0, "repeated pairs must hit at cap {capacity}"),
         }
     }
+
+    // Request/response: a cold resolver asked each pair and then its
+    // reverse serves responses from the requests' trees, and answers
+    // what resolvers only ever asked in one direction answer.
+    let both_ways = request_response(&set);
+    let either_end = FlatResolver::new(&net, CostMetric::Latency);
+    let requests_only = FlatResolver::new(&net, CostMetric::Latency);
+    let responses_only = FlatResolver::new(&net, CostMetric::Latency);
+    for (i, &(s, d)) in both_ways.iter().enumerate() {
+        let one_direction = if i % 2 == 0 {
+            &requests_only
+        } else {
+            &responses_only
+        };
+        assert_eq!(
+            either_end.route(s, d),
+            one_direction.route(s, d),
+            "request/response diverged for {s:?}→{d:?}"
+        );
+    }
+    let stats = either_end.domain().spt_stats();
+    assert!(
+        stats.served_reversed > 0,
+        "no response used a request's tree: {stats:?}"
+    );
+    let mut destinations: Vec<NodeId> = both_ways.iter().map(|&(_, d)| d).collect();
+    destinations.sort_unstable();
+    destinations.dedup();
+    assert!(
+        stats.trees_built < destinations.len() as u64,
+        "{stats:?} for {} distinct destinations",
+        destinations.len()
+    );
 
     // Multi-AS network.
     let cfg = MultiAsTopologyConfig {

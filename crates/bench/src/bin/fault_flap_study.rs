@@ -386,7 +386,24 @@ fn main() {
         0,
         faults.reconvergence_count()
     );
-    println!("  (= fault epochs entered, not tables built: trees are computed per destination on first route)");
+    println!("  (= fault epochs entered, not tables built: a tree is computed on the first route neither of whose ends has one)");
+
+    // Which shortest-path trees each entered epoch paid for (clean
+    // epochs share the base resolver, so they repeat its row). Host-side
+    // diagnostic: in a parallel run these depend on thread interleaving.
+    println!();
+    println!(
+        "{:>5} {:>12} {:>16} {:>14} {:>10}",
+        "epoch", "trees_built", "served_reversed", "tie_fallbacks", "evictions"
+    );
+    for e in 0..faults.epoch_count() {
+        if let Some(s) = faults.epoch_spt_stats(e) {
+            println!(
+                "{:>5} {:>12} {:>16} {:>14} {:>10}",
+                e, s.trees_built, s.served_reversed, s.tie_fallbacks, s.evictions
+            );
+        }
+    }
 
     // HPROF drift: map the network with the clean profile and with the
     // faulted profile; report how far the assignment and the resulting

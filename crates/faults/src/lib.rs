@@ -24,9 +24,9 @@
 //! OSPF domain with dead links filtered out, for multi-AS worlds the BGP
 //! RIB on the reduced AS graph
 //! (`MultiAsResolver::with_failed_adjacencies`). Shortest-path trees are
-//! paid at first route: an epoch computes a destination's tree when it
-//! first routes there and keeps it, so a fault costs the trees its
-//! traffic uses, never the full table.
+//! paid at first route: an epoch computes a tree when it first routes
+//! between two routers neither of whose trees can answer, and keeps it,
+//! so a fault costs the trees its traffic uses, never the full table.
 //!
 //! `massf-netsim` consumes this crate: `SharedNet` carries an optional
 //! `Arc<FaultState>`, drops packets that touch a dead link or node, and

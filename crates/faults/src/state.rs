@@ -3,7 +3,7 @@
 
 use crate::script::{FaultKind, FaultScript};
 use massf_engine::SimTime;
-use massf_routing::{CostMetric, MultiAsResolver, OspfDomain, PathResolver};
+use massf_routing::{CostMetric, MultiAsResolver, OspfDomain, PathResolver, SptStats};
 use massf_topology::mabrite::MultiAsNetwork;
 use massf_topology::{LinkId, MassfError, Network, NodeId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -43,8 +43,8 @@ type ResolverFactory = dyn Fn(&EpochState) -> Arc<dyn PathResolver> + Send + Syn
 /// or thread interleaving, which preserves the engine's bit-identical
 /// parallel execution. Epoch resolvers are built at most once (behind
 /// `OnceLock`s) by whichever partition enters that epoch first, its
-/// shortest-path trees by whichever first routes to that destination;
-/// both are pure functions of the epoch, so who builds cannot matter.
+/// shortest-path trees by whichever first needs one; every *answer* is
+/// a pure function of the epoch, so who builds what cannot matter.
 pub struct FaultState {
     script: FaultScript,
     /// Start time of epoch `e + 1` (epoch 0 starts at time zero).
@@ -177,9 +177,10 @@ impl FaultState {
 
     /// Compile `script` for a flat single-AS world. Entering a faulty
     /// epoch builds only the OSPF domain with dead links and dead nodes'
-    /// links filtered out; a destination's SPT is computed the first
-    /// time the epoch routes to it and never evicted (capacity = node
-    /// count). A clean epoch *is* the base network: it shares `base`.
+    /// links filtered out; an SPT is computed the first time the epoch
+    /// routes between two routers neither of whose trees can answer, and
+    /// never evicted (capacity = node count). A clean epoch *is* the
+    /// base network: it shares `base`.
     pub fn flat(
         net: &Network,
         metric: CostMetric,
@@ -337,6 +338,13 @@ impl FaultState {
         })
     }
 
+    /// Shortest-path-tree counters of epoch `e`'s resolver — `None` if
+    /// the run never entered the epoch (asking does not enter it) or the
+    /// resolver is not a single OSPF domain. Host-side diagnostic only.
+    pub fn epoch_spt_stats(&self, e: usize) -> Option<SptStats> {
+        self.resolvers[e].get()?.spt_stats()
+    }
+
     /// Enter the epoch in force at `t` (the fault event handler calls
     /// this so the epoch's link-state view / BGP RIB is paid for at
     /// fault time; shortest-path trees still wait for their first route).
@@ -371,6 +379,9 @@ struct EpochFlatResolver {
 impl PathResolver for EpochFlatResolver {
     fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
         self.domain.path(src, dst)
+    }
+    fn spt_stats(&self) -> Option<SptStats> {
+        Some(self.domain.spt_stats())
     }
 }
 

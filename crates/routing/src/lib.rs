@@ -41,7 +41,7 @@ pub use cache::{
 };
 pub use dynamics::{beacon_schedule, BeaconSim, Convergence};
 pub use massf_topology::MassfError;
-pub use ospf::{CostMetric, OspfDomain};
+pub use ospf::{CostMetric, OspfDomain, SptStats};
 pub use policy::{
     export_allowed, local_preference, LOCAL_PREF_CUSTOMER, LOCAL_PREF_PEER, LOCAL_PREF_PROVIDER,
 };

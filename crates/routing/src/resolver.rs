@@ -13,7 +13,7 @@
 
 // simlint: allow-file(cast-lossy) -- AS numbers here are usize graph indices < AsGraph::n, which the topology layer caps at u16::MAX
 use crate::bgp::BgpRib;
-use crate::ospf::{CostMetric, OspfDomain};
+use crate::ospf::{CostMetric, OspfDomain, SptStats};
 use massf_topology::mabrite::MultiAsNetwork;
 use massf_topology::{AsClass, AsGraph, MassfError, MultiAsTopologyConfig, Network, NodeId};
 use std::collections::BTreeMap;
@@ -32,6 +32,13 @@ pub trait PathResolver: Send + Sync {
     fn route_arc(&self, src: NodeId, dst: NodeId) -> Option<Arc<[NodeId]>> {
         self.route(src, dst).map(Arc::from)
     }
+
+    /// Shortest-path-tree counters of a resolver that is one OSPF
+    /// domain, else `None`. A host-side diagnostic ([`SptStats`]): it
+    /// depends on thread interleaving and enters no simulated result.
+    fn spt_stats(&self) -> Option<SptStats> {
+        None
+    }
 }
 
 impl<R: PathResolver + ?Sized> PathResolver for &R {
@@ -41,6 +48,9 @@ impl<R: PathResolver + ?Sized> PathResolver for &R {
     fn route_arc(&self, src: NodeId, dst: NodeId) -> Option<Arc<[NodeId]>> {
         (**self).route_arc(src, dst)
     }
+    fn spt_stats(&self) -> Option<SptStats> {
+        (**self).spt_stats()
+    }
 }
 
 impl<R: PathResolver + ?Sized> PathResolver for Arc<R> {
@@ -49,6 +59,9 @@ impl<R: PathResolver + ?Sized> PathResolver for Arc<R> {
     }
     fn route_arc(&self, src: NodeId, dst: NodeId) -> Option<Arc<[NodeId]>> {
         (**self).route_arc(src, dst)
+    }
+    fn spt_stats(&self) -> Option<SptStats> {
+        (**self).spt_stats()
     }
 }
 
@@ -75,6 +88,9 @@ impl FlatResolver {
 impl PathResolver for FlatResolver {
     fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
         self.domain.path(src, dst)
+    }
+    fn spt_stats(&self) -> Option<SptStats> {
+        Some(self.domain.spt_stats())
     }
 }
 

@@ -434,7 +434,9 @@ proptest! {
 /// tree. 2, 4 and 8 threads released together onto such a resolver —
 /// once with disjoint slices of the pair set, once all with the whole
 /// set, so several threads race for the same missing trees — must get
-/// exactly the single-threaded answers.
+/// exactly the single-threaded answers. The second pair set follows
+/// every pair with its reverse: there either end's tree can answer, and
+/// the threads race for *which* end's tree gets built.
 #[test]
 fn cold_epoch_resolver_answers_identically_under_threads() {
     let net = generate_flat_network(&FlatTopologyConfig::tiny());
@@ -454,48 +456,66 @@ fn cold_epoch_resolver_answers_identically_under_threads() {
         FaultState::flat(&net, CostMetric::Latency, script).expect("script validates")
     };
     let ids: Vec<NodeId> = net.nodes.iter().map(|n| n.id).collect();
-    let pairs: Vec<(NodeId, NodeId)> = ids
+    let one_way: Vec<(NodeId, NodeId)> = ids
         .iter()
         .flat_map(|&s| ids.iter().step_by(3).map(move |&d| (s, d)))
+        .collect();
+    let request_response: Vec<(NodeId, NodeId)> = one_way
+        .iter()
+        .flat_map(|&(s, d)| [(s, d), (d, s)])
         .collect();
     let route_all = |r: &dyn PathResolver, pairs: &[(NodeId, NodeId)]| -> Vec<_> {
         pairs.iter().map(|&(s, d)| r.route(s, d)).collect()
     };
-    let expected = route_all(cold_epoch().resolver_for_epoch(1).as_ref(), &pairs);
-    assert!(expected.iter().any(Option::is_some));
+    // A path depends on nothing but its epoch and its endpoints, so the
+    // one-way answers also fix what every request and response must be.
+    let expected_one_way = route_all(cold_epoch().resolver_for_epoch(1).as_ref(), &one_way);
+    assert!(expected_one_way.iter().any(Option::is_some));
+    let expected_both_ways = route_all(
+        cold_epoch().resolver_for_epoch(1).as_ref(),
+        &request_response,
+    );
+    for (i, want) in expected_one_way.iter().enumerate() {
+        assert_eq!(&expected_both_ways[2 * i], want, "request {:?}", one_way[i]);
+    }
 
-    for threads in [2usize, 4, 8] {
-        for overlapping in [false, true] {
-            let faults = cold_epoch();
-            let resolver = faults.resolver_for_epoch(1).as_ref();
-            let shares: Vec<&[(NodeId, NodeId)]> = if overlapping {
-                vec![&pairs[..]; threads]
-            } else {
-                pairs.chunks(pairs.len().div_ceil(threads)).collect()
-            };
-            let start = Barrier::new(shares.len());
-            let got: Vec<Vec<_>> = std::thread::scope(|scope| {
-                let workers: Vec<_> = shares
-                    .iter()
-                    .map(|&mine| {
-                        let start = &start;
-                        scope.spawn(move || {
-                            start.wait();
-                            route_all(resolver, mine)
+    for (pairs, expected) in [
+        (&one_way, &expected_one_way),
+        (&request_response, &expected_both_ways),
+    ] {
+        for threads in [2usize, 4, 8] {
+            for overlapping in [false, true] {
+                let faults = cold_epoch();
+                let resolver = faults.resolver_for_epoch(1).as_ref();
+                let shares: Vec<&[(NodeId, NodeId)]> = if overlapping {
+                    vec![&pairs[..]; threads]
+                } else {
+                    pairs.chunks(pairs.len().div_ceil(threads)).collect()
+                };
+                let start = Barrier::new(shares.len());
+                let got: Vec<Vec<_>> = std::thread::scope(|scope| {
+                    let workers: Vec<_> = shares
+                        .iter()
+                        .map(|&mine| {
+                            let start = &start;
+                            scope.spawn(move || {
+                                start.wait();
+                                route_all(resolver, mine)
+                            })
                         })
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    .map(|w| w.join().expect("routing threads do not panic"))
-                    .collect()
-            });
-            if overlapping {
-                for (t, answers) in got.iter().enumerate() {
-                    assert_eq!(answers, &expected, "{threads} threads, thread {t}");
+                        .collect();
+                    workers
+                        .into_iter()
+                        .map(|w| w.join().expect("routing threads do not panic"))
+                        .collect()
+                });
+                if overlapping {
+                    for (t, answers) in got.iter().enumerate() {
+                        assert_eq!(answers, expected, "{threads} threads, thread {t}");
+                    }
+                } else {
+                    assert_eq!(&got.concat(), expected, "{threads} threads, disjoint");
                 }
-            } else {
-                assert_eq!(got.concat(), expected, "{threads} threads, disjoint");
             }
         }
     }
