@@ -4,9 +4,10 @@
 //! consider thousands of possible Tmll". This bench measures a full
 //! HTOP sweep on a 2,000-router network, ablating the sweep step
 //! (0.1 ms as in the paper vs 0.2/0.4 ms) and the graph-reduction step
-//! alone.
+//! alone, and the flat generator that feeds it at the benchmark's
+//! (4,000 routers) and the paper's (20,000 routers) size.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, BenchmarkId, Criterion};
 use massf_core::hier::reduce_graph;
 use massf_core::prelude::*;
 use massf_core::{EdgeWeighting, VertexWeighting};
@@ -94,10 +95,85 @@ fn bench_reduction(c: &mut Criterion) {
     group.finish();
 }
 
+/// Flat-network generation at `Scale::Medium` and `Scale::Paper` size:
+/// near-linear since preferential attachment samples from a Fenwick
+/// tree (the per-link rescan took 0.24 s and 8.5 s here).
+fn bench_generate(c: &mut Criterion) {
+    let mut group = c.benchmark_group("topology_generate");
+    group.sample_size(10);
+    for (name, scale) in [("4k", Scale::Medium), ("20k", Scale::Paper)] {
+        let cfg = scale.flat_config(2004);
+        group.bench_with_input(BenchmarkId::from_parameter(name), &cfg, |b, cfg| {
+            b.iter(|| generate_flat_network(cfg))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_sweep,
     bench_sweep_thread_scaling,
-    bench_reduction
+    bench_reduction,
+    bench_generate
 );
-criterion_main!(benches);
+
+/// `--smoke`: fast self-checking pass for scripts/check.sh. The sweep's
+/// full result must not depend on the worker-thread count (batch
+/// boundaries do), and generating the paper's 20,000-router network
+/// must stay near-linear: < 1 s where the per-link rescan took 8.5 s
+/// and the Fenwick sampler takes 14 ms.
+fn run_smoke() {
+    let (net, graph) = setup();
+    let cfg = HierConfig::new(16);
+    let sweep = |threads| {
+        massf_parutil::with_threads(threads, || hierarchical_partition(&net, &graph, &cfg))
+    };
+    let (one, two) = (sweep(1), sweep(2));
+    assert!(one.candidates.len() >= 2, "sweep too short");
+    assert_eq!(one.tmll_ms.to_bits(), two.tmll_ms.to_bits(), "winner Tmll");
+    assert_eq!(
+        one.partition.assignment, two.partition.assignment,
+        "winning partition differs between 1 and 2 threads"
+    );
+    assert_eq!(one.candidates.len(), two.candidates.len());
+    for (a, b) in one.candidates.iter().zip(&two.candidates) {
+        assert_eq!(
+            (
+                a.tmll_ms.to_bits(),
+                a.reduced_vertices,
+                a.evaluation.e.to_bits()
+            ),
+            (
+                b.tmll_ms.to_bits(),
+                b.reduced_vertices,
+                b.evaluation.e.to_bits()
+            ),
+            "candidate differs between 1 and 2 threads"
+        );
+    }
+
+    let start = std::time::Instant::now();
+    let paper = generate_flat_network(&Scale::Paper.flat_config(2004));
+    let elapsed = start.elapsed();
+    assert_eq!(paper.router_count(), 20_000);
+    assert!(
+        elapsed.as_secs_f64() < 1.0,
+        "20,000-router generation took {elapsed:?}: preferential attachment is no longer near-linear"
+    );
+    println!(
+        "hprof_sweep smoke checks passed ({} candidates, winner Tmll {} ms; 20k routers in {elapsed:.1?})",
+        one.candidates.len(),
+        one.tmll_ms
+    );
+}
+
+fn main() {
+    // cargo bench passes harness args like `--bench`; only `--smoke` is
+    // meaningful here, everything else is ignored.
+    if std::env::args().skip(1).any(|a| a == "--smoke") {
+        run_smoke();
+        return;
+    }
+    benches();
+}

@@ -191,24 +191,19 @@ impl SweepReducer {
         for v in 0..k {
             vweights[relabel[v] as usize] += self.reduced.vertex_weight(v);
         }
-        // Surviving-edge collection chunked across the worker pool: the
-        // first advances scan near-full-size adjacency, later ones only
-        // the shrunken quotient. Chunks concatenate in vertex order, and
-        // `from_edges` canonicalizes, so the result is order-independent.
-        let edges: Vec<(u32, u32, u64)> = massf_parutil::par_map_chunks(k, |range| {
-            let mut out = Vec::new();
-            for v in range {
-                for (u, w) in self.reduced.neighbors(v) {
-                    if u > v {
-                        let (cv, cu) = (relabel[v], relabel[u]);
-                        if cv != cu {
-                            out.push((cv, cu, w));
-                        }
+        // One plain pass: even the first advances scan a few thousand
+        // short rows, less work than handing chunks to worker threads.
+        let mut edges: Vec<(u32, u32, u64)> = Vec::new();
+        for v in 0..k {
+            for (u, w) in self.reduced.neighbors(v) {
+                if u > v {
+                    let (cv, cu) = (relabel[v], relabel[u]);
+                    if cv != cu {
+                        edges.push((cv, cu, w));
                     }
                 }
             }
-            out
-        });
+        }
         self.reduced = WeightedGraph::from_edges(vweights, &edges);
         for l in self.labels.iter_mut() {
             *l = relabel[*l as usize];
@@ -219,14 +214,17 @@ impl SweepReducer {
 /// Run the hierarchical partition of `graph` (weights chosen by the
 /// caller: bandwidth ⇒ HTOP, profile ⇒ HPROF).
 ///
-/// The sweep is executed in two phases: a cheap sequential pass builds
-/// every threshold's reduced graph incrementally ([`SweepReducer`]),
-/// then all candidates are partitioned and evaluated concurrently on
-/// the shared worker pool (`massf-parutil`; thread count from
-/// `--threads` / `MASSF_THREADS` / available parallelism). Results are
-/// bit-identical to a sequential sweep at any thread count: candidates
-/// keep their threshold order and the winner is chosen by a stable
-/// scan (strictly higher `E` wins, so ties keep the lowest `Tmll`).
+/// The sweep is streamed in batches of `4 × current_threads()`
+/// thresholds: a sequential pass builds the batch's reduced graphs
+/// incrementally ([`SweepReducer`]), the batch is partitioned and
+/// evaluated concurrently on the shared worker pool (`massf-parutil`;
+/// thread count from `--threads` / `MASSF_THREADS` / available
+/// parallelism), its candidates are folded into the result in
+/// threshold order, and the batch is dropped — what is held at once is
+/// one batch of reduced graphs and the best partition so far, not the
+/// whole sweep. Results are bit-identical to a sequential sweep at any
+/// thread count (batch boundaries move, the fold order does not):
+/// strictly higher `E` wins, so ties keep the lowest `Tmll`.
 ///
 /// # Panics
 /// Panics when `engines == 0` or the graph is empty.
@@ -242,62 +240,70 @@ pub fn hierarchical_partition(
     // start at the first step-multiple above it.
     let first_step = (sync_ms / cfg.step_ms).floor() as usize + 1;
 
-    // Phase 1 (sequential, cheap): incremental reduction per threshold.
+    // Sequential, cheap: incremental reduction per threshold, until the
+    // reduced graph is coarser than the engine count (no parallelism
+    // left).
     let mut reducer = SweepReducer::new(net, graph);
-    let mut jobs: Vec<(f64, WeightedGraph, Vec<u32>)> = Vec::new();
-    for step in 0..cfg.max_steps {
-        let tmll_ms = (first_step + step) as f64 * cfg.step_ms;
-        reducer.advance(tmll_ms);
-        if reducer.reduced().vertex_count() < cfg.engines {
-            // Coarser than the engine count: no parallelism left; stop.
+    let mut jobs = (0..cfg.max_steps)
+        .map_while(|step| {
+            let tmll_ms = (first_step + step) as f64 * cfg.step_ms;
+            reducer.advance(tmll_ms);
+            (reducer.reduced().vertex_count() >= cfg.engines).then(|| {
+                (
+                    tmll_ms,
+                    reducer.reduced().clone(),
+                    reducer.labels().to_vec(),
+                )
+            })
+        })
+        .fuse();
+    let batch_len = 4 * massf_parutil::current_threads();
+    let mut candidates = Vec::new();
+    let mut best: Option<(Partition, f64, PartitionEvaluation)> = None;
+    loop {
+        let batch: Vec<(f64, WeightedGraph, Vec<u32>)> = jobs.by_ref().take(batch_len).collect();
+        if batch.is_empty() {
             break;
         }
-        jobs.push((
-            tmll_ms,
-            reducer.reduced().clone(),
-            reducer.labels().to_vec(),
-        ));
-    }
 
-    // Phase 2 (parallel): partition + evaluate every candidate.
-    let evaluated: Vec<(HierCandidate, Partition)> =
-        massf_parutil::par_map(&jobs, |(tmll_ms, reduced, labels)| {
-            let reduced_partition = metis_kway(reduced, cfg.engines, &cfg.kway);
-            // Project to the original graph.
-            let assignment: Vec<u32> = labels
-                .iter()
-                .map(|&c| reduced_partition.assignment[c as usize])
-                .collect();
-            let partition = Partition::new(assignment, cfg.engines);
-            let eval = efficiency(net, graph, &partition, cfg.engines, &cfg.sync);
-            debug_assert!(
-                eval.mll_ms >= *tmll_ms || eval.mll_ms.is_infinite(),
-                "reduction must guarantee MLL ≥ Tmll ({} < {tmll_ms})",
-                eval.mll_ms
-            );
-            (
-                HierCandidate {
-                    tmll_ms: *tmll_ms,
-                    reduced_vertices: reduced.vertex_count(),
-                    evaluation: eval,
-                },
-                partition,
-            )
-        });
+        // Parallel: partition + evaluate every candidate of the batch.
+        let evaluated: Vec<(HierCandidate, Partition)> =
+            massf_parutil::par_map(&batch, |(tmll_ms, reduced, labels)| {
+                let reduced_partition = metis_kway(reduced, cfg.engines, &cfg.kway);
+                // Project to the original graph.
+                let assignment: Vec<u32> = labels
+                    .iter()
+                    .map(|&c| reduced_partition.assignment[c as usize])
+                    .collect();
+                let partition = Partition::new(assignment, cfg.engines);
+                let eval = efficiency(net, graph, &partition, cfg.engines, &cfg.sync);
+                debug_assert!(
+                    eval.mll_ms >= *tmll_ms || eval.mll_ms.is_infinite(),
+                    "reduction must guarantee MLL ≥ Tmll ({} < {tmll_ms})",
+                    eval.mll_ms
+                );
+                (
+                    HierCandidate {
+                        tmll_ms: *tmll_ms,
+                        reduced_vertices: reduced.vertex_count(),
+                        evaluation: eval,
+                    },
+                    partition,
+                )
+            });
 
-    // Phase 3 (sequential): stable winner selection — identical to the
-    // old one-pass loop, ties keep the earliest (lowest) threshold.
-    let mut candidates = Vec::with_capacity(evaluated.len());
-    let mut best: Option<(Partition, f64, PartitionEvaluation)> = None;
-    for (candidate, partition) in evaluated {
-        let better = match &best {
-            None => true,
-            Some((_, _, be)) => candidate.evaluation.e > be.e,
-        };
-        if better {
-            best = Some((partition, candidate.tmll_ms, candidate.evaluation));
+        // Sequential: stable winner selection in threshold order, ties
+        // keep the earliest (lowest) threshold.
+        for (candidate, partition) in evaluated {
+            let better = match &best {
+                None => true,
+                Some((_, _, be)) => candidate.evaluation.e > be.e,
+            };
+            if better {
+                best = Some((partition, candidate.tmll_ms, candidate.evaluation));
+            }
+            candidates.push(candidate);
         }
-        candidates.push(candidate);
     }
 
     let (partition, tmll_ms, evaluation) = best.unwrap_or_else(|| {
@@ -468,6 +474,31 @@ mod tests {
             })
         };
         assert_eq!(run(1), run(4));
+    }
+
+    /// The sweep's full result, pinned to the values the all-at-once
+    /// sweep (every threshold's job held, one `par_map`) produced on
+    /// this world. Batch boundaries move with the thread count; the
+    /// winner and the candidate list must not.
+    #[test]
+    fn streamed_sweep_matches_the_recorded_result_at_every_thread_count() {
+        let (net, g) = setup();
+        for threads in [1, 2, 4] {
+            let r =
+                massf_parutil::with_threads(threads, || hierarchical_partition(&net, &g, &cfg(8)));
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for &a in &r.partition.assignment {
+                for b in a.to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            assert_eq!(
+                (r.tmll_ms.to_bits(), h, r.candidates.len()),
+                (5.6000000000000005f64.to_bits(), 0x1706_d7de_a386_d3d7, 60),
+                "threads = {threads}, tmll_ms = {}",
+                r.tmll_ms
+            );
+        }
     }
 
     #[test]

@@ -30,50 +30,51 @@ impl WeightedGraph {
     /// Panics on out-of-range endpoints.
     pub fn from_edges(vertex_weights: Vec<u64>, edges: &[(u32, u32, u64)]) -> Self {
         let n = vertex_weights.len();
-        // Merge duplicates via a sorted edge list keyed on (min, max).
-        let mut canon: Vec<(u32, u32, u64)> = edges
-            .iter()
-            .filter(|&&(u, v, _)| u != v)
-            .map(|&(u, v, w)| {
-                assert!(
-                    (u as usize) < n && (v as usize) < n,
-                    "edge endpoint out of range"
-                );
-                (u.min(v), u.max(v), w)
-            })
-            .collect();
-        canon.sort_unstable_by_key(|&(u, v, _)| (u, v));
-        canon.dedup_by(|next, acc| {
-            if next.0 == acc.0 && next.1 == acc.1 {
-                acc.2 += next.2;
-                true
-            } else {
-                false
+        // Counting sort of both directions of every edge by source
+        // vertex, then a sort + merge inside each (short) row: the same
+        // canonical CSR a global sort on (min, max) gives, without
+        // sorting the whole edge list.
+        let mut start = vec![0u32; n + 1];
+        for &(u, v, _) in edges {
+            assert!(
+                (u as usize) < n && (v as usize) < n,
+                "edge endpoint out of range"
+            );
+            if u != v {
+                start[u as usize + 1] += 1;
+                start[v as usize + 1] += 1;
             }
-        });
-
-        let mut degree = vec![0u32; n];
-        for &(u, v, _) in &canon {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
         }
-        let mut xadj = vec![0u32; n + 1];
         for i in 0..n {
-            xadj[i + 1] = xadj[i] + degree[i];
+            start[i + 1] += start[i];
         }
-        let m2 = xadj[n] as usize;
-        let mut adjncy = vec![0u32; m2];
-        let mut adjwgt = vec![0u64; m2];
-        let mut cursor = xadj[..n].to_vec();
-        for &(u, v, w) in &canon {
-            let cu = cursor[u as usize];
-            adjncy[cu as usize] = v;
-            adjwgt[cu as usize] = w;
-            cursor[u as usize] += 1;
-            let cv = cursor[v as usize];
-            adjncy[cv as usize] = u;
-            adjwgt[cv as usize] = w;
-            cursor[v as usize] += 1;
+        let mut arcs = vec![(0u32, 0u64); start[n] as usize];
+        let mut cursor = start[..n].to_vec();
+        for &(u, v, w) in edges {
+            if u != v {
+                arcs[cursor[u as usize] as usize] = (v, w);
+                cursor[u as usize] += 1;
+                arcs[cursor[v as usize] as usize] = (u, w);
+                cursor[v as usize] += 1;
+            }
+        }
+        let mut xadj = Vec::with_capacity(n + 1);
+        let mut adjncy: Vec<u32> = Vec::with_capacity(arcs.len());
+        let mut adjwgt: Vec<u64> = Vec::with_capacity(arcs.len());
+        xadj.push(0u32);
+        for row in 0..n {
+            let row_start = adjncy.len();
+            let arcs = &mut arcs[start[row] as usize..start[row + 1] as usize];
+            arcs.sort_unstable_by_key(|&(to, _)| to);
+            for &(to, w) in arcs.iter() {
+                if adjncy[row_start..].last() == Some(&to) {
+                    *adjwgt.last_mut().expect("parallel to adjncy") += w;
+                } else {
+                    adjncy.push(to);
+                    adjwgt.push(w);
+                }
+            }
+            xadj.push(adjncy.len() as u32);
         }
         WeightedGraph {
             xadj,
@@ -169,6 +170,77 @@ impl WeightedGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The construction `from_edges` replaced, kept as the reference:
+    /// canonicalize to (min, max), sort the whole list, merge adjacent
+    /// duplicates, scatter both directions in that order.
+    fn from_edges_by_global_sort(vwgt: Vec<u64>, edges: &[(u32, u32, u64)]) -> WeightedGraph {
+        let n = vwgt.len();
+        let mut canon: Vec<(u32, u32, u64)> = edges
+            .iter()
+            .filter(|&&(u, v, _)| u != v)
+            .map(|&(u, v, w)| (u.min(v), u.max(v), w))
+            .collect();
+        canon.sort_unstable_by_key(|&(u, v, _)| (u, v));
+        canon.dedup_by(|next, acc| {
+            if next.0 == acc.0 && next.1 == acc.1 {
+                acc.2 += next.2;
+                true
+            } else {
+                false
+            }
+        });
+        let mut xadj = vec![0u32; n + 1];
+        for &(u, v, _) in &canon {
+            xadj[u as usize + 1] += 1;
+            xadj[v as usize + 1] += 1;
+        }
+        for i in 0..n {
+            xadj[i + 1] += xadj[i];
+        }
+        let mut adjncy = vec![0u32; xadj[n] as usize];
+        let mut adjwgt = vec![0u64; xadj[n] as usize];
+        let mut cursor = xadj[..n].to_vec();
+        for &(u, v, w) in &canon {
+            for (from, to) in [(u, v), (v, u)] {
+                let c = cursor[from as usize] as usize;
+                adjncy[c] = to;
+                adjwgt[c] = w;
+                cursor[from as usize] += 1;
+            }
+        }
+        WeightedGraph {
+            xadj,
+            adjncy,
+            adjwgt,
+            vwgt,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random multigraphs over few vertices, so duplicate edges (in
+        /// both orientations) and self-loops are common, isolated
+        /// vertices included.
+        #[test]
+        fn from_edges_matches_the_global_sort_reference(
+            n in 1u32..24,
+            raw in proptest::collection::vec((0u32..24, 0u32..24, 1u64..1000), 0..160),
+        ) {
+            let edges: Vec<(u32, u32, u64)> =
+                raw.iter().map(|&(u, v, w)| (u % n, v % n, w)).collect();
+            let vwgt: Vec<u64> = (0..u64::from(n)).collect();
+            let g = WeightedGraph::from_edges(vwgt.clone(), &edges);
+            prop_assert_eq!(&g, &from_edges_by_global_sort(vwgt, &edges));
+            for v in 0..n as usize {
+                let row: Vec<usize> = g.neighbors(v).map(|(u, _)| u).collect();
+                prop_assert!(row.windows(2).all(|w| w[0] < w[1]), "row {} not ascending", v);
+                prop_assert!(!row.contains(&v), "self-loop kept at {}", v);
+            }
+        }
+    }
 
     /// 4-cycle with unit weights plus a heavy chord 0-2.
     fn square_with_chord() -> WeightedGraph {

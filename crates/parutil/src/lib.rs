@@ -141,42 +141,6 @@ where
     par_map_indexed(items.len(), |i| f(&items[i]))
 }
 
-/// Split `0..n` into at most `pieces` near-equal contiguous ranges
-/// (used to hand loop ranges to workers without a per-index closure).
-pub fn split_ranges(n: usize, pieces: usize) -> Vec<std::ops::Range<usize>> {
-    let pieces = pieces.clamp(1, n.max(1));
-    let base = n / pieces;
-    let extra = n % pieces;
-    let mut out = Vec::with_capacity(pieces);
-    let mut start = 0;
-    for i in 0..pieces {
-        let len = base + usize::from(i < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
-
-/// Map `f` over near-equal contiguous chunks of `0..n` — one call per
-/// chunk, results concatenated in range order. The chunked analogue of
-/// [`par_map_indexed`] for loops whose per-index cost is tiny (e.g.
-/// scanning edges during graph contraction).
-pub fn par_map_chunks<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(std::ops::Range<usize>) -> Vec<R> + Sync,
-{
-    let threads = current_threads();
-    if threads <= 1 || n <= 1 {
-        return f(0..n);
-    }
-    // More pieces than workers so a slow chunk doesn't serialize the
-    // tail; order restored by par_map's index preservation.
-    let ranges = split_ranges(n, threads * 4);
-    let nested = par_map(&ranges, |r| f(r.clone()));
-    nested.into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,29 +176,6 @@ mod tests {
             with_threads(1, || assert_eq!(current_threads(), 1));
             assert_eq!(current_threads(), 3);
         });
-    }
-
-    #[test]
-    fn split_ranges_cover_exactly() {
-        for (n, pieces) in [(10, 3), (3, 10), (0, 4), (16, 4), (17, 4)] {
-            let ranges = split_ranges(n, pieces);
-            let mut covered = 0;
-            let mut expect_start = 0;
-            for r in &ranges {
-                assert_eq!(r.start, expect_start, "contiguous");
-                covered += r.len();
-                expect_start = r.end;
-            }
-            assert_eq!(covered, n, "n={n} pieces={pieces}");
-        }
-    }
-
-    #[test]
-    fn par_map_chunks_concatenates_in_order() {
-        let out = with_threads(4, || {
-            par_map_chunks(100, |r| r.map(|i| i as u64).collect::<Vec<_>>())
-        });
-        assert_eq!(out, (0..100u64).collect::<Vec<_>>());
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //!    every non-Core AS has a provider path to a Core AS, and the Core
 //!    ASes form a clique (the "Dense Core" observation).
 
+use crate::sampler::grow_preferential;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -96,32 +97,9 @@ impl AsGraph {
             raw_edges.push((a.min(b), a.max(b)));
         };
         add_edge(0, 1, &mut degree, &mut adj, &mut raw_edges);
-        for i in 2..n {
-            let want = m.min(i);
-            let mut added = 0;
-            while added < want {
-                let total: usize = (0..i)
-                    .filter(|&c| !adj[i].contains(&c))
-                    .map(|c| degree[c] + 1)
-                    .sum();
-                if total == 0 {
-                    break;
-                }
-                let mut ticket = rng.gen_range(0..total);
-                for c in 0..i {
-                    if adj[i].contains(&c) {
-                        continue;
-                    }
-                    let w = degree[c] + 1;
-                    if ticket < w {
-                        add_edge(i, c, &mut degree, &mut adj, &mut raw_edges);
-                        added += 1;
-                        break;
-                    }
-                    ticket -= w;
-                }
-            }
-        }
+        grow_preferential(&mut rng, n, m, |i, c| {
+            add_edge(i, c, &mut degree, &mut adj, &mut raw_edges)
+        });
 
         // -- Step 2: classification by degree rank / absolute degree --
         let core_size = ((n as f64 * core_fraction).round() as usize).clamp(2, n.max(2) - 1);

@@ -13,6 +13,7 @@
 use crate::config::FlatTopologyConfig;
 use crate::geom::{link_latency_ms, Point};
 use crate::graph::{AsId, Network, NodeId, NodeKind};
+use crate::sampler::grow_preferential;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -47,37 +48,6 @@ pub(crate) fn place_points(
         .collect()
 }
 
-/// Preferential-attachment target selection: pick an existing node with
-/// probability proportional to degree + 1 (the +1 keeps degree-0 seeds
-/// reachable), excluding `exclude` and nodes already linked to it.
-fn pick_preferential(
-    rng: &mut impl Rng,
-    net: &Network,
-    candidates: &[NodeId],
-    exclude: NodeId,
-) -> Option<NodeId> {
-    let total: usize = candidates
-        .iter()
-        .filter(|&&c| c != exclude && !net.has_link(c, exclude))
-        .map(|&c| net.degree(c) + 1)
-        .sum();
-    if total == 0 {
-        return None;
-    }
-    let mut ticket = rng.gen_range(0..total);
-    for &c in candidates {
-        if c == exclude || net.has_link(c, exclude) {
-            continue;
-        }
-        let w = net.degree(c) + 1;
-        if ticket < w {
-            return Some(c);
-        }
-        ticket -= w;
-    }
-    None
-}
-
 /// Grow a power-law router graph over the given placed positions inside
 /// `net`, assigning bandwidth by degree tier. Returns the created router
 /// ids, in creation order. Used by both the flat generator and (per AS)
@@ -103,28 +73,20 @@ pub(crate) fn grow_powerlaw_routers(
         let lat = link_latency_ms(&positions[0], &positions[1]);
         net.add_link(routers[0], routers[1], backbone_bw, lat);
     }
-    for i in 2..n {
-        let new = routers[i];
-        let want = m.min(i);
-        let mut added = 0;
-        while added < want {
-            match pick_preferential(rng, net, &routers[..i], new) {
-                Some(target) => {
-                    let lat = link_latency_ms(&positions[i], &net.nodes[target.index()].position);
-                    // Bandwidth tier: links toward high-degree (backbone)
-                    // routers get backbone capacity.
-                    let bw = if net.degree(target) >= 2 * m + 2 {
-                        backbone_bw
-                    } else {
-                        edge_bw
-                    };
-                    net.add_link(new, target, bw, lat);
-                    added += 1;
-                }
-                None => break, // all candidates already linked
-            }
-        }
-    }
+    // Attachment is by local index: while a graph grows its routers
+    // link only among themselves, so `net.degree` is the local degree.
+    grow_preferential(rng, n, m, |i, t| {
+        let target = routers[t];
+        let lat = link_latency_ms(&positions[i], &positions[t]);
+        // Bandwidth tier: links toward high-degree (backbone) routers
+        // get backbone capacity.
+        let bw = if net.degree(target) >= 2 * m + 2 {
+            backbone_bw
+        } else {
+            edge_bw
+        };
+        net.add_link(routers[i], target, bw, lat);
+    });
     routers
 }
 

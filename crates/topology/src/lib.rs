@@ -30,6 +30,7 @@ pub mod error;
 pub mod geom;
 pub mod graph;
 pub mod mabrite;
+mod sampler;
 
 pub use ashier::{AsClass, AsGraph, AsRelationship};
 pub use brite::generate_flat_network;

@@ -5,7 +5,7 @@
 #   scripts/check.sh          full gate (including the release-mode
 #                             fault_flap_study, route_resolution,
 #                             engine_hotpath, engine_throughput,
-#                             partitioner, mem_footprint,
+#                             partitioner, hprof_sweep, mem_footprint,
 #                             checkpoint_study, fluid_scaling and
 #                             rebalance_study smoke runs, and the
 #                             benchmark crate's own gate, perf/check.sh)
@@ -68,6 +68,8 @@ if [ "$FAST" -eq 0 ]; then
         cargo bench -q -p massf-bench --bench engine_throughput -- --smoke
     stage "partitioner --smoke" \
         cargo bench -q -p massf-bench --bench partitioner -- --smoke
+    stage "hprof_sweep --smoke" \
+        cargo bench -q -p massf-bench --bench hprof_sweep -- --smoke
     stage "mem_footprint --smoke" \
         cargo run --release -q -p massf-bench --features alloc-count --bin mem_footprint -- --smoke
     stage "checkpoint_study --smoke" \
