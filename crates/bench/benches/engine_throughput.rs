@@ -65,7 +65,8 @@ fn bench_executors(c: &mut Criterion) {
     });
     group.bench_function("parallel_2threads", |bch| {
         bch.iter(|| {
-            b.run_parallel(NoApp, end, window, &assignment, 2)
+            b.try_run_parallel(NoApp, end, window, &assignment, 2)
+                .expect("window within lookahead")
                 .stats
                 .total_events
         })
@@ -116,7 +117,9 @@ fn run_smoke() {
         win.profile, seq.profile,
         "windowed profile diverged from sequential"
     );
-    let par = b.run_parallel(NoApp, end, window, &assignment, 2);
+    let par = b
+        .try_run_parallel(NoApp, end, window, &assignment, 2)
+        .expect("window within lookahead");
     assert_eq!(
         par.stats.total_events, seq.stats.total_events,
         "parallel executor diverged from sequential"

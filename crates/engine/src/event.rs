@@ -75,27 +75,6 @@ impl<M> Ord for EventRecord<M> {
     }
 }
 
-/// `BinaryHeap` is a max-heap; wrap for min-order.
-#[derive(Debug, Clone)]
-pub(crate) struct Reverse<M>(pub EventRecord<M>);
-
-impl<M> PartialEq for Reverse<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0
-    }
-}
-impl<M> Eq for Reverse<M> {}
-impl<M> PartialOrd for Reverse<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Reverse<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.0.cmp(&self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,6 +97,7 @@ mod tests {
 
     #[test]
     fn heap_pops_in_order() {
+        use std::cmp::Reverse;
         use std::collections::BinaryHeap;
         let mut heap = BinaryHeap::new();
         for (t, g) in [(5u64, 0u64), (1, 2), (1, 1), (3, 0)] {

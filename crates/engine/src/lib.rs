@@ -19,16 +19,21 @@
 //!   executor; the windowed variant additionally attributes events to
 //!   partitions and windows, producing the per-window load traces that
 //!   drive the paper's evaluation metrics.
-//! * [`run_parallel`] / [`try_run_parallel`] — real multi-threaded
-//!   barrier-windowed executor (one thread per partition) with lock-free
-//!   per-pair outbox exchange and empty-window fast-forward; the `try_`
-//!   form returns a structured [`MassfError::LookaheadViolation`]
-//!   instead of panicking, and [`try_run_parallel_observed`] wraps every
-//!   barrier in a [`BarrierObserver`] for bench-side sync-cost
-//!   measurement. Windows are separated by [`WindowBarrier`], a
-//!   spin-then-park barrier that a panicking partition breaks instead
-//!   of deadlocking. The pre-overhaul executor survives as
-//!   [`baseline::run_parallel_locked`] for A/B benchmarking.
+//! * [`try_run_parallel`] — real multi-threaded barrier-windowed
+//!   executor (one thread per partition) with lock-free per-pair outbox
+//!   exchange and empty-window fast-forward. A lookahead violation is a
+//!   structured [`MassfError::LookaheadViolation`] and bad caller input
+//!   (zero window, inconsistent assignment) a
+//!   [`MassfError::InvalidConfig`], never a panic;
+//!   [`try_run_parallel_observed`] wraps every barrier in a
+//!   [`BarrierObserver`] for bench-side sync-cost measurement. Windows
+//!   are separated by [`WindowBarrier`], a spin-then-park barrier that
+//!   a panicking partition breaks instead of deadlocking.
+//! * [`run_sequential_resumable`] / [`try_run_parallel_resumable`] —
+//!   the same two executors continuing from a [`ResumeState`] frontier
+//!   and returning the next one (checkpoints, rebalancing sessions).
+//!   These six functions are thin faces of two private loops; a new
+//!   run parameter is an argument of a loop, never a new `run_*`.
 //! * [`synccost`] — the TeraGrid cluster synchronization-cost model of
 //!   the paper's Figure 5, plus a live barrier-cost measurement.
 //! * [`rebalance`] — the online re-partitioning decision layer: epoch
@@ -47,7 +52,6 @@
 
 pub mod arena;
 pub mod barrier;
-pub mod baseline;
 pub mod event;
 pub mod model;
 pub mod par;
@@ -64,8 +68,8 @@ pub use event::{external_tag, EventRecord, LpId, EXTERNAL_SOURCE};
 pub use massf_topology::MassfError;
 pub use model::{seed_events, Emitter, Model};
 pub use par::{
-    run_parallel, try_run_parallel, try_run_parallel_observed, try_run_parallel_resumable,
-    try_run_parallel_resumable_observed, BarrierObserver, NoopBarrierObserver,
+    try_run_parallel, try_run_parallel_observed, try_run_parallel_resumable, BarrierObserver,
+    NoopBarrierObserver,
 };
 pub use rebalance::{partition_loads, should_rebalance, RebalanceConfig, RebalanceCounters};
 pub use resume::ResumeState;

@@ -51,10 +51,6 @@
 //! Statistics are streamed into `TRACE_BUCKETS`-bounded arrays by
 //! partition 0 between the two barriers of each executed window (see
 //! [`crate::stats`]); nothing is sized `O(end_time / window)`.
-//!
-//! The pre-overhaul executor (mutex per cross-partition event, a
-//! barrier pair for every window) is preserved in [`crate::baseline`]
-//! as the A/B comparison target for the `engine_hotpath` bench.
 
 use crate::arena::{EventArena, QueuedEvent};
 use crate::barrier::WindowBarrier;
@@ -143,9 +139,9 @@ struct ThreadResult<M: Model> {
 /// violation all partition threads shut down together at the next
 /// barrier and the error reports the earliest offending event.
 ///
-/// # Panics
-/// Panics if `window` is zero or the assignment is inconsistent with
-/// `lp_count` / the shard count (caller bugs, not runtime conditions).
+/// A zero `window`, no shards, or an `assignment` inconsistent with
+/// `lp_count` / the shard count is [`MassfError::InvalidConfig`],
+/// returned before any thread spawns.
 pub fn try_run_parallel<M: Model>(
     shards: Vec<M>,
     lp_count: usize,
@@ -196,10 +192,6 @@ pub fn try_run_parallel_observed<M: Model, O: BarrierObserver>(
 ///
 /// `resume` is validated first (it may come from a snapshot file);
 /// malformed frontiers yield [`MassfError::InvalidConfig`].
-///
-/// # Panics
-/// Panics on the same caller bugs as [`try_run_parallel`] (zero window,
-/// inconsistent assignment).
 #[allow(clippy::type_complexity)] // (shards, stats, frontier) is the natural segment result
 pub fn try_run_parallel_resumable<M: Model>(
     shards: Vec<M>,
@@ -208,34 +200,6 @@ pub fn try_run_parallel_resumable<M: Model>(
     resume: ResumeState<M::Event>,
     end_time: SimTime,
     window: SimTime,
-) -> Result<(Vec<M>, ExecutionStats, ResumeState<M::Event>), MassfError> {
-    try_run_parallel_resumable_observed(
-        shards,
-        lp_count,
-        assignment,
-        resume,
-        end_time,
-        window,
-        &NoopBarrierObserver,
-    )
-}
-
-/// [`try_run_parallel_resumable`] with a [`BarrierObserver`] wrapped
-/// around every barrier wait, so segmented drivers (checkpointing
-/// sessions, the online rebalancer) keep the same wall-clock sync-cost
-/// observability as one-shot [`try_run_parallel_observed`] runs. The
-/// observed waits land in [`ExecutionStats::barrier_wait_us`] and are
-/// measurement output only — never feed them back into simulation
-/// decisions (simlint D5 flags that taint flow).
-#[allow(clippy::too_many_arguments, clippy::type_complexity)] // mirrors the resumable facade + observer
-pub fn try_run_parallel_resumable_observed<M: Model, O: BarrierObserver>(
-    shards: Vec<M>,
-    lp_count: usize,
-    assignment: &[u32],
-    resume: ResumeState<M::Event>,
-    end_time: SimTime,
-    window: SimTime,
-    observer: &O,
 ) -> Result<(Vec<M>, ExecutionStats, ResumeState<M::Event>), MassfError> {
     resume.validate(lp_count)?;
     run_parallel_core(
@@ -246,7 +210,7 @@ pub fn try_run_parallel_resumable_observed<M: Model, O: BarrierObserver>(
         resume.counters,
         end_time,
         window,
-        observer,
+        &NoopBarrierObserver,
         true,
     )
 }
@@ -263,14 +227,29 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
     observer: &O,
     collect_resume: bool,
 ) -> Result<(Vec<M>, ExecutionStats, ResumeState<M::Event>), MassfError> {
-    assert!(window > SimTime::ZERO, "window must be positive");
-    assert_eq!(assignment.len(), lp_count);
+    // Caller input, checked before any thread spawns: sessions pass
+    // windows and assignments computed at run time (a migration can put
+    // a zero-latency link on the cut).
     let partitions = shards.len();
-    assert!(partitions >= 1);
-    assert!(
-        assignment.iter().all(|&p| (p as usize) < partitions),
-        "assignment references missing partition"
-    );
+    let invalid = |msg: String| Err(MassfError::InvalidConfig(msg));
+    if window == SimTime::ZERO {
+        return invalid("parallel window must be positive".into());
+    }
+    if partitions == 0 {
+        return invalid("parallel run needs at least one shard".into());
+    }
+    if assignment.len() != lp_count {
+        return invalid(format!(
+            "assignment covers {} LPs, the run has {lp_count}",
+            assignment.len()
+        ));
+    }
+    if let Some(lp) = assignment.iter().position(|&p| p as usize >= partitions) {
+        return invalid(format!(
+            "LP {lp} is assigned to partition {}, but there are {partitions} shards",
+            assignment[lp]
+        ));
+    }
 
     let n_windows = end_time.as_ns().div_ceil(window.as_ns()) as usize;
     let end_ns = end_time.as_ns();
@@ -611,31 +590,6 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
     ))
 }
 
-/// Panicking facade over [`try_run_parallel`], for callers that treat a
-/// lookahead violation as a caller bug (window chosen above the MLL).
-///
-/// # Panics
-/// Panics if `window` is zero, or with the [`MassfError`] display (a
-/// "lookahead violation: …" message) if a model emits a cross-partition
-/// event with delay smaller than the window.
-pub fn run_parallel<M: Model>(
-    shards: Vec<M>,
-    lp_count: usize,
-    assignment: &[u32],
-    initial: Vec<(SimTime, LpId, M::Event)>,
-    end_time: SimTime,
-    window: SimTime,
-) -> (Vec<M>, ExecutionStats) {
-    match try_run_parallel(shards, lp_count, assignment, initial, end_time, window) {
-        Ok(out) => out,
-        // Deliberate facade: preserves the pre-overhaul panicking contract
-        // for callers that pick the window from the achieved MLL, where a
-        // violation is a programming error.
-        // simlint: allow(unwrap-audit) -- panicking facade over try_run_parallel
-        Err(e) => panic!("{e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -688,14 +642,15 @@ mod tests {
         );
 
         // Parallel, window = hop latency (the MLL).
-        let (shards, par_stats) = run_parallel(
+        let (shards, par_stats) = try_run_parallel(
             ring_shards(n, 3, hop),
             n as usize,
             &assignment,
             vec![(SimTime::ZERO, LpId(0), 0)],
             end,
             hop,
-        );
+        )
+        .expect("window within lookahead");
 
         assert_eq!(seq_stats.total_events, par_stats.total_events);
         assert_eq!(seq_stats.lp_events, par_stats.lp_events);
@@ -770,14 +725,15 @@ mod tests {
     fn window_counts_cover_all_events() {
         let n = 4u32;
         let hop = SimTime::from_ms(1);
-        let (_, stats) = run_parallel(
+        let (_, stats) = try_run_parallel(
             ring_shards(n, 2, hop),
             n as usize,
             &[0, 0, 1, 1],
             vec![(SimTime::ZERO, LpId(0), 0)],
             SimTime::from_ms(10),
             hop,
-        );
+        )
+        .expect("window within lookahead");
         let counted: u64 = stats.bucket_totals.iter().sum();
         assert_eq!(counted, stats.total_events);
         let by_partition: u64 = stats.partition_totals.iter().sum();
@@ -805,32 +761,16 @@ mod tests {
             vec![(SimTime::ZERO, LpId(2), 0)],
             SimTime::from_ms(20),
         );
-        let (shards, _) = run_parallel(
+        let (shards, _) = try_run_parallel(
             ring_shards(n, 1, hop),
             n as usize,
             &[0, 0, 0, 0, 0],
             vec![(SimTime::ZERO, LpId(2), 0)],
             SimTime::from_ms(20),
             SimTime::from_ms(7), // window larger than hop is fine for 1 partition
-        );
+        )
+        .expect("window within lookahead");
         assert_eq!(shards[0].visits, seq_model.visits);
-    }
-
-    #[test]
-    #[should_panic(expected = "lookahead violation")]
-    fn lookahead_violation_detected() {
-        // Hop of 1 ms but window of 2 ms: cross-partition events land
-        // inside the current window.
-        let n = 2u32;
-        let hop = SimTime::from_ms(1);
-        run_parallel(
-            ring_shards(n, 2, hop),
-            n as usize,
-            &[0, 1],
-            vec![(SimTime::ZERO, LpId(0), 0)],
-            SimTime::from_ms(10),
-            SimTime::from_ms(2),
-        );
     }
 
     #[test]
@@ -859,18 +799,50 @@ mod tests {
         assert!(err.to_string().starts_with("lookahead violation"));
     }
 
+    /// Caller input that used to trip an `assert!` inside a `try_` API
+    /// comes back as `InvalidConfig`, before any thread spawns.
+    #[test]
+    fn bad_caller_input_is_invalid_config_not_a_panic() {
+        let hop = SimTime::from_ms(1);
+        let run = |parts: usize, assignment: &[u32], window: SimTime| {
+            let initial = vec![(SimTime::ZERO, LpId(0), 0)];
+            let end = SimTime::from_ms(10);
+            try_run_parallel(
+                ring_shards(2, parts, hop),
+                2,
+                assignment,
+                initial,
+                end,
+                window,
+            )
+            .map(|(_, stats)| stats.total_events)
+        };
+        for (what, outcome) in [
+            ("zero window", run(2, &[0, 1], SimTime::ZERO)),
+            ("no shards", run(0, &[0, 1], hop)),
+            ("short assignment", run(2, &[0], hop)),
+            ("partition id past the shards", run(2, &[0, 2], hop)),
+        ] {
+            assert!(
+                matches!(outcome, Err(MassfError::InvalidConfig(_))),
+                "{what}: got {outcome:?}"
+            );
+        }
+    }
+
     #[test]
     fn events_beyond_end_time_not_processed() {
         let n = 2u32;
         let hop = SimTime::from_ms(3);
-        let (_, stats) = run_parallel(
+        let (_, stats) = try_run_parallel(
             ring_shards(n, 2, hop),
             n as usize,
             &[0, 1],
             vec![(SimTime::ZERO, LpId(0), 0)],
             SimTime::from_ms(7),
             hop,
-        );
+        )
+        .expect("window within lookahead");
         // Events at t=0,3,6 run; t=9 is beyond end.
         assert_eq!(stats.total_events, 3);
     }
@@ -968,7 +940,8 @@ mod tests {
                 visits: vec![],
             })
             .collect();
-        let (shards, stats) = run_parallel(shards, 2, &[0, 1], init, end, window);
+        let (shards, stats) = try_run_parallel(shards, 2, &[0, 1], init, end, window)
+            .expect("window within lookahead");
 
         let mut merged: Vec<(u32, u64)> = shards.into_iter().flat_map(|s| s.visits).collect();
         merged.sort_by_key(|&(_, t)| t);
@@ -991,14 +964,15 @@ mod tests {
 
     #[test]
     fn empty_initial_events_fast_forwards_to_exit() {
-        let (_, stats) = run_parallel(
+        let (_, stats) = try_run_parallel(
             ring_shards(2, 2, SimTime::from_ms(1)),
             2,
             &[0, 1],
             vec![],
             SimTime::from_secs(10),
             SimTime::from_ms(1),
-        );
+        )
+        .expect("window within lookahead");
         assert_eq!(stats.total_events, 0);
         assert_eq!(stats.windows_executed, 0);
         assert_eq!(stats.windows_skipped, 10_000);

@@ -183,26 +183,49 @@ impl NetSimBuilder {
         events
     }
 
-    /// Run on the sequential reference executor.
-    pub fn run_sequential<A: AppLogic>(&self, app: A, end: SimTime) -> SimOutput<A> {
-        let mut world = NetWorld::with_config(
+    /// One world (a sequential run's model, a parallel run's shard)
+    /// with this builder's tunables.
+    fn world<A: AppLogic>(&self, app: A) -> NetWorld<A> {
+        NetWorld::with_config(
             self.shared.clone(),
             app,
             self.route_cache_capacity,
             self.max_retries,
-        );
+        )
+    }
+
+    /// Fold a finished run's worlds into its output: profiles merged,
+    /// application instances kept in world order.
+    fn collect<A: AppLogic>(
+        &self,
+        stats: ExecutionStats,
+        worlds: Vec<NetWorld<A>>,
+    ) -> SimOutput<A> {
+        let mut profile =
+            ProfileData::new(self.shared.net.node_count(), self.shared.net.links.len());
+        let mut apps = Vec::with_capacity(worlds.len());
+        for world in worlds {
+            let (p, a) = world.into_parts();
+            profile.merge(&p);
+            apps.push(a);
+        }
+        SimOutput {
+            stats,
+            profile,
+            apps,
+        }
+    }
+
+    /// Run on the sequential reference executor.
+    pub fn run_sequential<A: AppLogic>(&self, app: A, end: SimTime) -> SimOutput<A> {
+        let mut world = self.world(app);
         let stats = run_sequential(
             &mut world,
             self.shared.lp_count(),
             self.initial_events(),
             end,
         );
-        let (profile, app) = world.into_parts();
-        SimOutput {
-            stats,
-            profile,
-            apps: vec![app],
-        }
+        self.collect(stats, vec![world])
     }
 
     /// Run sequentially while attributing events to `(window, partition)`
@@ -216,12 +239,7 @@ impl NetSimBuilder {
         assignment: &[u32],
         partitions: usize,
     ) -> SimOutput<A> {
-        let mut world = NetWorld::with_config(
-            self.shared.clone(),
-            app,
-            self.route_cache_capacity,
-            self.max_retries,
-        );
+        let mut world = self.world(app);
         let stats = run_sequential_windowed(
             &mut world,
             self.shared.lp_count(),
@@ -231,42 +249,15 @@ impl NetSimBuilder {
             assignment,
             partitions,
         );
-        let (profile, app) = world.into_parts();
-        SimOutput {
-            stats,
-            profile,
-            apps: vec![app],
-        }
+        self.collect(stats, vec![world])
     }
 
     /// Run on the real multi-threaded conservative executor, one thread
     /// per partition. `window` must not exceed the minimum latency of
-    /// any cross-partition link (the achieved MLL).
-    ///
-    /// # Panics
-    /// Panics on a lookahead violation (window above the achieved MLL
-    /// — a caller bug here, since the caller picks both). Use
-    /// [`Self::try_run_parallel`] to handle it as an error instead.
-    pub fn run_parallel<A: AppLogic + Clone>(
-        &self,
-        app: A,
-        end: SimTime,
-        window: SimTime,
-        assignment: &[u32],
-        partitions: usize,
-    ) -> SimOutput<A> {
-        match self.try_run_parallel(app, end, window, assignment, partitions) {
-            Ok(out) => out,
-            // Deliberate facade: the caller chose both the window and the
-            // cut, so a violation is a programming error;
-            // try_run_parallel offers the Result form.
-            // simlint: allow(unwrap-audit) -- panicking facade over try_run_parallel
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`Self::run_parallel`], but a lookahead violation comes back as
-    /// [`MassfError::LookaheadViolation`] instead of a panic.
+    /// any cross-partition link (the achieved MLL): a larger one comes
+    /// back as [`MassfError::LookaheadViolation`], a zero window or an
+    /// assignment inconsistent with `partitions` as
+    /// [`MassfError::InvalidConfig`].
     pub fn try_run_parallel<A: AppLogic + Clone>(
         &self,
         app: A,
@@ -298,16 +289,7 @@ impl NetSimBuilder {
         partitions: usize,
         observer: &O,
     ) -> Result<SimOutput<A>, MassfError> {
-        let shards: Vec<NetWorld<A>> = (0..partitions)
-            .map(|_| {
-                NetWorld::with_config(
-                    self.shared.clone(),
-                    app.clone(),
-                    self.route_cache_capacity,
-                    self.max_retries,
-                )
-            })
-            .collect();
+        let shards = (0..partitions).map(|_| self.world(app.clone())).collect();
         let (shards, stats) = try_run_parallel_observed(
             shards,
             self.shared.lp_count(),
@@ -317,19 +299,7 @@ impl NetSimBuilder {
             window,
             observer,
         )?;
-        let mut profile =
-            ProfileData::new(self.shared.net.node_count(), self.shared.net.links.len());
-        let mut apps = Vec::with_capacity(partitions);
-        for shard in shards {
-            let (p, a) = shard.into_parts();
-            profile.merge(&p);
-            apps.push(a);
-        }
-        Ok(SimOutput {
-            stats,
-            profile,
-            apps,
-        })
+        Ok(self.collect(stats, shards))
     }
 }
 
@@ -404,10 +374,33 @@ mod tests {
         let window = SimTime::from_ms_f64(mll);
         assert!(window > SimTime::ZERO);
 
-        let par = b.run_parallel(NoApp, SimTime::from_secs(5), window, &assignment, 2);
+        let par = b
+            .try_run_parallel(NoApp, SimTime::from_secs(5), window, &assignment, 2)
+            .expect("window within lookahead");
         assert_eq!(seq.stats.total_events, par.stats.total_events);
         assert_eq!(seq.stats.lp_events, par.stats.lp_events);
         assert_eq!(seq.profile, par.profile);
+    }
+
+    #[test]
+    fn zero_window_is_invalid_config_not_a_panic() {
+        let (b, _) = builder_with_traffic();
+        let n = b.shared().lp_count();
+        let assignment: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
+        let run = |window, assignment: &[u32], partitions| {
+            b.try_run_parallel(NoApp, SimTime::from_secs(1), window, assignment, partitions)
+                .map(|out| out.stats.total_events)
+        };
+        for outcome in [
+            run(SimTime::ZERO, &assignment, 2),
+            // Partition ids 0 and 1 over a single shard.
+            run(SimTime::from_ms(1), &assignment, 1),
+        ] {
+            assert!(
+                matches!(outcome, Err(MassfError::InvalidConfig(_))),
+                "got {outcome:?}"
+            );
+        }
     }
 
     #[test]

@@ -4,14 +4,15 @@
 #
 #   scripts/check.sh          full gate (including the release-mode
 #                             fault_flap_study, route_resolution,
-#                             engine_hotpath, engine_throughput,
-#                             partitioner, hprof_sweep, mem_footprint,
+#                             engine_throughput, partitioner,
+#                             hprof_sweep, mem_footprint,
 #                             checkpoint_study, fluid_scaling and
 #                             rebalance_study smoke runs, and the
 #                             benchmark crate's own gate, perf/check.sh)
 #   scripts/check.sh --fast   skip the release-mode smoke runs
 #
-# Each stage is wall-clock timed; a summary table prints at the end.
+# Each stage is wall-clock timed; a summary table prints at the end,
+# then scripts/loc.sh's non-test line count of crates/ (not a gate).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,8 +63,6 @@ if [ "$FAST" -eq 0 ]; then
         cargo run --release -q -p massf-bench --bin fault_flap_study -- --smoke
     stage "route_resolution --smoke" \
         cargo bench -q -p massf-bench --bench route_resolution -- --smoke
-    stage "engine_hotpath --smoke" \
-        cargo bench -q -p massf-bench --bench engine_hotpath -- --smoke
     stage "engine_throughput --smoke" \
         cargo bench -q -p massf-bench --bench engine_throughput -- --smoke
     stage "partitioner --smoke" \
@@ -92,5 +91,9 @@ for i in "${!STAGE_NAMES[@]}"; do
     total=$((total + STAGE_SECS[i]))
 done
 printf '%4ds  total\n' "$total"
+
+echo
+echo "== non-test lines under crates/ (scripts/loc.sh) =="
+scripts/loc.sh
 
 echo "All checks passed."

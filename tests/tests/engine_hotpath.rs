@@ -2,12 +2,13 @@
 //! tests for bit-identity against the sequential reference over random
 //! window sizes (divisors and non-divisors of the horizon), sparse and
 //! bursty schedules, and random LP→partition assignments; plus the
-//! empty-window fast-forward guarantees and the bounded-memory
-//! regression for tiny-window/long-horizon runs.
+//! empty-window fast-forward guarantees, the bounded-memory regression
+//! for tiny-window/long-horizon runs, and the two fixed ring workloads
+//! (dense, sparse bursty) whose barrier counts EXPERIMENTS.md records.
 
 use massf_engine::{
-    run_parallel, run_sequential, run_sequential_windowed, Emitter, ExecutionStats, LpId, Model,
-    SimTime, TRACE_BUCKETS,
+    run_sequential, run_sequential_windowed, try_run_parallel, Emitter, ExecutionStats, LpId,
+    Model, SimTime, TRACE_BUCKETS,
 };
 use proptest::prelude::*;
 
@@ -136,7 +137,8 @@ proptest! {
             .map(|_| LogRing::new(n, hop, idle, burst))
             .collect();
         let (shards, par_stats) =
-            run_parallel(shards, n as usize, &assignment, initial, end, window);
+            try_run_parallel(shards, n as usize, &assignment, initial, end, window)
+                .expect("window within lookahead");
 
         prop_assert_eq!(&merged_log(&shards), &seq.log);
         assert_windowed_stats_match(&seqw_stats, &par_stats);
@@ -168,7 +170,8 @@ proptest! {
             .map(|_| LogRing::new(n, hop, idle, burst))
             .collect();
         let (shards, stats) =
-            run_parallel(shards, n as usize, &assignment, initial, end, window);
+            try_run_parallel(shards, n as usize, &assignment, initial, end, window)
+                .expect("window within lookahead");
 
         prop_assert_eq!(&merged_log(&shards), &seq.log);
         prop_assert_eq!(stats.barrier_rounds, 1 + 2 * stats.windows_executed);
@@ -180,6 +183,63 @@ proptest! {
             stats.barrier_rounds,
             old_rounds
         );
+    }
+}
+
+/// The dense and sparse-bursty rings of EXPERIMENTS.md "Engine hot path
+/// & sync cost", as fixed inputs: parallel ≡ sequential at 1/2/4
+/// partitions, the windowed stats add up, and barrier rounds follow the
+/// executed windows only (the recorded counts, the same at any
+/// partition count). A barrier pair per nominal window would cost
+/// `2·window_count()` rounds — 40,000 on the sparse ring.
+#[test]
+fn dense_and_sparse_rings_match_sequential_and_count_barriers() {
+    let n = 64u32;
+    let hop = SimTime::from_ms(1); // the MLL of any contiguous cut
+    let ms = SimTime::from_ms;
+    // (label, idle, burst, tokens, end, recorded barrier rounds)
+    let rings = [
+        ("dense", SimTime::ZERO, 1u32, 8u32, ms(5_000), 10_001u64),
+        ("sparse", ms(500), 20, 4, ms(20_000), 1_639),
+    ];
+    for (ring, idle, burst, tokens, end, rounds) in rings {
+        let model = || LogRing::new(n, hop, idle, burst);
+        // Token k starts at LP k·n/tokens with a fresh burst.
+        let initial: Vec<(SimTime, LpId, u32)> = (0..tokens)
+            .map(|k| (SimTime::ZERO, LpId(k * n / tokens), burst))
+            .collect();
+        let mut seq = model();
+        run_sequential(&mut seq, n as usize, initial.clone(), end);
+
+        for parts in [1usize, 2, 4] {
+            let label = format!("{ring} ring, {parts} partitions");
+            // Contiguous arcs: the minimum cut of a ring.
+            let per = n / parts as u32;
+            let assignment: Vec<u32> = (0..n).map(|lp| lp / per).collect();
+            let shards = (0..parts).map(|_| model()).collect();
+            let (shards, stats) =
+                try_run_parallel(shards, n as usize, &assignment, initial.clone(), end, hop)
+                    .expect("window within lookahead");
+
+            assert_eq!(merged_log(&shards), seq.log, "{label}");
+            let windows = stats.window_count() as u64;
+            let counted: u64 = stats.bucket_totals.iter().sum();
+            assert_eq!(counted, stats.total_events, "{label}");
+            assert_eq!(
+                stats.windows_executed + stats.windows_skipped,
+                windows,
+                "{label}"
+            );
+            assert_eq!(
+                stats.barrier_rounds,
+                1 + 2 * stats.windows_executed,
+                "{label}"
+            );
+            assert_eq!(stats.barrier_rounds, rounds, "{label}");
+            if ring == "sparse" {
+                assert!(5 * stats.barrier_rounds <= 2 * windows, "{label}");
+            }
+        }
     }
 }
 
@@ -210,14 +270,15 @@ fn tiny_window_long_horizon_stays_bounded() {
         2,
     );
 
-    let (shards, stats) = run_parallel(
+    let (shards, stats) = try_run_parallel(
         vec![model(), model()],
         n as usize,
         &assignment,
         initial,
         end,
         window,
-    );
+    )
+    .expect("window within lookahead");
 
     for s in [&seq_stats, &stats] {
         assert_eq!(s.window_count(), n_windows);

@@ -140,7 +140,9 @@ fn mixed_fidelity_parallel_matches_sequential_bit_identically() {
     assert!(seq.profile.completed_flows > 0, "TCP traffic must flow");
 
     let (assignment, window) = fluid_parity_cut(&builder.shared(), 4);
-    let par = builder.run_parallel(NoApp, end, window, &assignment, 4);
+    let par = builder
+        .try_run_parallel(NoApp, end, window, &assignment, 4)
+        .expect("window within lookahead");
     assert_eq!(seq.stats.total_events, par.stats.total_events);
     assert_eq!(seq.stats.lp_events, par.stats.lp_events);
     assert_eq!(seq.profile, par.profile, "all counters, fluid included");
@@ -210,7 +212,9 @@ fn flap_on_shared_bottleneck_reroutes_both_fidelities() {
     assert!(out.profile.node_packets[r2.index()] > 0);
     // The mixed run stays bit-identical in parallel through the flap.
     let (assignment, window) = fluid_parity_cut(&builder.shared(), 3);
-    let par = builder.run_parallel(NoApp, end, window, &assignment, 3);
+    let par = builder
+        .try_run_parallel(NoApp, end, window, &assignment, 3)
+        .expect("window within lookahead");
     assert_eq!(out.stats.total_events, par.stats.total_events);
     assert_eq!(out.profile, par.profile);
 }
@@ -356,7 +360,9 @@ proptest! {
         let seq = builder.run_sequential(NoApp, end);
 
         let (assignment, window) = fluid_parity_cut(&builder.shared(), parts);
-        let par = builder.run_parallel(NoApp, end, window, &assignment, parts as usize);
+        let par = builder
+            .try_run_parallel(NoApp, end, window, &assignment, parts as usize)
+            .expect("window within lookahead");
         prop_assert_eq!(seq.stats.total_events, par.stats.total_events);
         prop_assert_eq!(&seq.stats.lp_events, &par.stats.lp_events);
         prop_assert_eq!(&seq.profile, &par.profile);

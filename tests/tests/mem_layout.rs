@@ -52,13 +52,15 @@ fn run_schedule(
                     window = window.min(link.latency_ms);
                 }
             }
-            builder.run_parallel(
-                NoApp,
-                duration,
-                SimTime::from_ms_f64(window),
-                &assignment,
-                partitions,
-            )
+            builder
+                .try_run_parallel(
+                    NoApp,
+                    duration,
+                    SimTime::from_ms_f64(window),
+                    &assignment,
+                    partitions,
+                )
+                .expect("window within lookahead")
         };
         (out.profile, out.stats.total_events)
     })

@@ -140,13 +140,15 @@ fn fault_injected_run_identical_across_thread_counts() {
                         window = window.min(link.latency_ms);
                     }
                 }
-                builder.run_parallel(
-                    NoApp,
-                    duration,
-                    SimTime::from_ms_f64(window),
-                    &assignment,
-                    partitions,
-                )
+                builder
+                    .try_run_parallel(
+                        NoApp,
+                        duration,
+                        SimTime::from_ms_f64(window),
+                        &assignment,
+                        partitions,
+                    )
+                    .expect("window within lookahead")
             };
             (
                 out.stats.total_events,
@@ -213,13 +215,15 @@ fn route_cache_transparent_and_identical_across_thread_counts() {
                         window = window.min(link.latency_ms);
                     }
                 }
-                builder.run_parallel(
-                    NoApp,
-                    duration,
-                    SimTime::from_ms_f64(window),
-                    &assignment,
-                    partitions,
-                )
+                builder
+                    .try_run_parallel(
+                        NoApp,
+                        duration,
+                        SimTime::from_ms_f64(window),
+                        &assignment,
+                        partitions,
+                    )
+                    .expect("window within lookahead")
             }
         })
     };

@@ -27,7 +27,9 @@ fn parallel_run_matches_sequential_under_hprof_mapping() {
     builder.add_initial_events(events);
 
     let seq = builder.run_sequential(app.clone(), end);
-    let par = builder.run_parallel(app, end, window, &mapping.partition.assignment, 3);
+    let par = builder
+        .try_run_parallel(app, end, window, &mapping.partition.assignment, 3)
+        .expect("window within lookahead");
 
     assert_eq!(seq.stats.total_events, par.stats.total_events);
     assert_eq!(seq.stats.lp_events, par.stats.lp_events);
@@ -50,7 +52,9 @@ fn parallel_run_matches_sequential_on_multi_as_bgp_network() {
     builder.add_initial_events(events);
 
     let seq = builder.run_sequential(app.clone(), end);
-    let par = builder.run_parallel(app, end, window, &mapping.partition.assignment, 2);
+    let par = builder
+        .try_run_parallel(app, end, window, &mapping.partition.assignment, 2)
+        .expect("window within lookahead");
 
     assert_eq!(seq.stats.total_events, par.stats.total_events);
     assert_eq!(seq.stats.lp_events, par.stats.lp_events);

@@ -4,7 +4,7 @@
 use massf_core::hier::{reduce_graph, SweepReducer};
 use massf_core::prelude::*;
 use massf_core::{EdgeWeighting, VertexWeighting};
-use massf_engine::{run_parallel, run_sequential, Emitter, LpId, Model};
+use massf_engine::{run_sequential, try_run_parallel, Emitter, LpId, Model};
 use massf_partition::{greedy_kcluster, UnionFind};
 use massf_routing::bgp::{is_valley_free, BgpRib};
 use massf_topology::AsGraph;
@@ -234,7 +234,8 @@ proptest! {
             .map(|_| Mixer { n, hash: vec![0; n as usize] })
             .collect();
         let (shards, par_stats) =
-            run_parallel(shards, n as usize, &assignment, initial, end, window);
+            try_run_parallel(shards, n as usize, &assignment, initial, end, window)
+                .expect("window within lookahead");
 
         prop_assert_eq!(seq_stats.total_events, par_stats.total_events);
         prop_assert_eq!(&seq_stats.lp_events, &par_stats.lp_events);
