@@ -1,8 +1,10 @@
 //! Experiment harness shared by the figure-regeneration binaries
-//! (`src/bin/fig*.rs`) and Criterion benches.
+//! (`src/bin/fig03_load_variation.rs`, `fig05_sync_cost.rs`, `suite.rs`)
+//! and Criterion benches.
 //!
 //! Every figure of the paper's evaluation (3, 5–13) has a binary that
-//! regenerates it; see DESIGN.md's experiment index. Binaries accept:
+//! regenerates it — `suite` prints Figures 6–13 from one set of runs;
+//! see DESIGN.md's experiment index. Binaries accept:
 //!
 //! ```text
 //! --scale tiny|small|medium|paper   (default: small)

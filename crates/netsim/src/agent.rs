@@ -116,11 +116,6 @@ impl Agent {
         &self.injections
     }
 
-    /// All registered fluid demands.
-    pub fn fluid_injections(&self) -> &[FluidInjection] {
-        &self.fluids
-    }
-
     /// Convert to initial events for the engine: packet demands first,
     /// then fluid demands, each block sorted by time (for readability —
     /// the engine interleaves by `(time, tag)` anyway, and keeping the

@@ -1097,6 +1097,7 @@ impl FluidCoupling {
 mod tests {
     use super::*;
     use crate::packet::segments_for;
+    use crate::world::fixtures::{dumbbell, dumbbell_net_with_detour};
     use crate::world::{events_per_roundtrip, AppLogic, NetWorld, NoApp, SimApi};
     use massf_engine::{run_sequential, Model};
     use massf_faults::{FaultScript, FaultState};
@@ -1105,22 +1106,6 @@ mod tests {
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
-
-    /// host A — r1 — r2 — B; the middle link is the bottleneck. With
-    /// `bottleneck_bps = 8e6` the shareable capacity is exactly
-    /// 1 000 000 bytes/s, which keeps expected fair shares integral.
-    fn dumbbell(bottleneck_bps: f64) -> (Arc<SharedNet>, NodeId, NodeId) {
-        let mut net = Network::new();
-        let a = net.add_node(NodeKind::Host, Point::new(0.0, 0.0), AsId(0));
-        let r1 = net.add_node(NodeKind::Router, Point::new(10.0, 0.0), AsId(0));
-        let r2 = net.add_node(NodeKind::Router, Point::new(20.0, 0.0), AsId(0));
-        let b = net.add_node(NodeKind::Host, Point::new(30.0, 0.0), AsId(0));
-        net.add_link(a, r1, 1e9, 0.1);
-        net.add_link(r1, r2, bottleneck_bps, 1.0);
-        net.add_link(r2, b, 1e9, 0.1);
-        let resolver = Arc::new(FlatResolver::new(&net, CostMetric::Latency));
-        (SharedNet::new(net, resolver), a, b)
-    }
 
     fn fluid_start(
         src: NodeId,
@@ -1692,39 +1677,6 @@ mod tests {
     }
 
     // ---- A path with a hop that is not a link is no route ----
-
-    /// Routes like the flat resolver it wraps, except that `from → to`
-    /// is answered with `bogus`.
-    struct Detour {
-        inner: FlatResolver,
-        from: NodeId,
-        to: NodeId,
-        bogus: Vec<NodeId>,
-    }
-
-    impl PathResolver for Detour {
-        fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-            if (src, dst) == (self.from, self.to) {
-                Some(self.bogus.clone())
-            } else {
-                self.inner.route(src, dst)
-            }
-        }
-    }
-
-    /// The `dumbbell` network with `a → b` answered `a, r1, b`: the
-    /// first hop is a link, the second is not.
-    fn dumbbell_net_with_detour() -> (Network, Detour, NodeId, NodeId) {
-        let (shared, a, b) = dumbbell(8e6);
-        let net = shared.net.clone();
-        let detour = Detour {
-            inner: FlatResolver::new(&net, CostMetric::Latency),
-            from: a,
-            to: b,
-            bogus: vec![a, NodeId(a.0 + 1), b],
-        };
-        (net, detour, a, b)
-    }
 
     #[test]
     fn start_over_a_non_link_hop_is_unroutable_not_half_registered() {

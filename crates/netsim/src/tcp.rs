@@ -7,7 +7,7 @@
 //! reordering cannot occur; the receiver is a cumulative-ACK machine.
 //!
 //! The state machines are pure (no engine types) so they are unit-tested
-//! exhaustively here; `world.rs` wires them to packets and timers.
+//! exhaustively here; `world` wires them to packets and timers.
 
 use crate::packet::segments_for;
 use massf_engine::SimTime;

@@ -121,11 +121,6 @@ impl RouteCache {
         }
     }
 
-    /// Is caching enabled (capacity > 0)?
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
     /// Look up `(epoch, src, dst)`; on a miss, resolve via `resolve`,
     /// cache the result (evicting the source's least-recently-used
     /// entry at capacity), and return it. Counters accrue to `stats`.

@@ -75,11 +75,6 @@ impl<'a> BeaconSim<'a> {
         }
     }
 
-    /// Is the beacon currently announced?
-    pub fn is_announced(&self) -> bool {
-        self.announced
-    }
-
     /// The AS path selected by `a` toward the beacon, if any.
     pub fn path_of(&self, a: usize) -> Option<&[u16]> {
         self.state[a].best.as_ref().map(|r| r.as_path.as_slice())

@@ -1,5 +1,5 @@
 //! The route-interning table + CSR port-table shapes from the
-//! million-host memory layout (crates/netsim/src/world.rs): the
+//! million-host memory layout (crates/netsim/src/world/): the
 //! per-source interning shard uses its `HashMap` strictly for point
 //! insert/lookup — never iteration — and every scan the hot path
 //! performs walks sorted CSR arrays, whose order is structural. simlint

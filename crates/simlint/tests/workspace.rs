@@ -80,25 +80,27 @@ fn seeded_field_addition_to_world_state_fails_the_gate() {
             // simlint: allow(unwrap-audit) -- test helper: abort with the path on IO failure
             .unwrap_or_else(|e| panic!("{rel} unreadable: {e}"))
     };
-    let world = read_real("crates/netsim/src/world.rs");
+    let world = read_real("crates/netsim/src/world/state.rs");
     let codec = read_real("crates/snapshot/src/codec.rs");
 
     // Control: the real pair, unmodified, is drift-free.
     let ws = TempWorkspace::new("d6-clean");
-    ws.write("crates/netsim/src/world.rs", &world);
+    ws.write("crates/netsim/src/world/state.rs", &world);
     ws.write("crates/snapshot/src/codec.rs", &codec);
     let clean = run(&Options::new(&ws.root)).expect("scan succeeds");
     assert_eq!(clean.exit_code(), 0, "{:?}", clean.violations);
 
     // Seed the drift: one new field, codec untouched.
     let needle = "pub struct WorldState";
-    let at = world.find(needle).expect("WorldState defined in world.rs");
+    let at = world
+        .find(needle)
+        .expect("WorldState defined in world/state.rs");
     let brace = world[at..].find('\n').expect("struct spans lines") + at + 1;
     let mut drifted = world.clone();
     drifted.insert_str(brace, "    pub seeded_drift_probe: u64,\n");
 
     let ws2 = TempWorkspace::new("d6-drift");
-    ws2.write("crates/netsim/src/world.rs", &drifted);
+    ws2.write("crates/netsim/src/world/state.rs", &drifted);
     ws2.write("crates/snapshot/src/codec.rs", &codec);
     let outcome = run(&Options::new(&ws2.root)).expect("scan succeeds");
     assert_eq!(outcome.exit_code(), 1, "{:?}", outcome.violations);
