@@ -4,12 +4,13 @@
 //!
 //! The seq-vs-windowed comparison bounds the cost of the per-window
 //! accounting; seq-vs-parallel shows the barrier overhead at small
-//! partition counts (this host is single-core, so parallel numbers
-//! measure engine overhead, not speedup).
+//! partition counts (the 2-partition leg runs on 2 threads: it means
+//! speed-up only where `nproc` ≥ 2, engine overhead otherwise).
 
 use criterion::{criterion_group, Criterion};
 use massf_core::prelude::*;
-use massf_netsim::{Agent, NetSimBuilder, NoApp};
+use massf_engine::{run_sequential_resumable, seed_events, ResumeState};
+use massf_netsim::{Agent, NetSimBuilder, NetWorld, NoApp};
 use massf_routing::{CostMetric, FlatResolver};
 use std::sync::Arc;
 
@@ -131,6 +132,34 @@ fn run_smoke() {
     assert_eq!(
         par.profile, seq.profile,
         "parallel profile diverged from sequential"
+    );
+
+    // Two resumable segments split at 2^29 ns (where every bit of the
+    // event queue's floor below bit 29 turns over) ≡ the straight run.
+    let mut events = seed_events(b.initial_events());
+    events.sort_unstable();
+    let mut resume = ResumeState {
+        events,
+        counters: vec![0; n],
+    };
+    let mut world = NetWorld::new(shared, NoApp);
+    let mut lp_events = vec![0u64; n];
+    for cut in [SimTime::from_ns(1 << 29), end] {
+        let (stats, next) =
+            run_sequential_resumable(&mut world, n, resume, cut).expect("valid frontier");
+        for (sum, e) in lp_events.iter_mut().zip(&stats.lp_events) {
+            *sum += e;
+        }
+        resume = next;
+    }
+    assert_eq!(
+        lp_events, seq.stats.lp_events,
+        "segmented per-LP attribution diverged from the straight run"
+    );
+    assert_eq!(
+        *world.profile(),
+        seq.profile,
+        "segmented profile diverged from the straight run"
     );
     println!("engine_throughput smoke checks passed");
 }

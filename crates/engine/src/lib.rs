@@ -43,18 +43,19 @@
 //!   transport in the snapshot session layer).
 //!
 //! Determinism: every event carries a `(source LP, per-source counter)`
-//! tag; heaps order by `(time, tag)`. Since handlers only touch target-LP
-//! state, the per-LP event sequences — and therefore all model state —
-//! are identical under sequential and parallel execution (property-tested
-//! in this crate and in the integration suite).
+//! tag; each executor thread's event queue pops in `(time, tag)` order.
+//! Since handlers only touch target-LP state, the per-LP event
+//! sequences — and therefore all model state — are identical under
+//! sequential and parallel execution (property-tested in this crate and
+//! in the integration suite).
 
 #![forbid(unsafe_code)]
 
-pub mod arena;
 pub mod barrier;
 pub mod event;
 pub mod model;
 pub mod par;
+mod queue;
 pub mod rebalance;
 pub mod resume;
 pub mod seq;
@@ -62,7 +63,6 @@ pub mod stats;
 pub mod synccost;
 pub mod time;
 
-pub use arena::{EventArena, EventHandle};
 pub use barrier::{BarrierBroken, WindowBarrier};
 pub use event::{external_tag, EventRecord, LpId, EXTERNAL_SOURCE};
 pub use massf_topology::MassfError;

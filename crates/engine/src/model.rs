@@ -64,7 +64,10 @@ impl<'a, M> Emitter<'a, M> {
             .checked_add(1)
             .expect("per-LP emission counter overflow");
         self.buffer.push(EventRecord {
-            time: self.now + delay,
+            time: self
+                .now
+                .checked_add(delay)
+                .expect("event time overflows SimTime"),
             target,
             tag,
             payload,
@@ -107,6 +110,17 @@ mod tests {
         assert_eq!(buf[1].time, SimTime::from_ms(2));
         assert!(buf[0].tag < buf[1].tag);
         assert_eq!(buf[0].tag >> 32, 9);
+    }
+
+    /// A release build has no overflow checks: `now + delay` used to wrap
+    /// and schedule the event in the past.
+    #[test]
+    #[should_panic(expected = "event time overflows SimTime")]
+    fn emit_past_the_end_of_time_panics_instead_of_wrapping() {
+        let mut counter = 0u32;
+        let mut buf = Vec::new();
+        let mut em = Emitter::new(SimTime::from_secs(1), 0, &mut counter, &mut buf);
+        em.emit(SimTime::MAX, LpId(0), ());
     }
 
     #[test]

@@ -24,16 +24,16 @@
 //! barrier protocol the sender and receiver never touch a slot
 //! concurrently. `parking_lot`'s uncontended lock is a single CAS.)
 //!
-//! Determinism does not depend on drain order — heaps order events by
-//! `(time, tag)` — but the fixed order makes the execution schedule
-//! itself reproducible.
+//! Determinism does not depend on drain order — each partition's event
+//! queue pops in `(time, tag)` order — but the fixed order makes the
+//! execution schedule itself reproducible.
 //!
 //! **Empty-window fast-forward**: after the exchange, every partition
 //! publishes its next local event time into a per-partition slot; all
 //! partitions then compute the same global minimum and jump virtual time
 //! directly to the window containing that event. This is conservatively
 //! exact: at the barrier *all* in-flight events have been exchanged, so
-//! the global minimum over partition heaps is the true next event time
+//! the global minimum over partition queues is the true next event time
 //! of the whole simulation, and every window before it is empty. Long
 //! idle stretches (fault epochs, TCP RTO backoff) collapse from
 //! thousands of barrier pairs to one. Relaxed atomics suffice for the
@@ -52,17 +52,15 @@
 //! partition 0 between the two barriers of each executed window (see
 //! [`crate::stats`]); nothing is sized `O(end_time / window)`.
 
-use crate::arena::{EventArena, QueuedEvent};
 use crate::barrier::WindowBarrier;
 use crate::event::{EventRecord, LpId};
 use crate::model::{seed_events, Emitter, Model};
+use crate::queue::EventQueue;
 use crate::resume::ResumeState;
 use crate::stats::{bucket_layout, ExecutionStats};
 use crate::time::SimTime;
 use massf_topology::MassfError;
 use parking_lot::Mutex;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Hook for measuring wall-clock barrier-wait time from *outside* the
@@ -90,7 +88,7 @@ pub struct NoopBarrierObserver;
 
 impl BarrierObserver for NoopBarrierObserver {}
 
-/// Sentinel for "my heap is empty" in the published next-event times.
+/// Sentinel for "my queue is empty" in the published next-event times.
 const IDLE: u64 = u64::MAX;
 
 /// Windowed aggregates reduced by partition 0; everything is bounded by
@@ -120,9 +118,6 @@ struct ThreadResult<M: Model> {
     /// Per-LP emission counters at exit (only this partition's LPs ever
     /// advanced beyond their restored values).
     counters: Vec<u32>,
-    /// Arena misuse surfaced through the fallible path (`try_take`),
-    /// reported as a structured error instead of a cross-thread panic.
-    error: Option<MassfError>,
 }
 
 /// Run `shards[p]` as partition `p`, one thread each, until `end_time`.
@@ -274,9 +269,9 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
     let next_times: Vec<AtomicU64> = (0..partitions).map(|_| AtomicU64::new(IDLE)).collect();
     let win_counts: Vec<AtomicU64> = (0..partitions).map(|_| AtomicU64::new(0)).collect();
     let barrier = WindowBarrier::new(partitions);
-    // Lookahead violations and arena misuse raise this flag instead of
-    // panicking; all threads observe it after the same barrier and shut
-    // down together, each reporting its earliest offending event time.
+    // Lookahead violations raise this flag instead of panicking; all
+    // threads observe it after the same barrier and shut down together,
+    // each reporting its earliest offending event time.
     // (A thread that does panic — a model bug — breaks the barrier
     // through its `break_on_unwind` guard; the panic is re-raised below.)
     let poison = AtomicBool::new(false);
@@ -300,22 +295,18 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
                     round.is_ok()
                 };
                 let mut shard = shard;
-                // Per-thread payload arena + handle heap: local events
-                // never leave this thread, so slot recycling stays
-                // thread-private (see `crate::arena`). Cross-partition
-                // events travel as full `EventRecord`s through the
-                // exchange matrix and enter the *receiver's* arena on
-                // drain.
-                let mut arena: EventArena<M::Event> = EventArena::new();
-                let mut heap: BinaryHeap<Reverse<QueuedEvent>> = init
-                    .into_iter()
-                    .map(|ev| Reverse(arena.enqueue(ev)))
-                    .collect();
+                // Per-thread event queue: local events never leave this
+                // thread. Cross-partition events travel as full
+                // `EventRecord`s through the exchange matrix and enter
+                // the *receiver's* queue on drain.
+                let mut queue: EventQueue<M::Event> = EventQueue::new();
+                for ev in init {
+                    queue.push(ev);
+                }
                 // Restored counters: only this partition's LPs will
                 // advance; the merge below takes the elementwise max.
                 let mut counters = counters_init.clone();
                 let mut out_buf: Vec<EventRecord<M::Event>> = Vec::new();
-                let mut error: Option<MassfError> = None;
                 // Private per-destination rows; swapped (never moved)
                 // into the exchange slots, so capacity is recycled.
                 let mut out_rows: Vec<Vec<EventRecord<M::Event>>> =
@@ -339,7 +330,7 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
                 // Publish the initial next-event time, then rendezvous so
                 // every partition computes the first window from complete
                 // information.
-                let next = heap.peek().map_or(IDLE, |&Reverse(ev)| ev.time.as_ns());
+                let next = queue.min_time().map_or(IDLE, SimTime::as_ns);
                 next_times[p].store(next, Ordering::Relaxed);
                 let mut live = sync();
 
@@ -362,22 +353,7 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
 
                     // Process this window's local events.
                     let mut count = 0u64;
-                    while let Some(&Reverse(head)) = heap.peek() {
-                        if head.time >= window_end {
-                            break;
-                        }
-                        let Reverse(ev) = heap.pop().expect("peeked");
-                        // Fallible path: slab misuse becomes a
-                        // structured error through the coordinated
-                        // poison shutdown, never a cross-thread panic.
-                        let payload = match arena.try_take(ev.handle) {
-                            Ok(payload) => payload,
-                            Err(e) => {
-                                error = Some(e);
-                                poison.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        };
+                    while let Some(ev) = queue.pop_before(window_end) {
                         let lp = ev.target;
                         debug_assert_eq!(assignment[lp.index()] as usize, p);
                         {
@@ -387,15 +363,14 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
                                 &mut counters[lp.index()],
                                 &mut out_buf,
                             );
-                            shard.handle(lp, ev.time, payload, &mut emitter);
+                            shard.handle(lp, ev.time, ev.payload, &mut emitter);
                         }
                         lp_events[lp.index()] += 1;
                         count += 1;
                         for new_ev in out_buf.drain(..) {
-                            debug_assert!(new_ev.time >= ev.time);
                             let dest = assignment[new_ev.target.index()] as usize;
                             if dest == p {
-                                heap.push(Reverse(arena.enqueue(new_ev)));
+                                queue.push(new_ev);
                             } else {
                                 if new_ev.time < window_end {
                                     // Lookahead violation (window exceeds
@@ -459,7 +434,7 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
                         let mut slot = exchange[q * partitions + p].lock();
                         for ev in slot.drain(..) {
                             debug_assert!(ev.time >= window_end, "lookahead-safe arrival");
-                            heap.push(Reverse(arena.enqueue(ev)));
+                            queue.push(ev);
                         }
                     }
                     // Publish my next local event time for the
@@ -467,7 +442,7 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
                     // been exchanged, so the global min over these is
                     // exact — and ≥ window_end, so virtual time strictly
                     // advances.
-                    let next = heap.peek().map_or(IDLE, |&Reverse(ev)| ev.time.as_ns());
+                    let next = queue.min_time().map_or(IDLE, SimTime::as_ns);
                     next_times[p].store(next, Ordering::Relaxed);
                     // Nobody may compute the next window (or start
                     // sending into it) until every partition has drained
@@ -476,26 +451,13 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
                 }
                 // At loop exit every in-flight event has been exchanged
                 // (the exit check precedes popping, after a barrier), so
-                // this heap holds exactly this partition's share of the
-                // global frontier. Drain in heap order → sorted output.
-                let mut pending = Vec::new();
-                if collect_resume && !poison.load(Ordering::Relaxed) {
-                    pending.reserve(heap.len());
-                    while let Some(Reverse(ev)) = heap.pop() {
-                        match arena.try_take(ev.handle) {
-                            Ok(payload) => pending.push(EventRecord {
-                                time: ev.time,
-                                target: ev.target,
-                                tag: ev.tag,
-                                payload,
-                            }),
-                            Err(e) => {
-                                error = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                }
+                // this queue holds exactly this partition's share of the
+                // global frontier.
+                let pending = if collect_resume && !poison.load(Ordering::Relaxed) {
+                    queue.drain()
+                } else {
+                    Vec::new()
+                };
                 ThreadResult {
                     shard,
                     lp_events,
@@ -504,7 +466,6 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
                     windowed,
                     pending,
                     counters,
-                    error,
                 }
             }));
         }
@@ -534,13 +495,6 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
             event_time_ns,
             window_ns: window.as_ns(),
         });
-    }
-
-    // Arena misuse reported through the fallible path: surface the
-    // lowest-partition error (results are in partition order, so this is
-    // deterministic).
-    if let Some(e) = results.iter().find_map(|r| r.error.clone()) {
-        return Err(e);
     }
 
     let mut stats = ExecutionStats::new(lp_count);

@@ -5,7 +5,7 @@
 //! as if it had never stopped: the pending events (each still carrying
 //! its original `(time, tag)` ordering key) and the per-LP emission
 //! counters that keep future tags unique. Because tags are assigned
-//! from per-LP counters and heaps order by `(time, tag)`, feeding a
+//! from per-LP counters and queues pop in `(time, tag)` order, feeding a
 //! drained frontier back in reproduces the exact event order of a
 //! straight-through run — at any thread count. Model state travels
 //! separately (the snapshot layer serializes it); the engine only owns
@@ -51,7 +51,7 @@ impl<M> ResumeState<M> {
     /// Structural validation against `lp_count`. Rejects anything a
     /// corrupted or handcrafted snapshot could smuggle past the type
     /// system: counter-vector length mismatch, events targeting unknown
-    /// LPs, an unsorted or duplicated `(time, tag)` order (heap
+    /// LPs, an unsorted or duplicated `(time, tag)` order (queue
     /// tie-breaking on duplicate keys is unspecified, so duplicates
     /// would break bit-identity), and tags claiming a source counter
     /// the source LP has not issued yet (which could collide with a

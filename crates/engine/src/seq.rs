@@ -1,21 +1,19 @@
 //! Sequential executors.
 //!
-//! [`run_sequential`] is the reference executor (one global heap).
+//! [`run_sequential`] is the reference executor (one global event queue).
 //! [`run_sequential_windowed`] processes the same global order but
 //! additionally attributes every event to a `(window, partition)` cell,
 //! producing the trace the cluster performance model consumes. Because
 //! window boundaries never change event order, both produce identical
 //! model states.
 
-use crate::arena::{EventArena, QueuedEvent};
 use crate::event::{EventRecord, LpId};
 use crate::model::{seed_events, Emitter, Model};
+use crate::queue::EventQueue;
 use crate::resume::ResumeState;
 use crate::stats::{ExecutionStats, WindowAccumulator};
 use crate::time::SimTime;
 use massf_topology::MassfError;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Run `model` until `end_time` (exclusive), starting from `initial`
 /// `(time, target, payload)` events. Returns per-LP statistics.
@@ -108,13 +106,9 @@ fn run_core<M: Model>(
     collect_resume: bool,
 ) -> (ExecutionStats, ResumeState<M::Event>) {
     let mut stats = ExecutionStats::new(lp_count);
-    // Payloads live in the arena; the heap orders 32-byte handles. Slots
-    // recycle as events execute, so the steady-state loop is
-    // allocation-free (see `crate::arena`).
-    let mut arena: EventArena<M::Event> = EventArena::new();
-    let mut heap: BinaryHeap<Reverse<QueuedEvent>> = BinaryHeap::new();
+    let mut queue: EventQueue<M::Event> = EventQueue::new();
     for ev in pending {
-        heap.push(Reverse(arena.enqueue(ev)));
+        queue.push(ev);
     }
     let mut out_buf: Vec<EventRecord<M::Event>> = Vec::new();
 
@@ -123,19 +117,14 @@ fn run_core<M: Model>(
         WindowAccumulator::new(partitions, n_windows)
     });
 
-    // Peek before popping: events at or past `end_time` stay queued, so
-    // the frontier drain below sees the complete pending set.
-    while let Some(&Reverse(head)) = heap.peek() {
-        if head.time >= end_time {
-            break;
-        }
-        let Reverse(ev) = heap.pop().expect("peeked entry pops");
-        let payload = arena.take(ev.handle);
+    // Events at or past `end_time` stay queued, so the frontier drain
+    // below sees the complete pending set.
+    while let Some(ev) = queue.pop_before(end_time) {
         let lp = ev.target;
         debug_assert!(lp.index() < lp_count, "event for unknown LP {lp:?}");
         {
             let mut emitter = Emitter::new(ev.time, lp.0, &mut counters[lp.index()], &mut out_buf);
-            model.handle(lp, ev.time, payload, &mut emitter);
+            model.handle(lp, ev.time, ev.payload, &mut emitter);
         }
         stats.lp_events[lp.index()] += 1;
         stats.total_events += 1;
@@ -145,8 +134,7 @@ fn run_core<M: Model>(
             acc.record(w, p);
         }
         for new_ev in out_buf.drain(..) {
-            debug_assert!(new_ev.time >= ev.time, "event scheduled in the past");
-            heap.push(Reverse(arena.enqueue(new_ev)));
+            queue.push(new_ev);
         }
     }
     if let (Some(acc), Some((window, _, _))) = (acc, windowed) {
@@ -154,20 +142,11 @@ fn run_core<M: Model>(
     }
     stats.end_time = end_time;
 
-    // Drain the frontier in heap order (ascending `(time, tag)`), so the
-    // returned events are sorted by construction.
-    let mut events = Vec::new();
-    if collect_resume {
-        events.reserve(heap.len());
-        while let Some(Reverse(ev)) = heap.pop() {
-            events.push(EventRecord {
-                time: ev.time,
-                target: ev.target,
-                tag: ev.tag,
-                payload: arena.take(ev.handle),
-            });
-        }
-    }
+    let events = if collect_resume {
+        queue.drain()
+    } else {
+        Vec::new()
+    };
     (stats, ResumeState { events, counters })
 }
 

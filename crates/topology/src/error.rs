@@ -52,11 +52,6 @@ pub enum MassfError {
     /// (open, read, write, fsync, rename). `std::io::Error` is neither
     /// `Clone` nor `Eq`, so only its rendering is carried.
     SnapshotIo { path: String, reason: String },
-    /// An event handle did not match its arena slot's generation: the
-    /// payload was already taken (or the handle belongs to a different
-    /// arena). Fallible executor paths surface this instead of the hot
-    /// loop's panic.
-    StaleEventHandle { index: u32, gen: u32 },
 }
 
 impl fmt::Display for MassfError {
@@ -95,10 +90,6 @@ impl fmt::Display for MassfError {
             MassfError::SnapshotIo { path, reason } => {
                 write!(f, "snapshot I/O error on {path}: {reason}")
             }
-            MassfError::StaleEventHandle { index, gen } => write!(
-                f,
-                "stale event handle: slot {index} generation {gen} was already taken"
-            ),
         }
     }
 }
@@ -133,8 +124,6 @@ mod tests {
             reason: "permission denied".into(),
         };
         assert!(e.to_string().contains("/tmp/x.snap"));
-        let e = MassfError::StaleEventHandle { index: 4, gen: 7 };
-        assert!(e.to_string().contains("slot 4"));
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! bursty schedules, and random LP→partition assignments; plus the
 //! empty-window fast-forward guarantees, the bounded-memory regression
 //! for tiny-window/long-horizon runs, and the two fixed ring workloads
-//! (dense, sparse bursty) whose barrier counts EXPERIMENTS.md records.
+//! (dense, sparse bursty) whose barrier counts EXPERIMENTS.md records;
+//! and a schedule aimed at the event queue's edges (zero-delay chains,
+//! equal-time ties from several sources, timers crossing powers of two).
 
 use massf_engine::{
-    run_sequential, run_sequential_windowed, try_run_parallel, Emitter, ExecutionStats, LpId,
-    Model, SimTime, TRACE_BUCKETS,
+    run_sequential, run_sequential_resumable, run_sequential_windowed, seed_events,
+    try_run_parallel, Emitter, ExecutionStats, LpId, Model, ResumeState, SimTime, TRACE_BUCKETS,
 };
 use proptest::prelude::*;
 
@@ -292,4 +294,155 @@ fn tiny_window_long_horizon_stays_bounded() {
     assert_eq!(merged_log(&shards), seq.log);
     // 4 executed windows ⇒ 9 barrier rounds instead of 2·10^8.
     assert_eq!(stats.barrier_rounds, 9);
+}
+
+/// Payload of [`Mixer`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mix {
+    /// Every LP's self-timer: re-arm after [`TIMER`], start two tokens.
+    Timer,
+    /// A token with this many hops left, from this LP.
+    Token(u32, u32),
+    /// A zero-delay self event with this many more to follow.
+    Echo(u32),
+}
+
+/// Timers every 2^30 + 2^28 + 7 ns fire on all LPs at once and cross
+/// 2^31, 2^32 and 2^33 ns; their tokens reach each LP from two sources
+/// at the same instant, and every token hop starts a zero-delay chain.
+const TIMER: SimTime = SimTime::from_ns((1 << 30) + (1 << 28) + 7);
+const HOP: SimTime = SimTime::from_ms(1);
+
+#[derive(Debug, Clone)]
+struct Mixer {
+    n: u32,
+    log: Vec<Vec<(u64, Mix)>>,
+}
+
+impl Mixer {
+    fn new(n: u32) -> Self {
+        Mixer {
+            n,
+            log: vec![Vec::new(); n as usize],
+        }
+    }
+}
+
+impl Model for Mixer {
+    type Event = Mix;
+
+    fn handle(&mut self, target: LpId, now: SimTime, ev: Mix, out: &mut Emitter<'_, Mix>) {
+        self.log[target.index()].push((now.as_ns(), ev));
+        let next = |k: u32| LpId((target.0 + k) % self.n);
+        match ev {
+            Mix::Timer => {
+                out.emit(TIMER, target, Mix::Timer);
+                out.emit(HOP, next(1), Mix::Token(4, target.0));
+                out.emit(HOP, next(2), Mix::Token(4, target.0));
+            }
+            Mix::Token(left, _) => {
+                out.emit(SimTime::ZERO, target, Mix::Echo(1));
+                if left > 0 {
+                    out.emit(HOP, next(1), Mix::Token(left - 1, target.0));
+                }
+            }
+            Mix::Echo(left) => {
+                if left > 0 {
+                    out.emit(SimTime::ZERO, target, Mix::Echo(left - 1));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn queue_edges_match_across_executors_and_a_split_at_2_pow_32() {
+    let n = 6u32;
+    let split = SimTime::from_ns(1 << 32);
+    let end = SimTime::from_ns((1 << 33) + (1 << 31));
+    // Every LP's timer at 0, plus one on LP 0 whose tokens arrive at
+    // exactly 2^32 ns.
+    let mut initial: Vec<(SimTime, LpId, Mix)> = (0..n)
+        .map(|lp| (SimTime::ZERO, LpId(lp), Mix::Timer))
+        .collect();
+    initial.push((split - HOP, LpId(0), Mix::Timer));
+
+    let mut seq = Mixer::new(n);
+    run_sequential(&mut seq, n as usize, initial.clone(), end);
+    let times: Vec<u64> = seq.log.iter().flatten().map(|&(t, _)| t).collect();
+    assert!(times.contains(&split.as_ns()), "an event lands on 2^32 ns");
+    assert!(
+        times.iter().any(|&t| t > 1 << 33),
+        "the run crosses 2^33 ns"
+    );
+
+    for parts in [1usize, 2, 4] {
+        let assignment: Vec<u32> = (0..n).map(|lp| lp % parts as u32).collect();
+        let mut seqw = Mixer::new(n);
+        let seqw_stats = run_sequential_windowed(
+            &mut seqw,
+            n as usize,
+            initial.clone(),
+            end,
+            HOP,
+            &assignment,
+            parts,
+        );
+        assert_eq!(seqw.log, seq.log, "{parts} partitions");
+        let shards = (0..parts).map(|_| Mixer::new(n)).collect();
+        let (shards, par_stats) =
+            try_run_parallel(shards, n as usize, &assignment, initial.clone(), end, HOP)
+                .expect("window within lookahead");
+        let merged: Vec<Vec<(u64, Mix)>> = (0..n as usize)
+            .map(|lp| {
+                let shard: &Mixer = &shards[assignment[lp] as usize];
+                shard.log[lp].clone()
+            })
+            .collect();
+        assert_eq!(merged, seq.log, "{parts} partitions");
+        // Includes `lp_events`.
+        assert_windowed_stats_match(&seqw_stats, &par_stats);
+        assert_eq!(
+            par_stats.barrier_rounds,
+            1 + 2 * seqw_stats.windows_executed,
+            "{parts} partitions"
+        );
+    }
+
+    // Two resumable segments split at exactly 2^32 ns ≡ one.
+    let mut events = seed_events(initial);
+    events.sort_unstable();
+    let start = ResumeState {
+        events,
+        counters: vec![0; n as usize],
+    };
+    let mut straight = Mixer::new(n);
+    let (all, all_frontier) =
+        run_sequential_resumable(&mut straight, n as usize, start.clone(), end).expect("valid");
+    let mut halves = Mixer::new(n);
+    let (first, mid) =
+        run_sequential_resumable(&mut halves, n as usize, start, split).expect("valid");
+    assert!(
+        mid.events.iter().any(|ev| ev.time == split),
+        "events at the cut wait in the frontier"
+    );
+    let (second, frontier) =
+        run_sequential_resumable(&mut halves, n as usize, mid, end).expect("valid");
+    assert_eq!(halves.log, straight.log);
+    assert_eq!(straight.log, seq.log);
+    let summed: Vec<u64> = first
+        .lp_events
+        .iter()
+        .zip(&second.lp_events)
+        .map(|(a, b)| a + b)
+        .collect();
+    assert_eq!(summed, all.lp_events);
+    let key = |s: &ResumeState<Mix>| -> Vec<(SimTime, u64, LpId, Mix)> {
+        s.events
+            .iter()
+            .map(|ev| (ev.time, ev.tag, ev.target, ev.payload))
+            .collect()
+    };
+    assert_eq!(key(&frontier), key(&all_frontier));
+    assert_eq!(frontier.counters, all_frontier.counters);
 }
