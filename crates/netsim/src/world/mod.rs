@@ -745,6 +745,53 @@ mod tests {
         assert!(NetWorld::restore(shared, NoApp, &good).is_ok());
     }
 
+    /// A cached path is served on a hit without re-resolving, and
+    /// `transmit` trusts its hops to be links: restore must refuse one
+    /// that is not a route from the shard's node to the key's
+    /// destination.
+    #[test]
+    fn hostile_route_cache_entries_are_rejected() {
+        use massf_engine::run_sequential_resumable;
+        let (shared, a, b) = dumbbell(10e6);
+        let n = shared.lp_count();
+        let initial = vec![(
+            SimTime::ZERO,
+            LpId(a.0),
+            NetEvent::StartFlow {
+                dst: b,
+                bytes: 500_000,
+            },
+        )];
+        let mut w = NetWorld::new(shared.clone(), NoApp);
+        run_sequential_resumable(&mut w, n, seeded_resume(initial, n), SimTime::from_ms(100))
+            .expect("segment");
+        let good = w.export_state();
+        let cached = |s: &WorldState| s.route_cache.shards[a.index()].entries[0].clone();
+        assert_eq!(cached(&good).path, Some(vec![a, NodeId(1), NodeId(2), b]));
+        assert!(NetWorld::restore(shared.clone(), NoApp, &good).is_ok());
+
+        for (hostile, what) in [
+            (vec![a, b], "hop that is not a link"),
+            (
+                vec![a, NodeId(1)],
+                "path ending short of the key's destination",
+            ),
+            (
+                vec![NodeId(1), NodeId(2), b],
+                "path not starting at the shard's node",
+            ),
+            (vec![a, NodeId(9)], "path through an unknown node"),
+        ] {
+            let mut state = good.clone();
+            state.route_cache.shards[a.index()].entries[0].path = Some(hostile);
+            match NetWorld::restore(shared.clone(), NoApp, &state) {
+                Err(MassfError::SnapshotCorrupt { .. }) => {}
+                Err(other) => panic!("{what}: expected SnapshotCorrupt, got {other}"),
+                Ok(_) => panic!("{what}: hostile cache entry must be rejected"),
+            }
+        }
+    }
+
     #[test]
     fn in_flight_event_validation_catches_hostile_packets() {
         let (shared, a, b) = dumbbell(10e6);

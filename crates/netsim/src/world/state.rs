@@ -549,6 +549,21 @@ impl<A: AppLogic> NetWorld<A> {
                 state.route_cache.shards.len()
             )));
         }
+        // A cache hit is sent as-is, so every cached path must be one the
+        // resolver could have returned: over links, from the shard's node
+        // to the destination in the low half of the key.
+        for (i, shard) in state.route_cache.shards.iter().enumerate() {
+            for e in &shard.entries {
+                let Some(path) = &e.path else { continue };
+                validate_route(&shared, path, "world")?;
+                let dst = e.key as u32;
+                if path[0].index() != i || path[path.len() - 1].0 != dst {
+                    return Err(bad(format!(
+                        "cached path in shard {i} does not run from node {i} to node {dst}"
+                    )));
+                }
+            }
+        }
         let owned = |node: NodeId| match filter {
             Some((assignment, p)) => assignment[node.index()] == p,
             None => true,

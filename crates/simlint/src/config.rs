@@ -32,7 +32,7 @@ impl Severity {
 
 /// Which crates a rule applies to. Crate names are directory names
 /// (`engine`, `routing`, …; the workspace `tests` member is `tests`).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum CrateScope {
     /// Every scanned crate.
     #[default]
@@ -54,25 +54,20 @@ impl CrateScope {
 }
 
 /// Per-rule configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RuleConfig {
     pub severity: Severity,
     pub scope: CrateScope,
 }
 
 /// The whole configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Config {
     /// Workspace-relative directories to scan for `.rs` files.
     pub include: Vec<String>,
     /// Workspace-relative path prefixes to skip (fixtures, vendored
     /// code). `target` directories are always skipped.
     pub exclude: Vec<String>,
-    /// D6: workspace-relative path of the snapshot codec file.
-    pub drift_codec: String,
-    /// D6: type names whose struct fields must round-trip through the
-    /// codec. Empty list disables the rule.
-    pub drift_types: Vec<String>,
     rules: BTreeMap<&'static str, RuleConfig>,
 }
 
@@ -143,13 +138,6 @@ impl Default for Config {
             },
         );
         rules.insert(
-            Rule::SnapshotDrift.slug(),
-            RuleConfig {
-                severity: Severity::Deny,
-                scope: CrateScope::All,
-            },
-        );
-        rules.insert(
             Rule::UnwrapAudit.slug(),
             RuleConfig {
                 severity: Severity::Deny,
@@ -166,23 +154,6 @@ impl Default for Config {
         Config {
             include: vec!["crates".to_string(), "tests".to_string()],
             exclude: vec!["crates/simlint/tests/fixtures".to_string()],
-            drift_codec: "crates/snapshot/src/codec.rs".to_string(),
-            drift_types: [
-                "WorldState",
-                "FlowEntryState",
-                "ReceiverEntryState",
-                "TcpSenderState",
-                "RouteCacheState",
-                "RouteCacheShardState",
-                "RouteCacheEntryState",
-                "ProfileData",
-                "RouteCacheStats",
-                "ResumeState",
-                "Packet",
-                "EventRecord",
-            ]
-            .map(String::from)
-            .to_vec(),
             rules,
         }
     }
@@ -251,15 +222,6 @@ impl Config {
                         return Err(format!(
                             "section [rule.{slug}]: `{slug}` is not configurable"
                         ));
-                    }
-                    // D6-specific keys live on Config, not RuleConfig.
-                    if rule == Rule::SnapshotDrift && key == "codec" {
-                        cfg.drift_codec = parse_string(value, lineno)?;
-                        continue;
-                    }
-                    if rule == Rule::SnapshotDrift && key == "types" {
-                        cfg.drift_types = parse_string_array(value, lineno)?;
-                        continue;
                     }
                     let entry = cfg.rules.entry(rule.slug()).or_insert_with(|| RuleConfig {
                         severity: Severity::Deny,
@@ -384,6 +346,12 @@ severity = "off"
         ] {
             assert!(Config::parse(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn default_config_matches_checked_in_simlint_toml() {
+        let file = Config::parse(include_str!("../../../simlint.toml")).expect("valid config");
+        assert_eq!(Config::default(), file);
     }
 
     #[test]

@@ -24,9 +24,6 @@
 //!   hash iteration) must not reach simulation inputs (event
 //!   emit/schedule, `SimTime::from_*`, seed stores), even laundered
 //!   through let-bindings and arithmetic.
-//! * **D6 `snapshot-drift`** — cross-file: every field of every type
-//!   the snapshot codec serializes must appear in BOTH the encode
-//!   (`put_*`) and decode (`get_*`) paths ([`drift`]).
 //! * **S1 `unwrap-audit`** — no `.unwrap()`, `.expect("")`, or `panic!`
 //!   in non-test code.
 //! * **S2 `cast-lossy`** — narrowing `as` casts in the engine/routing
@@ -48,7 +45,6 @@
 
 pub mod baseline;
 pub mod config;
-pub mod drift;
 pub mod lexer;
 pub mod parser;
 pub mod report;
@@ -74,9 +70,9 @@ pub struct Options {
     /// Rewrite the baseline from the current scan instead of comparing.
     pub update_baseline: bool,
     /// Incremental mode: lint only files changed vs. this git rev
-    /// (plus untracked files). D6 snapshot-drift still runs across the
-    /// whole workspace — it is cross-file and cheap. Baseline entries
-    /// for unscanned files are not reported as stale in this mode.
+    /// (plus untracked files); every rule is per-file, so the other
+    /// files are not even read. Baseline entries for unscanned files
+    /// are not reported as stale in this mode.
     pub changed_since: Option<String>,
 }
 
@@ -197,31 +193,22 @@ pub fn run(opts: &Options) -> Result<Outcome, String> {
         Config::default()
     };
 
-    let files = workspace_files(&opts.root, &cfg)?;
-    let mut sources: Vec<(String, String, String)> = Vec::with_capacity(files.len());
-    for (rel, krate) in &files {
-        let src = fs::read_to_string(opts.root.join(rel))
-            .map_err(|e| format!("cannot read {rel}: {e}"))?;
-        sources.push((rel.clone(), krate.clone(), src));
-    }
-
-    // Incremental mode: restrict the per-file scan to changed files.
+    // Incremental mode: scan (and read) only the changed files.
     let changed = match &opts.changed_since {
         Some(rev) => Some(changed_files(&opts.root, rev)?),
         None => None,
     };
-    let scanned: Vec<&(String, String, String)> = sources
-        .iter()
-        .filter(|(rel, _, _)| changed.as_ref().is_none_or(|ch| ch.contains(rel)))
+    let scanned: Vec<(String, String)> = workspace_files(&opts.root, &cfg)?
+        .into_iter()
+        .filter(|(rel, _)| changed.as_ref().is_none_or(|ch| ch.contains(rel)))
         .collect();
 
     let mut violations = Vec::new();
-    for (rel, krate, src) in &scanned {
-        violations.extend(scan_source(rel, krate, src, &cfg));
+    for (rel, krate) in &scanned {
+        let src = fs::read_to_string(opts.root.join(rel))
+            .map_err(|e| format!("cannot read {rel}: {e}"))?;
+        violations.extend(scan_source(rel, krate, &src, &cfg));
     }
-    // D6 is cross-file (a codec edit can drift a struct that did not
-    // change, and vice versa), so it always sees the whole workspace.
-    violations.extend(drift::scan_drift(&sources, &cfg));
     violations.sort_by(|a, b| {
         (&a.path, a.line, a.rule, &a.message).cmp(&(&b.path, b.line, b.rule, &b.message))
     });
@@ -251,11 +238,8 @@ pub fn run(opts: &Options) -> Result<Outcome, String> {
             if opts.changed_since.is_some() {
                 // A partial scan cannot tell "fixed" from "not scanned":
                 // only entries for files we did scan can be called stale.
-                cmp.stale.retain(|entry| {
-                    scanned
-                        .iter()
-                        .any(|(rel, _, _)| entry.contains(rel.as_str()))
-                });
+                cmp.stale
+                    .retain(|entry| scanned.iter().any(|(rel, _)| entry.contains(rel.as_str())));
             }
             comparison = Some(cmp);
         }

@@ -197,12 +197,13 @@ mod tests {
             panic!("expected explain");
         };
         assert_eq!(r, Rule::FloatOrder);
-        let Invocation::Explain(r) = parse_args(&argv(&["--explain", "D6"])).expect("code works")
+        let Invocation::Explain(r) = parse_args(&argv(&["--explain", "D5"])).expect("code works")
         else {
             panic!("expected explain");
         };
-        assert_eq!(r, Rule::SnapshotDrift);
+        assert_eq!(r, Rule::DeterminismTaint);
         assert!(parse_args(&argv(&["--explain", "nope"])).is_err());
+        assert!(parse_args(&argv(&["--explain", "D6"])).is_err());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! It recovers exactly the structure the scope-aware rules need and no
 //! more: the module tree, `use` declarations, `fn` items with
-//! brace-matched body spans, `struct` definitions with their named
-//! field lists, and `impl`/`trait` blocks with their nested items.
+//! brace-matched body spans, `struct` definitions, and `impl`/`trait`
+//! blocks with their nested items.
 //! `#[test]` / `#[cfg(test)]` markers propagate down the tree, so a
 //! rule can ask any item "are you test-only?" without re-scanning
 //! attributes.
@@ -33,16 +33,6 @@ pub enum ItemKind {
     Other,
 }
 
-/// One named field of a `struct { … }` definition.
-#[derive(Debug, Clone)]
-pub struct FieldDef {
-    pub name: String,
-    /// The field's type, as space-joined tokens (`Vec < NodeId >`).
-    pub ty: String,
-    pub line: u32,
-    pub col: u32,
-}
-
 /// One parsed item. Token indices refer to the token slice the file was
 /// parsed from.
 #[derive(Debug, Clone)]
@@ -57,8 +47,6 @@ pub struct Item {
     /// Token range `[open, close]` of the brace-matched `{ … }` body,
     /// braces included. `None` for `;`-terminated items.
     pub body: Option<(usize, usize)>,
-    /// Named fields (structs only).
-    pub fields: Vec<FieldDef>,
     /// Nested items (`mod`/`impl`/`trait` bodies).
     pub children: Vec<Item>,
     /// Annotated `#[test]` / `#[cfg(test)]`, or nested inside an item
@@ -273,7 +261,6 @@ impl<'a> Parser<'a> {
             line: self.line(start),
             span: (start, end),
             body: None,
-            fields: Vec::new(),
             children: Vec::new(),
             is_test,
             use_path: String::new(),
@@ -316,7 +303,6 @@ impl<'a> Parser<'a> {
         if self.text(at) == "{" {
             let close = self.match_brace(at, end);
             item.body = Some((at, close - 1));
-            item.fields = self.fields(at + 1, close.saturating_sub(1));
             item.span = (start, close);
         } else {
             // Tuple struct: `find_body_or_semi` already skipped the
@@ -440,70 +426,6 @@ impl<'a> Parser<'a> {
         };
         self.mk(ItemKind::Other, name, start, close, is_test)
     }
-
-    /// Named fields between the braces of a struct body: each is
-    /// `[attrs] [pub[(…)]] name : type` up to a top-level `,`.
-    fn fields(&mut self, mut i: usize, end: usize) -> Vec<FieldDef> {
-        let mut out = Vec::new();
-        while i < end {
-            while self.text(i) == "#" && i < end {
-                let next = self.skip_attr(i);
-                if next == i + 1 {
-                    break;
-                }
-                i = next;
-            }
-            if self.is_ident(i, "pub") {
-                i += 1;
-                if self.text(i) == "(" {
-                    while i < end && self.text(i) != ")" {
-                        i += 1;
-                    }
-                    i += 1;
-                }
-            }
-            let named = self.toks.get(i).is_some_and(|t| t.kind == TokKind::Ident)
-                && self.text(i + 1) == ":"
-                && self.text(i + 2) != ":";
-            if !named {
-                i += 1; // tolerant: not a field shape we understand
-                continue;
-            }
-            let (line, col) = self.toks.get(i).map_or((0, 0), |t| (t.line, t.col));
-            let name = self.text(i).to_string();
-            // Type tokens to the field-separating comma at depth 0.
-            let mut j = i + 2;
-            let mut angle = 0i32;
-            let mut group = 0i32;
-            let mut prev = "";
-            let mut ty = String::new();
-            while j < end {
-                match self.text(j) {
-                    "<" => angle += 1,
-                    ">" if prev == "-" || prev == "=" => {}
-                    ">" if angle > 0 => angle -= 1,
-                    "(" | "[" | "{" => group += 1,
-                    ")" | "]" | "}" => group -= 1,
-                    "," if angle <= 0 && group <= 0 => break,
-                    _ => {}
-                }
-                if !ty.is_empty() {
-                    ty.push(' ');
-                }
-                ty.push_str(self.text(j));
-                prev = self.text(j);
-                j += 1;
-            }
-            out.push(FieldDef {
-                name,
-                ty,
-                line,
-                col,
-            });
-            i = j + 1; // past the comma
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -572,34 +494,6 @@ mod tests {
         assert_eq!(items.len(), 1, "{items:?}");
         assert_eq!(items[0].name, "f");
         assert!(items[0].body.is_some());
-    }
-
-    #[test]
-    fn struct_fields_are_extracted() {
-        let src = r#"
-            pub struct WorldState {
-                pub flow_counter: Vec<u32>,
-                pub busy_until: Vec<SimTime>,
-                route_cache: RouteCacheState,
-                pub(crate) pair: (u64, u64),
-            }
-            struct Tuple(u32, u64);
-            struct Unit;
-            pub struct Generic<M: Clone> where M: Send { pub events: Vec<M> }
-        "#;
-        let items = parse_src(src);
-        let ws = find(&items, "WorldState");
-        let names: Vec<&str> = ws.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(
-            names,
-            vec!["flow_counter", "busy_until", "route_cache", "pair"]
-        );
-        assert_eq!(ws.fields[0].ty, "Vec < u32 >");
-        assert!(find(&items, "Tuple").fields.is_empty());
-        assert!(find(&items, "Unit").fields.is_empty());
-        let g = find(&items, "Generic");
-        assert_eq!(g.fields.len(), 1);
-        assert_eq!(g.fields[0].name, "events");
     }
 
     #[test]

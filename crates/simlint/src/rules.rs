@@ -1,7 +1,5 @@
-//! The rule engine: determinism rules D1–D6 and safety rules S1–S2,
-//! applied to one lexed source file at a time (D6, the cross-file
-//! snapshot-drift rule, lives in [`crate::drift`] and runs at the
-//! workspace level).
+//! The rule engine: determinism rules D1–D5 and safety rules S1–S2,
+//! applied to one lexed source file at a time.
 //!
 //! | code | slug               | what it catches                                  |
 //! |------|--------------------|--------------------------------------------------|
@@ -10,7 +8,6 @@
 //! | D3   | `entropy-rng`      | entropy-seeded RNGs (`from_entropy`, …)          |
 //! | D4   | `float-order`      | float accumulation over partition-ordered data   |
 //! | D5   | `determinism-taint`| nondeterministic values flowing into sim state   |
-//! | D6   | `snapshot-drift`   | struct fields missing from the snapshot codec    |
 //! | S1   | `unwrap-audit`     | `.unwrap()`, `.expect("")`, `panic!`             |
 //! | S2   | `cast-lossy`       | narrowing `as` casts in hot-path crates          |
 //! |      | `malformed-suppression` | broken `simlint: allow(..)` directives      |
@@ -43,7 +40,7 @@ use crate::config::{Config, Severity};
 use crate::lexer::{lex, num_literal_is_float, str_literal_is_empty, Comment, Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The lint rules. Codes D1–D6 guard determinism, S1–S2 guard safety.
+/// The lint rules. Codes D1–D5 guard determinism, S1–S2 guard safety.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     HashIteration,
@@ -51,20 +48,18 @@ pub enum Rule {
     EntropyRng,
     FloatOrder,
     DeterminismTaint,
-    SnapshotDrift,
     UnwrapAudit,
     CastLossy,
     MalformedSuppression,
 }
 
 impl Rule {
-    pub const ALL: [Rule; 9] = [
+    pub const ALL: [Rule; 8] = [
         Rule::HashIteration,
         Rule::WallClock,
         Rule::EntropyRng,
         Rule::FloatOrder,
         Rule::DeterminismTaint,
-        Rule::SnapshotDrift,
         Rule::UnwrapAudit,
         Rule::CastLossy,
         Rule::MalformedSuppression,
@@ -78,7 +73,6 @@ impl Rule {
             Rule::EntropyRng => "D3",
             Rule::FloatOrder => "D4",
             Rule::DeterminismTaint => "D5",
-            Rule::SnapshotDrift => "D6",
             Rule::UnwrapAudit => "S1",
             Rule::CastLossy => "S2",
             Rule::MalformedSuppression => "SUP",
@@ -93,7 +87,6 @@ impl Rule {
             Rule::EntropyRng => "entropy-rng",
             Rule::FloatOrder => "float-order",
             Rule::DeterminismTaint => "determinism-taint",
-            Rule::SnapshotDrift => "snapshot-drift",
             Rule::UnwrapAudit => "unwrap-audit",
             Rule::CastLossy => "cast-lossy",
             Rule::MalformedSuppression => "malformed-suppression",
@@ -125,10 +118,6 @@ impl Rule {
             Rule::DeterminismTaint => {
                 "a nondeterministic value reaches simulation state here; derive event times, \
                  seeds, and emitted payloads from simulated state only"
-            }
-            Rule::SnapshotDrift => {
-                "field is not handled by the snapshot codec; update both the put_* and get_* \
-                 paths in crates/snapshot/src/codec.rs (and bump the container version)"
             }
             Rule::UnwrapAudit => {
                 "use expect(\"why this cannot fail\") or propagate a MassfError instead"
@@ -232,26 +221,6 @@ impl Rule {
                  Fix: derive the value from simulated state; if the flow is provably\n\
                  benign (e.g. logging only), justify with\n\
                  `// simlint: allow(determinism-taint) -- <why>` at the sink."
-            }
-            Rule::SnapshotDrift => {
-                "D6 snapshot-drift\n\
-                 \n\
-                 The snapshot container (crates/snapshot) round-trips world state\n\
-                 through a hand-written codec. Adding a field to a serialized struct\n\
-                 without touching the codec compiles cleanly and round-trips silently —\n\
-                 the field is simply dropped on restore, and restore-equals-\n\
-                 straight-through dies long after the commit that caused it.\n\
-                 \n\
-                 Detection (cross-file): the struct definition of every type the codec\n\
-                 serializes (configured under [rule.snapshot-drift], discovered from\n\
-                 put_*/get_* signatures in the codec file) is parsed, and each field\n\
-                 must be mentioned in BOTH the encode and decode paths of the codec.\n\
-                 A field missing from either side is reported at its declaration.\n\
-                 \n\
-                 Fix: extend the matching put_* and get_* functions (and the container\n\
-                 version if the layout changed). Fields that are deliberately not\n\
-                 serialized (caches, scratch space) get an allow on the field line:\n\
-                 `// simlint: allow(snapshot-drift) -- rebuilt on restore`."
             }
             Rule::UnwrapAudit => {
                 "S1 unwrap-audit\n\

@@ -224,56 +224,6 @@ fn d5_sim_derived_pattern_is_clean() {
 }
 
 #[test]
-fn d6_snapshot_drift_fixture() {
-    let read = |name: &str| {
-        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("tests/fixtures")
-            .join(name);
-        std::fs::read_to_string(&path)
-            // simlint: allow(unwrap-audit) -- test helper: abort with the fixture path on IO failure
-            .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()))
-    };
-    let mut cfg = Config::default();
-    cfg.drift_codec = "d6_codec.rs".to_string();
-    cfg.drift_types = vec!["GoodState".to_string(), "DriftState".to_string()];
-    let files = vec![
-        (
-            "d6_codec.rs".to_string(),
-            "snapshot".to_string(),
-            read("d6_codec.rs"),
-        ),
-        (
-            "d6_structs.rs".to_string(),
-            "netsim".to_string(),
-            read("d6_structs.rs"),
-        ),
-    ];
-    let found = massf_simlint::drift::scan_drift(&files, &cfg);
-    // GoodState round-trips: no findings. DriftState: `added_later` is
-    // decode-only, `ghost` is in neither path.
-    assert_eq!(found.len(), 2, "{found:?}");
-    assert!(found.iter().all(|v| v.rule == Rule::SnapshotDrift));
-    assert!(
-        found[0].line == 11 && found[0].message.contains("added_later"),
-        "{found:?}"
-    );
-    assert!(
-        found[0].message.contains("the encode path (put_*)"),
-        "{}",
-        found[0].message
-    );
-    assert!(
-        found[1].line == 12 && found[1].message.contains("ghost"),
-        "{found:?}"
-    );
-    assert!(
-        found[1].message.contains("both the encode"),
-        "{}",
-        found[1].message
-    );
-}
-
-#[test]
 fn suppression_fixture() {
     let found = scan_fixture("suppressed.rs", "engine");
     // Everything suppressed except the final undocumented unwrap.

@@ -21,11 +21,10 @@
 //! events, and tuning knobs; restoring a snapshot against a different
 //! scenario is refused up front instead of silently diverging.
 
-use crate::codec;
 use crate::format::{
     self, Section, SECTION_ENGINE, SECTION_META, SECTION_REBALANCE, SECTION_STATS, SECTION_WORLD,
 };
-use crate::wire::{fnv1a64, ByteReader, ByteWriter};
+use crate::wire::{fnv1a64, ByteReader, ByteWriter, Wire};
 use massf_engine::{
     external_tag, run_sequential_resumable, seed_events, try_run_parallel_resumable, EventRecord,
     LpId, ResumeState, SimTime, EXTERNAL_SOURCE,
@@ -66,35 +65,57 @@ pub fn scenario_fingerprint(
     max_retries: u32,
 ) -> u64 {
     let mut w = ByteWriter::new();
-    w.put_count(shared.net.node_count());
-    w.put_count(shared.net.links.len());
+    shared.net.node_count().put(&mut w);
+    shared.net.links.len().put(&mut w);
     for link in &shared.net.links {
-        w.put_u32(link.a.0);
-        w.put_u32(link.b.0);
-        w.put_u64(link.bandwidth_bps.to_bits());
-        w.put_u64(link.latency_ms.to_bits());
-        w.put_u8(u8::from(link.inter_as));
+        link.a.put(&mut w);
+        link.b.put(&mut w);
+        link.bandwidth_bps.put(&mut w);
+        link.latency_ms.put(&mut w);
+        link.inter_as.put(&mut w);
     }
-    match &shared.faults {
-        None => w.put_count(0),
-        Some(f) => {
-            let events = f.script().events();
-            w.put_count(events.len());
-            for e in events {
-                w.put_u64(e.at.as_ns());
-                codec::put_fault_kind(&mut w, e.kind);
-            }
-        }
-    }
-    w.put_count(initial.len());
+    write_fault_script(&mut w, shared);
+    initial.len().put(&mut w);
     for (at, lp, ev) in initial {
-        w.put_u64(at.as_ns());
-        w.put_u32(lp.0);
-        codec::put_net_event(&mut w, ev);
+        at.put(&mut w);
+        lp.put(&mut w);
+        ev.put(&mut w);
     }
-    w.put_count(route_cache_capacity);
-    w.put_u32(max_retries);
+    route_cache_capacity.put(&mut w);
+    max_retries.put(&mut w);
     fnv1a64(&w.into_inner())
+}
+
+/// Writes the fault script's events into a fingerprint, count first;
+/// no script is an empty one.
+fn write_fault_script(w: &mut ByteWriter, shared: &SharedNet) {
+    let events = shared
+        .faults
+        .as_ref()
+        .map_or(&[][..], |f| f.script().events());
+    events.len().put(w);
+    for e in events {
+        e.at.put(w);
+        e.kind.put(w);
+    }
+}
+
+/// A container section holding what `fill` writes.
+fn section(id: u32, fill: impl FnOnce(&mut ByteWriter)) -> Section {
+    let mut w = ByteWriter::new();
+    fill(&mut w);
+    Section {
+        id,
+        payload: w.into_inner(),
+    }
+}
+
+/// Decode a section's payload as one `T`, consuming it exactly.
+fn decode_section<T: Wire>(section: &Section) -> Result<T, MassfError> {
+    let mut r = ByteReader::new(&section.payload, format::section_name(section.id));
+    let value = T::get(&mut r)?;
+    r.finish()?;
+    Ok(value)
 }
 
 /// A checkpointable simulation: world + frontier + segment bookkeeping.
@@ -240,45 +261,21 @@ impl Session {
     /// Serialize the session into the versioned, checksummed snapshot
     /// container.
     pub fn encode(&self) -> Vec<u8> {
-        let mut meta = ByteWriter::new();
-        meta.put_u64(self.fingerprint);
-        meta.put_u64(self.now.as_ns());
-        meta.put_u32(self.next_external);
-        let mut engine = ByteWriter::new();
-        codec::put_resume_state(&mut engine, &self.resume);
-        let mut world = ByteWriter::new();
-        codec::put_world_state(&mut world, &self.world);
-        let mut stats = ByteWriter::new();
-        stats.put_u64(self.total_events);
-        stats.put_count(self.lp_events.len());
-        for &n in &self.lp_events {
-            stats.put_u64(n);
-        }
         let mut sections = vec![
-            Section {
-                id: SECTION_META,
-                payload: meta.into_inner(),
-            },
-            Section {
-                id: SECTION_ENGINE,
-                payload: engine.into_inner(),
-            },
-            Section {
-                id: SECTION_WORLD,
-                payload: world.into_inner(),
-            },
-            Section {
-                id: SECTION_STATS,
-                payload: stats.into_inner(),
-            },
+            section(SECTION_META, |w| {
+                self.fingerprint.put(w);
+                self.now.put(w);
+                self.next_external.put(w);
+            }),
+            section(SECTION_ENGINE, |w| self.resume.put(w)),
+            section(SECTION_WORLD, |w| self.world.put(w)),
+            section(SECTION_STATS, |w| {
+                self.total_events.put(w);
+                self.lp_events.put(w);
+            }),
         ];
         if let Some(rb) = &self.rebalance {
-            let mut w = ByteWriter::new();
-            codec::put_rebalance_state(&mut w, rb);
-            sections.push(Section {
-                id: SECTION_REBALANCE,
-                payload: w.into_inner(),
-            });
+            sections.push(section(SECTION_REBALANCE, |w| rb.put(w)));
         }
         format::encode_container(&sections)
     }
@@ -305,12 +302,8 @@ impl Session {
         let lp_count = shared.lp_count();
         let sections = format::decode_container(bytes)?;
 
-        let meta = format::require_section(&sections, SECTION_META)?;
-        let mut r = ByteReader::new(&meta.payload, "meta");
-        let fingerprint = r.get_u64()?;
-        let now = SimTime::from_ns(r.get_u64()?);
-        let next_external = r.get_u32()?;
-        r.finish()?;
+        let ((fingerprint, now), next_external): ((u64, SimTime), u32) =
+            decode_section(format::require_section(&sections, SECTION_META)?)?;
         if fingerprint != expected_fingerprint {
             return Err(MassfError::InvalidConfig(format!(
                 "snapshot fingerprint {fingerprint:#018x} does not match scenario \
@@ -318,10 +311,8 @@ impl Session {
             )));
         }
 
-        let engine = format::require_section(&sections, SECTION_ENGINE)?;
-        let mut r = ByteReader::new(&engine.payload, "engine");
-        let resume = codec::get_resume_state(&mut r)?;
-        r.finish()?;
+        let resume: ResumeState<NetEvent> =
+            decode_section(format::require_section(&sections, SECTION_ENGINE)?)?;
         let corrupt = |section: &str, reason: String| MassfError::SnapshotCorrupt {
             section: section.to_owned(),
             reason,
@@ -355,23 +346,13 @@ impl Session {
             validate_net_event(&shared, ev.target, &ev.payload)?;
         }
 
-        let world_section = format::require_section(&sections, SECTION_WORLD)?;
-        let mut r = ByteReader::new(&world_section.payload, "world");
-        let world = codec::get_world_state(&mut r)?;
-        r.finish()?;
+        let world: WorldState = decode_section(format::require_section(&sections, SECTION_WORLD)?)?;
         // Dry-run restore: surface hostile world state at load time
         // rather than at first use.
         NetWorld::restore(shared.clone(), NoApp, &world)?;
 
-        let stats = format::require_section(&sections, SECTION_STATS)?;
-        let mut r = ByteReader::new(&stats.payload, "stats");
-        let total_events = r.get_u64()?;
-        let n = r.get_count(8)?;
-        let mut lp_events = Vec::with_capacity(n);
-        for _ in 0..n {
-            lp_events.push(r.get_u64()?);
-        }
-        r.finish()?;
+        let (total_events, lp_events): (u64, Vec<u64>) =
+            decode_section(format::require_section(&sections, SECTION_STATS)?)?;
         if lp_events.len() != lp_count {
             return Err(corrupt(
                 "stats",
@@ -385,9 +366,7 @@ impl Session {
         let rebalance = match sections.iter().find(|s| s.id == SECTION_REBALANCE) {
             None => None,
             Some(section) => {
-                let mut r = ByteReader::new(&section.payload, "rebalance");
-                let rb = codec::get_rebalance_state(&mut r)?;
-                r.finish()?;
+                let rb: crate::rebalance::RebalanceSessionState = decode_section(section)?;
                 rb.validate(lp_count)
                     .map_err(|e| corrupt("rebalance", e.to_string()))?;
                 Some(rb)
@@ -446,7 +425,10 @@ impl Session {
         }
         let mut events = self.resume.events.clone();
         let mut next_external = self.next_external;
-        let mut suffix_digest = ByteWriter::new();
+        // The branch is a different scenario; derive a fingerprint from
+        // the base plus everything that diverges (suffix + script).
+        let mut fp = ByteWriter::new();
+        self.fingerprint.put(&mut fp);
         for (at, lp, ev) in suffix {
             if at < self.now {
                 return Err(MassfError::InvalidConfig(format!(
@@ -456,9 +438,9 @@ impl Session {
                 )));
             }
             validate_net_event(&shared, lp, &ev)?;
-            suffix_digest.put_u64(at.as_ns());
-            suffix_digest.put_u32(lp.0);
-            codec::put_net_event(&mut suffix_digest, &ev);
+            at.put(&mut fp);
+            lp.put(&mut fp);
+            ev.put(&mut fp);
             events.push(EventRecord {
                 time: at,
                 target: lp,
@@ -468,22 +450,7 @@ impl Session {
             next_external += 1;
         }
         events.sort_unstable();
-        // The branch is a different scenario; derive a fingerprint from
-        // the base plus everything that diverges (suffix + script).
-        let mut fp = ByteWriter::new();
-        fp.put_u64(self.fingerprint);
-        fp.put_bytes(&suffix_digest.into_inner());
-        match &shared.faults {
-            None => fp.put_count(0),
-            Some(f) => {
-                let script = f.script().events();
-                fp.put_count(script.len());
-                for e in script {
-                    fp.put_u64(e.at.as_ns());
-                    codec::put_fault_kind(&mut fp, e.kind);
-                }
-            }
-        }
+        write_fault_script(&mut fp, &shared);
         Ok(Session {
             shared,
             fingerprint: fnv1a64(&fp.into_inner()),

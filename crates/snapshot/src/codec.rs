@@ -1,10 +1,14 @@
-//! Wire encoding of the simulation state types.
+//! [`Wire`] impls for the simulation state a snapshot carries.
 //!
-//! One function pair per type, hand-rolled over [`crate::wire`]. The
-//! decoders perform *structural* validation only (bounds, known
-//! discriminants, flag bytes strictly 0/1); *semantic* validation —
-//! path adjacency, issued-flow counters, TCP invariants, frontier sort
-//! order — happens where the state is installed
+//! Every struct is one [`wire_struct!`](crate::wire_struct) field list
+//! in wire order, so its encoder and decoder cannot disagree: a field
+//! added to or removed from the struct without the list does not
+//! compile. The three enums keep hand-written tag matches; the encode
+//! `match` is exhaustive, so a new variant does not compile either
+//! until it has a tag.
+//!
+//! Decoding here is *structural* only (see [`crate::wire`]); the state
+//! is checked *semantically* where it is installed
 //! ([`massf_netsim::NetWorld::restore`], `validate_net_event`,
 //! `ResumeState::validate`), so a hostile payload that parses cleanly
 //! still cannot reach a panic path.
@@ -13,743 +17,324 @@
 //! hash-map iteration anywhere (D1-clean), no clocks, no entropy.
 
 use crate::rebalance::{RebalancePolicy, RebalanceSessionState};
-use crate::wire::{ByteReader, ByteWriter};
-use massf_engine::{EventRecord, LpId, RebalanceConfig, RebalanceCounters, ResumeState, SimTime};
+use crate::wire::{ByteReader, ByteWriter, Wire};
+use crate::wire_struct;
+use massf_engine::{EventRecord, RebalanceConfig, RebalanceCounters, ResumeState};
 use massf_netsim::{
-    FaultKind, FlowEntryState, FlowId, FluidFlowEntryState, FluidStats, FluidWorldState, NetEvent,
-    Packet, PacketKind, ProfileData, ReceiverEntryState, TcpSenderState, WorldState,
+    FaultKind, FlowEntryState, FluidFlowEntryState, FluidStats, FluidWorldState, NetEvent, Packet,
+    PacketKind, ProfileData, ReceiverEntryState, TcpSenderState, WorldState,
 };
 use massf_routing::{RouteCacheEntryState, RouteCacheShardState, RouteCacheState, RouteCacheStats};
-use massf_topology::{LinkId, MassfError, NodeId};
+use massf_topology::MassfError;
 
-fn put_time(w: &mut ByteWriter, t: SimTime) {
-    w.put_u64(t.as_ns());
+wire_struct!(WorldState {
+    flow_counter,
+    busy_until,
+    flows,
+    receivers,
+    route_cache,
+    profile,
+    max_retries,
+    fluid,
+    fluid_seen_bps,
+    fluid_est_start,
+    fluid_est_bytes,
+    fluid_est_reported
+});
+
+wire_struct!(FlowEntryState {
+    flow,
+    sender,
+    path,
+    dst,
+    armed_epoch,
+    unroutable
+});
+
+wire_struct!(TcpSenderState {
+    total_segments,
+    acked,
+    next_seq,
+    cwnd,
+    ssthresh,
+    dup_acks,
+    srtt,
+    rttvar,
+    rto,
+    timer_epoch,
+    rtt_probe,
+    retransmitted_low,
+    retries,
+    max_retries,
+    done,
+    aborted
+});
+
+wire_struct!(ReceiverEntryState {
+    node,
+    flow,
+    rcv_next,
+    segments_seen
+});
+
+wire_struct!(RouteCacheState { capacity, shards });
+
+wire_struct!(RouteCacheShardState {
+    entries,
+    queue,
+    stamp
+});
+
+wire_struct!(RouteCacheEntryState { key, stamp, path });
+
+wire_struct!(ProfileData {
+    node_packets,
+    link_packets,
+    drops,
+    completed_flows,
+    completed_segments,
+    unroutable,
+    fault_drops,
+    aborted_flows,
+    fault_events,
+    route_cache,
+    fluid
+});
+
+wire_struct!(RouteCacheStats {
+    hits,
+    misses,
+    evictions
+});
+
+wire_struct!(FluidWorldState {
+    flows,
+    packet_bps,
+    reported_bps
+});
+
+wire_struct!(FluidFlowEntryState {
+    flow,
+    path,
+    demand_bps,
+    rate_bps,
+    armed_rate_bps,
+    remaining_bns,
+    updated,
+    epoch
+});
+
+wire_struct!(FluidStats {
+    started,
+    completed,
+    aborted,
+    rerouted,
+    unroutable,
+    rate_recomputes,
+    bottleneck_recomputes,
+    finish_arms,
+    cap_updates,
+    packet_load_updates
+});
+
+wire_struct!(ResumeState<NetEvent> { counters, events });
+
+wire_struct!(EventRecord<NetEvent> { time, target, tag, payload });
+
+wire_struct!(Packet {
+    flow,
+    meta,
+    path,
+    dst,
+    seq,
+    size_bytes,
+    hop,
+    kind
+});
+
+wire_struct!(RebalanceSessionState {
+    policy,
+    partitions,
+    assignment,
+    epoch_loads,
+    counters
+});
+
+wire_struct!(RebalancePolicy {
+    cfg,
+    load_weight,
+    cut_weight
+});
+
+wire_struct!(RebalanceConfig {
+    epoch,
+    threshold_permille,
+    max_moves
+});
+
+wire_struct!(RebalanceCounters {
+    epochs,
+    rebalances,
+    migrations
+});
+
+/// Writes a variant's tag byte, then its fields in order.
+macro_rules! tagged {
+    ($w:ident, $tag:literal $(, $field:ident)*) => {{
+        u8::put(&$tag, $w);
+        $(Wire::put($field, $w);)*
+    }};
 }
 
-fn get_time(r: &mut ByteReader) -> Result<SimTime, MassfError> {
-    Ok(SimTime::from_ns(r.get_u64()?))
-}
+impl Wire for PacketKind {
+    const MIN_BYTES: usize = 1;
 
-fn put_bool(w: &mut ByteWriter, v: bool) {
-    w.put_u8(u8::from(v));
-}
-
-fn get_bool(r: &mut ByteReader) -> Result<bool, MassfError> {
-    match r.get_u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(r.corrupt(format!("flag byte {other} (want 0 or 1)"))),
-    }
-}
-
-fn put_opt_time(w: &mut ByteWriter, v: Option<SimTime>) {
-    match v {
-        None => w.put_u8(0),
-        Some(t) => {
-            w.put_u8(1);
-            put_time(w, t);
+    fn put(&self, w: &mut ByteWriter) {
+        match self {
+            PacketKind::Data => tagged!(w, 0),
+            PacketKind::Ack => tagged!(w, 1),
+            PacketKind::Datagram => tagged!(w, 2),
         }
     }
-}
 
-fn get_opt_time(r: &mut ByteReader) -> Result<Option<SimTime>, MassfError> {
-    Ok(if get_bool(r)? {
-        Some(get_time(r)?)
-    } else {
-        None
-    })
-}
-
-fn put_nodes(w: &mut ByteWriter, nodes: &[NodeId]) {
-    w.put_count(nodes.len());
-    for n in nodes {
-        w.put_u32(n.0);
+    fn get(r: &mut ByteReader) -> Result<Self, MassfError> {
+        Ok(match u8::get(r)? {
+            0 => PacketKind::Data,
+            1 => PacketKind::Ack,
+            2 => PacketKind::Datagram,
+            other => return Err(r.corrupt(format!("unknown packet kind {other}"))),
+        })
     }
 }
 
-fn get_nodes(r: &mut ByteReader) -> Result<Vec<NodeId>, MassfError> {
-    let n = r.get_count(4)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(NodeId(r.get_u32()?));
-    }
-    Ok(out)
-}
+impl Wire for FaultKind {
+    /// Tag + one 4-byte id (or two 2-byte AS numbers).
+    const MIN_BYTES: usize = 5;
 
-fn put_u64s(w: &mut ByteWriter, vs: &[u64]) {
-    w.put_count(vs.len());
-    for &v in vs {
-        w.put_u64(v);
-    }
-}
-
-fn get_u64s(r: &mut ByteReader) -> Result<Vec<u64>, MassfError> {
-    let n = r.get_count(8)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.get_u64()?);
-    }
-    Ok(out)
-}
-
-fn put_u128(w: &mut ByteWriter, v: u128) {
-    w.put_u64((v >> 64) as u64);
-    w.put_u64(v as u64);
-}
-
-fn get_u128(r: &mut ByteReader) -> Result<u128, MassfError> {
-    let hi = r.get_u64()? as u128;
-    let lo = r.get_u64()? as u128;
-    Ok((hi << 64) | lo)
-}
-
-fn put_u32s(w: &mut ByteWriter, vs: &[u32]) {
-    w.put_count(vs.len());
-    for &v in vs {
-        w.put_u32(v);
-    }
-}
-
-fn get_u32s(r: &mut ByteReader) -> Result<Vec<u32>, MassfError> {
-    let n = r.get_count(4)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.get_u32()?);
-    }
-    Ok(out)
-}
-
-pub fn put_fault_kind(w: &mut ByteWriter, kind: FaultKind) {
-    match kind {
-        FaultKind::LinkDown(l) => {
-            w.put_u8(0);
-            w.put_u32(l.0);
-        }
-        FaultKind::LinkUp(l) => {
-            w.put_u8(1);
-            w.put_u32(l.0);
-        }
-        FaultKind::RouterCrash(n) => {
-            w.put_u8(2);
-            w.put_u32(n.0);
-        }
-        FaultKind::RouterRecover(n) => {
-            w.put_u8(3);
-            w.put_u32(n.0);
-        }
-        FaultKind::AsAdjacencyFail { as_a, as_b } => {
-            w.put_u8(4);
-            w.put_u16(as_a);
-            w.put_u16(as_b);
-        }
-        FaultKind::AsAdjacencyRestore { as_a, as_b } => {
-            w.put_u8(5);
-            w.put_u16(as_a);
-            w.put_u16(as_b);
+    fn put(&self, w: &mut ByteWriter) {
+        match self {
+            FaultKind::LinkDown(l) => tagged!(w, 0, l),
+            FaultKind::LinkUp(l) => tagged!(w, 1, l),
+            FaultKind::RouterCrash(n) => tagged!(w, 2, n),
+            FaultKind::RouterRecover(n) => tagged!(w, 3, n),
+            FaultKind::AsAdjacencyFail { as_a, as_b } => tagged!(w, 4, as_a, as_b),
+            FaultKind::AsAdjacencyRestore { as_a, as_b } => tagged!(w, 5, as_a, as_b),
         }
     }
-}
 
-pub fn get_fault_kind(r: &mut ByteReader) -> Result<FaultKind, MassfError> {
-    Ok(match r.get_u8()? {
-        0 => FaultKind::LinkDown(LinkId(r.get_u32()?)),
-        1 => FaultKind::LinkUp(LinkId(r.get_u32()?)),
-        2 => FaultKind::RouterCrash(NodeId(r.get_u32()?)),
-        3 => FaultKind::RouterRecover(NodeId(r.get_u32()?)),
-        4 => FaultKind::AsAdjacencyFail {
-            as_a: r.get_u16()?,
-            as_b: r.get_u16()?,
-        },
-        5 => FaultKind::AsAdjacencyRestore {
-            as_a: r.get_u16()?,
-            as_b: r.get_u16()?,
-        },
-        other => return Err(r.corrupt(format!("unknown fault kind {other}"))),
-    })
-}
-
-fn put_packet(w: &mut ByteWriter, p: &Packet) {
-    w.put_u64(p.flow.0);
-    w.put_u64(p.meta);
-    put_nodes(w, &p.path);
-    w.put_u32(p.dst.0);
-    w.put_u32(p.seq);
-    w.put_u32(p.size_bytes);
-    w.put_u16(p.hop);
-    w.put_u8(match p.kind {
-        PacketKind::Data => 0,
-        PacketKind::Ack => 1,
-        PacketKind::Datagram => 2,
-    });
-}
-
-fn get_packet(r: &mut ByteReader) -> Result<Packet, MassfError> {
-    let flow = FlowId(r.get_u64()?);
-    let meta = r.get_u64()?;
-    let path = get_nodes(r)?;
-    let dst = NodeId(r.get_u32()?);
-    let seq = r.get_u32()?;
-    let size_bytes = r.get_u32()?;
-    let hop = r.get_u16()?;
-    let kind = match r.get_u8()? {
-        0 => PacketKind::Data,
-        1 => PacketKind::Ack,
-        2 => PacketKind::Datagram,
-        other => return Err(r.corrupt(format!("unknown packet kind {other}"))),
-    };
-    Ok(Packet {
-        flow,
-        meta,
-        path: path.into(),
-        dst,
-        seq,
-        size_bytes,
-        hop,
-        kind,
-    })
-}
-
-pub fn put_net_event(w: &mut ByteWriter, ev: &NetEvent) {
-    match ev {
-        NetEvent::Arrive(p) => {
-            w.put_u8(0);
-            put_packet(w, p);
-        }
-        NetEvent::RtoTimer { flow, epoch } => {
-            w.put_u8(1);
-            w.put_u64(flow.0);
-            w.put_u32(*epoch);
-        }
-        NetEvent::AppTimer { token } => {
-            w.put_u8(2);
-            w.put_u64(*token);
-        }
-        NetEvent::StartFlow { dst, bytes } => {
-            w.put_u8(3);
-            w.put_u32(dst.0);
-            w.put_u64(*bytes);
-        }
-        NetEvent::SendDatagram { dst, bytes, meta } => {
-            w.put_u8(4);
-            w.put_u32(dst.0);
-            w.put_u32(*bytes);
-            w.put_u64(*meta);
-        }
-        NetEvent::Fault { kind } => {
-            w.put_u8(5);
-            put_fault_kind(w, *kind);
-        }
-        NetEvent::FluidStart {
-            src,
-            dst,
-            bytes,
-            peak_bps,
-        } => {
-            w.put_u8(6);
-            w.put_u32(src.0);
-            w.put_u32(dst.0);
-            w.put_u64(*bytes);
-            w.put_u64(*peak_bps);
-        }
-        NetEvent::FluidFinish { flow, epoch } => {
-            w.put_u8(7);
-            w.put_u64(flow.0);
-            w.put_u32(*epoch);
-        }
-        NetEvent::FluidFault { kind } => {
-            w.put_u8(8);
-            put_fault_kind(w, *kind);
-        }
-        NetEvent::FluidCapUpdate { slot, fluid_bps } => {
-            w.put_u8(9);
-            w.put_u32(*slot);
-            w.put_u64(*fluid_bps);
-        }
-        NetEvent::FluidPacketLoad { slot, bps } => {
-            w.put_u8(10);
-            w.put_u32(*slot);
-            w.put_u64(*bps);
-        }
-    }
-}
-
-pub fn get_net_event(r: &mut ByteReader) -> Result<NetEvent, MassfError> {
-    Ok(match r.get_u8()? {
-        0 => NetEvent::Arrive(get_packet(r)?),
-        1 => NetEvent::RtoTimer {
-            flow: FlowId(r.get_u64()?),
-            epoch: r.get_u32()?,
-        },
-        2 => NetEvent::AppTimer {
-            token: r.get_u64()?,
-        },
-        3 => NetEvent::StartFlow {
-            dst: NodeId(r.get_u32()?),
-            bytes: r.get_u64()?,
-        },
-        4 => NetEvent::SendDatagram {
-            dst: NodeId(r.get_u32()?),
-            bytes: r.get_u32()?,
-            meta: r.get_u64()?,
-        },
-        5 => NetEvent::Fault {
-            kind: get_fault_kind(r)?,
-        },
-        6 => NetEvent::FluidStart {
-            src: NodeId(r.get_u32()?),
-            dst: NodeId(r.get_u32()?),
-            bytes: r.get_u64()?,
-            peak_bps: r.get_u64()?,
-        },
-        7 => NetEvent::FluidFinish {
-            flow: FlowId(r.get_u64()?),
-            epoch: r.get_u32()?,
-        },
-        8 => NetEvent::FluidFault {
-            kind: get_fault_kind(r)?,
-        },
-        9 => NetEvent::FluidCapUpdate {
-            slot: r.get_u32()?,
-            fluid_bps: r.get_u64()?,
-        },
-        10 => NetEvent::FluidPacketLoad {
-            slot: r.get_u32()?,
-            bps: r.get_u64()?,
-        },
-        other => return Err(r.corrupt(format!("unknown event kind {other}"))),
-    })
-}
-
-pub fn put_event_record(w: &mut ByteWriter, ev: &EventRecord<NetEvent>) {
-    put_time(w, ev.time);
-    w.put_u32(ev.target.0);
-    w.put_u64(ev.tag);
-    put_net_event(w, &ev.payload);
-}
-
-pub fn get_event_record(r: &mut ByteReader) -> Result<EventRecord<NetEvent>, MassfError> {
-    Ok(EventRecord {
-        time: get_time(r)?,
-        target: LpId(r.get_u32()?),
-        tag: r.get_u64()?,
-        payload: get_net_event(r)?,
-    })
-}
-
-pub fn put_resume_state(w: &mut ByteWriter, s: &ResumeState<NetEvent>) {
-    put_u32s(w, &s.counters);
-    w.put_count(s.events.len());
-    for ev in &s.events {
-        put_event_record(w, ev);
-    }
-}
-
-pub fn get_resume_state(r: &mut ByteReader) -> Result<ResumeState<NetEvent>, MassfError> {
-    let counters = get_u32s(r)?;
-    // An event record is at least 21 bytes (time + target + tag + kind).
-    let n = r.get_count(21)?;
-    let mut events = Vec::with_capacity(n);
-    for _ in 0..n {
-        events.push(get_event_record(r)?);
-    }
-    Ok(ResumeState { events, counters })
-}
-
-fn put_sender(w: &mut ByteWriter, s: &TcpSenderState) {
-    w.put_u32(s.total_segments);
-    w.put_u32(s.acked);
-    w.put_u32(s.next_seq);
-    w.put_f64(s.cwnd);
-    w.put_f64(s.ssthresh);
-    w.put_u32(s.dup_acks);
-    put_opt_time(w, s.srtt);
-    put_time(w, s.rttvar);
-    put_time(w, s.rto);
-    w.put_u32(s.timer_epoch);
-    match s.rtt_probe {
-        None => w.put_u8(0),
-        Some((seq, at)) => {
-            w.put_u8(1);
-            w.put_u32(seq);
-            put_time(w, at);
-        }
-    }
-    put_bool(w, s.retransmitted_low);
-    w.put_u32(s.retries);
-    w.put_u32(s.max_retries);
-    put_bool(w, s.done);
-    put_bool(w, s.aborted);
-}
-
-fn get_sender(r: &mut ByteReader) -> Result<TcpSenderState, MassfError> {
-    Ok(TcpSenderState {
-        total_segments: r.get_u32()?,
-        acked: r.get_u32()?,
-        next_seq: r.get_u32()?,
-        cwnd: r.get_f64()?,
-        ssthresh: r.get_f64()?,
-        dup_acks: r.get_u32()?,
-        srtt: get_opt_time(r)?,
-        rttvar: get_time(r)?,
-        rto: get_time(r)?,
-        timer_epoch: r.get_u32()?,
-        rtt_probe: if get_bool(r)? {
-            Some((r.get_u32()?, get_time(r)?))
-        } else {
-            None
-        },
-        retransmitted_low: get_bool(r)?,
-        retries: r.get_u32()?,
-        max_retries: r.get_u32()?,
-        done: get_bool(r)?,
-        aborted: get_bool(r)?,
-    })
-}
-
-fn put_flow_entry(w: &mut ByteWriter, f: &FlowEntryState) {
-    w.put_u64(f.flow.0);
-    put_sender(w, &f.sender);
-    put_nodes(w, &f.path);
-    w.put_u32(f.dst.0);
-    w.put_u32(f.armed_epoch);
-    put_bool(w, f.unroutable);
-}
-
-fn get_flow_entry(r: &mut ByteReader) -> Result<FlowEntryState, MassfError> {
-    Ok(FlowEntryState {
-        flow: FlowId(r.get_u64()?),
-        sender: get_sender(r)?,
-        path: get_nodes(r)?,
-        dst: NodeId(r.get_u32()?),
-        armed_epoch: r.get_u32()?,
-        unroutable: get_bool(r)?,
-    })
-}
-
-fn put_receiver_entry(w: &mut ByteWriter, e: &ReceiverEntryState) {
-    w.put_u32(e.node.0);
-    w.put_u64(e.flow.0);
-    w.put_u32(e.rcv_next);
-    w.put_u64(e.segments_seen);
-}
-
-fn get_receiver_entry(r: &mut ByteReader) -> Result<ReceiverEntryState, MassfError> {
-    Ok(ReceiverEntryState {
-        node: NodeId(r.get_u32()?),
-        flow: FlowId(r.get_u64()?),
-        rcv_next: r.get_u32()?,
-        segments_seen: r.get_u64()?,
-    })
-}
-
-pub fn put_route_cache(w: &mut ByteWriter, c: &RouteCacheState) {
-    w.put_u64(c.capacity);
-    w.put_count(c.shards.len());
-    for shard in &c.shards {
-        put_shard(w, shard);
-    }
-}
-
-fn put_shard(w: &mut ByteWriter, s: &RouteCacheShardState) {
-    w.put_count(s.entries.len());
-    for e in &s.entries {
-        w.put_u64(e.key);
-        w.put_u64(e.stamp);
-        match &e.path {
-            None => w.put_u8(0),
-            Some(p) => {
-                w.put_u8(1);
-                put_nodes(w, p);
-            }
-        }
-    }
-    w.put_count(s.queue.len());
-    for &(stamp, key) in &s.queue {
-        w.put_u64(stamp);
-        w.put_u64(key);
-    }
-    w.put_u64(s.stamp);
-}
-
-pub fn get_route_cache(r: &mut ByteReader) -> Result<RouteCacheState, MassfError> {
-    let capacity = r.get_u64()?;
-    // A shard is at least 24 bytes (two counts + stamp).
-    let n = r.get_count(24)?;
-    let mut shards = Vec::with_capacity(n);
-    for _ in 0..n {
-        shards.push(get_shard(r)?);
-    }
-    Ok(RouteCacheState { capacity, shards })
-}
-
-fn get_shard(r: &mut ByteReader) -> Result<RouteCacheShardState, MassfError> {
-    let n = r.get_count(17)?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let key = r.get_u64()?;
-        let stamp = r.get_u64()?;
-        let path = if get_bool(r)? {
-            Some(get_nodes(r)?)
-        } else {
-            None
-        };
-        entries.push(RouteCacheEntryState { key, stamp, path });
-    }
-    let qn = r.get_count(16)?;
-    let mut queue = Vec::with_capacity(qn);
-    for _ in 0..qn {
-        let stamp = r.get_u64()?;
-        let key = r.get_u64()?;
-        queue.push((stamp, key));
-    }
-    let stamp = r.get_u64()?;
-    Ok(RouteCacheShardState {
-        entries,
-        queue,
-        stamp,
-    })
-}
-
-fn put_fluid_flow_entry(w: &mut ByteWriter, f: &FluidFlowEntryState) {
-    w.put_u64(f.flow.0);
-    put_nodes(w, &f.path);
-    w.put_u64(f.demand_bps);
-    w.put_u64(f.rate_bps);
-    w.put_u64(f.armed_rate_bps);
-    put_u128(w, f.remaining_bns);
-    put_time(w, f.updated);
-    w.put_u32(f.epoch);
-}
-
-fn get_fluid_flow_entry(r: &mut ByteReader) -> Result<FluidFlowEntryState, MassfError> {
-    Ok(FluidFlowEntryState {
-        flow: FlowId(r.get_u64()?),
-        path: get_nodes(r)?,
-        demand_bps: r.get_u64()?,
-        rate_bps: r.get_u64()?,
-        armed_rate_bps: r.get_u64()?,
-        remaining_bns: get_u128(r)?,
-        updated: get_time(r)?,
-        epoch: r.get_u32()?,
-    })
-}
-
-fn put_fluid_world(w: &mut ByteWriter, s: &FluidWorldState) {
-    w.put_count(s.flows.len());
-    for f in &s.flows {
-        put_fluid_flow_entry(w, f);
-    }
-    put_u64s(w, &s.packet_bps);
-    put_u64s(w, &s.reported_bps);
-}
-
-fn get_fluid_world(r: &mut ByteReader) -> Result<FluidWorldState, MassfError> {
-    // A fluid flow entry is at least 68 bytes (no path nodes).
-    let n = r.get_count(68)?;
-    let mut flows = Vec::with_capacity(n);
-    for _ in 0..n {
-        flows.push(get_fluid_flow_entry(r)?);
-    }
-    Ok(FluidWorldState {
-        flows,
-        packet_bps: get_u64s(r)?,
-        reported_bps: get_u64s(r)?,
-    })
-}
-
-fn put_fluid_stats(w: &mut ByteWriter, s: &FluidStats) {
-    w.put_u64(s.started);
-    w.put_u64(s.completed);
-    w.put_u64(s.aborted);
-    w.put_u64(s.rerouted);
-    w.put_u64(s.unroutable);
-    w.put_u64(s.rate_recomputes);
-    w.put_u64(s.bottleneck_recomputes);
-    w.put_u64(s.finish_arms);
-    w.put_u64(s.cap_updates);
-    w.put_u64(s.packet_load_updates);
-}
-
-fn get_fluid_stats(r: &mut ByteReader) -> Result<FluidStats, MassfError> {
-    Ok(FluidStats {
-        started: r.get_u64()?,
-        completed: r.get_u64()?,
-        aborted: r.get_u64()?,
-        rerouted: r.get_u64()?,
-        unroutable: r.get_u64()?,
-        rate_recomputes: r.get_u64()?,
-        bottleneck_recomputes: r.get_u64()?,
-        finish_arms: r.get_u64()?,
-        cap_updates: r.get_u64()?,
-        packet_load_updates: r.get_u64()?,
-    })
-}
-
-fn put_profile(w: &mut ByteWriter, p: &ProfileData) {
-    put_u64s(w, &p.node_packets);
-    put_u64s(w, &p.link_packets);
-    w.put_u64(p.drops);
-    w.put_u64(p.completed_flows);
-    w.put_u64(p.completed_segments);
-    w.put_u64(p.unroutable);
-    w.put_u64(p.fault_drops);
-    w.put_u64(p.aborted_flows);
-    w.put_u64(p.fault_events);
-    w.put_u64(p.route_cache.hits);
-    w.put_u64(p.route_cache.misses);
-    w.put_u64(p.route_cache.evictions);
-    put_fluid_stats(w, &p.fluid);
-}
-
-fn get_profile(r: &mut ByteReader) -> Result<ProfileData, MassfError> {
-    Ok(ProfileData {
-        node_packets: get_u64s(r)?,
-        link_packets: get_u64s(r)?,
-        drops: r.get_u64()?,
-        completed_flows: r.get_u64()?,
-        completed_segments: r.get_u64()?,
-        unroutable: r.get_u64()?,
-        fault_drops: r.get_u64()?,
-        aborted_flows: r.get_u64()?,
-        fault_events: r.get_u64()?,
-        route_cache: RouteCacheStats {
-            hits: r.get_u64()?,
-            misses: r.get_u64()?,
-            evictions: r.get_u64()?,
-        },
-        fluid: get_fluid_stats(r)?,
-    })
-}
-
-pub fn put_world_state(w: &mut ByteWriter, s: &WorldState) {
-    put_u32s(w, &s.flow_counter);
-    w.put_count(s.busy_until.len());
-    for &t in &s.busy_until {
-        put_time(w, t);
-    }
-    w.put_count(s.flows.len());
-    for f in &s.flows {
-        put_flow_entry(w, f);
-    }
-    w.put_count(s.receivers.len());
-    for e in &s.receivers {
-        put_receiver_entry(w, e);
-    }
-    put_route_cache(w, &s.route_cache);
-    put_profile(w, &s.profile);
-    w.put_u32(s.max_retries);
-    put_fluid_world(w, &s.fluid);
-    put_u64s(w, &s.fluid_seen_bps);
-    w.put_count(s.fluid_est_start.len());
-    for &t in &s.fluid_est_start {
-        put_time(w, t);
-    }
-    put_u64s(w, &s.fluid_est_bytes);
-    put_u64s(w, &s.fluid_est_reported);
-}
-
-pub fn get_world_state(r: &mut ByteReader) -> Result<WorldState, MassfError> {
-    let flow_counter = get_u32s(r)?;
-    let n = r.get_count(8)?;
-    let mut busy_until = Vec::with_capacity(n);
-    for _ in 0..n {
-        busy_until.push(get_time(r)?);
-    }
-    // A flow entry is at least 96 bytes; receivers are exactly 24.
-    let fn_ = r.get_count(96)?;
-    let mut flows = Vec::with_capacity(fn_);
-    for _ in 0..fn_ {
-        flows.push(get_flow_entry(r)?);
-    }
-    let rn = r.get_count(24)?;
-    let mut receivers = Vec::with_capacity(rn);
-    for _ in 0..rn {
-        receivers.push(get_receiver_entry(r)?);
-    }
-    let route_cache = get_route_cache(r)?;
-    let profile = get_profile(r)?;
-    let max_retries = r.get_u32()?;
-    let fluid = get_fluid_world(r)?;
-    let fluid_seen_bps = get_u64s(r)?;
-    let en = r.get_count(8)?;
-    let mut fluid_est_start = Vec::with_capacity(en);
-    for _ in 0..en {
-        fluid_est_start.push(get_time(r)?);
-    }
-    let fluid_est_bytes = get_u64s(r)?;
-    let fluid_est_reported = get_u64s(r)?;
-    Ok(WorldState {
-        flow_counter,
-        busy_until,
-        flows,
-        receivers,
-        route_cache,
-        profile,
-        max_retries,
-        fluid,
-        fluid_seen_bps,
-        fluid_est_start,
-        fluid_est_bytes,
-        fluid_est_reported,
-    })
-}
-
-pub fn put_rebalance_state(w: &mut ByteWriter, s: &RebalanceSessionState) {
-    let policy = &s.policy;
-    let cfg = &policy.cfg;
-    put_time(w, cfg.epoch);
-    w.put_u64(cfg.threshold_permille);
-    w.put_count(cfg.max_moves);
-    w.put_u64(policy.load_weight);
-    w.put_u64(policy.cut_weight);
-    w.put_u32(s.partitions);
-    put_u32s(w, &s.assignment);
-    put_u64s(w, &s.epoch_loads);
-    let counters = &s.counters;
-    w.put_u64(counters.epochs);
-    w.put_u64(counters.rebalances);
-    w.put_u64(counters.migrations);
-}
-
-pub fn get_rebalance_state(r: &mut ByteReader) -> Result<RebalanceSessionState, MassfError> {
-    let epoch = get_time(r)?;
-    let threshold_permille = r.get_u64()?;
-    // A scalar budget, not a collection length: get_count's
-    // fits-in-remaining heuristic does not apply.
-    let max_moves = usize::try_from(r.get_u64()?)
-        .map_err(|_| r.corrupt("rebalance max_moves exceeds usize"))?;
-    let load_weight = r.get_u64()?;
-    let cut_weight = r.get_u64()?;
-    let partitions = r.get_u32()?;
-    let assignment = get_u32s(r)?;
-    let epoch_loads = get_u64s(r)?;
-    let epochs = r.get_u64()?;
-    let rebalances = r.get_u64()?;
-    let migrations = r.get_u64()?;
-    Ok(RebalanceSessionState {
-        policy: RebalancePolicy {
-            cfg: RebalanceConfig {
-                epoch,
-                threshold_permille,
-                max_moves,
+    fn get(r: &mut ByteReader) -> Result<Self, MassfError> {
+        Ok(match u8::get(r)? {
+            0 => FaultKind::LinkDown(Wire::get(r)?),
+            1 => FaultKind::LinkUp(Wire::get(r)?),
+            2 => FaultKind::RouterCrash(Wire::get(r)?),
+            3 => FaultKind::RouterRecover(Wire::get(r)?),
+            4 => FaultKind::AsAdjacencyFail {
+                as_a: Wire::get(r)?,
+                as_b: Wire::get(r)?,
             },
-            load_weight,
-            cut_weight,
-        },
-        partitions,
-        assignment,
-        epoch_loads,
-        counters: RebalanceCounters {
-            epochs,
-            rebalances,
-            migrations,
-        },
-    })
+            5 => FaultKind::AsAdjacencyRestore {
+                as_a: Wire::get(r)?,
+                as_b: Wire::get(r)?,
+            },
+            other => return Err(r.corrupt(format!("unknown fault kind {other}"))),
+        })
+    }
+}
+
+impl Wire for NetEvent {
+    /// The smallest variants are the two fault events: tag + fault.
+    const MIN_BYTES: usize = 1 + FaultKind::MIN_BYTES;
+
+    fn put(&self, w: &mut ByteWriter) {
+        match self {
+            NetEvent::Arrive(p) => tagged!(w, 0, p),
+            NetEvent::RtoTimer { flow, epoch } => tagged!(w, 1, flow, epoch),
+            NetEvent::AppTimer { token } => tagged!(w, 2, token),
+            NetEvent::StartFlow { dst, bytes } => tagged!(w, 3, dst, bytes),
+            NetEvent::SendDatagram { dst, bytes, meta } => tagged!(w, 4, dst, bytes, meta),
+            NetEvent::Fault { kind } => tagged!(w, 5, kind),
+            NetEvent::FluidStart {
+                src,
+                dst,
+                bytes,
+                peak_bps,
+            } => tagged!(w, 6, src, dst, bytes, peak_bps),
+            NetEvent::FluidFinish { flow, epoch } => tagged!(w, 7, flow, epoch),
+            NetEvent::FluidFault { kind } => tagged!(w, 8, kind),
+            NetEvent::FluidCapUpdate { slot, fluid_bps } => tagged!(w, 9, slot, fluid_bps),
+            NetEvent::FluidPacketLoad { slot, bps } => tagged!(w, 10, slot, bps),
+        }
+    }
+
+    fn get(r: &mut ByteReader) -> Result<Self, MassfError> {
+        Ok(match u8::get(r)? {
+            0 => NetEvent::Arrive(Wire::get(r)?),
+            1 => NetEvent::RtoTimer {
+                flow: Wire::get(r)?,
+                epoch: Wire::get(r)?,
+            },
+            2 => NetEvent::AppTimer {
+                token: Wire::get(r)?,
+            },
+            3 => NetEvent::StartFlow {
+                dst: Wire::get(r)?,
+                bytes: Wire::get(r)?,
+            },
+            4 => NetEvent::SendDatagram {
+                dst: Wire::get(r)?,
+                bytes: Wire::get(r)?,
+                meta: Wire::get(r)?,
+            },
+            5 => NetEvent::Fault {
+                kind: Wire::get(r)?,
+            },
+            6 => NetEvent::FluidStart {
+                src: Wire::get(r)?,
+                dst: Wire::get(r)?,
+                bytes: Wire::get(r)?,
+                peak_bps: Wire::get(r)?,
+            },
+            7 => NetEvent::FluidFinish {
+                flow: Wire::get(r)?,
+                epoch: Wire::get(r)?,
+            },
+            8 => NetEvent::FluidFault {
+                kind: Wire::get(r)?,
+            },
+            9 => NetEvent::FluidCapUpdate {
+                slot: Wire::get(r)?,
+                fluid_bps: Wire::get(r)?,
+            },
+            10 => NetEvent::FluidPacketLoad {
+                slot: Wire::get(r)?,
+                bps: Wire::get(r)?,
+            },
+            other => return Err(r.corrupt(format!("unknown event kind {other}"))),
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use massf_engine::{LpId, SimTime};
+    use massf_netsim::FlowId;
+    use massf_topology::{LinkId, NodeId};
+    use proptest::prelude::*;
+
+    fn encode<T: Wire>(v: &T) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        v.put(&mut w);
+        w.into_inner()
+    }
+
+    fn round_trip<T: Wire>(v: &T) -> T {
+        let buf = encode(v);
+        let mut r = ByteReader::new(&buf, "test");
+        let out = T::get(&mut r).expect("decode");
+        r.finish().expect("consumed");
+        out
+    }
 
     fn sample_packet() -> Packet {
         Packet {
@@ -811,20 +396,10 @@ mod tests {
         ]
     }
 
-    fn round_trip_event(ev: &NetEvent) -> NetEvent {
-        let mut w = ByteWriter::new();
-        put_net_event(&mut w, ev);
-        let buf = w.into_inner();
-        let mut r = ByteReader::new(&buf, "test");
-        let out = get_net_event(&mut r).expect("decode");
-        r.finish().expect("consumed");
-        out
-    }
-
     #[test]
     fn net_events_round_trip() {
         for ev in sample_events() {
-            let back = round_trip_event(&ev);
+            let back = round_trip(&ev);
             // NetEvent is not PartialEq (it holds an Arc); compare debug
             // renderings, which print every field.
             assert_eq!(format!("{back:?}"), format!("{ev:?}"));
@@ -847,12 +422,7 @@ mod tests {
             events,
             counters: vec![5, 0, 9],
         };
-        let mut w = ByteWriter::new();
-        put_resume_state(&mut w, &state);
-        let buf = w.into_inner();
-        let mut r = ByteReader::new(&buf, "engine");
-        let back = get_resume_state(&mut r).expect("decode");
-        r.finish().expect("consumed");
+        let back = round_trip(&state);
         assert_eq!(back.counters, state.counters);
         assert_eq!(format!("{:?}", back.events), format!("{:?}", state.events));
     }
@@ -861,7 +431,7 @@ mod tests {
     fn unknown_discriminants_are_rejected() {
         for bad in [vec![11u8], vec![200u8], vec![5u8, 77]] {
             let mut r = ByteReader::new(&bad, "engine");
-            assert!(get_net_event(&mut r).is_err(), "{bad:?} must not decode");
+            assert!(NetEvent::get(&mut r).is_err(), "{bad:?} must not decode");
         }
     }
 
@@ -893,30 +463,171 @@ mod tests {
             packet_bps: vec![0, 5_000, 0, 0],
             reported_bps: vec![u64::MAX, 125_000, u64::MAX, 0],
         };
-        let mut w = ByteWriter::new();
-        put_fluid_world(&mut w, &state);
-        let buf = w.into_inner();
-        let mut r = ByteReader::new(&buf, "fluid");
-        let back = get_fluid_world(&mut r).expect("decode");
-        r.finish().expect("consumed");
-        assert_eq!(back, state);
+        assert_eq!(round_trip(&state), state);
     }
 
     #[test]
     fn u128_round_trips_both_halves() {
         for v in [0u128, 1, u64::MAX as u128, u128::MAX, 1u128 << 64] {
-            let mut w = ByteWriter::new();
-            put_u128(&mut w, v);
-            let buf = w.into_inner();
-            let mut r = ByteReader::new(&buf, "fluid");
-            assert_eq!(get_u128(&mut r).expect("decode"), v);
-            r.finish().expect("consumed");
+            assert_eq!(round_trip(&v), v);
         }
     }
 
     #[test]
     fn flag_bytes_must_be_binary() {
         let mut r = ByteReader::new(&[2], "world");
-        assert!(get_bool(&mut r).is_err());
+        assert!(bool::get(&mut r).is_err());
+    }
+
+    /// The value `T` decodes to from `T::MIN_BYTES` zero bytes: zero
+    /// scalars, `None`s and empty sequences, i.e. its smallest value.
+    fn zero_value<T: Wire>() -> T {
+        let zeros = vec![0u8; T::MIN_BYTES];
+        let mut r = ByteReader::new(&zeros, "test");
+        let v = T::get(&mut r).expect("zero bytes decode");
+        r.finish().expect("consumed");
+        v
+    }
+
+    fn min_event_record() -> EventRecord<NetEvent> {
+        EventRecord {
+            time: SimTime::ZERO,
+            target: LpId(0),
+            tag: 0,
+            payload: NetEvent::Fault {
+                kind: FaultKind::LinkDown(LinkId(0)),
+            },
+        }
+    }
+
+    #[test]
+    fn sequence_element_minimums_are_exact() {
+        fn exact<T: Wire>(v: &T, name: &str) {
+            assert_eq!(encode(v).len(), T::MIN_BYTES, "{name}");
+        }
+        exact(&zero_value::<FlowEntryState>(), "flow entry");
+        exact(&zero_value::<ReceiverEntryState>(), "receiver");
+        exact(&zero_value::<FluidFlowEntryState>(), "fluid flow");
+        exact(&zero_value::<RouteCacheEntryState>(), "cache entry");
+        exact(&zero_value::<RouteCacheShardState>(), "cache shard");
+        exact(&min_event_record(), "event record");
+        assert_eq!(
+            [
+                FlowEntryState::MIN_BYTES,
+                ReceiverEntryState::MIN_BYTES,
+                FluidFlowEntryState::MIN_BYTES,
+                RouteCacheEntryState::MIN_BYTES,
+                RouteCacheShardState::MIN_BYTES,
+                <EventRecord<NetEvent>>::MIN_BYTES,
+            ],
+            [90, 24, 68, 17, 24, 26]
+        );
+    }
+
+    fn nodes() -> impl Strategy<Value = Vec<NodeId>> {
+        proptest::collection::vec(any::<u32>().prop_map(NodeId), 0..6)
+    }
+
+    /// The `NetEvent` variant `variant % 11`, its fields drawn from `a`,
+    /// `b` and `path`.
+    fn event_of(variant: u8, a: u64, b: u64, path: Vec<NodeId>) -> NetEvent {
+        let (lo, hi) = (a as u32, (a >> 32) as u32);
+        let fault = match b % 6 {
+            0 => FaultKind::LinkDown(LinkId(lo)),
+            1 => FaultKind::LinkUp(LinkId(lo)),
+            2 => FaultKind::RouterCrash(NodeId(lo)),
+            3 => FaultKind::RouterRecover(NodeId(lo)),
+            4 => FaultKind::AsAdjacencyFail {
+                as_a: lo as u16,
+                as_b: hi as u16,
+            },
+            _ => FaultKind::AsAdjacencyRestore {
+                as_a: lo as u16,
+                as_b: hi as u16,
+            },
+        };
+        match variant % 11 {
+            0 => NetEvent::Arrive(Packet {
+                flow: FlowId(a),
+                meta: b,
+                dst: NodeId(hi),
+                path: path.into(),
+                seq: lo,
+                size_bytes: hi,
+                hop: b as u16,
+                kind: [PacketKind::Data, PacketKind::Ack, PacketKind::Datagram][(b % 3) as usize],
+            }),
+            1 => NetEvent::RtoTimer {
+                flow: FlowId(a),
+                epoch: lo,
+            },
+            2 => NetEvent::AppTimer { token: a },
+            3 => NetEvent::StartFlow {
+                dst: NodeId(lo),
+                bytes: b,
+            },
+            4 => NetEvent::SendDatagram {
+                dst: NodeId(lo),
+                bytes: hi,
+                meta: b,
+            },
+            5 => NetEvent::Fault { kind: fault },
+            6 => NetEvent::FluidStart {
+                src: NodeId(lo),
+                dst: NodeId(hi),
+                bytes: a,
+                peak_bps: b,
+            },
+            7 => NetEvent::FluidFinish {
+                flow: FlowId(a),
+                epoch: lo,
+            },
+            8 => NetEvent::FluidFault { kind: fault },
+            9 => NetEvent::FluidCapUpdate {
+                slot: lo,
+                fluid_bps: b,
+            },
+            _ => NetEvent::FluidPacketLoad { slot: lo, bps: b },
+        }
+    }
+
+    proptest! {
+        /// No value encodes shorter than its type's `MIN_BYTES`, so a
+        /// count check built on it never rejects a valid snapshot.
+        #[test]
+        fn nothing_encodes_below_its_minimum(
+            event in (any::<u8>(), any::<u64>(), any::<u64>(), nodes()),
+            path in nodes(),
+            cached in (any::<bool>(), nodes()),
+            srtt in (any::<bool>(), any::<u64>()),
+            probe in (any::<bool>(), any::<u32>(), any::<u64>()),
+        ) {
+            let (variant, a, b, hops) = event;
+            let record = EventRecord {
+                payload: event_of(variant, a, b, hops),
+                ..min_event_record()
+            };
+            prop_assert!(encode(&record).len() >= <EventRecord<NetEvent>>::MIN_BYTES);
+            prop_assert!(encode(&record.payload).len() >= NetEvent::MIN_BYTES);
+
+            let mut flow: FlowEntryState = zero_value();
+            flow.path = path.clone();
+            flow.sender.srtt = srtt.0.then_some(SimTime(srtt.1));
+            flow.sender.rtt_probe = probe.0.then_some((probe.1, SimTime(probe.2)));
+            prop_assert!(encode(&flow).len() >= FlowEntryState::MIN_BYTES);
+
+            let entry = RouteCacheEntryState { key: 1, stamp: 2, path: cached.0.then_some(cached.1) };
+            let shard = RouteCacheShardState {
+                entries: vec![entry.clone()],
+                queue: vec![(2, 1)],
+                stamp: 2,
+            };
+            prop_assert!(encode(&entry).len() >= RouteCacheEntryState::MIN_BYTES);
+            prop_assert!(encode(&shard).len() >= RouteCacheShardState::MIN_BYTES);
+
+            let mut fluid: FluidFlowEntryState = zero_value();
+            fluid.path = path;
+            prop_assert!(encode(&fluid).len() >= FluidFlowEntryState::MIN_BYTES);
+        }
     }
 }

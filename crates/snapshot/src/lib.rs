@@ -29,7 +29,7 @@
 #![forbid(unsafe_code)]
 
 pub mod checkpoint;
-pub mod codec;
+mod codec;
 pub mod format;
 pub mod rebalance;
 pub mod recovery;

@@ -32,7 +32,7 @@
 //! section) restores and replays the very same decisions.
 
 use crate::checkpoint::Session;
-use crate::wire::{fnv1a64, ByteWriter};
+use crate::wire::{fnv1a64, put_slice, ByteWriter, Wire};
 use massf_engine::{
     imbalance_permille, partition_loads, should_rebalance, try_run_parallel_resumable, LpId,
     RebalanceConfig, RebalanceCounters, ResumeState, SimTime,
@@ -140,16 +140,9 @@ impl RebalanceSessionState {
 /// never restore into a plain session or one with different knobs.
 pub fn rebalancing_fingerprint(base: u64, policy: &RebalancePolicy, assignment: &[u32]) -> u64 {
     let mut w = ByteWriter::new();
-    w.put_u64(base);
-    w.put_u64(policy.cfg.epoch.as_ns());
-    w.put_u64(policy.cfg.threshold_permille);
-    w.put_count(policy.cfg.max_moves);
-    w.put_u64(policy.load_weight);
-    w.put_u64(policy.cut_weight);
-    w.put_count(assignment.len());
-    for &p in assignment {
-        w.put_u32(p);
-    }
+    base.put(&mut w);
+    policy.put(&mut w);
+    put_slice(assignment, &mut w);
     fnv1a64(&w.into_inner())
 }
 

@@ -1,4 +1,5 @@
-//! Little-endian byte-level encoding primitives, CRC-32, and FNV-1a.
+//! Little-endian byte-level encoding primitives, the [`Wire`] trait,
+//! CRC-32, and FNV-1a.
 //!
 //! The snapshot format is hand-rolled (the workspace is offline — no
 //! serde-format crates) and deliberately boring: every scalar is
@@ -7,8 +8,22 @@
 //! input as hostile: every read is bounds-checked and every failure is
 //! a structured [`MassfError::SnapshotCorrupt`] naming the section —
 //! truncated or bit-flipped input can never panic or over-allocate.
+//!
+//! A type has one encoding, its [`Wire`] impl: scalars, ids and
+//! containers here, structs through [`wire_struct!`](crate::wire_struct)
+//! from one field list, enums by hand in the crate's codec module.
+//! Decoding validates *structure* only — bounds, sequence counts that
+//! fit the remaining bytes, known tags, flag bytes strictly 0/1.
+//! *Semantic* validation (path adjacency, issued flow ids, TCP
+//! invariants, frontier order) happens where decoded state is
+//! installed: `NetWorld::restore`, `validate_net_event` and
+//! `ResumeState::validate`, called by `Session::decode`.
 
-use massf_topology::MassfError;
+use massf_engine::{LpId, SimTime};
+use massf_netsim::FlowId;
+pub use massf_topology::MassfError;
+use massf_topology::{LinkId, NodeId};
+use std::sync::Arc;
 
 /// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
 const CRC_TABLE: [u32; 256] = {
@@ -75,7 +90,7 @@ pub fn fnv1a64(data: &[u8]) -> u64 {
     h
 }
 
-/// Append-only little-endian encoder.
+/// Append-only encoder; values go in through [`Wire::put`].
 #[derive(Debug, Default)]
 pub struct ByteWriter {
     buf: Vec<u8>,
@@ -90,40 +105,13 @@ impl ByteWriter {
         self.buf
     }
 
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Encode an `f64` by its IEEE-754 bit pattern (exact round-trip,
-    /// NaN payloads included — restore-side validation decides what bit
-    /// patterns are acceptable, not the codec).
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Encode a sequence length.
-    pub fn put_count(&mut self, n: usize) {
-        self.put_u64(n as u64);
-    }
-
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 }
 
-/// Bounds-checked little-endian decoder over one snapshot section.
+/// Bounds-checked decoder over one snapshot section; values come out
+/// through [`Wire::get`].
 #[derive(Debug)]
 pub struct ByteReader<'a> {
     buf: &'a [u8],
@@ -166,32 +154,12 @@ impl<'a> ByteReader<'a> {
         }
     }
 
-    pub fn get_u8(&mut self) -> Result<u8, MassfError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub fn get_u16(&mut self) -> Result<u16, MassfError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
-    }
-
-    pub fn get_u32(&mut self) -> Result<u32, MassfError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
-    }
-
-    pub fn get_u64(&mut self) -> Result<u64, MassfError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-
-    pub fn get_f64(&mut self) -> Result<f64, MassfError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
     /// Decode a sequence length whose elements occupy at least
     /// `min_elem_bytes` each. Rejecting counts the remaining bytes
     /// cannot possibly hold keeps a bit-flipped length from driving a
     /// multi-gigabyte `Vec` preallocation.
     pub fn get_count(&mut self, min_elem_bytes: usize) -> Result<usize, MassfError> {
-        let n = self.get_u64()?;
+        let n = u64::get(self)?;
         let fits = usize::try_from(n)
             .ok()
             .and_then(|n| n.checked_mul(min_elem_bytes.max(1)))
@@ -220,6 +188,246 @@ impl<'a> ByteReader<'a> {
     }
 }
 
+/// A value with one snapshot encoding: [`Wire::put`] appends it,
+/// [`Wire::get`] reads it back from untrusted bytes.
+pub trait Wire: Sized {
+    /// The fewest bytes any value of the type encodes to. A `Vec<T>`
+    /// refuses a count of more `T::MIN_BYTES`-sized elements than its
+    /// section has bytes left, so it must be exact: too low weakens that
+    /// check, too high rejects valid snapshots.
+    const MIN_BYTES: usize;
+
+    fn put(&self, w: &mut ByteWriter);
+
+    fn get(r: &mut ByteReader) -> Result<Self, MassfError>;
+}
+
+macro_rules! wire_scalar {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+            fn put(&self, w: &mut ByteWriter) {
+                w.put_bytes(&self.to_le_bytes());
+            }
+            fn get(r: &mut ByteReader) -> Result<Self, MassfError> {
+                let bytes = r.take(Self::MIN_BYTES)?;
+                Ok(Self::from_le_bytes(bytes.try_into().expect("take returns MIN_BYTES bytes")))
+            }
+        }
+    )*};
+}
+
+// Little-endian; an `f64` by its IEEE-754 bit pattern, NaN payloads
+// included (restore-side validation decides which values it accepts).
+wire_scalar!(u8, u16, u32, u64, f64);
+
+macro_rules! wire_newtype {
+    ($($t:ident($inner:ty)),*) => {$(
+        impl Wire for $t {
+            const MIN_BYTES: usize = <$inner>::MIN_BYTES;
+            fn put(&self, w: &mut ByteWriter) {
+                self.0.put(w);
+            }
+            fn get(r: &mut ByteReader) -> Result<Self, MassfError> {
+                <$inner>::get(r).map($t)
+            }
+        }
+    )*};
+}
+
+wire_newtype!(
+    SimTime(u64),
+    NodeId(u32),
+    LinkId(u32),
+    FlowId(u64),
+    LpId(u32)
+);
+
+/// High half first.
+impl Wire for u128 {
+    const MIN_BYTES: usize = 16;
+    fn put(&self, w: &mut ByteWriter) {
+        ((self >> 64) as u64).put(w);
+        (*self as u64).put(w);
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, MassfError> {
+        let hi = u64::get(r)? as u128;
+        Ok((hi << 64) | u64::get(r)? as u128)
+    }
+}
+
+/// One byte, strictly 0 or 1.
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut ByteWriter) {
+        u8::from(*self).put(w);
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, MassfError> {
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(r.corrupt(format!("flag byte {other} (want 0 or 1)"))),
+        }
+    }
+}
+
+/// A scalar as `u64`, refused on decode if it does not fit `usize`.
+/// Not a sequence length: [`ByteReader::get_count`] does not apply.
+impl Wire for usize {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut ByteWriter) {
+        (*self as u64).put(w);
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, MassfError> {
+        let v = u64::get(r)?;
+        usize::try_from(v).map_err(|_| r.corrupt(format!("scalar {v} exceeds usize")))
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut ByteWriter) {
+        self.is_some().put(w);
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, MassfError> {
+        Ok(if bool::get(r)? {
+            Some(T::get(r)?)
+        } else {
+            None
+        })
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    fn put(&self, w: &mut ByteWriter) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, MassfError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// A slice as a `Vec<T>` encodes it: count first.
+pub(crate) fn put_slice<T: Wire>(items: &[T], w: &mut ByteWriter) {
+    items.len().put(w);
+    for item in items {
+        item.put(w);
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut ByteWriter) {
+        put_slice(self, w);
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, MassfError> {
+        let n = r.get_count(T::MIN_BYTES)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::get(r)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<T: Wire> Wire for Arc<[T]> {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut ByteWriter) {
+        put_slice(self, w);
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, MassfError> {
+        Vec::get(r).map(Arc::from)
+    }
+}
+
+/// `T::MIN_BYTES` for the type of the field `project` reads; lets
+/// [`wire_struct!`](crate::wire_struct) sum its fields' minimums from
+/// field names alone.
+#[doc(hidden)]
+pub const fn min_bytes_of<S, T: Wire>(_project: fn(&S) -> &T) -> usize {
+    T::MIN_BYTES
+}
+
+/// Implements [`Wire`] for a struct from one list of its fields, in
+/// wire order.
+///
+/// `put` destructures the value exhaustively (no `..`) and `get` builds
+/// it with a struct literal, whose fields are read in the order they
+/// are written. `MIN_BYTES` is the sum of the fields' minimums. A list
+/// that drifts from the struct is therefore a compile error in both
+/// directions, not a snapshot that silently drops a field on restore.
+///
+/// ```
+/// use massf_snapshot::wire::{ByteReader, ByteWriter, Wire};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Probe {
+///     seq: u32,
+///     sent_ns: Option<u64>,
+/// }
+/// massf_snapshot::wire_struct!(Probe { seq, sent_ns });
+///
+/// let probe = Probe { seq: 7, sent_ns: Some(9) };
+/// let mut w = ByteWriter::new();
+/// probe.put(&mut w);
+/// let bytes = w.into_inner();
+/// assert_eq!(bytes.len(), 4 + 1 + 8);
+/// assert_eq!(Probe::MIN_BYTES, 4 + 1);
+/// let mut r = ByteReader::new(&bytes, "probe");
+/// assert_eq!(Probe::get(&mut r).expect("decodes"), probe);
+/// r.finish().expect("consumed");
+/// ```
+///
+/// A field added to the struct but not to the list: the decoder's
+/// literal misses it (E0063), and the encoder's destructure refuses to
+/// skip it (rustc's "pattern requires `..`", which has no error code
+/// when the pattern comes from a macro).
+///
+/// ```compile_fail,E0063
+/// struct Probe {
+///     seq: u32,
+///     sent_ns: Option<u64>,
+///     retries: u32,
+/// }
+/// massf_snapshot::wire_struct!(Probe { seq, sent_ns });
+/// ```
+///
+/// A field removed from the struct but still listed: the encoder's
+/// destructure names a field that does not exist (E0026), and so does
+/// the decoder's literal (E0560).
+///
+/// ```compile_fail,E0026
+/// struct Probe {
+///     seq: u32,
+/// }
+/// massf_snapshot::wire_struct!(Probe { seq, sent_ns });
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ty { $($field:ident),+ $(,)? }) => {
+        impl $crate::wire::Wire for $ty {
+            const MIN_BYTES: usize =
+                0 $(+ $crate::wire::min_bytes_of(|s: &Self| &s.$field))+;
+
+            fn put(&self, w: &mut $crate::wire::ByteWriter) {
+                let Self { $($field),+ } = self;
+                $($crate::wire::Wire::put($field, w);)+
+            }
+
+            fn get(
+                r: &mut $crate::wire::ByteReader,
+            ) -> Result<Self, $crate::wire::MassfError> {
+                Ok(Self { $($field: $crate::wire::Wire::get(r)?),+ })
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,24 +453,25 @@ mod tests {
     #[test]
     fn round_trip_all_scalars() {
         let mut w = ByteWriter::new();
-        w.put_u8(7);
-        w.put_u16(300);
-        w.put_u32(70_000);
-        w.put_u64(1 << 40);
-        w.put_f64(2.5);
-        w.put_count(3);
+        7u8.put(&mut w);
+        300u16.put(&mut w);
+        70_000u32.put(&mut w);
+        (1u64 << 40).put(&mut w);
+        2.5f64.put(&mut w);
+        3usize.put(&mut w);
         w.put_bytes(&[10, 11, 12]);
         let buf = w.into_inner();
+        assert_eq!(&buf[..3], &[7, 0x2c, 0x01], "little-endian");
         let mut r = ByteReader::new(&buf, "test");
-        assert_eq!(r.get_u8().expect("u8"), 7);
-        assert_eq!(r.get_u16().expect("u16"), 300);
-        assert_eq!(r.get_u32().expect("u32"), 70_000);
-        assert_eq!(r.get_u64().expect("u64"), 1 << 40);
-        assert_eq!(r.get_f64().expect("f64"), 2.5);
+        assert_eq!(u8::get(&mut r).expect("u8"), 7);
+        assert_eq!(u16::get(&mut r).expect("u16"), 300);
+        assert_eq!(u32::get(&mut r).expect("u32"), 70_000);
+        assert_eq!(u64::get(&mut r).expect("u64"), 1 << 40);
+        assert_eq!(f64::get(&mut r).expect("f64"), 2.5);
         let n = r.get_count(1).expect("count");
         assert_eq!(n, 3);
         for want in [10, 11, 12] {
-            assert_eq!(r.get_u8().expect("elem"), want);
+            assert_eq!(u8::get(&mut r).expect("elem"), want);
         }
         r.finish().expect("fully consumed");
     }
@@ -270,7 +479,7 @@ mod tests {
     #[test]
     fn truncated_reads_are_structured_errors() {
         let mut r = ByteReader::new(&[1, 2], "engine");
-        match r.get_u32() {
+        match u32::get(&mut r) {
             Err(MassfError::SnapshotCorrupt { section, reason }) => {
                 assert_eq!(section, "engine");
                 assert!(reason.contains("truncated"), "{reason}");
@@ -282,7 +491,7 @@ mod tests {
     #[test]
     fn hostile_counts_cannot_overallocate() {
         let mut w = ByteWriter::new();
-        w.put_u64(u64::MAX); // claims ~2^64 elements
+        u64::MAX.put(&mut w); // claims ~2^64 elements
         let buf = w.into_inner();
         let mut r = ByteReader::new(&buf, "world");
         assert!(r.get_count(8).is_err());

@@ -10,18 +10,20 @@
 //! 4. `branch()` forks what-if continuations off a shared prefix that
 //!    match full replays of the divergent scenario exactly.
 
-use massf_engine::{LpId, SimTime};
+use massf_engine::{LpId, RebalanceConfig, SimTime};
 use massf_netsim::{
     Agent, FaultKind, FaultScript, FaultState, NetEvent, NetSimBuilder, NoApp, SharedNet,
     SimOutput, DEFAULT_ROUTE_CACHE_CAPACITY, MAX_RETRIES,
 };
-use massf_routing::CostMetric;
-use massf_snapshot::{recover_latest, scenario_fingerprint, ExecMode, Session};
+use massf_routing::{CostMetric, MultiAsResolver};
+use massf_snapshot::wire::fnv1a64;
+use massf_snapshot::{recover_latest, scenario_fingerprint, ExecMode, RebalancePolicy, Session};
 use massf_topology::{
-    generate_flat_network, AsId, FlatTopologyConfig, LinkId, MassfError, Network, NodeId, NodeKind,
-    Point,
+    generate_flat_network, generate_multi_as_network, AsId, FlatTopologyConfig, LinkId, MassfError,
+    MultiAsTopologyConfig, Network, NodeId, NodeKind, Point,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A small generated network with fault flaps and scripted TCP traffic.
 /// Returns the builder (for reference runs) plus the session inputs.
@@ -428,6 +430,149 @@ fn branches_fork_a_shared_prefix_and_match_full_replays() {
         trunk.branch(trunk.shared(), stale),
         Err(MassfError::InvalidConfig(_))
     ));
+}
+
+/// A multi-AS (BGP + per-AS OSPF) world carrying TCP flows and
+/// datagrams, without faults.
+fn multi_as_scenario() -> NetSimBuilder {
+    let cfg = MultiAsTopologyConfig {
+        as_count: 6,
+        routers_per_as: 5,
+        hosts: 20,
+        seed: 17,
+        ..MultiAsTopologyConfig::default()
+    };
+    let m = generate_multi_as_network(&cfg);
+    let resolver = Arc::new(MultiAsResolver::new(&m, CostMetric::Latency, &cfg));
+    let hosts = m.network.host_ids();
+    let mut builder = NetSimBuilder::new(m.network, resolver);
+    let mut agent = Agent::new();
+    for i in 0..12 {
+        let src = hosts[i % hosts.len()];
+        let dst = hosts[(i * 7 + 5) % hosts.len()];
+        if src != dst {
+            let at = SimTime::from_ms(20 * i as u64);
+            agent.inject_tcp(at, src, dst, 40_000 + 7_000 * i as u64);
+            agent.inject_udp(at, dst, src, 900);
+        }
+    }
+    builder.add_agent(agent);
+    builder
+}
+
+/// `flap_scenario` plus fluid background flows, a third demand-capped.
+fn fluid_mixed_scenario() -> NetSimBuilder {
+    let mut builder = flap_scenario(29, 2, 8);
+    let hosts = builder.shared().net.host_ids();
+    let mut agent = Agent::new();
+    for i in 0..9 {
+        let src = hosts[(i * 3 + 1) % hosts.len()];
+        let dst = hosts[(i * 5 + 9) % hosts.len()];
+        if src != dst {
+            let at = SimTime::from_ms(10 * i as u64);
+            let bytes = 200_000 + 70_000 * i as u64;
+            if i % 3 == 0 {
+                agent.inject_fluid_capped(at, src, dst, bytes, 2_000_000);
+            } else {
+                agent.inject_fluid(at, src, dst, bytes);
+            }
+        }
+    }
+    builder.add_agent(agent);
+    builder
+}
+
+/// `(encode().len(), fnv1a64(encode()), scenario_fingerprint)` of a
+/// session paused mid-run.
+fn golden_of(session: &Session, builder: &NetSimBuilder) -> (usize, u64, u64) {
+    let bytes = session.encode();
+    (bytes.len(), fnv1a64(&bytes), fingerprint_for(builder))
+}
+
+/// The snapshot byte format is pinned: four mid-run sessions (flat with
+/// link flaps, multi-AS, packet + fluid, rebalancing mid-epoch) and one
+/// branch encode to the lengths, FNV-1a digests and fingerprints
+/// recorded when the codec was written by hand, one function per
+/// direction. A codec change that moves any byte fails here.
+#[test]
+fn snapshot_bytes_match_golden_values() {
+    let mut got = Vec::new();
+
+    let flat = flap_scenario(11, 2, 10);
+    let mut session = session_for(&flat);
+    session
+        .run_until(SimTime::from_ms(700), &ExecMode::Sequential)
+        .expect("flat prefix runs");
+    got.push(golden_of(&session, &flat));
+    let suffix = vec![
+        (
+            SimTime::from_ms(800),
+            LpId(flat.shared().net.links[0].a.0),
+            NetEvent::Fault {
+                kind: FaultKind::LinkDown(LinkId(0)),
+            },
+        ),
+        (
+            SimTime::from_ms(900),
+            LpId(flat.shared().net.host_ids()[1].0),
+            NetEvent::StartFlow {
+                dst: flat.shared().net.host_ids()[4],
+                bytes: 50_000,
+            },
+        ),
+    ];
+    let branch = session.branch(flat.shared(), suffix).expect("branch forks");
+    let branch_fingerprint = branch.fingerprint();
+
+    let multi = multi_as_scenario();
+    let mut session = session_for(&multi);
+    session
+        .run_until(SimTime::from_ms(400), &ExecMode::Sequential)
+        .expect("multi-AS prefix runs");
+    got.push(golden_of(&session, &multi));
+
+    let fluid = fluid_mixed_scenario();
+    let mut session = session_for(&fluid);
+    session
+        .run_until(SimTime::from_ms(600), &ExecMode::Sequential)
+        .expect("fluid prefix runs");
+    got.push(golden_of(&session, &fluid));
+
+    let skewed = flap_scenario(5, 1, 14);
+    let n = skewed.shared().lp_count();
+    let policy = RebalancePolicy {
+        cfg: RebalanceConfig {
+            epoch: SimTime::from_ms(250),
+            threshold_permille: 1050,
+            max_moves: 24,
+        },
+        ..RebalancePolicy::default()
+    };
+    // simlint: allow(cast-lossy) -- partition index over a tiny test net
+    let assignment = (0..n).map(|i| (i * 2 / n) as u32).collect();
+    let mut session = Session::new_rebalancing(
+        skewed.shared(),
+        skewed.initial_events(),
+        DEFAULT_ROUTE_CACHE_CAPACITY,
+        MAX_RETRIES,
+        policy,
+        assignment,
+    )
+    .expect("valid policy");
+    session
+        .run_rebalancing(SimTime::from_ms(900))
+        .expect("rebalancing prefix runs");
+    got.push(golden_of(&session, &skewed));
+
+    // (snapshot length, FNV-1a of the snapshot, scenario fingerprint)
+    let want = [
+        (6588, 0x429a_bad6_edff_e3ac, 0x8476_d7f8_3d7c_9dc1),
+        (17869, 0x72a5_8e08_fb30_4379, 0x7493_17ce_26a4_69b1),
+        (19496, 0xd879_8800_9585_d328, 0x90f6_342e_b214_befb),
+        (10210, 0x9cde_d5ea_32d1_120a, 0xfc3f_c712_3a25_f6a8),
+    ];
+    assert_eq!(got, want);
+    assert_eq!(branch_fingerprint, 0x91ad_2ea5_da32_905f);
 }
 
 proptest! {
