@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, Criterion};
 use massf_core::prelude::*;
-use massf_engine::{run_sequential_resumable, seed_events, ResumeState};
+use massf_engine::{run_sequential_resumable, seed_events, ResumeState, Scoring};
 use massf_netsim::{Agent, NetSimBuilder, NetWorld, NoApp};
 use massf_routing::{CostMetric, FlatResolver};
 use std::sync::Arc;
@@ -57,10 +57,16 @@ fn bench_executors(c: &mut Criterion) {
     group.bench_function("sequential", |bch| {
         bch.iter(|| b.run_sequential(NoApp, end).stats.total_events)
     });
+    let scoring = Scoring {
+        window,
+        assignment: &assignment,
+        partitions: 2,
+    };
     group.bench_function("sequential_windowed", |bch| {
         bch.iter(|| {
-            b.run_sequential_windowed(NoApp, end, window, &assignment, 2)
-                .stats
+            b.run_sequential_windowed(NoApp, end, &[scoring])
+                .expect("valid scoring")
+                .stats[0]
                 .total_events
         })
     });
@@ -109,9 +115,16 @@ fn run_smoke() {
         seq.stats.total_events > 0,
         "smoke workload produced no events"
     );
-    let win = b.run_sequential_windowed(NoApp, end, window, &assignment, 2);
+    let scoring = Scoring {
+        window,
+        assignment: &assignment,
+        partitions: 2,
+    };
+    let win = b
+        .run_sequential_windowed(NoApp, end, &[scoring])
+        .expect("valid scoring");
     assert_eq!(
-        win.stats.total_events, seq.stats.total_events,
+        win.stats[0].total_events, seq.stats.total_events,
         "windowed executor diverged from sequential"
     );
     assert_eq!(

@@ -1,10 +1,10 @@
 //! Ablation: how sensitive is the HPROF-vs-TOP2 comparison to the
 //! synchronization-cost model (the one exogenous hardware parameter)?
 //!
-//! Runs each mapping once, then re-scores the same measured trace under
-//! scaled versions of the Figure-5 model — cheap because the cluster
-//! model is applied to recorded per-window traces. Also ablates the
-//! per-event cost. This substantiates DESIGN.md's claim that the
+//! Scores both mappings against one measured run, then re-scores the
+//! same traces under scaled versions of the Figure-5 model — cheap
+//! because the cluster model is applied to recorded per-window traces.
+//! Also ablates the per-event cost. This substantiates DESIGN.md's claim that the
 //! *orderings* are robust to the calibration constants.
 
 use massf_bench::{HarnessOptions, MeasuredBarriers};
@@ -22,23 +22,16 @@ fn main() {
     let cfg = opts.mapping_config();
     let base_model = opts.cluster_model();
     let duration = opts.scale.run_duration();
-    let profile = run_profiling(&scenario, duration);
 
-    // One measured run per approach; the mapping itself uses the
-    // unscaled sync model (as the real system would have).
-    let runs: Vec<ExperimentOutput> = [MappingApproach::Top2, MappingApproach::Hprof]
-        .into_iter()
-        .map(|a| {
-            run_mapping_experiment_with_profile(
-                &scenario,
-                a,
-                &cfg,
-                &base_model,
-                duration,
-                a.needs_profile().then(|| profile.clone()),
-            )
-        })
-        .collect();
+    // One measured run scored against both mappings; the mapping itself
+    // uses the unscaled sync model (as the real system would have).
+    let runs = run_approaches(
+        &scenario,
+        &[MappingApproach::Top2, MappingApproach::Hprof],
+        &cfg,
+        &base_model,
+        duration,
+    );
 
     println!(
         "== Sync-cost ablation (single-AS {:?}, {} engines) ==",

@@ -17,7 +17,19 @@ fn main() {
     );
     let model = opts.cluster_model();
     let duration = opts.scale.run_duration();
-    let profile = run_profiling(&scenario, duration);
+    let profile = run_profiling(&scenario, duration).profile;
+
+    // Every (engines, approach) mapping, scored against one run.
+    let cfgs = [2usize, 4, 8, 16, 32, 64].map(MappingConfig::new);
+    let jobs: Vec<(&MappingConfig, MappingApproach)> = cfgs
+        .iter()
+        .flat_map(|cfg| [(cfg, MappingApproach::Top2), (cfg, MappingApproach::Hprof)])
+        .collect();
+    let mappings = massf_parutil::par_map(&jobs, |&(cfg, approach)| {
+        map_network(&scenario.net, Some(&profile), approach, cfg)
+    });
+    let outputs = score_mappings(&scenario, mappings, Some(&profile), &model, duration)
+        .expect("map_network assigns every node to one of cfg.engines parts");
 
     println!(
         "== Engine scaling, single-AS {:?} ({} routers) ==",
@@ -28,30 +40,18 @@ fn main() {
         "{:>8} {:>10} | {:>10} {:>8} {:>8} | {:>10} {:>8} {:>8}",
         "engines", "C(N)[us]", "T_top2[s]", "PE", "MLL", "T_hprof[s]", "PE", "MLL"
     );
-    for engines in [2usize, 4, 8, 16, 32, 64] {
-        let cfg = MappingConfig::new(engines);
-        let run = |approach: MappingApproach| {
-            run_mapping_experiment_with_profile(
-                &scenario,
-                approach,
-                &cfg,
-                &model,
-                duration,
-                approach.needs_profile().then(|| profile.clone()),
-            )
-        };
-        let top2 = run(MappingApproach::Top2);
-        let hprof = run(MappingApproach::Hprof);
+    for (cfg, pair) in cfgs.iter().zip(outputs.chunks(2)) {
+        let (top2, hprof) = (pair[0].metrics, pair[1].metrics);
         println!(
             "{:>8} {:>10.0} | {:>10.2} {:>8.3} {:>8.2} | {:>10.2} {:>8.3} {:>8.2}",
-            engines,
-            cfg.sync.cost_us(engines),
-            top2.metrics.simulation_time_secs,
-            top2.metrics.parallel_efficiency,
-            top2.metrics.achieved_mll_ms,
-            hprof.metrics.simulation_time_secs,
-            hprof.metrics.parallel_efficiency,
-            hprof.metrics.achieved_mll_ms,
+            cfg.engines,
+            cfg.sync.cost_us(cfg.engines),
+            top2.simulation_time_secs,
+            top2.parallel_efficiency,
+            top2.achieved_mll_ms,
+            hprof.simulation_time_secs,
+            hprof.parallel_efficiency,
+            hprof.achieved_mll_ms,
         );
     }
     println!(

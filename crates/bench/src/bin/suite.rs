@@ -1,7 +1,7 @@
-//! Run the complete evaluation — Figures 6–13 — in one pass (one
-//! profiling run and one measured run per workload×approach, reused for
-//! all four metrics) and print every figure plus the paper's quoted
-//! relative improvements.
+//! Run the complete evaluation — Figures 6–13 — in one pass (per world
+//! × workload, one profiling run and one measured run scored against
+//! every approach's mapping, reused for all four metrics) and print
+//! every figure plus the paper's quoted relative improvements.
 
 use massf_bench::{print_figure, print_improvements, run_suite, HarnessOptions};
 use massf_core::prelude::*;

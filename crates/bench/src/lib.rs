@@ -24,7 +24,9 @@
 #![cfg_attr(not(feature = "alloc-count"), forbid(unsafe_code))]
 
 use massf_core::prelude::*;
+use std::cell::Cell;
 use std::collections::HashMap;
+use std::time::Instant;
 
 #[cfg(feature = "alloc-count")]
 pub mod alloccount;
@@ -233,8 +235,8 @@ pub struct SuiteRow {
 }
 
 /// Run the full evaluation suite for one network world: both workloads ×
-/// the requested approaches, sharing one profiling run per workload and
-/// averaging metrics over `opts.repeats` topology seeds.
+/// the requested approaches, with one profiling run and one scored run
+/// per workload, averaging metrics over `opts.repeats` topology seeds.
 pub fn run_suite(
     kind: ScenarioKind,
     opts: &HarnessOptions,
@@ -270,6 +272,9 @@ pub fn run_suite(
     merged
 }
 
+/// One world × workload at a time: its scenario, one profiling run,
+/// every mapping, and one run scored against all of them. Each phase
+/// prints one stderr line with the events it handled and its wall time.
 fn run_suite_once(
     kind: ScenarioKind,
     opts: &HarnessOptions,
@@ -280,40 +285,46 @@ fn run_suite_once(
     let duration = opts.scale.run_duration();
     let mut rows = Vec::new();
     for workload in [WorkloadKind::ScaLapack, WorkloadKind::GridNpb] {
-        eprintln!("# building {kind:?} scenario for {} …", workload.label());
+        let label = workload.label();
+        let lap = Cell::new(Instant::now());
+        let phase = |what: &str, events: u64| {
+            let now = Instant::now();
+            let secs = (now - lap.replace(now)).as_secs_f64();
+            eprintln!("# {kind:?} {label}: {what}: {events} events, {secs:.3} s");
+        };
         let scenario = Scenario::build(kind, opts.scale, workload, opts.seed);
+        phase("scenario build", 0);
+
+        let profiling = approaches
+            .iter()
+            .any(|a| a.needs_profile())
+            .then(|| run_profiling(&scenario, duration));
+        let events = profiling.as_ref().map_or(0, |p| p.stats.total_events);
+        phase("profiling run", events);
+
+        let profile = profiling.map(|p| p.profile);
+        let mappings = massf_parutil::par_map(approaches, |&approach| {
+            map_network(&scenario.net, profile.as_ref(), approach, &cfg)
+        });
+        let threads = massf_parutil::current_threads();
+        let what = format!("{} mappings on {threads} threads", mappings.len());
+        phase(&what, 0);
+
+        let outputs = score_mappings(&scenario, mappings, profile.as_ref(), &model, duration)
+            .expect("map_network assigns every node to one of cfg.engines parts");
+        let run = outputs.first().expect("an approach to score");
+        let what = format!("scored run, {} scorings", outputs.len());
+        phase(&what, run.run_stats.total_events);
+        let (cache, fluid) = (&run.run_profile.route_cache, &run.run_profile.fluid);
         eprintln!(
-            "# measuring {} × {} approaches ({} worker threads) …",
-            workload.label(),
-            approaches.len(),
-            massf_parutil::current_threads()
-        );
-        // One shared profiling run, then all approaches concurrently
-        // (order and results identical to the old sequential loop).
-        let outputs = run_approaches(&scenario, approaches, &cfg, &model, duration);
-        let mut cache = massf_netsim::RouteCacheStats::default();
-        let mut fluid = massf_netsim::FluidStats::default();
-        for out in outputs {
-            cache.merge(&out.run_profile.route_cache);
-            fluid.merge(&out.run_profile.fluid);
-            rows.push(SuiteRow {
-                workload,
-                approach: out.approach,
-                metrics: out.metrics,
-                total_events: out.run_stats.total_events,
-            });
-        }
-        eprintln!(
-            "# route cache ({}): {} hits / {} misses / {} evictions ({:.1}% hit rate)",
-            workload.label(),
+            "# route cache ({label}): {} hits / {} misses / {} evictions ({:.1}% hit rate)",
             cache.hits,
             cache.misses,
             cache.evictions,
             cache.hit_rate() * 100.0
         );
         eprintln!(
-            "# fluid ({}): {} started / {} completed / {} aborted, {} rate recomputes / {} bottleneck recomputes, {} cap updates / {} packet-load updates",
-            workload.label(),
+            "# fluid ({label}): {} started / {} completed / {} aborted, {} rate recomputes / {} bottleneck recomputes, {} cap updates / {} packet-load updates",
             fluid.started,
             fluid.completed,
             fluid.aborted,
@@ -322,6 +333,12 @@ fn run_suite_once(
             fluid.cap_updates,
             fluid.packet_load_updates
         );
+        rows.extend(outputs.into_iter().map(|out| SuiteRow {
+            workload,
+            approach: out.approach,
+            metrics: out.metrics,
+            total_events: out.run_stats.total_events,
+        }));
     }
     rows
 }
@@ -406,7 +423,6 @@ pub fn print_improvements(rows: &[SuiteRow]) {
 /// do (simlint D2).
 pub fn measure_barrier_cost_us(n: usize, rounds: usize) -> f64 {
     use massf_engine::WindowBarrier;
-    use std::time::Instant;
     if n <= 1 {
         return 0.0;
     }
@@ -624,6 +640,59 @@ mod tests {
         for r in &rows {
             assert!(r.metrics.simulation_time_secs > 0.0);
             assert!(r.total_events > 0);
+        }
+        // (time, MLL, imbalance, PE) bits and events, recorded when every
+        // mapping had its own measured run: one run scored against all
+        // mappings must reproduce them exactly.
+        let golden: [([u64; 4], u64); 4] = [
+            (
+                [
+                    0x3fec17b95a294141,
+                    0x4021e15fb4ead4db,
+                    0x3fdbaaea01415981,
+                    0x3fdaf81e07487d19,
+                ],
+                147_976,
+            ),
+            (
+                [
+                    0x3fe98a2b9d3cbc48,
+                    0x40236f5fd8dc0bc5,
+                    0x3fb9b61e6c4f5656,
+                    0x3fddaa403beeb5ee,
+                ],
+                147_976,
+            ),
+            (
+                [
+                    0x3fea72a7bd48cb4a,
+                    0x4021e15fb4ead4db,
+                    0x3fd20d8aa675661c,
+                    0x3fdd32f9dacfaba3,
+                ],
+                150_831,
+            ),
+            (
+                [
+                    0x3fe9892ee84ad794,
+                    0x4021e15fb4ead4db,
+                    0x3fac5fe4003a64a4,
+                    0x3fde3df0d5c0b2f5,
+                ],
+                150_831,
+            ),
+        ];
+        for (r, (bits, events)) in rows.iter().zip(golden) {
+            let m = &r.metrics;
+            let got = [
+                m.simulation_time_secs,
+                m.achieved_mll_ms,
+                m.load_imbalance,
+                m.parallel_efficiency,
+            ]
+            .map(f64::to_bits);
+            assert_eq!(got, bits, "{:?} {:?}", r.workload, r.approach);
+            assert_eq!(r.total_events, events, "{:?} {:?}", r.workload, r.approach);
         }
     }
 }

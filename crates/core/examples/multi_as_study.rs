@@ -33,24 +33,22 @@ fn main() {
     let cfg = MappingConfig::new(engines);
     let model = ClusterModel::default();
     let duration = SimTime::from_secs(5);
-    let profile = run_profiling(&scenario, duration);
+    let outputs = run_approaches(
+        &scenario,
+        &MappingApproach::paper_six(),
+        &cfg,
+        &model,
+        duration,
+    );
 
     println!(
         "{:<10} {:>10} {:>12} {:>12} {:>8}",
         "approach", "MLL[ms]", "T[s]", "imbalance", "PE"
     );
-    for approach in MappingApproach::paper_six() {
-        let out = run_mapping_experiment_with_profile(
-            &scenario,
-            approach,
-            &cfg,
-            &model,
-            duration,
-            approach.needs_profile().then(|| profile.clone()),
-        );
+    for out in outputs {
         println!(
             "{:<10} {:>10.3} {:>12.3} {:>12.3} {:>8.3}",
-            approach.label(),
+            out.approach.label(),
             out.metrics.achieved_mll_ms,
             out.metrics.simulation_time_secs,
             out.metrics.load_imbalance,

@@ -20,9 +20,25 @@ fn main() {
     let model = ClusterModel::default();
     let duration = SimTime::from_secs(5);
 
-    // Share one profiling run across the PROF-family approaches, as the
-    // paper's methodology does.
-    let profile = run_profiling(&scenario, duration);
+    // One profiling run shared by the PROF-family approaches, as the
+    // paper's methodology does, and one measured run scored against
+    // every mapping.
+    let outputs = run_approaches(
+        &scenario,
+        &[
+            MappingApproach::Top,
+            MappingApproach::Top2,
+            MappingApproach::Prof,
+            MappingApproach::Prof2,
+            MappingApproach::Htop,
+            MappingApproach::Hprof,
+            MappingApproach::GreedyKCluster,
+            MappingApproach::Random,
+        ],
+        &cfg,
+        &model,
+        duration,
+    );
 
     println!(
         "single-AS network: {} routers / {} hosts on {} engines\n",
@@ -34,27 +50,10 @@ fn main() {
         "{:<10} {:>10} {:>12} {:>12} {:>8} {:>10}",
         "approach", "MLL[ms]", "T[s]", "imbalance", "PE", "Tmll[ms]"
     );
-    for approach in [
-        MappingApproach::Top,
-        MappingApproach::Top2,
-        MappingApproach::Prof,
-        MappingApproach::Prof2,
-        MappingApproach::Htop,
-        MappingApproach::Hprof,
-        MappingApproach::GreedyKCluster,
-        MappingApproach::Random,
-    ] {
-        let out = run_mapping_experiment_with_profile(
-            &scenario,
-            approach,
-            &cfg,
-            &model,
-            duration,
-            approach.needs_profile().then(|| profile.clone()),
-        );
+    for out in outputs {
         println!(
             "{:<10} {:>10.3} {:>12.3} {:>12.3} {:>8.3} {:>10}",
-            approach.label(),
+            out.approach.label(),
             out.metrics.achieved_mll_ms,
             out.metrics.simulation_time_secs,
             out.metrics.load_imbalance,

@@ -66,8 +66,7 @@ pub use hier::{hierarchical_partition, reduce_graph, HierConfig, HierResult, Swe
 pub use mappers::{map_network, MappingApproach, MappingConfig, MappingResult};
 pub use metrics::{load_imbalance, parallel_efficiency, ExperimentMetrics};
 pub use pipeline::{
-    run_approaches, run_mapping_experiment, run_mapping_experiment_with_profile, run_profiling,
-    ExperimentOutput,
+    run_approaches, run_mapping_experiment, run_profiling, score_mappings, ExperimentOutput,
 };
 pub use scenario::{Scale, Scenario, ScenarioKind, WorkloadKind};
 pub use weights::{build_weighted_graph, EdgeWeighting, VertexWeighting};
@@ -76,10 +75,10 @@ pub use weights::{build_weighted_graph, EdgeWeighting, VertexWeighting};
 pub mod prelude {
     pub use crate::{
         achieved_mll_ms, build_weighted_graph, hierarchical_partition, load_imbalance, map_network,
-        parallel_efficiency, run_approaches, run_mapping_experiment,
-        run_mapping_experiment_with_profile, run_profiling, ClusterModel, EdgeWeighting,
-        ExperimentMetrics, ExperimentOutput, HierConfig, MappingApproach, MappingConfig,
-        MappingResult, MassfError, Scale, Scenario, ScenarioKind, VertexWeighting, WorkloadKind,
+        parallel_efficiency, run_approaches, run_mapping_experiment, run_profiling, score_mappings,
+        ClusterModel, EdgeWeighting, ExperimentMetrics, ExperimentOutput, HierConfig,
+        MappingApproach, MappingConfig, MappingResult, MassfError, Scale, Scenario, ScenarioKind,
+        VertexWeighting, WorkloadKind,
     };
     pub use massf_engine::{SimTime, SyncCostModel};
     pub use massf_partition::{metis_kway, KwayConfig, Partition, WeightedGraph};

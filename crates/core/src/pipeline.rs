@@ -1,23 +1,23 @@
 //! The end-to-end experiment pipeline behind every evaluation figure:
 //!
-//! 1. **Profiling run** (PROF-family only): simulate briefly under a
-//!    naive round-robin partition, collecting per-node event counts and
-//!    per-link traffic (Section 3.3).
-//! 2. **Mapping**: build the weighted graph and partition it with the
+//! 1. **Profiling run** (once, if any approach is PROF-family): simulate
+//!    briefly under a naive round-robin partition, collecting per-node
+//!    event counts and per-link traffic (Section 3.3).
+//! 2. **Mapping**: build the weighted graph and partition it with each
 //!    chosen approach.
-//! 3. **Measured run**: simulate the full workload, attributing kernel
-//!    events to `(window, engine)` cells with the window equal to the
-//!    achieved MLL — the exact execution structure of the paper's
-//!    barrier-synchronized engine.
+//! 3. **Measured run**: simulate the full workload **once**, attributing
+//!    kernel events to `(window, engine)` cells of every mapping with the
+//!    window equal to its achieved MLL — the exact execution structure of
+//!    the paper's barrier-synchronized engine, for each mapping.
 //! 4. **Metrics**: simulation time (cluster model), achieved MLL, load
 //!    imbalance, parallel efficiency (Section 4.1).
 
 use crate::clustermodel::ClusterModel;
 use crate::mappers::{map_network, MappingApproach, MappingConfig, MappingResult};
 use crate::metrics::ExperimentMetrics;
-use crate::scenario::Scenario;
-use massf_engine::{ExecutionStats, SimTime};
-use massf_netsim::{NetSimBuilder, ProfileData};
+use crate::scenario::{Scenario, ScenarioApp};
+use massf_engine::{ExecutionStats, MassfError, Scoring, SimTime};
+use massf_netsim::{NetSimBuilder, ProfileData, SimOutput};
 
 /// Everything produced by one experiment.
 pub struct ExperimentOutput {
@@ -41,19 +41,74 @@ const PROFILE_FRACTION: u64 = 4;
 /// Equal to the co-location latency floor of the topology generator.
 const MIN_WINDOW: SimTime = SimTime(10_000); // 10 µs
 
-/// Run the paper's profiling step by itself: simulate
-/// `duration / 4` under the naive partition and return the traffic
-/// profile. Exposed so that experiment suites can share one profiling
-/// run across all PROF-family approaches.
-pub fn run_profiling(scenario: &Scenario, duration: SimTime) -> ProfileData {
+/// A builder over `scenario`'s network, seeded with its workload.
+fn builder(scenario: &Scenario) -> (NetSimBuilder, ScenarioApp) {
     let (app, events) = scenario.make_app();
     let mut builder = NetSimBuilder::new(scenario.net.clone(), scenario.resolver.clone());
     builder.add_initial_events(events);
-    let out = builder.run_sequential(app, duration / PROFILE_FRACTION);
-    out.profile
+    (builder, app)
 }
 
-/// Run the full pipeline for one `(scenario, approach)` pair.
+/// Step 1, the paper's profiling run: simulate `duration / 4` under the
+/// naive partition. Its `profile` is the input of the PROF-family
+/// mappers.
+pub fn run_profiling(scenario: &Scenario, duration: SimTime) -> SimOutput<ScenarioApp> {
+    let (builder, app) = builder(scenario);
+    builder.run_sequential(app, duration / PROFILE_FRACTION)
+}
+
+/// Steps 3 and 4: simulate `scenario` for `duration` once, score the run
+/// against every mapping — on its own engine count (`partition.k`),
+/// windowed at its achieved MLL — and derive each mapping's metrics.
+/// `profile` is the profiling run's, kept in the outputs of the
+/// PROF-family mappings. A mapping that does not cover the scenario's
+/// network is [`MassfError::InvalidConfig`].
+pub fn score_mappings(
+    scenario: &Scenario,
+    mappings: Vec<MappingResult>,
+    profile: Option<&ProfileData>,
+    model: &ClusterModel,
+    duration: SimTime,
+) -> Result<Vec<ExperimentOutput>, MassfError> {
+    let scorings: Vec<Scoring<'_>> = mappings
+        .iter()
+        .map(|m| Scoring {
+            // Nothing cut: the whole run is one window.
+            window: if m.achieved_mll_ms.is_finite() {
+                SimTime::from_ms_f64(m.achieved_mll_ms)
+            } else {
+                duration
+            }
+            .max(MIN_WINDOW),
+            assignment: &m.partition.assignment,
+            partitions: m.partition.k,
+        })
+        .collect();
+    let (builder, app) = builder(scenario);
+    let run = builder.run_sequential_windowed(app, duration, &scorings)?;
+    Ok(mappings
+        .into_iter()
+        .zip(run.stats)
+        .map(|(mapping, run_stats)| ExperimentOutput {
+            approach: mapping.approach,
+            metrics: ExperimentMetrics::from_run(
+                &run_stats,
+                mapping.achieved_mll_ms,
+                mapping.partition.k,
+                model,
+            ),
+            profiling_profile: profile
+                .filter(|_| mapping.approach.needs_profile())
+                .cloned(),
+            mapping,
+            run_stats,
+            run_profile: run.profile.clone(),
+        })
+        .collect())
+}
+
+/// Run the full pipeline for one `(scenario, approach)` pair: the
+/// one-approach case of [`run_approaches`].
 pub fn run_mapping_experiment(
     scenario: &Scenario,
     approach: MappingApproach,
@@ -61,68 +116,16 @@ pub fn run_mapping_experiment(
     model: &ClusterModel,
     duration: SimTime,
 ) -> ExperimentOutput {
-    let profile = approach
-        .needs_profile()
-        .then(|| run_profiling(scenario, duration));
-    run_mapping_experiment_with_profile(scenario, approach, cfg, model, duration, profile)
+    run_approaches(scenario, &[approach], cfg, model, duration)
+        .pop()
+        .expect("one output per approach")
 }
 
-/// Like [`run_mapping_experiment`], but with the profiling run's result
-/// supplied by the caller (required for PROF-family approaches).
-pub fn run_mapping_experiment_with_profile(
-    scenario: &Scenario,
-    approach: MappingApproach,
-    cfg: &MappingConfig,
-    model: &ClusterModel,
-    duration: SimTime,
-    profiling_profile: Option<ProfileData>,
-) -> ExperimentOutput {
-    assert!(
-        !approach.needs_profile() || profiling_profile.is_some(),
-        "{approach:?} requires a profiling run"
-    );
-
-    // 2. Mapping.
-    let mapping = map_network(&scenario.net, profiling_profile.as_ref(), approach, cfg);
-
-    // 3. Measured run, windowed at the achieved MLL.
-    let window = if mapping.achieved_mll_ms.is_finite() {
-        SimTime::from_ms_f64(mapping.achieved_mll_ms).max(MIN_WINDOW)
-    } else {
-        duration // single partition: one "window"
-    };
-    let (app, events) = scenario.make_app();
-    let mut builder = NetSimBuilder::new(scenario.net.clone(), scenario.resolver.clone());
-    builder.add_initial_events(events);
-    let out = builder.run_sequential_windowed(
-        app,
-        duration,
-        window,
-        &mapping.partition.assignment,
-        cfg.engines,
-    );
-
-    // 4. Metrics.
-    let metrics =
-        ExperimentMetrics::from_run(&out.stats, mapping.achieved_mll_ms, cfg.engines, model);
-    ExperimentOutput {
-        approach,
-        mapping,
-        metrics,
-        run_stats: out.stats,
-        run_profile: out.profile,
-        profiling_profile,
-    }
-}
-
-/// Run the full pipeline for several approaches over one scenario,
-/// concurrently on the shared worker pool.
-///
-/// The profiling run is executed once (if any approach needs it) and
-/// shared, exactly as `run_suite_once` did sequentially; each
-/// approach's mapping + measured run is independent, so they fan out
-/// with `par_map`. Output order matches `approaches` order and every
-/// run is deterministic, so results are identical at any thread count.
+/// Run the full pipeline for several approaches over one scenario: one
+/// profiling run (if any approach needs it), every mapping concurrently
+/// on the shared worker pool, then one run scored against all of them.
+/// Output order matches `approaches` order and every step is
+/// deterministic, so results are identical at any thread count.
 pub fn run_approaches(
     scenario: &Scenario,
     approaches: &[MappingApproach],
@@ -130,16 +133,15 @@ pub fn run_approaches(
     model: &ClusterModel,
     duration: SimTime,
 ) -> Vec<ExperimentOutput> {
-    let shared_profile = approaches
+    let profile = approaches
         .iter()
         .any(|a| a.needs_profile())
-        .then(|| run_profiling(scenario, duration));
-    massf_parutil::par_map(approaches, |&approach| {
-        let profile = approach
-            .needs_profile()
-            .then(|| shared_profile.clone().expect("profiling run shared"));
-        run_mapping_experiment_with_profile(scenario, approach, cfg, model, duration, profile)
-    })
+        .then(|| run_profiling(scenario, duration).profile);
+    let mappings = massf_parutil::par_map(approaches, |&approach| {
+        map_network(&scenario.net, profile.as_ref(), approach, cfg)
+    });
+    score_mappings(scenario, mappings, profile.as_ref(), model, duration)
+        .expect("map_network assigns every node to one of cfg.engines parts")
 }
 
 #[cfg(test)]
@@ -242,22 +244,16 @@ mod tests {
         let batch =
             massf_parutil::with_threads(4, || run_approaches(&s, &approaches, &c, &model, dur));
         assert_eq!(batch.len(), approaches.len());
-        let shared = run_profiling(&s, dur);
         for (out, &approach) in batch.iter().zip(&approaches) {
             assert_eq!(out.approach, approach);
-            let solo = run_mapping_experiment_with_profile(
-                &s,
-                approach,
-                &c,
-                &model,
-                dur,
-                approach.needs_profile().then(|| shared.clone()),
-            );
+            let solo = run_mapping_experiment(&s, approach, &c, &model, dur);
             assert_eq!(
                 out.mapping.partition.assignment,
                 solo.mapping.partition.assignment
             );
-            assert_eq!(out.run_stats.total_events, solo.run_stats.total_events);
+            assert_eq!(out.run_stats, solo.run_stats);
+            assert_eq!(out.run_profile, solo.run_profile);
+            assert_eq!(out.profiling_profile, solo.profiling_profile);
             assert_eq!(
                 out.metrics.simulation_time_secs.to_bits(),
                 solo.metrics.simulation_time_secs.to_bits()

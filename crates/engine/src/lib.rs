@@ -17,14 +17,15 @@
 //!   sequential and parallel execution bit-identical.
 //! * [`run_sequential`] / [`run_sequential_windowed`] — reference
 //!   executor; the windowed variant additionally attributes events to
-//!   partitions and windows, producing the per-window load traces that
-//!   drive the paper's evaluation metrics.
+//!   partitions and windows once per [`Scoring`], producing from one run
+//!   every mapping's per-window load traces for the evaluation metrics.
 //! * [`try_run_parallel`] — real multi-threaded barrier-windowed
 //!   executor (one thread per partition) with lock-free per-pair outbox
 //!   exchange and empty-window fast-forward. A lookahead violation is a
 //!   structured [`MassfError::LookaheadViolation`] and bad caller input
 //!   (zero window, inconsistent assignment) a
-//!   [`MassfError::InvalidConfig`], never a panic;
+//!   [`MassfError::InvalidConfig`], never a panic (both executors check
+//!   a window and assignment the same way);
 //!   [`try_run_parallel_observed`] wraps every barrier in a
 //!   [`BarrierObserver`] for bench-side sync-cost measurement. Windows
 //!   are separated by [`WindowBarrier`], a spin-then-park barrier that
@@ -74,6 +75,6 @@ pub use par::{
 pub use rebalance::{partition_loads, should_rebalance, RebalanceConfig, RebalanceCounters};
 pub use resume::ResumeState;
 pub use seq::{run_sequential, run_sequential_resumable, run_sequential_windowed};
-pub use stats::{imbalance_permille, ExecutionStats, TRACE_BUCKETS};
+pub use stats::{imbalance_permille, ExecutionStats, Scoring, TRACE_BUCKETS};
 pub use synccost::SyncCostModel;
 pub use time::SimTime;

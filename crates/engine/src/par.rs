@@ -57,7 +57,7 @@ use crate::event::{EventRecord, LpId};
 use crate::model::{seed_events, Emitter, Model};
 use crate::queue::EventQueue;
 use crate::resume::ResumeState;
-use crate::stats::{bucket_layout, ExecutionStats};
+use crate::stats::{ExecutionStats, Scoring, WindowAccumulator};
 use crate::time::SimTime;
 use massf_topology::MassfError;
 use parking_lot::Mutex;
@@ -91,18 +91,6 @@ impl BarrierObserver for NoopBarrierObserver {}
 /// Sentinel for "my queue is empty" in the published next-event times.
 const IDLE: u64 = u64::MAX;
 
-/// Windowed aggregates reduced by partition 0; everything is bounded by
-/// `TRACE_BUCKETS`, never by the window count.
-struct WindowStats {
-    bucket_critical: Vec<u64>,
-    bucket_totals: Vec<u64>,
-    partition_totals: Vec<u64>,
-    coarse_trace: Vec<Vec<u64>>,
-    windows_per_bucket: usize,
-    windows_executed: u64,
-    barrier_rounds: u64,
-}
-
 struct ThreadResult<M: Model> {
     shard: M,
     lp_events: Vec<u64>,
@@ -111,7 +99,9 @@ struct ThreadResult<M: Model> {
     /// inside the current window, if any — a lookahead violation.
     violation: Option<u64>,
     /// `Some` only for partition 0, which performs the reduction.
-    windowed: Option<WindowStats>,
+    windowed: Option<WindowAccumulator>,
+    /// Barrier rounds this partition passed (equal on every partition).
+    barrier_rounds: u64,
     /// This partition's drained frontier (empty unless the caller asked
     /// for a resume state), sorted by `(time, tag)`.
     pending: Vec<EventRecord<M::Event>>,
@@ -226,27 +216,12 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
     // windows and assignments computed at run time (a migration can put
     // a zero-latency link on the cut).
     let partitions = shards.len();
-    let invalid = |msg: String| Err(MassfError::InvalidConfig(msg));
-    if window == SimTime::ZERO {
-        return invalid("parallel window must be positive".into());
+    Scoring {
+        window,
+        assignment,
+        partitions,
     }
-    if partitions == 0 {
-        return invalid("parallel run needs at least one shard".into());
-    }
-    if assignment.len() != lp_count {
-        return invalid(format!(
-            "assignment covers {} LPs, the run has {lp_count}",
-            assignment.len()
-        ));
-    }
-    if let Some(lp) = assignment.iter().position(|&p| p as usize >= partitions) {
-        return invalid(format!(
-            "LP {lp} is assigned to partition {}, but there are {partitions} shards",
-            assignment[lp]
-        ));
-    }
-
-    let n_windows = end_time.as_ns().div_ceil(window.as_ns()) as usize;
+    .check(lp_count)?;
     let end_ns = end_time.as_ns();
 
     // Route pending events to their home partitions.
@@ -314,18 +289,9 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
                 let mut lp_events = vec![0u64; lp_count];
                 let mut total = 0u64;
                 let mut violation: Option<u64> = None;
-                let mut windowed = (p == 0).then(|| {
-                    let (windows_per_bucket, buckets) = bucket_layout(n_windows);
-                    WindowStats {
-                        bucket_critical: vec![0; buckets],
-                        bucket_totals: vec![0; buckets],
-                        partition_totals: vec![0; partitions],
-                        coarse_trace: vec![vec![0; partitions]; buckets],
-                        windows_per_bucket,
-                        windows_executed: 0,
-                        barrier_rounds: 1, // the initial publish barrier
-                    }
-                });
+                let mut windowed =
+                    (p == 0).then(|| WindowAccumulator::new(partitions, window, end_time));
+                let mut barrier_rounds = 1; // the initial publish barrier
 
                 // Publish the initial next-event time, then rendezvous so
                 // every partition computes the first window from complete
@@ -402,29 +368,15 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
                         // round and returns, so no peer is left blocking.
                         break;
                     }
+                    barrier_rounds += 2;
                     // Reduce this window's counts into the bucketed
                     // stats (partition 0 only; peers are draining their
                     // columns meanwhile, which never touches
-                    // `win_counts`).
-                    if let Some(ws) = windowed.as_mut() {
-                        let b = w / ws.windows_per_bucket;
-                        let mut win_total = 0u64;
-                        let mut win_max = 0u64;
-                        for (q, c) in win_counts.iter().enumerate() {
-                            let c = c.load(Ordering::Relaxed);
-                            win_total += c;
-                            win_max = win_max.max(c);
-                            ws.partition_totals[q] += c;
-                            ws.coarse_trace[b][q] += c;
-                        }
-                        ws.bucket_critical[b] += win_max;
-                        ws.bucket_totals[b] += win_total;
-                        // Fast-forward chose `w` because it holds the
-                        // globally next event, so the window is never
-                        // empty.
-                        debug_assert!(win_total > 0, "executed window must hold events");
-                        ws.windows_executed += 1;
-                        ws.barrier_rounds += 2;
+                    // `win_counts`). Fast-forward chose `w` because it
+                    // holds the globally next event, so it is never
+                    // empty.
+                    if let Some(acc) = windowed.as_mut() {
+                        acc.record_window(w, win_counts.iter().map(|c| c.load(Ordering::Relaxed)));
                     }
                     // Drain my column in fixed sender-index order.
                     for q in 0..partitions {
@@ -464,6 +416,7 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
                     total,
                     violation,
                     windowed,
+                    barrier_rounds,
                     pending,
                     counters,
                 }
@@ -498,7 +451,6 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
     }
 
     let mut stats = ExecutionStats::new(lp_count);
-    stats.window = window;
     stats.end_time = end_time;
     stats.barrier_wait_us = observer.waits_us();
     let mut shards_out = Vec::with_capacity(partitions);
@@ -509,16 +461,9 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
             *dst += src;
         }
         stats.total_events += r.total;
-        if let Some(ws) = r.windowed {
-            stats.n_windows = n_windows;
-            stats.bucket_critical = ws.bucket_critical;
-            stats.bucket_totals = ws.bucket_totals;
-            stats.partition_totals = ws.partition_totals;
-            stats.coarse_trace = ws.coarse_trace;
-            stats.windows_per_bucket = ws.windows_per_bucket;
-            stats.windows_executed = ws.windows_executed;
-            stats.windows_skipped = n_windows as u64 - ws.windows_executed;
-            stats.barrier_rounds = ws.barrier_rounds;
+        if let Some(acc) = r.windowed {
+            stats = acc.finish(stats);
+            stats.barrier_rounds = r.barrier_rounds;
         }
         if collect_resume {
             resume_events.extend(r.pending);

@@ -2,16 +2,17 @@
 //!
 //! [`run_sequential`] is the reference executor (one global event queue).
 //! [`run_sequential_windowed`] processes the same global order but
-//! additionally attributes every event to a `(window, partition)` cell,
-//! producing the trace the cluster performance model consumes. Because
-//! window boundaries never change event order, both produce identical
-//! model states.
+//! additionally scores the run: each [`Scoring`] attributes every event
+//! to a `(window, partition)` cell, producing the trace the cluster
+//! performance model consumes. Because window boundaries never change
+//! event order, one run can be scored against any number of mappings,
+//! and every variant produces identical model states.
 
 use crate::event::{EventRecord, LpId};
 use crate::model::{seed_events, Emitter, Model};
 use crate::queue::EventQueue;
 use crate::resume::ResumeState;
-use crate::stats::{ExecutionStats, WindowAccumulator};
+use crate::stats::{ExecutionStats, Scoring, WindowAccumulator};
 use crate::time::SimTime;
 use massf_topology::MassfError;
 
@@ -23,32 +24,28 @@ pub fn run_sequential<M: Model>(
     initial: Vec<(SimTime, LpId, M::Event)>,
     end_time: SimTime,
 ) -> ExecutionStats {
-    run_inner(model, lp_count, initial, end_time, None)
+    run_inner(model, lp_count, initial, end_time, &[]).0
 }
 
-/// Like [`run_sequential`], but also count events per `(window,
-/// partition)` given the LP→partition `assignment` and the window length.
+/// Like [`run_sequential`], but also score the one run against each of
+/// `scorings`, returning one [`ExecutionStats`] per scoring, in order.
+/// Their per-LP totals, `total_events` and `end_time` are the run's and
+/// equal across scorings; the windowed fields are each scoring's own.
 ///
-/// # Panics
-/// Panics if `window` is zero or `assignment.len() != lp_count`.
+/// A scoring with a zero window, an assignment that does not cover
+/// `lp_count` LPs, or a partition id past its partition count is
+/// [`MassfError::InvalidConfig`], returned before any event runs.
 pub fn run_sequential_windowed<M: Model>(
     model: &mut M,
     lp_count: usize,
     initial: Vec<(SimTime, LpId, M::Event)>,
     end_time: SimTime,
-    window: SimTime,
-    assignment: &[u32],
-    partitions: usize,
-) -> ExecutionStats {
-    assert!(window > SimTime::ZERO, "window must be positive");
-    assert_eq!(assignment.len(), lp_count);
-    run_inner(
-        model,
-        lp_count,
-        initial,
-        end_time,
-        Some((window, assignment, partitions)),
-    )
+    scorings: &[Scoring<'_>],
+) -> Result<Vec<ExecutionStats>, MassfError> {
+    for scoring in scorings {
+        scoring.check(lp_count)?;
+    }
+    Ok(run_inner(model, lp_count, initial, end_time, scorings).1)
 }
 
 /// Continue a paused sequential run from `resume` until `end_time`,
@@ -70,15 +67,16 @@ pub fn run_sequential_resumable<M: Model>(
     end_time: SimTime,
 ) -> Result<(ExecutionStats, ResumeState<M::Event>), MassfError> {
     resume.validate(lp_count)?;
-    Ok(run_core(
+    let (stats, _, frontier) = run_core(
         model,
         lp_count,
         resume.events,
         resume.counters,
         end_time,
-        None,
+        &[],
         true,
-    ))
+    );
+    Ok((stats, frontier))
 }
 
 fn run_inner<M: Model>(
@@ -86,36 +84,39 @@ fn run_inner<M: Model>(
     lp_count: usize,
     initial: Vec<(SimTime, LpId, M::Event)>,
     end_time: SimTime,
-    windowed: Option<(SimTime, &[u32], usize)>,
-) -> ExecutionStats {
+    scorings: &[Scoring<'_>],
+) -> (ExecutionStats, Vec<ExecutionStats>) {
     let pending = seed_events(initial);
     let counters = vec![0u32; lp_count];
-    run_core(
-        model, lp_count, pending, counters, end_time, windowed, false,
-    )
-    .0
+    let (stats, scored, _) = run_core(
+        model, lp_count, pending, counters, end_time, scorings, false,
+    );
+    (stats, scored)
 }
 
+/// The sequential loop: returns the run's stats, one scored copy per
+/// entry of `scorings`, and the frontier (empty unless
+/// `collect_resume`).
+#[allow(clippy::type_complexity)] // (stats, scored stats, frontier) is the whole run
 fn run_core<M: Model>(
     model: &mut M,
     lp_count: usize,
     pending: Vec<EventRecord<M::Event>>,
     mut counters: Vec<u32>,
     end_time: SimTime,
-    windowed: Option<(SimTime, &[u32], usize)>,
+    scorings: &[Scoring<'_>],
     collect_resume: bool,
-) -> (ExecutionStats, ResumeState<M::Event>) {
+) -> (ExecutionStats, Vec<ExecutionStats>, ResumeState<M::Event>) {
     let mut stats = ExecutionStats::new(lp_count);
     let mut queue: EventQueue<M::Event> = EventQueue::new();
     for ev in pending {
         queue.push(ev);
     }
     let mut out_buf: Vec<EventRecord<M::Event>> = Vec::new();
-
-    let mut acc = windowed.map(|(window, _, partitions)| {
-        let n_windows = end_time.as_ns().div_ceil(window.as_ns()) as usize;
-        WindowAccumulator::new(partitions, n_windows)
-    });
+    let mut scorers: Vec<(&Scoring<'_>, WindowAccumulator)> = scorings
+        .iter()
+        .map(|s| (s, WindowAccumulator::new(s.partitions, s.window, end_time)))
+        .collect();
 
     // Events at or past `end_time` stay queued, so the frontier drain
     // below sees the complete pending set.
@@ -128,31 +129,51 @@ fn run_core<M: Model>(
         }
         stats.lp_events[lp.index()] += 1;
         stats.total_events += 1;
-        if let (Some(acc), Some((window, assignment, _))) = (acc.as_mut(), windowed) {
-            let w = (ev.time.as_ns() / window.as_ns()) as usize;
-            let p = assignment[lp.index()] as usize;
-            acc.record(w, p);
+        for (s, acc) in &mut scorers {
+            let w = ev.time.as_ns() / s.window.as_ns();
+            acc.record(w as usize, s.assignment[lp.index()] as usize);
         }
         for new_ev in out_buf.drain(..) {
             queue.push(new_ev);
         }
     }
-    if let (Some(acc), Some((window, _, _))) = (acc, windowed) {
-        acc.finish(window, &mut stats);
-    }
     stats.end_time = end_time;
+    let scored = scorers
+        .into_iter()
+        .map(|(_, acc)| acc.finish(stats.clone()))
+        .collect();
 
     let events = if collect_resume {
         queue.drain()
     } else {
         Vec::new()
     };
-    (stats, ResumeState { events, counters })
+    (stats, scored, ResumeState { events, counters })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One run scored once: the stats of the single scoring.
+    pub(super) fn windowed<M: Model>(
+        model: &mut M,
+        lp_count: usize,
+        initial: Vec<(SimTime, LpId, M::Event)>,
+        end_time: SimTime,
+        window: SimTime,
+        assignment: &[u32],
+        partitions: usize,
+    ) -> ExecutionStats {
+        let scoring = Scoring {
+            window,
+            assignment,
+            partitions,
+        };
+        let mut scored = run_sequential_windowed(model, lp_count, initial, end_time, &[scoring])
+            .expect("valid scoring");
+        scored.pop().expect("one stats per scoring")
+    }
 
     /// Each LP forwards a token to the next LP after 1 ms, recording the
     /// visit order.
@@ -280,7 +301,7 @@ mod tests {
         };
         // LP0 -> partition 0, LP1 -> partition 1; 1 ms window; events at
         // t=0(LP0),1(LP1),2(LP0),3(LP1) within end=4ms.
-        let stats = run_sequential_windowed(
+        let stats = windowed(
             &mut m,
             2,
             vec![(SimTime::ZERO, LpId(0), 0)],
@@ -314,7 +335,7 @@ mod tests {
             (SimTime::from_ms(2), LpId(3), 0u8),
         ];
         run_sequential(&mut a, 5, init.clone(), SimTime::from_ms(20));
-        run_sequential_windowed(
+        windowed(
             &mut b,
             5,
             init,
@@ -326,13 +347,48 @@ mod tests {
         assert_eq!(a.visits, b.visits);
     }
 
+    /// Caller input that used to panic inside the accumulator (a
+    /// partition id past the count indexed out of bounds) or trip an
+    /// `assert!` comes back as `InvalidConfig`, before any event runs.
+    #[test]
+    fn bad_scoring_is_invalid_config_not_a_panic() {
+        let run = |window, assignment: &[u32], partitions| {
+            let mut m = Ring {
+                n: 2,
+                visits: vec![],
+            };
+            let scoring = Scoring {
+                window,
+                assignment,
+                partitions,
+            };
+            let initial = vec![(SimTime::ZERO, LpId(0), 0)];
+            let outcome =
+                run_sequential_windowed(&mut m, 2, initial, SimTime::from_ms(4), &[scoring]);
+            assert!(m.visits.is_empty(), "no event runs on bad input");
+            outcome.map(|scored| scored.len())
+        };
+        let ms = SimTime::from_ms(1);
+        for (what, outcome) in [
+            ("zero window", run(SimTime::ZERO, &[0, 1], 2)),
+            ("no partitions", run(ms, &[0, 0], 0)),
+            ("short assignment", run(ms, &[0], 2)),
+            ("partition id past the partitions", run(ms, &[0, 2], 2)),
+        ] {
+            assert!(
+                matches!(outcome, Err(MassfError::InvalidConfig(_))),
+                "{what}: got {outcome:?}"
+            );
+        }
+    }
+
     #[test]
     fn event_rate_normalization() {
         let mut m = Ring {
             n: 2,
             visits: vec![],
         };
-        let stats = run_sequential_windowed(
+        let stats = windowed(
             &mut m,
             2,
             vec![(SimTime::ZERO, LpId(0), 0)],
@@ -349,6 +405,7 @@ mod tests {
 
 #[cfg(test)]
 mod trace_tests {
+    use super::tests::windowed;
     use super::*;
     use crate::stats::TRACE_BUCKETS;
 
@@ -365,7 +422,7 @@ mod trace_tests {
     fn coarse_trace_covers_long_runs_with_bounded_buckets() {
         let mut m = Ticker;
         // 2000 windows of 1 ms: must be bucketed down to ≤ TRACE_BUCKETS.
-        let stats = run_sequential_windowed(
+        let stats = windowed(
             &mut m,
             1,
             vec![(SimTime::ZERO, LpId(0), ())],
@@ -386,7 +443,7 @@ mod trace_tests {
         let mut m = Ticker;
         // Events at t = 0, 1, 2, 3 ms with 2 ms windows: the t = 2 ms
         // event belongs to window 1 (windows are half-open [t0, t1)).
-        let stats = run_sequential_windowed(
+        let stats = windowed(
             &mut m,
             1,
             vec![(SimTime::ZERO, LpId(0), ())],
@@ -404,5 +461,88 @@ mod trace_tests {
         let stats = run_sequential(&mut m, 3, vec![], SimTime::from_secs(1));
         assert_eq!(stats.total_events, 0);
         assert!(stats.lp_events.iter().all(|&c| c == 0));
+    }
+}
+
+#[cfg(test)]
+mod scoring_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn mix(x: u64) -> u64 {
+        let x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
+    /// Tokens hop between LPs after pseudo-random delays, so windows
+    /// hold uneven, partly empty, partly simultaneous event sets.
+    struct Scatter {
+        lps: u32,
+    }
+
+    impl Model for Scatter {
+        type Event = u64;
+        fn handle(&mut self, _: LpId, _: SimTime, h: u64, out: &mut Emitter<'_, u64>) {
+            let h = mix(h.wrapping_add(0x9E37_79B9_7F4A_7C15));
+            out.emit(
+                SimTime::from_us(1 + h % 700),
+                LpId((h >> 32) as u32 % self.lps),
+                h,
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One run scored K ways equals K runs scored one way each,
+        /// every `ExecutionStats` field equal: random assignments and
+        /// partition counts, windows from 512 ns to 33 ms that rarely
+        /// divide the horizon and often exceed it, and up to 39,000
+        /// windows per scoring (so coarse buckets span several).
+        #[test]
+        fn one_run_scores_like_one_run_per_scoring(
+            horizon_us in 1u64..20_000,
+            tokens in 1u64..6,
+            specs in proptest::collection::vec(
+                (9u32..25, any::<u64>(), 1usize..7, any::<u64>()),
+                1..9,
+            ),
+        ) {
+            const LPS: u32 = 11;
+            let end = SimTime::from_us(horizon_us);
+            let initial: Vec<(SimTime, LpId, u64)> = (0..tokens)
+                .map(|i| (SimTime::from_us(i * 37), LpId((i * 5) as u32 % LPS), i))
+                .collect();
+            let assignments: Vec<Vec<u32>> = specs
+                .iter()
+                .map(|&(_, _, parts, seed)| {
+                    (0..LPS)
+                        .map(|lp| (mix(seed ^ u64::from(lp)) % parts as u64) as u32)
+                        .collect()
+                })
+                .collect();
+            let scorings: Vec<Scoring<'_>> = specs
+                .iter()
+                .zip(&assignments)
+                .map(|(&(shift, jitter, partitions, _), assignment)| Scoring {
+                    window: SimTime::from_ns((1 << shift) + jitter % (1 << shift)),
+                    assignment,
+                    partitions,
+                })
+                .collect();
+            let run = |scorings: &[Scoring<'_>]| {
+                let mut model = Scatter { lps: LPS };
+                run_sequential_windowed(&mut model, LPS as usize, initial.clone(), end, scorings)
+                    .expect("valid scorings")
+            };
+            let together = run(&scorings);
+            prop_assert_eq!(together.len(), scorings.len());
+            for (stats, scoring) in together.iter().zip(&scorings) {
+                let alone = run(std::slice::from_ref(scoring));
+                prop_assert_eq!(stats, &alone[0]);
+            }
+        }
     }
 }

@@ -28,13 +28,14 @@
 //! `windows_skipped` (= `n_windows - windows_executed`).
 
 use crate::time::SimTime;
+use massf_topology::MassfError;
 
 /// Maximum number of buckets kept in any per-window aggregate
 /// (`bucket_critical`, `bucket_totals`, `coarse_trace`).
 pub const TRACE_BUCKETS: usize = 512;
 
 /// Statistics from one simulation run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionStats {
     /// Events handled per LP.
     pub lp_events: Vec<u64>,
@@ -156,17 +157,59 @@ pub fn imbalance_permille(loads: &[u64]) -> u64 {
     (max as u128 * 1000 * k as u128 / total as u128) as u64
 }
 
-/// Streaming accumulator used by the executors to build windowed stats
+/// One accounting of a run's events into `(window, partition)` cells:
+/// an event of LP `l` at time `t` counts for `assignment[l]` in window
+/// `t / window`. One sequential run can be scored any number of ways;
+/// a parallel run is scored by its own window and assignment.
+#[derive(Debug, Clone, Copy)]
+pub struct Scoring<'a> {
+    /// Window length.
+    pub window: SimTime,
+    /// LP → partition, one entry per LP.
+    pub assignment: &'a [u32],
+    /// Number of partitions; every `assignment` entry is below it.
+    pub partitions: usize,
+}
+
+impl Scoring<'_> {
+    /// Check this scoring against a run over `lp_count` LPs: a zero
+    /// window, an assignment of the wrong length or a partition id past
+    /// `partitions` (so, with any LP, no partitions at all) is
+    /// [`MassfError::InvalidConfig`].
+    pub(crate) fn check(&self, lp_count: usize) -> Result<(), MassfError> {
+        let invalid = |msg: String| Err(MassfError::InvalidConfig(msg));
+        if self.window == SimTime::ZERO {
+            return invalid("window must be positive".into());
+        }
+        if self.assignment.len() != lp_count {
+            return invalid(format!(
+                "assignment covers {} LPs, the run has {lp_count}",
+                self.assignment.len()
+            ));
+        }
+        for (lp, &p) in self.assignment.iter().enumerate() {
+            if p as usize >= self.partitions {
+                let n = self.partitions;
+                return invalid(format!(
+                    "LP {lp} is assigned to partition {p}, but there are {n} partitions"
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Streaming accumulator both executors build windowed stats with,
 /// without materializing anything `O(n_windows)`: memory is
-/// `O(partitions + TRACE_BUCKETS × partitions)` and advancing over an
-/// empty stretch of windows is O(1) (a direct jump, not a per-window
-/// flush loop).
+/// `O(partitions + TRACE_BUCKETS × partitions)`, and the empty windows
+/// between two executed ones cost nothing. The parallel executor folds
+/// whole windows; the sequential one records events one at a time.
 #[derive(Debug, Clone)]
 pub(crate) struct WindowAccumulator {
+    window: SimTime,
     n_windows: usize,
     windows_per_bucket: usize,
     current_window: usize,
-    current_total: u64,
     current_counts: Vec<u64>,
     bucket_critical: Vec<u64>,
     bucket_totals: Vec<u64>,
@@ -175,21 +218,18 @@ pub(crate) struct WindowAccumulator {
     windows_executed: u64,
 }
 
-/// Bucket geometry shared by every windowed-stats producer.
-pub(crate) fn bucket_layout(n_windows: usize) -> (usize, usize) {
-    let windows_per_bucket = n_windows.div_ceil(TRACE_BUCKETS).max(1);
-    let buckets = n_windows.div_ceil(windows_per_bucket);
-    (windows_per_bucket, buckets)
-}
-
 impl WindowAccumulator {
-    pub(crate) fn new(partitions: usize, n_windows: usize) -> Self {
-        let (windows_per_bucket, buckets) = bucket_layout(n_windows);
+    /// An accumulator for `partitions` partitions over the
+    /// `ceil(end_time / window)` windows of a run to `end_time`.
+    pub(crate) fn new(partitions: usize, window: SimTime, end_time: SimTime) -> Self {
+        let n_windows = end_time.as_ns().div_ceil(window.as_ns()) as usize;
+        let windows_per_bucket = n_windows.div_ceil(TRACE_BUCKETS).max(1);
+        let buckets = n_windows.div_ceil(windows_per_bucket);
         WindowAccumulator {
+            window,
             n_windows,
             windows_per_bucket,
             current_window: 0,
-            current_total: 0,
             current_counts: vec![0; partitions],
             bucket_critical: vec![0; buckets],
             bucket_totals: vec![0; buckets],
@@ -210,36 +250,41 @@ impl WindowAccumulator {
             self.current_window = w;
         }
         self.current_counts[p] += 1;
-        self.current_total += 1;
-        self.partition_totals[p] += 1;
-        if let Some(bucket) = self.coarse_trace.get_mut(w / self.windows_per_bucket) {
-            bucket[p] += 1;
-        }
     }
 
+    /// Fold the window [`Self::record`] is filling, unless it is empty.
     fn flush_current(&mut self) {
-        if self.current_total == 0 {
-            return;
-        }
-        let max = self.current_counts.iter().copied().max().unwrap_or(0);
-        let b = self.current_window / self.windows_per_bucket;
-        if let Some(slot) = self.bucket_critical.get_mut(b) {
-            *slot += max;
-        }
-        if let Some(slot) = self.bucket_totals.get_mut(b) {
-            *slot += self.current_total;
-        }
-        self.windows_executed += 1;
-        self.current_total = 0;
-        for c in self.current_counts.iter_mut() {
-            *c = 0;
+        if self.current_counts.iter().any(|&c| c > 0) {
+            let mut counts = std::mem::take(&mut self.current_counts);
+            self.record_window(self.current_window, counts.iter().copied());
+            counts.fill(0);
+            self.current_counts = counts;
         }
     }
 
-    /// Finish: flush the final window and write into `stats`.
-    pub(crate) fn finish(mut self, window: SimTime, stats: &mut ExecutionStats) {
+    /// Fold executed window `w`, given its event count per partition in
+    /// partition order. Windows arrive in increasing order, each at most
+    /// once, and each holds at least one event.
+    pub(crate) fn record_window(&mut self, w: usize, counts: impl IntoIterator<Item = u64>) {
+        let b = w / self.windows_per_bucket;
+        let (mut total, mut max) = (0, 0);
+        for (q, c) in counts.into_iter().enumerate() {
+            total += c;
+            max = max.max(c);
+            self.partition_totals[q] += c;
+            self.coarse_trace[b][q] += c;
+        }
+        debug_assert!(total > 0, "an executed window holds events");
+        self.bucket_critical[b] += max;
+        self.bucket_totals[b] += total;
+        self.windows_executed += 1;
+    }
+
+    /// Flush the last window and return `stats` with its windowed
+    /// fields written.
+    pub(crate) fn finish(mut self, mut stats: ExecutionStats) -> ExecutionStats {
         self.flush_current();
-        stats.window = window;
+        stats.window = self.window;
         stats.n_windows = self.n_windows;
         stats.bucket_critical = self.bucket_critical;
         stats.bucket_totals = self.bucket_totals;
@@ -248,6 +293,7 @@ impl WindowAccumulator {
         stats.windows_per_bucket = self.windows_per_bucket;
         stats.windows_executed = self.windows_executed;
         stats.windows_skipped = self.n_windows as u64 - self.windows_executed;
+        stats
     }
 }
 
@@ -257,7 +303,7 @@ mod tests {
 
     #[test]
     fn accumulator_tracks_max_total_and_totals() {
-        let mut acc = WindowAccumulator::new(3, 4);
+        let mut acc = WindowAccumulator::new(3, SimTime::from_ms(1), SimTime::from_ms(4));
         // window 0: p0×2, p1×1
         acc.record(0, 0);
         acc.record(0, 0);
@@ -266,8 +312,7 @@ mod tests {
         acc.record(2, 2);
         acc.record(2, 2);
         acc.record(2, 2);
-        let mut stats = ExecutionStats::new(0);
-        acc.finish(SimTime::from_ms(1), &mut stats);
+        let stats = acc.finish(ExecutionStats::new(0));
         // 4 windows, 1 window per bucket: buckets mirror windows here.
         assert_eq!(stats.bucket_critical, vec![2, 0, 3, 0]);
         assert_eq!(stats.bucket_totals, vec![3, 0, 3, 0]);
@@ -281,12 +326,12 @@ mod tests {
     #[test]
     fn coarse_trace_buckets_many_windows() {
         let n_windows = TRACE_BUCKETS * 3;
-        let mut acc = WindowAccumulator::new(2, n_windows);
+        let mut acc =
+            WindowAccumulator::new(2, SimTime::from_ms(1), SimTime::from_ms(n_windows as u64));
         for w in 0..n_windows {
             acc.record(w, w % 2);
         }
-        let mut stats = ExecutionStats::new(0);
-        acc.finish(SimTime::from_ms(1), &mut stats);
+        let stats = acc.finish(ExecutionStats::new(0));
         assert_eq!(stats.windows_per_bucket, 3);
         assert_eq!(stats.coarse_trace.len(), TRACE_BUCKETS);
         let bucket_sum: u64 = stats.coarse_trace.iter().flatten().sum();
@@ -304,12 +349,11 @@ mod tests {
         // time must both stay bucket-bounded (the pre-overhaul
         // accumulator walked every window).
         let n_windows = 100_000_000;
-        let mut acc = WindowAccumulator::new(2, n_windows);
+        let mut acc = WindowAccumulator::new(2, SimTime::from_us(1), SimTime::from_secs(100));
         acc.record(0, 0);
         acc.record(57_000_000, 1);
         acc.record(99_999_999, 0);
-        let mut stats = ExecutionStats::new(0);
-        acc.finish(SimTime::from_us(1), &mut stats);
+        let stats = acc.finish(ExecutionStats::new(0));
         assert!(stats.bucket_critical.len() <= TRACE_BUCKETS);
         assert!(stats.bucket_totals.len() <= TRACE_BUCKETS);
         assert_eq!(stats.critical_path_events(), 3);

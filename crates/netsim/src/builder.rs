@@ -11,7 +11,7 @@ use crate::profiling::ProfileData;
 use crate::world::{AppLogic, NetWorld, SharedNet, DEFAULT_ROUTE_CACHE_CAPACITY};
 use massf_engine::{
     run_sequential, run_sequential_windowed, try_run_parallel_observed, BarrierObserver,
-    ExecutionStats, LpId, MassfError, NoopBarrierObserver, SimTime,
+    ExecutionStats, LpId, MassfError, NoopBarrierObserver, Scoring, SimTime,
 };
 use massf_faults::{FaultKind, FaultState};
 use massf_routing::PathResolver;
@@ -20,10 +20,11 @@ use massf_topology::NodeId;
 use std::sync::Arc;
 
 /// Results of one simulation run.
-pub struct SimOutput<A> {
+pub struct SimOutput<A, S = ExecutionStats> {
     /// Engine statistics (per-LP event counts; per-window per-partition
-    /// counts for windowed runs).
-    pub stats: ExecutionStats,
+    /// counts for parallel runs). A scored run holds one
+    /// [`ExecutionStats`] per scoring.
+    pub stats: S,
     /// Merged traffic profile.
     pub profile: ProfileData,
     /// Application logic instances (one for sequential runs, one per
@@ -196,11 +197,7 @@ impl NetSimBuilder {
 
     /// Fold a finished run's worlds into its output: profiles merged,
     /// application instances kept in world order.
-    fn collect<A: AppLogic>(
-        &self,
-        stats: ExecutionStats,
-        worlds: Vec<NetWorld<A>>,
-    ) -> SimOutput<A> {
+    fn collect<A: AppLogic, S>(&self, stats: S, worlds: Vec<NetWorld<A>>) -> SimOutput<A, S> {
         let mut profile =
             ProfileData::new(self.shared.net.node_count(), self.shared.net.links.len());
         let mut apps = Vec::with_capacity(worlds.len());
@@ -228,28 +225,27 @@ impl NetSimBuilder {
         self.collect(stats, vec![world])
     }
 
-    /// Run sequentially while attributing events to `(window, partition)`
-    /// cells — the trace-driven mode behind the cluster performance
-    /// model (DESIGN.md substitution #1).
+    /// Run sequentially once, attributing events to `(window,
+    /// partition)` cells for each of `scorings` — the trace-driven mode
+    /// behind the cluster performance model (DESIGN.md substitution #1).
+    /// The output holds one [`ExecutionStats`] per scoring, in order; a
+    /// scoring inconsistent with the network is
+    /// [`MassfError::InvalidConfig`].
     pub fn run_sequential_windowed<A: AppLogic>(
         &self,
         app: A,
         end: SimTime,
-        window: SimTime,
-        assignment: &[u32],
-        partitions: usize,
-    ) -> SimOutput<A> {
+        scorings: &[Scoring<'_>],
+    ) -> Result<SimOutput<A, Vec<ExecutionStats>>, MassfError> {
         let mut world = self.world(app);
         let stats = run_sequential_windowed(
             &mut world,
             self.shared.lp_count(),
             self.initial_events(),
             end,
-            window,
-            assignment,
-            partitions,
-        );
-        self.collect(stats, vec![world])
+            scorings,
+        )?;
+        Ok(self.collect(stats, vec![world]))
     }
 
     /// Run on the real multi-threaded conservative executor, one thread
@@ -343,16 +339,17 @@ mod tests {
         let n = b.shared().lp_count();
         let plain = b.run_sequential(NoApp, SimTime::from_secs(10));
         let assignment: Vec<u32> = (0..n).map(|i| (i % 4) as u32).collect();
-        let windowed = b.run_sequential_windowed(
-            NoApp,
-            SimTime::from_secs(10),
-            SimTime::from_ms(1),
-            &assignment,
-            4,
-        );
-        assert_eq!(plain.stats.total_events, windowed.stats.total_events);
+        let scoring = Scoring {
+            window: SimTime::from_ms(1),
+            assignment: &assignment,
+            partitions: 4,
+        };
+        let windowed = b
+            .run_sequential_windowed(NoApp, SimTime::from_secs(10), &[scoring])
+            .expect("valid scoring");
+        assert_eq!(plain.stats.total_events, windowed.stats[0].total_events);
         assert_eq!(plain.profile, windowed.profile);
-        assert_eq!(plain.stats.lp_events, windowed.stats.lp_events);
+        assert_eq!(plain.stats.lp_events, windowed.stats[0].lp_events);
     }
 
     #[test]

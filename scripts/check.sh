@@ -7,8 +7,10 @@
 #                             engine_throughput, partitioner,
 #                             hprof_sweep, mem_footprint,
 #                             checkpoint_study, fluid_scaling and
-#                             rebalance_study smoke runs, and the
-#                             benchmark crate's own gate, perf/check.sh)
+#                             rebalance_study smoke runs, tiny
+#                             scaling_study and ablation_sync_cost runs,
+#                             and the benchmark crate's own gate,
+#                             perf/check.sh)
 #   scripts/check.sh --fast   skip the release-mode smoke runs
 #
 # Each stage is wall-clock timed; a summary table prints at the end,
@@ -77,6 +79,10 @@ if [ "$FAST" -eq 0 ]; then
         cargo run --release -q -p massf-bench --bin fluid_scaling -- --smoke
     stage "rebalance_study --smoke" \
         cargo run --release -q -p massf-bench --bin rebalance_study -- --smoke
+    stage "scaling_study --scale tiny" \
+        cargo run --release -q -p massf-bench --bin scaling_study -- --scale tiny
+    stage "ablation_sync_cost --scale tiny" \
+        cargo run --release -q -p massf-bench --bin ablation_sync_cost -- --scale tiny
     stage "perf/check.sh (benchmark crate: fmt, clippy, tests, --quick suite)" \
         bash perf/check.sh
 else

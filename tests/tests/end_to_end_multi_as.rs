@@ -25,7 +25,7 @@ fn pipeline_completes_on_bgp_routed_network() {
 #[test]
 fn traffic_crosses_as_boundaries() {
     let scenario = tiny_multi_as(17);
-    let profile = run_profiling(&scenario, SimTime::from_secs(2));
+    let profile = run_profiling(&scenario, SimTime::from_secs(2)).profile;
     // Inter-AS links must carry traffic: workflow hosts and HTTP pairs
     // land on different stub ASes.
     let inter_packets: u64 = scenario

@@ -9,9 +9,7 @@ fn every_mapping_approach_completes_the_pipeline() {
     let cfg = tiny_mapping_config(4);
     let model = ClusterModel::default();
     let duration = SimTime::from_secs(2);
-    let profile = run_profiling(&scenario, duration);
-
-    for approach in [
+    let approaches = [
         MappingApproach::Top,
         MappingApproach::Top2,
         MappingApproach::Prof,
@@ -20,15 +18,11 @@ fn every_mapping_approach_completes_the_pipeline() {
         MappingApproach::Hprof,
         MappingApproach::Random,
         MappingApproach::GreedyKCluster,
-    ] {
-        let out = run_mapping_experiment_with_profile(
-            &scenario,
-            approach,
-            &cfg,
-            &model,
-            duration,
-            approach.needs_profile().then(|| profile.clone()),
-        );
+    ];
+    let outputs = run_approaches(&scenario, &approaches, &cfg, &model, duration);
+    assert_eq!(outputs.len(), approaches.len());
+    for (out, approach) in outputs.into_iter().zip(approaches) {
+        assert_eq!(out.approach, approach);
         assert_eq!(
             out.mapping.partition.len(),
             scenario.net.node_count(),
@@ -106,7 +100,7 @@ fn experiment_is_deterministic() {
 #[test]
 fn profiled_weights_reflect_actual_traffic() {
     let scenario = tiny_single_as(31);
-    let profile = run_profiling(&scenario, SimTime::from_secs(2));
+    let profile = run_profiling(&scenario, SimTime::from_secs(2)).profile;
     // Total node packets must be positive and concentrated: the busiest
     // node should be well above the median (heavy-tailed network load).
     let mut counts = profile.node_packets.clone();

@@ -10,7 +10,8 @@
 
 use massf_engine::{
     run_sequential, run_sequential_resumable, run_sequential_windowed, seed_events,
-    try_run_parallel, Emitter, ExecutionStats, LpId, Model, ResumeState, SimTime, TRACE_BUCKETS,
+    try_run_parallel, Emitter, ExecutionStats, LpId, Model, ResumeState, Scoring, SimTime,
+    TRACE_BUCKETS,
 };
 use proptest::prelude::*;
 
@@ -87,6 +88,26 @@ fn assert_windowed_stats_match(seq: &ExecutionStats, par: &ExecutionStats) {
     assert_eq!(seq.window_count(), par.window_count());
 }
 
+/// `run_sequential_windowed` with one scoring: that scoring's stats.
+fn windowed<M: Model>(
+    model: &mut M,
+    lp_count: usize,
+    initial: Vec<(SimTime, LpId, M::Event)>,
+    end: SimTime,
+    window: SimTime,
+    assignment: &[u32],
+    partitions: usize,
+) -> ExecutionStats {
+    let scoring = Scoring {
+        window,
+        assignment,
+        partitions,
+    };
+    let mut scored =
+        run_sequential_windowed(model, lp_count, initial, end, &[scoring]).expect("valid scoring");
+    scored.pop().expect("one stats per scoring")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -130,7 +151,7 @@ proptest! {
         run_sequential(&mut seq, n as usize, initial.clone(), end);
 
         let mut seqw = LogRing::new(n, hop, idle, burst);
-        let seqw_stats = run_sequential_windowed(
+        let seqw_stats = windowed(
             &mut seqw, n as usize, initial.clone(), end, window, &assignment, parts,
         );
         prop_assert_eq!(&seqw.log, &seq.log);
@@ -262,7 +283,7 @@ fn tiny_window_long_horizon_stays_bounded() {
     let assignment: Vec<u32> = (0..n).map(|i| i % 2).collect();
 
     let mut seq = model();
-    let seq_stats = run_sequential_windowed(
+    let seq_stats = windowed(
         &mut seq,
         n as usize,
         initial.clone(),
@@ -379,7 +400,7 @@ fn queue_edges_match_across_executors_and_a_split_at_2_pow_32() {
     for parts in [1usize, 2, 4] {
         let assignment: Vec<u32> = (0..n).map(|lp| lp % parts as u32).collect();
         let mut seqw = Mixer::new(n);
-        let seqw_stats = run_sequential_windowed(
+        let seqw_stats = windowed(
             &mut seqw,
             n as usize,
             initial.clone(),

@@ -20,7 +20,7 @@ use massf_topology::{
 /// everything a figure would print.
 fn hprof_at(scenario: &Scenario, threads: usize) -> (Vec<u32>, u64, u64, Option<u64>) {
     with_threads(threads, || {
-        let profile = run_profiling(scenario, SimTime::from_secs(1));
+        let profile = run_profiling(scenario, SimTime::from_secs(1)).profile;
         let cfg = tiny_mapping_config(4);
         let mapping = map_network(&scenario.net, Some(&profile), MappingApproach::Hprof, &cfg);
         (

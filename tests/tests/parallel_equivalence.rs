@@ -4,6 +4,7 @@
 //! achieved MLL, gives results bit-identical to sequential execution.
 
 use massf_core::prelude::*;
+use massf_engine::Scoring;
 use massf_integration::{tiny_mapping_config, tiny_single_as};
 use massf_netsim::NetSimBuilder;
 
@@ -16,7 +17,7 @@ fn mll_window(scenario: &Scenario, assignment: &[u32]) -> SimTime {
 fn parallel_run_matches_sequential_under_hprof_mapping() {
     let scenario = tiny_single_as(41);
     let cfg = tiny_mapping_config(3);
-    let profile = run_profiling(&scenario, SimTime::from_secs(1));
+    let profile = run_profiling(&scenario, SimTime::from_secs(1)).profile;
     let mapping = map_network(&scenario.net, Some(&profile), MappingApproach::Hprof, &cfg);
     let window = mll_window(&scenario, &mapping.partition.assignment);
     assert!(window > SimTime::ZERO);
@@ -74,19 +75,26 @@ fn windowed_sequential_matches_plain_sequential_on_full_workload() {
     builder.add_initial_events(events);
 
     let plain = builder.run_sequential(app.clone(), end);
-    let windowed =
-        builder.run_sequential_windowed(app, end, window, &mapping.partition.assignment, 4);
+    let scoring = Scoring {
+        window,
+        assignment: &mapping.partition.assignment,
+        partitions: 4,
+    };
+    let windowed = builder
+        .run_sequential_windowed(app, end, &[scoring])
+        .expect("the mapping covers every LP");
+    let stats = &windowed.stats[0];
 
-    assert_eq!(plain.stats.total_events, windowed.stats.total_events);
+    assert_eq!(plain.stats.total_events, stats.total_events);
     assert_eq!(plain.profile, windowed.profile);
     // Windowed bookkeeping is consistent.
-    let by_window: u64 = windowed.stats.bucket_totals.iter().sum();
-    let by_partition: u64 = windowed.stats.partition_totals.iter().sum();
-    assert_eq!(by_window, windowed.stats.total_events);
-    assert_eq!(by_partition, windowed.stats.total_events);
-    assert!(windowed.stats.critical_path_events() <= windowed.stats.total_events);
+    let by_window: u64 = stats.bucket_totals.iter().sum();
+    let by_partition: u64 = stats.partition_totals.iter().sum();
+    assert_eq!(by_window, stats.total_events);
+    assert_eq!(by_partition, stats.total_events);
+    assert!(stats.critical_path_events() <= stats.total_events);
     assert!(
-        windowed.stats.critical_path_events() * 4 >= windowed.stats.total_events,
+        stats.critical_path_events() * 4 >= stats.total_events,
         "critical path cannot beat perfect 4-way speedup"
     );
 }
