@@ -385,15 +385,9 @@ fn main() {
         let n = shared.lp_count();
         // simlint: allow(cast-lossy) -- partition index over a tiny smoke net
         let assignment: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
-        let mut mll = f64::INFINITY;
-        for link in &net.links {
-            if assignment[link.a.index()] != assignment[link.b.index()] {
-                mll = mll.min(link.latency_ms);
-            }
-        }
         let mode = ExecMode::Parallel {
+            window: shared.safe_parallel_window(&assignment),
             assignment,
-            window: SimTime::from_ms_f64(mll),
         };
         let mut par = trunk
             .branch(shared.clone(), suffixes[0].clone())

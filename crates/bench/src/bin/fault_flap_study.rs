@@ -35,7 +35,7 @@ use massf_core::prelude::*;
 use massf_engine::RebalanceConfig;
 use massf_netsim::{
     Agent, FaultScript, FaultState, NetSimBuilder, NoApp, ProfileData, SimOutput,
-    DEFAULT_ROUTE_CACHE_CAPACITY, FLUID_CONTROL_DELAY, MAX_RETRIES,
+    DEFAULT_ROUTE_CACHE_CAPACITY, MAX_RETRIES,
 };
 use massf_routing::{CostMetric, FlatResolver};
 use massf_snapshot::{RebalancePolicy, Session};
@@ -575,12 +575,6 @@ fn main() {
         );
         let n = net.node_count();
         let assignment: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
-        let mut mll = f64::INFINITY;
-        for link in &net.links {
-            if assignment[link.a.index()] != assignment[link.b.index()] {
-                mll = mll.min(link.latency_ms);
-            }
-        }
         let mut builder = NetSimBuilder::new_with_faults(net.clone(), faults.clone());
         builder.max_retries(opts.max_retries);
         builder.add_agent(traffic(&hosts, duration, flows, seed));
@@ -589,10 +583,7 @@ fn main() {
             .try_run_parallel_observed(
                 NoApp,
                 duration,
-                // Fluid control events promise exactly
-                // FLUID_CONTROL_DELAY of cross-LP lookahead, so the
-                // window is the cut MLL capped at that delay.
-                SimTime::from_ms_f64(mll).min(FLUID_CONTROL_DELAY),
+                builder.shared().safe_parallel_window(&assignment),
                 &assignment,
                 2,
                 &observer,

@@ -1,18 +1,13 @@
 //! Reporting. Output is fully deterministic (sorted by path, then
 //! line, then rule) so simlint's own output can be diffed.
-//!
-//! Two formats: compiler-style text with caret spans (default), and
-//! `--format json` — a JSON array with one object per line, consumed by
-//! `scripts/lint_annotations.sh` and CI annotators.
 
-use crate::baseline::Comparison;
 use crate::rules::Violation;
 use std::fmt::Write;
 
 /// Render `violations` in compiler style with a caret span:
 ///
 /// ```text
-/// crates/engine/src/lib.rs:42:19: deny hash-iteration (D1): `m.iter()` iterates …
+/// crates/engine/src/lib.rs:42:19: hash-iteration (D1): `m.iter()` iterates …
 ///    42 | for (k, v) in m.iter() {
 ///       |               ^^^^^^^^
 ///       = note: iteration order of HashMap/HashSet varies across runs; …
@@ -26,11 +21,10 @@ pub fn render_violations(violations: &[Violation]) -> String {
     for v in sorted {
         let _ = writeln!(
             out,
-            "{}:{}:{}: {} {} ({}): {}",
+            "{}:{}:{}: {} ({}): {}",
             v.path,
             v.line,
             v.col,
-            v.severity.label(),
             v.rule.slug(),
             v.rule.code(),
             v.message
@@ -51,92 +45,18 @@ pub fn render_violations(violations: &[Violation]) -> String {
     out
 }
 
-/// Render `violations` as a JSON array, one object per line:
-///
-/// ```text
-/// [
-/// {"rule":"hash-iteration","code":"D1","path":"a.rs","line":3,"col":10,…},
-/// {"rule":"wall-clock","code":"D2",…}
-/// ]
-/// ```
-///
-/// The one-object-per-line layout lets line-oriented tools (grep, sed)
-/// consume it without a JSON parser; jq handles it as ordinary JSON.
-pub fn render_json(violations: &[Violation]) -> String {
-    let mut sorted: Vec<&Violation> = violations.iter().collect();
-    sorted.sort_by(|a, b| {
-        (&a.path, a.line, a.rule, &a.message).cmp(&(&b.path, b.line, b.rule, &b.message))
-    });
-    let mut out = String::from("[\n");
-    for (i, v) in sorted.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{{\"rule\":{},\"code\":{},\"path\":{},\"line\":{},\"col\":{},\
-             \"severity\":{},\"message\":{},\"snippet\":{},\"hint\":{}}}",
-            json_str(v.rule.slug()),
-            json_str(v.rule.code()),
-            json_str(&v.path),
-            v.line,
-            v.col,
-            json_str(v.severity.label()),
-            json_str(&v.message),
-            json_str(&v.snippet),
-            json_str(v.rule.hint()),
-        );
-        out.push_str(if i + 1 < sorted.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// JSON string literal with the escapes the format requires.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// One-line scan summary.
-pub fn render_summary(files: usize, violations: &[Violation], cmp: Option<&Comparison>) -> String {
-    match cmp {
-        Some(c) => format!(
-            "simlint: {} file(s), {} violation(s): {} new, {} baselined{}",
-            files,
-            violations.len(),
-            c.new.len(),
-            c.baselined,
-            if c.stale.is_empty() {
-                String::new()
-            } else {
-                format!(", {} stale baseline entr(ies) — prune them", c.stale.len())
-            }
-        ),
-        None => format!(
-            "simlint: {} file(s), {} violation(s)",
-            files,
-            violations.len()
-        ),
-    }
+pub fn render_summary(files: usize, violations: &[Violation]) -> String {
+    format!(
+        "simlint: {} file(s), {} violation(s)",
+        files,
+        violations.len()
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Severity;
     use crate::rules::Rule;
 
     fn sample() -> Vec<Violation> {
@@ -150,7 +70,6 @@ mod tests {
                 len: 12,
                 snippet: "let t = Instant::now();".into(),
                 message: "`Instant::now()` wall-clock read".into(),
-                severity: Severity::Deny,
             },
             Violation {
                 rule: Rule::HashIteration,
@@ -161,7 +80,6 @@ mod tests {
                 len: 4,
                 snippet: "for (k, v) in m.keys() {".into(),
                 message: "`m.keys()` iterates an unordered collection".into(),
-                severity: Severity::Deny,
             },
         ]
     }
@@ -173,9 +91,9 @@ mod tests {
         let a = text.find("crates/a.rs:3:15:").expect("a.rs reported");
         let b = text.find("crates/b.rs:9:9:").expect("b.rs reported");
         assert!(a < b, "sorted by path");
-        assert!(text.contains("deny hash-iteration (D1)"));
+        assert!(text.contains("crates/a.rs:3:15: hash-iteration (D1): `m.keys()`"));
         assert!(text.contains("= note:"));
-        assert!(render_summary(2, &vs, None).contains("2 violation(s)"));
+        assert!(render_summary(2, &vs).contains("2 violation(s)"));
     }
 
     #[test]
@@ -190,27 +108,5 @@ mod tests {
             .expect("caret line rendered");
         let after_bar = caret_line.split('|').nth(1).expect("gutter bar");
         assert_eq!(after_bar, " ".repeat(9) + &"^".repeat(12), "{caret_line:?}");
-    }
-
-    #[test]
-    fn json_is_one_object_per_line_and_escaped() {
-        let mut vs = sample();
-        vs[0].message = "quote \" backslash \\ tab\t".into();
-        let text = render_json(&vs);
-        assert!(text.starts_with("[\n"));
-        assert!(text.ends_with("]\n"));
-        let object_lines: Vec<&str> = text.lines().filter(|l| l.starts_with('{')).collect();
-        assert_eq!(object_lines.len(), 2);
-        assert!(object_lines[0].ends_with("},"), "{:?}", object_lines[0]);
-        assert!(object_lines[1].ends_with('}'), "{:?}", object_lines[1]);
-        assert!(text.contains(r#""path":"crates/a.rs","line":3,"col":15"#));
-        assert!(text.contains(r#"quote \" backslash \\ tab\t"#));
-        // Sorted: a.rs first.
-        assert!(object_lines[0].contains("a.rs"));
-    }
-
-    #[test]
-    fn empty_json_is_an_empty_array() {
-        assert_eq!(render_json(&[]), "[\n]\n");
     }
 }

@@ -1,16 +1,20 @@
 //! The rule engine: determinism rules D1–D5 and safety rules S1–S2,
 //! applied to one lexed source file at a time.
 //!
-//! | code | slug               | what it catches                                  |
-//! |------|--------------------|--------------------------------------------------|
-//! | D1   | `hash-iteration`   | iterating `HashMap`/`HashSet` state (lookups OK) |
-//! | D2   | `wall-clock`       | `Instant::now` / `SystemTime` reads              |
-//! | D3   | `entropy-rng`      | entropy-seeded RNGs (`from_entropy`, …)          |
-//! | D4   | `float-order`      | float accumulation over partition-ordered data   |
-//! | D5   | `determinism-taint`| nondeterministic values flowing into sim state   |
-//! | S1   | `unwrap-audit`     | `.unwrap()`, `.expect("")`, `panic!`             |
-//! | S2   | `cast-lossy`       | narrowing `as` casts in hot-path crates          |
-//! |      | `malformed-suppression` | broken `simlint: allow(..)` directives      |
+//! | code | slug                    | what it catches                                  | crates                                                            |
+//! |------|-------------------------|--------------------------------------------------|-------------------------------------------------------------------|
+//! | D1   | `hash-iteration`        | iterating `HashMap`/`HashSet` state (lookups OK) | engine, routing, netsim, faults, partition, core, snapshot, simlint |
+//! | D2   | `wall-clock`            | `Instant::now` / `SystemTime` reads              | all but bench                                                     |
+//! | D3   | `entropy-rng`           | entropy-seeded RNGs (`from_entropy`, …)          | all but bench                                                     |
+//! | D4   | `float-order`           | float accumulation over partition-ordered data   | engine, parutil, netsim, routing, partition, core, snapshot, faults |
+//! | D5   | `determinism-taint`     | nondeterministic values flowing into sim state   | all but bench                                                     |
+//! | S1   | `unwrap-audit`          | `.unwrap()`, `.expect("")`, `panic!`             | all                                                               |
+//! | S2   | `cast-lossy`            | narrowing `as` casts in hot-path crates          | engine, routing                                                   |
+//! |      | `malformed-suppression` | broken `simlint: allow(..)` directives           | all                                                               |
+//!
+//! Every rule denies: any finding fails the scan. The crate column is
+//! [`Rule::applies_to`]; crate names are directory names under
+//! `crates/`, and the workspace `tests` member is `tests`.
 //!
 //! Detection is token-pattern based (no type inference), so D1 works
 //! from *declarations*: any identifier declared in the file with a
@@ -36,7 +40,6 @@
 //! for file-wide exemptions. The `-- <reason>` part is mandatory — an
 //! allow without a written justification is itself a violation.
 
-use crate::config::{Config, Severity};
 use crate::lexer::{lex, num_literal_is_float, str_literal_is_empty, Comment, Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -79,7 +82,7 @@ impl Rule {
         }
     }
 
-    /// Stable identifier used in config, suppressions, and baselines.
+    /// Stable identifier used in suppressions and reports.
     pub fn slug(self) -> &'static str {
         match self {
             Rule::HashIteration => "hash-iteration",
@@ -95,6 +98,45 @@ impl Rule {
 
     pub fn from_slug(slug: &str) -> Option<Rule> {
         Rule::ALL.into_iter().find(|r| r.slug() == slug)
+    }
+
+    /// Does this rule check files of `krate`?
+    pub fn applies_to(self, krate: &str) -> bool {
+        match self {
+            // Deterministic-critical crates: anything that executes
+            // during a simulation run or builds the state a run
+            // consumes. snapshot must emit the same bytes for the same
+            // world; simlint's own output must be diffable.
+            Rule::HashIteration => matches!(
+                krate,
+                "engine"
+                    | "routing"
+                    | "netsim"
+                    | "faults"
+                    | "partition"
+                    | "core"
+                    | "snapshot"
+                    | "simlint"
+            ),
+            // Only the bench harness may observe host time or entropy.
+            Rule::WallClock | Rule::EntropyRng | Rule::DeterminismTaint => krate != "bench",
+            Rule::FloatOrder => matches!(
+                krate,
+                "engine"
+                    | "parutil"
+                    | "netsim"
+                    | "routing"
+                    | "partition"
+                    | "core"
+                    | "snapshot"
+                    | "faults"
+            ),
+            // Hot paths where a silent truncation corrupts routing state.
+            Rule::CastLossy => matches!(krate, "engine" | "routing"),
+            // A suppression that silently fails to apply would hide a
+            // violation; one without a reason defeats the audit.
+            Rule::UnwrapAudit | Rule::MalformedSuppression => true,
+        }
     }
 
     /// One-line rationale shown next to each finding.
@@ -274,16 +316,14 @@ pub struct Violation {
     pub caret: u32,
     /// Underline length in characters, ≥ 1.
     pub len: u32,
-    /// The trimmed source line (baseline matching key).
+    /// The trimmed source line.
     pub snippet: String,
     pub message: String,
-    pub severity: Severity,
 }
 
 impl Violation {
     /// Build a violation with the caret fields derived from `col`, the
     /// underlined token `len`, and the original source line.
-    #[allow(clippy::too_many_arguments)] // positional mirror of the report columns
     pub fn at(
         rule: Rule,
         path: &str,
@@ -292,7 +332,6 @@ impl Violation {
         len: u32,
         raw_line: &str,
         message: String,
-        severity: Severity,
     ) -> Violation {
         let snippet = raw_line.trim().replace('\t', " ");
         let lead = (raw_line.len() - raw_line.trim_start().len()) as u32;
@@ -314,7 +353,6 @@ impl Violation {
             len,
             snippet,
             message,
-            severity,
         }
     }
 }
@@ -346,7 +384,7 @@ const NARROW_TYPES: [&str; 7] = ["u8", "u16", "u32", "i8", "i16", "i32", "f32"];
 
 /// Scan one file's source. `path` is the workspace-relative path used
 /// in reports; `krate` the crate name used for rule scoping.
-pub fn scan_source(path: &str, krate: &str, src: &str, cfg: &Config) -> Vec<Violation> {
+pub fn scan_source(path: &str, krate: &str, src: &str) -> Vec<Violation> {
     let (toks, comments) = lex(src);
     let lines: Vec<&str> = src.lines().collect();
 
@@ -356,23 +394,14 @@ pub fn scan_source(path: &str, krate: &str, src: &str, cfg: &Config) -> Vec<Viol
 
     let mut out: Vec<Violation> = Vec::new();
     let mut push = |rule: Rule, line: u32, col: u32, len: u32, message: String| {
-        if !cfg.applies(rule, krate) {
+        if !rule.applies_to(krate) {
             return;
         }
         if rule != Rule::MalformedSuppression && sup.allows(rule, line) {
             return;
         }
         let raw = lines.get(line as usize - 1).copied().unwrap_or("");
-        out.push(Violation::at(
-            rule,
-            path,
-            line,
-            col,
-            len,
-            raw,
-            message,
-            cfg.rule(rule).severity,
-        ));
+        out.push(Violation::at(rule, path, line, col, len, raw, message));
     };
 
     for (line, why) in &sup.malformed {
@@ -559,7 +588,6 @@ pub fn scan_source(path: &str, krate: &str, src: &str, cfg: &Config) -> Vec<Viol
         scan_taint(&toks, open, close + 1, &hash_idents, &mut push);
     }
 
-    out.retain(|v| v.severity != Severity::Off);
     out.sort_by(|a, b| (a.line, a.rule, &a.message).cmp(&(b.line, b.rule, &b.message)));
     out.dedup();
     out
@@ -1414,7 +1442,7 @@ mod tests {
     use super::*;
 
     fn scan(krate: &str, src: &str) -> Vec<Violation> {
-        scan_source("test.rs", krate, src, &Config::default())
+        scan_source("test.rs", krate, src)
     }
 
     fn rules_found(krate: &str, src: &str) -> Vec<Rule> {

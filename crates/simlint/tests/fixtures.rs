@@ -1,8 +1,8 @@
-//! One fixture file per rule: scan each with the default config and
-//! assert exactly the marked violations fire. The fixtures directory is
-//! excluded from workspace scans (simlint.toml) and is never compiled.
+//! One fixture file per rule: scan each as one crate and assert exactly
+//! the marked violations fire. The fixtures directory is excluded from
+//! workspace scans and is never compiled.
 
-use massf_simlint::{scan_source, Config, Rule};
+use massf_simlint::{scan_source, Rule};
 use std::path::Path;
 
 fn scan_fixture(name: &str, krate: &str) -> Vec<(Rule, u32)> {
@@ -12,7 +12,7 @@ fn scan_fixture(name: &str, krate: &str) -> Vec<(Rule, u32)> {
     let src = std::fs::read_to_string(&path)
         // simlint: allow(unwrap-audit) -- test helper: abort with the fixture path on IO failure
         .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()));
-    scan_source(name, krate, &src, &Config::default())
+    scan_source(name, krate, &src)
         .into_iter()
         .map(|v| (v.rule, v.line))
         .collect()
@@ -88,8 +88,8 @@ fn d1_route_interning_pattern_is_clean() {
 fn d1_snapshot_serializer_pattern_is_clean() {
     // The checkpoint serializer (sorted-slab walks + streaming CRC,
     // crates/snapshot) must pass every rule without suppressions in the
-    // snapshot crate's own scope — which defaults to the strictest D1
-    // list — and in the other deterministic-critical scopes.
+    // snapshot crate's own scope — which is on the strictest D1 list —
+    // and in the other deterministic-critical scopes.
     for krate in ["snapshot", "engine", "netsim"] {
         let found = scan_fixture("snapshot_serializer.rs", krate);
         assert!(found.is_empty(), "{krate}: {found:?}");
@@ -98,8 +98,8 @@ fn d1_snapshot_serializer_pattern_is_clean() {
 
 #[test]
 fn d1_applies_to_the_snapshot_crate_by_default() {
-    // A hash-iteration in the snapshot crate is a default-config
-    // violation: checkpoint bytes must be a pure function of the world.
+    // A hash-iteration in the snapshot crate is a violation: checkpoint
+    // bytes must be a pure function of the world.
     let found = scan_fixture("d1_hash_iter.rs", "snapshot");
     assert_eq!(found.len(), 3, "{found:?}");
     assert!(found.iter().all(|(r, _)| *r == Rule::HashIteration));

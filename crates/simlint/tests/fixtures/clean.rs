@@ -1,6 +1,6 @@
 // Fixture: deterministic, panic-free code no rule should flag.
-// Scanned by tests/fixtures.rs, never compiled (directory excluded in
-// simlint.toml).
+// Scanned by tests/fixtures.rs, never compiled (directory excluded from
+// workspace scans).
 use std::collections::{BTreeMap, HashMap};
 
 fn ordered_world(m: &BTreeMap<u32, u64>, h: &HashMap<u32, u64>) -> u64 {

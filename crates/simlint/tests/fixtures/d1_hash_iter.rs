@@ -1,5 +1,5 @@
 // Fixture: every D1 hash-iteration shape. Scanned by tests/fixtures.rs,
-// never compiled (the fixtures directory is excluded in simlint.toml).
+// never compiled (the fixtures directory is excluded from workspace scans).
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 struct Tables {

@@ -1,5 +1,5 @@
 // Fixture: D2 wall-clock reads. Scanned by tests/fixtures.rs, never
-// compiled (the fixtures directory is excluded in simlint.toml).
+// compiled (the fixtures directory is excluded from workspace scans).
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 fn measures() -> f64 {

@@ -1,5 +1,5 @@
 // Fixture: D3 entropy-seeded RNG. Scanned by tests/fixtures.rs, never
-// compiled (the fixtures directory is excluded in simlint.toml).
+// compiled (the fixtures directory is excluded from workspace scans).
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 

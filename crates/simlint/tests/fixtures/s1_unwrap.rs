@@ -1,5 +1,5 @@
 // Fixture: S1 unwrap/expect/panic audit. Scanned by tests/fixtures.rs,
-// never compiled (the fixtures directory is excluded in simlint.toml).
+// never compiled (the fixtures directory is excluded from workspace scans).
 
 fn panics(o: Option<u32>, r: Result<u32, String>) -> u32 {
     let a = o.unwrap(); // violation: no message

@@ -1,5 +1,5 @@
 // Fixture: S2 lossy `as` casts. Scanned by tests/fixtures.rs as the
-// `engine` crate, never compiled (directory excluded in simlint.toml).
+// `engine` crate, never compiled (directory excluded from workspace scans).
 
 fn narrows(n: usize, x: u64, f: f64) -> (u32, u16, f32) {
     let a = n as u32; // violation

@@ -1,5 +1,5 @@
 // Fixture: suppression forms. Scanned by tests/fixtures.rs, never
-// compiled (the fixtures directory is excluded in simlint.toml).
+// compiled (the fixtures directory is excluded from workspace scans).
 // simlint: allow-file(cast-lossy) -- fixture-wide: indices bounded by construction
 
 fn site_suppressed(o: Option<u32>) -> u32 {

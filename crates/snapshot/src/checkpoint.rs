@@ -191,7 +191,8 @@ impl Session {
     /// Advance the session to virtual time `end` on the chosen
     /// executor. Segment boundaries and executor switches are
     /// invisible: any segmentation reproduces the straight-through run
-    /// bit for bit.
+    /// bit for bit. An `Err` leaves the session as it was before the
+    /// call, so it can be retried (e.g. with a smaller window).
     pub fn run_until(&mut self, end: SimTime, mode: &ExecMode) -> Result<(), MassfError> {
         if self.rebalance.is_some() {
             return Err(MassfError::InvalidConfig(
@@ -209,11 +210,14 @@ impl Session {
             )));
         }
         let lp_count = self.shared.lp_count();
-        let resume = std::mem::replace(&mut self.resume, ResumeState::fresh(lp_count));
         let prefix_profile = self.world.profile.clone();
         let (stats, frontier, mut world) = match mode {
             ExecMode::Sequential => {
                 let mut w = NetWorld::restore(self.shared.clone(), NoApp, &self.world)?;
+                // The sequential executor fails only on a malformed
+                // frontier: check it in place, then hand it over.
+                self.resume.validate(lp_count)?;
+                let resume = std::mem::replace(&mut self.resume, ResumeState::fresh(lp_count));
                 let (stats, frontier) = run_sequential_resumable(&mut w, lp_count, resume, end)?;
                 (stats, frontier, w.export_state())
             }
@@ -235,8 +239,16 @@ impl Session {
                         )
                     })
                     .collect::<Result<Vec<_>, _>>()?;
-                let (shards, stats, frontier) =
-                    try_run_parallel_resumable(shards, lp_count, assignment, resume, end, *window)?;
+                // A lookahead violation surfaces mid-run, after the
+                // executor has consumed its frontier: it runs on a copy.
+                let (shards, stats, frontier) = try_run_parallel_resumable(
+                    shards,
+                    lp_count,
+                    assignment,
+                    self.resume.clone(),
+                    end,
+                    *window,
+                )?;
                 let parts: Vec<WorldState> = shards.iter().map(NetWorld::export_state).collect();
                 (
                     stats,

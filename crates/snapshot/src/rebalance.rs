@@ -250,23 +250,14 @@ impl Session {
     /// migrating LPs when it fires. Like [`Session::run_until`],
     /// segmentation is invisible: stopping at any `end` (mid-epoch
     /// included) and continuing — directly or through snapshot bytes —
-    /// reproduces the straight-through run bit for bit.
+    /// reproduces the straight-through run bit for bit. An `Err` leaves
+    /// the session as it was before the call.
     pub fn run_rebalancing(&mut self, end: SimTime) -> Result<RebalanceOutcome, MassfError> {
-        let Some(mut rb) = self.rebalance.take() else {
+        let Some(rb) = &self.rebalance else {
             return Err(MassfError::InvalidConfig(
                 "session has no rebalance policy; use run_until".into(),
             ));
         };
-        let result = self.run_rebalancing_inner(end, &mut rb);
-        self.rebalance = Some(rb);
-        result
-    }
-
-    fn run_rebalancing_inner(
-        &mut self,
-        end: SimTime,
-        rb: &mut RebalanceSessionState,
-    ) -> Result<RebalanceOutcome, MassfError> {
         if end < self.now {
             return Err(MassfError::InvalidConfig(format!(
                 "cannot run backwards: session is at {} ns, requested end {} ns",
@@ -274,7 +265,34 @@ impl Session {
                 end.as_ns()
             )));
         }
+        let mut run = RunState {
+            rb: rb.clone(),
+            resume: None,
+            world: None,
+            total_events: self.total_events,
+            lp_events: self.lp_events.clone(),
+        };
+        let outcome = self.run_rebalancing_inner(end, &mut run)?;
+        self.now = end;
+        self.rebalance = Some(run.rb);
+        if let Some(resume) = run.resume {
+            self.resume = resume;
+        }
+        if let Some(world) = run.world {
+            self.world = world;
+        }
+        self.total_events = run.total_events;
+        self.lp_events = run.lp_events;
+        Ok(outcome)
+    }
+
+    fn run_rebalancing_inner(
+        &self,
+        end: SimTime,
+        run: &mut RunState,
+    ) -> Result<RebalanceOutcome, MassfError> {
         let lp_count = self.shared.lp_count();
+        let rb = &mut run.rb;
         let partitions = rb.partitions as usize;
         let graph = conflict_graph(&self.shared);
         let params = rb.policy.params();
@@ -289,16 +307,21 @@ impl Session {
         let mut shards: Option<Vec<NetWorld<NoApp>>> = None;
         let mut prefix_profile = self.world.profile.clone();
         let mut window = self.shared.safe_parallel_window(&rb.assignment);
+        let mut now = self.now;
 
-        while self.now < end {
-            let boundary = rb.policy.cfg.next_boundary(self.now);
+        while now < end {
+            let boundary = rb.policy.cfg.next_boundary(now);
             let seg_end = boundary.min(end);
             // End time is exclusive in the executors, so a frontier whose
             // head is at or past seg_end executes nothing: skip the
             // engine round-trip entirely (zero loads leave every decision
             // unchanged, so the fast path cannot alter the trajectory).
-            let has_events = self.resume.next_event_time().is_some_and(|t| t < seg_end);
-            if has_events {
+            let next = run
+                .resume
+                .as_ref()
+                .unwrap_or(&self.resume)
+                .next_event_time();
+            if next.is_some_and(|t| t < seg_end) {
                 let current = match shards.take() {
                     Some(s) => s,
                     None => (0..rb.partitions)
@@ -306,14 +329,17 @@ impl Session {
                             NetWorld::restore_partition(
                                 self.shared.clone(),
                                 NoApp,
-                                &self.world,
+                                run.world.as_ref().unwrap_or(&self.world),
                                 &rb.assignment,
                                 p,
                             )
                         })
                         .collect::<Result<Vec<_>, _>>()?,
                 };
-                let resume = std::mem::replace(&mut self.resume, ResumeState::fresh(lp_count));
+                // The executor consumes its frontier and may fail
+                // mid-run: the first segment runs on a copy of the
+                // session's.
+                let resume = run.resume.take().unwrap_or_else(|| self.resume.clone());
                 let (next_shards, stats, frontier) = try_run_parallel_resumable(
                     current,
                     lp_count,
@@ -323,9 +349,9 @@ impl Session {
                     window,
                 )?;
                 shards = Some(next_shards);
-                self.resume = frontier;
-                self.total_events += stats.total_events;
-                for ((acc, epoch), n) in self
+                run.resume = Some(frontier);
+                run.total_events += stats.total_events;
+                for ((acc, epoch), n) in run
                     .lp_events
                     .iter_mut()
                     .zip(rb.epoch_loads.iter_mut())
@@ -338,7 +364,7 @@ impl Session {
                 outcome.windows_executed += stats.windows_executed;
                 outcome.barrier_rounds += stats.barrier_rounds;
             }
-            self.now = seg_end;
+            now = seg_end;
 
             if seg_end == boundary {
                 // Epoch complete: evaluate the deterministic load signal.
@@ -361,7 +387,8 @@ impl Session {
                         // pending events by assignment when the next
                         // segment starts.
                         if let Some(s) = shards.take() {
-                            self.flush_shards(s, &rb.assignment, &mut prefix_profile)?;
+                            run.world =
+                                Some(merge_shards(&s, &rb.assignment, &mut prefix_profile)?);
                         }
                         apply_moves(&mut rb.assignment, &moves);
                         window = self.shared.safe_parallel_window(&rb.assignment);
@@ -375,28 +402,38 @@ impl Session {
             }
         }
 
-        if let Some(s) = shards.take() {
-            self.flush_shards(s, &rb.assignment, &mut prefix_profile)?;
+        if let Some(s) = shards {
+            run.world = Some(merge_shards(&s, &rb.assignment, &mut prefix_profile)?);
         }
         Ok(outcome)
     }
+}
 
-    /// Export resident shards and merge them (under the assignment they
-    /// were restored with) into the session's canonical world state,
-    /// folding the pre-restore profile prefix back in.
-    fn flush_shards(
-        &mut self,
-        shards: Vec<NetWorld<NoApp>>,
-        assignment: &[u32],
-        prefix_profile: &mut ProfileData,
-    ) -> Result<(), MassfError> {
-        let parts: Vec<WorldState> = shards.iter().map(NetWorld::export_state).collect();
-        let mut world = WorldState::merge_partitions(&parts, assignment)?;
-        world.profile.merge(prefix_profile);
-        self.world = world;
-        *prefix_profile = self.world.profile.clone();
-        Ok(())
-    }
+/// What a [`Session::run_rebalancing`] call changes, held apart from
+/// the session until the whole call has succeeded. `None` means the
+/// session's own frontier or world is still current.
+struct RunState {
+    rb: RebalanceSessionState,
+    resume: Option<ResumeState<NetEvent>>,
+    world: Option<WorldState>,
+    total_events: u64,
+    lp_events: Vec<u64>,
+}
+
+/// Export resident shards and merge them (under the assignment they
+/// were restored with) into one canonical world state, folding the
+/// pre-restore profile prefix back in; the merged profile becomes the
+/// next prefix.
+fn merge_shards(
+    shards: &[NetWorld<NoApp>],
+    assignment: &[u32],
+    prefix_profile: &mut ProfileData,
+) -> Result<WorldState, MassfError> {
+    let parts: Vec<WorldState> = shards.iter().map(NetWorld::export_state).collect();
+    let mut world = WorldState::merge_partitions(&parts, assignment)?;
+    world.profile.merge(prefix_profile);
+    *prefix_profile = world.profile.clone();
+    Ok(world)
 }
 
 #[cfg(test)]

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Workspace gate: formatting, lints, static analysis, and the test suite.
 # Run from anywhere; operates on the repository containing this script.
+# The static analysis is simlint with no arguments: every rule, over
+# every .rs file under crates/ and tests/; any finding fails the gate.
 #
 #   scripts/check.sh          full gate (including the release-mode
 #                             fault_flap_study, route_resolution,
@@ -14,7 +16,8 @@
 #   scripts/check.sh --fast   skip the release-mode smoke runs
 #
 # Each stage is wall-clock timed; a summary table prints at the end,
-# then scripts/loc.sh's non-test line count of crates/ (not a gate).
+# then scripts/loc.sh's count of crates/ lines outside `#[cfg(test)]`
+# items (not a gate).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,7 +55,7 @@ stage "cargo fmt --check" \
 # violations surface in under a second instead of after a full
 # workspace build.
 stage "simlint (determinism & safety static analysis)" \
-    cargo run -q -p massf-simlint -- --workspace --baseline simlint-baseline.txt
+    cargo run -q -p massf-simlint
 
 stage "cargo clippy (deny warnings + unwrap_used, whole workspace)" \
     cargo clippy --workspace --all-targets -- -D warnings -D clippy::unwrap_used

@@ -169,6 +169,95 @@ fn executor_switches_at_checkpoints_are_invisible() {
     assert_matches_reference(&session, &reference);
 }
 
+/// A segment that fails leaves the session as it was: a zero window
+/// (refused up front) and a window 50× the cut MLL (a lookahead
+/// violation mid-run) both return `Err` with the snapshot bytes
+/// unchanged, and a sequential retry still matches the straight run.
+#[test]
+fn failed_segments_leave_the_session_untouched() {
+    let builder = flap_scenario(31, 2, 10);
+    let end = SimTime::from_secs(2);
+    let reference = builder.run_sequential(NoApp, end);
+    let (assignment, mll) = parity_cut(&builder.shared(), 2);
+
+    let mut session = session_for(&builder);
+    session
+        .run_until(SimTime::from_ms(600), &ExecMode::Sequential)
+        .expect("prefix runs");
+    let before = session.encode();
+    let mut fail_with = |window: SimTime| {
+        let mode = ExecMode::Parallel {
+            assignment: assignment.clone(),
+            window,
+        };
+        let err = session
+            .run_until(end, &mode)
+            .expect_err("window must be refused");
+        assert!(
+            session.encode() == before,
+            "a failed {} ns segment changed the session",
+            window.as_ns()
+        );
+        err
+    };
+    let err = fail_with(SimTime::ZERO);
+    assert!(matches!(err, MassfError::InvalidConfig(_)), "{err}");
+    let err = fail_with(mll * 50);
+    assert!(
+        matches!(err, MassfError::LookaheadViolation { .. }),
+        "{err}"
+    );
+    session
+        .run_until(end, &ExecMode::Sequential)
+        .expect("retry runs");
+    assert_matches_reference(&session, &reference);
+}
+
+/// The same holds for a rebalancing session: a cut link shorter than a
+/// nanosecond makes the barrier window zero, which the parallel executor
+/// refuses at the first segment.
+#[test]
+fn failed_rebalancing_run_leaves_the_session_untouched() {
+    let mut net = Network::new();
+    let ha = net.add_node(NodeKind::Host, Point::new(0.0, 0.0), AsId(0));
+    let r0 = net.add_node(NodeKind::Router, Point::new(1.0, 0.0), AsId(0));
+    let hb = net.add_node(NodeKind::Host, Point::new(2.0, 0.0), AsId(0));
+    net.add_link(ha, r0, 1e7, 1.0);
+    net.add_link(r0, hb, 1e7, 1e-7);
+    let faults = FaultState::flat(&net, CostMetric::Latency, FaultScript::new()).expect("empty");
+    let mut builder = NetSimBuilder::new_with_faults(net, faults);
+    builder.add_initial(
+        SimTime::ZERO,
+        LpId(ha.0),
+        NetEvent::StartFlow {
+            dst: hb,
+            bytes: 100_000,
+        },
+    );
+    let shared = builder.shared();
+    let assignment = (0..shared.lp_count())
+        .map(|lp| u32::from(lp == hb.index()))
+        .collect();
+    let mut session = Session::new_rebalancing(
+        shared,
+        builder.initial_events(),
+        DEFAULT_ROUTE_CACHE_CAPACITY,
+        MAX_RETRIES,
+        RebalancePolicy::default(),
+        assignment,
+    )
+    .expect("valid policy");
+    let before = session.encode();
+    let err = session
+        .run_rebalancing(SimTime::from_secs(1))
+        .expect_err("zero window must be refused");
+    assert!(matches!(err, MassfError::InvalidConfig(_)), "{err}");
+    assert!(
+        session.encode() == before,
+        "a failed run changed the session"
+    );
+}
+
 #[test]
 fn fingerprint_mismatch_is_refused() {
     let builder = flap_scenario(41, 1, 6);
