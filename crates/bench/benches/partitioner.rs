@@ -8,12 +8,10 @@
 //! the ModelNet greedy k-cluster baseline, and ablates the KL/FM
 //! refinement stage (reporting its cut-quality effect on stderr).
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use massf_core::prelude::*;
 use massf_core::{EdgeWeighting, VertexWeighting};
-use massf_partition::{
-    apply_moves, greedy_kcluster, rebalance, recursive_bisection, RebalanceParams,
-};
+use massf_partition::{greedy_kcluster, recursive_bisection};
 
 fn network_graph(routers: usize, seed: u64) -> WeightedGraph {
     let net = generate_flat_network(&FlatTopologyConfig {
@@ -93,97 +91,4 @@ criterion_group!(
     bench_algorithms,
     bench_refinement_ablation
 );
-
-/// Per-part load sums under `assignment`.
-fn part_loads(assignment: &[u32], loads: &[u64], k: usize) -> Vec<u64> {
-    let mut sums = vec![0u64; k];
-    for (&a, &l) in assignment.iter().zip(loads) {
-        sums[a as usize] += l;
-    }
-    sums
-}
-
-/// `--smoke`: fast self-checking correctness pass for scripts/check.sh.
-/// Every measured partitioner must produce valid, deterministic
-/// assignments, and the incremental `rebalance()` move search must
-/// strictly improve a skewed load without violating its bounds.
-fn run_smoke() {
-    let graph = network_graph(300, 7);
-    let n = graph.vertex_count();
-    for k in [2usize, 16] {
-        let p = metis_kway(&graph, k, &KwayConfig::default());
-        assert_eq!(p.assignment.len(), n, "k={k}: unassigned vertices");
-        assert!(
-            p.assignment.iter().all(|&a| (a as usize) < k),
-            "k={k}: out-of-range part id"
-        );
-        assert_eq!(p.used_parts(), k, "k={k}: empty parts");
-        assert_eq!(
-            p.assignment,
-            metis_kway(&graph, k, &KwayConfig::default()).assignment,
-            "k={k}: metis_kway is not deterministic"
-        );
-        for (name, q) in [
-            (
-                "recursive_bisection",
-                recursive_bisection(&graph, k, &KwayConfig::default()),
-            ),
-            ("greedy_kcluster", greedy_kcluster(&graph, k, 3)),
-        ] {
-            assert_eq!(q.assignment.len(), n, "{name} k={k}: unassigned vertices");
-            assert!(
-                q.assignment.iter().all(|&a| (a as usize) < k),
-                "{name} k={k}: out-of-range part id"
-            );
-        }
-    }
-
-    // Incremental rebalance: all the load on one part's vertices must
-    // drain within the move budget, deterministically, without emptying
-    // any part.
-    let k = 8usize;
-    let p = metis_kway(&graph, k, &KwayConfig::default());
-    let loads: Vec<u64> = p
-        .assignment
-        .iter()
-        .map(|&a| if a == 0 { 100 } else { 1 })
-        .collect();
-    let params = RebalanceParams::default();
-    let moves = rebalance(&graph, k, &p.assignment, &loads, &params);
-    assert!(!moves.is_empty(), "skewed load produced no moves");
-    assert!(moves.len() <= params.max_moves, "move budget exceeded");
-    assert_eq!(
-        moves,
-        rebalance(&graph, k, &p.assignment, &loads, &params),
-        "rebalance is not deterministic"
-    );
-    let mut after = p.assignment.clone();
-    apply_moves(&mut after, &moves);
-    assert!(
-        after.iter().all(|&a| (a as usize) < k),
-        "rebalance moved a vertex out of range"
-    );
-    let before_max = part_loads(&p.assignment, &loads, k).into_iter().max();
-    let after_parts = part_loads(&after, &loads, k);
-    assert!(
-        after_parts.iter().max() < before_max.as_ref(),
-        "rebalance did not reduce the busiest part: {before_max:?} -> {after_parts:?}"
-    );
-    for part in 0..k {
-        assert!(
-            after.iter().any(|&a| a as usize == part),
-            "rebalance emptied part {part}"
-        );
-    }
-    println!("partitioner smoke checks passed");
-}
-
-fn main() {
-    // cargo bench passes harness args like `--bench`; only `--smoke` is
-    // meaningful here, everything else is ignored.
-    if std::env::args().skip(1).any(|a| a == "--smoke") {
-        run_smoke();
-        return;
-    }
-    benches();
-}
+criterion_main!(benches);

@@ -8,23 +8,17 @@
 //! timers and long-running workload flows generate — plus a cold-cache
 //! variant that rebuilds the cache every iteration to expose the
 //! miss-path overhead. Results are recorded in BENCH_routing.json.
-//!
-//! Unlike the other benches this one has a hand-rolled `main` so that
-//! `--smoke` runs a fast self-checking mode (used by scripts/check.sh):
-//! cached and uncached resolution must return identical paths on every
-//! topology variant, under eviction pressure (capacity 1) and with the
-//! cache disabled (capacity 0); and a resolver asked requests and
-//! responses alternately must reuse the requests' shortest-path trees
-//! for the responses yet answer exactly as one-directional resolvers do.
+//! That cached and uncached resolution answer alike is checked by the
+//! proptests in `tests/tests/route_cache.rs`, request/response tree
+//! reuse by `ospf::either_end_trees_match_destination_rooted_reference`.
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use massf_core::prelude::*;
 use massf_netsim::{FaultScript, FaultState};
 use massf_routing::{
     CachedResolver, CostMetric, FlatResolver, MultiAsResolver, PathResolver, RouteCache,
     RouteCacheStats,
 };
-use std::sync::Arc;
 
 /// Cached-bench working set: distinct enough to exercise the shards,
 /// small enough that a warm cache holds it entirely.
@@ -226,157 +220,4 @@ criterion_group!(
     bench_multi_as_repeated_pairs,
     bench_faulted_epochs
 );
-
-/// `--smoke`: fast self-checking correctness pass for scripts/check.sh.
-/// Panics on any cached/uncached divergence.
-fn run_smoke() {
-    // Flat network, every capacity regime.
-    let net = flat_network(120);
-    let hosts = net.host_ids();
-    let set = pairs(&hosts, 24);
-    let uncached = FlatResolver::new(&net, CostMetric::Latency);
-    for capacity in [0usize, 1, 4, 128] {
-        let cached = CachedResolver::new(
-            FlatResolver::new(&net, CostMetric::Latency),
-            net.node_count(),
-            capacity,
-        );
-        for pass in 0..3 {
-            for &(s, d) in &set {
-                let want = uncached.route(s, d);
-                let got = cached.route_arc(s, d).map(|p| p.to_vec());
-                assert_eq!(
-                    want, got,
-                    "flat cap {capacity} pass {pass}: cached diverged for {s:?}→{d:?}"
-                );
-            }
-        }
-        if capacity == 1 {
-            // Force eviction pressure: two destinations alternating in
-            // one source shard; answers must stay correct throughout.
-            let (s, d0) = set[0];
-            let d1 = set.iter().map(|&(_, d)| d).find(|&d| d != d0 && d != s);
-            let d1 = d1.expect("pair set has a second destination");
-            for _ in 0..3 {
-                for d in [d0, d1] {
-                    assert_eq!(
-                        uncached.route(s, d),
-                        cached.route_arc(s, d).map(|p| p.to_vec()),
-                        "capacity-1 thrash diverged for {s:?}→{d:?}"
-                    );
-                }
-            }
-            assert!(cached.stats().evictions > 0, "capacity 1 must evict");
-        }
-        let stats = cached.stats();
-        match capacity {
-            0 => assert_eq!(stats, Default::default(), "disabled cache moved counters"),
-            1 => {}
-            _ => assert!(stats.hits > 0, "repeated pairs must hit at cap {capacity}"),
-        }
-    }
-
-    // Request/response: a cold resolver asked each pair and then its
-    // reverse serves responses from the requests' trees, and answers
-    // what resolvers only ever asked in one direction answer.
-    let both_ways = request_response(&set);
-    let either_end = FlatResolver::new(&net, CostMetric::Latency);
-    let requests_only = FlatResolver::new(&net, CostMetric::Latency);
-    let responses_only = FlatResolver::new(&net, CostMetric::Latency);
-    for (i, &(s, d)) in both_ways.iter().enumerate() {
-        let one_direction = if i % 2 == 0 {
-            &requests_only
-        } else {
-            &responses_only
-        };
-        assert_eq!(
-            either_end.route(s, d),
-            one_direction.route(s, d),
-            "request/response diverged for {s:?}→{d:?}"
-        );
-    }
-    let stats = either_end.domain().spt_stats();
-    assert!(
-        stats.served_reversed > 0,
-        "no response used a request's tree: {stats:?}"
-    );
-    let mut destinations: Vec<NodeId> = both_ways.iter().map(|&(_, d)| d).collect();
-    destinations.sort_unstable();
-    destinations.dedup();
-    assert!(
-        stats.trees_built < destinations.len() as u64,
-        "{stats:?} for {} distinct destinations",
-        destinations.len()
-    );
-
-    // Multi-AS network.
-    let cfg = MultiAsTopologyConfig {
-        as_count: 8,
-        routers_per_as: 6,
-        hosts: 60,
-        ..MultiAsTopologyConfig::default()
-    };
-    let m = generate_multi_as_network(&cfg);
-    let mhosts = m.network.host_ids();
-    let mset = pairs(&mhosts, 24);
-    let muncached = MultiAsResolver::new(&m, CostMetric::Latency, &cfg);
-    let mcached = CachedResolver::new(
-        MultiAsResolver::new(&m, CostMetric::Latency, &cfg),
-        m.network.node_count(),
-        16,
-    );
-    for _ in 0..2 {
-        for &(s, d) in &mset {
-            assert_eq!(
-                muncached.route(s, d),
-                mcached.route_arc(s, d).map(|p| p.to_vec()),
-                "multi-AS cached diverged for {s:?}→{d:?}"
-            );
-        }
-    }
-    assert!(mcached.stats().hits > 0);
-
-    // Fault epochs: cached answers must match the epoch's own resolver.
-    let fnet = flat_network(120);
-    let fhosts = fnet.host_ids();
-    let fset = pairs(&fhosts, 24);
-    let script = FaultScript::random_link_flaps(
-        &fnet,
-        4,
-        SimTime::from_secs(2),
-        SimTime::from_secs(5),
-        SimTime::from_secs(25),
-        7,
-    )
-    .expect("flap script validates");
-    let faults = FaultState::flat(&fnet, CostMetric::Latency, script)
-        .expect("random_link_flaps scripts validate");
-    let mut cache = RouteCache::new(fnet.node_count(), 16);
-    let mut stats = RouteCacheStats::default();
-    for _ in 0..2 {
-        for e in 0..faults.epoch_count() {
-            let r: &Arc<dyn PathResolver> = faults.resolver_for_epoch(e);
-            for &(s, d) in &fset {
-                let got =
-                    cache.get_or_insert_with(&mut stats, e as u32, s, d, || r.route_arc(s, d));
-                assert_eq!(
-                    r.route(s, d),
-                    got.map(|p| p.to_vec()),
-                    "epoch {e}: cached diverged for {s:?}→{d:?}"
-                );
-            }
-        }
-    }
-    assert!(stats.hits > 0, "epoch replay must hit");
-    println!("route_resolution smoke checks passed");
-}
-
-fn main() {
-    // cargo bench passes harness args like `--bench`; only `--smoke` is
-    // meaningful here, everything else is ignored.
-    if std::env::args().skip(1).any(|a| a == "--smoke") {
-        run_smoke();
-        return;
-    }
-    benches();
-}
+criterion_main!(benches);

@@ -14,17 +14,14 @@
 //! branch, every run — the speedup is only meaningful if the answers
 //! agree), so the comparison isolates pure redundant-prefix cost.
 //! Snapshot size plus save/load wall cost are reported alongside.
+//! Crash recovery and branches on the parallel executor are checked in
+//! `tests/tests/snapshot.rs`.
 //!
 //! Extra flags on top of the shared harness set:
 //!
 //! ```text
 //! --branches N     what-if branches to explore (default: 8)
 //! --prefix-pct P   branch point as a percentage of the run (default: 80)
-//! --smoke          tiny network, short run, self-checking (used by
-//!                  scripts/check.sh): pins the CI geometry (Tiny
-//!                  scale, <= 4 branches, 80% prefix), requires >= 2x,
-//!                  and adds torn-snapshot crash recovery and
-//!                  2-partition parallel-restore parity
 //! ```
 
 use massf_bench::HarnessOptions;
@@ -34,7 +31,7 @@ use massf_netsim::{
     Agent, NetEvent, NetSimBuilder, NoApp, SimOutput, DEFAULT_ROUTE_CACHE_CAPACITY, MAX_RETRIES,
 };
 use massf_routing::{CostMetric, FlatResolver};
-use massf_snapshot::{recover_latest, scenario_fingerprint, ExecMode, Session};
+use massf_snapshot::{scenario_fingerprint, ExecMode, Session};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
@@ -44,7 +41,6 @@ struct StudyOptions {
     harness: HarnessOptions,
     branches: usize,
     prefix_pct: u64,
-    smoke: bool,
 }
 
 fn parse_extra(harness: HarnessOptions, rest: Vec<String>) -> StudyOptions {
@@ -52,7 +48,6 @@ fn parse_extra(harness: HarnessOptions, rest: Vec<String>) -> StudyOptions {
         harness,
         branches: 8,
         prefix_pct: 80,
-        smoke: false,
     };
     let mut iter = rest.into_iter();
     while let Some(arg) = iter.next() {
@@ -79,9 +74,8 @@ fn parse_extra(harness: HarnessOptions, rest: Vec<String>) -> StudyOptions {
                     )),
                 };
             }
-            "--smoke" => opts.smoke = true,
             other => HarnessOptions::usage_exit(&format!(
-                "unknown argument {other:?} (extra flags: --branches/--prefix-pct/--smoke)"
+                "unknown argument {other:?} (extra flags: --branches/--prefix-pct)"
             )),
         }
     }
@@ -157,22 +151,10 @@ fn assert_branch_matches(b: usize, session: &Session, replay: &SimOutput<NoApp>)
 
 fn main() {
     let (harness, rest) = HarnessOptions::from_env_partial();
-    let mut opts = parse_extra(harness, rest);
-    if opts.smoke {
-        // The smoke gate asserts a >= 2x speedup, which only the CI
-        // geometry guarantees (4 branches at 80% prefix are ideally
-        // 2.5x); pin it like the scale, ignoring contrary flags.
-        opts.harness.scale = Scale::Tiny;
-        opts.branches = opts.branches.min(4);
-        opts.prefix_pct = 80;
-    }
+    let opts = parse_extra(harness, rest);
     let scale = opts.harness.scale;
     let seed = opts.harness.seed;
-    let duration = if opts.smoke {
-        SimTime::from_secs(5)
-    } else {
-        scale.run_duration().max(SimTime::from_secs(15))
-    };
+    let duration = scale.run_duration().max(SimTime::from_secs(15));
     let branch_at = SimTime(duration.as_ns() / 100 * opts.prefix_pct);
 
     eprintln!("# generating {scale:?} single-AS network (seed {seed}) …");
@@ -206,7 +188,7 @@ fn main() {
     // Both modes are timed best-of-2: results are bit-identical across
     // repeats (asserted below), so a repeat only defends the wall-clock
     // numbers — one fsync hiccup or scheduler stall on a shared host
-    // must not decide the smoke gate.
+    // must not decide the reported speedup.
     const TIMING_REPS: usize = 2;
 
     // ---- Mode A: every what-if is a full replay from t = 0. ----
@@ -245,7 +227,6 @@ fn main() {
         load_ms: f64,
         suffixes_ms: f64,
         snap_bytes: u64,
-        trunk: Session,
         branch_runs: Vec<Session>,
     }
     impl BranchMode {
@@ -296,7 +277,6 @@ fn main() {
             load_ms,
             suffixes_ms,
             snap_bytes,
-            trunk,
             branch_runs,
         }
     };
@@ -321,7 +301,6 @@ fn main() {
         load_ms,
         suffixes_ms,
         snap_bytes,
-        trunk,
         branch_runs,
     } = mode_b;
     let branch_total_ms = prefix_ms + save_ms + load_ms + suffixes_ms;
@@ -348,56 +327,5 @@ fn main() {
     );
     println!("{:<34} {:>12.2}x", "what-if speedup", speedup);
 
-    if opts.smoke {
-        assert!(
-            speedup >= 2.0,
-            "branching must be at least 2x faster than full replays, got {speedup:.2}x"
-        );
-
-        // Crash recovery: tear the newest checkpoint; recovery must fall
-        // back to the older valid one, report the skip, and the resumed
-        // run must still be bit-identical.
-        let older = snap_dir.join("epoch-a.snap");
-        let newer = snap_dir.join("epoch-b.snap");
-        trunk.save(&older).expect("older checkpoint saves");
-        trunk.save(&newer).expect("newer checkpoint saves");
-        let torn = {
-            let full = std::fs::read(&newer).expect("read newest");
-            full[..full.len() / 2].to_vec()
-        };
-        std::fs::write(&newer, torn).expect("tear newest");
-        std::fs::remove_file(&snap_path).expect("drop the pristine copy");
-        let report =
-            recover_latest(&snap_dir, &shared, fingerprint).expect("older snapshot is valid");
-        assert_eq!(report.path, older, "recovery must pick the intact file");
-        assert_eq!(report.skipped.len(), 1, "the torn file must be recorded");
-        let mut recovered = report
-            .session
-            .branch(shared.clone(), suffixes[0].clone())
-            .expect("recovered session branches");
-        recovered
-            .run_until(duration, &ExecMode::Sequential)
-            .expect("recovered branch runs");
-        assert_branch_matches(0, &recovered, &replays[0]);
-
-        // Parallel-restore parity: the same branch on a 2-partition
-        // parity cut must match its sequential result bit for bit.
-        let n = shared.lp_count();
-        // simlint: allow(cast-lossy) -- partition index over a tiny smoke net
-        let assignment: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
-        let mode = ExecMode::Parallel {
-            window: shared.safe_parallel_window(&assignment),
-            assignment,
-        };
-        let mut par = trunk
-            .branch(shared.clone(), suffixes[0].clone())
-            .expect("parallel branch forks");
-        par.run_until(duration, &mode)
-            .expect("parallel branch runs");
-        assert_branch_matches(0, &par, &replays[0]);
-
-        println!();
-        println!("smoke checks passed");
-    }
     std::fs::remove_dir_all(&snap_dir).expect("cleanup");
 }

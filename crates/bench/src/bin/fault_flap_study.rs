@@ -15,30 +15,22 @@
 //! --max-retries N  TCP retry budget before a flow aborts (default: 6);
 //!                  lower it to make flows give up inside a flap window,
 //!                  raise it to ride the outage out
-//! --rebalance-epoch MS      also run the online rebalancer over the
-//!                  faulted scenario at this epoch cadence, starting
-//!                  from the clean-profile HPROF map, and report how
-//!                  much of the flap-induced imbalance it recovers
-//! --rebalance-threshold P   its trigger threshold, permille of perfect
-//!                  balance (default: 1200)
-//! --smoke          tiny network, short run, self-checking (used by
-//!                  scripts/check.sh)
 //! ```
 //!
 //! The report is bit-identical across `--threads` values: fault state is
 //! a pure function of virtual time, so worker-pool scheduling cannot
-//! leak into any number printed here (the `--smoke` mode asserts the
-//! sequential/parallel equality directly).
+//! leak into any number printed here
+//! (`parallel_determinism::fault_injected_run_identical_across_thread_counts`
+//! asserts the sequential/parallel equality directly). For the online
+//! rebalancer under link flaps, see `rebalance_study`'s "fault-flap
+//! region shift" scenario.
 
-use massf_bench::{HarnessOptions, MeasuredBarriers};
+use massf_bench::HarnessOptions;
 use massf_core::prelude::*;
-use massf_engine::RebalanceConfig;
 use massf_netsim::{
-    Agent, FaultScript, FaultState, NetSimBuilder, NoApp, ProfileData, SimOutput,
-    DEFAULT_ROUTE_CACHE_CAPACITY, MAX_RETRIES,
+    Agent, FaultScript, FaultState, NetSimBuilder, NoApp, ProfileData, SimOutput, MAX_RETRIES,
 };
 use massf_routing::{CostMetric, FlatResolver};
-use massf_snapshot::{RebalancePolicy, Session};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
@@ -48,9 +40,6 @@ struct StudyOptions {
     flaps: usize,
     down: SimTime,
     max_retries: u32,
-    rebalance_epoch: Option<SimTime>,
-    rebalance_threshold: u64,
-    smoke: bool,
 }
 
 fn parse_extra(harness: HarnessOptions, rest: Vec<String>) -> StudyOptions {
@@ -59,9 +48,6 @@ fn parse_extra(harness: HarnessOptions, rest: Vec<String>) -> StudyOptions {
         flaps: 12,
         down: SimTime::from_ms(2000),
         max_retries: MAX_RETRIES,
-        rebalance_epoch: None,
-        rebalance_threshold: 1200,
-        smoke: false,
     };
     let mut iter = rest.into_iter();
     while let Some(arg) = iter.next() {
@@ -97,29 +83,8 @@ fn parse_extra(harness: HarnessOptions, rest: Vec<String>) -> StudyOptions {
                     )),
                 };
             }
-            "--rebalance-epoch" => {
-                let v = value("--rebalance-epoch");
-                opts.rebalance_epoch = match v.parse::<u64>() {
-                    Ok(ms) if ms > 0 => Some(SimTime::from_ms(ms)),
-                    _ => HarnessOptions::usage_exit(&format!(
-                        "--rebalance-epoch must be a positive number of ms, got {v:?}"
-                    )),
-                };
-            }
-            "--rebalance-threshold" => {
-                let v = value("--rebalance-threshold");
-                opts.rebalance_threshold = match v.parse() {
-                    Ok(p) if p >= 1000 => p,
-                    _ => HarnessOptions::usage_exit(&format!(
-                        "--rebalance-threshold is permille of perfect balance and must be \
-                         >= 1000, got {v:?}"
-                    )),
-                };
-            }
-            "--smoke" => opts.smoke = true,
             other => HarnessOptions::usage_exit(&format!(
-                "unknown argument {other:?} (extra flags: --flaps/--down-ms/--max-retries/\
-                 --rebalance-epoch/--rebalance-threshold/--smoke)"
+                "unknown argument {other:?} (extra flags: --flaps/--down-ms/--max-retries)"
             )),
         }
     }
@@ -173,25 +138,14 @@ fn main() {
     let (harness, rest) = HarnessOptions::from_env_partial();
     let mut opts = parse_extra(harness, rest);
     // This study defaults to the 2k-router single-AS world (the shared
-    // harness default is small); an explicit --scale wins, --smoke
-    // shrinks everything.
-    let scale_given = std::env::args().any(|a| a == "--scale");
-    if opts.smoke {
-        opts.harness.scale = Scale::Tiny;
-        opts.flaps = opts.flaps.min(4);
-        // Exercise the online-rebalance reporting path in CI.
-        opts.rebalance_epoch = Some(opts.rebalance_epoch.unwrap_or(SimTime::from_ms(2000)));
-    } else if !scale_given {
+    // harness default is small); an explicit --scale wins.
+    if !std::env::args().any(|a| a == "--scale") {
         opts.harness.scale = Scale::Medium;
     }
 
     let scale = opts.harness.scale;
     let seed = opts.harness.seed;
-    let duration = if opts.smoke {
-        SimTime::from_secs(20)
-    } else {
-        scale.run_duration().max(SimTime::from_secs(30))
-    };
+    let duration = scale.run_duration().max(SimTime::from_secs(30));
 
     eprintln!("# generating {scale:?} single-AS network (seed {seed}) …");
     let net = generate_flat_network(&scale.flat_config(seed));
@@ -441,185 +395,4 @@ fn main() {
     );
     println!("  imbalance (clean-profile map, faulted load):   {imb_clean:.4}");
     println!("  imbalance (faulted-profile map, faulted load): {imb_fault:.4}");
-
-    // Online rebalancing over the faulted scenario: start from the
-    // mapping HPROF computed at deployment time (the clean profile) and
-    // let the epoch-cadenced rebalancer chase the flap-induced load
-    // shift. The static row runs the identical driver with the trigger
-    // pinned off (threshold u64::MAX), so the comparison shares the
-    // exact epoch segmentation. See rebalance_study for the full sweep.
-    if let Some(epoch) = opts.rebalance_epoch {
-        let adaptive_policy = RebalancePolicy {
-            cfg: RebalanceConfig {
-                epoch,
-                threshold_permille: opts.rebalance_threshold,
-                ..RebalanceConfig::default()
-            },
-            ..RebalancePolicy::default()
-        };
-        let static_policy = RebalancePolicy {
-            cfg: RebalanceConfig {
-                threshold_permille: u64::MAX,
-                ..adaptive_policy.cfg
-            },
-            ..adaptive_policy
-        };
-        let run_driver = |policy: RebalancePolicy| {
-            let mut builder = NetSimBuilder::new_with_faults(net.clone(), faults.clone());
-            builder.max_retries(opts.max_retries);
-            builder.add_agent(traffic(&hosts, duration, flows, seed));
-            let mut session = Session::new_rebalancing(
-                builder.shared(),
-                builder.initial_events(),
-                DEFAULT_ROUTE_CACHE_CAPACITY,
-                opts.max_retries,
-                policy,
-                map_clean.partition.assignment.clone(),
-            )
-            .expect("valid policy and HPROF assignment");
-            let outcome = session.run_rebalancing(duration).expect("driver runs");
-            let partitions = session
-                .rebalance_state()
-                .expect("rebalancing session")
-                .partitions as usize;
-            (outcome, partitions, session)
-        };
-        eprintln!("# online rebalance, static driver …");
-        let (st, st_parts, _) = run_driver(static_policy);
-        eprintln!("# online rebalance, adaptive driver …");
-        let (ad, ad_parts, ad_session) = run_driver(adaptive_policy);
-        println!();
-        println!(
-            "online rebalance ({engines} engines, epoch {:.0} ms, threshold {} permille):",
-            epoch.as_ms_f64(),
-            opts.rebalance_threshold
-        );
-        println!(
-            "  max/mean load (permille):  static {} -> adaptive {} ({:.2}x over {} epochs)",
-            st.aggregate_imbalance_permille(st_parts),
-            ad.aggregate_imbalance_permille(ad_parts),
-            st.aggregate_imbalance_permille(st_parts) as f64
-                / ad.aggregate_imbalance_permille(ad_parts).max(1) as f64,
-            ad.epochs
-        );
-        println!(
-            "  rebalances / LP migrations:  {} / {}",
-            ad.rebalances, ad.migrations
-        );
-        println!(
-            "  critical-path events:  static {} -> adaptive {}",
-            st.critical_path_events, ad.critical_path_events
-        );
-        // The rebalancing trajectory answers exactly what the sequential
-        // faulted run answers, migrations and all.
-        assert_eq!(
-            ad_session.total_events(),
-            faulted.stats.total_events,
-            "adaptive rebalancing run diverged from the sequential faulted run"
-        );
-        assert_eq!(
-            ad_session.profile(),
-            &faulted.profile,
-            "adaptive rebalancing profile diverged from the sequential faulted run"
-        );
-    }
-
-    if opts.smoke {
-        // Self-checks: faults actually fired, losses were tolerated, and
-        // the faulted run is bit-identical in parallel.
-        assert_eq!(
-            faulted.profile.fault_events as usize,
-            faults.script().len(),
-            "every scripted fault must be handled"
-        );
-        assert!(
-            faults.reconvergence_count() > 0,
-            "no reconvergence happened"
-        );
-        assert!(
-            faulted.profile.completed_flows > 0,
-            "faulted run completed no flows"
-        );
-        // Where the script cut a primary path (a downed link that was the
-        // base route between its own endpoints) the epoch routes
-        // differently; the trailing clean epoch routes like the base.
-        let last = faults.epoch_count() - 1;
-        assert!(faults.epoch_state(last).is_clean(), "flap never recovered");
-        let base = faults.resolver_for_epoch(0);
-        let mut cuts_checked = 0usize;
-        for e in 1..last {
-            for &dead in &faults.epoch_state(e).dead_links {
-                let (a, b) = (net.links[dead as usize].a, net.links[dead as usize].b);
-                let direct = Some(vec![a, b]);
-                if base.route(a, b) != direct {
-                    continue;
-                }
-                cuts_checked += 1;
-                let during = faults.resolver_for_epoch(e).route(a, b);
-                assert_ne!(during, direct, "epoch {e} routes over dead link {dead}");
-                let after = faults.resolver_for_epoch(last).route(a, b);
-                assert_eq!(after, direct, "clean epoch lost the path over link {dead}");
-            }
-        }
-        assert!(cuts_checked > 0, "no flap cut a primary path");
-        // Hits are workload-dependent (the tiny smoke traffic rarely
-        // repeats a pair within one epoch); repeated-pair hit behavior
-        // is asserted by the route_resolution bench smoke instead.
-        assert!(
-            faulted.profile.route_cache.misses > 0,
-            "route cache was never consulted"
-        );
-        assert!(
-            faulted.profile.fluid.started > 0,
-            "no fluid background traffic flowed"
-        );
-        let n = net.node_count();
-        let assignment: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
-        let mut builder = NetSimBuilder::new_with_faults(net.clone(), faults.clone());
-        builder.max_retries(opts.max_retries);
-        builder.add_agent(traffic(&hosts, duration, flows, seed));
-        let observer = MeasuredBarriers::new(2);
-        let par = builder
-            .try_run_parallel_observed(
-                NoApp,
-                duration,
-                builder.shared().safe_parallel_window(&assignment),
-                &assignment,
-                2,
-                &observer,
-            )
-            .expect("smoke window is within both the cut MLL and the fluid control delay");
-        assert_eq!(
-            par.stats.total_events, faulted.stats.total_events,
-            "parallel faulted run diverged from sequential"
-        );
-        assert_eq!(
-            par.profile, faulted.profile,
-            "parallel faulted profile diverged from sequential"
-        );
-        // The quiet stretches between fault epochs are exactly what the
-        // executor's empty-window fast-forward is for: the run must skip
-        // barriers, and the observer must have a measurement for every
-        // partition.
-        assert!(
-            par.stats.windows_skipped > 0,
-            "expected idle windows between fault epochs to be fast-forwarded"
-        );
-        assert_eq!(
-            par.stats.barrier_rounds,
-            1 + 2 * par.stats.windows_executed,
-            "barrier rounds must track executed windows only"
-        );
-        assert_eq!(par.stats.barrier_wait_us.len(), 2);
-        println!();
-        println!(
-            "parallel smoke: {} windows executed, {} skipped, {} barrier rounds, \
-             mean barrier wait {:.0} us/partition",
-            par.stats.windows_executed,
-            par.stats.windows_skipped,
-            par.stats.barrier_rounds,
-            par.stats.barrier_wait_us.iter().sum::<f64>() / 2.0
-        );
-        println!("smoke checks passed");
-    }
 }

@@ -1,6 +1,7 @@
 //! Experiment harness shared by the figure-regeneration binaries
 //! (`src/bin/fig03_load_variation.rs`, `fig05_sync_cost.rs`, `suite.rs`)
-//! and Criterion benches.
+//! and Criterion benches. [`fluid_scaling`] and [`rebalance_study`] hold
+//! the scenarios their study binaries share with `tests/`.
 //!
 //! Every figure of the paper's evaluation (3, 5–13) has a binary that
 //! regenerates it — `suite` prints Figures 6–13 from one set of runs;
@@ -30,6 +31,8 @@ use std::time::Instant;
 
 #[cfg(feature = "alloc-count")]
 pub mod alloccount;
+pub mod fluid_scaling;
+pub mod rebalance_study;
 
 /// Command-line options shared by the figure binaries.
 #[derive(Debug, Clone)]
@@ -577,7 +580,8 @@ mod tests {
     fn partial_parse_hands_back_extra_flags() {
         let (opts, rest) = HarnessOptions::try_parse_partial(vec![
             s("bin"),
-            s("--smoke"),
+            s("--branches"),
+            s("4"),
             s("--threads"),
             s("2"),
             s("--flaps"),
@@ -585,7 +589,7 @@ mod tests {
         ])
         .expect("harness flags valid");
         assert_eq!(opts.threads, Some(2));
-        assert_eq!(rest, vec![s("--smoke"), s("--flaps"), s("12")]);
+        assert_eq!(rest, vec![s("--branches"), s("4"), s("--flaps"), s("12")]);
     }
 
     #[test]

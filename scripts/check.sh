@@ -5,15 +5,16 @@
 # every .rs file under crates/ and tests/; any finding fails the gate.
 #
 #   scripts/check.sh          full gate (including the release-mode
-#                             fault_flap_study, route_resolution,
-#                             engine_throughput, partitioner,
-#                             hprof_sweep, mem_footprint,
-#                             checkpoint_study, fluid_scaling and
-#                             rebalance_study smoke runs, tiny
-#                             scaling_study and ablation_sync_cost runs,
+#                             mem_footprint --smoke run, the
+#                             fault_flap_study, checkpoint_study,
+#                             rebalance_study, scaling_study and
+#                             ablation_sync_cost runs at --scale tiny,
 #                             and the benchmark crate's own gate,
 #                             perf/check.sh)
-#   scripts/check.sh --fast   skip the release-mode smoke runs
+#   scripts/check.sh --fast   skip the release-mode runs
+#
+# The simulator's checks live in `cargo test`; the release-mode runs
+# only prove each study binary still runs end to end.
 #
 # Each stage is wall-clock timed; a summary table prints at the end,
 # then scripts/loc.sh's count of crates/ lines outside `#[cfg(test)]`
@@ -64,24 +65,14 @@ stage "cargo test" \
     cargo test -q
 
 if [ "$FAST" -eq 0 ]; then
-    stage "fault_flap_study --smoke" \
-        cargo run --release -q -p massf-bench --bin fault_flap_study -- --smoke
-    stage "route_resolution --smoke" \
-        cargo bench -q -p massf-bench --bench route_resolution -- --smoke
-    stage "engine_throughput --smoke" \
-        cargo bench -q -p massf-bench --bench engine_throughput -- --smoke
-    stage "partitioner --smoke" \
-        cargo bench -q -p massf-bench --bench partitioner -- --smoke
-    stage "hprof_sweep --smoke" \
-        cargo bench -q -p massf-bench --bench hprof_sweep -- --smoke
     stage "mem_footprint --smoke" \
         cargo run --release -q -p massf-bench --features alloc-count --bin mem_footprint -- --smoke
-    stage "checkpoint_study --smoke" \
-        cargo run --release -q -p massf-bench --bin checkpoint_study -- --smoke
-    stage "fluid_scaling --smoke" \
-        cargo run --release -q -p massf-bench --bin fluid_scaling -- --smoke
-    stage "rebalance_study --smoke" \
-        cargo run --release -q -p massf-bench --bin rebalance_study -- --smoke
+    stage "fault_flap_study --scale tiny" \
+        cargo run --release -q -p massf-bench --bin fault_flap_study -- --scale tiny
+    stage "checkpoint_study --scale tiny" \
+        cargo run --release -q -p massf-bench --bin checkpoint_study -- --scale tiny
+    stage "rebalance_study --scale tiny" \
+        cargo run --release -q -p massf-bench --bin rebalance_study -- --scale tiny
     stage "scaling_study --scale tiny" \
         cargo run --release -q -p massf-bench --bin scaling_study -- --scale tiny
     stage "ablation_sync_cost --scale tiny" \
@@ -89,7 +80,7 @@ if [ "$FAST" -eq 0 ]; then
     stage "perf/check.sh (benchmark crate: fmt, clippy, tests, --quick suite)" \
         bash perf/check.sh
 else
-    echo "== release-mode smoke runs skipped (--fast) =="
+    echo "== release-mode runs skipped (--fast) =="
 fi
 
 echo

@@ -504,10 +504,21 @@ fn branches_fork_a_shared_prefix_and_match_full_replays() {
             bytes: 2_000_000,
         },
     );
-    replay_c.add_initial_events(suffix_c);
+    replay_c.add_initial_events(suffix_c.clone());
     let replay_c_reference = replay_c.run_sequential(NoApp, end);
     assert_matches_reference(&branch_c, &replay_c_reference);
     assert_eq!(branch_c.profile().completed_flows, 2);
+
+    // Branch C on the parallel executor: a parity cut with its safe
+    // window gives the same answer as the sequential branch.
+    let shared = trunk.shared();
+    let (assignment, _) = parity_cut(&shared, 2);
+    let window = shared.safe_parallel_window(&assignment);
+    let mut branch_c_par = trunk.branch(shared, suffix_c).expect("parallel branch");
+    branch_c_par
+        .run_until(end, &ExecMode::Parallel { window, assignment })
+        .expect("parallel branch C runs");
+    assert_matches_reference(&branch_c_par, &replay_c_reference);
 
     // Branch rejection: events before the fork are refused.
     let stale = vec![(
