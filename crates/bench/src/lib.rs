@@ -422,8 +422,8 @@ pub fn print_improvements(rows: &[SuiteRow]) {
 /// thread-barrier cost, not Myrinet MPI cost; the model —
 /// `massf_engine::synccost::SyncCostModel` — is what feeds the
 /// evaluation.) Lives here rather than in the engine because it reads
-/// host wall-clock time, which deterministic-critical crates must not
-/// do (simlint D2).
+/// host wall-clock time, which clippy's `disallowed_types` forbids
+/// outside the bench crate.
 pub fn measure_barrier_cost_us(n: usize, rounds: usize) -> f64 {
     use massf_engine::WindowBarrier;
     if n <= 1 {
@@ -457,7 +457,7 @@ pub fn measure_barrier_cost_us(n: usize, rounds: usize) -> f64 {
 /// [`massf_engine::BarrierObserver`] hook: accumulates per-partition
 /// time spent blocked in executor barriers. Lives here rather than in
 /// the engine because it reads host wall-clock time, which
-/// deterministic-critical crates must not do (simlint D2); the observer
+/// deterministic-critical crates must not do (`disallowed_types`); the observer
 /// runs strictly outside the deterministic event path, so measuring
 /// cannot change simulation results.
 ///

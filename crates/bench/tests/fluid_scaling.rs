@@ -50,7 +50,6 @@ fn sixteen_thousand_fluid_flows_keep_their_recorded_counters() {
     // Groups are whole per partition, so no link is cut and the window
     // is bounded only by the fluid control delay.
     let parts = 4u32;
-    // simlint: allow(cast-lossy) -- group index over a test fixture
     let assignment: Vec<u32> = (0..n).map(|i| ((i / 2) as u32) % parts).collect();
     let par = builder
         .try_run_parallel(

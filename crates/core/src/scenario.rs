@@ -129,7 +129,10 @@ impl WorkloadKind {
 
 /// The foreground application union (concrete type for composition).
 /// One instance exists per scenario, so the variant size gap is moot.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "one instance exists per scenario"
+)]
 #[derive(Clone)]
 pub enum Foreground {
     ScaLapack(ScaLapackApp),

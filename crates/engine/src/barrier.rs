@@ -11,7 +11,7 @@
 //! count says somebody actually parked.
 //!
 //! The budget is a fixed number of loop *iterations*, never a duration:
-//! the engine does not read host clocks (simlint D2), and nothing here
+//! the engine does not read host clocks (`disallowed_types`), and nothing here
 //! can steer simulated state anyway — the barrier decides only *when* a
 //! thread proceeds, never *what* it computes.
 //!

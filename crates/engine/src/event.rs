@@ -38,7 +38,6 @@ pub fn external_tag(position: u32) -> u64 {
 /// The `(source LP, per-source counter)` halves of a tag.
 #[inline]
 pub(crate) fn split_tag(tag: u64) -> (u32, u32) {
-    // simlint: allow(cast-lossy) -- both casts keep exactly the half they select
     ((tag >> 32) as u32, (tag & 0xFFFF_FFFF) as u32)
 }
 

@@ -51,6 +51,8 @@
 //! in the integration suite).
 
 #![forbid(unsafe_code)]
+// A silent narrowing cast corrupts state at the million-host scale.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod barrier;
 pub mod event;

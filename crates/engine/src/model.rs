@@ -85,7 +85,10 @@ pub fn seed_events<M>(events: Vec<(SimTime, LpId, M)>) -> Vec<EventRecord<M>> {
         .map(|(i, (time, target, payload))| EventRecord {
             time,
             target,
-            // simlint: allow(cast-lossy) -- sequence index; 2^32 initial events is far past any supported scale
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "sequence index; 2^32 initial events is far past any supported scale"
+            )]
             tag: make_tag(crate::event::EXTERNAL_SOURCE, i as u32),
             payload,
         })

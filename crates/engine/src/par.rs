@@ -64,8 +64,8 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Hook for measuring wall-clock barrier-wait time from *outside* the
-/// engine. The engine itself never reads host clocks (the simlint
-/// wall-clock gate); the bench crate implements this trait with
+/// engine. The engine itself never reads host clocks (clippy's
+/// `disallowed_types`); the bench crate implements this trait with
 /// `Instant`-based timing and passes it into
 /// [`try_run_parallel_observed`]. The observer is invoked around every
 /// [`WindowBarrier::wait`] — outside the deterministic event path, so it
@@ -150,7 +150,6 @@ pub fn try_run_parallel<M: Model>(
 /// barrier wait, for wall-clock sync-cost measurement from the bench
 /// layer. `observer.waits_us()` lands in
 /// [`ExecutionStats::barrier_wait_us`].
-#[allow(clippy::too_many_arguments)] // mirrors try_run_parallel + the observer
 pub fn try_run_parallel_observed<M: Model, O: BarrierObserver>(
     shards: Vec<M>,
     lp_count: usize,
@@ -177,7 +176,10 @@ pub fn try_run_parallel_observed<M: Model, O: BarrierObserver>(
 ///
 /// `resume` is validated first (it may come from a snapshot file);
 /// malformed frontiers yield [`MassfError::InvalidConfig`].
-#[allow(clippy::type_complexity)] // (shards, stats, frontier) is the natural segment result
+#[expect(
+    clippy::type_complexity,
+    reason = "(shards, stats, frontier) is the natural segment result"
+)]
 pub fn try_run_parallel_resumable<M: Model>(
     shards: Vec<M>,
     lp_count: usize,
@@ -200,7 +202,11 @@ pub fn try_run_parallel_resumable<M: Model>(
     )
 }
 
-#[allow(clippy::too_many_arguments, clippy::type_complexity)] // internal core shared by the public facades
+#[expect(
+    clippy::too_many_arguments,
+    clippy::type_complexity,
+    reason = "internal core shared by the public facades"
+)]
 fn run_parallel_core<M: Model, O: BarrierObserver>(
     shards: Vec<M>,
     lp_count: usize,
@@ -314,6 +320,10 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
                     }
                     // Fast-forward: jump straight to the window holding
                     // the next event anywhere in the simulation.
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "window indices are bounded by the run's window count, which fits usize"
+                    )]
                     let w = (global_min / window.as_ns()) as usize;
                     let window_end = (window * (w as u64 + 1)).min(end_time);
 

@@ -59,7 +59,6 @@ pub fn run_sequential_windowed<M: Model>(
 /// `resume` is validated first (it may come from a snapshot file):
 /// malformed frontiers yield [`MassfError::InvalidConfig`], never a
 /// panic.
-#[allow(clippy::type_complexity)] // (stats, frontier) pair is the natural segment result
 pub fn run_sequential_resumable<M: Model>(
     model: &mut M,
     lp_count: usize,
@@ -97,7 +96,6 @@ fn run_inner<M: Model>(
 /// The sequential loop: returns the run's stats, one scored copy per
 /// entry of `scorings`, and the frontier (empty unless
 /// `collect_resume`).
-#[allow(clippy::type_complexity)] // (stats, scored stats, frontier) is the whole run
 fn run_core<M: Model>(
     model: &mut M,
     lp_count: usize,
@@ -130,8 +128,12 @@ fn run_core<M: Model>(
         stats.lp_events[lp.index()] += 1;
         stats.total_events += 1;
         for (s, acc) in &mut scorers {
-            let w = ev.time.as_ns() / s.window.as_ns();
-            acc.record(w as usize, s.assignment[lp.index()] as usize);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "window indices are bounded by the run's window count, which fits usize"
+            )]
+            let w = (ev.time.as_ns() / s.window.as_ns()) as usize;
+            acc.record(w, s.assignment[lp.index()] as usize);
         }
         for new_ev in out_buf.drain(..) {
             queue.push(new_ev);

@@ -71,7 +71,7 @@ pub struct ExecutionStats {
     /// Measured wall-clock barrier-wait time per partition,
     /// microseconds. Empty unless the run was instrumented with a
     /// measuring [`crate::par::BarrierObserver`]; the engine itself
-    /// never reads host clocks (simlint D2), so these values come from
+    /// never reads host clocks (`disallowed_types`), so these values come from
     /// the observer and are *not* deterministic.
     pub barrier_wait_us: Vec<f64>,
     /// Virtual time at which the run stopped.
@@ -147,6 +147,10 @@ impl ExecutionStats {
 /// balance). Integer-only by construction (D4-safe): rebalance
 /// decisions thresholded on this value never depend on float
 /// rounding or summation order.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "max <= total, so the quotient is at most 1000 * loads.len()"
+)]
 pub fn imbalance_permille(loads: &[u64]) -> u64 {
     let k = loads.len() as u64;
     let total: u64 = loads.iter().sum();
@@ -222,6 +226,10 @@ impl WindowAccumulator {
     /// An accumulator for `partitions` partitions over the
     /// `ceil(end_time / window)` windows of a run to `end_time`.
     pub(crate) fn new(partitions: usize, window: SimTime, end_time: SimTime) -> Self {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the accumulator holds one cell per window, so the count fits usize"
+        )]
         let n_windows = end_time.as_ns().div_ceil(window.as_ns()) as usize;
         let windows_per_bucket = n_windows.div_ceil(TRACE_BUCKETS).max(1);
         let buckets = n_windows.div_ceil(windows_per_bucket);

@@ -58,7 +58,8 @@ impl SyncCostModel {
 
 // The wall-clock *measurement* companion to this model
 // (`measure_barrier_cost_us`) lives in the bench crate: the engine is
-// deterministic-critical and must never read host time (simlint D2).
+// deterministic-critical and must never read host time (clippy's
+// `disallowed_types` bans `Instant` and `SystemTime` here).
 
 #[cfg(test)]
 mod tests {

@@ -44,12 +44,20 @@ impl SimTime {
     /// From fractional milliseconds (rounds to nearest nanosecond).
     /// Negative inputs clamp to zero.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a float-to-int `as` saturates, and the input is clamped non-negative"
+    )]
     pub fn from_ms_f64(ms: f64) -> Self {
         SimTime((ms.max(0.0) * 1e6).round() as u64)
     }
 
     /// From fractional seconds (rounds to nearest nanosecond).
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a float-to-int `as` saturates, and the input is clamped non-negative"
+    )]
     pub fn from_secs_f64(s: f64) -> Self {
         SimTime((s.max(0.0) * 1e9).round() as u64)
     }

@@ -97,8 +97,8 @@ impl FaultState {
         // Adjacencies are reference-counted: two parallel inter-AS links
         // both failing must not flip the adjacency back up when only one
         // recovers. Ordered collections so the epoch snapshots below
-        // come out sorted without a post-hoc sort (hash-iteration would
-        // trip simlint's D1 even with the sort, and rightly: the sorted
+        // come out sorted without a post-hoc sort (hash iteration would
+        // trip clippy's `disallowed_methods` even with the sort, and rightly: the sorted
         // result hides that intermediate order was hasher-dependent).
         let mut dead_links: BTreeSet<u32> = BTreeSet::new();
         let mut dead_nodes: BTreeSet<u32> = BTreeSet::new();

@@ -474,7 +474,10 @@ impl FluidState {
     }
 
     /// Handle [`NetEvent::FluidStart`].
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one FluidStart event carries every flow parameter"
+    )]
     pub(crate) fn start(
         &mut self,
         shared: &SharedNet,
@@ -768,7 +771,6 @@ impl FluidState {
                 profile.fluid.cap_updates += 1;
                 out.emit(
                     FLUID_CONTROL_DELAY,
-                    // simlint: allow(cast-lossy) -- slot count bounded by 2·links, far below u32::MAX
                     LpId(slot_sender(shared, s as u32).0),
                     NetEvent::FluidCapUpdate {
                         slot: s as u32,
@@ -1082,7 +1084,6 @@ impl FluidCoupling {
                 FLUID_CONTROL_DELAY,
                 LpId(FLUID_COORDINATOR.0),
                 NetEvent::FluidPacketLoad {
-                    // simlint: allow(cast-lossy) -- slot count bounded by 2·links, far below u32::MAX
                     slot: slot as u32,
                     bps: level_q,
                 },

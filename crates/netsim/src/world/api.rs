@@ -115,7 +115,6 @@ impl SimApi<'_, '_> {
             return None;
         }
         let epoch = match &shared.faults {
-            // simlint: allow(cast-lossy) -- epoch count is bounded by the fault-script length, far below u32::MAX
             Some(f) => f.epoch_at(now) as u32,
             None => 0,
         };

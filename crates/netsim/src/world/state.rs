@@ -419,7 +419,6 @@ impl<A: AppLogic> NetWorld<A> {
             for &(counter, slot) in index {
                 let cold = &s.flows.cold[slot as usize];
                 flows.push(FlowEntryState {
-                    // simlint: allow(cast-lossy) -- node index bounded by the u32 node-id space
                     flow: FlowId::new(NodeId(node as u32), counter),
                     sender: s.flows.hot[slot as usize].export_state(),
                     path: cold.path.to_vec(),
@@ -437,7 +436,6 @@ impl<A: AppLogic> NetWorld<A> {
             for &(flow, slot) in index {
                 let r = &s.receivers.state[slot as usize];
                 receivers.push(ReceiverEntryState {
-                    // simlint: allow(cast-lossy) -- node index bounded by the u32 node-id space
                     node: NodeId(node as u32),
                     flow,
                     rcv_next: r.rcv_next,
@@ -581,7 +579,6 @@ impl<A: AppLogic> NetWorld<A> {
                         .iter()
                         .enumerate()
                         .map(|(i, sh)| {
-                            // simlint: allow(cast-lossy) -- node index bounded by the u32 node-id space
                             if owned(NodeId(i as u32)) {
                                 sh.clone()
                             } else {
@@ -685,7 +682,6 @@ impl<A: AppLogic> NetWorld<A> {
         };
         if filter.is_some() {
             for s in 0..coupling.fluid_bps.len() {
-                // simlint: allow(cast-lossy) -- slot count bounded by 2·links ≤ u32 space
                 if !owned(crate::fluid::slot_sender(&shared, s as u32)) {
                     coupling.fluid_bps[s] = u64::MAX;
                     coupling.est_start[s] = SimTime::MAX;

@@ -20,7 +20,11 @@
 //! routing, *connectivity does not imply reachability*; the unit tests
 //! exhibit a connected topology with unreachable AS pairs.
 
-// simlint: allow-file(cast-lossy) -- AS numbers here are usize graph indices < AsGraph::n, which the topology layer caps at u16::MAX
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "AS numbers here are usize graph indices < AsGraph::n, which the topology layer caps at u16::MAX"
+)]
+
 use crate::policy::{export_allowed, local_preference};
 use massf_topology::{AsGraph, AsRelationship};
 

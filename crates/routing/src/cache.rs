@@ -13,8 +13,8 @@
 //! The cache is *sharded by source node* and uses a *stamp-based LRU*
 //! (monotone per-shard counter + lazy-deletion queue): eviction order is
 //! a pure function of the query sequence, never of hasher iteration
-//! order (the `HashMap` is only ever point-looked-up, respecting
-//! simlint's D1 rule). Because the simulator only resolves routes from
+//! order (the `HashMap` is only ever point-looked-up: its iterating
+//! methods are clippy `disallowed_methods`). Because the simulator only resolves routes from
 //! the event handler of the *source* LP, each shard sees exactly the
 //! same query sequence at any thread count or partitioning — so cache
 //! contents, hit/miss/evict counters, and returned paths are

@@ -11,7 +11,11 @@
 //! measured (the classic labovitz-style path hunting is visible in the
 //! withdrawal message counts).
 
-// simlint: allow-file(cast-lossy) -- AS numbers here are usize graph indices < AsGraph::n, which the topology layer caps at u16::MAX
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "AS numbers here are usize graph indices < AsGraph::n, which the topology layer caps at u16::MAX"
+)]
+
 use crate::bgp::BgpRoute;
 use crate::policy::{export_allowed, local_preference};
 use massf_topology::{AsGraph, AsRelationship};

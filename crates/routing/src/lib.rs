@@ -26,6 +26,8 @@
 //!   route memoization; DESIGN.md §3 item 11).
 
 #![forbid(unsafe_code)]
+// A silent narrowing cast corrupts state at the million-host scale.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod bgp;
 pub mod cache;

@@ -66,7 +66,11 @@
 //! distinct trees by it again: one routing entry per attached router,
 //! not per host.
 
-// simlint: allow-file(cast-lossy) -- local router indices are positions in `members`, bounded by the domain size which is far below u32::MAX
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "local router indices are positions in `members`, bounded by the domain size which is far below u32::MAX"
+)]
+
 use massf_topology::{Network, NodeId, NodeKind};
 use parking_lot::Mutex;
 use std::collections::{BinaryHeap, HashMap, VecDeque};

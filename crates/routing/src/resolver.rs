@@ -11,7 +11,11 @@
 //!   stub ASes: a stub forwards any non-local destination to its primary
 //!   provider instead of holding full BGP tables.
 
-// simlint: allow-file(cast-lossy) -- AS numbers here are usize graph indices < AsGraph::n, which the topology layer caps at u16::MAX
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "AS numbers here are usize graph indices < AsGraph::n, which the topology layer caps at u16::MAX"
+)]
+
 use crate::bgp::BgpRib;
 use crate::ospf::{CostMetric, OspfDomain, SptStats};
 use massf_topology::mabrite::MultiAsNetwork;

@@ -1,8 +1,7 @@
 //! A hand-rolled Rust lexer, just deep enough for lint rules: it
-//! separates identifiers, punctuation, and literals, swallows string
-//! contents (so `"HashMap"` in a string can never look like a type),
-//! and keeps every comment with its line number (so suppression
-//! directives can be matched to the code they annotate).
+//! separates identifiers, punctuation, and literals, and swallows
+//! string contents and comments (so `"HashMap"` in a string can never
+//! look like a type).
 //!
 //! Every token carries its 1-based line *and column* (in characters),
 //! so rules can point a caret at the offending token and reports can
@@ -10,7 +9,7 @@
 //!
 //! It does **not** build an AST; the item/block structure the newer
 //! rules need is recovered by [`crate::parser`], which works directly
-//! on this token stream, and the older rules scan it flat.
+//! on this token stream.
 
 /// What kind of lexeme a token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,26 +39,17 @@ pub struct Tok {
     pub col: u32,
 }
 
-/// One comment (line `//…` or block `/*…*/`) with the 1-based line and
-/// column it starts on. Text includes the comment markers.
-#[derive(Debug, Clone)]
-pub struct Comment {
-    pub line: u32,
-    pub col: u32,
-    pub text: String,
-}
-
-/// Lex `src` into tokens and comments. Unterminated constructs are
-/// closed at end of input rather than reported — the compiler is the
-/// authority on well-formedness; the linter only needs to stay sane.
-pub fn lex(src: &str) -> (Vec<Tok>, Vec<Comment>) {
+/// Lex `src` into tokens; comments are skipped. Unterminated
+/// constructs are closed at end of input rather than reported — the
+/// compiler is the authority on well-formedness; the linter only needs
+/// to stay sane.
+pub fn lex(src: &str) -> Vec<Tok> {
     Lexer {
         chars: src.chars().collect(),
         pos: 0,
         line: 1,
         col: 1,
         toks: Vec::new(),
-        comments: Vec::new(),
     }
     .run()
 }
@@ -70,7 +60,6 @@ struct Lexer {
     line: u32,
     col: u32,
     toks: Vec<Tok>,
-    comments: Vec<Comment>,
 }
 
 impl Lexer {
@@ -100,7 +89,7 @@ impl Lexer {
         });
     }
 
-    fn run(mut self) -> (Vec<Tok>, Vec<Comment>) {
+    fn run(mut self) -> Vec<Tok> {
         while let Some(c) = self.peek(0) {
             let line = self.line;
             let col = self.col;
@@ -108,8 +97,8 @@ impl Lexer {
                 _ if c.is_whitespace() => {
                     self.bump();
                 }
-                '/' if self.peek(1) == Some('/') => self.line_comment(line, col),
-                '/' if self.peek(1) == Some('*') => self.block_comment(line, col),
+                '/' if self.peek(1) == Some('/') => self.line_comment(),
+                '/' if self.peek(1) == Some('*') => self.block_comment(),
                 '"' => {
                     let s = self.string_literal();
                     self.push(TokKind::Str, s, line, col);
@@ -133,45 +122,34 @@ impl Lexer {
                 }
             }
         }
-        (self.toks, self.comments)
+        self.toks
     }
 
-    fn line_comment(&mut self, line: u32, col: u32) {
-        let mut text = String::new();
-        while let Some(c) = self.peek(0) {
-            if c == '\n' {
-                break;
-            }
-            text.push(c);
+    fn line_comment(&mut self) {
+        while self.peek(0).is_some_and(|c| c != '\n') {
             self.bump();
         }
-        self.comments.push(Comment { line, col, text });
     }
 
     /// Block comment; Rust block comments nest to any depth.
-    fn block_comment(&mut self, line: u32, col: u32) {
-        let mut text = String::new();
+    fn block_comment(&mut self) {
         let mut depth = 0usize;
         while let Some(c) = self.peek(0) {
             if c == '/' && self.peek(1) == Some('*') {
                 depth += 1;
-                text.push_str("/*");
                 self.bump();
                 self.bump();
             } else if c == '*' && self.peek(1) == Some('/') {
                 depth -= 1;
-                text.push_str("*/");
                 self.bump();
                 self.bump();
                 if depth == 0 {
                     break;
                 }
             } else {
-                text.push(c);
                 self.bump();
             }
         }
-        self.comments.push(Comment { line, col, text });
     }
 
     /// `"…"` with escape handling; returns the literal including quotes.
@@ -381,16 +359,6 @@ impl Lexer {
     }
 }
 
-/// Is `lit` (a [`TokKind::Str`] lexeme, quotes and prefixes included)
-/// the empty string literal?
-pub fn str_literal_is_empty(lit: &str) -> bool {
-    let inner = lit
-        .trim_start_matches(['b', 'r'])
-        .trim_start_matches('#')
-        .trim_end_matches('#');
-    inner == "\"\""
-}
-
 /// Is `lit` (a [`TokKind::Num`] lexeme) a floating-point literal? True
 /// for decimal points (`0.5`), exponents (`1e9`, `1.5e-3`) and explicit
 /// `f32`/`f64` suffixes; hex/octal/binary literals are never floats.
@@ -408,7 +376,6 @@ mod tests {
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .0
             .into_iter()
             .filter(|t| t.kind == TokKind::Ident)
             .map(|t| t.text)
@@ -417,7 +384,6 @@ mod tests {
 
     fn render(src: &str) -> String {
         lex(src)
-            .0
             .iter()
             .map(|t| t.text.as_str())
             .collect::<Vec<_>>()
@@ -426,7 +392,7 @@ mod tests {
 
     #[test]
     fn strings_hide_their_contents() {
-        let (toks, _) = lex(r#"let x = "HashMap::iter()"; y"#);
+        let toks = lex(r#"let x = "HashMap::iter()"; y"#);
         assert!(idents(r#"let x = "HashMap::iter()"; y"#).contains(&"y".to_string()));
         let strs: Vec<_> = toks.iter().filter(|t| t.kind == TokKind::Str).collect();
         assert_eq!(strs.len(), 1);
@@ -435,7 +401,7 @@ mod tests {
 
     #[test]
     fn raw_strings_and_hashes() {
-        let (toks, _) = lex(r###"let s = r#"a "quoted" HashMap"#; done"###);
+        let toks = lex(r###"let s = r#"a "quoted" HashMap"#; done"###);
         assert_eq!(
             toks.iter().filter(|t| t.kind == TokKind::Str).count(),
             1,
@@ -449,7 +415,7 @@ mod tests {
     fn multi_hash_raw_strings_swallow_shorter_guards() {
         // `"#` inside an `r##"…"##` literal must not close it.
         let src = r####"let s = r##"quote "# still inside"##; after"####;
-        let (toks, _) = lex(src);
+        let toks = lex(src);
         let strs: Vec<_> = toks.iter().filter(|t| t.kind == TokKind::Str).collect();
         assert_eq!(strs.len(), 1, "{toks:?}");
         assert!(strs[0].text.contains("still inside"));
@@ -460,7 +426,7 @@ mod tests {
     #[test]
     fn byte_raw_strings_with_guards() {
         let src = r###"let b = br#"bytes "with" quotes"#; tail"###;
-        let (toks, _) = lex(src);
+        let toks = lex(src);
         assert_eq!(
             toks.iter().filter(|t| t.kind == TokKind::Str).count(),
             1,
@@ -473,7 +439,7 @@ mod tests {
     #[test]
     fn unterminated_raw_string_closes_at_eof() {
         // Tolerance contract: never hang, never panic, keep what we saw.
-        let (toks, _) = lex(r##"let s = r#"never closed"##);
+        let toks = lex(r##"let s = r#"never closed"##);
         assert_eq!(
             toks.iter().filter(|t| t.kind == TokKind::Str).count(),
             1,
@@ -483,7 +449,7 @@ mod tests {
 
     #[test]
     fn lifetimes_vs_char_literals() {
-        let (toks, _) = lex("fn f<'a>(x: &'a str) { let c = 'x'; let n = '\\n'; }");
+        let toks = lex("fn f<'a>(x: &'a str) { let c = 'x'; let n = '\\n'; }");
         let lifetimes: Vec<_> = toks
             .iter()
             .filter(|t| t.kind == TokKind::Lifetime)
@@ -497,7 +463,7 @@ mod tests {
     fn lifetime_edge_forms() {
         // `'_` anonymous lifetime, labeled loops, lifetime at EOF, and
         // char literals whose payload is an identifier character.
-        let (toks, _) = lex("fn f(x: &'_ u8) { 'outer: loop { break 'outer; } }");
+        let toks = lex("fn f(x: &'_ u8) { 'outer: loop { break 'outer; } }");
         let lifetimes: Vec<String> = toks
             .iter()
             .filter(|t| t.kind == TokKind::Lifetime)
@@ -505,7 +471,7 @@ mod tests {
             .collect();
         assert_eq!(lifetimes, vec!["'_", "'outer", "'outer"], "{toks:?}");
 
-        let (toks, _) = lex("let r = 'r'; let u = '_'; let esc = '\\u{1F600}';");
+        let toks = lex("let r = 'r'; let u = '_'; let esc = '\\u{1F600}';");
         let chars: Vec<String> = toks
             .iter()
             .filter(|t| t.kind == TokKind::Char)
@@ -513,21 +479,21 @@ mod tests {
             .collect();
         assert_eq!(chars, vec!["'r'", "'_'", "'\\u{1F600}'"], "{toks:?}");
 
-        let (toks, _) = lex("match c { 'a'..='z' => 1, _ => 0 }");
+        let toks = lex("match c { 'a'..='z' => 1, _ => 0 }");
         assert_eq!(
             toks.iter().filter(|t| t.kind == TokKind::Char).count(),
             2,
             "{toks:?}"
         );
         // Trailing lifetime at end of input must not loop or panic.
-        let (toks, _) = lex("&'a");
+        let toks = lex("&'a");
         assert_eq!(toks.last().map(|t| t.text.as_str()), Some("'a"));
         assert_eq!(toks.last().map(|t| t.kind), Some(TokKind::Lifetime));
     }
 
     #[test]
     fn byte_char_with_escaped_quote() {
-        let (toks, _) = lex(r"let q = b'\''; next");
+        let toks = lex(r"let q = b'\''; next");
         let chars: Vec<_> = toks.iter().filter(|t| t.kind == TokKind::Char).collect();
         assert_eq!(chars.len(), 1, "{toks:?}");
         assert_eq!(chars[0].text, r"b'\''");
@@ -535,20 +501,16 @@ mod tests {
     }
 
     #[test]
-    fn comments_are_captured_with_lines() {
-        let src = "let a = 1;\n// simlint: allow(x) -- reason\nlet b = 2; // trailing\n";
-        let (_, comments) = lex(src);
-        assert_eq!(comments.len(), 2);
-        assert_eq!(comments[0].line, 2);
-        assert!(comments[0].text.contains("simlint"));
-        assert_eq!(comments[1].line, 3);
-        assert_eq!(comments[1].col, 12);
+    fn comments_are_skipped_and_lines_still_advance() {
+        let src = "let a = 1;\n// HashMap::iter()\nlet b = 2; // trailing\nc";
+        assert_eq!(render(src), "let a = 1 ; let b = 2 ; c");
+        let toks = lex(src);
+        assert_eq!(toks.last().map(|t| (t.line, t.col)), Some((4, 1)));
     }
 
     #[test]
     fn nested_block_comments() {
-        let (toks, comments) = lex("a /* outer /* inner */ still */ b");
-        assert_eq!(comments.len(), 1);
+        let toks = lex("a /* outer /* inner */ still */ b");
         let names = toks
             .iter()
             .map(|t| t.text.as_str())
@@ -560,13 +522,11 @@ mod tests {
     #[test]
     fn deeply_nested_and_unterminated_block_comments() {
         // Three levels, with stars and slashes scattered inside.
-        let (toks, comments) = lex("x /* 1 /* 2 /* 3 */ * / */ ** */ y");
-        assert_eq!(comments.len(), 1, "{comments:?}");
+        let toks = lex("x /* 1 /* 2 /* 3 */ * / */ ** */ y");
         assert_eq!(render("x /* 1 /* 2 /* 3 */ * / */ ** */ y"), "x y");
         assert_eq!(toks.len(), 2);
         // Unterminated nesting swallows to EOF without panicking.
-        let (toks, comments) = lex("a /* open /* deeper */ still-open b");
-        assert_eq!(comments.len(), 1);
+        let toks = lex("a /* open /* deeper */ still-open b");
         assert_eq!(toks.len(), 1, "everything after /* is comment: {toks:?}");
         // A stray close without an open is plain punctuation.
         assert_eq!(render("a */ b"), "a * / b");
@@ -574,7 +534,7 @@ mod tests {
 
     #[test]
     fn ranges_are_not_floats() {
-        let (toks, _) = lex("for i in 0..n { let f = 0.050; }");
+        let toks = lex("for i in 0..n { let f = 0.050; }");
         let nums: Vec<_> = toks
             .iter()
             .filter(|t| t.kind == TokKind::Num)
@@ -585,7 +545,7 @@ mod tests {
 
     #[test]
     fn signed_exponents_are_single_tokens() {
-        let (toks, _) = lex("let a = 1.5e-3; let b = 2E+8; let c = 9e4; let d = x - 3;");
+        let toks = lex("let a = 1.5e-3; let b = 2E+8; let c = 9e4; let d = x - 3;");
         let nums: Vec<&str> = toks
             .iter()
             .filter(|t| t.kind == TokKind::Num)
@@ -598,14 +558,14 @@ mod tests {
 
     #[test]
     fn line_numbers_advance() {
-        let (toks, _) = lex("a\nb\n\nc");
+        let toks = lex("a\nb\n\nc");
         let lines: Vec<u32> = toks.iter().map(|t| t.line).collect();
         assert_eq!(lines, vec![1, 2, 4]);
     }
 
     #[test]
     fn columns_are_tracked() {
-        let (toks, _) = lex("let x = 1;\n    let yy = 2;");
+        let toks = lex("let x = 1;\n    let yy = 2;");
         let find = |name: &str| {
             toks.iter()
                 .find(|t| t.text == name)
@@ -614,13 +574,6 @@ mod tests {
         assert_eq!(find("x"), Some((1, 5)));
         assert_eq!(find("yy"), Some((2, 9)));
         assert_eq!(find("2"), Some((2, 14)));
-    }
-
-    #[test]
-    fn empty_string_detection() {
-        assert!(str_literal_is_empty("\"\""));
-        assert!(!str_literal_is_empty("\"x\""));
-        assert!(!str_literal_is_empty("\" \""));
     }
 
     #[test]

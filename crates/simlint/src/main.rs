@@ -72,8 +72,8 @@ mod tests {
     fn parses_full_command_line() {
         assert!(matches!(parse_args(&argv(&[])), Ok(Invocation::Scan)));
         assert!(matches!(
-            parse_args(&argv(&["--explain", "S2"])),
-            Ok(Invocation::Explain(Rule::CastLossy))
+            parse_args(&argv(&["--explain", "D4"])),
+            Ok(Invocation::Explain(Rule::FloatOrder))
         ));
     }
 
@@ -91,7 +91,10 @@ mod tests {
         };
         assert_eq!(r, Rule::DeterminismTaint);
         assert!(parse_args(&argv(&["--explain", "nope"])).is_err());
-        assert!(parse_args(&argv(&["--explain", "D6"])).is_err());
+        // D1–D3, S1 and S2 are clippy lints now; D6 is gone.
+        for gone in ["D1", "hash-iteration", "S1", "cast-lossy", "D6"] {
+            assert!(parse_args(&argv(&["--explain", gone])).is_err(), "{gone}");
+        }
     }
 
     #[test]
@@ -100,7 +103,7 @@ mod tests {
             &["--bogus"][..],
             &["--workspace"],
             &["--explain"],
-            &["--explain", "D1", "extra"],
+            &["--explain", "D4", "extra"],
             &["--help"],
         ] {
             assert!(parse_args(&argv(bad)).is_err(), "accepted {bad:?}");

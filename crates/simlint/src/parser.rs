@@ -434,7 +434,7 @@ mod tests {
     use crate::lexer::lex;
 
     fn parse_src(src: &str) -> Vec<Item> {
-        parse(&lex(src).0)
+        parse(&lex(src))
     }
 
     fn find<'a>(items: &'a [Item], name: &str) -> &'a Item {
@@ -472,7 +472,7 @@ mod tests {
         let src = "fn f() { if a { b(); } else { c(); } } fn g() {}";
         let items = parse_src(src);
         assert_eq!(items.len(), 2);
-        let toks = lex(src).0;
+        let toks = lex(src);
         let (open, close) = items[0].body.expect("f has a body");
         assert_eq!(toks[open].text, "{");
         assert_eq!(toks[close].text, "}");

@@ -7,10 +7,10 @@ use std::fmt::Write;
 /// Render `violations` in compiler style with a caret span:
 ///
 /// ```text
-/// crates/engine/src/lib.rs:42:19: hash-iteration (D1): `m.iter()` iterates …
-///    42 | for (k, v) in m.iter() {
-///       |               ^^^^^^^^
-///       = note: iteration order of HashMap/HashSet varies across runs; …
+/// crates/engine/src/par.rs:42:34: float-order (D4): `.sum::<f64>()` over …
+///    42 | let t = per_partition.iter().sum::<f64>();
+///       |                              ^^^
+///       = note: float addition is not associative: …
 /// ```
 pub fn render_violations(violations: &[Violation]) -> String {
     let mut sorted: Vec<&Violation> = violations.iter().collect();
@@ -62,24 +62,24 @@ mod tests {
     fn sample() -> Vec<Violation> {
         vec![
             Violation {
-                rule: Rule::WallClock,
+                rule: Rule::DeterminismTaint,
                 path: "crates/b.rs".into(),
                 line: 9,
                 col: 9,
                 caret: 8,
                 len: 12,
-                snippet: "let t = Instant::now();".into(),
-                message: "`Instant::now()` wall-clock read".into(),
+                snippet: "let t = seed_from_u64(wall);".into(),
+                message: "nondeterministic value flows into `seed_from_u64(…)`".into(),
             },
             Violation {
-                rule: Rule::HashIteration,
+                rule: Rule::FloatOrder,
                 path: "crates/a.rs".into(),
                 line: 3,
                 col: 15,
                 caret: 14,
                 len: 4,
-                snippet: "for (k, v) in m.keys() {".into(),
-                message: "`m.keys()` iterates an unordered collection".into(),
+                snippet: "let total = parts.iter().sum::<f64>();".into(),
+                message: "`.sum::<f64>()` over partition-ordered data".into(),
             },
         ]
     }
@@ -91,7 +91,7 @@ mod tests {
         let a = text.find("crates/a.rs:3:15:").expect("a.rs reported");
         let b = text.find("crates/b.rs:9:9:").expect("b.rs reported");
         assert!(a < b, "sorted by path");
-        assert!(text.contains("crates/a.rs:3:15: hash-iteration (D1): `m.keys()`"));
+        assert!(text.contains("crates/a.rs:3:15: float-order (D4): `.sum::<f64>()`"));
         assert!(text.contains("= note:"));
         assert!(render_summary(2, &vs).contains("2 violation(s)"));
     }
@@ -99,7 +99,7 @@ mod tests {
     #[test]
     fn caret_line_points_at_the_finding() {
         let text = render_violations(&sample());
-        // The wall-clock snippet: caret 8, len 12 → 8 spaces then ^^^.
+        // The taint snippet: caret 8, len 12 → 8 spaces then ^^^.
         let caret_line = text
             .lines()
             .find(|l| {

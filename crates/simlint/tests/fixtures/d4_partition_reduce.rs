@@ -1,7 +1,7 @@
 //! D4 clean fixture: the deterministic way to combine per-partition
 //! float results — collect into a slab indexed by partition id, then
-//! reduce in fixed index order. Must pass every rule without
-//! suppressions in the strictest crate scopes.
+//! reduce in fixed index order. Must pass every rule in the strictest
+//! crate scopes.
 
 pub fn combine(per_partition: &mut Vec<(usize, f64)>) -> f64 {
     // Fix the order first: partition id is a pure function of the

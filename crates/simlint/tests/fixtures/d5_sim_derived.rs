@@ -1,6 +1,6 @@
 //! D5 clean fixture: the deterministic way to produce event times and
 //! seeds — everything derives from scenario config or simulated state.
-//! Must pass every rule without suppressions in the strictest scopes.
+//! Must pass every rule in the strictest scopes.
 
 pub fn schedule_from_sim_state(q: &mut EventQueue, now: SimTime, flow: &Flow) {
     // Event time = current virtual time + a latency computed from the

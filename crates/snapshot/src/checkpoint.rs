@@ -163,7 +163,6 @@ impl Session {
         let lp_count = shared.lp_count();
         let fingerprint =
             scenario_fingerprint(&shared, &initial, route_cache_capacity, max_retries);
-        // simlint: allow(cast-lossy) -- 2^32 initial events is far past any supported scale
         let next_external = initial.len() as u32;
         let mut events = seed_events(initial);
         // seed_events returns injection order; the frontier contract is
@@ -344,7 +343,6 @@ impl Session {
                 ));
             }
             let source = (ev.tag >> 32) as u32;
-            // simlint: allow(cast-lossy) -- low half of the tag is the counter by construction
             let counter = (ev.tag & 0xFFFF_FFFF) as u32;
             if source == EXTERNAL_SOURCE && counter >= next_external {
                 return Err(corrupt(

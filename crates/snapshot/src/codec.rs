@@ -14,7 +14,7 @@
 //! still cannot reach a panic path.
 //!
 //! Determinism: every encoder walks plain `Vec`s in index order — no
-//! hash-map iteration anywhere (D1-clean), no clocks, no entropy.
+//! hash-map iteration anywhere, no clocks, no entropy.
 
 use crate::rebalance::{RebalancePolicy, RebalanceSessionState};
 use crate::wire::{ByteReader, ByteWriter, Wire};

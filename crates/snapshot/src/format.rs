@@ -86,7 +86,6 @@ pub fn encode_container(sections: &[Section]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + body);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    // simlint: allow(cast-lossy) -- a snapshot holds a handful of sections
     out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
     for s in sections {
         out.extend_from_slice(&s.id.to_le_bytes());

@@ -56,7 +56,10 @@ pub struct Crc32 {
 }
 
 impl Crc32 {
-    #[allow(clippy::new_without_default)] // a checksum accumulator has no meaningful default
+    #[expect(
+        clippy::new_without_default,
+        reason = "a checksum accumulator has no meaningful default"
+    )]
     pub fn new() -> Self {
         Crc32 { state: !0u32 }
     }
@@ -170,7 +173,6 @@ impl<'a> ByteReader<'a> {
                 self.remaining()
             )));
         }
-        // simlint: allow(cast-lossy) -- fits-in-remaining check above bounds n well below usize::MAX
         Ok(n as usize)
     }
 

@@ -94,7 +94,6 @@ fn mixed_scenario(seed: u64, flaps: usize, tcp_flows: usize, fluid_flows: usize)
 /// promise exactly that much cross-LP lookahead).
 fn fluid_parity_cut(shared: &SharedNet, parts: u32) -> (Vec<u32>, SimTime) {
     let n = shared.lp_count();
-    // simlint: allow(cast-lossy) -- partition index over a tiny test net
     let assignment: Vec<u32> = (0..n).map(|i| (i as u32) % parts).collect();
     let mut mll = f64::INFINITY;
     for link in &shared.net.links {

@@ -87,7 +87,6 @@ fn fingerprint_for(builder: &NetSimBuilder) -> u64 {
 /// Parity-cut assignment and its safe barrier window (the cut MLL).
 fn parity_cut(shared: &SharedNet, parts: u32) -> (Vec<u32>, SimTime) {
     let n = shared.lp_count();
-    // simlint: allow(cast-lossy) -- partition index over a tiny test net
     let assignment: Vec<u32> = (0..n).map(|i| (i as u32) % parts).collect();
     let mut mll = f64::INFINITY;
     for link in &shared.net.links {
@@ -648,7 +647,6 @@ fn snapshot_bytes_match_golden_values() {
         },
         ..RebalancePolicy::default()
     };
-    // simlint: allow(cast-lossy) -- partition index over a tiny test net
     let assignment = (0..n).map(|i| (i * 2 / n) as u32).collect();
     let mut session = Session::new_rebalancing(
         skewed.shared(),
