@@ -4,14 +4,14 @@
 //! partitioner speed: "The METIS graph partitioner used in MaSSF can
 //! partition a graph with 10,000 vertexes in about 10 seconds"
 //! (Section 3.4.3). This bench measures our multilevel k-way
-//! partitioner at 1k/5k/10k vertices, compares recursive bisection and
-//! the ModelNet greedy k-cluster baseline, and ablates the KL/FM
+//! partitioner at 1k/5k/10k vertices, compares it with the ModelNet
+//! greedy k-cluster baseline, and ablates the KL/FM
 //! refinement stage (reporting its cut-quality effect on stderr).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use massf_core::prelude::*;
 use massf_core::{EdgeWeighting, VertexWeighting};
-use massf_partition::{greedy_kcluster, recursive_bisection};
+use massf_partition::greedy_kcluster;
 
 fn network_graph(routers: usize, seed: u64) -> WeightedGraph {
     let net = generate_flat_network(&FlatTopologyConfig {
@@ -47,9 +47,6 @@ fn bench_algorithms(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("metis_kway", |b| {
         b.iter(|| metis_kway(&graph, 16, &KwayConfig::default()))
-    });
-    group.bench_function("recursive_bisection", |b| {
-        b.iter(|| recursive_bisection(&graph, 16, &KwayConfig::default()))
     });
     group.bench_function("greedy_kcluster", |b| {
         b.iter(|| greedy_kcluster(&graph, 16, 3))

@@ -17,12 +17,8 @@
 //! Crash recovery and branches on the parallel executor are checked in
 //! `tests/tests/snapshot.rs`.
 //!
-//! Extra flags on top of the shared harness set:
-//!
-//! ```text
-//! --branches N     what-if branches to explore (default: 8)
-//! --prefix-pct P   branch point as a percentage of the run (default: 80)
-//! ```
+//! Takes the shared harness flags only: `BRANCHES` (8) what-ifs branch
+//! at `PREFIX_PCT` (80 %) of the run.
 
 use massf_bench::HarnessOptions;
 use massf_core::prelude::*;
@@ -37,50 +33,11 @@ use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 use std::time::Instant;
 
-struct StudyOptions {
-    harness: HarnessOptions,
-    branches: usize,
-    prefix_pct: u64,
-}
+/// What-if branches to explore.
+const BRANCHES: usize = 8;
 
-fn parse_extra(harness: HarnessOptions, rest: Vec<String>) -> StudyOptions {
-    let mut opts = StudyOptions {
-        harness,
-        branches: 8,
-        prefix_pct: 80,
-    };
-    let mut iter = rest.into_iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| match iter.next() {
-            Some(v) => v,
-            None => HarnessOptions::usage_exit(&format!("{flag} needs a value")),
-        };
-        match arg.as_str() {
-            "--branches" => {
-                let v = value("--branches");
-                opts.branches = match v.parse() {
-                    Ok(n) if n > 0 => n,
-                    _ => HarnessOptions::usage_exit(&format!(
-                        "--branches must be a positive number, got {v:?}"
-                    )),
-                };
-            }
-            "--prefix-pct" => {
-                let v = value("--prefix-pct");
-                opts.prefix_pct = match v.parse() {
-                    Ok(p) if (1..100).contains(&p) => p,
-                    _ => HarnessOptions::usage_exit(&format!(
-                        "--prefix-pct must be in 1..100, got {v:?}"
-                    )),
-                };
-            }
-            other => HarnessOptions::usage_exit(&format!(
-                "unknown argument {other:?} (extra flags: --branches/--prefix-pct)"
-            )),
-        }
-    }
-    opts
-}
+/// Branch point as a percentage of the run.
+const PREFIX_PCT: u64 = 80;
 
 /// Seeded base traffic: TCP flows between random host pairs, injected
 /// over the prefix portion of the run.
@@ -150,12 +107,11 @@ fn assert_branch_matches(b: usize, session: &Session, replay: &SimOutput<NoApp>)
 }
 
 fn main() {
-    let (harness, rest) = HarnessOptions::from_env_partial();
-    let opts = parse_extra(harness, rest);
-    let scale = opts.harness.scale;
-    let seed = opts.harness.seed;
+    let opts = HarnessOptions::from_env();
+    let scale = opts.scale;
+    let seed = opts.seed;
     let duration = scale.run_duration().max(SimTime::from_secs(15));
-    let branch_at = SimTime(duration.as_ns() / 100 * opts.prefix_pct);
+    let branch_at = SimTime(duration.as_ns() / 100 * PREFIX_PCT);
 
     eprintln!("# generating {scale:?} single-AS network (seed {seed}) …");
     let net = generate_flat_network(&scale.flat_config(seed));
@@ -168,7 +124,7 @@ fn main() {
     builder.add_agent(base_traffic(&hosts, branch_at, base_flows, seed));
     let shared = builder.shared();
     let initial = builder.initial_events();
-    let suffixes: Vec<Vec<(SimTime, LpId, NetEvent)>> = (0..opts.branches)
+    let suffixes: Vec<Vec<(SimTime, LpId, NetEvent)>> = (0..BRANCHES)
         .map(|b| suffix_traffic(&hosts, branch_at, duration, suffix_flows, seed, b))
         .collect();
 
@@ -181,7 +137,7 @@ fn main() {
         base_flows,
         branch_at.as_secs_f64(),
         duration.as_secs_f64(),
-        opts.branches,
+        BRANCHES,
         suffix_flows
     );
 
@@ -192,10 +148,10 @@ fn main() {
     const TIMING_REPS: usize = 2;
 
     // ---- Mode A: every what-if is a full replay from t = 0. ----
-    eprintln!("# mode A: {} full replays x{TIMING_REPS} …", opts.branches);
+    eprintln!("# mode A: {BRANCHES} full replays x{TIMING_REPS} …");
     let run_full_replays = || -> (f64, Vec<SimOutput<NoApp>>) {
         let t = Instant::now();
-        let replays = (0..opts.branches)
+        let replays = (0..BRANCHES)
             .map(|b| {
                 let mut replay = NetSimBuilder::new(net.clone(), resolver.clone());
                 replay.add_agent(base_traffic(&hosts, branch_at, base_flows, seed));
@@ -211,10 +167,7 @@ fn main() {
     }
 
     // ---- Mode B: one shared prefix + checkpoint, then N branches. ----
-    eprintln!(
-        "# mode B: shared prefix + {} branches x{TIMING_REPS} …",
-        opts.branches
-    );
+    eprintln!("# mode B: shared prefix + {BRANCHES} branches x{TIMING_REPS} …");
     let snap_dir =
         std::env::temp_dir().join(format!("massf-checkpoint-study-{}", std::process::id()));
     std::fs::create_dir_all(&snap_dir).expect("snapshot dir");
@@ -259,7 +212,7 @@ fn main() {
         let load_ms = t_load.elapsed().as_secs_f64() * 1e3;
 
         let t_b = Instant::now();
-        let branch_runs: Vec<Session> = (0..opts.branches)
+        let branch_runs: Vec<Session> = (0..BRANCHES)
             .map(|b| {
                 let mut branch = trunk
                     .branch(shared.clone(), suffixes[b].clone())

@@ -7,15 +7,9 @@
 //! Defaults to `--scale medium` (the 2,000-router single-AS network);
 //! see EXPERIMENTS.md ("Link-flap runbook") for the expected output.
 //!
-//! Extra flags on top of the shared harness set:
-//!
-//! ```text
-//! --flaps N        number of link flaps to script (default: 12)
-//! --down-ms MS     downtime per flap, milliseconds (default: 2000)
-//! --max-retries N  TCP retry budget before a flow aborts (default: 6);
-//!                  lower it to make flows give up inside a flap window,
-//!                  raise it to ride the outage out
-//! ```
+//! Takes the shared harness flags only. The script is `FLAPS` (12) link
+//! flaps of `DOWN` (2000 ms) each, and every flow keeps the default
+//! TCP retry budget, `MAX_RETRIES`.
 //!
 //! The report is bit-identical across `--threads` values: fault state is
 //! a pure function of virtual time, so worker-pool scheduling cannot
@@ -35,61 +29,11 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 
-struct StudyOptions {
-    harness: HarnessOptions,
-    flaps: usize,
-    down: SimTime,
-    max_retries: u32,
-}
+/// Link flaps scripted into the middle of the run.
+const FLAPS: usize = 12;
 
-fn parse_extra(harness: HarnessOptions, rest: Vec<String>) -> StudyOptions {
-    let mut opts = StudyOptions {
-        harness,
-        flaps: 12,
-        down: SimTime::from_ms(2000),
-        max_retries: MAX_RETRIES,
-    };
-    let mut iter = rest.into_iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| match iter.next() {
-            Some(v) => v,
-            None => HarnessOptions::usage_exit(&format!("{flag} needs a value")),
-        };
-        match arg.as_str() {
-            "--flaps" => {
-                let v = value("--flaps");
-                opts.flaps = match v.parse() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        HarnessOptions::usage_exit(&format!("--flaps must be a number, got {v:?}"))
-                    }
-                };
-            }
-            "--down-ms" => {
-                let v = value("--down-ms");
-                opts.down = match v.parse::<u64>() {
-                    Ok(ms) => SimTime::from_ms(ms),
-                    Err(_) => HarnessOptions::usage_exit(&format!(
-                        "--down-ms must be a number, got {v:?}"
-                    )),
-                };
-            }
-            "--max-retries" => {
-                let v = value("--max-retries");
-                opts.max_retries = match v.parse() {
-                    Ok(n) => n,
-                    Err(_) => HarnessOptions::usage_exit(&format!(
-                        "--max-retries must be a number, got {v:?}"
-                    )),
-                };
-            }
-            other => HarnessOptions::usage_exit(&format!(
-                "unknown argument {other:?} (extra flags: --flaps/--down-ms/--max-retries)"
-            )),
-        }
-    }
-    opts
-}
+/// Downtime per flap.
+const DOWN: SimTime = SimTime::from_ms(2000);
 
 /// Seeded background traffic: TCP flows between random host pairs,
 /// injected over the first 60% of the run, plus one fluid background
@@ -135,16 +79,15 @@ fn partition_loads(profile: &ProfileData, assignment: &[u32], engines: usize) ->
 }
 
 fn main() {
-    let (harness, rest) = HarnessOptions::from_env_partial();
-    let mut opts = parse_extra(harness, rest);
+    let mut opts = HarnessOptions::from_env();
     // This study defaults to the 2k-router single-AS world (the shared
     // harness default is small); an explicit --scale wins.
     if !std::env::args().any(|a| a == "--scale") {
-        opts.harness.scale = Scale::Medium;
+        opts.scale = Scale::Medium;
     }
 
-    let scale = opts.harness.scale;
-    let seed = opts.harness.seed;
+    let scale = opts.scale;
+    let seed = opts.seed;
     let duration = scale.run_duration().max(SimTime::from_secs(30));
 
     eprintln!("# generating {scale:?} single-AS network (seed {seed}) …");
@@ -156,14 +99,14 @@ fn main() {
     // both a clean prefix and a recovered tail exist.
     let start = SimTime(duration.as_ns() / 5);
     let end = SimTime(duration.as_ns() * 4 / 5);
-    let script = FaultScript::random_link_flaps(&net, opts.flaps, opts.down, start, end, seed)
+    let script = FaultScript::random_link_flaps(&net, FLAPS, DOWN, start, end, seed)
         .unwrap_or_else(|e| HarnessOptions::usage_exit(&format!("cannot build fault script: {e}")));
     eprintln!(
         "# scripted {} fault events over [{:.1}s, {:.1}s], {} ms downtime per flap",
         script.len(),
         start.as_secs_f64(),
         end.as_secs_f64(),
-        opts.down.as_ms_f64(),
+        DOWN.as_ms_f64(),
     );
 
     // Clean run (reference) and faulted run over identical traffic.
@@ -175,7 +118,6 @@ fn main() {
                 NetSimBuilder::new(net.clone(), resolver)
             }
         };
-        builder.max_retries(opts.max_retries);
         builder.add_agent(traffic(&hosts, duration, flows, seed));
         builder.run_sequential(NoApp, duration)
     };
@@ -194,7 +136,7 @@ fn main() {
         net.links.len(),
         flows,
         duration.as_secs_f64(),
-        opts.max_retries
+        MAX_RETRIES
     );
 
     // Packet-loss windows: the faulty epochs, with their failure state.
@@ -362,7 +304,7 @@ fn main() {
     // HPROF drift: map the network with the clean profile and with the
     // faulted profile; report how far the assignment and the resulting
     // load balance move.
-    let cfg = opts.harness.mapping_config();
+    let cfg = opts.mapping_config();
     eprintln!("# HPROF mapping with clean profile …");
     let map_clean = map_network(&net, Some(&clean.profile), MappingApproach::Hprof, &cfg);
     eprintln!("# HPROF mapping with faulted profile …");

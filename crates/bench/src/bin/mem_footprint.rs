@@ -10,7 +10,7 @@
 //!
 //! Flow destinations are concentrated on a small host set so the lazy
 //! per-destination SPT cache stays bounded: this bench measures bytes,
-//! not routing throughput (`route_resolution` covers that).
+//! not routing throughput (`perf/`'s `routing.*` metrics cover that).
 //!
 //! ```text
 //! cargo run --release -p massf-bench --features alloc-count \

@@ -15,63 +15,14 @@
 //! the schedule-independent proxy. `crates/bench/tests/rebalance_study.rs`
 //! checks the recovery at `--scale tiny`.
 //!
-//! Extra flags on top of the shared harness set:
-//!
-//! ```text
-//! --epoch-ms MS    rebalance epoch cadence (default: 500)
-//! --threshold P    trigger threshold, permille of perfect balance
-//!                  (default: 1200 = rebalance when max > 1.2x mean)
-//! --max-moves N    per-epoch migration budget (default: 64)
-//! ```
+//! Takes the shared harness flags only; the rebalancer runs at
+//! `RebalanceConfig::default()` (500 ms epochs, rebalance when the
+//! busiest partition exceeds 1.2x the mean, at most 64 moves an epoch).
 
 use massf_bench::rebalance_study::{run, ScenarioReport, StudyConfig};
 use massf_bench::HarnessOptions;
 use massf_core::prelude::*;
 use massf_engine::RebalanceConfig;
-
-fn parse_extra(rest: Vec<String>) -> RebalanceConfig {
-    let mut cfg = RebalanceConfig::default();
-    let mut iter = rest.into_iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| match iter.next() {
-            Some(v) => v,
-            None => HarnessOptions::usage_exit(&format!("{flag} needs a value")),
-        };
-        match arg.as_str() {
-            "--epoch-ms" => {
-                let v = value("--epoch-ms");
-                cfg.epoch = match v.parse::<u64>() {
-                    Ok(ms) if ms > 0 => SimTime::from_ms(ms),
-                    _ => HarnessOptions::usage_exit(&format!(
-                        "--epoch-ms must be a positive number, got {v:?}"
-                    )),
-                };
-            }
-            "--threshold" => {
-                let v = value("--threshold");
-                cfg.threshold_permille = match v.parse() {
-                    Ok(p) if p >= 1000 => p,
-                    _ => HarnessOptions::usage_exit(&format!(
-                        "--threshold is permille of perfect balance and must be >= 1000, got {v:?}"
-                    )),
-                };
-            }
-            "--max-moves" => {
-                let v = value("--max-moves");
-                cfg.max_moves = match v.parse() {
-                    Ok(n) if n > 0 => n,
-                    _ => HarnessOptions::usage_exit(&format!(
-                        "--max-moves must be a positive number, got {v:?}"
-                    )),
-                };
-            }
-            other => HarnessOptions::usage_exit(&format!(
-                "unknown argument {other:?} (extra flags: --epoch-ms/--threshold/--max-moves)"
-            )),
-        }
-    }
-    cfg
-}
 
 fn report_scenario(r: &ScenarioReport) {
     let (s, a) = (&r.static_run.outcome, &r.adaptive_run.outcome);
@@ -116,13 +67,13 @@ fn report_scenario(r: &ScenarioReport) {
 }
 
 fn main() {
-    let (harness, rest) = HarnessOptions::from_env_partial();
+    let harness = HarnessOptions::from_env();
     let cfg = StudyConfig {
         scale: harness.scale,
         seed: harness.seed,
         engines: harness.engines(),
         duration: harness.scale.run_duration().max(SimTime::from_secs(10)),
-        rebalance: parse_extra(rest),
+        rebalance: RebalanceConfig::default(),
         flaps: 12,
     };
     let (net, reports) = run(&cfg);

@@ -1,16 +1,20 @@
-//! Experiment harness shared by the figure-regeneration binaries
-//! (`src/bin/fig03_load_variation.rs`, `fig05_sync_cost.rs`, `suite.rs`)
-//! and Criterion benches. [`fluid_scaling`] and [`rebalance_study`] hold
-//! the scenarios their study binaries share with `tests/`.
+//! Experiment harness shared by the figure-regeneration and study
+//! binaries (`src/bin/`) and the two Criterion benches (`partitioner`,
+//! `hprof_sweep`). [`fluid_scaling`] and [`rebalance_study`] hold the
+//! scenarios their study binaries share with `tests/`. Simulator speed
+//! is measured by `perf/`, not here.
 //!
 //! Every figure of the paper's evaluation (3, 5–13) has a binary that
 //! regenerates it — `suite` prints Figures 6–13 from one set of runs;
-//! see DESIGN.md's experiment index. Binaries accept:
+//! see DESIGN.md's experiment index. The figure and study binaries
+//! parse their flags with [`HarnessOptions::from_env`], which accepts
+//! these and no others ([`USAGE`]):
 //!
 //! ```text
 //! --scale tiny|small|medium|paper   (default: small)
-//! --engines N                       (default: 90, as in the paper)
+//! --engines N                       (default: per scale)
 //! --seed S                          (default: 2004)
+//! --repeats R                       (default: 1)
 //! --threads T                       (default: MASSF_THREADS env, else
 //!                                    all available cores)
 //! ```
@@ -98,24 +102,7 @@ impl HarnessOptions {
     /// Parse `std::env::args()`-style arguments (ignores argv[0]),
     /// rejecting anything unrecognized.
     pub fn try_parse(args: impl IntoIterator<Item = String>) -> Result<HarnessOptions, String> {
-        let (opts, rest) = Self::try_parse_partial(args)?;
-        if let Some(first) = rest.first() {
-            return Err(format!(
-                "unknown argument {first:?} \
-                 (expected --scale/--engines/--seed/--repeats/--threads)"
-            ));
-        }
-        Ok(opts)
-    }
-
-    /// Like [`HarnessOptions::try_parse`], but hands unrecognized
-    /// arguments back to the caller, in order — for binaries that layer
-    /// extra flags on top of the shared harness set.
-    pub fn try_parse_partial(
-        args: impl IntoIterator<Item = String>,
-    ) -> Result<(HarnessOptions, Vec<String>), String> {
         let mut opts = HarnessOptions::default();
-        let mut rest = Vec::new();
         let mut iter = args.into_iter().skip(1);
         while let Some(arg) = iter.next() {
             match arg.as_str() {
@@ -163,10 +150,15 @@ impl HarnessOptions {
                     }
                     opts.threads = Some(n);
                 }
-                _ => rest.push(arg),
+                _ => {
+                    return Err(format!(
+                        "unknown argument {arg:?} \
+                         (expected --scale/--engines/--seed/--repeats/--threads)"
+                    ))
+                }
             }
         }
-        Ok((opts, rest))
+        Ok(opts)
     }
 
     /// Print `err` plus the usage text and exit with status 2 (the
@@ -184,19 +176,6 @@ impl HarnessOptions {
             Ok(opts) => {
                 opts.apply_threads();
                 opts
-            }
-            Err(e) => Self::usage_exit(&e),
-        }
-    }
-
-    /// [`HarnessOptions::from_env`] for binaries with extra flags:
-    /// returns the unrecognized arguments for the caller to interpret
-    /// (and reject via [`HarnessOptions::usage_exit`]).
-    pub fn from_env_partial() -> (HarnessOptions, Vec<String>) {
-        match Self::try_parse_partial(std::env::args()) {
-            Ok((opts, rest)) => {
-                opts.apply_threads();
-                (opts, rest)
             }
             Err(e) => Self::usage_exit(&e),
         }
@@ -574,22 +553,6 @@ mod tests {
                 "{args:?} must be rejected"
             );
         }
-    }
-
-    #[test]
-    fn partial_parse_hands_back_extra_flags() {
-        let (opts, rest) = HarnessOptions::try_parse_partial(vec![
-            s("bin"),
-            s("--branches"),
-            s("4"),
-            s("--threads"),
-            s("2"),
-            s("--flaps"),
-            s("12"),
-        ])
-        .expect("harness flags valid");
-        assert_eq!(opts.threads, Some(2));
-        assert_eq!(rest, vec![s("--branches"), s("4"), s("--flaps"), s("12")]);
     }
 
     #[test]

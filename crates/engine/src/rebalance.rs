@@ -65,7 +65,7 @@ impl Default for RebalanceConfig {
 }
 
 impl RebalanceConfig {
-    /// Structural validation; configs may arrive from CLI flags or
+    /// Structural validation; configs may arrive from callers or
     /// snapshot files.
     pub fn validate(&self) -> Result<(), MassfError> {
         if self.epoch <= SimTime::ZERO {

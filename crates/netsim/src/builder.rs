@@ -8,6 +8,7 @@ use crate::agent::Agent;
 use crate::fluid::FLUID_COORDINATOR;
 use crate::packet::NetEvent;
 use crate::profiling::ProfileData;
+use crate::tcp::MAX_RETRIES;
 use crate::world::{AppLogic, NetWorld, SharedNet, DEFAULT_ROUTE_CACHE_CAPACITY};
 use massf_engine::{
     run_sequential, run_sequential_windowed, try_run_parallel_observed, BarrierObserver,
@@ -37,7 +38,6 @@ pub struct NetSimBuilder {
     shared: Arc<SharedNet>,
     initial: Vec<(SimTime, LpId, NetEvent)>,
     route_cache_capacity: usize,
-    max_retries: u32,
 }
 
 impl NetSimBuilder {
@@ -47,7 +47,6 @@ impl NetSimBuilder {
             shared: SharedNet::new(net, resolver),
             initial: Vec::new(),
             route_cache_capacity: DEFAULT_ROUTE_CACHE_CAPACITY,
-            max_retries: crate::tcp::MAX_RETRIES,
         }
     }
 
@@ -62,7 +61,6 @@ impl NetSimBuilder {
             shared: SharedNet::with_faults(net, faults),
             initial: Vec::new(),
             route_cache_capacity: DEFAULT_ROUTE_CACHE_CAPACITY,
-            max_retries: crate::tcp::MAX_RETRIES,
         }
     }
 
@@ -72,15 +70,6 @@ impl NetSimBuilder {
     /// only the `route_cache` profile counters and resolve cost differ.
     pub fn route_cache_capacity(&mut self, per_src: usize) -> &mut Self {
         self.route_cache_capacity = per_src;
-        self
-    }
-
-    /// TCP retry budget for every flow in the worlds this builder runs:
-    /// consecutive retransmission timeouts tolerated before a flow
-    /// aborts. Defaults to [`crate::tcp::MAX_RETRIES`]. Lower values
-    /// give up faster under long outages; higher values ride them out.
-    pub fn max_retries(&mut self, retries: u32) -> &mut Self {
-        self.max_retries = retries;
         self
     }
 
@@ -191,7 +180,7 @@ impl NetSimBuilder {
             self.shared.clone(),
             app,
             self.route_cache_capacity,
-            self.max_retries,
+            MAX_RETRIES,
         )
     }
 

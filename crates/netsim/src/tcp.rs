@@ -152,7 +152,7 @@ impl TcpSender {
 
     /// A sender for `bytes` of payload tolerating `max_retries`
     /// consecutive timeouts before aborting (see
-    /// `NetSimBuilder::max_retries`).
+    /// `NetWorld::with_config`).
     pub fn with_retries(bytes: u64, max_retries: u32) -> Self {
         TcpSender {
             total_segments: segments_for(bytes),

@@ -1,5 +1,4 @@
-//! The multilevel k-way partitioner (METIS-style) and multilevel
-//! recursive bisection.
+//! The multilevel k-way partitioner (METIS-style).
 //!
 //! `metis_kway` is the partitioner the paper plugs all of its mapping
 //! approaches into ("The METIS graph partitioner used in MaSSF can
@@ -97,96 +96,6 @@ pub fn metis_kway(g: &WeightedGraph, k: usize, cfg: &KwayConfig) -> Partition {
     }
     repair_empty_parts(g, k, &mut assignment);
     Partition::new(assignment, k)
-}
-
-/// Multilevel recursive bisection: split into two ⌈k/2⌉:⌊k/2⌋-weighted
-/// halves with `metis_kway(…, 2, …)` adapted targets, recurse.
-pub fn recursive_bisection(g: &WeightedGraph, k: usize, cfg: &KwayConfig) -> Partition {
-    assert!(k >= 1);
-    let n = g.vertex_count();
-    let mut assignment = vec![0u32; n];
-    if k > 1 && n > 0 {
-        let vertices: Vec<u32> = (0..n as u32).collect();
-        bisect_rec(g, &vertices, 0, k, cfg.seed, cfg, &mut assignment);
-    }
-    repair_empty_parts(g, k.max(1), &mut assignment);
-    Partition::new(assignment, k)
-}
-
-fn bisect_rec(
-    g: &WeightedGraph,
-    vertices: &[u32],
-    first_part: u32,
-    k: usize,
-    seed: u64,
-    cfg: &KwayConfig,
-    out: &mut [u32],
-) {
-    if k <= 1 || vertices.len() <= 1 {
-        for &v in vertices {
-            out[v as usize] = first_part;
-        }
-        return;
-    }
-    let k_left = k / 2;
-    let k_right = k - k_left;
-
-    // Build the induced subgraph. To honor the k_left:k_right weight
-    // ratio with a 2-way partitioner that targets equal halves, we scale
-    // by replicating the ratio into the balance target via part weights:
-    // partition into 2 with tolerance, then assign the lighter side to
-    // the smaller k. For near-equal splits this is the standard approach.
-    let mut index_of = vec![u32::MAX; g.vertex_count()];
-    for (i, &v) in vertices.iter().enumerate() {
-        index_of[v as usize] = i as u32;
-    }
-    let vw: Vec<u64> = vertices
-        .iter()
-        .map(|&v| g.vertex_weight(v as usize))
-        .collect();
-    let mut edges = Vec::new();
-    for (i, &v) in vertices.iter().enumerate() {
-        for (u, w) in g.neighbors(v as usize) {
-            let iu = index_of[u];
-            if iu != u32::MAX && (iu as usize) > i {
-                edges.push((i as u32, iu, w));
-            }
-        }
-    }
-    let sub = WeightedGraph::from_edges(vw, &edges);
-    let sub_cfg = KwayConfig {
-        seed: seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(first_part as u64 + k as u64)),
-        ..*cfg
-    };
-    let bi = metis_kway(&sub, 2, &sub_cfg);
-
-    // Heavier side gets the larger k.
-    let w = bi.part_weights(&sub);
-    let (small_side, _big_side) = if w[0] <= w[1] {
-        (0u32, 1u32)
-    } else {
-        (1u32, 0u32)
-    };
-    let mut left: Vec<u32> = Vec::new();
-    let mut right: Vec<u32> = Vec::new();
-    for (i, &v) in vertices.iter().enumerate() {
-        if bi.assignment[i] == small_side {
-            left.push(v);
-        } else {
-            right.push(v);
-        }
-    }
-    // left (lighter) gets k_left (smaller or equal), right gets k_right.
-    bisect_rec(g, &left, first_part, k_left, seed.rotate_left(13), cfg, out);
-    bisect_rec(
-        g,
-        &right,
-        first_part + k_left as u32,
-        k_right,
-        seed.rotate_right(17),
-        cfg,
-        out,
-    );
 }
 
 #[cfg(test)]
@@ -287,23 +196,5 @@ mod tests {
         let w = p.part_weights(&g);
         let max = *w.iter().max().expect("two parts requested");
         assert!(max <= 60, "part weights {w:?}");
-    }
-
-    #[test]
-    fn recursive_bisection_valid() {
-        let g = grid(12, 12);
-        for k in [2, 3, 5, 8] {
-            let p = recursive_bisection(&g, k, &KwayConfig::default());
-            assert_eq!(p.used_parts(), k, "k={k}");
-            assert!(p.balance(&g) <= 1.6, "k={k} balance {}", p.balance(&g));
-        }
-    }
-
-    #[test]
-    fn recursive_bisection_cut_sane() {
-        let g = grid(16, 16);
-        let p = recursive_bisection(&g, 4, &KwayConfig::default());
-        let random = crate::baselines::random_partition(g.vertex_count(), 4, 7);
-        assert!(p.edge_cut(&g) * 2 < random.edge_cut(&g));
     }
 }

@@ -12,8 +12,6 @@
 //!   heavy-edge-matching coarsening, greedy-graph-growing initial
 //!   partitioning, and KL/FM boundary refinement projected back through
 //!   the levels.
-//! * [`recursive_bisection`] — the classic multilevel recursive-bisection
-//!   alternative.
 //! * [`baselines`] — the comparison partitioners from the paper's related
 //!   work: random assignment and the ModelNet greedy k-cluster algorithm.
 //! * [`rebalance`] — RNG-free incremental re-partitioning: bounded
@@ -38,7 +36,7 @@ pub mod unionfind;
 
 pub use baselines::{greedy_kcluster, random_partition};
 pub use graph::WeightedGraph;
-pub use kway::{metis_kway, recursive_bisection, KwayConfig};
+pub use kway::{metis_kway, KwayConfig};
 pub use partition::Partition;
 pub use rebalance::{apply_moves, rebalance, Move, RebalanceParams};
 pub use unionfind::UnionFind;

@@ -4,9 +4,9 @@
 //! Every flow setup, datagram, and fault-epoch RTO failover resolves a
 //! full node-level path; workloads re-ask for the same `(src, dst)`
 //! pairs constantly. [`RouteCache`] memoizes `(src, dst) → Arc<[NodeId]>`
-//! in front of any [`PathResolver`] so repeated pairs skip Dijkstra and
-//! BGP leg stitching entirely and hand out the shared `Arc` without
-//! copying.
+//! in front of any [`PathResolver`](crate::PathResolver) so repeated
+//! pairs skip Dijkstra and BGP leg stitching entirely and hand out the
+//! shared `Arc` without copying.
 //!
 //! ## Determinism
 //!
@@ -28,9 +28,7 @@
 //! results (`None`: destination unreachable under BGP policy or a fault)
 //! are cached too.
 
-use crate::resolver::PathResolver;
 use massf_topology::{MassfError, NodeId};
-use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -321,77 +319,35 @@ pub struct RouteCacheState {
     pub shards: Vec<RouteCacheShardState>,
 }
 
-/// A [`PathResolver`] wrapper memoizing its inner resolver through a
-/// [`RouteCache`] (epoch 0 only — for epoch-aware simulation runs the
-/// netsim world drives a `RouteCache` directly; this wrapper serves
-/// standalone consumers such as benches and property tests).
-pub struct CachedResolver<R> {
-    inner: R,
-    cache: Mutex<(RouteCache, RouteCacheStats)>,
-}
-
-impl<R: PathResolver> CachedResolver<R> {
-    /// Wrap `inner`, caching up to `per_src_capacity` destinations per
-    /// source over `node_count` sources (`0` disables caching).
-    pub fn new(inner: R, node_count: usize, per_src_capacity: usize) -> Self {
-        CachedResolver {
-            inner,
-            cache: Mutex::new((
-                RouteCache::new(node_count, per_src_capacity),
-                RouteCacheStats::default(),
-            )),
-        }
-    }
-
-    /// The wrapped resolver.
-    pub fn inner(&self) -> &R {
-        &self.inner
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> RouteCacheStats {
-        self.cache.lock().1
-    }
-}
-
-impl<R: PathResolver> PathResolver for CachedResolver<R> {
-    fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        self.route_arc(src, dst).map(|p| p.to_vec())
-    }
-
-    fn route_arc(&self, src: NodeId, dst: NodeId) -> Option<Arc<[NodeId]>> {
-        let guard = &mut *self.cache.lock();
-        let (cache, stats) = guard;
-        cache.get_or_insert_with(stats, 0, src, dst, || self.inner.route_arc(src, dst))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// A resolver that returns `src → dst` for even dst ids, `None` for
-    /// odd, counting invocations.
+    /// odd, fronted by a [`RouteCache`] at epoch 0 and counting the
+    /// queries that reach it.
     struct Toy {
-        calls: std::sync::atomic::AtomicU64,
+        cache: RouteCache,
+        stats: RouteCacheStats,
+        calls: u64,
     }
 
     impl Toy {
-        fn new() -> Self {
+        fn new(node_count: usize, per_src_capacity: usize) -> Self {
             Toy {
-                calls: std::sync::atomic::AtomicU64::new(0),
+                cache: RouteCache::new(node_count, per_src_capacity),
+                stats: RouteCacheStats::default(),
+                calls: 0,
             }
         }
-        fn calls(&self) -> u64 {
-            self.calls.load(std::sync::atomic::Ordering::Relaxed)
-        }
-    }
 
-    impl PathResolver for Toy {
-        fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-            self.calls
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            dst.0.is_multiple_of(2).then(|| vec![src, dst])
+        fn route_arc(&mut self, src: NodeId, dst: NodeId) -> Option<Arc<[NodeId]>> {
+            let calls = &mut self.calls;
+            self.cache
+                .get_or_insert_with(&mut self.stats, 0, src, dst, || {
+                    *calls += 1;
+                    dst.0.is_multiple_of(2).then(|| Arc::from(vec![src, dst]))
+                })
         }
     }
 
@@ -401,13 +357,13 @@ mod tests {
 
     #[test]
     fn hit_returns_same_arc_without_resolving() {
-        let r = CachedResolver::new(Toy::new(), 8, 4);
+        let mut r = Toy::new(8, 4);
         let a = r.route_arc(n(0), n(2)).expect("even dst routes");
         let b = r.route_arc(n(0), n(2)).expect("even dst routes");
         assert!(Arc::ptr_eq(&a, &b), "hit must hand out the shared Arc");
-        assert_eq!(r.inner().calls(), 1);
+        assert_eq!(r.calls, 1);
         assert_eq!(
-            r.stats(),
+            r.stats,
             RouteCacheStats {
                 hits: 1,
                 misses: 1,
@@ -418,32 +374,32 @@ mod tests {
 
     #[test]
     fn negative_results_are_cached() {
-        let r = CachedResolver::new(Toy::new(), 8, 4);
+        let mut r = Toy::new(8, 4);
         assert_eq!(r.route_arc(n(0), n(3)), None);
         assert_eq!(r.route_arc(n(0), n(3)), None);
-        assert_eq!(r.inner().calls(), 1, "None must be memoized too");
-        assert_eq!(r.stats().hits, 1);
+        assert_eq!(r.calls, 1, "None must be memoized too");
+        assert_eq!(r.stats.hits, 1);
     }
 
     #[test]
     fn capacity_zero_disables_and_counts_nothing() {
-        let r = CachedResolver::new(Toy::new(), 8, 0);
+        let mut r = Toy::new(8, 0);
         for _ in 0..3 {
             let _ = r.route_arc(n(0), n(2));
         }
-        assert_eq!(r.inner().calls(), 3);
-        assert_eq!(r.stats(), RouteCacheStats::default());
+        assert_eq!(r.calls, 3);
+        assert_eq!(r.stats, RouteCacheStats::default());
     }
 
     #[test]
     fn capacity_one_evicts_lru() {
-        let r = CachedResolver::new(Toy::new(), 8, 1);
+        let mut r = Toy::new(8, 1);
         let _ = r.route_arc(n(0), n(2)); // miss
         let _ = r.route_arc(n(0), n(4)); // miss, evicts dst 2
         let _ = r.route_arc(n(0), n(2)); // miss again
-        assert_eq!(r.inner().calls(), 3);
+        assert_eq!(r.calls, 3);
         assert_eq!(
-            r.stats(),
+            r.stats,
             RouteCacheStats {
                 hits: 0,
                 misses: 3,
@@ -454,14 +410,14 @@ mod tests {
 
     #[test]
     fn lru_respects_recency_not_insertion_order() {
-        let r = CachedResolver::new(Toy::new(), 8, 2);
+        let mut r = Toy::new(8, 2);
         let _ = r.route_arc(n(0), n(2)); // miss: {2}
         let _ = r.route_arc(n(0), n(4)); // miss: {2, 4}
         let _ = r.route_arc(n(0), n(2)); // hit — 2 is now most recent
         let _ = r.route_arc(n(0), n(6)); // miss: evicts 4, not 2
         let _ = r.route_arc(n(0), n(2)); // must still hit
         assert_eq!(
-            r.stats(),
+            r.stats,
             RouteCacheStats {
                 hits: 2,
                 misses: 3,
@@ -472,12 +428,12 @@ mod tests {
 
     #[test]
     fn shards_are_independent_per_source() {
-        let r = CachedResolver::new(Toy::new(), 8, 1);
+        let mut r = Toy::new(8, 1);
         let _ = r.route_arc(n(0), n(2));
         let _ = r.route_arc(n(1), n(2)); // different shard: own miss
         let _ = r.route_arc(n(0), n(2)); // still cached in shard 0
         assert_eq!(
-            r.stats(),
+            r.stats,
             RouteCacheStats {
                 hits: 1,
                 misses: 2,
@@ -500,12 +456,11 @@ mod tests {
 
     #[test]
     fn heavy_hit_traffic_keeps_queue_bounded() {
-        let r = CachedResolver::new(Toy::new(), 2, 2);
+        let mut r = Toy::new(2, 2);
         for _ in 0..10_000 {
             let _ = r.route_arc(n(0), n(2));
         }
-        let guard = r.cache.lock();
-        let shard = &guard.0.shards[0];
+        let shard = &r.cache.shards[0];
         assert!(
             shard.queue.len() <= 64 + 1,
             "lazy-deletion queue must stay bounded, got {}",

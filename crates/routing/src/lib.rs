@@ -38,8 +38,7 @@ pub mod resolver;
 
 pub use bgp::{BgpRib, BgpRoute};
 pub use cache::{
-    CachedResolver, RouteCache, RouteCacheEntryState, RouteCacheShardState, RouteCacheState,
-    RouteCacheStats,
+    RouteCache, RouteCacheEntryState, RouteCacheShardState, RouteCacheState, RouteCacheStats,
 };
 pub use dynamics::{beacon_schedule, BeaconSim, Convergence};
 pub use massf_topology::MassfError;

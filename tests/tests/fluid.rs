@@ -16,7 +16,7 @@
 use massf_engine::{run_sequential, SimTime};
 use massf_netsim::{
     Agent, AppLogic, FaultScript, FaultState, FlowId, NetSimBuilder, NetWorld, NoApp, SharedNet,
-    SimApi, SimOutput, DEFAULT_ROUTE_CACHE_CAPACITY, FLUID_CONTROL_DELAY, MAX_RETRIES,
+    SimApi, SimOutput, DEFAULT_ROUTE_CACHE_CAPACITY, MAX_RETRIES,
 };
 use massf_routing::CostMetric;
 use massf_snapshot::{scenario_fingerprint, ExecMode, Session};
@@ -89,20 +89,17 @@ fn mixed_scenario(seed: u64, flaps: usize, tcp_flows: usize, fluid_flows: usize)
     builder
 }
 
-/// Parity-cut assignment and a barrier window safe for fluid traffic:
-/// the cut MLL capped at [`FLUID_CONTROL_DELAY`] (fluid control events
-/// promise exactly that much cross-LP lookahead).
+/// Parity-cut assignment and the barrier window the rebalancer would
+/// compute for it ([`SharedNet::safe_parallel_window`]: the cut MLL
+/// capped at `FLUID_CONTROL_DELAY`).
 fn fluid_parity_cut(shared: &SharedNet, parts: u32) -> (Vec<u32>, SimTime) {
     let n = shared.lp_count();
     let assignment: Vec<u32> = (0..n).map(|i| (i as u32) % parts).collect();
-    let mut mll = f64::INFINITY;
-    for link in &shared.net.links {
-        if assignment[link.a.index()] != assignment[link.b.index()] {
-            mll = mll.min(link.latency_ms);
-        }
-    }
-    let window = SimTime::from_ms_f64(mll).min(FLUID_CONTROL_DELAY);
-    assert!(window > SimTime::ZERO, "parity cut must sever some link");
+    let window = shared.safe_parallel_window(&assignment);
+    assert!(
+        window > SimTime::ZERO,
+        "parity cut must leave a positive window"
+    );
     (assignment, window)
 }
 

@@ -8,8 +8,7 @@
 use massf_engine::SimTime;
 use massf_netsim::{FaultScript, FaultState};
 use massf_routing::{
-    CachedResolver, CostMetric, FlatResolver, MultiAsResolver, PathResolver, RouteCache,
-    RouteCacheStats,
+    CostMetric, FlatResolver, MultiAsResolver, PathResolver, RouteCache, RouteCacheStats,
 };
 use massf_topology::{
     generate_flat_network, generate_multi_as_network, FlatTopologyConfig, MultiAsTopologyConfig,
@@ -40,23 +39,23 @@ proptest! {
         });
         let hosts = net.host_ids();
         let uncached = FlatResolver::new(&net, CostMetric::Latency);
-        let cached = CachedResolver::new(
-            FlatResolver::new(&net, CostMetric::Latency),
-            net.node_count(),
-            cap,
-        );
+        let inner = FlatResolver::new(&net, CostMetric::Latency);
+        let mut cache = RouteCache::new(net.node_count(), cap);
+        let mut stats = RouteCacheStats::default();
         for (i, j) in queries {
             let (s, d) = (hosts[i % hosts.len()], hosts[j % hosts.len()]);
             let want = uncached.route(s, d);
-            prop_assert_eq!(
-                want.clone(),
-                cached.route_arc(s, d).map(|p| p.to_vec()),
-                "cap {} diverged for {:?}→{:?}", cap, s, d
-            );
-            prop_assert_eq!(want, cached.route(s, d));
+            for _ in 0..2 {
+                let got = cache.get_or_insert_with(&mut stats, 0, s, d, || inner.route_arc(s, d));
+                prop_assert_eq!(
+                    want.clone(),
+                    got.map(|p| p.to_vec()),
+                    "cap {} diverged for {:?}→{:?}", cap, s, d
+                );
+            }
         }
         if cap == 0 {
-            prop_assert_eq!(cached.stats(), RouteCacheStats::default());
+            prop_assert_eq!(stats, RouteCacheStats::default());
         }
     }
 
@@ -77,16 +76,15 @@ proptest! {
         let m = generate_multi_as_network(&cfg);
         let hosts = m.network.host_ids();
         let uncached = MultiAsResolver::new(&m, CostMetric::Latency, &cfg);
-        let cached = CachedResolver::new(
-            MultiAsResolver::new(&m, CostMetric::Latency, &cfg),
-            m.network.node_count(),
-            cap,
-        );
+        let inner = MultiAsResolver::new(&m, CostMetric::Latency, &cfg);
+        let mut cache = RouteCache::new(m.network.node_count(), cap);
+        let mut stats = RouteCacheStats::default();
         for (i, j) in queries {
             let (s, d) = (hosts[i % hosts.len()], hosts[j % hosts.len()]);
+            let got = cache.get_or_insert_with(&mut stats, 0, s, d, || inner.route_arc(s, d));
             prop_assert_eq!(
                 uncached.route(s, d),
-                cached.route_arc(s, d).map(|p| p.to_vec()),
+                got.map(|p| p.to_vec()),
                 "cap {} diverged for {:?}→{:?}", cap, s, d
             );
         }
