@@ -29,10 +29,10 @@
 //!
 //! The actual move search lives in `massf-partition`
 //! (`rebalance::rebalance`, RNG-free integer-only local moves) and the
-//! migration transport in the snapshot session layer (owner-filtered
-//! world export, merge, re-restore under the new assignment, with the
-//! [`crate::ResumeState`] frontier handed to the new owners); this
-//! module stays model-agnostic.
+//! migration transport in `massf_snapshot`'s one session segment loop
+//! (owner-filtered world export, merge, re-restore under the new
+//! assignment, with the [`crate::ResumeState`] frontier handed to the
+//! new owners); this module stays model-agnostic.
 
 use crate::stats::imbalance_permille;
 use crate::time::SimTime;

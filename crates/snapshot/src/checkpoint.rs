@@ -11,6 +11,10 @@
 //! between sequential and parallel execution at any boundary — is
 //! bit-identical to one straight-through run.
 //!
+//! Plain and rebalancing sessions advance through one private segment
+//! loop (`Session::run`), which changes the session only once the
+//! whole call has succeeded.
+//!
 //! Branching ([`Session::branch`]) forks a divergent continuation off a
 //! shared prefix: N what-if runs over a `T`-long prefix and `S`-long
 //! suffixes cost `O(T + N·S)` instead of `O(N·(T+S))` — the speedup the
@@ -24,6 +28,7 @@
 use crate::format::{
     self, Section, SECTION_ENGINE, SECTION_META, SECTION_REBALANCE, SECTION_STATS, SECTION_WORLD,
 };
+use crate::rebalance::{RebalanceOutcome, RebalanceSessionState};
 use crate::wire::{fnv1a64, ByteReader, ByteWriter, Wire};
 use massf_engine::{
     external_tag, run_sequential_resumable, seed_events, try_run_parallel_resumable, EventRecord,
@@ -134,7 +139,7 @@ pub struct Session {
     /// Online-rebalancer state; `Some` iff the session was created with
     /// [`Session::new_rebalancing`]. Such sessions advance through
     /// [`Session::run_rebalancing`] only.
-    pub(crate) rebalance: Option<crate::rebalance::RebalanceSessionState>,
+    pub(crate) rebalance: Option<RebalanceSessionState>,
 }
 
 impl std::fmt::Debug for Session {
@@ -201,6 +206,29 @@ impl Session {
                     .into(),
             ));
         }
+        let cut = match mode {
+            ExecMode::Sequential => None,
+            ExecMode::Parallel { assignment, window } => Some(Cut {
+                partitions: assignment.iter().copied().max().map_or(1, |m| m + 1),
+                assignment: assignment.clone(),
+                window: *window,
+            }),
+        };
+        self.run(end, cut).map(drop)
+    }
+
+    /// The one segment loop behind [`Session::run_until`] and
+    /// [`Session::run_rebalancing`]: advance to `end` on one restored
+    /// world (`cut` is `None`) or on the partition worlds of `cut`. A
+    /// plain session's call is one segment; a rebalancing session's is
+    /// cut at epoch boundaries, where the rebalancer may migrate LPs.
+    /// Worlds stay resident until a migration or the end of the call,
+    /// and the session changes only once the whole call has succeeded.
+    pub(crate) fn run(
+        &mut self,
+        end: SimTime,
+        mut cut: Option<Cut>,
+    ) -> Result<RebalanceOutcome, MassfError> {
         if end < self.now {
             return Err(MassfError::InvalidConfig(format!(
                 "cannot run backwards: session is at {} ns, requested end {} ns",
@@ -209,64 +237,129 @@ impl Session {
             )));
         }
         let lp_count = self.shared.lp_count();
-        let prefix_profile = self.world.profile.clone();
-        let (stats, frontier, mut world) = match mode {
-            ExecMode::Sequential => {
-                let mut w = NetWorld::restore(self.shared.clone(), NoApp, &self.world)?;
-                // The sequential executor fails only on a malformed
-                // frontier: check it in place, then hand it over.
-                self.resume.validate(lp_count)?;
-                let resume = std::mem::replace(&mut self.resume, ResumeState::fresh(lp_count));
-                let (stats, frontier) = run_sequential_resumable(&mut w, lp_count, resume, end)?;
-                (stats, frontier, w.export_state())
-            }
-            ExecMode::Parallel { assignment, window } => {
-                if *window == SimTime::ZERO {
-                    return Err(MassfError::InvalidConfig(
-                        "parallel execution needs a nonzero barrier window".into(),
-                    ));
-                }
-                let partitions = assignment.iter().copied().max().map_or(1, |m| m + 1);
-                let shards = (0..partitions)
-                    .map(|p| {
-                        NetWorld::restore_partition(
-                            self.shared.clone(),
-                            NoApp,
-                            &self.world,
-                            assignment,
-                            p,
-                        )
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                // A lookahead violation surfaces mid-run, after the
-                // executor has consumed its frontier: it runs on a copy.
-                let (shards, stats, frontier) = try_run_parallel_resumable(
-                    shards,
-                    lp_count,
-                    assignment,
-                    self.resume.clone(),
-                    end,
-                    *window,
-                )?;
-                let parts: Vec<WorldState> = shards.iter().map(NetWorld::export_state).collect();
-                (
-                    stats,
-                    frontier,
-                    WorldState::merge_partitions(&parts, assignment)?,
-                )
-            }
-        };
-        // Restored worlds start with zeroed profiles; fold the prefix
-        // counters back in so the session's profile stays cumulative.
-        world.profile.merge(&prefix_profile);
-        self.world = world;
-        self.resume = frontier;
-        self.now = end;
-        self.total_events += stats.total_events;
-        for (acc, n) in self.lp_events.iter_mut().zip(&stats.lp_events) {
-            *acc += n;
+        if let Some(cut) = cut.as_ref().filter(|c| c.partitions as usize > lp_count) {
+            return Err(MassfError::InvalidConfig(format!(
+                "{} partitions for {lp_count} LPs: every partition needs an LP",
+                cut.partitions
+            )));
         }
-        Ok(())
+        let mut run = RunState {
+            resume: None,
+            world: None,
+            total_events: self.total_events,
+            lp_events: self.lp_events.clone(),
+            rebalance: self.rebalance.clone(),
+            outcome: RebalanceOutcome::default(),
+        };
+        let mut worlds: Option<Vec<NetWorld<NoApp>>> = None;
+        let mut now = self.now;
+        while now < end {
+            let boundary = run
+                .rebalance
+                .as_ref()
+                .map(|rb| rb.policy.cfg.next_boundary(now));
+            let seg_end = boundary.map_or(end, |b| b.min(end));
+            // End time is exclusive in the executors, so a frontier whose
+            // head is at or past seg_end executes nothing: skip the
+            // engine round-trip entirely (zero loads leave every decision
+            // unchanged, so the fast path cannot alter the trajectory).
+            let resume = run.resume.as_ref().unwrap_or(&self.resume);
+            if resume.next_event_time().is_some_and(|t| t < seg_end) {
+                let from = run.world.as_ref().unwrap_or(&self.world);
+                let current = match (worlds.take(), &cut) {
+                    (Some(w), _) => w,
+                    (None, None) => vec![NetWorld::restore(self.shared.clone(), NoApp, from)?],
+                    (None, Some(cut)) => (0..cut.partitions)
+                        .map(|p| {
+                            let shared = self.shared.clone();
+                            NetWorld::restore_partition(shared, NoApp, from, &cut.assignment, p)
+                        })
+                        .collect::<Result<_, _>>()?,
+                };
+                // The executor consumes its frontier and may fail
+                // mid-run: the first segment runs on a copy of the
+                // session's.
+                let resume = run.resume.take().unwrap_or_else(|| self.resume.clone());
+                let (current, stats, frontier) = match &cut {
+                    None => {
+                        let mut current = current;
+                        let (stats, frontier) =
+                            run_sequential_resumable(&mut current[0], lp_count, resume, seg_end)?;
+                        (current, stats, frontier)
+                    }
+                    Some(cut) => try_run_parallel_resumable(
+                        current,
+                        lp_count,
+                        &cut.assignment,
+                        resume,
+                        seg_end,
+                        cut.window,
+                    )?,
+                };
+                worlds = Some(current);
+                run.resume = Some(frontier);
+                run.total_events += stats.total_events;
+                for (acc, n) in run.lp_events.iter_mut().zip(&stats.lp_events) {
+                    *acc += n;
+                }
+                if let Some(rb) = &mut run.rebalance {
+                    for (acc, n) in rb.epoch_loads.iter_mut().zip(&stats.lp_events) {
+                        *acc += n;
+                    }
+                }
+                run.outcome.critical_path_events += stats.critical_path_events();
+                run.outcome.windows_executed += stats.windows_executed;
+                run.outcome.barrier_rounds += stats.barrier_rounds;
+            }
+            now = seg_end;
+            let migrated = run
+                .rebalance
+                .as_mut()
+                .filter(|_| boundary == Some(now))
+                .is_some_and(|rb| rb.close_epoch(&self.shared, &mut run.outcome));
+            // Flush at the end of the call and before a migration.
+            // Exporting under the *old* cut and restoring under the new
+            // one is the owner-filtered handoff: each LP's world state
+            // moves to its new partition world, and the engine re-routes
+            // the frontier's pending events by assignment when the next
+            // segment starts.
+            if now == end || migrated {
+                if let Some(w) = worlds.take() {
+                    let mut parts: Vec<WorldState> = w.iter().map(NetWorld::export_state).collect();
+                    let mut world = match &cut {
+                        None => parts.swap_remove(0),
+                        Some(cut) => WorldState::merge_partitions(&parts, &cut.assignment)?,
+                    };
+                    // Restored worlds start with zeroed profiles: fold
+                    // back the one they were restored from.
+                    world
+                        .profile
+                        .merge(&run.world.as_ref().unwrap_or(&self.world).profile);
+                    run.world = Some(world);
+                }
+            }
+            if migrated {
+                cut = run.rebalance.as_ref().map(|rb| rb.cut(&self.shared));
+            }
+        }
+
+        // Commit.
+        if let (Some(before), Some(after)) = (&self.rebalance, &run.rebalance) {
+            run.outcome.epochs = after.counters.epochs - before.counters.epochs;
+            run.outcome.rebalances = after.counters.rebalances - before.counters.rebalances;
+            run.outcome.migrations = after.counters.migrations - before.counters.migrations;
+        }
+        self.now = end;
+        if let Some(resume) = run.resume {
+            self.resume = resume;
+        }
+        if let Some(world) = run.world {
+            self.world = world;
+        }
+        self.total_events = run.total_events;
+        self.lp_events = run.lp_events;
+        self.rebalance = run.rebalance;
+        Ok(run.outcome)
     }
 
     /// Serialize the session into the versioned, checksummed snapshot
@@ -376,7 +469,7 @@ impl Session {
         let rebalance = match sections.iter().find(|s| s.id == SECTION_REBALANCE) {
             None => None,
             Some(section) => {
-                let rb: crate::rebalance::RebalanceSessionState = decode_section(section)?;
+                let rb: RebalanceSessionState = decode_section(section)?;
                 rb.validate(lp_count)
                     .map_err(|e| corrupt("rebalance", e.to_string()))?;
                 Some(rb)
@@ -520,4 +613,24 @@ impl Session {
     pub fn lp_events(&self) -> &[u64] {
         &self.lp_events
     }
+}
+
+/// The partition worlds of a parallel segment: `partitions` worlds, LP
+/// `l` on world `assignment[l]`, barrier-synchronized every `window`.
+pub(crate) struct Cut {
+    pub(crate) assignment: Vec<u32>,
+    pub(crate) partitions: u32,
+    pub(crate) window: SimTime,
+}
+
+/// What a run changes, held apart from the session until the whole
+/// call has succeeded. `None` means the session's own frontier or
+/// world is still current.
+struct RunState {
+    resume: Option<ResumeState<NetEvent>>,
+    world: Option<WorldState>,
+    total_events: u64,
+    lp_events: Vec<u64>,
+    rebalance: Option<RebalanceSessionState>,
+    outcome: RebalanceOutcome,
 }

@@ -22,6 +22,10 @@
 //!    continuations off one shared prefix, making N what-if runs cost
 //!    `O(prefix + N·suffix)` instead of `O(N·(prefix+suffix))`.
 //!
+//! [`Session::run_until`] and [`Session::run_rebalancing`] share one
+//! segment loop; the second cuts its call at the epoch boundaries where
+//! the online rebalancer ([`rebalance`]) may migrate LPs.
+//!
 //! Crash recovery ([`recover_latest`]) resumes from the newest valid
 //! checkpoint in a directory, skipping damaged files with recorded
 //! reasons.

@@ -2,9 +2,11 @@
 //! keeps the mapping optimal while the sim runs.
 //!
 //! A rebalancing [`Session`] advances in *epochs* (absolute multiples
-//! of the configured cadence from virtual time zero). Within an epoch
-//! the parallel shards stay resident and are chained segment-to-segment
-//! with no export/restore cost. At each epoch boundary the driver:
+//! of the configured cadence from virtual time zero), through the same
+//! segment loop as [`Session::run_until`]: the call is cut at every
+//! epoch boundary, and the partition worlds stay resident from one
+//! segment to the next with no export/restore cost. At each boundary
+//! the loop:
 //!
 //! 1. folds the epoch's per-LP event counts (a deterministic function
 //!    of simulated state — never wall-clock barrier waits) into
@@ -14,13 +16,14 @@
 //! 3. if exceeded, asks `massf_partition::rebalance` (RNG-free,
 //!    integer-only Kurve-style local moves over the topology graph with
 //!    core's standard inverse-latency edge weights) for a bounded move
-//!    list, then **migrates**: the resident shards are flushed through
-//!    owner-filtered `WorldState` export + `merge_partitions`, the
-//!    assignment is rewritten, and the next segment restores
-//!    partition-subset shards under the new map. Pending events for a
-//!    migrated LP travel in the session's [`ResumeState`] frontier; the
-//!    engine routes them to the LP's new owner when the next segment
-//!    starts. The barrier window is recomputed from the new cut's MLL.
+//!    list, then **migrates**: the assignment is rewritten, the resident
+//!    worlds are flushed through owner-filtered `WorldState` export +
+//!    `merge_partitions` under the cut they were restored with, and the
+//!    next segment restores partition-subset worlds under the new map.
+//!    Pending events for a migrated LP travel in the session's
+//!    `ResumeState` frontier; the engine routes them to the LP's new
+//!    owner when the next segment starts. The barrier window is
+//!    recomputed from the new cut's MLL.
 //!
 //! **Determinism.** Every input to steps 1–3 (event counts, topology,
 //! assignment, policy) is identical on every host and thread count, so
@@ -31,13 +34,13 @@
 //! (the partial epoch's loads are captured in the snapshot's rebalance
 //! section) restores and replays the very same decisions.
 
-use crate::checkpoint::Session;
+use crate::checkpoint::{Cut, Session};
 use crate::wire::{fnv1a64, put_slice, ByteWriter, Wire};
 use massf_engine::{
-    imbalance_permille, partition_loads, should_rebalance, try_run_parallel_resumable, LpId,
-    RebalanceConfig, RebalanceCounters, ResumeState, SimTime,
+    imbalance_permille, partition_loads, should_rebalance, LpId, RebalanceConfig,
+    RebalanceCounters, SimTime,
 };
-use massf_netsim::{NetEvent, NetWorld, NoApp, ProfileData, SharedNet, WorldState};
+use massf_netsim::{NetEvent, SharedNet};
 use massf_partition::{apply_moves, rebalance, RebalanceParams, WeightedGraph};
 use massf_topology::MassfError;
 use std::sync::Arc;
@@ -106,15 +109,16 @@ impl RebalanceSessionState {
     /// untrusted input).
     pub fn validate(&self, lp_count: usize) -> Result<(), MassfError> {
         self.policy.validate()?;
-        if self.partitions == 0 {
-            return Err(MassfError::InvalidConfig(
-                "rebalance state has zero partitions".into(),
-            ));
-        }
         if self.assignment.len() != lp_count {
             return Err(MassfError::InvalidConfig(format!(
                 "rebalance assignment covers {} LPs, network has {lp_count}",
                 self.assignment.len()
+            )));
+        }
+        if self.partitions == 0 || self.partitions as usize > lp_count {
+            return Err(MassfError::InvalidConfig(format!(
+                "rebalance state has {} partitions for {lp_count} LPs",
+                self.partitions
             )));
         }
         if let Some(&p) = self.assignment.iter().find(|&&p| p >= self.partitions) {
@@ -130,6 +134,56 @@ impl RebalanceSessionState {
             )));
         }
         Ok(())
+    }
+
+    /// The partition worlds the live assignment runs on, barrier-
+    /// synchronized at its cut's minimum link latency.
+    pub(crate) fn cut(&self, shared: &SharedNet) -> Cut {
+        Cut {
+            window: shared.safe_parallel_window(&self.assignment),
+            assignment: self.assignment.clone(),
+            partitions: self.partitions,
+        }
+    }
+
+    /// Close the epoch that just ended: count it, record its load
+    /// signal in `outcome` and reset the accumulator. When the trigger
+    /// fires and the move search finds improving moves, apply them to
+    /// the live assignment and return `true`.
+    pub(crate) fn close_epoch(
+        &mut self,
+        shared: &SharedNet,
+        outcome: &mut RebalanceOutcome,
+    ) -> bool {
+        let partitions = self.partitions as usize;
+        let loads = partition_loads(&self.epoch_loads, &self.assignment, partitions);
+        self.counters.epochs += 1;
+        outcome
+            .epoch_imbalance_permille
+            .push(imbalance_permille(&loads));
+        outcome.max_load_sum += loads.iter().copied().max().unwrap_or(0);
+        outcome.total_load += loads.iter().sum::<u64>();
+        let moves = if should_rebalance(&self.policy.cfg, &loads) {
+            let graph = conflict_graph(shared);
+            let params = self.policy.params();
+            rebalance(
+                &graph,
+                partitions,
+                &self.assignment,
+                &self.epoch_loads,
+                &params,
+            )
+        } else {
+            Vec::new()
+        };
+        self.epoch_loads.fill(0);
+        if moves.is_empty() {
+            return false;
+        }
+        apply_moves(&mut self.assignment, &moves);
+        self.counters.rebalances += 1;
+        self.counters.migrations += moves.len() as u64;
+        true
     }
 }
 
@@ -219,24 +273,19 @@ impl Session {
         policy: RebalancePolicy,
         assignment: Vec<u32>,
     ) -> Result<Session, MassfError> {
-        policy.validate()?;
         let lp_count = shared.lp_count();
-        if assignment.len() != lp_count {
-            return Err(MassfError::InvalidConfig(format!(
-                "initial assignment covers {} LPs, network has {lp_count}",
-                assignment.len()
-            )));
-        }
-        let partitions = assignment.iter().copied().max().map_or(1, |m| m + 1);
-        let mut session = Session::new(shared, initial, route_cache_capacity, max_retries);
-        session.fingerprint = rebalancing_fingerprint(session.fingerprint, &policy, &assignment);
-        session.rebalance = Some(RebalanceSessionState {
+        let state = RebalanceSessionState {
             policy,
-            partitions,
+            partitions: assignment.iter().copied().max().map_or(1, |m| m + 1),
             assignment,
             epoch_loads: vec![0; lp_count],
             counters: RebalanceCounters::default(),
-        });
+        };
+        state.validate(lp_count)?;
+        let mut session = Session::new(shared, initial, route_cache_capacity, max_retries);
+        session.fingerprint =
+            rebalancing_fingerprint(session.fingerprint, &policy, &state.assignment);
+        session.rebalance = Some(state);
         Ok(session)
     }
 
@@ -258,182 +307,9 @@ impl Session {
                 "session has no rebalance policy; use run_until".into(),
             ));
         };
-        if end < self.now {
-            return Err(MassfError::InvalidConfig(format!(
-                "cannot run backwards: session is at {} ns, requested end {} ns",
-                self.now.as_ns(),
-                end.as_ns()
-            )));
-        }
-        let mut run = RunState {
-            rb: rb.clone(),
-            resume: None,
-            world: None,
-            total_events: self.total_events,
-            lp_events: self.lp_events.clone(),
-        };
-        let outcome = self.run_rebalancing_inner(end, &mut run)?;
-        self.now = end;
-        self.rebalance = Some(run.rb);
-        if let Some(resume) = run.resume {
-            self.resume = resume;
-        }
-        if let Some(world) = run.world {
-            self.world = world;
-        }
-        self.total_events = run.total_events;
-        self.lp_events = run.lp_events;
-        Ok(outcome)
+        let cut = rb.cut(&self.shared);
+        self.run(end, Some(cut))
     }
-
-    fn run_rebalancing_inner(
-        &self,
-        end: SimTime,
-        run: &mut RunState,
-    ) -> Result<RebalanceOutcome, MassfError> {
-        let lp_count = self.shared.lp_count();
-        let rb = &mut run.rb;
-        let partitions = rb.partitions as usize;
-        let graph = conflict_graph(&self.shared);
-        let params = rb.policy.params();
-        let mut outcome = RebalanceOutcome::default();
-        // Shards stay resident across epoch boundaries; they are flushed
-        // into the canonical WorldState only when a migration rewrites
-        // the assignment (export under the old map, merge, and let the
-        // next segment restore under the new one) or when this call
-        // returns. `prefix_profile` tracks the cumulative profile at the
-        // moment the resident shards were last restored, since restored
-        // worlds start with zeroed profile counters.
-        let mut shards: Option<Vec<NetWorld<NoApp>>> = None;
-        let mut prefix_profile = self.world.profile.clone();
-        let mut window = self.shared.safe_parallel_window(&rb.assignment);
-        let mut now = self.now;
-
-        while now < end {
-            let boundary = rb.policy.cfg.next_boundary(now);
-            let seg_end = boundary.min(end);
-            // End time is exclusive in the executors, so a frontier whose
-            // head is at or past seg_end executes nothing: skip the
-            // engine round-trip entirely (zero loads leave every decision
-            // unchanged, so the fast path cannot alter the trajectory).
-            let next = run
-                .resume
-                .as_ref()
-                .unwrap_or(&self.resume)
-                .next_event_time();
-            if next.is_some_and(|t| t < seg_end) {
-                let current = match shards.take() {
-                    Some(s) => s,
-                    None => (0..rb.partitions)
-                        .map(|p| {
-                            NetWorld::restore_partition(
-                                self.shared.clone(),
-                                NoApp,
-                                run.world.as_ref().unwrap_or(&self.world),
-                                &rb.assignment,
-                                p,
-                            )
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                };
-                // The executor consumes its frontier and may fail
-                // mid-run: the first segment runs on a copy of the
-                // session's.
-                let resume = run.resume.take().unwrap_or_else(|| self.resume.clone());
-                let (next_shards, stats, frontier) = try_run_parallel_resumable(
-                    current,
-                    lp_count,
-                    &rb.assignment,
-                    resume,
-                    seg_end,
-                    window,
-                )?;
-                shards = Some(next_shards);
-                run.resume = Some(frontier);
-                run.total_events += stats.total_events;
-                for ((acc, epoch), n) in run
-                    .lp_events
-                    .iter_mut()
-                    .zip(rb.epoch_loads.iter_mut())
-                    .zip(&stats.lp_events)
-                {
-                    *acc += n;
-                    *epoch += n;
-                }
-                outcome.critical_path_events += stats.critical_path_events();
-                outcome.windows_executed += stats.windows_executed;
-                outcome.barrier_rounds += stats.barrier_rounds;
-            }
-            now = seg_end;
-
-            if seg_end == boundary {
-                // Epoch complete: evaluate the deterministic load signal.
-                let loads = partition_loads(&rb.epoch_loads, &rb.assignment, partitions);
-                rb.counters.epochs += 1;
-                outcome.epochs += 1;
-                outcome
-                    .epoch_imbalance_permille
-                    .push(imbalance_permille(&loads));
-                outcome.max_load_sum += loads.iter().copied().max().unwrap_or(0);
-                outcome.total_load += loads.iter().sum::<u64>();
-                if should_rebalance(&rb.policy.cfg, &loads) {
-                    let moves =
-                        rebalance(&graph, partitions, &rb.assignment, &rb.epoch_loads, &params);
-                    if !moves.is_empty() {
-                        // Migrate. Flushing under the *old* assignment and
-                        // restoring under the new one is the owner-filtered
-                        // handoff: each LP's world state moves to its new
-                        // shard, and the engine re-routes the frontier's
-                        // pending events by assignment when the next
-                        // segment starts.
-                        if let Some(s) = shards.take() {
-                            run.world =
-                                Some(merge_shards(&s, &rb.assignment, &mut prefix_profile)?);
-                        }
-                        apply_moves(&mut rb.assignment, &moves);
-                        window = self.shared.safe_parallel_window(&rb.assignment);
-                        rb.counters.rebalances += 1;
-                        rb.counters.migrations += moves.len() as u64;
-                        outcome.rebalances += 1;
-                        outcome.migrations += moves.len() as u64;
-                    }
-                }
-                rb.epoch_loads.fill(0);
-            }
-        }
-
-        if let Some(s) = shards {
-            run.world = Some(merge_shards(&s, &rb.assignment, &mut prefix_profile)?);
-        }
-        Ok(outcome)
-    }
-}
-
-/// What a [`Session::run_rebalancing`] call changes, held apart from
-/// the session until the whole call has succeeded. `None` means the
-/// session's own frontier or world is still current.
-struct RunState {
-    rb: RebalanceSessionState,
-    resume: Option<ResumeState<NetEvent>>,
-    world: Option<WorldState>,
-    total_events: u64,
-    lp_events: Vec<u64>,
-}
-
-/// Export resident shards and merge them (under the assignment they
-/// were restored with) into one canonical world state, folding the
-/// pre-restore profile prefix back in; the merged profile becomes the
-/// next prefix.
-fn merge_shards(
-    shards: &[NetWorld<NoApp>],
-    assignment: &[u32],
-    prefix_profile: &mut ProfileData,
-) -> Result<WorldState, MassfError> {
-    let parts: Vec<WorldState> = shards.iter().map(NetWorld::export_state).collect();
-    let mut world = WorldState::merge_partitions(&parts, assignment)?;
-    world.profile.merge(prefix_profile);
-    *prefix_profile = world.profile.clone();
-    Ok(world)
 }
 
 #[cfg(test)]
@@ -466,6 +342,9 @@ mod tests {
         assert!(good.validate(4).is_err());
         let mut bad = good.clone();
         bad.partitions = 0;
+        assert!(bad.validate(3).is_err());
+        let mut bad = good.clone();
+        bad.partitions = 4; // more partitions than LPs
         assert!(bad.validate(3).is_err());
         let mut bad = good.clone();
         bad.assignment[1] = 2; // >= partitions

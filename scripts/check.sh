@@ -69,6 +69,12 @@ stage "simlint (D4 float order, D5 determinism taint)" \
 stage "cargo clippy (workspace lints: hash/clock/entropy, unwrap, panic, casts, reasons)" \
     cargo clippy --workspace --all-targets -- -D warnings
 
+# perf/ is its own workspace, so neither the stages above nor tier-1
+# build it; this catches a refactor that breaks a name perf/README.md
+# lists under "What the harness imports".
+stage "cargo check perf/ (the benchmark harness still compiles)" \
+    cargo check --offline -q --manifest-path perf/Cargo.toml --all-targets
+
 stage "cargo test" \
     cargo test -q
 

@@ -17,7 +17,8 @@ use massf_netsim::{
     MAX_RETRIES,
 };
 use massf_routing::CostMetric;
-use massf_snapshot::{rebalancing_fingerprint, RebalancePolicy, Session};
+use massf_snapshot::wire::{ByteWriter, Wire};
+use massf_snapshot::{rebalancing_fingerprint, ExecMode, RebalancePolicy, Session};
 use massf_topology::{generate_flat_network, FlatTopologyConfig, MassfError};
 use proptest::prelude::*;
 
@@ -103,6 +104,14 @@ fn assert_matches_reference(session: &Session, reference: &SimOutput<NoApp>) {
     assert_eq!(session.total_events(), reference.stats.total_events);
     assert_eq!(session.lp_events(), &reference.stats.lp_events[..]);
     assert_eq!(session.profile(), &reference.profile);
+}
+
+/// The session's frontier in wire bytes (`ResumeState` has no
+/// `PartialEq`).
+fn frontier_bytes(session: &Session) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    session.frontier().put(&mut w);
+    w.into_inner()
 }
 
 fn policy(epoch_ms: u64, threshold: u64) -> RebalancePolicy {
@@ -264,5 +273,18 @@ proptest! {
         // All three trajectories left identical rebalancer state.
         prop_assert_eq!(revived.rebalance_state(), straight.rebalance_state());
         prop_assert_eq!(revived.encode(), straight.encode());
+
+        // And the same world and frontier as a plain sequential session.
+        let mut plain = Session::new(
+            builder.shared(),
+            builder.initial_events(),
+            DEFAULT_ROUTE_CACHE_CAPACITY,
+            MAX_RETRIES,
+        );
+        plain
+            .run_until(end, &ExecMode::Sequential)
+            .expect("plain run");
+        prop_assert!(straight.world_state() == plain.world_state());
+        prop_assert!(frontier_bytes(&straight) == frontier_bytes(&plain));
     }
 }

@@ -257,6 +257,43 @@ fn failed_rebalancing_run_leaves_the_session_untouched() {
     );
 }
 
+/// A partition id at or past the LP count asks for more partition
+/// worlds than there are LPs: the plain parallel segment and the
+/// rebalancing constructor both refuse it before restoring any world.
+#[test]
+fn more_partitions_than_lps_are_refused() {
+    let builder = flap_scenario(37, 0, 6);
+    let lp_count = builder.shared().lp_count();
+    let mut assignment = vec![0; lp_count];
+    assignment[1] = lp_count as u32;
+
+    let mut session = session_for(&builder);
+    let before = session.encode();
+    let mode = ExecMode::Parallel {
+        assignment: assignment.clone(),
+        window: SimTime::from_ms(1),
+    };
+    let err = session
+        .run_until(SimTime::from_ms(500), &mode)
+        .expect_err("more partition worlds than LPs must be refused");
+    assert!(matches!(err, MassfError::InvalidConfig(_)), "{err}");
+    assert!(
+        session.encode() == before,
+        "a refused run changed the session"
+    );
+
+    let err = Session::new_rebalancing(
+        builder.shared(),
+        builder.initial_events(),
+        DEFAULT_ROUTE_CACHE_CAPACITY,
+        MAX_RETRIES,
+        RebalancePolicy::default(),
+        assignment,
+    )
+    .expect_err("more partitions than LPs must be refused");
+    assert!(matches!(err, MassfError::InvalidConfig(_)), "{err}");
+}
+
 #[test]
 fn fingerprint_mismatch_is_refused() {
     let builder = flap_scenario(41, 1, 6);
@@ -712,5 +749,13 @@ proptest! {
         prop_assert_eq!(session.total_events(), reference.stats.total_events);
         prop_assert_eq!(session.lp_events(), &reference.stats.lp_events[..]);
         prop_assert_eq!(session.profile(), &reference.profile);
+
+        // The saved state, not only the counters: one straight
+        // sequential segment encodes to the same bytes.
+        let mut straight = session_for(&builder);
+        straight
+            .run_until(end, &ExecMode::Sequential)
+            .expect("straight run");
+        prop_assert!(session.encode() == straight.encode());
     }
 }
