@@ -33,10 +33,9 @@ fn bench_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("hierarchical_sweep_2k_16parts");
     group.sample_size(10);
     for step_ms in [0.1f64, 0.2, 0.4] {
-        let cfg = HierConfig {
-            engines: 16,
-            step_ms,
-            ..HierConfig::new(16)
+        let cfg = MappingConfig {
+            hier_step_ms: step_ms,
+            ..MappingConfig::new(16)
         };
         group.bench_with_input(
             BenchmarkId::new("step_ms", format!("{step_ms}")),
@@ -46,7 +45,7 @@ fn bench_sweep(c: &mut Criterion) {
     }
     group.finish();
 
-    let r = hierarchical_partition(&net, &graph, &HierConfig::new(16));
+    let r = hierarchical_partition(&net, &graph, &MappingConfig::new(16));
     eprintln!(
         "sweep candidates: {}, winner Tmll {} ms, MLL {:.3} ms, E {:.3}",
         r.candidates.len(),
@@ -62,7 +61,7 @@ fn bench_sweep(c: &mut Criterion) {
 /// the ISSUE's speedup criterion compares against.
 fn bench_sweep_thread_scaling(c: &mut Criterion) {
     let (net, graph) = setup();
-    let cfg = HierConfig::new(16);
+    let cfg = MappingConfig::new(16);
     let mut group = c.benchmark_group("hierarchical_sweep_2k_threads");
     group.sample_size(10);
     for threads in [1usize, 2, 4] {

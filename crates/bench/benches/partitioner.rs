@@ -61,7 +61,6 @@ fn bench_refinement_ablation(c: &mut Criterion) {
     for passes in [0usize, 2, 8] {
         let cfg = KwayConfig {
             refine_passes: passes,
-            ..KwayConfig::default()
         };
         group.bench_with_input(BenchmarkId::new("passes", passes), &cfg, |b, cfg| {
             b.iter(|| metis_kway(&graph, 16, cfg))
@@ -71,7 +70,6 @@ fn bench_refinement_ablation(c: &mut Criterion) {
     for passes in [0usize, 2, 8] {
         let cfg = KwayConfig {
             refine_passes: passes,
-            ..KwayConfig::default()
         };
         let p = metis_kway(&graph, 16, &cfg);
         eprintln!(

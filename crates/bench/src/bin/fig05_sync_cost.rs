@@ -69,12 +69,7 @@ fn main() {
         let assignment: Vec<u32> = (0..net.node_count())
             .map(|i| (i % partitions) as u32)
             .collect();
-        let mut mll = f64::INFINITY;
-        for link in &net.links {
-            if assignment[link.a.index()] != assignment[link.b.index()] {
-                mll = mll.min(link.latency_ms);
-            }
-        }
+        let mll = net.cut_mll_ms(&assignment).unwrap_or(f64::INFINITY);
         let window = SimTime::from_ms_f64(mll);
         if window == SimTime::ZERO {
             println!("{partitions:>6} (cut has zero MLL; skipped)");

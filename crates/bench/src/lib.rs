@@ -99,7 +99,7 @@ fn flag_number(v: &str, flag: &str) -> Result<usize, String> {
 }
 
 impl HarnessOptions {
-    /// Parse `std::env::args()`-style arguments (ignores argv[0]),
+    /// Parse `std::env::args()`-style arguments (ignores `argv[0]`),
     /// rejecting anything unrecognized.
     pub fn try_parse(args: impl IntoIterator<Item = String>) -> Result<HarnessOptions, String> {
         let mut opts = HarnessOptions::default();

@@ -15,17 +15,6 @@ use massf_engine::SyncCostModel;
 use massf_partition::{Partition, WeightedGraph};
 use massf_topology::Network;
 
-/// Minimum link latency across partitions, ms. `None` when no link is
-/// cut (everything in one part — unbounded decoupling).
-pub fn achieved_mll_ms(net: &Network, assignment: &[u32]) -> Option<f64> {
-    debug_assert_eq!(assignment.len(), net.node_count());
-    net.links
-        .iter()
-        .filter(|l| assignment[l.a.index()] != assignment[l.b.index()])
-        .map(|l| l.latency_ms)
-        .min_by(|x, y| x.partial_cmp(y).expect("latencies are finite"))
-}
-
 /// The evaluation of one candidate partition.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionEvaluation {
@@ -47,7 +36,9 @@ pub fn efficiency(
     engines: usize,
     sync: &SyncCostModel,
 ) -> PartitionEvaluation {
-    let mll_ms = achieved_mll_ms(net, &partition.assignment).unwrap_or(f64::INFINITY);
+    let mll_ms = net
+        .cut_mll_ms(&partition.assignment)
+        .unwrap_or(f64::INFINITY);
     let cost_ms = sync.cost_us(engines) / 1_000.0;
     let es = if mll_ms.is_infinite() {
         1.0
@@ -95,17 +86,6 @@ mod tests {
             crate::weights::EdgeWeighting::Standard,
             None,
         )
-    }
-
-    #[test]
-    fn mll_is_min_cut_latency() {
-        let net = path_net();
-        // Cut only the middle link.
-        assert_eq!(achieved_mll_ms(&net, &[0, 0, 1, 1]), Some(5.0));
-        // Cut the first and middle.
-        assert_eq!(achieved_mll_ms(&net, &[0, 1, 2, 2]), Some(0.2));
-        // No cut.
-        assert_eq!(achieved_mll_ms(&net, &[0, 0, 0, 0]), None);
     }
 
     #[test]

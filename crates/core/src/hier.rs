@@ -25,37 +25,9 @@
 //! ("0.1ms in our experiments").
 
 use crate::evaluate::{efficiency, PartitionEvaluation};
-use massf_engine::SyncCostModel;
-use massf_partition::{metis_kway, KwayConfig, Partition, UnionFind, WeightedGraph};
+use crate::mappers::MappingConfig;
+use massf_partition::{metis_kway, Partition, UnionFind, WeightedGraph};
 use massf_topology::Network;
-
-/// Hierarchical-partition configuration.
-#[derive(Debug, Clone)]
-pub struct HierConfig {
-    /// Number of simulation engines (parts).
-    pub engines: usize,
-    /// Cluster synchronization-cost model (sets the sweep start).
-    pub sync: SyncCostModel,
-    /// Sweep step, ms (paper: 0.1).
-    pub step_ms: f64,
-    /// Maximum number of thresholds to try.
-    pub max_steps: usize,
-    /// Underlying partitioner configuration.
-    pub kway: KwayConfig,
-}
-
-impl HierConfig {
-    /// Paper-shaped defaults for `engines` engine nodes.
-    pub fn new(engines: usize) -> Self {
-        HierConfig {
-            engines,
-            sync: SyncCostModel::teragrid(),
-            step_ms: 0.1,
-            max_steps: 200,
-            kway: KwayConfig::default(),
-        }
-    }
-}
 
 /// One swept candidate.
 #[derive(Debug, Clone)]
@@ -212,7 +184,9 @@ impl SweepReducer {
 }
 
 /// Run the hierarchical partition of `graph` (weights chosen by the
-/// caller: bandwidth ⇒ HTOP, profile ⇒ HPROF).
+/// caller: bandwidth ⇒ HTOP, profile ⇒ HPROF) onto `cfg.engines`
+/// parts, sweeping at most `cfg.hier_max_steps` thresholds
+/// `cfg.hier_step_ms` apart.
 ///
 /// The sweep is streamed in batches of `4 × current_threads()`
 /// thresholds: a sequential pass builds the batch's reduced graphs
@@ -231,22 +205,22 @@ impl SweepReducer {
 pub fn hierarchical_partition(
     net: &Network,
     graph: &WeightedGraph,
-    cfg: &HierConfig,
+    cfg: &MappingConfig,
 ) -> HierResult {
     assert!(cfg.engines >= 1);
     assert!(graph.vertex_count() > 0);
     let sync_ms = cfg.sync.cost_us(cfg.engines) / 1_000.0;
     // "We require a Tmll to be larger than the synchronization cost":
     // start at the first step-multiple above it.
-    let first_step = (sync_ms / cfg.step_ms).floor() as usize + 1;
+    let first_step = (sync_ms / cfg.hier_step_ms).floor() as usize + 1;
 
     // Sequential, cheap: incremental reduction per threshold, until the
     // reduced graph is coarser than the engine count (no parallelism
     // left).
     let mut reducer = SweepReducer::new(net, graph);
-    let mut jobs = (0..cfg.max_steps)
+    let mut jobs = (0..cfg.hier_max_steps)
         .map_while(|step| {
-            let tmll_ms = (first_step + step) as f64 * cfg.step_ms;
+            let tmll_ms = (first_step + step) as f64 * cfg.hier_step_ms;
             reducer.advance(tmll_ms);
             (reducer.reduced().vertex_count() >= cfg.engines).then(|| {
                 (
@@ -325,6 +299,8 @@ pub fn hierarchical_partition(
 mod tests {
     use super::*;
     use crate::weights::{build_weighted_graph, EdgeWeighting, VertexWeighting};
+    use massf_engine::SyncCostModel;
+    use massf_partition::KwayConfig;
     use massf_topology::{generate_flat_network, FlatTopologyConfig};
 
     fn setup() -> (massf_topology::Network, WeightedGraph) {
@@ -343,13 +319,11 @@ mod tests {
         (net, g)
     }
 
-    fn cfg(engines: usize) -> HierConfig {
-        HierConfig {
-            engines,
+    fn cfg(engines: usize) -> MappingConfig {
+        MappingConfig {
             sync: SyncCostModel::new(50.0, 50.0), // small cluster model
-            step_ms: 0.1,
-            max_steps: 60,
-            kway: KwayConfig::default(),
+            hier_max_steps: 60,
+            ..MappingConfig::new(engines)
         }
     }
 
@@ -392,8 +366,7 @@ mod tests {
     fn hier_beats_flat_on_mll() {
         let (net, g) = setup();
         let flat = metis_kway(&g, 8, &KwayConfig::default());
-        let flat_mll =
-            crate::evaluate::achieved_mll_ms(&net, &flat.assignment).unwrap_or(f64::INFINITY);
+        let flat_mll = net.cut_mll_ms(&flat.assignment).unwrap_or(f64::INFINITY);
         let r = hierarchical_partition(&net, &g, &cfg(8));
         assert!(
             r.evaluation.mll_ms > flat_mll,
@@ -523,7 +496,6 @@ mod sweep_shape_tests {
     use super::*;
     use crate::weights::{build_weighted_graph, EdgeWeighting, VertexWeighting};
     use massf_engine::SyncCostModel;
-    use massf_partition::KwayConfig;
     use massf_topology::{generate_flat_network, FlatTopologyConfig};
 
     /// The explicit tradeoff of Section 3.4.3: along the sweep, larger
@@ -545,12 +517,11 @@ mod sweep_shape_tests {
             EdgeWeighting::Standard,
             None,
         );
-        let cfg = HierConfig {
-            engines: 6,
+        let cfg = MappingConfig {
             sync: SyncCostModel::new(30.0, 40.0),
-            step_ms: 0.2,
-            max_steps: 40,
-            kway: KwayConfig::default(),
+            hier_step_ms: 0.2,
+            hier_max_steps: 40,
+            ..MappingConfig::new(6)
         };
         let r = hierarchical_partition(&net, &g, &cfg);
         assert!(r.candidates.len() >= 3);

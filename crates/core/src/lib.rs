@@ -19,6 +19,13 @@
 //!   best — explicitly trading simulation efficiency (large MLL) against
 //!   available parallelism (fine-grained balance).
 //!
+//! Every mapper takes one [`MappingConfig`]: the engine count, the
+//! synchronization-cost model, the partitioner's refinement passes, and
+//! the HTOP/HPROF sweep's step (paper: 0.1 ms) and step count. The
+//! partitioner's balance tolerance, coarsening, initial tries and seed
+//! are `massf_partition` constants, and stub ASes always route by
+//! default (Section 5.1.2).
+//!
 //! The crate also houses the evaluation machinery: achieved-MLL /
 //! load-imbalance / parallel-efficiency metrics (Section 4.1), the
 //! trace-driven cluster performance model (DESIGN.md substitution #1),
@@ -61,8 +68,8 @@ pub mod weights;
 
 pub use clustermodel::ClusterModel;
 pub use error::MassfError;
-pub use evaluate::{achieved_mll_ms, efficiency, PartitionEvaluation};
-pub use hier::{hierarchical_partition, reduce_graph, HierConfig, HierResult, SweepReducer};
+pub use evaluate::{efficiency, PartitionEvaluation};
+pub use hier::{hierarchical_partition, reduce_graph, HierResult, SweepReducer};
 pub use mappers::{map_network, MappingApproach, MappingConfig, MappingResult};
 pub use metrics::{load_imbalance, parallel_efficiency, ExperimentMetrics};
 pub use pipeline::{
@@ -74,11 +81,11 @@ pub use weights::{build_weighted_graph, EdgeWeighting, VertexWeighting};
 /// Convenience re-exports for downstream binaries and examples.
 pub mod prelude {
     pub use crate::{
-        achieved_mll_ms, build_weighted_graph, hierarchical_partition, load_imbalance, map_network,
+        build_weighted_graph, hierarchical_partition, load_imbalance, map_network,
         parallel_efficiency, run_approaches, run_mapping_experiment, run_profiling, score_mappings,
-        ClusterModel, EdgeWeighting, ExperimentMetrics, ExperimentOutput, HierConfig,
-        MappingApproach, MappingConfig, MappingResult, MassfError, Scale, Scenario, ScenarioKind,
-        VertexWeighting, WorkloadKind,
+        ClusterModel, EdgeWeighting, ExperimentMetrics, ExperimentOutput, MappingApproach,
+        MappingConfig, MappingResult, MassfError, Scale, Scenario, ScenarioKind, VertexWeighting,
+        WorkloadKind,
     };
     pub use massf_engine::{SimTime, SyncCostModel};
     pub use massf_partition::{metis_kway, KwayConfig, Partition, WeightedGraph};

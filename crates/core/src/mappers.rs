@@ -1,12 +1,12 @@
 //! The unified mapping front-end: TOP, TOP2, PROF, PROF2, HTOP, HPROF,
 //! plus the related-work baselines (random, ModelNet greedy k-cluster).
 
-use crate::evaluate::{achieved_mll_ms, efficiency, PartitionEvaluation};
-use crate::hier::{hierarchical_partition, reduce_graph, HierConfig};
+use crate::evaluate::{efficiency, PartitionEvaluation};
+use crate::hier::{hierarchical_partition, reduce_graph};
 use crate::weights::{build_weighted_graph, EdgeWeighting, VertexWeighting, TUNED_KNEE_MS};
 use massf_engine::SyncCostModel;
 use massf_netsim::ProfileData;
-use massf_partition::{greedy_kcluster, metis_kway, random_partition, KwayConfig, Partition};
+use massf_partition::{greedy_kcluster, metis_kway, random_partition, KwayConfig, Partition, SEED};
 use massf_topology::Network;
 
 /// The mapping approaches evaluated in the paper (plus baselines).
@@ -81,16 +81,18 @@ impl MappingApproach {
     }
 }
 
-/// Configuration shared by all mappers.
+/// Configuration shared by all mappers, hierarchical ones included:
+/// every mapping setting a caller may vary. The partitioner's others
+/// are `massf_partition` constants.
 #[derive(Debug, Clone)]
 pub struct MappingConfig {
     /// Number of simulation-engine nodes.
     pub engines: usize,
     /// Synchronization-cost model (drives HTOP/HPROF and evaluation).
     pub sync: SyncCostModel,
-    /// Underlying multilevel partitioner settings.
+    /// The multilevel partitioner's refinement passes.
     pub kway: KwayConfig,
-    /// HTOP/HPROF sweep step, ms.
+    /// HTOP/HPROF sweep step, ms (paper: 0.1).
     pub hier_step_ms: f64,
     /// HTOP/HPROF maximum sweep steps.
     pub hier_max_steps: usize,
@@ -163,28 +165,18 @@ pub fn map_network(
             (Partition::new(assignment, cfg.engines), None)
         }
         MappingApproach::Htop | MappingApproach::Hprof => {
-            let hier_cfg = HierConfig {
-                engines: cfg.engines,
-                sync: cfg.sync,
-                step_ms: cfg.hier_step_ms,
-                max_steps: cfg.hier_max_steps,
-                kway: cfg.kway,
-            };
-            let r = hierarchical_partition(net, &graph, &hier_cfg);
+            let r = hierarchical_partition(net, &graph, cfg);
             (r.partition, Some(r.tmll_ms))
         }
-        MappingApproach::Random => (
-            random_partition(net.node_count(), cfg.engines, cfg.kway.seed),
-            None,
-        ),
-        MappingApproach::GreedyKCluster => {
-            (greedy_kcluster(&graph, cfg.engines, cfg.kway.seed), None)
-        }
+        MappingApproach::Random => (random_partition(net.node_count(), cfg.engines, SEED), None),
+        MappingApproach::GreedyKCluster => (greedy_kcluster(&graph, cfg.engines, SEED), None),
         _ => (metis_kway(&graph, cfg.engines, &cfg.kway), None),
     };
 
     let evaluation = efficiency(net, &graph, &partition, cfg.engines, &cfg.sync);
-    let mll = achieved_mll_ms(net, &partition.assignment).unwrap_or(f64::INFINITY);
+    let mll = net
+        .cut_mll_ms(&partition.assignment)
+        .unwrap_or(f64::INFINITY);
     MappingResult {
         approach,
         partition,

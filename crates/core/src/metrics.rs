@@ -3,7 +3,7 @@
 //! 1. **Application simulation time `T`** — predicted by the
 //!    [`crate::clustermodel::ClusterModel`] from the measured run trace.
 //! 2. **Achieved MLL** — reported by the partitioner
-//!    ([`crate::evaluate::achieved_mll_ms`]).
+//!    ([`massf_topology::Network::cut_mll_ms`]).
 //! 3. **Load imbalance** — "Assuming the simulation kernel event rates
 //!    are k1, k2, …, kn … the load imbalance is normalized by the
 //!    standard deviation of {k}": population std-dev / mean of the

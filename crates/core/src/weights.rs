@@ -43,7 +43,7 @@ const EDGE_WEIGHT_SCALE: f64 = 64.0;
 /// partitioner stopped cutting links below roughly the synchronization
 /// cost (the achieved MLL in Figures 7/11 is ≈ 0.6 ms); 0.7 ms encodes
 /// that hand-tuning. "It is not a general solution and has to be done
-/// according [to] different topologies manually" (Section 4.3) — the
+/// according \[to\] different topologies manually" (Section 4.3) — the
 /// hierarchical approaches replace it.
 pub const TUNED_KNEE_MS: f64 = 0.7;
 /// Penalty factor applied below the knee.

@@ -5,7 +5,7 @@ use crate::script::{FaultKind, FaultScript};
 use massf_engine::SimTime;
 use massf_routing::{CostMetric, MultiAsResolver, OspfDomain, PathResolver, SptStats};
 use massf_topology::mabrite::MultiAsNetwork;
-use massf_topology::{LinkId, MassfError, Network, NodeId};
+use massf_topology::{LinkId, MassfError, MultiAsTopologyConfig, Network, NodeId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -222,7 +222,6 @@ impl FaultState {
         m: &MultiAsNetwork,
         metric: CostMetric,
         script: FaultScript,
-        stub_default_routing: bool,
     ) -> Result<Arc<Self>, MassfError> {
         // Reject adjacency events that do not exist in the AS graph up
         // front, so the factory below cannot fail at simulation time.
@@ -242,10 +241,11 @@ impl FaultState {
                 }
             }
         }
-        let base_typed = Arc::new(MultiAsResolver::with_options(
+        // The resolver reads nothing from the generator config.
+        let base_typed = Arc::new(MultiAsResolver::new(
             m,
             metric,
-            stub_default_routing,
+            &MultiAsTopologyConfig::default(),
         ));
         let base: Arc<dyn PathResolver> = base_typed.clone();
         let base_for_factory: Arc<dyn PathResolver> = base_typed.clone();
@@ -546,8 +546,7 @@ mod tests {
                 .expect("AS graph has edges");
             let mut script = FaultScript::new();
             script.adjacency_fail(SimTime::from_ms(100), a as u16, b as u16);
-            let fs =
-                FaultState::multi_as(&m, CostMetric::Latency, script, true).expect("valid script");
+            let fs = FaultState::multi_as(&m, CostMetric::Latency, script).expect("valid script");
             let pre = fs.resolver_at(SimTime::ZERO);
             let during = fs.resolver_at(SimTime::from_ms(100));
             assert!(
@@ -577,8 +576,7 @@ mod tests {
                 .id;
             let mut script = FaultScript::new();
             script.link_down(SimTime::from_ms(100), intra);
-            let fs =
-                FaultState::multi_as(&m, CostMetric::Latency, script, true).expect("valid script");
+            let fs = FaultState::multi_as(&m, CostMetric::Latency, script).expect("valid script");
             assert!(Arc::ptr_eq(
                 fs.resolver_at(SimTime::ZERO),
                 fs.resolver_at(SimTime::from_ms(100))
@@ -598,8 +596,7 @@ mod tests {
                 .expect("multi-AS nets have inter-AS links");
             let mut script = FaultScript::new();
             script.link_down(SimTime::from_ms(100), inter.id);
-            let fs =
-                FaultState::multi_as(&m, CostMetric::Latency, script, true).expect("valid script");
+            let fs = FaultState::multi_as(&m, CostMetric::Latency, script).expect("valid script");
             let e = fs.epoch_state(1);
             assert_eq!(e.dead_adjacencies.len(), 1);
             assert!(
@@ -618,7 +615,7 @@ mod tests {
             let mut script = FaultScript::new();
             script.adjacency_fail(SimTime::from_ms(1), 0, 0);
             assert!(matches!(
-                FaultState::multi_as(&m, CostMetric::Latency, script, true),
+                FaultState::multi_as(&m, CostMetric::Latency, script),
                 Err(MassfError::NotAdjacent { .. })
             ));
         }

@@ -351,12 +351,10 @@ mod tests {
         // Partition: 2 parts split by node id parity of router index —
         // any split works, but the window must respect the cut MLL.
         let assignment: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
-        let mut mll = f64::INFINITY;
-        for link in &shared.net.links {
-            if assignment[link.a.index()] != assignment[link.b.index()] {
-                mll = mll.min(link.latency_ms);
-            }
-        }
+        let mll = shared
+            .net
+            .cut_mll_ms(&assignment)
+            .expect("parity split cuts links");
         let window = SimTime::from_ms_f64(mll);
         assert!(window > SimTime::ZERO);
 
@@ -395,12 +393,10 @@ mod tests {
         let shared = b.shared();
         let n = shared.lp_count();
         let assignment: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
-        let mut mll = f64::INFINITY;
-        for link in &shared.net.links {
-            if assignment[link.a.index()] != assignment[link.b.index()] {
-                mll = mll.min(link.latency_ms);
-            }
-        }
+        let mll = shared
+            .net
+            .cut_mll_ms(&assignment)
+            .expect("parity split cuts links");
         // Deliberately above the cut's MLL: conservative execution is
         // unsound and the run must abort with the structured error.
         let window = SimTime::from_ms_f64(mll * 64.0);

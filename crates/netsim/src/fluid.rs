@@ -41,7 +41,7 @@
 //! [`NetEvent::FluidFinish`] — the alarm fires early, notices the flow
 //! is unfinished, and re-arms at the exact current rate. A rate
 //! *increase* reschedules only past 25 % hysteresis
-//! ([`REARM_NUM`]`/`[`REARM_DEN`]), bounding completion lateness to
+//! (`REARM_NUM / REARM_DEN` = 5/4), bounding completion lateness to
 //! the same factor (quantified by the `fluid_fidelity` bench). Flows
 //! whose fair share is zero park without any pending event and are
 //! re-armed by the next solve that touches their links.

@@ -8,10 +8,10 @@
 //! application state. All cross-node effects are packets (events).
 //!
 //! **Memory layout** (DESIGN.md §3 item 13): per-flow state lives in
-//! struct-of-arrays slabs ([`FlowSlab`], [`ReceiverSlab`]) instead of
-//! per-flow `HashMap` entries, the port table is a sorted CSR adjacency
-//! instead of a `HashMap<(u32, u32), u32>`, and packets carry a single
-//! interned path `Arc` (see [`Packet`]). Slab slot numbers are an
+//! struct-of-arrays slabs (`slab::FlowSlab`, `slab::ReceiverSlab`)
+//! instead of per-flow `HashMap` entries, the port table is a sorted CSR
+//! adjacency instead of a `HashMap<(u32, u32), u32>`, and packets carry
+//! a single interned path `Arc` (see [`Packet`]). Slab slot numbers are an
 //! implementation detail of one world instance — they never leak into
 //! `FlowId`s, events, or results, so sequential and parallel runs stay
 //! bit-identical even though their worlds recycle slots differently.

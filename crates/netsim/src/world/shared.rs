@@ -185,17 +185,11 @@ impl SharedNet {
     /// never results, so callers (the online rebalancer recomputes this
     /// after every migration) may use it freely.
     pub fn safe_parallel_window(&self, assignment: &[u32]) -> SimTime {
-        let mut mll = f64::INFINITY;
-        for link in &self.net.links {
-            if assignment[link.a.index()] != assignment[link.b.index()] && link.latency_ms < mll {
-                mll = link.latency_ms;
-            }
-        }
-        if mll.is_finite() {
-            SimTime::from_ms_f64(mll).min(FLUID_CONTROL_DELAY)
-        } else {
-            FLUID_CONTROL_DELAY
-        }
+        self.net
+            .cut_mll_ms(assignment)
+            .map_or(FLUID_CONTROL_DELAY, |mll| {
+                SimTime::from_ms_f64(mll).min(FLUID_CONTROL_DELAY)
+            })
     }
 
     /// Link ids incident to `node` (CSR range; each id appears once per

@@ -124,10 +124,11 @@ pub(crate) fn validate_route(
 }
 
 /// Validate one in-flight event against the topology it will replay on.
-/// Used when loading a snapshot: the executors and [`NetWorld::handle`]
-/// trust event invariants (in-range LPs, adjacent path hops, hop index
-/// within the walk) that a corrupted or hostile snapshot can violate,
-/// so every deserialized event passes through here first.
+/// Used when loading a snapshot: the executors and `NetWorld`'s
+/// [`Model::handle`](massf_engine::Model::handle) trust event
+/// invariants (in-range LPs, adjacent path hops, hop index within the
+/// walk) that a corrupted or hostile snapshot can violate, so every
+/// deserialized event passes through here first.
 pub fn validate_net_event(
     shared: &SharedNet,
     target: LpId,

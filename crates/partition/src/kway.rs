@@ -10,36 +10,32 @@ use crate::coarsen::{coarsen_to, project};
 use crate::graph::WeightedGraph;
 use crate::initial::{greedy_growing, repair_empty_parts};
 use crate::partition::Partition;
-use crate::refine::{refine, RefineParams};
+use crate::refine::refine;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
+
+/// Allowed maximum part weight as a multiple of ideal (METIS's 5%).
+pub const BALANCE_TOLERANCE: f64 = 1.05;
+/// Coarsest-graph size factor: coarsening stops at `SIZE_FACTOR · k`
+/// vertices (bounded below by 40).
+pub const SIZE_FACTOR: usize = 30;
+/// Initial-partition attempts on the coarsest graph; the best by
+/// (feasible balance, cut) wins.
+pub const INITIAL_TRIES: usize = 4;
+/// Seed of [`metis_kway`]'s RNG, and the seed the mappers give the
+/// seeded baselines.
+pub const SEED: u64 = 0xBEEF;
 
 /// Multilevel partitioner configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct KwayConfig {
-    /// Allowed maximum part weight as a multiple of ideal.
-    pub balance_tolerance: f64,
     /// Refinement passes per level.
     pub refine_passes: usize,
-    /// Coarsest-graph size factor: stop coarsening at `size_factor · k`
-    /// vertices (bounded below by 40).
-    pub size_factor: usize,
-    /// Number of initial-partition attempts on the coarsest graph; the
-    /// best by (feasible-balance, cut) wins.
-    pub initial_tries: usize,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for KwayConfig {
     fn default() -> Self {
-        KwayConfig {
-            balance_tolerance: 1.05,
-            refine_passes: 8,
-            size_factor: 30,
-            initial_tries: 4,
-            seed: 0xBEEF,
-        }
+        KwayConfig { refine_passes: 8 }
     }
 }
 
@@ -55,24 +51,20 @@ pub fn metis_kway(g: &WeightedGraph, k: usize, cfg: &KwayConfig) -> Partition {
         return Partition::new((0..n as u32).collect(), k);
     }
 
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let params = RefineParams {
-        balance_tolerance: cfg.balance_tolerance,
-        max_passes: cfg.refine_passes,
-    };
+    let mut rng = ChaCha8Rng::seed_from_u64(SEED);
 
     // Coarsen.
-    let target = (cfg.size_factor * k).max(40);
+    let target = (SIZE_FACTOR * k).max(40);
     let levels = coarsen_to(g, target, &mut rng);
     let coarsest: &WeightedGraph = levels.last().map(|l| &l.graph).unwrap_or(g);
 
     // Initial partition on the coarsest graph: several tries, keep best.
     let mut best: Option<(bool, u64, Vec<u32>)> = None;
-    for _ in 0..cfg.initial_tries.max(1) {
+    for _ in 0..INITIAL_TRIES {
         let mut a = greedy_growing(coarsest, k, &mut rng);
-        refine(coarsest, k, &mut a, &params, &mut rng);
+        refine(coarsest, k, &mut a, cfg.refine_passes, &mut rng);
         let p = Partition::new(a.clone(), k);
-        let feasible = p.balance(coarsest) <= cfg.balance_tolerance + 1e-9;
+        let feasible = p.balance(coarsest) <= BALANCE_TOLERANCE + 1e-9;
         let cut = coarsest.edge_cut(&a);
         let better = match &best {
             None => true,
@@ -92,7 +84,7 @@ pub fn metis_kway(g: &WeightedGraph, k: usize, cfg: &KwayConfig) -> Partition {
         } else {
             &levels[level_idx - 1].graph
         };
-        refine(fine_graph, k, &mut assignment, &params, &mut rng);
+        refine(fine_graph, k, &mut assignment, cfg.refine_passes, &mut rng);
     }
     repair_empty_parts(g, k, &mut assignment);
     Partition::new(assignment, k)
@@ -131,11 +123,10 @@ mod tests {
     #[test]
     fn balance_within_tolerance_on_uniform_grid() {
         let g = grid(16, 16);
-        let cfg = KwayConfig::default();
         for k in [2, 4, 8] {
-            let p = metis_kway(&g, k, &cfg);
+            let p = metis_kway(&g, k, &KwayConfig::default());
             assert!(
-                p.balance(&g) <= cfg.balance_tolerance + 0.08,
+                p.balance(&g) <= BALANCE_TOLERANCE + 0.08,
                 "k={k} balance {}",
                 p.balance(&g)
             );

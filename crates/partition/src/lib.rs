@@ -14,13 +14,18 @@
 //!   the levels.
 //! * [`baselines`] — the comparison partitioners from the paper's related
 //!   work: random assignment and the ModelNet greedy k-cluster algorithm.
-//! * [`rebalance`] — RNG-free incremental re-partitioning: bounded
+//! * [`rebalance`](mod@rebalance) — RNG-free incremental re-partitioning: bounded
 //!   Kurve-style local moves that perturb an existing assignment against
 //!   a combined load²+cut cost, for online load balancing mid-run.
 //! * [`UnionFind`] — used here for connectivity and exported for the
 //!   latency-threshold clustering of the hierarchical (HPROF) mapper.
 //!
-//! All partitioners are deterministic given their seed.
+//! All partitioners are deterministic given their seed; [`metis_kway`]
+//! and the mappers use [`SEED`]. Of the multilevel partitioner's
+//! settings only the refinement passes ([`KwayConfig`]) vary: the
+//! balance tolerance ([`BALANCE_TOLERANCE`], which [`refine`](mod@refine)
+//! reads too), the coarsening size factor ([`SIZE_FACTOR`]) and the
+//! initial tries ([`INITIAL_TRIES`]) are constants.
 
 #![forbid(unsafe_code)]
 
@@ -36,7 +41,7 @@ pub mod unionfind;
 
 pub use baselines::{greedy_kcluster, random_partition};
 pub use graph::WeightedGraph;
-pub use kway::{metis_kway, KwayConfig};
+pub use kway::{metis_kway, KwayConfig, BALANCE_TOLERANCE, INITIAL_TRIES, SEED, SIZE_FACTOR};
 pub use partition::Partition;
 pub use rebalance::{apply_moves, rebalance, Move, RebalanceParams};
 pub use unionfind::UnionFind;

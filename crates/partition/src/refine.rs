@@ -7,33 +7,16 @@
 //! every level of the multilevel partitioners.
 
 use crate::graph::WeightedGraph;
+use crate::kway::BALANCE_TOLERANCE;
 use rand::prelude::*;
 
-/// Refinement parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct RefineParams {
-    /// Allowed maximum part weight as a multiple of the ideal
-    /// (`1.05` = 5% imbalance).
-    pub balance_tolerance: f64,
-    /// Maximum number of full passes over the boundary.
-    pub max_passes: usize,
-}
-
-impl Default for RefineParams {
-    fn default() -> Self {
-        RefineParams {
-            balance_tolerance: 1.05,
-            max_passes: 8,
-        }
-    }
-}
-
-/// Refine `assignment` in place. Returns the total cut improvement.
+/// Refine `assignment` in place with at most `max_passes` full passes
+/// over the boundary. Returns the total cut improvement.
 pub fn refine(
     g: &WeightedGraph,
     k: usize,
     assignment: &mut [u32],
-    params: &RefineParams,
+    max_passes: usize,
     rng: &mut impl Rng,
 ) -> u64 {
     let n = g.vertex_count();
@@ -42,7 +25,7 @@ pub fn refine(
     }
     let total = g.total_vertex_weight();
     let ideal = total as f64 / k as f64;
-    let max_allowed = (ideal * params.balance_tolerance).ceil() as u64;
+    let max_allowed = (ideal * BALANCE_TOLERANCE).ceil() as u64;
     // A part made overweight by one giant vertex cannot be repaired;
     // never shed load below the ideal, or every neighbor of the giant
     // gets churned out (cutting whatever edges happen to be there).
@@ -61,7 +44,7 @@ pub fn refine(
     let mut conn = vec![0u64; k];
     let mut touched: Vec<u32> = Vec::new();
 
-    for _pass in 0..params.max_passes {
+    for _pass in 0..max_passes {
         order.shuffle(rng);
         let mut moved = 0usize;
         for &v32 in &order {
@@ -173,7 +156,7 @@ mod tests {
         let g = two_cliques();
         // Start from a bad split that cuts through both cliques.
         let mut a = vec![0, 1, 0, 1, 0, 1, 0, 1, 0, 1];
-        refine(&g, 2, &mut a, &RefineParams::default(), &mut rng());
+        refine(&g, 2, &mut a, 8, &mut rng());
         assert_eq!(g.edge_cut(&a), 1, "should settle on the bridge, got {a:?}");
     }
 
@@ -185,7 +168,7 @@ mod tests {
             let mut a: Vec<u32> = (0..10).map(|_| r.gen_range(0..3)).collect();
             crate::initial::repair_empty_parts(&g, 3, &mut a);
             let before = g.edge_cut(&a);
-            refine(&g, 3, &mut a, &RefineParams::default(), &mut r);
+            refine(&g, 3, &mut a, 8, &mut r);
             assert!(g.edge_cut(&a) <= before, "seed {seed}");
         }
     }
@@ -196,7 +179,7 @@ mod tests {
         let edges: Vec<(u32, u32, u64)> = (1..12u32).map(|i| (i - 1, i, 1)).collect();
         let g = WeightedGraph::from_edges(vec![1; 12], &edges);
         let mut a = vec![0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1];
-        refine(&g, 2, &mut a, &RefineParams::default(), &mut rng());
+        refine(&g, 2, &mut a, 8, &mut rng());
         let ones = a.iter().filter(|&&p| p == 1).count();
         // tolerance 1.05 over ideal 6 allows ≤ 7 per side.
         assert!((5..=7).contains(&ones), "{a:?}");
@@ -210,7 +193,7 @@ mod tests {
         let g = WeightedGraph::from_edges(vec![1; 10], &edges);
         let mut a = vec![0; 10];
         a[9] = 1; // part 1 exists but is nearly empty
-        refine(&g, 2, &mut a, &RefineParams::default(), &mut rng());
+        refine(&g, 2, &mut a, 8, &mut rng());
         let w1 = a.iter().filter(|&&p| p == 1).count();
         assert!(w1 >= 4, "part 1 still starved: {a:?}");
     }
@@ -221,7 +204,7 @@ mod tests {
         for seed in 0..10 {
             let mut r = ChaCha8Rng::seed_from_u64(seed);
             let mut a: Vec<u32> = (0..10u32).map(|v| v % 4).collect();
-            refine(&g, 4, &mut a, &RefineParams::default(), &mut r);
+            refine(&g, 4, &mut a, 8, &mut r);
             let mut seen = [false; 4];
             for &p in &a {
                 seen[p as usize] = true;
@@ -234,7 +217,7 @@ mod tests {
     fn noop_for_single_part() {
         let g = two_cliques();
         let mut a = vec![0; 10];
-        let imp = refine(&g, 1, &mut a, &RefineParams::default(), &mut rng());
+        let imp = refine(&g, 1, &mut a, 8, &mut rng());
         assert_eq!(imp, 0);
         assert!(a.iter().all(|&p| p == 0));
     }

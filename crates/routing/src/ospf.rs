@@ -82,8 +82,6 @@ pub enum CostMetric {
     Hop,
     /// Cost = propagation latency (what MaSSF's DML configs use).
     Latency,
-    /// Cost = a reference rate divided by bandwidth (classic Cisco cost).
-    InverseBandwidth,
 }
 
 impl CostMetric {
@@ -94,8 +92,6 @@ impl CostMetric {
             CostMetric::Hop => 1,
             // Nanosecond resolution keeps ordering exact in integers.
             CostMetric::Latency => ((link.latency_ms * 1e6).round() as u64).max(1),
-            // 100 Gbps reference.
-            CostMetric::InverseBandwidth => ((1e11 / link.bandwidth_bps).round() as u64).max(1),
         }
     }
 }

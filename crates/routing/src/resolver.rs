@@ -116,26 +116,15 @@ pub struct MultiAsResolver {
     /// Primary (and implicit backup) provider per AS, for stub default
     /// routing; `u16::MAX` when the AS has no provider.
     primary_provider: Vec<u16>,
-    /// Is the AS a stub (uses default routing when enabled)?
+    /// Is the AS a stub? Stubs route by default (step 6d).
     is_stub: Vec<bool>,
-    /// Step 6d: stubs forward non-local traffic to their default
-    /// provider instead of consulting BGP.
-    pub stub_default_routing: bool,
 }
 
 impl MultiAsResolver {
-    /// Build from a generated multi-AS network. `cfg` is only used for
-    /// documentation-parity; pass the config used for generation.
+    /// Build from a generated multi-AS network. Stub ASes always route
+    /// by default (step 6d). `cfg` is unused: everything is read from
+    /// `m`; pass the config used for generation.
     pub fn new(m: &MultiAsNetwork, metric: CostMetric, _cfg: &MultiAsTopologyConfig) -> Self {
-        Self::with_options(m, metric, true)
-    }
-
-    /// Build with explicit control over stub default routing.
-    pub fn with_options(
-        m: &MultiAsNetwork,
-        metric: CostMetric,
-        stub_default_routing: bool,
-    ) -> Self {
         let net = &m.network;
         let n_as = m.as_graph.n;
         // Each AS's OSPF domain is built independently (membership scan
@@ -173,7 +162,6 @@ impl MultiAsResolver {
             gateways,
             primary_provider,
             is_stub,
-            stub_default_routing,
         }
     }
 
@@ -219,7 +207,6 @@ impl MultiAsResolver {
             // backup.
             primary_provider: primary_providers(&reduced),
             is_stub: self.is_stub.clone(),
-            stub_default_routing: self.stub_default_routing,
         })
     }
 
@@ -231,7 +218,7 @@ impl MultiAsResolver {
     /// Next AS on the way from `cur` toward `dst_as`, honoring stub
     /// default routing.
     fn next_as(&self, cur: u16, dst_as: u16) -> Option<u16> {
-        if self.stub_default_routing && self.is_stub[cur as usize] {
+        if self.is_stub[cur as usize] {
             // Default route: everything non-local goes to the primary
             // provider — unless the destination AS is directly adjacent
             // (a stub may have a peer or second provider link it knows
@@ -313,8 +300,9 @@ mod tests {
     }
 
     fn multi() -> (massf_topology::mabrite::MultiAsNetwork, MultiAsResolver) {
-        let m = generate_multi_as_network(&MultiAsTopologyConfig::tiny());
-        let r = MultiAsResolver::with_options(&m, CostMetric::Latency, true);
+        let cfg = MultiAsTopologyConfig::tiny();
+        let m = generate_multi_as_network(&cfg);
+        let r = MultiAsResolver::new(&m, CostMetric::Latency, &cfg);
         (m, r)
     }
 
@@ -437,33 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn disabling_default_routing_still_routes() {
-        let m = generate_multi_as_network(&MultiAsTopologyConfig::tiny());
-        let r = MultiAsResolver::with_options(&m, CostMetric::Latency, false);
-        let hosts = m.network.host_ids();
-        let (a, b) = (hosts[0], *hosts.last().expect("topology has hosts"));
-        let path = r.route(a, b).expect("BGP-only routing works");
-        check_path_valid(&m.network, &path, a, b);
-    }
-
-    #[test]
-    fn default_and_bgp_routing_may_disagree_but_both_deliver() {
-        let (m, _) = multi();
-        let with = MultiAsResolver::with_options(&m, CostMetric::Latency, true);
-        let without = MultiAsResolver::with_options(&m, CostMetric::Latency, false);
-        let hosts = m.network.host_ids();
-        for i in 0..hosts.len().min(8) {
-            let (a, b) = (hosts[i], hosts[hosts.len() - 1 - i]);
-            if a == b {
-                continue;
-            }
-            let p1 = with.route(a, b);
-            let p2 = without.route(a, b);
-            assert_eq!(p1.is_some(), p2.is_some());
-        }
-    }
-
-    #[test]
     fn routers_route_too() {
         let (net, r) = flat();
         let routers = net.router_ids();
@@ -492,7 +453,7 @@ mod failover_tests {
             ..MultiAsTopologyConfig::default()
         };
         let m = generate_multi_as_network(&cfg);
-        let resolver = MultiAsResolver::with_options(&m, CostMetric::Latency, true);
+        let resolver = MultiAsResolver::new(&m, CostMetric::Latency, &cfg);
 
         // Find a multi-homed stub (≥ 2 providers).
         let Some(stub) = (0..m.as_graph.n).find(|&a| {
@@ -544,7 +505,7 @@ mod failover_tests {
     fn non_adjacent_failure_is_rejected() {
         let cfg = MultiAsTopologyConfig::tiny();
         let m = generate_multi_as_network(&cfg);
-        let resolver = MultiAsResolver::with_options(&m, CostMetric::Latency, true);
+        let resolver = MultiAsResolver::new(&m, CostMetric::Latency, &cfg);
         // An AS is never adjacent to itself.
         assert_eq!(
             resolver.with_failed_adjacencies(&m, &[(0, 0)]).err(),
@@ -564,7 +525,7 @@ mod failover_tests {
             ..MultiAsTopologyConfig::default()
         };
         let m = generate_multi_as_network(&cfg);
-        let resolver = MultiAsResolver::with_options(&m, CostMetric::Latency, true);
+        let resolver = MultiAsResolver::new(&m, CostMetric::Latency, &cfg);
 
         // Pick two distinct AS-graph edges deterministically.
         let mut edges = Vec::new();
@@ -597,7 +558,7 @@ mod failover_tests {
             .as_graph
             .without_edge(fail_a.0, fail_a.1)
             .without_edge(fail_b.0, fail_b.1);
-        let mut reference = MultiAsResolver::with_options(&m, CostMetric::Latency, true);
+        let mut reference = MultiAsResolver::new(&m, CostMetric::Latency, &cfg);
         reference.rib = BgpRib::compute(&reduced);
         for (a, b) in [fail_a, fail_b] {
             reference.gateways.remove(&(a as u16, b as u16));
@@ -644,7 +605,7 @@ mod failover_tests {
         // non-edge and must error, not panic.
         let cfg = MultiAsTopologyConfig::tiny();
         let m = generate_multi_as_network(&cfg);
-        let resolver = MultiAsResolver::with_options(&m, CostMetric::Latency, true);
+        let resolver = MultiAsResolver::new(&m, CostMetric::Latency, &cfg);
         let (a, b) = (0..m.as_graph.n)
             .find_map(|a| m.as_graph.neighbors(a).next().map(|(b, _)| (a, b)))
             .expect("AS graph has edges");
@@ -671,7 +632,7 @@ mod failover_tests {
         if cores.len() < 3 {
             return;
         }
-        let resolver = MultiAsResolver::with_options(&m, CostMetric::Latency, true);
+        let resolver = MultiAsResolver::new(&m, CostMetric::Latency, &cfg);
         let failed = resolver
             .with_failed_adjacencies(&m, &[(cores[0], cores[1])])
             .expect("cores are adjacent");

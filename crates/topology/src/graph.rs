@@ -238,6 +238,18 @@ impl Network {
             .min_by(|x, y| x.partial_cmp(y).expect("latencies are finite"))
     }
 
+    /// Smallest latency (ms) over links whose ends lie in different
+    /// parts of `assignment` (node index → part): the partition's
+    /// achieved MLL. `None` when no link is cut (unbounded decoupling).
+    pub fn cut_mll_ms(&self, assignment: &[u32]) -> Option<f64> {
+        debug_assert_eq!(assignment.len(), self.node_count());
+        self.links
+            .iter()
+            .filter(|l| assignment[l.a.index()] != assignment[l.b.index()])
+            .map(|l| l.latency_ms)
+            .reduce(f64::min)
+    }
+
     /// All node ids of routers.
     pub fn router_ids(&self) -> Vec<NodeId> {
         self.nodes
@@ -353,6 +365,24 @@ mod tests {
         let net = star();
         assert_eq!(net.min_link_latency_ms(), Some(0.1));
         assert_eq!(Network::new().min_link_latency_ms(), None);
+    }
+
+    #[test]
+    fn mll_is_min_cut_latency() {
+        // Path a-b-c-d with latencies 0.2, 5.0, 0.3 ms.
+        let mut net = Network::new();
+        let ids: Vec<_> = (0..4)
+            .map(|i| net.add_node(NodeKind::Router, Point::new(i as f64, 0.0), AsId(0)))
+            .collect();
+        net.add_link(ids[0], ids[1], 1e9, 0.2);
+        net.add_link(ids[1], ids[2], 1e9, 5.0);
+        net.add_link(ids[2], ids[3], 1e9, 0.3);
+        // Cut only the middle link.
+        assert_eq!(net.cut_mll_ms(&[0, 0, 1, 1]), Some(5.0));
+        // Cut the first and middle.
+        assert_eq!(net.cut_mll_ms(&[0, 1, 2, 2]), Some(0.2));
+        // No cut.
+        assert_eq!(net.cut_mll_ms(&[0, 0, 0, 0]), None);
     }
 
     #[test]

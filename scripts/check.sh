@@ -69,6 +69,11 @@ stage "simlint (D4 float order, D5 determinism taint)" \
 stage "cargo clippy (workspace lints: hash/clock/entropy, unwrap, panic, casts, reasons)" \
     cargo clippy --workspace --all-targets -- -D warnings
 
+# Broken intra-doc links (including stale links to deleted items) are
+# rustdoc warnings; -D warnings makes them fail the gate.
+stage "cargo doc (intra-doc links resolve)" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 # perf/ is its own workspace, so neither the stages above nor tier-1
 # build it; this catches a refactor that breaks a name perf/README.md
 # lists under "What the harness imports".

@@ -14,12 +14,13 @@
 //!    uninterrupted run keeps its own recycling history.
 
 use massf_engine::{run_sequential, SimTime};
+use massf_integration::{assert_matches_reference, fingerprint_for, session_for};
 use massf_netsim::{
     Agent, AppLogic, FaultScript, FaultState, FlowId, NetSimBuilder, NetWorld, NoApp, SharedNet,
-    SimApi, SimOutput, DEFAULT_ROUTE_CACHE_CAPACITY, MAX_RETRIES,
+    SimApi,
 };
 use massf_routing::CostMetric;
-use massf_snapshot::{scenario_fingerprint, ExecMode, Session};
+use massf_snapshot::{ExecMode, Session};
 use massf_topology::{
     generate_flat_network, AsId, FlatTopologyConfig, Network, NodeId, NodeKind, Point,
 };
@@ -101,30 +102,6 @@ fn fluid_parity_cut(shared: &SharedNet, parts: u32) -> (Vec<u32>, SimTime) {
         "parity cut must leave a positive window"
     );
     (assignment, window)
-}
-
-fn session_for(builder: &NetSimBuilder) -> Session {
-    Session::new(
-        builder.shared(),
-        builder.initial_events(),
-        DEFAULT_ROUTE_CACHE_CAPACITY,
-        MAX_RETRIES,
-    )
-}
-
-fn fingerprint_for(builder: &NetSimBuilder) -> u64 {
-    scenario_fingerprint(
-        &builder.shared(),
-        &builder.initial_events(),
-        DEFAULT_ROUTE_CACHE_CAPACITY,
-        MAX_RETRIES,
-    )
-}
-
-fn assert_matches_reference(session: &Session, reference: &SimOutput<NoApp>) {
-    assert_eq!(session.total_events(), reference.stats.total_events);
-    assert_eq!(session.lp_events(), &reference.stats.lp_events[..]);
-    assert_eq!(session.profile(), &reference.profile);
 }
 
 #[test]

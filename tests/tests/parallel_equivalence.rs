@@ -9,7 +9,10 @@ use massf_integration::{tiny_mapping_config, tiny_single_as};
 use massf_netsim::NetSimBuilder;
 
 fn mll_window(scenario: &Scenario, assignment: &[u32]) -> SimTime {
-    let mll = achieved_mll_ms(&scenario.net, assignment).expect("some link is cut");
+    let mll = scenario
+        .net
+        .cut_mll_ms(assignment)
+        .expect("some link is cut");
     SimTime::from_ms_f64(mll)
 }
 

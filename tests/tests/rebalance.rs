@@ -12,9 +12,9 @@
 //!    on rebalancing sessions.
 
 use massf_engine::{RebalanceConfig, SimTime};
+use massf_integration::assert_matches_reference;
 use massf_netsim::{
-    Agent, FaultScript, FaultState, NetSimBuilder, NoApp, SimOutput, DEFAULT_ROUTE_CACHE_CAPACITY,
-    MAX_RETRIES,
+    Agent, FaultScript, FaultState, NetSimBuilder, NoApp, DEFAULT_ROUTE_CACHE_CAPACITY, MAX_RETRIES,
 };
 use massf_routing::CostMetric;
 use massf_snapshot::wire::{ByteWriter, Wire};
@@ -98,12 +98,6 @@ fn session_fingerprint(builder: &NetSimBuilder, policy: &RebalancePolicy, parts:
     );
     let assignment = block_assignment(builder.shared().lp_count(), parts);
     rebalancing_fingerprint(base, policy, &assignment)
-}
-
-fn assert_matches_reference(session: &Session, reference: &SimOutput<NoApp>) {
-    assert_eq!(session.total_events(), reference.stats.total_events);
-    assert_eq!(session.lp_events(), &reference.stats.lp_events[..]);
-    assert_eq!(session.profile(), &reference.profile);
 }
 
 /// The session's frontier in wire bytes (`ResumeState` has no

@@ -11,13 +11,14 @@
 //!    match full replays of the divergent scenario exactly.
 
 use massf_engine::{LpId, RebalanceConfig, SimTime};
+use massf_integration::{assert_matches_reference, fingerprint_for, session_for};
 use massf_netsim::{
     Agent, FaultKind, FaultScript, FaultState, NetEvent, NetSimBuilder, NoApp, SharedNet,
-    SimOutput, DEFAULT_ROUTE_CACHE_CAPACITY, MAX_RETRIES,
+    DEFAULT_ROUTE_CACHE_CAPACITY, MAX_RETRIES,
 };
 use massf_routing::{CostMetric, MultiAsResolver};
 use massf_snapshot::wire::fnv1a64;
-use massf_snapshot::{recover_latest, scenario_fingerprint, ExecMode, RebalancePolicy, Session};
+use massf_snapshot::{recover_latest, ExecMode, RebalancePolicy, Session};
 use massf_topology::{
     generate_flat_network, generate_multi_as_network, AsId, FlatTopologyConfig, LinkId, MassfError,
     MultiAsTopologyConfig, Network, NodeId, NodeKind, Point,
@@ -66,43 +67,17 @@ fn flap_scenario(seed: u64, flaps: usize, flows: usize) -> NetSimBuilder {
     builder
 }
 
-fn session_for(builder: &NetSimBuilder) -> Session {
-    Session::new(
-        builder.shared(),
-        builder.initial_events(),
-        DEFAULT_ROUTE_CACHE_CAPACITY,
-        MAX_RETRIES,
-    )
-}
-
-fn fingerprint_for(builder: &NetSimBuilder) -> u64 {
-    scenario_fingerprint(
-        &builder.shared(),
-        &builder.initial_events(),
-        DEFAULT_ROUTE_CACHE_CAPACITY,
-        MAX_RETRIES,
-    )
-}
-
 /// Parity-cut assignment and its safe barrier window (the cut MLL).
 fn parity_cut(shared: &SharedNet, parts: u32) -> (Vec<u32>, SimTime) {
     let n = shared.lp_count();
     let assignment: Vec<u32> = (0..n).map(|i| (i as u32) % parts).collect();
-    let mut mll = f64::INFINITY;
-    for link in &shared.net.links {
-        if assignment[link.a.index()] != assignment[link.b.index()] {
-            mll = mll.min(link.latency_ms);
-        }
-    }
+    let mll = shared
+        .net
+        .cut_mll_ms(&assignment)
+        .expect("parity cut must sever some link");
     let window = SimTime::from_ms_f64(mll);
-    assert!(window > SimTime::ZERO, "parity cut must sever some link");
+    assert!(window > SimTime::ZERO, "parity cut has zero MLL");
     (assignment, window)
-}
-
-fn assert_matches_reference(session: &Session, reference: &SimOutput<NoApp>) {
-    assert_eq!(session.total_events(), reference.stats.total_events);
-    assert_eq!(session.lp_events(), &reference.stats.lp_events[..]);
-    assert_eq!(session.profile(), &reference.profile);
 }
 
 #[test]
