@@ -54,7 +54,7 @@
 //! `≤ min(MLL, FLUID_CONTROL_DELAY)`; a larger window fails with the
 //! engine's structured `LookaheadViolation`, never silent divergence.
 
-use crate::packet::{FlowId, NetEvent};
+use crate::packet::{FlowId, Hop, NetEvent};
 use crate::profiling::ProfileData;
 use crate::world::{validate_route, SharedNet};
 use massf_engine::{Emitter, LpId, SimTime};
@@ -203,10 +203,9 @@ impl FluidWorldState {
 /// exports, so recycling order cannot affect results.
 struct FluidSlab {
     flow: Vec<FlowId>,
-    path: Vec<Arc<[NodeId]>>,
-    /// The (link, direction) slot of every hop of `path`, derived when
-    /// the path is set: the solver walks this, never the topology.
-    slots: Vec<Arc<[u32]>>,
+    /// Interned route; the solver walks its hops' slots
+    /// ([`route_slots`]), never the topology.
+    path: Vec<Arc<[Hop]>>,
     /// Demand cap, bytes/s.
     demand: Vec<u64>,
     /// Current max-min rate, bytes/s.
@@ -228,7 +227,6 @@ impl FluidSlab {
         FluidSlab {
             flow: Vec::new(),
             path: Vec::new(),
-            slots: Vec::new(),
             demand: Vec::new(),
             rate: Vec::new(),
             armed_rate: Vec::new(),
@@ -264,7 +262,7 @@ pub(crate) struct FluidState {
     /// Path memo for the coordinator (the world's sharded route cache
     /// is owned per *source* LP and must not be touched from here).
     /// Cleared on fault-epoch change.
-    path_memo: BTreeMap<u64, Route>,
+    path_memo: BTreeMap<u64, Arc<[Hop]>>,
     memo_epoch: u32,
     /// Generation-stamped scratch marks for closure computation (no
     /// per-solve set allocation at million-flow scale).
@@ -282,9 +280,6 @@ pub(crate) struct FluidState {
     #[cfg(test)]
     scan_oracle: Option<Arc<SharedNet>>,
 }
-
-/// A resolved path with the slot of every hop.
-type Route = (Arc<[NodeId]>, Arc<[u32]>);
 
 /// Per-solve buffers, kept between solves so the steady state
 /// allocates nothing. Link-indexed ones are indexed like `links`,
@@ -312,15 +307,11 @@ struct Scratch {
     heap_pushes: u64,
 }
 
-/// The (link, direction) slot of every hop of `path`; `None` if a hop
-/// is not an existing link (hostile input — callers validate first,
-/// this is the backstop).
-fn path_slots(shared: &SharedNet, path: &[NodeId]) -> Option<Arc<[u32]>> {
-    let slot = |w: &[NodeId]| {
-        let link = shared.link_between(w[0], w[1])?;
-        Some(link.id.0 * 2 + u32::from(link.a != w[0]))
-    };
-    path.windows(2).map(slot).collect()
+/// The (link, direction) slots a route's hops leave on, source first.
+fn route_slots(route: &[Hop]) -> impl Iterator<Item = u32> + '_ {
+    route[..route.len().saturating_sub(1)]
+        .iter()
+        .map(|hop| hop.slot)
 }
 
 /// The node that serializes onto slot `s` (`s = link·2 + dir`; dir 0
@@ -338,9 +329,9 @@ impl FluidState {
     pub(crate) fn new(shared: &SharedNet) -> Self {
         let slots = shared.net.links.len() * 2;
         let mut cap = Vec::with_capacity(slots);
-        for &c in &shared.cap_bytes_per_sec {
-            cap.push(c);
-            cap.push(c);
+        for link in &shared.links {
+            cap.push(link.cap_bytes_per_sec);
+            cap.push(link.cap_bytes_per_sec);
         }
         FluidState {
             slab: FluidSlab::new(),
@@ -374,15 +365,16 @@ impl FluidState {
     }
 
     /// Resolve `src → dst` against the fault epoch at `now` through the
-    /// coordinator's own memo (interns one path and one slot list per
-    /// pair per epoch). A path with a hop that is not a link is no route.
+    /// coordinator's own memo (interns one route per pair per epoch,
+    /// with [`SharedNet::resolve_route`] as the packet path does). A
+    /// path with a hop that is not a link is no route.
     fn resolve(
         &mut self,
         shared: &SharedNet,
         now: SimTime,
         src: NodeId,
         dst: NodeId,
-    ) -> Option<Route> {
+    ) -> Option<Arc<[Hop]>> {
         let epoch = match &shared.faults {
             Some(f) => f.epoch_at(now) as u32,
             None => 0,
@@ -395,8 +387,7 @@ impl FluidState {
         if let Some(p) = self.path_memo.get(&key) {
             return Some(p.clone());
         }
-        let path = shared.resolver_at(now).route_arc(src, dst)?;
-        let route = (path.clone(), path_slots(shared, &path)?);
+        let route = shared.resolve_route(now, src, dst)?;
         self.path_memo.insert(key, route.clone());
         Some(route)
     }
@@ -443,7 +434,6 @@ impl FluidState {
         }
         self.slab.flow.push(FlowId(0));
         self.slab.path.push(Arc::from([]));
-        self.slab.slots.push(Arc::from([]));
         self.slab.demand.push(0);
         self.slab.rate.push(0);
         self.slab.armed_rate.push(0);
@@ -457,20 +447,19 @@ impl FluidState {
 
     /// Route flow slot `f` over `route` and seed the next solve with
     /// its links.
-    fn add_membership(&mut self, f: usize, (path, slots): Route) {
-        for &s in slots.iter() {
+    fn add_membership(&mut self, f: usize, route: Arc<[Hop]>) {
+        for s in route_slots(&route) {
             self.members[s as usize].push(f as u32);
         }
-        self.seeds.extend_from_slice(&slots);
-        self.slab.path[f] = path;
-        self.slab.slots[f] = slots;
+        self.seeds.extend(route_slots(&route));
+        self.slab.path[f] = route;
     }
 
     fn remove_membership(&mut self, f: usize) {
-        for &s in self.slab.slots[f].iter() {
+        for s in route_slots(&self.slab.path[f]) {
             self.members[s as usize].retain(|&m| m != f as u32);
         }
-        self.seeds.extend_from_slice(&self.slab.slots[f]);
+        self.seeds.extend(route_slots(&self.slab.path[f]));
     }
 
     /// Handle [`NetEvent::FluidStart`].
@@ -540,7 +529,7 @@ impl FluidState {
         self.settle(f, now);
         if self.slab.remaining[f] == 0 {
             let path = self.slab.path[f].clone();
-            let (src, dst) = (path[0], *path.last().unwrap_or(&path[0]));
+            let (src, dst) = (path[0].node, path[path.len() - 1].node);
             self.remove_membership(f);
             self.slab.by_id.remove(&flow.0);
             self.slab.rate[f] = 0;
@@ -608,8 +597,8 @@ impl FluidState {
         match kind {
             FaultKind::LinkDown(l) => self.seeds.extend([l.0 * 2, l.0 * 2 + 1]),
             FaultKind::RouterCrash(n) => {
-                for &l in shared.incident_links(n) {
-                    self.seeds.extend([l * 2, l * 2 + 1]);
+                for &s in shared.outgoing_slots(n) {
+                    self.seeds.extend([s & !1, s | 1]);
                 }
             }
             FaultKind::AsAdjacencyFail { .. } => {}
@@ -641,9 +630,9 @@ impl FluidState {
             let f = fslot as usize;
             self.settle(f, now);
             let old = self.slab.path[f].clone();
-            let (src, dst) = (old[0], *old.last().unwrap_or(&old[0]));
+            let (src, dst) = (old[0].node, old[old.len() - 1].node);
             match self.resolve(shared, now, src, dst) {
-                Some(new) if new.0 == old => {}
+                Some(new) if new == old => {}
                 Some(new) => {
                     self.remove_membership(f);
                     self.add_membership(f, new);
@@ -709,7 +698,7 @@ impl FluidState {
                 if self.flow_mark[f] != gen {
                     self.flow_mark[f] = gen;
                     w.fl.push((self.slab.flow[f].0, f as u32));
-                    for &slot in self.slab.slots[f].iter() {
+                    for slot in route_slots(&self.slab.path[f]) {
                         let m = &mut self.link_mark[slot as usize];
                         if *m != gen {
                             *m = gen;
@@ -831,7 +820,7 @@ impl FluidState {
                 if !std::mem::replace(&mut w.fixed[fi], true) {
                     w.newrate[fi] = r;
                     left -= 1;
-                    for &s in self.slab.slots[w.fl[fi].1 as usize].iter() {
+                    for s in route_slots(&self.slab.path[w.fl[fi].1 as usize]) {
                         let li = self.link_local[s as usize];
                         w.avail[li as usize] = w.avail[li as usize].saturating_sub(r);
                         w.cnt[li as usize] = w.cnt[li as usize].saturating_sub(1);
@@ -871,7 +860,7 @@ impl FluidState {
             let f = slot as usize;
             flows.push(FluidFlowEntryState {
                 flow: FlowId(id),
-                path: self.slab.path[f].to_vec(),
+                path: self.slab.path[f].iter().map(|h| h.node).collect(),
                 demand_bps: self.slab.demand[f],
                 rate_bps: self.slab.rate[f],
                 armed_rate_bps: self.slab.armed_rate[f],
@@ -937,9 +926,7 @@ impl FluidState {
                     "fluid flow counter {counter} not yet issued by the coordinator"
                 )));
             }
-            validate_route(shared, &e.path, "fluid")?;
-            let slots = path_slots(shared, &e.path)
-                .ok_or_else(|| bad("fluid path hop is not a link".into()))?;
+            let route = validate_route(shared, &e.path, "fluid")?;
             let f = fs.alloc_slot();
             fs.slab.flow[f] = e.flow;
             fs.slab.demand[f] = e.demand_bps;
@@ -949,7 +936,7 @@ impl FluidState {
             fs.slab.updated[f] = e.updated;
             fs.slab.epoch[f] = e.epoch;
             fs.slab.by_id.insert(e.flow.0, f as u32);
-            fs.add_membership(f, (Arc::from(e.path.as_slice()), slots));
+            fs.add_membership(f, route);
         }
         fs.seeds.clear(); // nothing to re-solve: the rates came with the state
                           // Aggregates are derived: rebuild without emitting reports.
@@ -993,7 +980,7 @@ impl FluidState {
                 return Err(format!("flow {id:#x}: rate {rate} above demand {demand}"));
             }
             if rate < demand {
-                let bottlenecked = self.slab.slots[f].iter().any(|&s| {
+                let bottlenecked = route_slots(&self.slab.path[f]).any(|s| {
                     let s = s as usize;
                     self.cap_avail(s).saturating_sub(self.agg_bps[s]) < self.members[s].len() as u64
                 });
@@ -1010,6 +997,13 @@ impl FluidState {
     /// Number of live fluid flows.
     pub(crate) fn live_flows(&self) -> usize {
         self.slab.by_id.len()
+    }
+
+    /// The slots live fluid flow `flow` crosses (test probe).
+    #[cfg(test)]
+    pub(crate) fn slots_of(&self, flow: FlowId) -> Option<Vec<u32>> {
+        let f = *self.slab.by_id.get(&flow.0)? as usize;
+        Some(route_slots(&self.slab.path[f]).collect())
     }
 }
 
@@ -1335,11 +1329,10 @@ mod tests {
         fl: &[(u64, u32)],
     ) -> Vec<u64> {
         let hops = |f: u32| -> Vec<usize> {
-            let slot = |w: &[NodeId]| {
-                let link = shared
-                    .link_between(w[0], w[1])
-                    .expect("live paths follow links");
-                link.id.0 * 2 + u32::from(link.a != w[0])
+            let slot = |w: &[Hop]| {
+                shared
+                    .slot_between(w[0].node, w[1].node)
+                    .expect("live paths follow links")
             };
             let lidx = |s: u32| links.partition_point(|&x| x < s); // s is always present
             fs.slab.path[f as usize]

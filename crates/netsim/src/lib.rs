@@ -39,7 +39,7 @@ pub use fluid::{
 };
 pub use massf_faults::{FaultEvent, FaultKind, FaultScript, FaultState};
 pub use massf_routing::RouteCacheStats;
-pub use packet::{FlowId, NetEvent, Packet, PacketKind};
+pub use packet::{FlowId, Hop, NetEvent, Packet, PacketKind};
 pub use profiling::ProfileData;
 pub use tcp::{AbortReason, TcpSenderState, MAX_RETRIES};
 pub use world::{

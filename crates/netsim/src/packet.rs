@@ -22,10 +22,32 @@ impl FlowId {
     }
 }
 
+/// One node of an interned route and the directed link slot
+/// (`link·2 + dir`, dir 0 sending from the link's `a` end) the route
+/// leaves it on. The last node of a route leaves on no link and carries
+/// [`Hop::END`]. A packet walking the route backwards leaves node `i`
+/// on the reverse direction of node `i − 1`'s slot, `slot ^ 1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hop {
+    pub node: NodeId,
+    pub slot: u32,
+}
+
+impl Hop {
+    /// The slot of a route's last node.
+    pub const END: u32 = u32::MAX;
+}
+
+impl From<Hop> for NodeId {
+    fn from(hop: Hop) -> NodeId {
+        hop.node
+    }
+}
+
 /// What a packet is. The kind also fixes the packet's travel direction
-/// over its (shared) path: `Data` and `Datagram` walk the path forward,
-/// `Ack` walks the same node sequence in reverse — which is why one
-/// path reference per packet suffices (see [`Packet::path`]).
+/// over its (shared) route: `Data` and `Datagram` walk it forward,
+/// `Ack` walks the same hops in reverse — which is why one route
+/// reference per packet suffices (see [`Packet::path`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketKind {
     /// TCP data segment; `seq` is the segment number.
@@ -40,24 +62,26 @@ pub enum PacketKind {
 /// (see `massf-routing`); `hop` counts the nodes already visited in the
 /// packet's own travel direction.
 ///
-/// Memory layout: exactly one `Arc` path reference per packet. The
-/// forward path is interned per `(epoch, src, dst)` by the world's
+/// Memory layout: exactly one `Arc` route reference per packet. The
+/// forward route is interned per `(epoch, src, dst)` by the world's
 /// route cache, so every packet of a flow — and every ACK coming back —
 /// shares a single allocation; ACKs reuse the *same* `Arc` and derive
 /// the reverse walk from [`PacketKind::Ack`] instead of carrying a
-/// second `rpath` allocation. The destination is stored inline so the
-/// hot-path destination check never dereferences the `Arc`.
+/// second `rpath` allocation. Each hop carries its outgoing link slot,
+/// so forwarding indexes the link directly and never searches the
+/// port table. The destination is stored inline so the hot-path
+/// destination check never dereferences the `Arc`.
 #[derive(Debug, Clone)]
 pub struct Packet {
     pub flow: FlowId,
     /// Application-opaque metadata carried by datagrams (workflow edge
     /// ids, request tokens, …); zero for TCP packets.
     pub meta: u64,
-    /// Node path shared by both directions of the flow. For `Data` /
+    /// Route shared by both directions of the flow. For `Data` /
     /// `Datagram` the packet visits `path[0]` (source) through
     /// `path[len-1]` (destination); for `Ack` it visits the same nodes
     /// last-to-first.
-    pub path: Arc<[NodeId]>,
+    pub path: Arc<[Hop]>,
     /// The node this packet is destined for (the last node of its walk,
     /// cached inline so destination checks don't touch the `Arc`).
     pub dst: NodeId,
@@ -70,7 +94,7 @@ pub struct Packet {
     pub kind: PacketKind,
 }
 
-/// Size budget: `FlowId` + `meta` (16) + one `Arc` fat pointer (16) +
+/// Size budget: `FlowId` + `meta` (16) + one `Arc<[Hop]>` fat pointer (16) +
 /// `dst`/`seq`/`size_bytes` (12) + `hop`/`kind` packed into the final
 /// word = 48 bytes, down from 64 with the old two-`Arc` layout. Growing
 /// this struct regresses copy cost on every hop; update the budget only
@@ -88,9 +112,20 @@ impl Packet {
     #[inline]
     pub fn node_at(&self, i: usize) -> NodeId {
         if self.forward() {
-            self.path[i]
+            self.path[i].node
         } else {
-            self.path[self.path.len() - 1 - i]
+            self.path[self.path.len() - 1 - i].node
+        }
+    }
+
+    /// The link slot the walk leaves `node_at(i)` on (`i` short of the
+    /// destination).
+    #[inline]
+    pub fn slot_at(&self, i: usize) -> u32 {
+        if self.forward() {
+            self.path[i].slot
+        } else {
+            self.path[self.path.len() - 2 - i].slot ^ 1
         }
     }
 
@@ -202,9 +237,19 @@ mod tests {
         assert_eq!(f.0 & 0xFFFF_FFFF, 42);
     }
 
+    /// Route over nodes 1, 2, 3 whose hops leave on slots 10 and 20.
+    fn route_1_2_3() -> Arc<[Hop]> {
+        [(1, 10), (2, 20), (3, Hop::END)]
+            .map(|(n, slot)| Hop {
+                node: NodeId(n),
+                slot,
+            })
+            .into()
+    }
+
     #[test]
     fn packet_path_navigation() {
-        let path: Arc<[NodeId]> = vec![NodeId(1), NodeId(2), NodeId(3)].into();
+        let path = route_1_2_3();
         let mut p = Packet {
             flow: FlowId::new(NodeId(1), 0),
             meta: 0,
@@ -218,6 +263,7 @@ mod tests {
         assert_eq!(p.destination(), NodeId(3));
         assert_eq!(p.node_at(0), NodeId(1));
         assert_eq!(p.next_node(), Some(NodeId(2)));
+        assert_eq!((p.slot_at(0), p.slot_at(1)), (10, 20));
         assert!(!p.at_destination());
         p.hop = 2;
         assert!(p.at_destination());
@@ -226,7 +272,7 @@ mod tests {
 
     #[test]
     fn ack_walks_the_same_path_in_reverse() {
-        let path: Arc<[NodeId]> = vec![NodeId(1), NodeId(2), NodeId(3)].into();
+        let path = route_1_2_3();
         let mut ack = Packet {
             flow: FlowId::new(NodeId(1), 0),
             meta: 0,
@@ -239,6 +285,7 @@ mod tests {
         };
         assert!(!ack.forward());
         assert_eq!(ack.node_at(0), NodeId(3));
+        assert_eq!((ack.slot_at(0), ack.slot_at(1)), (21, 11), "mirrored slots");
         assert_eq!(ack.next_node(), Some(NodeId(2)));
         ack.hop = 1;
         assert_eq!(ack.node_at(ack.hop as usize), NodeId(2));

@@ -5,11 +5,11 @@
 use super::shared::SharedNet;
 use super::slab::{FlowCold, NodeStates};
 use crate::fluid::{FLUID_CONTROL_DELAY, FLUID_COORDINATOR, PACKET_FLOOR_DIV};
-use crate::packet::{FlowId, NetEvent, Packet, PacketKind, HEADER_BYTES, MSS};
+use crate::packet::{FlowId, Hop, NetEvent, Packet, PacketKind, HEADER_BYTES, MSS};
 use crate::profiling::ProfileData;
 use crate::tcp::{AbortReason, SendAction, TcpSender};
 use massf_engine::{Emitter, LpId, SimTime};
-use massf_topology::NodeId;
+use massf_topology::{LinkId, NodeId};
 use std::sync::Arc;
 
 /// The interface application logic uses to act on the network, and the
@@ -97,19 +97,21 @@ impl SimApi<'_, '_> {
         );
     }
 
-    /// Resolve a route from this host to `dst` through the world's path
-    /// cache, requiring ≥ 2 nodes. Keys embed the fault-epoch index, so
-    /// a reconvergence can never serve a pre-fault path; repeated pairs
-    /// in the same epoch share one `Arc` and skip the resolver entirely.
-    /// This is where paths enter the world: a resolver answer with a hop
-    /// that is not a link is refused here (as the fluid path refuses
-    /// it), so [`SimApi::transmit`] may rely on adjacency.
+    /// Resolve a route from this host to `dst` through the world's route
+    /// cache. Keys embed the fault-epoch index, so a reconvergence can
+    /// never serve a pre-fault route; repeated pairs in the same epoch
+    /// share one `Arc` and skip the resolver entirely. This is where
+    /// routes enter the world and get their link slots: a resolver
+    /// answer is accepted only if it has ≥ 2 nodes, runs from this host
+    /// to `dst` and every hop is a link ([`SharedNet::resolve_route`],
+    /// shared with the fluid path), so [`SimApi::transmit`] may index
+    /// the slots it carries.
     ///
     /// Determinism: the host is the LP being handled, so the per-source
     /// cache shard — and with it every hit/miss/evict counter in
     /// `profile.route_cache` — sees the same query sequence at any
     /// thread count or partitioning.
-    pub(super) fn route(&mut self, dst: NodeId) -> Option<Arc<[NodeId]>> {
+    pub(super) fn route(&mut self, dst: NodeId) -> Option<Arc<[Hop]>> {
         let (shared, src, now) = (self.shared, self.host, self.now);
         if src == dst {
             return None;
@@ -122,18 +124,14 @@ impl SimApi<'_, '_> {
         self.state
             .route_cache
             .get_or_insert_with(stats, epoch, src, dst, || {
-                let path = shared.resolver_at(now).route_arc(src, dst)?;
-                debug_assert!(path.len() >= 2);
-                path.windows(2)
-                    .all(|hop| shared.link_between(hop[0], hop[1]).is_some())
-                    .then_some(path)
+                shared.resolve_route(now, src, dst)
             })
     }
 
     /// Resolve `dst` and issue this host's next flow id for traffic
     /// towards it; an unroutable destination is counted and yields
     /// `None`.
-    fn open_route(&mut self, dst: NodeId) -> Option<(FlowId, Arc<[NodeId]>)> {
+    fn open_route(&mut self, dst: NodeId) -> Option<(FlowId, Arc<[Hop]>)> {
         let Some(path) = self.route(dst) else {
             self.profile.unroutable += 1;
             return None;
@@ -144,25 +142,28 @@ impl SimApi<'_, '_> {
         Some((flow, path))
     }
 
-    /// Put `pkt` on the wire at `node_at(hop) → node_at(hop+1)`. Applies
+    /// Put `pkt` on the wire at `node_at(hop) → node_at(hop+1)`, on the
+    /// link slot its route carries for that hop. Applies
     /// store-and-forward serialization, FIFO queueing, and drop-tail
     /// loss; schedules the arrival at the next hop. Packets offered to a
     /// dead link or dead endpoint are counted as fault drops.
     pub(super) fn transmit(&mut self, mut pkt: Packet) {
         let (shared, now) = (self.shared, self.now);
-        let from = pkt.node_at(pkt.hop as usize);
-        let to = pkt.node_at(pkt.hop as usize + 1);
-        let link = shared
-            .link_between(from, to)
-            .expect("resolved paths follow existing links");
+        let hop = pkt.hop as usize;
+        let slot = pkt.slot_at(hop) as usize;
+        let link = slot / 2;
+        let to = pkt.node_at(hop + 1);
         if let Some(f) = &shared.faults {
-            if !f.is_link_up(link.id, now) || !f.is_node_up(from, now) || !f.is_node_up(to, now) {
+            let from = pkt.node_at(hop);
+            if !f.is_link_up(LinkId(link as u32), now)
+                || !f.is_node_up(from, now)
+                || !f.is_node_up(to, now)
+            {
                 self.profile.fault_drops += 1;
                 return;
             }
         }
-        let dir = usize::from(from != link.a);
-        let slot = link.id.index() * 2 + dir;
+        let params = &shared.links[link];
 
         // Fluid → packet coupling: once the coordinator has reported a
         // fluid aggregate for this slot, packets serialize at the residual
@@ -174,19 +175,18 @@ impl SimApi<'_, '_> {
         let coupling = &mut self.state.coupling;
         let fluid = match coupling.fluid_bps.get(slot) {
             Some(&f) if f != u64::MAX => {
-                let cap = shared.cap_bytes_per_sec[link.id.index()];
+                let cap = params.cap_bytes_per_sec;
                 Some(f.min(cap - cap / PACKET_FLOOR_DIV))
             }
             _ => None,
         };
         let (bandwidth_bps, buffer) = match fluid {
             Some(fl) => {
-                let cap = shared.cap_bytes_per_sec[link.id.index()];
-                let buf = shared.buffer_bytes[link.id.index()];
+                let (cap, buf) = (params.cap_bytes_per_sec, params.buffer_bytes);
                 let fluid_buf = ((buf as u128 * fl as u128) / cap as u128) as u64;
                 ((cap - fl) as f64 * 8.0, buf - fluid_buf)
             }
-            None => (link.bandwidth_bps, shared.buffer_bytes[link.id.index()]),
+            None => (params.bandwidth_bps, params.buffer_bytes),
         };
 
         let busy = &mut self.state.busy_until[slot];
@@ -199,11 +199,11 @@ impl SimApi<'_, '_> {
         }
         let tx = SimTime::from_secs_f64(pkt.size_bytes as f64 * 8.0 / bandwidth_bps);
         *busy = depart + tx;
-        self.profile.link_packets[link.id.index()] += 1;
+        self.profile.link_packets[link] += 1;
         if fluid.is_some() {
             // Packet → fluid coupling: feed the slot's load estimator.
             coupling.observe(
-                shared.cap_bytes_per_sec[link.id.index()],
+                params.cap_bytes_per_sec,
                 slot,
                 pkt.size_bytes as u64,
                 now,
@@ -211,7 +211,7 @@ impl SimApi<'_, '_> {
             );
         }
 
-        let arrival_delay = (depart + tx + SimTime::from_ms_f64(link.latency_ms)) - now;
+        let arrival_delay = (depart + tx + params.latency) - now;
         pkt.hop += 1;
         self.emitter
             .emit(arrival_delay, LpId(to.0), NetEvent::Arrive(pkt));
@@ -350,7 +350,7 @@ pub(super) enum FlowOutcome {
 
 #[cfg(test)]
 mod tests {
-    use super::super::fixtures::{dumbbell, dumbbell_net_with_detour};
+    use super::super::fixtures::{dumbbell, dumbbell_net_answering, dumbbell_net_with_detour};
     use super::*;
     use crate::{Agent, NetSimBuilder};
 
@@ -372,6 +372,53 @@ mod tests {
         // datagram's lookup never reached the resolver again.
         assert_eq!(out.profile.route_cache.misses, 2);
         assert_eq!(out.profile.route_cache.hits, 1);
+    }
+
+    /// Runs a TCP flow and a datagram `a → b` and a TCP flow `b → a`
+    /// with `a → b` answered `bogus(a, r1, b)`; returns the profile.
+    fn run_answering(bogus: impl FnOnce(NodeId, NodeId, NodeId) -> Vec<NodeId>) -> ProfileData {
+        let (net, detour, a, b) = dumbbell_net_answering(bogus);
+        let mut sim = NetSimBuilder::new(net, Arc::new(detour));
+        let mut agent = Agent::new();
+        agent.inject_tcp(SimTime::ZERO, a, b, 10_000);
+        agent.inject_udp(SimTime::from_ms(1), a, b, 512);
+        agent.inject_tcp(SimTime::ZERO, b, a, 10_000);
+        sim.add_agent(agent);
+        sim.run_sequential(NoApp, SimTime::from_secs(5)).profile
+    }
+
+    #[test]
+    fn route_answer_without_a_hop_is_unroutable_not_a_panic() {
+        for (what, bogus) in [
+            (
+                "source alone",
+                (|a, _, _| vec![a]) as fn(NodeId, NodeId, NodeId) -> Vec<NodeId>,
+            ),
+            ("empty", |_, _, _| Vec::new()),
+        ] {
+            let profile = run_answering(bogus);
+            assert_eq!(profile.unroutable, 2, "{what}: both a → b demands refused");
+            assert_eq!(profile.completed_flows, 1, "{what}: b → a routes normally");
+        }
+    }
+
+    #[test]
+    fn route_answer_between_other_nodes_is_unroutable() {
+        // Every hop is a link, but the answer ends at r1 instead of b,
+        // or starts at r1 instead of a: delivering it would hand b's
+        // traffic to another host.
+        for (what, bogus) in [
+            (
+                "ends short",
+                (|a, r1, _| vec![a, r1]) as fn(NodeId, NodeId, NodeId) -> Vec<NodeId>,
+            ),
+            ("starts elsewhere", |_, r1, b| vec![r1, NodeId(r1.0 + 1), b]),
+        ] {
+            let profile = run_answering(bogus);
+            assert_eq!(profile.unroutable, 2, "{what}: both a → b demands refused");
+            assert_eq!(profile.completed_flows, 1, "{what}: only b → a completes");
+            assert_eq!(profile.route_cache.misses, 2, "{what}: refusal is cached");
+        }
     }
 
     /// On a timer at host `h` with token `t`, starts a fluid flow

@@ -9,9 +9,10 @@
 //!
 //! **Memory layout** (DESIGN.md §3 item 13): per-flow state lives in
 //! struct-of-arrays slabs (`slab::FlowSlab`, `slab::ReceiverSlab`)
-//! instead of per-flow `HashMap` entries, the port table is a sorted CSR
-//! adjacency instead of a `HashMap<(u32, u32), u32>`, and packets carry
-//! a single interned path `Arc` (see [`Packet`]). Slab slot numbers are an
+//! instead of per-flow `HashMap` entries, and packets carry a single
+//! interned route `Arc` whose hops name their outgoing link slots (see
+//! [`Packet`]), so forwarding indexes links directly; the sorted CSR
+//! port table is searched only where a route is interned. Slab slot numbers are an
 //! implementation detail of one world instance — they never leak into
 //! `FlowId`s, events, or results, so sequential and parallel runs stay
 //! bit-identical even though their worlds recycle slots differently.
@@ -32,7 +33,7 @@ use crate::profiling::ProfileData;
 use crate::tcp::{AbortReason, MAX_RETRIES};
 use api::FlowOutcome;
 use massf_engine::{Emitter, LpId, Model, SimTime};
-use massf_topology::NodeId;
+use massf_topology::{LinkId, NodeId};
 use slab::NodeStates;
 use std::sync::Arc;
 
@@ -128,11 +129,8 @@ impl<A: AppLogic> Model for NetWorld<A> {
                 // endpoint died is lost (checked at arrival time; `hop`
                 // was already advanced past the traversed link).
                 if let Some(f) = &shared.faults {
-                    let prev = pkt.node_at(pkt.hop as usize - 1);
-                    let link_up = shared
-                        .link_between(prev, node)
-                        .is_some_and(|l| f.is_link_up(l.id, now));
-                    if !link_up || !f.is_node_up(node, now) {
+                    let link = LinkId(pkt.slot_at(pkt.hop as usize - 1) / 2);
+                    if !f.is_link_up(link, now) || !f.is_node_up(node, now) {
                         cx.profile.fault_drops += 1;
                         return;
                     }
@@ -145,8 +143,9 @@ impl<A: AppLogic> Model for NetWorld<A> {
                 match pkt.kind {
                     PacketKind::Data => {
                         let ack = cx.state.receivers.entry(node, pkt.flow).on_data(pkt.seq);
-                        // The ACK walks the *same* interned path in
-                        // reverse (kind = Ack); no second allocation.
+                        // The ACK walks the *same* interned route in
+                        // reverse (kind = Ack, mirrored slots); no
+                        // second allocation.
                         cx.transmit(Packet {
                             flow: pkt.flow,
                             meta: 0,
@@ -315,10 +314,11 @@ pub(crate) use shared::fixtures;
 
 #[cfg(test)]
 mod tests {
-    use super::fixtures::dumbbell;
+    use super::fixtures::{dumbbell, unslotted};
+    use super::shared;
     use super::slab::{FlowCold, FlowSlab};
     use super::*;
-    use crate::packet::{segments_for, FlowId};
+    use crate::packet::{segments_for, FlowId, Hop};
     use crate::tcp::TcpSender;
     use massf_engine::run_sequential;
     use massf_faults::FaultKind;
@@ -548,18 +548,169 @@ mod tests {
     fn port_table_matches_adjacency() {
         let (shared, _, _) = dumbbell(100e6);
         for link in &shared.net.links {
-            assert_eq!(
-                shared.link_between(link.a, link.b).map(|l| l.id),
-                Some(link.id)
-            );
-            assert_eq!(
-                shared.link_between(link.b, link.a).map(|l| l.id),
-                Some(link.id)
-            );
+            assert_eq!(shared.slot_between(link.a, link.b), Some(link.id.0 * 2));
+            assert_eq!(shared.slot_between(link.b, link.a), Some(link.id.0 * 2 + 1));
         }
         // Non-adjacent pairs miss: hosts a (0) and b (3) are 3 hops apart.
-        assert!(shared.link_between(NodeId(0), NodeId(3)).is_none());
-        assert!(shared.link_between(NodeId(0), NodeId(2)).is_none());
+        assert!(shared.slot_between(NodeId(0), NodeId(3)).is_none());
+        assert!(shared.slot_between(NodeId(0), NodeId(2)).is_none());
+        assert!(
+            shared.slot_between(NodeId(9), NodeId(0)).is_none(),
+            "unknown node"
+        );
+    }
+
+    proptest::proptest! {
+        /// On any multigraph — parallel links in both orientations
+        /// included — the slot from `b` to `a` mirrors the one from `a`
+        /// to `b`, and both name the last-inserted link joining them.
+        /// ACKs walk a route backwards on `slot ^ 1` by this invariant.
+        #[test]
+        fn port_slots_mirror_in_both_directions(
+            nodes in 2u32..7,
+            edges in proptest::collection::vec((0u32..7, 0u32..7), 1..30),
+        ) {
+            use massf_topology::{AsId, Network, NodeKind, Point};
+            let mut net = Network::new();
+            for i in 0..nodes {
+                net.add_node(NodeKind::Router, Point::new(f64::from(i), 0.0), AsId(0));
+            }
+            let mut last = std::collections::BTreeMap::new();
+            for (x, y) in edges {
+                let (a, b) = (NodeId(x % nodes), NodeId(y % nodes));
+                if a != b {
+                    let id = net.add_link(a, b, 1e6, 1.0);
+                    last.insert((a.min(b), a.max(b)), id);
+                }
+            }
+            let resolver = Arc::new(massf_routing::FlatResolver::new(
+                &net,
+                massf_routing::CostMetric::Latency,
+            ));
+            let shared = SharedNet::new(net, resolver);
+            for i in 0..nodes {
+                for j in 0..nodes {
+                    let (a, b) = (NodeId(i), NodeId(j));
+                    let ab = shared.slot_between(a, b);
+                    proptest::prop_assert_eq!(ab, shared.slot_between(b, a).map(|s| s ^ 1));
+                    let want = last.get(&(a.min(b), a.max(b))).filter(|_| a != b);
+                    proptest::prop_assert_eq!(ab.map(|s| s / 2), want.map(|l| l.0));
+                    if let Some(s) = ab {
+                        let link = &shared.net.links[(s / 2) as usize];
+                        let from = if s % 2 == 0 { link.a } else { link.b };
+                        proptest::prop_assert_eq!(from, a);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forwarding_searches_no_port_table() {
+        // Port lookups happen where a route is interned — one per hop of
+        // each resolved route — never per packet forwarded.
+        let run = |bytes: u64| {
+            let (shared, a, b) = dumbbell(100e6);
+            let before = shared::PORT_LOOKUPS.with(|c| c.get());
+            let (profile, stats) = run_flow(shared, a, b, bytes, SimTime::from_secs(60));
+            let lookups = shared::PORT_LOOKUPS.with(|c| c.get()) - before;
+            assert_eq!(profile.completed_flows, 1);
+            (lookups, profile.route_cache.misses, stats.total_events)
+        };
+        let (small, small_routes, small_events) = run(10_000);
+        let (large, large_routes, large_events) = run(2_000_000);
+        assert!(
+            large_events > 50 * small_events,
+            "{large_events} vs {small_events}"
+        );
+        assert_eq!((small_routes, large_routes), (1, 1));
+        assert_eq!(small, 3, "one lookup per hop of the one a → b route");
+        assert_eq!(
+            large, small,
+            "forwarding 200× the packets searches nothing more"
+        );
+    }
+
+    /// host a — r0 — r1 — r2 — host b with a slower detour r0 — r3 — r2;
+    /// the link r0 — r1 (id 1) fails at 100 ms.
+    fn square_with_failure() -> (Arc<SharedNet>, NodeId, NodeId) {
+        use massf_faults::{FaultScript, FaultState};
+        use massf_routing::CostMetric;
+        use massf_topology::{AsId, Network, NodeKind, Point};
+        let mut net = Network::new();
+        let mut node = |kind| net.add_node(kind, Point::new(0.0, 0.0), AsId(0));
+        // Router r0 is node 0, the fluid coordinator, so the TCP and the
+        // fluid flow each take their source's first flow id.
+        let r: Vec<NodeId> = (0..4).map(|_| node(NodeKind::Router)).collect();
+        let a = node(NodeKind::Host);
+        let b = node(NodeKind::Host);
+        net.add_link(a, r[0], 1e9, 0.1);
+        net.add_link(r[0], r[1], 10e6, 1.0);
+        net.add_link(r[1], r[2], 10e6, 1.0);
+        net.add_link(r[2], b, 1e9, 0.1);
+        net.add_link(r[0], r[3], 10e6, 5.0);
+        net.add_link(r[3], r[2], 10e6, 5.0);
+        let mut script = FaultScript::new();
+        script.link_down(SimTime::from_ms(100), massf_topology::LinkId(1));
+        let faults = FaultState::flat(&net, CostMetric::Latency, script).expect("valid script");
+        (SharedNet::with_faults(net, faults), a, b)
+    }
+
+    #[test]
+    fn packet_and_fluid_routes_carry_the_same_slots() {
+        let (shared, a, b) = square_with_failure();
+        let down = FaultKind::LinkDown(massf_topology::LinkId(1));
+        let coordinator = LpId(FLUID_COORDINATOR.0);
+        let slots_at = |end: SimTime| {
+            let mut world = NetWorld::new(shared.clone(), NoApp);
+            let bytes = 100 << 20;
+            let initial = vec![
+                (
+                    SimTime::ZERO,
+                    LpId(a.0),
+                    NetEvent::StartFlow { dst: b, bytes },
+                ),
+                (
+                    SimTime::ZERO,
+                    coordinator,
+                    NetEvent::FluidStart {
+                        src: a,
+                        dst: b,
+                        bytes,
+                        peak_bps: 0,
+                    },
+                ),
+                (
+                    SimTime::from_ms(100),
+                    LpId(a.0),
+                    NetEvent::Fault { kind: down },
+                ),
+                (
+                    SimTime::from_ms(100),
+                    coordinator,
+                    NetEvent::FluidFault { kind: down },
+                ),
+            ];
+            run_sequential(&mut world, shared.lp_count(), initial, end);
+            let flows = &world.state.flows;
+            let slot = flows
+                .slot_of(a, FlowId::new(a, 0))
+                .expect("TCP flow is live");
+            let route = &flows.cold[slot].path;
+            let packet: Vec<u32> = route[..route.len() - 1].iter().map(|h| h.slot).collect();
+            let fluid = world
+                .state
+                .fluid
+                .as_deref()
+                .and_then(|fl| fl.slots_of(FlowId::new(FLUID_COORDINATOR, 0)))
+                .expect("fluid flow is live");
+            assert_eq!(packet, fluid, "same pair, same epoch, same slots");
+            packet
+        };
+        // Epoch 0 takes r0 — r1 — r2; after the failure (and the TCP
+        // flow's RTO failover) both take the detour.
+        assert_eq!(slots_at(SimTime::from_ms(50)), vec![0, 2, 4, 6]);
+        assert_eq!(slots_at(SimTime::from_secs(3)), vec![0, 8, 10, 6]);
     }
 
     fn seeded_resume(
@@ -796,8 +947,9 @@ mod tests {
     fn in_flight_event_validation_catches_hostile_packets() {
         let (shared, a, b) = dumbbell(10e6);
         let r1 = NodeId(1);
-        let path: Arc<[NodeId]> = vec![a, r1, NodeId(2), b].into();
-        let pkt = |hop: u16, path: Arc<[NodeId]>| Packet {
+        let nodes = [a, r1, NodeId(2), b];
+        let path = unslotted(&nodes);
+        let pkt = |hop: u16, path: Arc<[Hop]>| Packet {
             flow: FlowId::new(a, 0),
             meta: 0,
             path,
@@ -808,9 +960,14 @@ mod tests {
             kind: PacketKind::Data,
         };
 
-        // A well-formed in-flight packet passes.
-        let ok = NetEvent::Arrive(pkt(1, path.clone()));
-        assert!(validate_net_event(&shared, LpId(r1.0), &ok).is_ok());
+        // A well-formed in-flight packet passes, its route re-interned
+        // with the slot of every hop.
+        let mut ok = NetEvent::Arrive(pkt(1, path.clone()));
+        assert!(validate_net_event(&shared, LpId(r1.0), &mut ok).is_ok());
+        let NetEvent::Arrive(restored) = ok else {
+            unreachable!("validation keeps the variant")
+        };
+        assert_eq!(Some(restored.path), shared.hop_route(&nodes));
 
         let cases: Vec<(LpId, NetEvent, &str)> = vec![
             (LpId(99), NetEvent::AppTimer { token: 0 }, "unknown LP"),
@@ -831,7 +988,7 @@ mod tests {
             ),
             (
                 LpId(r1.0),
-                NetEvent::Arrive(pkt(1, vec![a, b].into())),
+                NetEvent::Arrive(pkt(1, unslotted(&[a, b]))),
                 "non-adjacent path",
             ),
             (
@@ -850,8 +1007,8 @@ mod tests {
                 "fault on unknown link",
             ),
         ];
-        for (lp, ev, what) in cases {
-            match validate_net_event(&shared, lp, &ev) {
+        for (lp, mut ev, what) in cases {
+            match validate_net_event(&shared, lp, &mut ev) {
                 Err(MassfError::SnapshotCorrupt { section, .. }) => {
                     assert_eq!(section, "events", "{what}");
                 }

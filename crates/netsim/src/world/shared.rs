@@ -3,10 +3,11 @@
 //! constants derived from them.
 
 use crate::fluid::FLUID_CONTROL_DELAY;
+use crate::packet::Hop;
 use massf_engine::SimTime;
 use massf_faults::FaultState;
 use massf_routing::PathResolver;
-use massf_topology::{Link, Network, NodeId};
+use massf_topology::{Network, NodeId};
 use std::sync::Arc;
 
 /// Transport protocol selector for injected traffic.
@@ -16,19 +17,26 @@ pub enum TransportKind {
     Udp,
 }
 
-/// Sorted CSR adjacency for next-hop port lookup: for each node, its
-/// neighbor ids in ascending order and the connecting link index, in
-/// parallel `u32` arrays. Replaces the former `HashMap<(u32, u32), u32>`
-/// — a binary search over a node's (short) neighbor range touches one
-/// or two cache lines, allocates nothing, and iterates in a fixed
-/// order, so it is trivially deterministic.
+/// Sorted CSR adjacency from a node pair to the directed link slot
+/// joining them: for each node, its neighbor ids in ascending order and
+/// the slot (`link·2 + dir`) leaving towards each, in parallel `u32`
+/// arrays. Consulted where a route is interned (`SharedNet::hop_route`:
+/// route resolution, snapshot restore, fluid admission), never per hop
+/// — packets carry their slots.
 struct PortTable {
-    /// Per-node range into `neighbors`/`links`; length `node_count + 1`.
+    /// Per-node range into `neighbors`/`slots`; length `node_count + 1`.
     offsets: Box<[u32]>,
     /// Neighbor node ids, ascending within each node's range.
     neighbors: Box<[u32]>,
-    /// Link index for the corresponding neighbor entry.
-    links: Box<[u32]>,
+    /// Outgoing link slot for the corresponding neighbor entry.
+    slots: Box<[u32]>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `PortTable::lookup` calls made on this thread (test probe: the
+    /// forwarding path must not search the table per hop).
+    pub(crate) static PORT_LOOKUPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl PortTable {
@@ -45,20 +53,20 @@ impl PortTable {
         let total = offsets[n] as usize;
         let mut cursor: Vec<u32> = offsets[..n].to_vec();
         let mut neighbors = vec![0u32; total];
-        let mut links = vec![0u32; total];
+        let mut slots = vec![0u32; total];
         for link in &net.links {
-            for (from, to) in [(link.a, link.b), (link.b, link.a)] {
+            for (dir, (from, to)) in [(link.a, link.b), (link.b, link.a)].into_iter().enumerate() {
                 let c = &mut cursor[from.index()];
                 neighbors[*c as usize] = to.0;
-                links[*c as usize] = link.id.0;
+                slots[*c as usize] = link.id.0 * 2 + dir as u32;
                 *c += 1;
             }
         }
         // Sort each node's range by neighbor id. The sort is stable, so
         // parallel links between the same pair keep link-insertion order
         // and lookup — which takes the *last* entry of an equal-neighbor
-        // run — preserves the previous HashMap's insert-overwrite
-        // semantics exactly.
+        // run — picks the same (last-inserted) link from either end:
+        // `slot(b → a) == slot(a → b) ^ 1`, the mirror an ACK walks.
         let mut scratch: Vec<(u32, u32)> = Vec::new();
         for i in 0..n {
             let range = offsets[i] as usize..offsets[i + 1] as usize;
@@ -67,33 +75,47 @@ impl PortTable {
                 neighbors[range.clone()]
                     .iter()
                     .copied()
-                    .zip(links[range.clone()].iter().copied()),
+                    .zip(slots[range.clone()].iter().copied()),
             );
             scratch.sort_by_key(|&(nb, _)| nb);
             for (k, &(nb, l)) in scratch.iter().enumerate() {
                 neighbors[offsets[i] as usize + k] = nb;
-                links[offsets[i] as usize + k] = l;
+                slots[offsets[i] as usize + k] = l;
             }
         }
         PortTable {
             offsets: offsets.into(),
             neighbors: neighbors.into(),
-            links: links.into(),
+            slots: slots.into(),
         }
     }
 
-    /// Link index connecting `from → to`, if adjacent.
+    /// Slot leaving `from` towards `to`, if adjacent (`None` for a node
+    /// outside the table too).
     fn lookup(&self, from: NodeId, to: NodeId) -> Option<u32> {
-        let lo = self.offsets[from.index()] as usize;
-        let hi = self.offsets[from.index() + 1] as usize;
+        #[cfg(test)]
+        PORT_LOOKUPS.with(|c| c.set(c.get() + 1));
+        let lo = *self.offsets.get(from.index())? as usize;
+        let hi = *self.offsets.get(from.index() + 1)? as usize;
         let ns = &self.neighbors[lo..hi];
         let end = ns.partition_point(|&nb| nb <= to.0);
-        if end > 0 && ns[end - 1] == to.0 {
-            Some(self.links[lo + end - 1])
-        } else {
-            None
-        }
+        (end > 0 && ns[end - 1] == to.0).then(|| self.slots[lo + end - 1])
     }
+}
+
+/// What a packet needs of one link, derived once from the topology and
+/// read by its index on every hop.
+pub(crate) struct LinkParams {
+    /// Propagation delay.
+    pub(crate) latency: SimTime,
+    /// Line rate, bits/s.
+    pub(crate) bandwidth_bps: f64,
+    /// Drop-tail buffer size, bytes.
+    pub(crate) buffer_bytes: u64,
+    /// Line rate in bytes/s (fixed-point image of `bandwidth_bps`,
+    /// `≥ 1`), shared by the fluid solver and the packet-side coupling
+    /// so both fidelities divide the same integer.
+    pub(crate) cap_bytes_per_sec: u64,
 }
 
 /// Immutable data shared by all partitions: topology, routing, and
@@ -105,14 +127,10 @@ pub struct SharedNet {
     /// queries are pure functions of virtual time, so sharing one
     /// instance across partitions preserves parallel determinism.
     pub faults: Option<Arc<FaultState>>,
-    /// `(from, to)` → link index, both directions (sorted CSR).
+    /// `(from, to)` → link slot, both directions (sorted CSR).
     port: PortTable,
-    /// Drop-tail buffer size per link, bytes.
-    pub(super) buffer_bytes: Vec<u64>,
-    /// Per-link line rate in bytes/s (fixed-point image of
-    /// `bandwidth_bps`, `≥ 1`), shared by the fluid solver and the
-    /// packet-side coupling so both fidelities divide the same integer.
-    pub(crate) cap_bytes_per_sec: Vec<u64>,
+    /// Per-link parameters, indexed by link id.
+    pub(crate) links: Box<[LinkParams]>,
 }
 
 impl SharedNet {
@@ -137,27 +155,70 @@ impl SharedNet {
         faults: Option<Arc<FaultState>>,
     ) -> Arc<Self> {
         let port = PortTable::build(&net);
-        let mut buffer_bytes = Vec::with_capacity(net.links.len());
-        let mut cap_bytes_per_sec = Vec::with_capacity(net.links.len());
-        for link in &net.links {
-            buffer_bytes.push(((link.bandwidth_bps * 0.050 / 8.0) as u64).max(30_000));
-            cap_bytes_per_sec.push(((link.bandwidth_bps / 8.0) as u64).max(1));
-        }
+        let links = net
+            .links
+            .iter()
+            .map(|link| LinkParams {
+                latency: SimTime::from_ms_f64(link.latency_ms),
+                bandwidth_bps: link.bandwidth_bps,
+                buffer_bytes: ((link.bandwidth_bps * 0.050 / 8.0) as u64).max(30_000),
+                cap_bytes_per_sec: ((link.bandwidth_bps / 8.0) as u64).max(1),
+            })
+            .collect();
         Arc::new(SharedNet {
             net,
             resolver,
             faults,
             port,
-            buffer_bytes,
-            cap_bytes_per_sec,
+            links,
         })
     }
 
-    /// The link connecting `from` to `to`, if adjacent.
-    pub fn link_between(&self, from: NodeId, to: NodeId) -> Option<&Link> {
-        self.port
-            .lookup(from, to)
-            .map(|l| &self.net.links[l as usize])
+    /// The directed link slot (`link·2 + dir`) leaving `from` towards
+    /// `to`, if they are adjacent. Between parallel links it is the
+    /// last-inserted one, from either end, so `slot_between(b, a) ==
+    /// slot_between(a, b) ^ 1`.
+    pub fn slot_between(&self, from: NodeId, to: NodeId) -> Option<u32> {
+        self.port.lookup(from, to)
+    }
+
+    /// Intern `path` as a route: each node with the slot it leaves on
+    /// ([`Hop::END`] at the last), in one exact-size allocation. `None`
+    /// when a consecutive pair is not a link or a node is unknown. The
+    /// one place slots are computed, for packet routes and fluid flows
+    /// alike.
+    pub fn hop_route(&self, path: &[NodeId]) -> Option<Arc<[Hop]>> {
+        if path.len() < 2 {
+            return None;
+        }
+        let route: Arc<[Hop]> = path
+            .iter()
+            .enumerate()
+            .map(|(i, &node)| Hop {
+                node,
+                slot: path
+                    .get(i + 1)
+                    .and_then(|&next| self.slot_between(node, next))
+                    .unwrap_or(Hop::END),
+            })
+            .collect();
+        route[..route.len() - 1]
+            .iter()
+            .all(|hop| hop.slot != Hop::END)
+            .then_some(route)
+    }
+
+    /// Resolve `src → dst` with the resolver in force at `now` and
+    /// intern the answer with [`SharedNet::hop_route`]. An answer is
+    /// accepted only if it runs from `src` to `dst` over links; anything
+    /// else is no route. The world's route cache and the fluid
+    /// coordinator's memo both fill through here.
+    pub fn resolve_route(&self, now: SimTime, src: NodeId, dst: NodeId) -> Option<Arc<[Hop]>> {
+        let path = self.resolver_at(now).route(src, dst)?;
+        if path.first() != Some(&src) || path.last() != Some(&dst) {
+            return None;
+        }
+        self.hop_route(&path)
     }
 
     /// The path resolver in force at `now`: the epoch resolver of the
@@ -192,13 +253,13 @@ impl SharedNet {
             })
     }
 
-    /// Link ids incident to `node` (CSR range; each id appears once per
-    /// adjacency entry). Used by the fluid coordinator to localize a
-    /// router crash to the flows traversing it.
-    pub(crate) fn incident_links(&self, node: NodeId) -> &[u32] {
+    /// Slots leaving `node` (CSR range; one per adjacency entry). Used
+    /// by the fluid coordinator to localize a router crash to the flows
+    /// traversing it.
+    pub(crate) fn outgoing_slots(&self, node: NodeId) -> &[u32] {
         let lo = self.port.offsets[node.index()] as usize;
         let hi = self.port.offsets[node.index() + 1] as usize;
-        &self.port.links[lo..hi]
+        &self.port.slots[lo..hi]
     }
 }
 
@@ -225,6 +286,17 @@ pub(crate) mod fixtures {
         (SharedNet::new(net, resolver), a, b)
     }
 
+    /// A route over `nodes` as a snapshot decodes it: no slots yet.
+    pub(crate) fn unslotted(nodes: &[NodeId]) -> Arc<[Hop]> {
+        nodes
+            .iter()
+            .map(|&node| Hop {
+                node,
+                slot: Hop::END,
+            })
+            .collect()
+    }
+
     /// Routes like the flat resolver it wraps, except that `from → to`
     /// is answered with `bogus`.
     pub(crate) struct Detour {
@@ -247,13 +319,20 @@ pub(crate) mod fixtures {
     /// The `dumbbell` network with `a → b` answered `a, r1, b`: the
     /// first hop is a link, the second is not.
     pub(crate) fn dumbbell_net_with_detour() -> (Network, Detour, NodeId, NodeId) {
+        dumbbell_net_answering(|a, r1, b| vec![a, r1, b])
+    }
+
+    /// The `dumbbell` network with `a → b` answered `bogus(a, r1, b)`.
+    pub(crate) fn dumbbell_net_answering(
+        bogus: impl FnOnce(NodeId, NodeId, NodeId) -> Vec<NodeId>,
+    ) -> (Network, Detour, NodeId, NodeId) {
         let (shared, a, b) = dumbbell(8e6);
         let net = shared.net.clone();
         let detour = Detour {
             inner: FlatResolver::new(&net, CostMetric::Latency),
             from: a,
             to: b,
-            bogus: vec![a, NodeId(a.0 + 1), b],
+            bogus: bogus(a, NodeId(a.0 + 1), b),
         };
         (net, detour, a, b)
     }

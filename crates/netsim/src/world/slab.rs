@@ -3,7 +3,7 @@
 
 use super::shared::SharedNet;
 use crate::fluid::{FluidCoupling, FluidState};
-use crate::packet::FlowId;
+use crate::packet::{FlowId, Hop};
 use crate::tcp::{SendAction, TcpReceiver, TcpSender};
 use massf_engine::SimTime;
 use massf_routing::RouteCache;
@@ -20,10 +20,10 @@ pub(super) fn flow_counter_of(flow: FlowId) -> u32 {
 /// fail-over, and teardown, but not on the per-ACK hot path (only its
 /// `path`/`dst` words are read there, to stamp outgoing packets).
 pub(super) struct FlowCold {
-    /// Forward path; the `Arc` is interned per `(epoch, src, dst)` by
+    /// Forward route; the `Arc` is interned per `(epoch, src, dst)` by
     /// the world's route cache, so concurrent flows between the same
     /// pair share one allocation.
-    pub(super) path: Arc<[NodeId]>,
+    pub(super) path: Arc<[Hop]>,
     /// Flow destination, cached out of the path.
     pub(super) dst: NodeId,
     /// Epoch of the currently armed RTO timer.
@@ -54,9 +54,9 @@ pub(super) struct FlowSlab {
     free: Vec<u32>,
     /// Per-node `(flow counter, slot)` pairs, sorted by counter.
     pub(super) by_node: Vec<Vec<(u32, u32)>>,
-    /// Shared empty path installed in freed slots so the real path
+    /// Shared empty route installed in freed slots so the real route
     /// `Arc` is released as soon as the flow ends.
-    empty: Arc<[NodeId]>,
+    empty: Arc<[Hop]>,
 }
 
 impl FlowSlab {
@@ -167,14 +167,14 @@ pub(super) struct NodeStates {
     pub(super) flows: FlowSlab,
     /// TCP receivers (owned by the destination host).
     pub(super) receivers: ReceiverSlab,
-    /// Memoized path resolutions, sharded by source node. Routes are
+    /// Memoized route resolutions, sharded by source node. Routes are
     /// only resolved while handling an event at the source's LP, so
     /// each shard is owned by exactly one partition — per-run state
     /// that stays bit-identical across executors (see `SimApi::route`).
-    /// Doubles as the world's path *interning* table: every packet of a
-    /// flow (and every concurrent flow between the same pair in the
-    /// same epoch) shares the one `Arc` cached here.
-    pub(super) route_cache: RouteCache,
+    /// Doubles as the world's route *interning* table: every packet of
+    /// a flow (and every concurrent flow between the same pair in the
+    /// same epoch) shares the one `Arc` cached here, slots included.
+    pub(super) route_cache: RouteCache<Arc<[Hop]>>,
     /// Reusable `SendAction` buffer, taken (and returned empty) by each
     /// handler batch so the steady-state hot path allocates nothing.
     pub(super) action_scratch: Vec<SendAction>,

@@ -6,7 +6,7 @@ use super::shared::SharedNet;
 use super::slab::{flow_counter_of, FlowCold, FlowSlab, NodeStates, ReceiverSlab};
 use super::{AppLogic, NetWorld};
 use crate::fluid::{FluidCoupling, FluidState, FluidWorldState, FLUID_COORDINATOR};
-use crate::packet::{FlowId, NetEvent};
+use crate::packet::{FlowId, Hop, NetEvent};
 use crate::profiling::ProfileData;
 use crate::tcp::{TcpSender, TcpSenderState};
 use massf_engine::{LpId, SimTime};
@@ -95,32 +95,25 @@ pub struct WorldState {
 }
 
 /// Check that `path` is a plausible source route over `shared`'s
-/// topology: at least two in-range nodes, every consecutive pair
-/// adjacent. Restored packets and flows travel these paths through
-/// `SimApi::transmit`, whose link lookup `expect`s adjacency — hostile
-/// snapshot input must be stopped here, not there.
+/// topology — at least two in-range nodes, every consecutive pair
+/// adjacent — and intern it with its link slots. Restored packets and
+/// flows travel these routes through `SimApi::transmit`, which indexes
+/// links by the slots — hostile snapshot input must be stopped here,
+/// not there.
 pub(crate) fn validate_route(
     shared: &SharedNet,
     path: &[NodeId],
     section: &str,
-) -> Result<(), MassfError> {
-    let nodes = shared.net.node_count();
-    let bad = |reason: String| MassfError::SnapshotCorrupt {
-        section: section.to_owned(),
-        reason,
-    };
-    if path.len() < 2 {
-        return Err(bad(format!("path has {} nodes (need ≥ 2)", path.len())));
-    }
-    if let Some(n) = path.iter().find(|n| n.index() >= nodes) {
-        return Err(bad(format!("path visits unknown node {}", n.0)));
-    }
-    for w in path.windows(2) {
-        if shared.link_between(w[0], w[1]).is_none() {
-            return Err(bad(format!("path hop {} → {} has no link", w[0].0, w[1].0)));
-        }
-    }
-    Ok(())
+) -> Result<Arc<[Hop]>, MassfError> {
+    shared
+        .hop_route(path)
+        .ok_or_else(|| MassfError::SnapshotCorrupt {
+            section: section.to_owned(),
+            reason: format!(
+                "{}-node path is not a route (needs ≥ 2 known nodes, each hop a link)",
+                path.len()
+            ),
+        })
 }
 
 /// Validate one in-flight event against the topology it will replay on.
@@ -128,11 +121,13 @@ pub(crate) fn validate_route(
 /// [`Model::handle`](massf_engine::Model::handle) trust event
 /// invariants (in-range LPs, adjacent path hops, hop index within the
 /// walk) that a corrupted or hostile snapshot can violate, so every
-/// deserialized event passes through here first.
+/// deserialized event passes through here first. A snapshot carries a
+/// packet's route as its nodes; this pass re-interns it, so a valid
+/// packet leaves with the link slot of every hop filled in.
 pub fn validate_net_event(
     shared: &SharedNet,
     target: LpId,
-    event: &NetEvent,
+    event: &mut NetEvent,
 ) -> Result<(), MassfError> {
     let nodes = shared.net.node_count();
     let bad = |reason: String| MassfError::SnapshotCorrupt {
@@ -144,7 +139,8 @@ pub fn validate_net_event(
     }
     match event {
         NetEvent::Arrive(pkt) => {
-            validate_route(shared, &pkt.path, "events")?;
+            let nodes: Vec<NodeId> = pkt.path.iter().map(|h| h.node).collect();
+            pkt.path = validate_route(shared, &nodes, "events")?;
             let hop = pkt.hop as usize;
             // In-flight packets have always crossed ≥ 1 link and sit on
             // a node of their walk; `handle` reads `node_at(hop - 1)`
@@ -422,7 +418,7 @@ impl<A: AppLogic> NetWorld<A> {
                 flows.push(FlowEntryState {
                     flow: FlowId::new(NodeId(node as u32), counter),
                     sender: s.flows.hot[slot as usize].export_state(),
-                    path: cold.path.to_vec(),
+                    path: cold.path.iter().map(|h| h.node).collect(),
                     dst: cold.dst,
                     armed_epoch: cold.armed_epoch,
                     unroutable: cold.unroutable,
@@ -548,26 +544,24 @@ impl<A: AppLogic> NetWorld<A> {
                 state.route_cache.shards.len()
             )));
         }
-        // A cache hit is sent as-is, so every cached path must be one the
-        // resolver could have returned: over links, from the shard's node
-        // to the destination in the low half of the key.
-        for (i, shard) in state.route_cache.shards.iter().enumerate() {
-            for e in &shard.entries {
-                let Some(path) = &e.path else { continue };
-                validate_route(&shared, path, "world")?;
-                let dst = e.key as u32;
-                if path[0].index() != i || path[path.len() - 1].0 != dst {
-                    return Err(bad(format!(
-                        "cached path in shard {i} does not run from node {i} to node {dst}"
-                    )));
-                }
-            }
-        }
         let owned = |node: NodeId| match filter {
             Some((assignment, p)) => assignment[node.index()] == p,
             None => true,
         };
 
+        // A cache hit is sent as-is, so every cached route must be one
+        // the resolver could have returned: over links, from the shard's
+        // node to the destination in the low half of the key.
+        let intern = |src: NodeId, dst: NodeId, path: &[NodeId]| {
+            let route = validate_route(&shared, path, "world")?;
+            if path[0] != src || path[path.len() - 1] != dst {
+                return Err(bad(format!(
+                    "cached path in shard {} does not run from node {} to node {}",
+                    src.0, src.0, dst.0
+                )));
+            }
+            Ok(route)
+        };
         let route_cache = match filter {
             Some(_) => {
                 // Unowned shards start empty: their contents belong to
@@ -592,9 +586,9 @@ impl<A: AppLogic> NetWorld<A> {
                         })
                         .collect(),
                 };
-                RouteCache::from_state(&filtered)?
+                RouteCache::from_state(&filtered, intern)?
             }
-            None => RouteCache::from_state(&state.route_cache)?,
+            None => RouteCache::from_state(&state.route_cache, intern)?,
         };
 
         let mut flows = FlowSlab::new(nodes);
@@ -615,7 +609,7 @@ impl<A: AppLogic> NetWorld<A> {
                     src.0
                 )));
             }
-            validate_route(&shared, &f.path, "world")?;
+            let path = validate_route(&shared, &f.path, "world")?;
             if f.path[0] != src || *f.path.last().expect("len ≥ 2 checked") != f.dst {
                 return Err(bad(format!(
                     "flow path endpoints do not match source {} / destination {}",
@@ -632,7 +626,7 @@ impl<A: AppLogic> NetWorld<A> {
                     f.flow,
                     sender,
                     FlowCold {
-                        path: Arc::from(f.path.as_slice()),
+                        path,
                         dst: f.dst,
                         armed_epoch: f.armed_epoch,
                         unroutable: f.unroutable,

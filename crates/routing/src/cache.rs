@@ -1,12 +1,17 @@
-//! Deterministic, epoch-aware path cache (NIx-vector style route
+//! Deterministic, epoch-aware route cache (NIx-vector style route
 //! memoization — DESIGN.md §3 item 11).
 //!
 //! Every flow setup, datagram, and fault-epoch RTO failover resolves a
 //! full node-level path; workloads re-ask for the same `(src, dst)`
-//! pairs constantly. [`RouteCache`] memoizes `(src, dst) → Arc<[NodeId]>`
-//! in front of any [`PathResolver`](crate::PathResolver) so repeated
-//! pairs skip Dijkstra and BGP leg stitching entirely and hand out the
-//! shared `Arc` without copying.
+//! pairs constantly. [`RouteCache`] memoizes `(src, dst) → route` in
+//! front of any [`PathResolver`](crate::PathResolver) so repeated pairs
+//! skip Dijkstra and BGP leg stitching entirely and hand out the shared
+//! route without copying. The route type is the caller's: by default an
+//! `Arc<[NodeId]>`; the packet simulator caches routes whose hops also
+//! name their outgoing link, as a NIx vector does. A snapshot carries
+//! every route as its node list ([`CachedRoute::nodes`]), and
+//! [`RouteCache::from_state`] hands each list back to the caller to
+//! rebuild.
 //!
 //! ## Determinism
 //!
@@ -63,9 +68,25 @@ impl RouteCacheStats {
     }
 }
 
+/// A route a [`RouteCache`] can hold: cheap to clone, and listable as
+/// the nodes it visits, which is how a snapshot carries it.
+pub trait CachedRoute: Clone {
+    /// The nodes the route visits, source first.
+    fn nodes(&self) -> Vec<NodeId>;
+}
+
+impl<T: Copy> CachedRoute for Arc<[T]>
+where
+    NodeId: From<T>,
+{
+    fn nodes(&self) -> Vec<NodeId> {
+        self.iter().map(|&hop| NodeId::from(hop)).collect()
+    }
+}
+
 /// One cached resolution; `path` is `None` for cached-negative entries.
-struct CacheEntry {
-    path: Option<Arc<[NodeId]>>,
+struct CacheEntry<R> {
+    path: Option<R>,
     /// Stamp of the entry's latest use; queue records with an older
     /// stamp are stale and skipped by eviction/compaction.
     stamp: u64,
@@ -73,14 +94,21 @@ struct CacheEntry {
 
 /// Per-source cache shard: point-lookup map plus a lazy-deletion LRU
 /// queue ordered by use stamp.
-#[derive(Default)]
-struct Shard {
-    map: HashMap<u64, CacheEntry>,
+struct Shard<R> {
+    map: HashMap<u64, CacheEntry<R>>,
     queue: VecDeque<(u64, u64)>, // (stamp, key), oldest first
     stamp: u64,
 }
 
-impl Shard {
+impl<R> Shard<R> {
+    fn new() -> Self {
+        Shard {
+            map: HashMap::new(),
+            queue: VecDeque::new(),
+            stamp: 0,
+        }
+    }
+
     /// Drop stale queue records once the queue outgrows the live set by
     /// 4× (amortized O(1) per operation; keeps memory bounded under
     /// heavy hit traffic, which appends a queue record per hit).
@@ -93,17 +121,17 @@ impl Shard {
     }
 }
 
-/// A bounded, sharded, deterministic-LRU cache of resolved paths keyed
+/// A bounded, sharded, deterministic-LRU cache of resolved routes keyed
 /// by `(epoch, src, dst)`. See the module docs for the determinism and
 /// epoch-invalidation arguments.
-pub struct RouteCache {
-    shards: Vec<Shard>,
+pub struct RouteCache<R = Arc<[NodeId]>> {
+    shards: Vec<Shard<R>>,
     /// Max live entries per source shard; 0 disables the cache (every
     /// query is a pass-through and no counters move).
     capacity: usize,
 }
 
-impl RouteCache {
+impl<R: CachedRoute> RouteCache<R> {
     /// A cache over `node_count` source shards holding at most
     /// `per_src_capacity` destinations each (`0` disables caching).
     /// Empty shards allocate nothing.
@@ -111,7 +139,7 @@ impl RouteCache {
         let shards = if per_src_capacity == 0 {
             Vec::new()
         } else {
-            (0..node_count).map(|_| Shard::default()).collect()
+            (0..node_count).map(|_| Shard::new()).collect()
         };
         RouteCache {
             shards,
@@ -128,8 +156,8 @@ impl RouteCache {
         epoch: u32,
         src: NodeId,
         dst: NodeId,
-        resolve: impl FnOnce() -> Option<Arc<[NodeId]>>,
-    ) -> Option<Arc<[NodeId]>> {
+        resolve: impl FnOnce() -> Option<R>,
+    ) -> Option<R> {
         if self.capacity == 0 {
             return resolve();
         }
@@ -190,7 +218,7 @@ impl RouteCache {
                             entries.push(RouteCacheEntryState {
                                 key: k,
                                 stamp: s,
-                                path: e.path.as_ref().map(|p| p.to_vec()),
+                                path: e.path.as_ref().map(CachedRoute::nodes),
                             });
                         }
                     }
@@ -211,8 +239,14 @@ impl RouteCache {
     /// Rebuild a cache from an exported state. The input may come from
     /// a snapshot file, so it is validated structurally; inconsistent
     /// states yield [`MassfError::SnapshotCorrupt`] instead of
-    /// panicking or silently diverging later.
-    pub fn from_state(state: &RouteCacheState) -> Result<RouteCache, MassfError> {
+    /// panicking or silently diverging later. `intern(src, dst, nodes)`
+    /// rebuilds each cached route from its node list (`src` is the
+    /// shard's node, `dst` the key's destination) and refuses one its
+    /// resolver could not have returned.
+    pub fn from_state(
+        state: &RouteCacheState,
+        mut intern: impl FnMut(NodeId, NodeId, &[NodeId]) -> Result<R, MassfError>,
+    ) -> Result<Self, MassfError> {
         let bad = |reason: String| MassfError::SnapshotCorrupt {
             section: "route-cache".into(),
             reason,
@@ -224,6 +258,7 @@ impl RouteCache {
         }
         let mut shards = Vec::with_capacity(state.shards.len());
         for (i, s) in state.shards.iter().enumerate() {
+            let src = NodeId(u32::try_from(i).map_err(|_| bad(format!("shard {i} is no node")))?);
             let mut map = HashMap::with_capacity(s.entries.len());
             for e in &s.entries {
                 if e.stamp > s.stamp {
@@ -232,11 +267,15 @@ impl RouteCache {
                         e.stamp, s.stamp
                     )));
                 }
+                let path = match &e.path {
+                    Some(nodes) => Some(intern(src, key_dst(e.key), nodes)?),
+                    None => None,
+                };
                 if map
                     .insert(
                         e.key,
                         CacheEntry {
-                            path: e.path.as_ref().map(|p| Arc::from(p.as_slice())),
+                            path,
                             stamp: e.stamp,
                         },
                     )
@@ -284,6 +323,15 @@ impl RouteCache {
     }
 }
 
+/// The destination in the low half of a `(epoch << 32) | dst` key.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a key's low 32 bits are its destination"
+)]
+fn key_dst(key: u64) -> NodeId {
+    NodeId(key as u32)
+}
+
 /// One live cache entry in an exported [`RouteCacheState`]; `path` is
 /// `None` for cached-negative entries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -309,8 +357,9 @@ pub struct RouteCacheShardState {
 }
 
 /// The complete, canonical state of a [`RouteCache`]: continuing from
-/// `RouteCache::from_state(&c.export_state())` behaves identically to
-/// continuing from `c` for every future query sequence.
+/// `RouteCache::from_state(&c.export_state(), intern)` behaves
+/// identically to continuing from `c` for every future query sequence,
+/// given an `intern` that rebuilds each route as it was cached.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteCacheState {
     /// Per-source capacity the cache was built with (0 = disabled).
@@ -353,6 +402,11 @@ mod tests {
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
+    }
+
+    /// Rebuilds a node-list route as it was cached.
+    fn intern(_: NodeId, _: NodeId, nodes: &[NodeId]) -> Result<Arc<[NodeId]>, MassfError> {
+        Ok(Arc::from(nodes))
     }
 
     #[test]
@@ -444,7 +498,7 @@ mod tests {
 
     #[test]
     fn epochs_partition_the_key_space() {
-        let mut cache = RouteCache::new(4, 8);
+        let mut cache: RouteCache = RouteCache::new(4, 8);
         let mut stats = RouteCacheStats::default();
         let resolve = || Some(Arc::from(vec![n(0), n(2)]));
         let _ = cache.get_or_insert_with(&mut stats, 0, n(0), n(2), resolve);
@@ -470,7 +524,7 @@ mod tests {
 
     #[test]
     fn export_import_roundtrip_preserves_behavior_and_bytes() {
-        let mut cache = RouteCache::new(4, 2);
+        let mut cache: RouteCache = RouteCache::new(4, 2);
         let mut stats = RouteCacheStats::default();
         let resolve = |d: u32| move || Some(Arc::from(vec![n(0), n(d)]));
         let _ = cache.get_or_insert_with(&mut stats, 0, n(0), n(2), resolve(2));
@@ -479,7 +533,7 @@ mod tests {
         let _ = cache.get_or_insert_with(&mut stats, 1, n(3), n(6), resolve(6));
 
         let state = cache.export_state();
-        let mut restored = RouteCache::from_state(&state).expect("valid state");
+        let mut restored = RouteCache::from_state(&state, intern).expect("valid state");
         assert_eq!(
             restored.export_state(),
             state,
@@ -501,7 +555,7 @@ mod tests {
 
     #[test]
     fn corrupt_cache_states_are_rejected() {
-        let mut cache = RouteCache::new(2, 2);
+        let mut cache: RouteCache = RouteCache::new(2, 2);
         let mut stats = RouteCacheStats::default();
         let _ = cache.get_or_insert_with(&mut stats, 0, n(0), n(1), || Some(Arc::from(vec![n(0)])));
         let good = cache.export_state();
@@ -509,26 +563,29 @@ mod tests {
         let mut bad = good.clone();
         bad.shards[0].stamp = 0; // entry stamp now exceeds shard stamp
         assert!(matches!(
-            RouteCache::from_state(&bad),
+            RouteCache::from_state(&bad, intern),
             Err(MassfError::SnapshotCorrupt { .. })
         ));
 
         let mut bad = good.clone();
         let dup = bad.shards[0].entries[0].clone();
         bad.shards[0].entries.push(dup);
-        assert!(RouteCache::from_state(&bad).is_err(), "duplicate key");
+        assert!(
+            RouteCache::from_state(&bad, intern).is_err(),
+            "duplicate key"
+        );
 
         let mut bad = good.clone();
         bad.shards[0].queue.clear();
         assert!(
-            RouteCache::from_state(&bad).is_err(),
+            RouteCache::from_state(&bad, intern).is_err(),
             "live entry must be queued"
         );
 
         let mut bad = good;
         bad.capacity = 0;
         assert!(
-            RouteCache::from_state(&bad).is_err(),
+            RouteCache::from_state(&bad, intern).is_err(),
             "disabled cache cannot carry shards"
         );
     }

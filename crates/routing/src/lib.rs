@@ -38,7 +38,8 @@ pub mod resolver;
 
 pub use bgp::{BgpRib, BgpRoute};
 pub use cache::{
-    RouteCache, RouteCacheEntryState, RouteCacheShardState, RouteCacheState, RouteCacheStats,
+    CachedRoute, RouteCache, RouteCacheEntryState, RouteCacheShardState, RouteCacheState,
+    RouteCacheStats,
 };
 pub use dynamics::{beacon_schedule, BeaconSim, Convergence};
 pub use massf_topology::MassfError;

@@ -30,9 +30,11 @@ pub trait PathResolver: Send + Sync {
     fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>>;
 
     /// Like [`PathResolver::route`], returning the path as a shared
-    /// slice (what the packet simulator stores per flow). The default
-    /// wraps `route`; caching resolvers override it to hand out the
-    /// memoized `Arc` without copying.
+    /// slice, the default type a [`RouteCache`](crate::RouteCache)
+    /// holds. The default wraps `route`; a resolver that keeps its
+    /// answers may override it to hand one out without copying. (The
+    /// packet simulator calls `route`: it interns each answer with its
+    /// link slots.)
     fn route_arc(&self, src: NodeId, dst: NodeId) -> Option<Arc<[NodeId]>> {
         self.route(src, dst).map(Arc::from)
     }

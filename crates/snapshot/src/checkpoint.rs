@@ -415,7 +415,7 @@ impl Session {
             )));
         }
 
-        let resume: ResumeState<NetEvent> =
+        let mut resume: ResumeState<NetEvent> =
             decode_section(format::require_section(&sections, SECTION_ENGINE)?)?;
         let corrupt = |section: &str, reason: String| MassfError::SnapshotCorrupt {
             section: section.to_owned(),
@@ -424,7 +424,7 @@ impl Session {
         resume
             .validate(lp_count)
             .map_err(|e| corrupt("engine", e.to_string()))?;
-        for ev in &resume.events {
+        for ev in &mut resume.events {
             if ev.time < now {
                 return Err(corrupt(
                     "engine",
@@ -446,7 +446,7 @@ impl Session {
                     ),
                 ));
             }
-            validate_net_event(&shared, ev.target, &ev.payload)?;
+            validate_net_event(&shared, ev.target, &mut ev.payload)?;
         }
 
         let world: WorldState = decode_section(format::require_section(&sections, SECTION_WORLD)?)?;
@@ -532,7 +532,7 @@ impl Session {
         // the base plus everything that diverges (suffix + script).
         let mut fp = ByteWriter::new();
         self.fingerprint.put(&mut fp);
-        for (at, lp, ev) in suffix {
+        for (at, lp, mut ev) in suffix {
             if at < self.now {
                 return Err(MassfError::InvalidConfig(format!(
                     "branch event at {} ns predates the checkpoint time {} ns",
@@ -540,7 +540,7 @@ impl Session {
                     self.now.as_ns()
                 )));
             }
-            validate_net_event(&shared, lp, &ev)?;
+            validate_net_event(&shared, lp, &mut ev)?;
             at.put(&mut fp);
             lp.put(&mut fp);
             ev.put(&mut fp);

@@ -21,11 +21,11 @@ use crate::wire::{ByteReader, ByteWriter, Wire};
 use crate::wire_struct;
 use massf_engine::{EventRecord, RebalanceConfig, RebalanceCounters, ResumeState};
 use massf_netsim::{
-    FaultKind, FlowEntryState, FluidFlowEntryState, FluidStats, FluidWorldState, NetEvent, Packet,
-    PacketKind, ProfileData, ReceiverEntryState, TcpSenderState, WorldState,
+    FaultKind, FlowEntryState, FluidFlowEntryState, FluidStats, FluidWorldState, Hop, NetEvent,
+    Packet, PacketKind, ProfileData, ReceiverEntryState, TcpSenderState, WorldState,
 };
 use massf_routing::{RouteCacheEntryState, RouteCacheShardState, RouteCacheState, RouteCacheStats};
-use massf_topology::MassfError;
+use massf_topology::{MassfError, NodeId};
 
 wire_struct!(WorldState {
     flow_counter,
@@ -178,6 +178,23 @@ wire_struct!(RebalanceCounters {
     migrations
 });
 
+/// A route travels as its node list, so snapshot bytes do not depend on
+/// link slots: a decoded hop carries [`Hop::END`] until
+/// [`massf_netsim::validate_net_event`] re-interns its route against the
+/// topology.
+impl Wire for Hop {
+    const MIN_BYTES: usize = NodeId::MIN_BYTES;
+    fn put(&self, w: &mut ByteWriter) {
+        self.node.put(w);
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, MassfError> {
+        NodeId::get(r).map(|node| Hop {
+            node,
+            slot: Hop::END,
+        })
+    }
+}
+
 /// Writes a variant's tag byte, then its fields in order.
 macro_rules! tagged {
     ($w:ident, $tag:literal $(, $field:ident)*) => {{
@@ -321,6 +338,7 @@ mod tests {
     use massf_netsim::FlowId;
     use massf_topology::{LinkId, NodeId};
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     fn encode<T: Wire>(v: &T) -> Vec<u8> {
         let mut w = ByteWriter::new();
@@ -336,11 +354,22 @@ mod tests {
         out
     }
 
+    /// A route over `nodes` as a snapshot decodes it: no slots yet.
+    fn unslotted(nodes: &[NodeId]) -> Arc<[Hop]> {
+        nodes
+            .iter()
+            .map(|&node| Hop {
+                node,
+                slot: Hop::END,
+            })
+            .collect()
+    }
+
     fn sample_packet() -> Packet {
         Packet {
             flow: FlowId::new(NodeId(3), 7),
             meta: 99,
-            path: vec![NodeId(3), NodeId(1), NodeId(5)].into(),
+            path: unslotted(&[NodeId(3), NodeId(1), NodeId(5)]),
             dst: NodeId(5),
             seq: 12,
             size_bytes: 1500,
@@ -404,6 +433,20 @@ mod tests {
             // renderings, which print every field.
             assert_eq!(format!("{back:?}"), format!("{ev:?}"));
         }
+    }
+
+    #[test]
+    fn routes_encode_as_their_nodes() {
+        let mut slotted = sample_packet();
+        slotted.path = [(3, 8), (1, 3), (5, Hop::END)]
+            .map(|(n, slot)| Hop {
+                node: NodeId(n),
+                slot,
+            })
+            .into();
+        assert_eq!(encode(&slotted), encode(&sample_packet()));
+        let nodes: Vec<NodeId> = slotted.path.iter().map(|h| h.node).collect();
+        assert_eq!(encode(&slotted.path), encode(&nodes));
     }
 
     #[test]
@@ -551,7 +594,7 @@ mod tests {
                 flow: FlowId(a),
                 meta: b,
                 dst: NodeId(hi),
-                path: path.into(),
+                path: unslotted(&path),
                 seq: lo,
                 size_bytes: hi,
                 hop: b as u16,
