@@ -96,22 +96,23 @@ pub fn coarsen_to(
     rng: &mut impl Rng,
 ) -> Vec<CoarseLevel> {
     let mut levels: Vec<CoarseLevel> = Vec::new();
-    let mut current = g.clone();
-    while current.vertex_count() > target_vertices.max(2) {
-        let level = coarsen_once(&current, rng);
+    loop {
+        let current = levels.last().map_or(g, |level| &level.graph);
         let before = current.vertex_count();
-        let after = level.graph.vertex_count();
-        if after as f64 > before as f64 * 0.9 {
-            // Matching stalled (e.g. star graphs); stop coarsening.
-            if after < before {
-                levels.push(level.clone());
-            }
-            break;
+        if before <= target_vertices.max(2) {
+            return levels;
         }
-        current = level.graph.clone();
-        levels.push(level);
+        let level = coarsen_once(current, rng);
+        let after = level.graph.vertex_count();
+        // Matching stalled (e.g. star graphs): keep any progress, stop.
+        let stalled = after as f64 > before as f64 * 0.9;
+        if after < before {
+            levels.push(level);
+        }
+        if stalled {
+            return levels;
+        }
     }
-    levels
 }
 
 /// Project a coarse assignment through `map` to the finer level.

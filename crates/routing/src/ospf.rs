@@ -22,6 +22,18 @@
 //! (the fault subsystem's per-epoch domains) never evicts, so it
 //! converges to exactly the trees its traffic needs.
 //!
+//! ## The heap key
+//!
+//! Dijkstra's heap holds one `u64` per entry, `dist << key_shift |
+//! core index`, where `key_shift` is the bit length of the largest core
+//! index: ordering keys orders by distance, then by index. Every
+//! tentative distance is a sum of distinct directed arcs (a simple
+//! shortest path from the root plus one arc leaving its end, which no
+//! arc of the path does), so a domain whose summed arc cost is below
+//! `2^(64 − key_shift)` packs every key exactly; construction refuses
+//! any other domain rather than let a key wrap. A 4,000-router domain
+//! admits 2^52 ns of summed link latency.
+//!
 //! ### The either-end rule
 //!
 //! The answer to `a → b` is *defined* as the walk from `a` along the
@@ -73,6 +85,7 @@
 
 use massf_topology::{Network, NodeId, NodeKind};
 use parking_lot::Mutex;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// Link cost metric for SPF.
@@ -184,7 +197,8 @@ impl Spt {
 #[derive(Default)]
 struct SptScratch {
     dist: Vec<u64>,
-    heap: BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
+    /// Packed keys `dist << key_shift | core index` (module docs).
+    heap: BinaryHeap<Reverse<u64>>,
 }
 
 /// What the SPT cache of one [`OspfDomain`] did so far
@@ -231,6 +245,8 @@ pub struct OspfDomain {
     /// core index, access-link cost)`. Core members hold `(u32::MAX, 0)`.
     attach: Box<[(u32, u64)]>,
     metric: CostMetric,
+    /// Low bits of a heap key that hold the core index (module docs).
+    key_shift: u32,
     cache: Mutex<SptCache>,
 }
 
@@ -243,9 +259,31 @@ struct SptCache {
     stats: SptStats,
 }
 
+/// The heap-key shift of a domain with `cores` core members and core
+/// `arcs`: the bit length of the largest core index.
+///
+/// # Panics
+///
+/// When the summed arc cost is not below `2^(64 − shift)`, the bound
+/// that makes every packed key exact (module docs).
+fn key_shift(cores: usize, arcs: &[(u32, u32, u64)]) -> u32 {
+    let shift = usize::BITS - cores.saturating_sub(1).leading_zeros();
+    arcs.iter()
+        .try_fold(0u64, |sum, &(_, _, c)| sum.checked_add(c))
+        .filter(|&sum| u128::from(sum) < 1u128 << (u64::BITS - shift))
+        .map(|_| shift)
+        .expect("summed arc cost fits the packed Dijkstra key")
+}
+
 impl OspfDomain {
     /// Build a domain over `members` of `net`, using only links whose
     /// both endpoints are members (intra-domain links).
+    ///
+    /// # Panics
+    ///
+    /// When the summed cost of the domain's core arcs reaches
+    /// `2^(64 − key_shift)` (module docs, "The heap key") — 2^52 ns of
+    /// latency at 4,000 routers.
     pub fn new(net: &Network, members: Vec<NodeId>, metric: CostMetric) -> Self {
         Self::with_cache_capacity(net, members, metric, 1024)
     }
@@ -264,7 +302,7 @@ impl OspfDomain {
     /// `alive(link)` holds enter the adjacency — the reconvergence
     /// primitive of the fault subsystem: rebuilding a domain with dead
     /// links (or all links of a crashed router) filtered out yields the
-    /// post-fault shortest-path trees.
+    /// post-fault shortest-path trees. Panics like [`OspfDomain::new`].
     pub fn with_link_filter(
         net: &Network,
         members: Vec<NodeId>,
@@ -339,6 +377,7 @@ impl OspfDomain {
             (*from, *to) = (core_of[*from as usize], core_of[*to as usize]);
         }
         let adj = Csr::from_arcs(core_member.len(), &arcs);
+        let key_shift = key_shift(core_member.len(), &arcs);
 
         OspfDomain {
             members,
@@ -348,6 +387,7 @@ impl OspfDomain {
             core_member: core_member.into_boxed_slice(),
             attach,
             metric,
+            key_shift,
             cache: Mutex::new(SptCache {
                 map: HashMap::new(),
                 order: VecDeque::new(),
@@ -413,9 +453,12 @@ impl OspfDomain {
         let heap = &mut scratch.heap;
         let mut parent = vec![u32::MAX; n].into_boxed_slice();
         let mut tied = vec![0u64; n.div_ceil(64)].into_boxed_slice();
+        let shift = self.key_shift;
+        let index_mask = (1u64 << shift) - 1;
         dist[root as usize] = 0;
-        heap.push(std::cmp::Reverse((0, root)));
-        while let Some(std::cmp::Reverse((d, v))) = heap.pop() {
+        heap.push(Reverse(u64::from(root)));
+        while let Some(Reverse(key)) = heap.pop() {
+            let (d, v) = (key >> shift, (key & index_mask) as u32);
             if d > dist[v as usize] {
                 continue;
             }
@@ -427,7 +470,7 @@ impl OspfDomain {
                     dist[u as usize] = nd;
                     parent[u as usize] = v;
                     tied[u as usize / 64] &= !bit;
-                    heap.push(std::cmp::Reverse((nd, u)));
+                    heap.push(Reverse(nd << shift | u64::from(u)));
                 } else if nd == ud && v != parent[u as usize] {
                     // A second neighbour at the same distance: `u` is
                     // tied. Deterministic tie-break: the lowest-indexed
@@ -767,6 +810,121 @@ mod tests {
         }
         for i in 1..n {
             assert_eq!(d.distance(ids[i], ids[0]), Some(dist[i]), "node {i}");
+        }
+    }
+
+    /// A chain of routers whose `i`-th link costs `costs_ns[i]` under
+    /// `Latency`.
+    fn chain(costs_ns: &[u64]) -> (Network, Vec<NodeId>) {
+        let mut net = Network::new();
+        let ids: Vec<NodeId> = (0..=costs_ns.len())
+            .map(|i| net.add_node(NodeKind::Router, Point::new(i as f64, 0.0), AsId(0)))
+            .collect();
+        for (i, &c) in costs_ns.iter().enumerate() {
+            net.add_link(ids[i], ids[i + 1], 1e9, c as f64 / 1e6);
+        }
+        for (link, &c) in net.links.iter().zip(costs_ns) {
+            assert_eq!(CostMetric::Latency.cost(link), c, "latency round trip");
+        }
+        (net, ids)
+    }
+
+    /// 2,048 routers: indices take 11 key bits, distances the other 53.
+    /// The link costs of the returned chain sum to `2^52 − 1 + extra`,
+    /// so its arcs (both directions of every link) sum to
+    /// `2^53 − 2 + 2·extra`.
+    fn chain_at_key_limit(extra: u64) -> (Network, Vec<NodeId>) {
+        let links = 2047u64;
+        let total = (1u64 << 52) - 1;
+        let mut costs: Vec<u64> = (0..links)
+            .map(|i| total / links + u64::from(i < total % links))
+            .collect();
+        costs[0] += extra;
+        chain(&costs)
+    }
+
+    /// The largest arc sum a link graph can have under the key bound
+    /// (arcs come in pairs, so `2^53 − 2` against `2^53`): every
+    /// distance from both ends of the chain is the Bellman–Ford one.
+    #[test]
+    fn packed_key_at_its_limit_matches_bellman_ford_reference() {
+        let (net, ids) = chain_at_key_limit(0);
+        let d = OspfDomain::new(&net, ids.clone(), CostMetric::Latency);
+        assert_eq!((d.core_count(), d.key_shift), (2048, 11));
+        for root in [0, ids.len() - 1] {
+            let mut dist = vec![u64::MAX; ids.len()];
+            dist[root] = 0;
+            let mut changed = true;
+            while changed {
+                changed = false;
+                for link in &net.links {
+                    let c = CostMetric::Latency.cost(link);
+                    let (ia, ib) = (link.a.index(), link.b.index());
+                    for (from, to) in [(ia, ib), (ib, ia)] {
+                        if dist[from] != u64::MAX && dist[from] + c < dist[to] {
+                            dist[to] = dist[from] + c;
+                            changed = true;
+                        }
+                    }
+                }
+            }
+            for (i, &id) in ids.iter().enumerate() {
+                assert_eq!(d.distance(id, ids[root]), Some(dist[i]), "{i} → {root}");
+            }
+        }
+        assert_eq!(d.distance(ids[0], ids[2047]), Some((1 << 52) - 1));
+        assert_eq!(d.spt_stats().trees_built, 2);
+    }
+
+    /// One unit of link cost past the limit: the arcs sum to `2^53`.
+    #[test]
+    #[should_panic(expected = "summed arc cost fits the packed Dijkstra key")]
+    fn packed_key_refuses_a_domain_one_unit_past_its_limit() {
+        let (net, ids) = chain_at_key_limit(1);
+        OspfDomain::new(&net, ids, CostMetric::Latency);
+    }
+
+    /// Under `Hop` every ring-and-chord world is full of equal-distance
+    /// keys, ordered by their index bits alone. The accessor matches
+    /// `reference_walk`, and `reference_walk` matches a breadth-first
+    /// tree with the lowest-indexed parent, built without Dijkstra.
+    #[test]
+    fn hop_metric_on_tied_world_matches_reference_walk() {
+        for seed in 0..8 {
+            let (net, ids) = ring_chord_world(10, 5, seed);
+            let d = OspfDomain::new(&net, ids, CostMetric::Hop);
+            let n = d.core_count() as u32;
+            for b in 0..n {
+                let mut dist = vec![u32::MAX; n as usize];
+                dist[b as usize] = 0;
+                let mut queue = VecDeque::from([b]);
+                while let Some(v) = queue.pop_front() {
+                    for &(u, _) in d.adj.row(v) {
+                        if dist[u as usize] == u32::MAX {
+                            dist[u as usize] = dist[v as usize] + 1;
+                            queue.push_back(u);
+                        }
+                    }
+                }
+                let parent = |u: u32| {
+                    let row = d.adj.row(u).iter().map(|&(v, _)| v);
+                    row.filter(|&v| dist[v as usize] + 1 == dist[u as usize])
+                        .min()
+                };
+                for a in (0..n).filter(|&a| a != b) {
+                    let bfs = (dist[a as usize] != u32::MAX).then(|| {
+                        let mut walk = vec![a];
+                        while let Some(p) = parent(walk[walk.len() - 1]) {
+                            walk.push(p);
+                        }
+                        walk
+                    });
+                    let want = d.reference_walk(a, b);
+                    assert_eq!(want, bfs, "seed {seed}: {a} → {b}");
+                    let got = d.with_core_walk(a, b, |w| w.map(<[u32]>::to_vec));
+                    assert_eq!(got, want, "seed {seed}: {a} → {b}");
+                }
+            }
         }
     }
 

@@ -341,6 +341,88 @@ mod tests {
         assert_eq!(r.route(h, h), Some(vec![h]));
     }
 
+    /// 2 and 4 threads share one resolver over a ring of 80 routers
+    /// with 80 chords, every link 1, 2 or 3 ms, and hosts on every
+    /// fourth router, so many shortest paths tie, and a tied walk read
+    /// from the wrong end would differ. Every thread first asks for a
+    /// route into the same cold root at once, then both directions of
+    /// every pair in its own order; each answer must be the 1-thread
+    /// answer. The cache-capacity-2 domain evicts on nearly every miss
+    /// while the others race. Only answers are compared: `SptStats`
+    /// depends on the interleaving.
+    #[test]
+    fn concurrent_lookups_return_the_single_threaded_answers() {
+        use massf_topology::{AsId, Network, Point};
+        use rand::prelude::*;
+        use std::sync::Barrier;
+
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(36);
+        let ring = 80;
+        let mut net = Network::new();
+        let routers: Vec<NodeId> = (0..ring)
+            .map(|i| net.add_node(NodeKind::Router, Point::new(i as f64, 0.0), AsId(0)))
+            .collect();
+        let chords = (0..ring).map(|_| (rng.gen_range(0..ring), rng.gen_range(0..ring)));
+        let ring_links = (0..ring).map(|i| (i, (i + 1) % ring));
+        for (a, b) in ring_links.chain(chords.collect::<Vec<_>>()) {
+            if a != b {
+                let ms = f64::from(rng.gen_range(1u32..4));
+                net.add_link(routers[a], routers[b], 1e9, ms);
+            }
+        }
+        for &r in routers.iter().step_by(4) {
+            let h = net.add_node(NodeKind::Host, Point::new(0.0, 1.0), AsId(0));
+            net.add_link(r, h, 1e9, 0.5);
+        }
+        let nodes: Vec<NodeId> = net.nodes.iter().map(|n| n.id).collect();
+        let pairs: Vec<(NodeId, NodeId)> = nodes
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &s)| nodes[i + 1..].iter().map(move |&t| (s, t)))
+            .collect();
+        let cold_root = routers[ring / 2];
+
+        let single = FlatResolver::new(&net, CostMetric::Latency);
+        let want: BTreeMap<(NodeId, NodeId), Option<Vec<NodeId>>> = pairs
+            .iter()
+            .flat_map(|&(s, t)| [(s, t), (t, s)])
+            .map(|(s, t)| ((s, t), single.route(s, t)))
+            .collect();
+        assert!(want.values().all(Option::is_some), "the ring is connected");
+
+        let evicting = OspfDomain::with_cache_capacity(&net, nodes.clone(), CostMetric::Latency, 2);
+        for threads in [2, 4] {
+            let flat = FlatResolver::new(&net, CostMetric::Latency);
+            let routes: [&(dyn Fn(NodeId, NodeId) -> Option<Vec<NodeId>> + Sync); 2] =
+                [&|s, t| flat.route(s, t), &|s, t| evicting.path(s, t)];
+            for route in routes {
+                let start = Barrier::new(threads);
+                std::thread::scope(|scope| {
+                    for thread in 0..threads {
+                        let (start, pairs, want, routers) = (&start, &pairs, &want, &routers);
+                        scope.spawn(move || {
+                            let mut order = pairs.clone();
+                            let seed = thread as u64;
+                            order.shuffle(&mut rand_chacha::ChaCha8Rng::seed_from_u64(seed));
+                            order.insert(0, (routers[thread], cold_root));
+                            start.wait();
+                            for (s, t) in order {
+                                for (s, t) in [(s, t), (t, s)] {
+                                    let got = route(s, t);
+                                    assert_eq!(
+                                        got,
+                                        want[&(s, t)],
+                                        "{threads} threads: {s:?} → {t:?}"
+                                    );
+                                }
+                            }
+                        });
+                    }
+                });
+            }
+        }
+    }
+
     #[test]
     fn multi_as_routes_cross_as() {
         let (m, r) = multi();

@@ -146,10 +146,12 @@ impl Network {
 
     /// Add an undirected link, returning its id. Latency must be positive:
     /// a conservative engine derives its lookahead from link latencies.
+    /// It must be finite too: OSPF's latency cost of an infinite link
+    /// saturates, and shortest-path sums over it would wrap.
     ///
     /// # Panics
-    /// Panics if either endpoint does not exist, endpoints are equal, or
-    /// `latency_ms <= 0`.
+    /// Panics if either endpoint does not exist, endpoints are equal,
+    /// `latency_ms <= 0`, or `latency_ms` is not finite.
     pub fn add_link(
         &mut self,
         a: NodeId,
@@ -161,6 +163,7 @@ impl Network {
         assert!(b.index() < self.nodes.len(), "endpoint {b:?} out of range");
         assert_ne!(a, b, "self-loop links are not allowed");
         assert!(latency_ms > 0.0, "link latency must be positive");
+        assert!(latency_ms.is_finite(), "link latency must be finite");
         assert!(bandwidth_bps > 0.0, "link bandwidth must be positive");
         let inter_as = self.nodes[a.index()].as_id != self.nodes[b.index()].as_id;
         let id = LinkId(self.links.len() as u32);
@@ -425,5 +428,14 @@ mod tests {
         let a = net.add_node(NodeKind::Router, Point::new(0.0, 0.0), AsId(0));
         let b = net.add_node(NodeKind::Router, Point::new(1.0, 0.0), AsId(0));
         net.add_link(a, b, 1e9, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "latency must be finite")]
+    fn infinite_latency_rejected() {
+        let mut net = Network::new();
+        let a = net.add_node(NodeKind::Router, Point::new(0.0, 0.0), AsId(0));
+        let b = net.add_node(NodeKind::Router, Point::new(1.0, 0.0), AsId(0));
+        net.add_link(a, b, 1e9, f64::INFINITY);
     }
 }
