@@ -3,13 +3,17 @@
 //! The generators' preferential attachment draws targets through
 //! `massf_topology`'s Fenwick-tree sampler; the values below were
 //! recorded from the commit that still rescanned every earlier router
-//! per link. A generator change that moves one link, latency, bandwidth
-//! or coordinate — and with it every digest downstream — fails here
-//! first, by configuration.
+//! per link, except the tiny multi-AS row and the presets, recorded
+//! before the generators' fixed settings became constants. A generator
+//! change that moves one link, latency, bandwidth or coordinate — and
+//! with it every digest downstream — fails here first, by configuration.
 
 use massf_core::prelude::*;
 use massf_snapshot::wire::fnv1a64;
-use massf_topology::{generate_flat_network, generate_multi_as_network, Network};
+use massf_topology::{
+    generate_flat_network, generate_multi_as_network, FlatTopologyConfig, MultiAsTopologyConfig,
+    Network,
+};
 
 /// FNV-1a over link endpoints, latency/bandwidth bits and node
 /// positions, in storage order.
@@ -48,11 +52,52 @@ fn flat_networks_match_the_linear_scan_generator() {
 #[test]
 fn multi_as_network_matches_the_linear_scan_generator() {
     for (scale, seed, want) in [
-        (Scale::Small, 2004u64, 0x6a87_3332_cfd9_db0cu64),
+        (Scale::Tiny, 2004u64, 0xd44a_8b25_ee1e_d8a8u64),
+        (Scale::Small, 2004, 0x6a87_3332_cfd9_db0c),
         (Scale::Medium, 7, 0x59e5_34a7_aef6_f6f3),
     ] {
         let got = fingerprint(&generate_multi_as_network(&scale.multi_as_config(seed)).network);
         assert_eq!(got, want, "{scale:?} seed {seed}: got {got:#018x}");
+    }
+}
+
+/// The generator presets most unit tests build on: the sizes, metro
+/// count and seed each sets, and every other value it inherits from the
+/// generator's defaults. Recorded from the commit whose configs still
+/// carried those inherited values as fields.
+#[test]
+fn topology_presets_match_the_recorded_generator() {
+    let flat = [
+        (
+            "FlatTopologyConfig::tiny",
+            FlatTopologyConfig::tiny(),
+            0xc3ab_4f61_62b9_4d57u64,
+        ),
+        (
+            "FlatTopologyConfig::default",
+            FlatTopologyConfig::default(),
+            0xc3c2_e5fd_fb90_f7dd,
+        ),
+    ];
+    for (name, cfg, want) in flat {
+        let got = fingerprint(&generate_flat_network(&cfg));
+        assert_eq!(got, want, "{name}: got {got:#018x}");
+    }
+    let multi_as = [
+        (
+            "MultiAsTopologyConfig::tiny",
+            MultiAsTopologyConfig::tiny(),
+            0xb1a4_a840_3e57_5c4fu64,
+        ),
+        (
+            "MultiAsTopologyConfig::default",
+            MultiAsTopologyConfig::default(),
+            0xb147_7f15_b7ef_00d9,
+        ),
+    ];
+    for (name, cfg, want) in multi_as {
+        let got = fingerprint(&generate_multi_as_network(&cfg).network);
+        assert_eq!(got, want, "{name}: got {got:#018x}");
     }
 }
 
