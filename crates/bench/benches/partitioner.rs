@@ -19,7 +19,6 @@ fn network_graph(routers: usize, seed: u64) -> WeightedGraph {
         hosts: routers / 2,
         metro_count: (routers / 12).max(8),
         seed,
-        ..FlatTopologyConfig::default()
     });
     massf_core::build_weighted_graph(
         &net,

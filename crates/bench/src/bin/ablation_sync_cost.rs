@@ -96,7 +96,7 @@ fn main() {
     // Measured executor sync cost per mapping: re-run each mapping on
     // the real parallel executor with the bench-side barrier observer
     // and put the measured barrier-wait next to the model's
-    // window_count × C(N) term — both the nominal-window version the
+    // n_windows × C(N) term — both the nominal-window version the
     // cluster model uses and the skip-aware windows_executed × C(N)
     // that the fast-forward actually pays.
     let c_n_us = base_model.sync.cost_us(cfg.engines);
@@ -140,7 +140,7 @@ fn main() {
                     out.stats.windows_executed,
                     out.stats.windows_skipped,
                     mean,
-                    out.stats.window_count() as f64 * c_n_us,
+                    out.stats.n_windows as f64 * c_n_us,
                     out.stats.windows_executed as f64 * c_n_us,
                 );
             }
@@ -148,7 +148,7 @@ fn main() {
         }
     }
     println!(
-        "(model = window_count × C(N), the term the cluster model charges;\n\
+        "(model = n_windows × C(N), the term the cluster model charges;\n\
          skip-aware = windows_executed × C(N), what the overhauled executor\n\
          pays after fast-forwarding empty windows. The measured wait column\n\
          is host scheduling on this container, not TeraGrid sync.)"

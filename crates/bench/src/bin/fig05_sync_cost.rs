@@ -8,7 +8,7 @@
 //! [`MeasuredBarriers`] observer attached, reporting *measured*
 //! per-partition barrier-wait time, executed barrier rounds, and the
 //! empty windows the fast-forward skipped — the executor-level ground
-//! truth behind the model's `window_count × C(N)` term.
+//! truth behind the model's `n_windows × C(N)` term.
 
 use massf_bench::{measure_barrier_cost_us, MeasuredBarriers};
 use massf_engine::synccost::SyncCostModel;

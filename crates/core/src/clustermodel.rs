@@ -54,13 +54,10 @@ impl ClusterModel {
     /// # Panics
     /// Panics when `stats` carries no windowed trace.
     pub fn predicted_time_secs(&self, stats: &ExecutionStats, engines: usize) -> f64 {
-        assert!(
-            stats.window_count() > 0,
-            "cluster model needs a windowed run"
-        );
+        assert!(stats.n_windows > 0, "cluster model needs a windowed run");
         let event_secs = self.event_cost_us * 1e-6;
         let sync_secs = self.sync.cost_us(engines) * 1e-6;
-        stats.critical_path_events() as f64 * event_secs + stats.window_count() as f64 * sync_secs
+        stats.critical_path_events() as f64 * event_secs + stats.n_windows as f64 * sync_secs
     }
 
     /// The paper's sequential-time approximation (seconds).
@@ -97,7 +94,7 @@ impl ClusterModel {
         if total == 0.0 {
             return 0.0;
         }
-        let sync = stats.window_count() as f64 * self.sync.cost_us(engines) * 1e-6;
+        let sync = stats.n_windows as f64 * self.sync.cost_us(engines) * 1e-6;
         sync / total
     }
 }

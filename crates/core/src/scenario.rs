@@ -62,7 +62,6 @@ impl Scale {
             hosts,
             metro_count: metros,
             seed,
-            ..FlatTopologyConfig::default()
         }
     }
 
@@ -82,7 +81,6 @@ impl Scale {
             routers_per_as: per_as,
             hosts,
             seed,
-            ..MultiAsTopologyConfig::default()
         }
     }
 
@@ -279,12 +277,9 @@ impl Scenario {
                 let n = self.app_hosts.len().min(16);
                 let cols = if n >= 8 { 4 } else { 2 };
                 let n = n - n % cols;
-                let mut cfg = ScaLapackConfig::new(self.app_hosts[..n].to_vec(), cols, u32::MAX);
                 // Run for the whole simulation: iterations effectively
-                // unbounded; size the panel to the scale.
-                cfg.iterations = 10_000;
-                cfg.panel_bytes = 300_000;
-                cfg.compute = SimTime::from_ms(150);
+                // unbounded.
+                let cfg = ScaLapackConfig::new(self.app_hosts[..n].to_vec(), cols, 10_000);
                 let app = ScaLapackApp::new(cfg, NS_APP);
                 events.extend(app.initial_events());
                 Foreground::ScaLapack(app)
@@ -391,8 +386,11 @@ mod tests {
 
     #[test]
     fn paper_scale_configs_match_paper() {
+        // Sections 4.2 and 5.2.1: 20,000 routers and 10,000 hosts over
+        // a 5000 mi × 5000 mi area; 100 AS × 200 routers.
         let f = Scale::Paper.flat_config(0);
-        assert_eq!((f.routers, f.hosts), (20_000, 10_000));
+        assert_eq!((f.routers, f.hosts, f.metro_count), (20_000, 10_000, 600));
+        assert_eq!(massf_topology::config::AREA_MILES, 5_000.0);
         let m = Scale::Paper.multi_as_config(0);
         assert_eq!((m.as_count, m.routers_per_as, m.hosts), (100, 200, 10_000));
         assert_eq!(Scale::Paper.http_gap(), SimTime::from_secs(5));

@@ -647,7 +647,7 @@ mod tests {
         assert_eq!(counted, stats.total_events);
         let by_partition: u64 = stats.partition_totals.iter().sum();
         assert_eq!(by_partition, stats.total_events);
-        assert_eq!(stats.window_count(), 10);
+        assert_eq!(stats.n_windows, 10);
         // A dense ring fills every window: nothing skipped, a barrier
         // pair per window plus the initial publish rendezvous.
         assert_eq!(stats.windows_executed, 10);
@@ -859,7 +859,7 @@ mod tests {
 
         // 2000 nominal 1 ms windows, but bursts cover only ~5 ms every
         // ~204 ms: the executor must skip the idle stretches.
-        assert_eq!(stats.window_count(), 2000);
+        assert_eq!(stats.n_windows, 2000);
         assert!(
             stats.windows_executed < 100,
             "only burst windows execute, got {}",

@@ -312,7 +312,7 @@ mod tests {
             &[0, 1],
             2,
         );
-        assert_eq!(stats.window_count(), 4);
+        assert_eq!(stats.n_windows, 4);
         // 4 windows at 1 window per bucket: buckets mirror windows.
         assert_eq!(stats.bucket_critical, vec![1, 1, 1, 1]);
         assert_eq!(stats.bucket_totals, vec![1, 1, 1, 1]);
@@ -433,7 +433,7 @@ mod trace_tests {
             &[0],
             1,
         );
-        assert_eq!(stats.window_count(), 2000);
+        assert_eq!(stats.n_windows, 2000);
         assert!(stats.coarse_trace.len() <= TRACE_BUCKETS);
         assert!(stats.windows_per_bucket >= 2);
         let bucket_total: u64 = stats.coarse_trace.iter().flatten().sum();

@@ -112,12 +112,6 @@ impl ExecutionStats {
             .collect()
     }
 
-    /// Number of synchronization windows in the horizon (the nominal
-    /// barrier count the cluster model charges for).
-    pub fn window_count(&self) -> usize {
-        self.n_windows
-    }
-
     /// Sum over windows of the busiest partition's event count — the
     /// critical-path event work of a barrier-synchronized run. Exact:
     /// bucketing preserves the sum.
@@ -326,7 +320,7 @@ mod tests {
         assert_eq!(stats.bucket_totals, vec![3, 0, 3, 0]);
         assert_eq!(stats.partition_totals, vec![2, 1, 3]);
         assert_eq!(stats.critical_path_events(), 5);
-        assert_eq!(stats.window_count(), 4);
+        assert_eq!(stats.n_windows, 4);
         assert_eq!(stats.windows_executed, 2);
         assert_eq!(stats.windows_skipped, 2);
     }
@@ -383,7 +377,7 @@ mod tests {
         let s = ExecutionStats::new(3);
         assert!(s.partition_totals.is_empty());
         assert!(s.partition_event_rates().is_empty());
-        assert_eq!(s.window_count(), 0);
+        assert_eq!(s.n_windows, 0);
         assert_eq!(s.critical_path_events(), 0);
         assert_eq!(s.total_barrier_wait_us(), 0.0);
         assert_eq!(s.imbalance_permille(), 1000);

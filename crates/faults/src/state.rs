@@ -3,7 +3,9 @@
 
 use crate::script::{FaultKind, FaultScript};
 use massf_engine::SimTime;
-use massf_routing::{CostMetric, MultiAsResolver, OspfDomain, PathResolver, SptStats};
+use massf_routing::{
+    CostMetric, FlatResolver, MultiAsResolver, OspfDomain, PathResolver, SptStats,
+};
 use massf_topology::mabrite::MultiAsNetwork;
 use massf_topology::{LinkId, MassfError, MultiAsTopologyConfig, Network, NodeId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -186,7 +188,7 @@ impl FaultState {
         metric: CostMetric,
         script: FaultScript,
     ) -> Result<Arc<Self>, MassfError> {
-        let base: Arc<dyn PathResolver> = Arc::new(massf_routing::FlatResolver::new(net, metric));
+        let base: Arc<dyn PathResolver> = Arc::new(FlatResolver::new(net, metric));
         let base_for_factory = base.clone();
         let owned = Arc::new(net.clone());
         let factory = Box::new(move |epoch: &EpochState| -> Arc<dyn PathResolver> {
@@ -207,7 +209,7 @@ impl FaultState {
                         && dead_nodes.binary_search(&l.b.0).is_err()
                 },
             );
-            Arc::new(EpochFlatResolver { domain })
+            Arc::new(FlatResolver::from_domain(domain))
         });
         Self::with_factory(net, script, base, factory)
     }
@@ -368,20 +370,6 @@ fn last_state(transitions: &[(SimTime, bool)], t: SimTime) -> bool {
         true
     } else {
         transitions[idx - 1].1
-    }
-}
-
-/// Per-epoch flat resolver: one filtered, never-evicting OSPF domain.
-struct EpochFlatResolver {
-    domain: OspfDomain,
-}
-
-impl PathResolver for EpochFlatResolver {
-    fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        self.domain.path(src, dst)
-    }
-    fn spt_stats(&self) -> Option<SptStats> {
-        Some(self.domain.spt_stats())
     }
 }
 

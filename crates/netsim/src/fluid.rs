@@ -140,13 +140,6 @@ impl FluidStats {
         self.cap_updates += other.cap_updates;
         self.packet_load_updates += other.packet_load_updates;
     }
-
-    /// Flows currently in progress.
-    pub fn active(&self) -> u64 {
-        self.started
-            .saturating_sub(self.completed)
-            .saturating_sub(self.aborted)
-    }
 }
 
 /// One live fluid flow in a [`FluidWorldState`]. All rates are bytes

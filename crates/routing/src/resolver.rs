@@ -80,9 +80,12 @@ impl FlatResolver {
     /// Cover every node of `net` with one OSPF domain.
     pub fn new(net: &Network, metric: CostMetric) -> Self {
         let members = net.nodes.iter().map(|n| n.id).collect();
-        FlatResolver {
-            domain: OspfDomain::new(net, members, metric),
-        }
+        Self::from_domain(OspfDomain::new(net, members, metric))
+    }
+
+    /// Resolve over an already built domain (a filtered one, say).
+    pub fn from_domain(domain: OspfDomain) -> Self {
+        FlatResolver { domain }
     }
 
     /// Access the underlying OSPF domain.

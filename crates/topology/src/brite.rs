@@ -10,7 +10,10 @@
 //! latency spectrum is exactly what makes flat partitioning achieve a tiny
 //! MLL on large networks (Section 3.4.1).
 
-use crate::config::FlatTopologyConfig;
+use crate::config::{
+    FlatTopologyConfig, AREA_MILES, EDGE_BPS, FLAT_BACKBONE_BPS, HOST_BPS, LINKS_PER_NEW_ROUTER,
+    METRO_FRACTION, METRO_RADIUS_MILES,
+};
 use crate::geom::{link_latency_ms, Point};
 use crate::graph::{AsId, Network, NodeId, NodeKind};
 use crate::sampler::grow_preferential;
@@ -49,21 +52,20 @@ pub(crate) fn place_points(
 }
 
 /// Grow a power-law router graph over the given placed positions inside
-/// `net`, assigning bandwidth by degree tier. Returns the created router
-/// ids, in creation order. Used by both the flat generator and (per AS)
-/// by maBrite.
+/// `net`, assigning bandwidth by degree tier: `backbone_bw` toward
+/// high-degree routers, [`EDGE_BPS`] elsewhere. Returns the created
+/// router ids, in creation order. Used by both the flat generator and
+/// (per AS) by maBrite.
 pub(crate) fn grow_powerlaw_routers(
     net: &mut Network,
     rng: &mut impl Rng,
     positions: &[Point],
     as_id: AsId,
-    links_per_new: usize,
     backbone_bw: f64,
-    edge_bw: f64,
 ) -> Vec<NodeId> {
     let n = positions.len();
     assert!(n >= 2, "need at least two routers");
-    let m = links_per_new.max(1);
+    let m = LINKS_PER_NEW_ROUTER;
     let mut routers = Vec::with_capacity(n);
     for &p in positions {
         routers.push(net.add_node(NodeKind::Router, p, as_id));
@@ -83,7 +85,7 @@ pub(crate) fn grow_powerlaw_routers(
         let bw = if net.degree(target) >= 2 * m + 2 {
             backbone_bw
         } else {
-            edge_bw
+            EDGE_BPS
         };
         net.add_link(routers[i], target, bw, lat);
     });
@@ -91,14 +93,13 @@ pub(crate) fn grow_powerlaw_routers(
 }
 
 /// Attach `hosts` host nodes to the given routers, preferring low-degree
-/// (edge) routers as real access networks do. Each host gets one access
-/// link whose latency reflects a short local loop.
+/// (edge) routers as real access networks do. Each host gets one
+/// [`HOST_BPS`] access link whose latency reflects a short local loop.
 pub(crate) fn attach_hosts(
     net: &mut Network,
     rng: &mut impl Rng,
     routers: &[NodeId],
     hosts: usize,
-    host_bw: f64,
 ) -> Vec<NodeId> {
     assert!(!routers.is_empty());
     // Candidate pool: the half of routers with the smallest degree.
@@ -114,7 +115,7 @@ pub(crate) fn attach_hosts(
             let theta = rng.gen_range(0.0..std::f64::consts::TAU);
             let hp = Point::new(rp.x + d * theta.cos(), rp.y + d * theta.sin());
             let h = net.add_node(NodeKind::Host, hp, net.nodes[r.index()].as_id);
-            net.add_link(h, r, host_bw, link_latency_ms(&hp, &rp));
+            net.add_link(h, r, HOST_BPS, link_latency_ms(&hp, &rp));
             h
         })
         .collect()
@@ -129,27 +130,13 @@ pub fn generate_flat_network(cfg: &FlatTopologyConfig) -> Network {
     let positions = place_points(
         &mut rng,
         cfg.routers,
-        cfg.area_miles,
-        cfg.metro_fraction,
+        AREA_MILES,
+        METRO_FRACTION,
         cfg.metro_count,
-        cfg.metro_radius_miles,
+        METRO_RADIUS_MILES,
     );
-    let routers = grow_powerlaw_routers(
-        &mut net,
-        &mut rng,
-        &positions,
-        AsId(0),
-        cfg.links_per_new_router,
-        cfg.backbone_bandwidth_bps,
-        cfg.edge_bandwidth_bps,
-    );
-    attach_hosts(
-        &mut net,
-        &mut rng,
-        &routers,
-        cfg.hosts,
-        cfg.host_bandwidth_bps,
-    );
+    let routers = grow_powerlaw_routers(&mut net, &mut rng, &positions, AsId(0), FLAT_BACKBONE_BPS);
+    attach_hosts(&mut net, &mut rng, &routers, cfg.hosts);
     debug_assert!(net.is_connected());
     net
 }
@@ -226,7 +213,7 @@ mod tests {
         };
         let net = generate_flat_network(&cfg);
         let mean = 2.0 * net.link_count() as f64 / net.router_count() as f64;
-        let target = 2.0 * cfg.links_per_new_router as f64;
+        let target = 2.0 * LINKS_PER_NEW_ROUTER as f64;
         assert!(
             (mean - target).abs() < 0.5,
             "mean degree {mean:.2} vs target {target}"
@@ -265,12 +252,11 @@ mod tests {
 
     #[test]
     fn positions_within_area() {
-        let cfg = FlatTopologyConfig::tiny();
         let net = gen_tiny();
         for node in &net.nodes {
             if node.kind == NodeKind::Router {
-                assert!(node.position.x >= 0.0 && node.position.x <= cfg.area_miles);
-                assert!(node.position.y >= 0.0 && node.position.y <= cfg.area_miles);
+                assert!(node.position.x >= 0.0 && node.position.x <= AREA_MILES);
+                assert!(node.position.y >= 0.0 && node.position.y <= AREA_MILES);
             }
         }
     }

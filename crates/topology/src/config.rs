@@ -1,10 +1,42 @@
 //! Generator configuration.
 //!
-//! Defaults mirror the paper's experimental setups (Sections 4.2 and
-//! 5.2.1), with `paper_*` constructors for the full-scale configurations
-//! and `Default` giving a laptop-scale variant with the same shape.
+//! A config holds what callers vary: sizes, the metro count and the
+//! seed. The physical settings the paper fixes for both of its networks
+//! (Sections 4.2 and 5.2.1) are the constants below. `Default` gives a
+//! laptop-scale variant of each network and `tiny` a unit-test one;
+//! `massf_core::Scale` builds the figure sizes, the paper's included.
 
 use serde::{Deserialize, Serialize};
+
+/// Side of the square placement area, miles (paper: 5000 mi × 5000 mi).
+pub const AREA_MILES: f64 = 5_000.0;
+/// Links added per new router during preferential attachment (BRITE's
+/// `m`). The resulting mean degree is ≈ 2·m.
+pub const LINKS_PER_NEW_ROUTER: usize = 2;
+/// Fraction of flat-network routers placed in dense metro clusters
+/// (producing the small-latency edges central to the paper's MLL
+/// problem).
+pub const METRO_FRACTION: f64 = 0.7;
+/// Radius of a flat-network metro cluster, miles.
+pub const METRO_RADIUS_MILES: f64 = 30.0;
+/// Inter-AS links added per new AS in the AS-level power-law graph.
+pub const AS_LINKS_PER_NEW_AS: usize = 2;
+/// Geographic radius of one AS's router cloud, miles.
+pub const AS_RADIUS_MILES: f64 = 120.0;
+/// Bound on the share of ASes classified Core (the classification
+/// itself is by degree rank; see [`crate::AsGraph::generate`]).
+pub const CORE_FRACTION: f64 = 0.10;
+/// Flat-network backbone link bandwidth, bits/s (links toward
+/// high-degree routers).
+pub const FLAT_BACKBONE_BPS: f64 = 2.5e9;
+/// Intra-AS backbone link bandwidth, bits/s.
+pub const MULTI_AS_BACKBONE_BPS: f64 = 1e9;
+/// Inter-AS (provider/peer) link bandwidth, bits/s.
+pub const INTER_AS_BPS: f64 = 2.5e9;
+/// Edge link bandwidth, bits/s, in both networks.
+pub const EDGE_BPS: f64 = 622e6;
+/// Host access link bandwidth, bits/s, in both networks.
+pub const HOST_BPS: f64 = 100e6;
 
 /// Configuration for the flat (single-AS) BRITE-style generator.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -13,39 +45,13 @@ pub struct FlatTopologyConfig {
     pub routers: usize,
     /// Number of hosts, attached to random low-degree routers.
     pub hosts: usize,
-    /// Side of the square placement area, miles.
-    pub area_miles: f64,
-    /// Links added per new router during preferential attachment (BRITE's
-    /// `m`). The resulting mean degree is ≈ 2·m.
-    pub links_per_new_router: usize,
-    /// Fraction of routers placed in dense metro clusters (producing the
-    /// small-latency edges central to the paper's MLL problem).
-    pub metro_fraction: f64,
     /// Number of metro clusters.
     pub metro_count: usize,
-    /// Radius of a metro cluster, miles.
-    pub metro_radius_miles: f64,
-    /// Backbone link bandwidth, bits/s (links between high-degree routers).
-    pub backbone_bandwidth_bps: f64,
-    /// Edge link bandwidth, bits/s.
-    pub edge_bandwidth_bps: f64,
-    /// Host access link bandwidth, bits/s.
-    pub host_bandwidth_bps: f64,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl FlatTopologyConfig {
-    /// The paper's Section 4.2 network: 20,000 routers and 10,000 hosts
-    /// over a 5000 mi × 5000 mi area.
-    pub fn paper_single_as() -> Self {
-        FlatTopologyConfig {
-            routers: 20_000,
-            hosts: 10_000,
-            ..Self::default()
-        }
-    }
-
     /// A reduced configuration for unit tests.
     pub fn tiny() -> Self {
         FlatTopologyConfig {
@@ -62,14 +68,7 @@ impl Default for FlatTopologyConfig {
         FlatTopologyConfig {
             routers: 2_000,
             hosts: 1_000,
-            area_miles: 5_000.0,
-            links_per_new_router: 2,
-            metro_fraction: 0.7,
             metro_count: 40,
-            metro_radius_miles: 30.0,
-            backbone_bandwidth_bps: 2.5e9,
-            edge_bandwidth_bps: 622e6,
-            host_bandwidth_bps: 100e6,
             seed: 0x5EED_0001,
         }
     }
@@ -84,44 +83,11 @@ pub struct MultiAsTopologyConfig {
     pub routers_per_as: usize,
     /// Total hosts, attached to random routers of Stub ASes.
     pub hosts: usize,
-    /// Side of the square placement area, miles.
-    pub area_miles: f64,
-    /// Inter-AS links added per new AS in the AS-level power-law graph.
-    pub as_links_per_new_as: usize,
-    /// Intra-AS links per new router.
-    pub links_per_new_router: usize,
-    /// Geographic radius of one AS's router cloud, miles.
-    pub as_radius_miles: f64,
-    /// Fraction of ASes classified as Core ("top 2%" in the paper's
-    /// Internet hierarchy discussion; the classification itself is by
-    /// degree rank, this bounds the Core size).
-    pub core_fraction: f64,
-    /// Fraction classified Stub (paper: Customers ≈ 90% of all ASes).
-    pub stub_fraction: f64,
-    /// Inter-AS (provider/peer) link bandwidth, bits/s.
-    pub inter_as_bandwidth_bps: f64,
-    /// Intra-AS backbone bandwidth, bits/s.
-    pub backbone_bandwidth_bps: f64,
-    /// Intra-AS edge bandwidth, bits/s.
-    pub edge_bandwidth_bps: f64,
-    /// Host access link bandwidth, bits/s.
-    pub host_bandwidth_bps: f64,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl MultiAsTopologyConfig {
-    /// The paper's Section 5.2.1 network: 100 ASes × 200 routers plus
-    /// 10,000 hosts on Stub ASes, over a 5000 mi × 5000 mi area.
-    pub fn paper_multi_as() -> Self {
-        MultiAsTopologyConfig {
-            as_count: 100,
-            routers_per_as: 200,
-            hosts: 10_000,
-            ..Self::default()
-        }
-    }
-
     /// A reduced configuration for unit tests.
     pub fn tiny() -> Self {
         MultiAsTopologyConfig {
@@ -139,16 +105,6 @@ impl Default for MultiAsTopologyConfig {
             as_count: 20,
             routers_per_as: 100,
             hosts: 1_000,
-            area_miles: 5_000.0,
-            as_links_per_new_as: 2,
-            links_per_new_router: 2,
-            as_radius_miles: 120.0,
-            core_fraction: 0.10,
-            stub_fraction: 0.60,
-            inter_as_bandwidth_bps: 2.5e9,
-            backbone_bandwidth_bps: 1e9,
-            edge_bandwidth_bps: 622e6,
-            host_bandwidth_bps: 100e6,
             seed: 0x5EED_0002,
         }
     }
@@ -160,15 +116,14 @@ mod tests {
 
     #[test]
     fn paper_configs_match_section_4_2_and_5_2_1() {
-        let s = FlatTopologyConfig::paper_single_as();
-        assert_eq!(s.routers, 20_000);
-        assert_eq!(s.hosts, 10_000);
-        assert_eq!(s.area_miles, 5_000.0);
-
-        let m = MultiAsTopologyConfig::paper_multi_as();
-        assert_eq!(m.as_count, 100);
-        assert_eq!(m.routers_per_as, 200);
-        assert_eq!(m.hosts, 10_000);
+        // Both networks sit on a 5000 mi × 5000 mi area with the same
+        // edge and host classes; the sizes are `Scale::Paper`'s.
+        assert_eq!(AREA_MILES, 5_000.0);
+        assert_eq!(
+            (FLAT_BACKBONE_BPS, EDGE_BPS, HOST_BPS),
+            (2.5e9, 622e6, 100e6)
+        );
+        assert_eq!((MULTI_AS_BACKBONE_BPS, INTER_AS_BPS), (1e9, 2.5e9));
     }
 
     #[test]

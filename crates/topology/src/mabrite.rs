@@ -16,7 +16,10 @@
 
 use crate::ashier::AsGraph;
 use crate::brite::{attach_hosts, grow_powerlaw_routers, place_points};
-use crate::config::MultiAsTopologyConfig;
+use crate::config::{
+    MultiAsTopologyConfig, AREA_MILES, AS_LINKS_PER_NEW_AS, AS_RADIUS_MILES, CORE_FRACTION,
+    INTER_AS_BPS, MULTI_AS_BACKBONE_BPS,
+};
 use crate::geom::{link_latency_ms, Point};
 use crate::graph::{AsId, Network, NodeId};
 use rand::prelude::*;
@@ -54,8 +57,8 @@ pub fn generate_multi_as_network(cfg: &MultiAsTopologyConfig) -> MultiAsNetwork 
     // AS-level structure (steps 1–3).
     let as_graph = AsGraph::generate(
         cfg.as_count,
-        cfg.as_links_per_new_as,
-        cfg.core_fraction,
+        AS_LINKS_PER_NEW_AS,
+        CORE_FRACTION,
         cfg.seed ^ 0xA5A5_A5A5,
     );
 
@@ -64,8 +67,8 @@ pub fn generate_multi_as_network(cfg: &MultiAsTopologyConfig) -> MultiAsNetwork 
     let centers: Vec<Point> = (0..cfg.as_count)
         .map(|_| {
             Point::new(
-                rng.gen_range(0.0..cfg.area_miles),
-                rng.gen_range(0.0..cfg.area_miles),
+                rng.gen_range(0.0..AREA_MILES),
+                rng.gen_range(0.0..AREA_MILES),
             )
         })
         .collect();
@@ -78,16 +81,16 @@ pub fn generate_multi_as_network(cfg: &MultiAsTopologyConfig) -> MultiAsNetwork 
         let positions = place_points(
             &mut rng,
             cfg.routers_per_as,
-            cfg.as_radius_miles * 2.0,
+            AS_RADIUS_MILES * 2.0,
             0.8,
             3,
-            cfg.as_radius_miles / 4.0,
+            AS_RADIUS_MILES / 4.0,
         )
         .into_iter()
         .map(|p| {
             Point::new(
-                (center.x + p.x - cfg.as_radius_miles).clamp(0.0, cfg.area_miles),
-                (center.y + p.y - cfg.as_radius_miles).clamp(0.0, cfg.area_miles),
+                (center.x + p.x - AS_RADIUS_MILES).clamp(0.0, AREA_MILES),
+                (center.y + p.y - AS_RADIUS_MILES).clamp(0.0, AREA_MILES),
             )
         })
         .collect::<Vec<_>>();
@@ -96,9 +99,7 @@ pub fn generate_multi_as_network(cfg: &MultiAsTopologyConfig) -> MultiAsNetwork 
             &mut rng,
             &positions,
             AsId(a as u16),
-            cfg.links_per_new_router,
-            cfg.backbone_bandwidth_bps,
-            cfg.edge_bandwidth_bps,
+            MULTI_AS_BACKBONE_BPS,
         );
         routers_of.push(routers);
     }
@@ -120,7 +121,7 @@ pub fn generate_multi_as_network(cfg: &MultiAsTopologyConfig) -> MultiAsNetwork 
             &network.nodes[ra.index()].position,
             &network.nodes[rb.index()].position,
         );
-        network.add_link(ra, rb, cfg.inter_as_bandwidth_bps, lat);
+        network.add_link(ra, rb, INTER_AS_BPS, lat);
     }
 
     // Hosts on Stub ASes only.
@@ -139,13 +140,7 @@ pub fn generate_multi_as_network(cfg: &MultiAsTopologyConfig) -> MultiAsNetwork 
             };
             let count = base + extra;
             if count > 0 {
-                attach_hosts(
-                    &mut network,
-                    &mut rng,
-                    &routers_of[a],
-                    count,
-                    cfg.host_bandwidth_bps,
-                );
+                attach_hosts(&mut network, &mut rng, &routers_of[a], count);
             }
         }
     }

@@ -15,6 +15,15 @@ use rand::Rng;
 use std::collections::HashSet;
 use std::sync::Arc;
 
+/// Mean response size in bytes (paper: 50 kB).
+pub const MEAN_FILE_BYTES: f64 = 50_000.0;
+/// Request datagram payload, bytes.
+pub const REQUEST_BYTES: u32 = 300;
+/// Lower bound on a sampled response size, bytes.
+pub const MIN_FILE_BYTES: u64 = 2_000;
+/// Upper bound on a sampled response size, bytes.
+pub const MAX_FILE_BYTES: u64 = 500_000;
+
 /// Configuration of the background-traffic generator.
 #[derive(Debug, Clone)]
 pub struct HttpConfig {
@@ -22,28 +31,17 @@ pub struct HttpConfig {
     pub servers: Vec<NodeId>,
     /// Mean think time between a client's requests (paper: 5 s).
     pub mean_gap: SimTime,
-    /// Mean response size in bytes (paper: 50 kB).
-    pub mean_file_bytes: f64,
-    /// Request datagram payload.
-    pub request_bytes: u32,
-    /// Hard bounds on sampled response sizes.
-    pub min_file_bytes: u64,
-    pub max_file_bytes: u64,
     /// Workload RNG seed.
     pub seed: u64,
 }
 
 impl HttpConfig {
-    /// Paper-shaped defaults over the given client/server hosts.
+    /// The paper's 5 s mean gap over the given client/server hosts.
     pub fn paper(clients: Vec<NodeId>, servers: Vec<NodeId>, seed: u64) -> Self {
         HttpConfig {
             clients,
             servers,
             mean_gap: SimTime::from_secs(5),
-            mean_file_bytes: 50_000.0,
-            request_bytes: 300,
-            min_file_bytes: 2_000,
-            max_file_bytes: 500_000,
             seed,
         }
     }
@@ -125,7 +123,7 @@ impl AppLogic for HttpTraffic {
         }
         let gap = SimTime::from_secs_f64(exp_sample(rng, cfg.mean_gap.as_secs_f64()));
         if server != host {
-            api.send_datagram(server, cfg.request_bytes, tag(self.ns, 0));
+            api.send_datagram(server, REQUEST_BYTES, tag(self.ns, 0));
             self.requests_sent += 1;
         }
         api.set_timer(gap, tag(self.ns, TOKEN_REQUEST));
@@ -143,11 +141,10 @@ impl AppLogic for HttpTraffic {
         if ns != self.ns || !self.is_server(host) {
             return;
         }
-        let cfg = self.cfg.clone();
         let rng = self.rngs.get(host);
-        let size = exp_sample(rng, cfg.mean_file_bytes)
+        let size = exp_sample(rng, MEAN_FILE_BYTES)
             .round()
-            .clamp(cfg.min_file_bytes as f64, cfg.max_file_bytes as f64) as u64;
+            .clamp(MIN_FILE_BYTES as f64, MAX_FILE_BYTES as f64) as u64;
         let client = from_flow.source();
         if let Some(flow) = api.start_tcp_flow(client, size) {
             self.pending.insert(flow);

@@ -24,29 +24,28 @@ pub struct ScaLapackConfig {
     pub hosts: Vec<NodeId>,
     /// Process-grid columns (rows = hosts.len() / grid_cols).
     pub grid_cols: usize,
-    /// Panel size broadcast each iteration, bytes.
-    pub panel_bytes: u64,
     /// Number of factorization iterations.
     pub iterations: u32,
-    /// Local compute time between receiving a panel and broadcasting the
-    /// next.
-    pub compute: SimTime,
 }
 
 impl ScaLapackConfig {
-    /// A moderate default: 400 kB panels, 100 ms compute.
+    /// A `grid_cols`-wide process grid over `hosts`.
     pub fn new(hosts: Vec<NodeId>, grid_cols: usize, iterations: u32) -> Self {
         assert!(!hosts.is_empty());
         assert!(grid_cols >= 1 && hosts.len().is_multiple_of(grid_cols));
         ScaLapackConfig {
             hosts,
             grid_cols,
-            panel_bytes: 400_000,
             iterations,
-            compute: SimTime::from_ms(100),
         }
     }
 }
+
+/// Panel size broadcast each iteration, bytes.
+pub const PANEL_BYTES: u64 = 300_000;
+/// Local compute time between receiving a panel and broadcasting the
+/// next.
+pub const COMPUTE: SimTime = SimTime::from_ms(150);
 
 const CTRL_BYTES: u32 = 64;
 
@@ -82,7 +81,7 @@ impl ScaLapackApp {
     pub fn initial_events(&self) -> Vec<(SimTime, LpId, NetEvent)> {
         let owner = self.owner(0);
         vec![(
-            self.cfg.compute,
+            COMPUTE,
             LpId(owner.0),
             NetEvent::AppTimer {
                 token: tag(self.ns, 0),
@@ -127,7 +126,7 @@ impl AppLogic for ScaLapackApp {
         let targets = self.broadcast_targets(iter);
         let mut started = 0usize;
         for t in targets {
-            if let Some(flow) = api.start_tcp_flow(t, self.cfg.panel_bytes) {
+            if let Some(flow) = api.start_tcp_flow(t, PANEL_BYTES) {
                 self.flow_iter.insert(flow, iter);
                 started += 1;
             }
@@ -169,7 +168,7 @@ impl AppLogic for ScaLapackApp {
         }
         debug_assert_eq!(host, self.owner(iter as u32));
         // Compute, then broadcast this iteration's panel.
-        api.set_timer(self.cfg.compute, tag(self.ns, iter));
+        api.set_timer(COMPUTE, tag(self.ns, iter));
     }
 }
 
@@ -183,7 +182,7 @@ impl ScaLapackApp {
         }
         let next_owner = self.owner(next);
         if next_owner == api.host() {
-            api.set_timer(self.cfg.compute, tag(self.ns, next as u64));
+            api.set_timer(COMPUTE, tag(self.ns, next as u64));
         } else {
             api.send_datagram(next_owner, CTRL_BYTES, tag(self.ns, next as u64));
         }

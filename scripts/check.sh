@@ -14,6 +14,7 @@
 #
 #   scripts/check.sh          full gate (including the release-mode
 #                             mem_footprint --smoke run, the
+#                             fig03_load_variation, fig05_sync_cost,
 #                             fault_flap_study, checkpoint_study,
 #                             rebalance_study, scaling_study and
 #                             ablation_sync_cost runs at --scale tiny,
@@ -86,6 +87,10 @@ stage "cargo test" \
 if [ "$FAST" -eq 0 ]; then
     stage "mem_footprint --smoke" \
         cargo run --release -q -p massf-bench --features alloc-count --bin mem_footprint -- --smoke
+    stage "fig03_load_variation --scale tiny" \
+        cargo run --release -q -p massf-bench --bin fig03_load_variation -- --scale tiny
+    stage "fig05_sync_cost --scale tiny" \
+        cargo run --release -q -p massf-bench --bin fig05_sync_cost -- --scale tiny
     stage "fault_flap_study --scale tiny" \
         cargo run --release -q -p massf-bench --bin fault_flap_study -- --scale tiny
     stage "checkpoint_study --scale tiny" \

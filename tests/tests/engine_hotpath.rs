@@ -85,7 +85,7 @@ fn assert_windowed_stats_match(seq: &ExecutionStats, par: &ExecutionStats) {
     assert_eq!(seq.coarse_trace, par.coarse_trace);
     assert_eq!(seq.windows_executed, par.windows_executed);
     assert_eq!(seq.windows_skipped, par.windows_skipped);
-    assert_eq!(seq.window_count(), par.window_count());
+    assert_eq!(seq.n_windows, par.n_windows);
 }
 
 /// `run_sequential_windowed` with one scoring: that scoring's stats.
@@ -171,7 +171,7 @@ proptest! {
     /// Fast-forward property: the executed barrier rounds track only the
     /// non-empty windows, so on any schedule the new executor performs
     /// `1 + 2·windows_executed` rounds where the pre-overhaul design
-    /// paid `2·window_count()` — and skipping never perturbs the logs.
+    /// paid `2·n_windows` — and skipping never perturbs the logs.
     #[test]
     fn fast_forward_shrinks_barrier_count_without_touching_logs(
         n in 2u32..16,
@@ -199,7 +199,7 @@ proptest! {
         prop_assert_eq!(&merged_log(&shards), &seq.log);
         prop_assert_eq!(stats.barrier_rounds, 1 + 2 * stats.windows_executed);
         prop_assert!(stats.windows_skipped > 0, "idle gaps must produce empty windows");
-        let old_rounds = 2 * stats.window_count() as u64;
+        let old_rounds = 2 * stats.n_windows as u64;
         prop_assert!(
             stats.barrier_rounds < old_rounds,
             "fast-forward must beat the fixed-stride barrier count ({} vs {})",
@@ -214,7 +214,7 @@ proptest! {
 /// partitions, the windowed stats add up, and barrier rounds follow the
 /// executed windows only (the recorded counts, the same at any
 /// partition count). A barrier pair per nominal window would cost
-/// `2·window_count()` rounds — 40,000 on the sparse ring.
+/// `2·n_windows` rounds — 40,000 on the sparse ring.
 #[test]
 fn dense_and_sparse_rings_match_sequential_and_count_barriers() {
     let n = 64u32;
@@ -245,7 +245,7 @@ fn dense_and_sparse_rings_match_sequential_and_count_barriers() {
                     .expect("window within lookahead");
 
             assert_eq!(merged_log(&shards), seq.log, "{label}");
-            let windows = stats.window_count() as u64;
+            let windows = stats.n_windows as u64;
             let counted: u64 = stats.bucket_totals.iter().sum();
             assert_eq!(counted, stats.total_events, "{label}");
             assert_eq!(
@@ -304,7 +304,7 @@ fn tiny_window_long_horizon_stays_bounded() {
     .expect("window within lookahead");
 
     for s in [&seq_stats, &stats] {
-        assert_eq!(s.window_count(), n_windows);
+        assert_eq!(s.n_windows, n_windows);
         assert_eq!(s.total_events, 4);
         assert_eq!(s.windows_executed, 4);
         assert_eq!(s.windows_skipped, n_windows as u64 - 4);

@@ -61,7 +61,7 @@ fn predicted_time_bounds_are_sane() {
     let tseq = model.sequential_time_secs(stats);
     // Parallel time can never beat Tseq / N, and never exceeds Tseq
     // plus total synchronization.
-    let sync_total = stats.window_count() as f64 * model.sync.cost_us(cfg.engines) * 1e-6;
+    let sync_total = stats.n_windows as f64 * model.sync.cost_us(cfg.engines) * 1e-6;
     assert!(t >= tseq / cfg.engines as f64 - 1e-9);
     assert!(t <= tseq + sync_total + 1e-9);
     // PE = Tseq/(N·T) in [0, 1].

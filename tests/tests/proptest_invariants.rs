@@ -110,7 +110,6 @@ proptest! {
             hosts: 10,
             metro_count: 6,
             seed,
-            ..FlatTopologyConfig::default()
         });
         let graph = massf_core::build_weighted_graph(
             &net, VertexWeighting::Bandwidth, EdgeWeighting::Standard, None,
@@ -151,7 +150,6 @@ proptest! {
             hosts: 10,
             metro_count: 6,
             seed,
-            ..FlatTopologyConfig::default()
         });
         let graph = massf_core::build_weighted_graph(
             &net, VertexWeighting::Bandwidth, EdgeWeighting::Standard, None,

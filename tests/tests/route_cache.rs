@@ -35,7 +35,6 @@ proptest! {
             hosts: 12,
             metro_count: 5,
             seed,
-            ..FlatTopologyConfig::default()
         });
         let hosts = net.host_ids();
         let uncached = FlatResolver::new(&net, CostMetric::Latency);
@@ -71,7 +70,6 @@ proptest! {
             routers_per_as: 5,
             hosts: 20,
             seed,
-            ..MultiAsTopologyConfig::default()
         };
         let m = generate_multi_as_network(&cfg);
         let hosts = m.network.host_ids();
@@ -107,7 +105,6 @@ proptest! {
             hosts: 12,
             metro_count: 5,
             seed,
-            ..FlatTopologyConfig::default()
         });
         let hosts = net.host_ids();
         let script = FaultScript::random_link_flaps(

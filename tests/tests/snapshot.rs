@@ -551,7 +551,6 @@ fn multi_as_scenario() -> NetSimBuilder {
         routers_per_as: 5,
         hosts: 20,
         seed: 17,
-        ..MultiAsTopologyConfig::default()
     };
     let m = generate_multi_as_network(&cfg);
     let resolver = Arc::new(MultiAsResolver::new(&m, CostMetric::Latency, &cfg));
