@@ -58,7 +58,8 @@ fn bench_sweep(c: &mut Criterion) {
 /// Thread scaling of the parallel sweep: identical work at 1, 2, and 4
 /// worker threads (results are bit-identical by construction; only the
 /// wall clock may differ). The 1-thread row is the sequential baseline
-/// the ISSUE's speedup criterion compares against.
+/// the 2- and 4-thread rows are read against (BENCH_parallel.json's
+/// `speedup_vs_1_thread`).
 fn bench_sweep_thread_scaling(c: &mut Criterion) {
     let (net, graph) = setup();
     let cfg = MappingConfig::new(16);

@@ -28,6 +28,7 @@ use crate::evaluate::{efficiency, PartitionEvaluation};
 use crate::mappers::MappingConfig;
 use massf_partition::{metis_kway, Partition, UnionFind, WeightedGraph};
 use massf_topology::Network;
+use std::sync::Arc;
 
 /// One swept candidate.
 #[derive(Debug, Clone)]
@@ -67,23 +68,7 @@ pub fn reduce_graph(
         }
     }
     let (labels, clusters) = uf.dense_labels();
-
-    let mut vweights = vec![0u64; clusters];
-    for v in 0..n {
-        vweights[labels[v] as usize] += graph.vertex_weight(v);
-    }
-    let mut edges = Vec::new();
-    for v in 0..n {
-        for (u, w) in graph.neighbors(v) {
-            if u > v {
-                let (cv, cu) = (labels[v], labels[u]);
-                if cv != cu {
-                    edges.push((cv, cu, w));
-                }
-            }
-        }
-    }
-    (WeightedGraph::from_edges(vweights, &edges), labels)
+    (graph.contract(&labels, clusters), labels)
 }
 
 /// Incrementally coarsened view of a graph along an ascending sweep of
@@ -104,8 +89,8 @@ pub struct SweepReducer {
     sorted_links: Vec<(f64, u32, u32)>,
     /// First entry of `sorted_links` not yet merged.
     next_link: usize,
-    /// The current reduced graph.
-    reduced: WeightedGraph,
+    /// The current reduced graph, shared with the sweep's batch jobs.
+    reduced: Arc<WeightedGraph>,
     /// Original vertex → current reduced-graph cluster.
     labels: Vec<u32>,
 }
@@ -124,7 +109,7 @@ impl SweepReducer {
         SweepReducer {
             sorted_links,
             next_link: 0,
-            reduced: graph.clone(),
+            reduced: Arc::new(graph.clone()),
             labels: (0..n as u32).collect(),
         }
     }
@@ -159,24 +144,7 @@ impl SweepReducer {
             return;
         }
         let (relabel, clusters) = uf.dense_labels();
-        let mut vweights = vec![0u64; clusters];
-        for v in 0..k {
-            vweights[relabel[v] as usize] += self.reduced.vertex_weight(v);
-        }
-        // One plain pass: even the first advances scan a few thousand
-        // short rows, less work than handing chunks to worker threads.
-        let mut edges: Vec<(u32, u32, u64)> = Vec::new();
-        for v in 0..k {
-            for (u, w) in self.reduced.neighbors(v) {
-                if u > v {
-                    let (cv, cu) = (relabel[v], relabel[u]);
-                    if cv != cu {
-                        edges.push((cv, cu, w));
-                    }
-                }
-            }
-        }
-        self.reduced = WeightedGraph::from_edges(vweights, &edges);
+        self.reduced = Arc::new(self.reduced.contract(&relabel, clusters));
         for l in self.labels.iter_mut() {
             *l = relabel[*l as usize];
         }
@@ -225,7 +193,7 @@ pub fn hierarchical_partition(
             (reducer.reduced().vertex_count() >= cfg.engines).then(|| {
                 (
                     tmll_ms,
-                    reducer.reduced().clone(),
+                    Arc::clone(&reducer.reduced),
                     reducer.labels().to_vec(),
                 )
             })
@@ -235,7 +203,8 @@ pub fn hierarchical_partition(
     let mut candidates = Vec::new();
     let mut best: Option<(Partition, f64, PartitionEvaluation)> = None;
     loop {
-        let batch: Vec<(f64, WeightedGraph, Vec<u32>)> = jobs.by_ref().take(batch_len).collect();
+        let batch: Vec<(f64, Arc<WeightedGraph>, Vec<u32>)> =
+            jobs.by_ref().take(batch_len).collect();
         if batch.is_empty() {
             break;
         }

@@ -64,25 +64,8 @@ pub fn coarsen_once(g: &WeightedGraph, rng: &mut impl Rng) -> CoarseLevel {
             next += 1;
         }
     }
-    let coarse_n = next as usize;
-
-    let mut vwgt = vec![0u64; coarse_n];
-    for v in 0..n {
-        vwgt[map[v] as usize] += g.vertex_weight(v);
-    }
-    let mut edges: Vec<(u32, u32, u64)> = Vec::with_capacity(g.edge_count());
-    for v in 0..n {
-        for (u, w) in g.neighbors(v) {
-            if u > v {
-                let (cv, cu) = (map[v], map[u]);
-                if cv != cu {
-                    edges.push((cv, cu, w));
-                }
-            }
-        }
-    }
     CoarseLevel {
-        graph: WeightedGraph::from_edges(vwgt, &edges),
+        graph: g.contract(&map, next as usize),
         map,
     }
 }

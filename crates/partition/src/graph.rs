@@ -84,6 +84,90 @@ impl WeightedGraph {
         }
     }
 
+    /// Contract the graph by `labels` (vertex → cluster, onto
+    /// `0..coarse_n`): cluster weights are member sums, arcs inside a
+    /// cluster vanish and parallel arcs between two clusters merge. The
+    /// result equals [`from_edges`](Self::from_edges) over the mapped
+    /// edge list, built by transposition instead: clusters are walked in
+    /// ascending order and each arc leaving cluster `c` for `c′` appends
+    /// `c` to row `c′`, so every row comes out ascending with duplicates
+    /// adjacent and merges in one pass, with no edge list and no sort.
+    ///
+    /// # Panics
+    /// Panics unless `labels` has one entry per vertex, each
+    /// `< coarse_n`.
+    pub fn contract(&self, labels: &[u32], coarse_n: usize) -> WeightedGraph {
+        let n = self.vertex_count();
+        assert_eq!(labels.len(), n, "one label per vertex");
+        // Counting sorts: the members of each cluster, and a slot range
+        // per coarse row as long as its members' degrees summed — room
+        // for every arc that can enter the cluster from outside, without
+        // a pass over the arcs to count them exactly.
+        let mut vwgt = vec![0u64; coarse_n];
+        let mut member_start = vec![0u32; coarse_n + 1];
+        let mut row_start = vec![0u32; coarse_n + 1];
+        for (v, &c) in labels.iter().enumerate() {
+            vwgt[c as usize] += self.vwgt[v];
+            member_start[c as usize + 1] += 1;
+            row_start[c as usize + 1] += self.xadj[v + 1] - self.xadj[v];
+        }
+        for c in 0..coarse_n {
+            member_start[c + 1] += member_start[c];
+            row_start[c + 1] += row_start[c];
+        }
+        let mut members = vec![0u32; n];
+        let mut cursor = member_start[..coarse_n].to_vec();
+        for (v, &c) in labels.iter().enumerate() {
+            members[cursor[c as usize] as usize] = v as u32;
+            cursor[c as usize] += 1;
+        }
+
+        let mut adjncy = vec![0u32; self.adjncy.len()];
+        let mut adjwgt = vec![0u64; self.adjncy.len()];
+        cursor.copy_from_slice(&row_start[..coarse_n]);
+        for c in 0..coarse_n {
+            for &v in &members[member_start[c] as usize..member_start[c + 1] as usize] {
+                for (u, w) in self.neighbors(v as usize) {
+                    let to = labels[u] as usize;
+                    if to != c {
+                        adjncy[cursor[to] as usize] = c as u32;
+                        adjwgt[cursor[to] as usize] = w;
+                        cursor[to] += 1;
+                    }
+                }
+            }
+        }
+
+        // Merge adjacent duplicates and close the gaps in place: the
+        // write index never passes the read index.
+        let mut xadj = Vec::with_capacity(coarse_n + 1);
+        xadj.push(0u32);
+        let mut out = 0usize;
+        for c in 0..coarse_n {
+            let row_begin = out;
+            for i in row_start[c] as usize..cursor[c] as usize {
+                if out > row_begin && adjncy[out - 1] == adjncy[i] {
+                    adjwgt[out - 1] += adjwgt[i];
+                } else {
+                    adjncy[out] = adjncy[i];
+                    adjwgt[out] = adjwgt[i];
+                    out += 1;
+                }
+            }
+            xadj.push(out as u32);
+        }
+        adjncy.truncate(out);
+        adjncy.shrink_to_fit();
+        adjwgt.truncate(out);
+        adjwgt.shrink_to_fit();
+        WeightedGraph {
+            xadj,
+            adjncy,
+            adjwgt,
+            vwgt,
+        }
+    }
+
     /// Number of vertices.
     #[inline]
     pub fn vertex_count(&self) -> usize {
@@ -239,6 +323,47 @@ mod tests {
                 prop_assert!(row.windows(2).all(|w| w[0] < w[1]), "row {} not ascending", v);
                 prop_assert!(!row.contains(&v), "self-loop kept at {}", v);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `contract` against `from_edges` over the mapped edge list, on
+        /// random multigraphs (isolated vertices included) and random
+        /// surjective labels: every cluster gets one vertex of a random
+        /// permutation, the rest land anywhere.
+        #[test]
+        fn contract_matches_from_edges_over_the_mapped_edges(
+            n in 1u32..24,
+            raw in proptest::collection::vec((0u32..24, 0u32..24, 1u64..1000), 0..160),
+            clusters in 1u32..24,
+            seed in any::<u64>(),
+        ) {
+            use rand::prelude::*;
+            let edges: Vec<(u32, u32, u64)> =
+                raw.iter().map(|&(u, v, w)| (u % n, v % n, w)).collect();
+            let g = WeightedGraph::from_edges((0..u64::from(n)).map(|v| v * 7 + 1).collect(), &edges);
+            let coarse_n = (clusters % n + 1) as usize;
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut order: Vec<usize> = (0..n as usize).collect();
+            order.shuffle(&mut rng);
+            let mut labels = vec![0u32; n as usize];
+            for (i, &v) in order.iter().enumerate() {
+                labels[v] = if i < coarse_n { i as u32 } else { rng.gen_range(0..coarse_n as u32) };
+            }
+
+            let mut vwgt = vec![0u64; coarse_n];
+            let mut mapped = Vec::new();
+            for v in 0..n as usize {
+                vwgt[labels[v] as usize] += g.vertex_weight(v);
+                for (u, w) in g.neighbors(v) {
+                    if u > v && labels[u] != labels[v] {
+                        mapped.push((labels[v], labels[u], w));
+                    }
+                }
+            }
+            prop_assert_eq!(g.contract(&labels, coarse_n), WeightedGraph::from_edges(vwgt, &mapped));
         }
     }
 

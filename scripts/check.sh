@@ -15,11 +15,11 @@
 #   scripts/check.sh          full gate (including the release-mode
 #                             mem_footprint --smoke run, the
 #                             fig03_load_variation, fig05_sync_cost,
-#                             fault_flap_study, checkpoint_study,
-#                             rebalance_study, scaling_study and
-#                             ablation_sync_cost runs at --scale tiny,
-#                             and the benchmark crate's own gate,
-#                             perf/check.sh)
+#                             suite (--repeats 1), fault_flap_study,
+#                             checkpoint_study, rebalance_study,
+#                             scaling_study and ablation_sync_cost runs
+#                             at --scale tiny, and the benchmark crate's
+#                             own gate, perf/check.sh)
 #   scripts/check.sh --fast   skip the release-mode runs
 #
 # The simulator's checks live in `cargo test`; the release-mode runs
@@ -91,6 +91,8 @@ if [ "$FAST" -eq 0 ]; then
         cargo run --release -q -p massf-bench --bin fig03_load_variation -- --scale tiny
     stage "fig05_sync_cost --scale tiny" \
         cargo run --release -q -p massf-bench --bin fig05_sync_cost -- --scale tiny
+    stage "suite --scale tiny --repeats 1" \
+        cargo run --release -q -p massf-bench --bin suite -- --scale tiny --repeats 1
     stage "fault_flap_study --scale tiny" \
         cargo run --release -q -p massf-bench --bin fault_flap_study -- --scale tiny
     stage "checkpoint_study --scale tiny" \
