@@ -6,7 +6,7 @@
 use massf_engine::SimTime;
 use massf_netsim::packet::segments_for;
 use massf_netsim::world::events_per_roundtrip;
-use massf_netsim::NetSimBuilder;
+use massf_netsim::{Agent, NetSimBuilder};
 use massf_routing::{CostMetric, FlatResolver};
 use massf_topology::{AsId, Network, NodeKind, Point};
 use std::sync::Arc;
@@ -46,19 +46,15 @@ impl FluidScaling {
             pairs.push((a, b));
         }
         let resolver = Arc::new(FlatResolver::new(&net, CostMetric::Latency));
-        let mut builder = NetSimBuilder::new(net, resolver);
         let total = self.groups * self.flows_per_group;
         let spacing = (START_WINDOW.as_ns() / total as u64).max(1);
+        let mut agent = Agent::new();
         for i in 0..total {
             let (a, b) = pairs[i % self.groups];
-            builder.add_fluid_flow(
-                SimTime(i as u64 * spacing),
-                a,
-                b,
-                self.bytes_per_flow,
-                0, // unbounded: bottleneck-limited
-            );
+            agent.inject_fluid(SimTime(i as u64 * spacing), a, b, self.bytes_per_flow);
         }
+        let mut builder = NetSimBuilder::new(net, resolver);
+        builder.add_agent(agent);
         builder
     }
 

@@ -17,7 +17,6 @@ use massf_engine::{
 use massf_faults::{FaultKind, FaultState};
 use massf_routing::PathResolver;
 use massf_topology::Network;
-use massf_topology::NodeId;
 use std::sync::Arc;
 
 /// Results of one simulation run.
@@ -97,31 +96,6 @@ impl NetSimBuilder {
         events: impl IntoIterator<Item = (SimTime, LpId, NetEvent)>,
     ) -> &mut Self {
         self.initial.extend(events);
-        self
-    }
-
-    /// Schedule one fluid background flow (see `crate::fluid`):
-    /// `bytes` from `src` to `dst` starting at `at`, demand capped at
-    /// `peak_bps` bits/s (`0` = bottleneck-limited). The event targets
-    /// the fluid coordinator LP directly.
-    pub fn add_fluid_flow(
-        &mut self,
-        at: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        peak_bps: u64,
-    ) -> &mut Self {
-        self.initial.push((
-            at,
-            LpId(FLUID_COORDINATOR.0),
-            NetEvent::FluidStart {
-                src,
-                dst,
-                bytes,
-                peak_bps,
-            },
-        ));
         self
     }
 

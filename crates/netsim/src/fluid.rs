@@ -127,18 +127,31 @@ pub struct FluidStats {
 }
 
 impl FluidStats {
-    /// Accumulate another partition's counters.
+    /// Accumulate another partition's counters. `other` is destructured
+    /// without `..`, so a counter missing here does not compile.
     pub fn merge(&mut self, other: &FluidStats) {
-        self.started += other.started;
-        self.completed += other.completed;
-        self.aborted += other.aborted;
-        self.rerouted += other.rerouted;
-        self.unroutable += other.unroutable;
-        self.rate_recomputes += other.rate_recomputes;
-        self.bottleneck_recomputes += other.bottleneck_recomputes;
-        self.finish_arms += other.finish_arms;
-        self.cap_updates += other.cap_updates;
-        self.packet_load_updates += other.packet_load_updates;
+        let FluidStats {
+            started,
+            completed,
+            aborted,
+            rerouted,
+            unroutable,
+            rate_recomputes,
+            bottleneck_recomputes,
+            finish_arms,
+            cap_updates,
+            packet_load_updates,
+        } = other;
+        self.started += started;
+        self.completed += completed;
+        self.aborted += aborted;
+        self.rerouted += rerouted;
+        self.unroutable += unroutable;
+        self.rate_recomputes += rate_recomputes;
+        self.bottleneck_recomputes += bottleneck_recomputes;
+        self.finish_arms += finish_arms;
+        self.cap_updates += cap_updates;
+        self.packet_load_updates += packet_load_updates;
     }
 }
 

@@ -41,7 +41,7 @@ pub use massf_faults::{FaultEvent, FaultKind, FaultScript, FaultState};
 pub use massf_routing::RouteCacheStats;
 pub use packet::{FlowId, Hop, NetEvent, Packet, PacketKind};
 pub use profiling::ProfileData;
-pub use tcp::{AbortReason, TcpSenderState, MAX_RETRIES};
+pub use tcp::{AbortReason, TcpReceiver, TcpSender, MAX_RETRIES};
 pub use world::{
     validate_net_event, AppLogic, FlowEntryState, NetWorld, NoApp, ReceiverEntryState, SharedNet,
     SimApi, TransportKind, WorldState, DEFAULT_ROUTE_CACHE_CAPACITY,

@@ -65,28 +65,42 @@ impl ProfileData {
         }
     }
 
-    /// Accumulate another shard's counters.
+    /// Accumulate another shard's counters. `other` is destructured
+    /// without `..`, so a counter missing here does not compile.
     ///
     /// # Panics
     /// Panics when sizes disagree.
     pub fn merge(&mut self, other: &ProfileData) {
-        assert_eq!(self.node_packets.len(), other.node_packets.len());
-        assert_eq!(self.link_packets.len(), other.link_packets.len());
-        for (a, b) in self.node_packets.iter_mut().zip(&other.node_packets) {
+        let ProfileData {
+            node_packets,
+            link_packets,
+            drops,
+            completed_flows,
+            completed_segments,
+            unroutable,
+            fault_drops,
+            aborted_flows,
+            fault_events,
+            route_cache,
+            fluid,
+        } = other;
+        assert_eq!(self.node_packets.len(), node_packets.len());
+        assert_eq!(self.link_packets.len(), link_packets.len());
+        for (a, b) in self.node_packets.iter_mut().zip(node_packets) {
             *a += b;
         }
-        for (a, b) in self.link_packets.iter_mut().zip(&other.link_packets) {
+        for (a, b) in self.link_packets.iter_mut().zip(link_packets) {
             *a += b;
         }
-        self.drops += other.drops;
-        self.completed_flows += other.completed_flows;
-        self.completed_segments += other.completed_segments;
-        self.unroutable += other.unroutable;
-        self.fault_drops += other.fault_drops;
-        self.aborted_flows += other.aborted_flows;
-        self.fault_events += other.fault_events;
-        self.route_cache.merge(&other.route_cache);
-        self.fluid.merge(&other.fluid);
+        self.drops += drops;
+        self.completed_flows += completed_flows;
+        self.completed_segments += completed_segments;
+        self.unroutable += unroutable;
+        self.fault_drops += fault_drops;
+        self.aborted_flows += aborted_flows;
+        self.fault_events += fault_events;
+        self.route_cache.merge(route_cache);
+        self.fluid.merge(fluid);
     }
 
     /// Total packets handled across all nodes.

@@ -63,8 +63,10 @@ impl std::fmt::Display for AbortReason {
     }
 }
 
-/// TCP sender for one flow.
-#[derive(Debug, Clone)]
+/// TCP sender for one flow. Every field is public so a checkpoint can
+/// carry the sender whole; [`TcpSender::validate`] checks one that
+/// comes back from a snapshot file.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TcpSender {
     /// Total segments to deliver.
     pub total_segments: u32,
@@ -89,10 +91,10 @@ pub struct TcpSender {
     pub timer_epoch: u32,
     /// Send time of the segment used for RTT sampling (Karn's rule: only
     /// never-retransmitted segments are sampled).
-    rtt_probe: Option<(u32, SimTime)>,
+    pub rtt_probe: Option<(u32, SimTime)>,
     /// True once a retransmission happened for the current `acked` value
     /// (suppresses RTT sampling per Karn).
-    retransmitted_low: bool,
+    pub retransmitted_low: bool,
     /// Consecutive retransmission timeouts with no forward progress.
     pub retries: u32,
     /// Retry budget; `retries` exceeding it aborts the flow.
@@ -100,47 +102,6 @@ pub struct TcpSender {
     /// Completed?
     pub done: bool,
     /// Gave up (retry budget exhausted)?
-    pub aborted: bool,
-}
-
-/// Complete serializable image of a [`TcpSender`], including the
-/// private Karn-sampling fields (`rtt_probe`, `retransmitted_low`)
-/// that do not appear on the public struct. Round-tripping through
-/// this state is exact: a restored sender behaves bit-identically to
-/// the original on every future event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TcpSenderState {
-    /// Total segments to deliver.
-    pub total_segments: u32,
-    /// Lowest unacknowledged segment.
-    pub acked: u32,
-    /// Next never-before-sent segment.
-    pub next_seq: u32,
-    /// Congestion window, segments.
-    pub cwnd: f64,
-    /// Slow-start threshold, segments.
-    pub ssthresh: f64,
-    /// Duplicate-ACK counter.
-    pub dup_acks: u32,
-    /// Smoothed RTT.
-    pub srtt: Option<SimTime>,
-    /// RTT variance estimate.
-    pub rttvar: SimTime,
-    /// Current RTO.
-    pub rto: SimTime,
-    /// Monotone timer epoch.
-    pub timer_epoch: u32,
-    /// Karn RTT probe: (segment, send time).
-    pub rtt_probe: Option<(u32, SimTime)>,
-    /// Karn suppression flag.
-    pub retransmitted_low: bool,
-    /// Consecutive timeouts with no forward progress.
-    pub retries: u32,
-    /// Retry budget.
-    pub max_retries: u32,
-    /// Completed?
-    pub done: bool,
-    /// Aborted?
     pub aborted: bool,
 }
 
@@ -174,68 +135,28 @@ impl TcpSender {
         }
     }
 
-    /// Export the complete sender state (private Karn-sampling fields
-    /// included) for checkpointing.
-    pub fn export_state(&self) -> TcpSenderState {
-        TcpSenderState {
-            total_segments: self.total_segments,
-            acked: self.acked,
-            next_seq: self.next_seq,
-            cwnd: self.cwnd,
-            ssthresh: self.ssthresh,
-            dup_acks: self.dup_acks,
-            srtt: self.srtt,
-            rttvar: self.rttvar,
-            rto: self.rto,
-            timer_epoch: self.timer_epoch,
-            rtt_probe: self.rtt_probe,
-            retransmitted_low: self.retransmitted_low,
-            retries: self.retries,
-            max_retries: self.max_retries,
-            done: self.done,
-            aborted: self.aborted,
-        }
-    }
-
-    /// Rebuild a sender from an exported state. The input may come from
-    /// a snapshot file, so the sequence-number and window invariants are
-    /// checked: violations yield `MassfError::SnapshotCorrupt` instead
-    /// of arithmetic underflow or a stuck flow later.
-    pub fn from_state(s: &TcpSenderState) -> Result<Self, MassfError> {
+    /// Check a sender read from a snapshot file: the sequence-number
+    /// and window invariants that, broken, would mean arithmetic
+    /// underflow or a stuck flow later. A violation is
+    /// `MassfError::SnapshotCorrupt` in section "tcp".
+    pub fn validate(&self) -> Result<(), MassfError> {
         let bad = |reason: String| MassfError::SnapshotCorrupt {
             section: "tcp".into(),
             reason,
         };
-        if s.acked > s.next_seq || s.next_seq > s.total_segments {
+        if self.acked > self.next_seq || self.next_seq > self.total_segments {
             return Err(bad(format!(
                 "sequence invariant violated: acked {} ≤ next_seq {} ≤ total {}",
-                s.acked, s.next_seq, s.total_segments
+                self.acked, self.next_seq, self.total_segments
             )));
         }
-        if !(s.cwnd.is_finite() && s.cwnd >= 1.0 && s.ssthresh.is_finite() && s.ssthresh >= 0.0) {
+        let (cwnd, ssthresh) = (self.cwnd, self.ssthresh);
+        if !(cwnd.is_finite() && cwnd >= 1.0 && ssthresh.is_finite() && ssthresh >= 0.0) {
             return Err(bad(format!(
-                "window invariant violated: cwnd {}, ssthresh {}",
-                s.cwnd, s.ssthresh
+                "window invariant violated: cwnd {cwnd}, ssthresh {ssthresh}"
             )));
         }
-        Ok(TcpSender {
-            total_segments: s.total_segments,
-            acked: s.acked,
-            next_seq: s.next_seq,
-            cwnd: s.cwnd,
-            ssthresh: s.ssthresh,
-            dup_acks: s.dup_acks,
-            srtt: s.srtt,
-            rttvar: s.rttvar,
-            rto: s.rto,
-            timer_epoch: s.timer_epoch,
-            rtt_probe: s.rtt_probe,
-            retransmitted_low: s.retransmitted_low,
-            retries: s.retries,
-            max_retries: s.max_retries,
-            done: s.done,
-            aborted: s.aborted,
-        })
+        Ok(())
     }
 
     /// Segments in flight.
@@ -366,7 +287,7 @@ impl TcpSender {
 }
 
 /// TCP receiver for one flow: cumulative-ACK machine.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TcpReceiver {
     /// Next expected segment.
     pub rcv_next: u32,
@@ -625,30 +546,9 @@ mod tests {
     }
 
     #[test]
-    fn sender_state_round_trip_is_exact() {
-        // Drive a sender through a loss episode so every field (Karn
-        // probe, backoff, dup-ack counter) is in a non-default state,
-        // then check restore-equivalence on future behavior.
-        let mut s = TcpSender::with_retries(100_000, 9);
-        drain(&mut s, SimTime::ZERO);
-        let mut out = Vec::new();
-        s.on_ack(1, SimTime::from_ms(30), &mut out);
-        s.on_timeout(&mut out);
-        let state = s.export_state();
-        let mut restored = TcpSender::from_state(&state).expect("valid state");
-        assert_eq!(restored.export_state(), state, "export is idempotent");
-        assert_eq!(restored.max_retries, 9);
-        // Identical future behavior.
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        s.on_ack(3, SimTime::from_ms(95), &mut a);
-        restored.on_ack(3, SimTime::from_ms(95), &mut b);
-        assert_eq!(a, b);
-        assert_eq!(s.export_state(), restored.export_state());
-    }
-
-    #[test]
     fn hostile_sender_states_are_rejected() {
-        let good = TcpSender::new(100_000).export_state();
+        let good = TcpSender::new(100_000);
+        good.validate().expect("a fresh sender is valid");
         let mut acked_past_sent = good.clone();
         acked_past_sent.acked = 5;
         let mut sent_past_total = good.clone();
@@ -658,7 +558,7 @@ mod tests {
         let mut zero_window = good;
         zero_window.cwnd = 0.5;
         for bad in [acked_past_sent, sent_past_total, nan_window, zero_window] {
-            match TcpSender::from_state(&bad) {
+            match bad.validate() {
                 Err(MassfError::SnapshotCorrupt { section, .. }) => {
                     assert_eq!(section, "tcp");
                 }

@@ -8,7 +8,7 @@ use super::{AppLogic, NetWorld};
 use crate::fluid::{FluidCoupling, FluidState, FluidWorldState, FLUID_COORDINATOR};
 use crate::packet::{FlowId, Hop, NetEvent};
 use crate::profiling::ProfileData;
-use crate::tcp::{TcpSender, TcpSenderState};
+use crate::tcp::{TcpReceiver, TcpSender};
 use massf_engine::{LpId, SimTime};
 use massf_faults::FaultKind;
 use massf_routing::{RouteCache, RouteCacheShardState, RouteCacheState};
@@ -21,7 +21,7 @@ pub struct FlowEntryState {
     /// Flow id; encodes the owning source host and its per-host counter.
     pub flow: FlowId,
     /// Complete TCP sender state machine.
-    pub sender: TcpSenderState,
+    pub sender: TcpSender,
     /// The flow's resolved forward path.
     pub path: Vec<NodeId>,
     /// Flow destination.
@@ -39,10 +39,8 @@ pub struct ReceiverEntryState {
     pub node: NodeId,
     /// The flow being received.
     pub flow: FlowId,
-    /// Next expected segment.
-    pub rcv_next: u32,
-    /// Total data segments seen.
-    pub segments_seen: u64,
+    /// Its cumulative-ACK machine.
+    pub receiver: TcpReceiver,
 }
 
 /// Canonical image of all mutable [`NetWorld`] state, independent of the
@@ -417,7 +415,7 @@ impl<A: AppLogic> NetWorld<A> {
                 let cold = &s.flows.cold[slot as usize];
                 flows.push(FlowEntryState {
                     flow: FlowId::new(NodeId(node as u32), counter),
-                    sender: s.flows.hot[slot as usize].export_state(),
+                    sender: s.flows.hot[slot as usize].clone(),
                     path: cold.path.iter().map(|h| h.node).collect(),
                     dst: cold.dst,
                     armed_epoch: cold.armed_epoch,
@@ -431,12 +429,10 @@ impl<A: AppLogic> NetWorld<A> {
         let mut receivers = Vec::new();
         for (node, index) in s.receivers.by_node.iter().enumerate() {
             for &(flow, slot) in index {
-                let r = &s.receivers.state[slot as usize];
                 receivers.push(ReceiverEntryState {
                     node: NodeId(node as u32),
                     flow,
-                    rcv_next: r.rcv_next,
-                    segments_seen: r.segments_seen,
+                    receiver: s.receivers.state[slot as usize],
                 });
             }
         }
@@ -616,15 +612,15 @@ impl<A: AppLogic> NetWorld<A> {
                     src.0, f.dst.0
                 )));
             }
-            let sender = TcpSender::from_state(&f.sender)?;
-            if sender.done || sender.aborted {
+            f.sender.validate()?;
+            if f.sender.done || f.sender.aborted {
                 return Err(bad("finished flow serialized as live".into()));
             }
             if owned(src) {
                 flows.insert(
                     src,
                     f.flow,
-                    sender,
+                    f.sender.clone(),
                     FlowCold {
                         path,
                         dst: f.dst,
@@ -646,9 +642,7 @@ impl<A: AppLogic> NetWorld<A> {
                 return Err(bad(format!("receiver at unknown node {}", r.node.0)));
             }
             if owned(r.node) {
-                let entry = receivers.entry(r.node, r.flow);
-                entry.rcv_next = r.rcv_next;
-                entry.segments_seen = r.segments_seen;
+                *receivers.entry(r.node, r.flow) = r.receiver;
             }
         }
 

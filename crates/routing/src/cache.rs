@@ -50,11 +50,17 @@ pub struct RouteCacheStats {
 }
 
 impl RouteCacheStats {
-    /// Accumulate another shard's counters.
+    /// Accumulate another shard's counters. `other` is destructured
+    /// without `..`, so a counter missing here does not compile.
     pub fn merge(&mut self, other: &RouteCacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
+        let RouteCacheStats {
+            hits,
+            misses,
+            evictions,
+        } = other;
+        self.hits += hits;
+        self.misses += misses;
+        self.evictions += evictions;
     }
 
     /// Hits / (hits + misses), or 0 when nothing was queried.

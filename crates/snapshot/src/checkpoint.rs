@@ -30,9 +30,10 @@ use crate::format::{
 };
 use crate::rebalance::{RebalanceOutcome, RebalanceSessionState};
 use crate::wire::{fnv1a64, ByteReader, ByteWriter, Wire};
+use crate::wire_struct;
 use massf_engine::{
     external_tag, run_sequential_resumable, seed_events, try_run_parallel_resumable, EventRecord,
-    LpId, ResumeState, SimTime, EXTERNAL_SOURCE,
+    LpId, ResumeState, SimTime,
 };
 use massf_netsim::{
     validate_net_event, NetEvent, NetWorld, NoApp, ProfileData, SharedNet, WorldState,
@@ -123,19 +124,43 @@ fn decode_section<T: Wire>(section: &Section) -> Result<T, MassfError> {
     Ok(value)
 }
 
+/// The META section: what ties a session to its scenario and its
+/// place in the run.
+pub(crate) struct Meta {
+    pub(crate) fingerprint: u64,
+    /// Virtual time the session has executed up to.
+    now: SimTime,
+    /// Next tag position for externally injected (branch-suffix) events;
+    /// starts after the initial events so injected tags never collide.
+    next_external: u32,
+}
+
+wire_struct!(Meta {
+    fingerprint,
+    now,
+    next_external
+});
+
+/// The STATS section: events executed across all segments so far, in
+/// total and per LP.
+#[derive(Clone)]
+struct Stats {
+    total_events: u64,
+    lp_events: Vec<u64>,
+}
+
+wire_struct!(Stats {
+    total_events,
+    lp_events
+});
+
 /// A checkpointable simulation: world + frontier + segment bookkeeping.
 pub struct Session {
     pub(crate) shared: Arc<SharedNet>,
-    pub(crate) fingerprint: u64,
-    /// Virtual time the session has executed up to.
-    pub(crate) now: SimTime,
-    /// Next tag position for externally injected (branch-suffix) events;
-    /// starts after the initial events so injected tags never collide.
-    pub(crate) next_external: u32,
+    pub(crate) meta: Meta,
     pub(crate) resume: ResumeState<NetEvent>,
     pub(crate) world: WorldState,
-    pub(crate) total_events: u64,
-    pub(crate) lp_events: Vec<u64>,
+    stats: Stats,
     /// Online-rebalancer state; `Some` iff the session was created with
     /// [`Session::new_rebalancing`]. Such sessions advance through
     /// [`Session::run_rebalancing`] only.
@@ -145,12 +170,15 @@ pub struct Session {
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
-            .field("fingerprint", &format_args!("{:#018x}", self.fingerprint))
-            .field("now_ns", &self.now.as_ns())
-            .field("next_external", &self.next_external)
+            .field(
+                "fingerprint",
+                &format_args!("{:#018x}", self.meta.fingerprint),
+            )
+            .field("now_ns", &self.meta.now.as_ns())
+            .field("next_external", &self.meta.next_external)
             .field("frontier_events", &self.resume.events.len())
             .field("live_flows", &self.world.flows.len())
-            .field("total_events", &self.total_events)
+            .field("total_events", &self.stats.total_events)
             .finish_non_exhaustive()
     }
 }
@@ -166,9 +194,11 @@ impl Session {
         max_retries: u32,
     ) -> Self {
         let lp_count = shared.lp_count();
-        let fingerprint =
-            scenario_fingerprint(&shared, &initial, route_cache_capacity, max_retries);
-        let next_external = initial.len() as u32;
+        let meta = Meta {
+            fingerprint: scenario_fingerprint(&shared, &initial, route_cache_capacity, max_retries),
+            now: SimTime::ZERO,
+            next_external: initial.len() as u32,
+        };
         let mut events = seed_events(initial);
         // seed_events returns injection order; the frontier contract is
         // (time, tag) order. External tags are positional, so the sort
@@ -178,16 +208,16 @@ impl Session {
             .export_state();
         Session {
             shared,
-            fingerprint,
-            now: SimTime::ZERO,
-            next_external,
+            meta,
             resume: ResumeState {
                 events,
                 counters: vec![0; lp_count],
             },
             world,
-            total_events: 0,
-            lp_events: vec![0; lp_count],
+            stats: Stats {
+                total_events: 0,
+                lp_events: vec![0; lp_count],
+            },
             rebalance: None,
         }
     }
@@ -229,10 +259,10 @@ impl Session {
         end: SimTime,
         mut cut: Option<Cut>,
     ) -> Result<RebalanceOutcome, MassfError> {
-        if end < self.now {
+        if end < self.meta.now {
             return Err(MassfError::InvalidConfig(format!(
                 "cannot run backwards: session is at {} ns, requested end {} ns",
-                self.now.as_ns(),
+                self.meta.now.as_ns(),
                 end.as_ns()
             )));
         }
@@ -246,13 +276,12 @@ impl Session {
         let mut run = RunState {
             resume: None,
             world: None,
-            total_events: self.total_events,
-            lp_events: self.lp_events.clone(),
+            stats: self.stats.clone(),
             rebalance: self.rebalance.clone(),
             outcome: RebalanceOutcome::default(),
         };
         let mut worlds: Option<Vec<NetWorld<NoApp>>> = None;
-        let mut now = self.now;
+        let mut now = self.meta.now;
         while now < end {
             let boundary = run
                 .rebalance
@@ -298,8 +327,8 @@ impl Session {
                 };
                 worlds = Some(current);
                 run.resume = Some(frontier);
-                run.total_events += stats.total_events;
-                for (acc, n) in run.lp_events.iter_mut().zip(&stats.lp_events) {
+                run.stats.total_events += stats.total_events;
+                for (acc, n) in run.stats.lp_events.iter_mut().zip(&stats.lp_events) {
                     *acc += n;
                 }
                 if let Some(rb) = &mut run.rebalance {
@@ -349,15 +378,14 @@ impl Session {
             run.outcome.rebalances = after.counters.rebalances - before.counters.rebalances;
             run.outcome.migrations = after.counters.migrations - before.counters.migrations;
         }
-        self.now = end;
+        self.meta.now = end;
         if let Some(resume) = run.resume {
             self.resume = resume;
         }
         if let Some(world) = run.world {
             self.world = world;
         }
-        self.total_events = run.total_events;
-        self.lp_events = run.lp_events;
+        self.stats = run.stats;
         self.rebalance = run.rebalance;
         Ok(run.outcome)
     }
@@ -366,17 +394,10 @@ impl Session {
     /// container.
     pub fn encode(&self) -> Vec<u8> {
         let mut sections = vec![
-            section(SECTION_META, |w| {
-                self.fingerprint.put(w);
-                self.now.put(w);
-                self.next_external.put(w);
-            }),
+            section(SECTION_META, |w| self.meta.put(w)),
             section(SECTION_ENGINE, |w| self.resume.put(w)),
             section(SECTION_WORLD, |w| self.world.put(w)),
-            section(SECTION_STATS, |w| {
-                self.total_events.put(w);
-                self.lp_events.put(w);
-            }),
+            section(SECTION_STATS, |w| self.stats.put(w)),
         ];
         if let Some(rb) = &self.rebalance {
             sections.push(section(SECTION_REBALANCE, |w| rb.put(w)));
@@ -406,12 +427,12 @@ impl Session {
         let lp_count = shared.lp_count();
         let sections = format::decode_container(bytes)?;
 
-        let ((fingerprint, now), next_external): ((u64, SimTime), u32) =
-            decode_section(format::require_section(&sections, SECTION_META)?)?;
-        if fingerprint != expected_fingerprint {
+        let meta: Meta = decode_section(format::require_section(&sections, SECTION_META)?)?;
+        if meta.fingerprint != expected_fingerprint {
             return Err(MassfError::InvalidConfig(format!(
-                "snapshot fingerprint {fingerprint:#018x} does not match scenario \
-                 {expected_fingerprint:#018x}: wrong topology, script, traffic, or tuning"
+                "snapshot fingerprint {:#018x} does not match scenario \
+                 {expected_fingerprint:#018x}: wrong topology, script, traffic, or tuning",
+                meta.fingerprint
             )));
         }
 
@@ -425,24 +446,25 @@ impl Session {
             .validate(lp_count)
             .map_err(|e| corrupt("engine", e.to_string()))?;
         for ev in &mut resume.events {
-            if ev.time < now {
+            if ev.time < meta.now {
                 return Err(corrupt(
                     "engine",
                     format!(
                         "frontier event at {} ns predates the checkpoint time {} ns",
                         ev.time.as_ns(),
-                        now.as_ns()
+                        meta.now.as_ns()
                     ),
                 ));
             }
-            let source = (ev.tag >> 32) as u32;
-            let counter = (ev.tag & 0xFFFF_FFFF) as u32;
-            if source == EXTERNAL_SOURCE && counter >= next_external {
+            // External tags are the top of the tag space, in position
+            // order: at or past the next one is a position never issued.
+            if ev.tag >= external_tag(meta.next_external) {
                 return Err(corrupt(
                     "engine",
                     format!(
-                        "frontier event claims external position {counter}, \
-                         only {next_external} were issued"
+                        "frontier event tag {:#x} claims an external position \
+                         at or past {}, the next to be issued",
+                        ev.tag, meta.next_external
                     ),
                 ));
             }
@@ -454,14 +476,13 @@ impl Session {
         // rather than at first use.
         NetWorld::restore(shared.clone(), NoApp, &world)?;
 
-        let (total_events, lp_events): (u64, Vec<u64>) =
-            decode_section(format::require_section(&sections, SECTION_STATS)?)?;
-        if lp_events.len() != lp_count {
+        let stats: Stats = decode_section(format::require_section(&sections, SECTION_STATS)?)?;
+        if stats.lp_events.len() != lp_count {
             return Err(corrupt(
                 "stats",
                 format!(
                     "per-LP counters cover {} LPs, network has {lp_count}",
-                    lp_events.len()
+                    stats.lp_events.len()
                 ),
             ));
         }
@@ -478,13 +499,10 @@ impl Session {
 
         Ok(Session {
             shared,
-            fingerprint,
-            now,
-            next_external,
+            meta,
             resume,
             world,
-            total_events,
-            lp_events,
+            stats,
             rebalance,
         })
     }
@@ -527,17 +545,17 @@ impl Session {
             )));
         }
         let mut events = self.resume.events.clone();
-        let mut next_external = self.next_external;
+        let mut next_external = self.meta.next_external;
         // The branch is a different scenario; derive a fingerprint from
         // the base plus everything that diverges (suffix + script).
         let mut fp = ByteWriter::new();
-        self.fingerprint.put(&mut fp);
+        self.meta.fingerprint.put(&mut fp);
         for (at, lp, mut ev) in suffix {
-            if at < self.now {
+            if at < self.meta.now {
                 return Err(MassfError::InvalidConfig(format!(
                     "branch event at {} ns predates the checkpoint time {} ns",
                     at.as_ns(),
-                    self.now.as_ns()
+                    self.meta.now.as_ns()
                 )));
             }
             validate_net_event(&shared, lp, &mut ev)?;
@@ -556,16 +574,17 @@ impl Session {
         write_fault_script(&mut fp, &shared);
         Ok(Session {
             shared,
-            fingerprint: fnv1a64(&fp.into_inner()),
-            now: self.now,
-            next_external,
+            meta: Meta {
+                fingerprint: fnv1a64(&fp.into_inner()),
+                now: self.meta.now,
+                next_external,
+            },
             resume: ResumeState {
                 events,
                 counters: self.resume.counters.clone(),
             },
             world: self.world.clone(),
-            total_events: self.total_events,
-            lp_events: self.lp_events.clone(),
+            stats: self.stats.clone(),
             // A branch of a rebalancing session keeps rebalancing: the
             // live assignment and partial-epoch loads carry over, so the
             // branch's decision trajectory matches the trunk's up to the
@@ -576,12 +595,12 @@ impl Session {
 
     /// Virtual time the session has executed up to.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.meta.now
     }
 
     /// The scenario fingerprint this session's snapshots carry.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.meta.fingerprint
     }
 
     /// The shared network handle the session runs over.
@@ -606,12 +625,12 @@ impl Session {
 
     /// Events executed across all segments so far.
     pub fn total_events(&self) -> u64 {
-        self.total_events
+        self.stats.total_events
     }
 
     /// Per-LP event counts across all segments so far.
     pub fn lp_events(&self) -> &[u64] {
-        &self.lp_events
+        &self.stats.lp_events
     }
 }
 
@@ -629,8 +648,7 @@ pub(crate) struct Cut {
 struct RunState {
     resume: Option<ResumeState<NetEvent>>,
     world: Option<WorldState>,
-    total_events: u64,
-    lp_events: Vec<u64>,
+    stats: Stats,
     rebalance: Option<RebalanceSessionState>,
     outcome: RebalanceOutcome,
 }

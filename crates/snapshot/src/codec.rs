@@ -1,11 +1,11 @@
 //! [`Wire`] impls for the simulation state a snapshot carries.
 //!
-//! Every struct is one [`wire_struct!`](crate::wire_struct) field list
-//! in wire order, so its encoder and decoder cannot disagree: a field
-//! added to or removed from the struct without the list does not
-//! compile. The three enums keep hand-written tag matches; the encode
-//! `match` is exhaustive, so a new variant does not compile either
-//! until it has a tag.
+//! Every type is one list in wire order, so its encoder and decoder
+//! cannot disagree: a struct is a [`wire_struct!`](crate::wire_struct)
+//! field list, and an enum a [`wire_enum!`](crate::wire_enum) table of
+//! tags and variants. A field or variant added to or removed from the
+//! type without its list does not compile. Only [`Hop`] is written by
+//! hand: it travels as its node alone.
 //!
 //! Decoding here is *structural* only (see [`crate::wire`]); the state
 //! is checked *semantically* where it is installed
@@ -18,11 +18,11 @@
 
 use crate::rebalance::{RebalancePolicy, RebalanceSessionState};
 use crate::wire::{ByteReader, ByteWriter, Wire};
-use crate::wire_struct;
+use crate::{wire_enum, wire_struct};
 use massf_engine::{EventRecord, RebalanceConfig, RebalanceCounters, ResumeState};
 use massf_netsim::{
     FaultKind, FlowEntryState, FluidFlowEntryState, FluidStats, FluidWorldState, Hop, NetEvent,
-    Packet, PacketKind, ProfileData, ReceiverEntryState, TcpSenderState, WorldState,
+    Packet, PacketKind, ProfileData, ReceiverEntryState, TcpReceiver, TcpSender, WorldState,
 };
 use massf_routing::{RouteCacheEntryState, RouteCacheShardState, RouteCacheState, RouteCacheStats};
 use massf_topology::{MassfError, NodeId};
@@ -51,7 +51,7 @@ wire_struct!(FlowEntryState {
     unroutable
 });
 
-wire_struct!(TcpSenderState {
+wire_struct!(TcpSender {
     total_segments,
     acked,
     next_seq,
@@ -73,6 +73,10 @@ wire_struct!(TcpSenderState {
 wire_struct!(ReceiverEntryState {
     node,
     flow,
+    receiver
+});
+
+wire_struct!(TcpReceiver {
     rcv_next,
     segments_seen
 });
@@ -195,141 +199,36 @@ impl Wire for Hop {
     }
 }
 
-/// Writes a variant's tag byte, then its fields in order.
-macro_rules! tagged {
-    ($w:ident, $tag:literal $(, $field:ident)*) => {{
-        u8::put(&$tag, $w);
-        $(Wire::put($field, $w);)*
-    }};
-}
+wire_enum!(PacketKind, "packet kind", MIN_BYTES = 1, {
+    0 => Data,
+    1 => Ack,
+    2 => Datagram,
+});
 
-impl Wire for PacketKind {
-    const MIN_BYTES: usize = 1;
+// Tag + one 4-byte id (or two 2-byte AS numbers).
+wire_enum!(FaultKind, "fault kind", MIN_BYTES = 5, {
+    0 => LinkDown(link),
+    1 => LinkUp(link),
+    2 => RouterCrash(node),
+    3 => RouterRecover(node),
+    4 => AsAdjacencyFail { as_a, as_b },
+    5 => AsAdjacencyRestore { as_a, as_b },
+});
 
-    fn put(&self, w: &mut ByteWriter) {
-        match self {
-            PacketKind::Data => tagged!(w, 0),
-            PacketKind::Ack => tagged!(w, 1),
-            PacketKind::Datagram => tagged!(w, 2),
-        }
-    }
-
-    fn get(r: &mut ByteReader) -> Result<Self, MassfError> {
-        Ok(match u8::get(r)? {
-            0 => PacketKind::Data,
-            1 => PacketKind::Ack,
-            2 => PacketKind::Datagram,
-            other => return Err(r.corrupt(format!("unknown packet kind {other}"))),
-        })
-    }
-}
-
-impl Wire for FaultKind {
-    /// Tag + one 4-byte id (or two 2-byte AS numbers).
-    const MIN_BYTES: usize = 5;
-
-    fn put(&self, w: &mut ByteWriter) {
-        match self {
-            FaultKind::LinkDown(l) => tagged!(w, 0, l),
-            FaultKind::LinkUp(l) => tagged!(w, 1, l),
-            FaultKind::RouterCrash(n) => tagged!(w, 2, n),
-            FaultKind::RouterRecover(n) => tagged!(w, 3, n),
-            FaultKind::AsAdjacencyFail { as_a, as_b } => tagged!(w, 4, as_a, as_b),
-            FaultKind::AsAdjacencyRestore { as_a, as_b } => tagged!(w, 5, as_a, as_b),
-        }
-    }
-
-    fn get(r: &mut ByteReader) -> Result<Self, MassfError> {
-        Ok(match u8::get(r)? {
-            0 => FaultKind::LinkDown(Wire::get(r)?),
-            1 => FaultKind::LinkUp(Wire::get(r)?),
-            2 => FaultKind::RouterCrash(Wire::get(r)?),
-            3 => FaultKind::RouterRecover(Wire::get(r)?),
-            4 => FaultKind::AsAdjacencyFail {
-                as_a: Wire::get(r)?,
-                as_b: Wire::get(r)?,
-            },
-            5 => FaultKind::AsAdjacencyRestore {
-                as_a: Wire::get(r)?,
-                as_b: Wire::get(r)?,
-            },
-            other => return Err(r.corrupt(format!("unknown fault kind {other}"))),
-        })
-    }
-}
-
-impl Wire for NetEvent {
-    /// The smallest variants are the two fault events: tag + fault.
-    const MIN_BYTES: usize = 1 + FaultKind::MIN_BYTES;
-
-    fn put(&self, w: &mut ByteWriter) {
-        match self {
-            NetEvent::Arrive(p) => tagged!(w, 0, p),
-            NetEvent::RtoTimer { flow, epoch } => tagged!(w, 1, flow, epoch),
-            NetEvent::AppTimer { token } => tagged!(w, 2, token),
-            NetEvent::StartFlow { dst, bytes } => tagged!(w, 3, dst, bytes),
-            NetEvent::SendDatagram { dst, bytes, meta } => tagged!(w, 4, dst, bytes, meta),
-            NetEvent::Fault { kind } => tagged!(w, 5, kind),
-            NetEvent::FluidStart {
-                src,
-                dst,
-                bytes,
-                peak_bps,
-            } => tagged!(w, 6, src, dst, bytes, peak_bps),
-            NetEvent::FluidFinish { flow, epoch } => tagged!(w, 7, flow, epoch),
-            NetEvent::FluidFault { kind } => tagged!(w, 8, kind),
-            NetEvent::FluidCapUpdate { slot, fluid_bps } => tagged!(w, 9, slot, fluid_bps),
-            NetEvent::FluidPacketLoad { slot, bps } => tagged!(w, 10, slot, bps),
-        }
-    }
-
-    fn get(r: &mut ByteReader) -> Result<Self, MassfError> {
-        Ok(match u8::get(r)? {
-            0 => NetEvent::Arrive(Wire::get(r)?),
-            1 => NetEvent::RtoTimer {
-                flow: Wire::get(r)?,
-                epoch: Wire::get(r)?,
-            },
-            2 => NetEvent::AppTimer {
-                token: Wire::get(r)?,
-            },
-            3 => NetEvent::StartFlow {
-                dst: Wire::get(r)?,
-                bytes: Wire::get(r)?,
-            },
-            4 => NetEvent::SendDatagram {
-                dst: Wire::get(r)?,
-                bytes: Wire::get(r)?,
-                meta: Wire::get(r)?,
-            },
-            5 => NetEvent::Fault {
-                kind: Wire::get(r)?,
-            },
-            6 => NetEvent::FluidStart {
-                src: Wire::get(r)?,
-                dst: Wire::get(r)?,
-                bytes: Wire::get(r)?,
-                peak_bps: Wire::get(r)?,
-            },
-            7 => NetEvent::FluidFinish {
-                flow: Wire::get(r)?,
-                epoch: Wire::get(r)?,
-            },
-            8 => NetEvent::FluidFault {
-                kind: Wire::get(r)?,
-            },
-            9 => NetEvent::FluidCapUpdate {
-                slot: Wire::get(r)?,
-                fluid_bps: Wire::get(r)?,
-            },
-            10 => NetEvent::FluidPacketLoad {
-                slot: Wire::get(r)?,
-                bps: Wire::get(r)?,
-            },
-            other => return Err(r.corrupt(format!("unknown event kind {other}"))),
-        })
-    }
-}
+// The smallest variants are the two fault events: tag + fault.
+wire_enum!(NetEvent, "event kind", MIN_BYTES = 1 + FaultKind::MIN_BYTES, {
+    0 => Arrive(packet),
+    1 => RtoTimer { flow, epoch },
+    2 => AppTimer { token },
+    3 => StartFlow { dst, bytes },
+    4 => SendDatagram { dst, bytes, meta },
+    5 => Fault { kind },
+    6 => FluidStart { src, dst, bytes, peak_bps },
+    7 => FluidFinish { flow, epoch },
+    8 => FluidFault { kind },
+    9 => FluidCapUpdate { slot, fluid_bps },
+    10 => FluidPacketLoad { slot, bps },
+});
 
 #[cfg(test)]
 mod tests {
@@ -433,6 +332,31 @@ mod tests {
             // renderings, which print every field.
             assert_eq!(format!("{back:?}"), format!("{ev:?}"));
         }
+    }
+
+    #[test]
+    fn tcp_sender_round_trip_is_exact() {
+        // A loss episode takes every field out of its default: an RTT
+        // probe in flight after the first ACK, backoff and Karn
+        // suppression after the timeout.
+        let mut s = TcpSender::with_retries(100_000, 9);
+        let mut out = Vec::new();
+        s.open(SimTime::ZERO, &mut out);
+        s.on_ack(1, SimTime::from_ms(30), &mut out);
+        let mut restored = round_trip(&s);
+        assert!(restored.rtt_probe.is_some());
+        assert_eq!(restored, s);
+        s.on_timeout(&mut out);
+        restored.on_timeout(&mut out);
+        restored = round_trip(&restored);
+        assert!(restored.retransmitted_low);
+        assert_eq!(restored, s);
+        // Identical future behaviour.
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        s.on_ack(3, SimTime::from_ms(95), &mut a);
+        restored.on_ack(3, SimTime::from_ms(95), &mut b);
+        assert_eq!(a, b);
+        assert_eq!(restored, s);
     }
 
     #[test]

@@ -283,8 +283,8 @@ impl Session {
         };
         state.validate(lp_count)?;
         let mut session = Session::new(shared, initial, route_cache_capacity, max_retries);
-        session.fingerprint =
-            rebalancing_fingerprint(session.fingerprint, &policy, &state.assignment);
+        session.meta.fingerprint =
+            rebalancing_fingerprint(session.meta.fingerprint, &policy, &state.assignment);
         session.rebalance = Some(state);
         Ok(session)
     }

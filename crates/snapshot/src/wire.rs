@@ -11,7 +11,8 @@
 //!
 //! A type has one encoding, its [`Wire`] impl: scalars, ids and
 //! containers here, structs through [`wire_struct!`](crate::wire_struct)
-//! from one field list, enums by hand in the crate's codec module.
+//! from one field list, enums through [`wire_enum!`](crate::wire_enum)
+//! from one variant table.
 //! Decoding validates *structure* only — bounds, sequence counts that
 //! fit the remaining bytes, known tags, flag bytes strictly 0/1.
 //! *Semantic* validation (path adjacency, issued flow ids, TCP
@@ -425,6 +426,85 @@ macro_rules! wire_struct {
                 r: &mut $crate::wire::ByteReader,
             ) -> Result<Self, $crate::wire::MassfError> {
                 Ok(Self { $($field: $crate::wire::Wire::get(r)?),+ })
+            }
+        }
+    };
+}
+
+/// Implements [`Wire`] for an enum from one table of its variants: a
+/// `u8` tag, then the variant's fields in the order listed.
+///
+/// `put` is one exhaustive `match`, so a variant missing from the table
+/// does not compile (E0004). `get` reads the tag once and matches the
+/// same literals, so a repeated tag is an unreachable pattern, which
+/// the workspace's `-D warnings` refuses; any other tag is
+/// [`ByteReader::corrupt`] "unknown `what` `tag`". `MIN_BYTES` is given
+/// by hand, since it is the smallest variant's size.
+///
+/// ```
+/// use massf_snapshot::wire::{ByteReader, ByteWriter, Wire};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Signal { Stop, Go(u32), Turn { left: bool, degrees: u16 } }
+/// massf_snapshot::wire_enum!(Signal, "signal", MIN_BYTES = 1, {
+///     0 => Stop,
+///     1 => Go(speed),
+///     2 => Turn { left, degrees },
+/// });
+///
+/// let mut w = ByteWriter::new();
+/// Signal::Turn { left: true, degrees: 90 }.put(&mut w);
+/// assert_eq!(w.into_inner(), [2, 1, 90, 0]);
+/// let mut r = ByteReader::new(&[1, 7, 0, 0, 0, 3], "signal");
+/// assert_eq!(Signal::get(&mut r).expect("decodes"), Signal::Go(7));
+/// assert!(Signal::get(&mut r).is_err(), "tag 3 is unknown");
+/// ```
+///
+/// A variant missing from the table:
+///
+/// ```compile_fail,E0004
+/// enum Signal { Stop, Go(u32) }
+/// massf_snapshot::wire_enum!(Signal, "signal", MIN_BYTES = 1, { 0 => Stop });
+/// ```
+///
+/// A tag given twice:
+///
+/// ```compile_fail
+/// #![deny(unreachable_patterns)]
+/// enum Signal { Stop, Go(u32) }
+/// massf_snapshot::wire_enum!(Signal, "signal", MIN_BYTES = 1, { 0 => Stop, 0 => Go(speed) });
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ty, $what:literal, MIN_BYTES = $min:expr, {
+        $($tag:literal => $variant:ident
+            $(( $($item:ident),+ ))?
+            $({ $($field:ident),+ })?),+ $(,)?
+    }) => {
+        impl $crate::wire::Wire for $ty {
+            const MIN_BYTES: usize = $min;
+
+            fn put(&self, w: &mut $crate::wire::ByteWriter) {
+                match self {
+                    $(Self::$variant $(( $($item),+ ))? $({ $($field),+ })? => {
+                        $crate::wire::Wire::put(&($tag as u8), w);
+                        $($($crate::wire::Wire::put($item, w);)+)?
+                        $($($crate::wire::Wire::put($field, w);)+)?
+                    })+
+                }
+            }
+
+            fn get(
+                r: &mut $crate::wire::ByteReader,
+            ) -> Result<Self, $crate::wire::MassfError> {
+                Ok(match <u8 as $crate::wire::Wire>::get(r)? {
+                    $($tag => {
+                        $($(let $item = $crate::wire::Wire::get(r)?;)+)?
+                        $($(let $field = $crate::wire::Wire::get(r)?;)+)?
+                        Self::$variant $(( $($item),+ ))? $({ $($field),+ })?
+                    })+
+                    tag => return Err(r.corrupt(format!("unknown {} {tag}", $what))),
+                })
             }
         }
     };

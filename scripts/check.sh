@@ -18,8 +18,9 @@
 #                             suite (--repeats 1), fault_flap_study,
 #                             checkpoint_study, rebalance_study,
 #                             scaling_study and ablation_sync_cost runs
-#                             at --scale tiny, and the benchmark crate's
-#                             own gate, perf/check.sh)
+#                             at --scale tiny, fluid_fidelity (it takes
+#                             no flags), and the benchmark crate's own
+#                             gate, perf/check.sh)
 #   scripts/check.sh --fast   skip the release-mode runs
 #
 # The simulator's checks live in `cargo test`; the release-mode runs
@@ -103,6 +104,8 @@ if [ "$FAST" -eq 0 ]; then
         cargo run --release -q -p massf-bench --bin scaling_study -- --scale tiny
     stage "ablation_sync_cost --scale tiny" \
         cargo run --release -q -p massf-bench --bin ablation_sync_cost -- --scale tiny
+    stage "fluid_fidelity" \
+        cargo run --release -q -p massf-bench --bin fluid_fidelity
     stage "perf/check.sh (benchmark crate: fmt, clippy, tests, --quick suite)" \
         bash perf/check.sh
 else

@@ -10,15 +10,18 @@
 //! 4. `branch()` forks what-if continuations off a shared prefix that
 //!    match full replays of the divergent scenario exactly.
 
-use massf_engine::{LpId, RebalanceConfig, SimTime};
+use massf_engine::{external_tag, LpId, RebalanceConfig, ResumeState, SimTime};
 use massf_integration::{assert_matches_reference, fingerprint_for, session_for};
 use massf_netsim::{
     Agent, FaultKind, FaultScript, FaultState, NetEvent, NetSimBuilder, NoApp, SharedNet,
     DEFAULT_ROUTE_CACHE_CAPACITY, MAX_RETRIES,
 };
 use massf_routing::{CostMetric, MultiAsResolver};
-use massf_snapshot::wire::fnv1a64;
-use massf_snapshot::{recover_latest, ExecMode, RebalancePolicy, Session};
+use massf_snapshot::format::SECTION_ENGINE;
+use massf_snapshot::wire::{fnv1a64, ByteReader, ByteWriter, Wire};
+use massf_snapshot::{
+    decode_container, encode_container, recover_latest, ExecMode, RebalancePolicy, Session,
+};
 use massf_topology::{
     generate_flat_network, generate_multi_as_network, AsId, FlatTopologyConfig, LinkId, MassfError,
     MultiAsTopologyConfig, Network, NodeId, NodeKind, Point,
@@ -330,6 +333,53 @@ fn corrupted_snapshots_are_structured_errors_never_panics() {
         }
         other => panic!("expected SnapshotVersionMismatch, got {other}"),
     }
+}
+
+/// `bytes` with its engine frontier changed by `edit`, every section
+/// checksum valid.
+fn with_frontier(bytes: &[u8], edit: impl FnOnce(&mut ResumeState<NetEvent>)) -> Vec<u8> {
+    let mut sections = decode_container(bytes).expect("own snapshot decodes");
+    let engine = sections
+        .iter_mut()
+        .find(|s| s.id == SECTION_ENGINE)
+        .expect("engine section");
+    let mut frontier =
+        ResumeState::<NetEvent>::get(&mut ByteReader::new(&engine.payload, "engine"))
+            .expect("own frontier decodes");
+    edit(&mut frontier);
+    let mut w = ByteWriter::new();
+    frontier.put(&mut w);
+    engine.payload = w.into_inner();
+    encode_container(&sections)
+}
+
+#[test]
+fn frontier_events_outside_the_checkpoint_are_refused() {
+    let builder = flap_scenario(53, 1, 6);
+    let fingerprint = fingerprint_for(&builder);
+    let mut session = session_for(&builder);
+    let now = SimTime::from_ms(400);
+    session
+        .run_until(now, &ExecMode::Sequential)
+        .expect("prefix runs");
+    let bytes = session.encode();
+    let refused = |evil: Vec<u8>| match Session::decode(builder.shared(), fingerprint, &evil) {
+        Err(MassfError::SnapshotCorrupt { section, reason }) => {
+            assert_eq!(section, "engine", "{reason}");
+        }
+        other => panic!("expected an engine SnapshotCorrupt, got {other:?}"),
+    };
+    // Each edit keeps the frontier sorted, so only the check it names
+    // can refuse it.
+    refused(with_frontier(&bytes, |f| {
+        f.events[0].time = now - SimTime(1);
+    }));
+    let issued = builder.initial_events().len() as u32;
+    refused(with_frontier(&bytes, |f| {
+        f.events.last_mut().expect("events pending").tag = external_tag(issued);
+    }));
+    // Unedited, the helper reproduces the snapshot byte for byte.
+    assert_eq!(with_frontier(&bytes, |_| {}), bytes);
 }
 
 #[test]
