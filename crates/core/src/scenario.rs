@@ -134,34 +134,27 @@ impl WorkloadKind {
 #[derive(Clone)]
 pub enum Foreground {
     ScaLapack(ScaLapackApp),
-    GridNpb {
-        hc: WorkflowApp,
-        vp: WorkflowApp,
-        mb: WorkflowApp,
-    },
+    /// The HC, VP and MB workflows, called in that order.
+    GridNpb(Pair<WorkflowApp, Pair<WorkflowApp, WorkflowApp>>),
+}
+
+impl Foreground {
+    /// The application every callback goes to.
+    fn app(&mut self) -> &mut dyn AppLogic {
+        match self {
+            Foreground::ScaLapack(a) => a,
+            Foreground::GridNpb(a) => a,
+        }
+    }
 }
 
 impl AppLogic for Foreground {
     fn on_flow_complete(&mut self, host: NodeId, flow: FlowId, api: &mut SimApi<'_, '_>) {
-        match self {
-            Foreground::ScaLapack(a) => a.on_flow_complete(host, flow, api),
-            Foreground::GridNpb { hc, vp, mb } => {
-                hc.on_flow_complete(host, flow, api);
-                vp.on_flow_complete(host, flow, api);
-                mb.on_flow_complete(host, flow, api);
-            }
-        }
+        self.app().on_flow_complete(host, flow, api);
     }
 
     fn on_timer(&mut self, host: NodeId, token: u64, api: &mut SimApi<'_, '_>) {
-        match self {
-            Foreground::ScaLapack(a) => a.on_timer(host, token, api),
-            Foreground::GridNpb { hc, vp, mb } => {
-                hc.on_timer(host, token, api);
-                vp.on_timer(host, token, api);
-                mb.on_timer(host, token, api);
-            }
-        }
+        self.app().on_timer(host, token, api);
     }
 
     fn on_datagram(
@@ -172,14 +165,7 @@ impl AppLogic for Foreground {
         meta: u64,
         api: &mut SimApi<'_, '_>,
     ) {
-        match self {
-            Foreground::ScaLapack(a) => a.on_datagram(host, from, bytes, meta, api),
-            Foreground::GridNpb { hc, vp, mb } => {
-                hc.on_datagram(host, from, bytes, meta, api);
-                vp.on_datagram(host, from, bytes, meta, api);
-                mb.on_datagram(host, from, bytes, meta, api);
-            }
-        }
+        self.app().on_datagram(host, from, bytes, meta, api);
     }
 
     fn on_flow_aborted(
@@ -189,14 +175,27 @@ impl AppLogic for Foreground {
         reason: AbortReason,
         api: &mut SimApi<'_, '_>,
     ) {
-        match self {
-            Foreground::ScaLapack(a) => a.on_flow_aborted(host, flow, reason, api),
-            Foreground::GridNpb { hc, vp, mb } => {
-                hc.on_flow_aborted(host, flow, reason, api);
-                vp.on_flow_aborted(host, flow, reason, api);
-                mb.on_flow_aborted(host, flow, reason, api);
-            }
-        }
+        self.app().on_flow_aborted(host, flow, reason, api);
+    }
+
+    fn on_fluid_complete(
+        &mut self,
+        src: NodeId,
+        flow: FlowId,
+        dst: NodeId,
+        api: &mut SimApi<'_, '_>,
+    ) {
+        self.app().on_fluid_complete(src, flow, dst, api);
+    }
+
+    fn on_fluid_aborted(
+        &mut self,
+        src: NodeId,
+        flow: FlowId,
+        dst: NodeId,
+        api: &mut SimApi<'_, '_>,
+    ) {
+        self.app().on_fluid_aborted(src, flow, dst, api);
     }
 }
 
@@ -304,7 +303,7 @@ impl Scenario {
                 events.extend(hc.initial_events());
                 events.extend(vp.initial_events());
                 events.extend(mb.initial_events());
-                Foreground::GridNpb { hc, vp, mb }
+                Foreground::GridNpb(Pair::new(hc, Pair::new(vp, mb)))
             }
         };
         (Pair::new(http, fg), events)

@@ -5,41 +5,22 @@
 //! injects them into the simulation (Section 2.1). Reproducing process
 //! interception is out of scope (DESIGN.md substitution #2); this Agent
 //! keeps the same role with a scripted interface: traffic demands are
-//! registered (by workload models, trace replayers, or tests) and turned
-//! into engine events at simulation start.
+//! registered (by workload models, trace replayers, or tests) as the
+//! engine events that start them, and handed to the engine at
+//! simulation start.
 
-use crate::fluid::{FLUID_COORDINATOR, FLUID_UNBOUNDED};
+use crate::fluid::FLUID_COORDINATOR;
 use crate::packet::NetEvent;
-use crate::world::TransportKind;
 use massf_engine::{LpId, SimTime};
 use massf_topology::NodeId;
 
-/// One registered traffic demand.
-#[derive(Debug, Clone)]
-pub struct Injection {
-    pub at: SimTime,
-    pub src: NodeId,
-    pub dst: NodeId,
-    pub bytes: u64,
-    pub transport: TransportKind,
-}
-
-/// One registered fluid background flow (see `crate::fluid`).
-#[derive(Debug, Clone)]
-pub struct FluidInjection {
-    pub at: SimTime,
-    pub src: NodeId,
-    pub dst: NodeId,
-    pub bytes: u64,
-    /// Demand cap in bits/s; [`FLUID_UNBOUNDED`] = bottleneck-limited.
-    pub peak_bps: u64,
-}
-
-/// Collects traffic demands and converts them to initial engine events.
+/// Collects traffic demands as initial engine events: packet-level
+/// demands (`StartFlow`, `SendDatagram` at the source LP) in one block,
+/// fluid demands (`FluidStart` at [`FLUID_COORDINATOR`]) in the other.
 #[derive(Debug, Clone, Default)]
 pub struct Agent {
-    injections: Vec<Injection>,
-    fluids: Vec<FluidInjection>,
+    packet: Vec<(SimTime, LpId, NetEvent)>,
+    fluid: Vec<(SimTime, LpId, NetEvent)>,
 }
 
 impl Agent {
@@ -50,40 +31,29 @@ impl Agent {
 
     /// Register a TCP transfer of `bytes` from `src` to `dst` at `at`.
     pub fn inject_tcp(&mut self, at: SimTime, src: NodeId, dst: NodeId, bytes: u64) {
-        self.injections.push(Injection {
-            at,
-            src,
-            dst,
-            bytes,
-            transport: TransportKind::Tcp,
-        });
+        let ev = NetEvent::StartFlow { dst, bytes };
+        self.packet.push((at, LpId(src.0), ev));
     }
 
     /// Register a UDP datagram (`bytes ≤ MSS` recommended).
     pub fn inject_udp(&mut self, at: SimTime, src: NodeId, dst: NodeId, bytes: u32) {
-        self.injections.push(Injection {
-            at,
-            src,
+        let ev = NetEvent::SendDatagram {
             dst,
-            bytes: bytes as u64,
-            transport: TransportKind::Udp,
-        });
+            bytes,
+            meta: 0,
+        };
+        self.packet.push((at, LpId(src.0), ev));
     }
 
     /// Register a bottleneck-limited fluid background flow of `bytes`
     /// from `src` to `dst` at `at` (see `crate::fluid`).
     pub fn inject_fluid(&mut self, at: SimTime, src: NodeId, dst: NodeId, bytes: u64) {
-        self.fluids.push(FluidInjection {
-            at,
-            src,
-            dst,
-            bytes,
-            peak_bps: FLUID_UNBOUNDED,
-        });
+        self.inject_fluid_capped(at, src, dst, bytes, 0);
     }
 
     /// Register a fluid background flow whose demand is capped at
-    /// `peak_bps` bits/s (matching link bandwidth units).
+    /// `peak_bps` bits/s (matching link bandwidth units); `0` means
+    /// bottleneck-limited, as everywhere a fluid flow is started.
     pub fn inject_fluid_capped(
         &mut self,
         at: SimTime,
@@ -92,74 +62,35 @@ impl Agent {
         bytes: u64,
         peak_bps: u64,
     ) {
-        self.fluids.push(FluidInjection {
-            at,
+        let ev = NetEvent::FluidStart {
             src,
             dst,
             bytes,
             peak_bps,
-        });
+        };
+        self.fluid.push((at, LpId(FLUID_COORDINATOR.0), ev));
     }
 
     /// Number of registered demands (packet and fluid).
     pub fn len(&self) -> usize {
-        self.injections.len() + self.fluids.len()
+        self.packet.len() + self.fluid.len()
     }
 
     /// True when nothing is registered.
     pub fn is_empty(&self) -> bool {
-        self.injections.is_empty() && self.fluids.is_empty()
+        self.packet.is_empty() && self.fluid.is_empty()
     }
 
-    /// All registered packet-level demands.
-    pub fn injections(&self) -> &[Injection] {
-        &self.injections
-    }
-
-    /// Convert to initial events for the engine: packet demands first,
-    /// then fluid demands, each block sorted by time (for readability —
-    /// the engine interleaves by `(time, tag)` anyway, and keeping the
-    /// blocks stable keeps packet-only scenarios' event tags unchanged
-    /// by the presence of this method).
+    /// The initial events for the engine: packet demands first, then
+    /// fluid demands, each block stably sorted by time (for readability
+    /// — the engine interleaves by `(time, tag)` anyway, and keeping the
+    /// blocks apart keeps packet-only scenarios' event tags unchanged
+    /// by the presence of fluid demands).
     pub fn into_initial_events(mut self) -> Vec<(SimTime, LpId, NetEvent)> {
-        self.injections.sort_by_key(|i| i.at);
-        self.fluids.sort_by_key(|i| i.at);
-        let mut events: Vec<(SimTime, LpId, NetEvent)> = self
-            .injections
-            .into_iter()
-            .map(|i| {
-                let ev = match i.transport {
-                    TransportKind::Tcp => NetEvent::StartFlow {
-                        dst: i.dst,
-                        bytes: i.bytes,
-                    },
-                    TransportKind::Udp => NetEvent::SendDatagram {
-                        dst: i.dst,
-                        bytes: i.bytes as u32,
-                        meta: 0,
-                    },
-                };
-                (i.at, LpId(i.src.0), ev)
-            })
-            .collect();
-        events.extend(self.fluids.into_iter().map(|i| {
-            (
-                i.at,
-                LpId(FLUID_COORDINATOR.0),
-                NetEvent::FluidStart {
-                    src: i.src,
-                    dst: i.dst,
-                    bytes: i.bytes,
-                    // `peak_bps == 0` is the unbounded wire encoding.
-                    peak_bps: if i.peak_bps == FLUID_UNBOUNDED {
-                        0
-                    } else {
-                        i.peak_bps
-                    },
-                },
-            )
-        }));
-        events
+        self.packet.sort_by_key(|e| e.0);
+        self.fluid.sort_by_key(|e| e.0);
+        self.packet.append(&mut self.fluid);
+        self.packet
     }
 }
 

@@ -19,6 +19,15 @@
 //! coordinator, making sequential ↔ parallel bit-identity structural
 //! rather than incidental.
 //!
+//! **Records.** Each live flow is one [`FluidFlow`] record in the
+//! coordinator's slab, and a snapshot's [`FluidWorldState`] carries
+//! those records as they are. A demand has one sentinel: `peak_bps ==
+//! 0` means bottleneck-limited wherever a flow is started
+//! ([`Agent::inject_fluid_capped`](crate::Agent::inject_fluid_capped),
+//! [`SimApi::start_fluid_flow`](crate::SimApi::start_fluid_flow),
+//! [`NetEvent::FluidStart`]), and the record stores it as a demand of
+//! `u64::MAX` bytes/s.
+//!
 //! **Coupling.** The two fidelities interact in both directions:
 //!
 //! * fluid → packet: after each solve the coordinator reports the
@@ -79,8 +88,9 @@ pub const FLUID_CONTROL_DELAY: SimTime = SimTime::from_ms(1);
 /// packet load per link direction for the packet → fluid feedback.
 pub const FLUID_EST_WINDOW: SimTime = SimTime::from_ms(10);
 
-/// Demand sentinel: the flow takes whatever its bottleneck grants.
-pub const FLUID_UNBOUNDED: u64 = u64::MAX;
+/// Stored demand (bytes/s) of a flow started with `peak_bps == 0`:
+/// it takes whatever its bottleneck grants.
+const FLUID_UNBOUNDED: u64 = u64::MAX;
 
 /// Eager re-arm hysteresis: a rate increase reschedules the armed
 /// finish alarm only when `new ≥ armed · REARM_NUM / REARM_DEN`.
@@ -155,16 +165,20 @@ impl FluidStats {
     }
 }
 
-/// One live fluid flow in a [`FluidWorldState`]. All rates are bytes
-/// per second; `remaining_bns` is byte-nanoseconds (`bytes · 10⁹`), the
-/// fixed-point residual the solver decrements by `rate · Δt_ns`.
+/// One live fluid flow: the coordinator slab's record, which a
+/// [`FluidWorldState`] carries as is. All rates are bytes per second;
+/// `remaining_bns` is byte-nanoseconds (`bytes · 10⁹`), the fixed-point
+/// residual the solver decrements by `rate · Δt_ns`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FluidFlowEntryState {
+pub struct FluidFlow {
     /// Flow id (owned by the coordinator's counter space).
     pub flow: FlowId,
-    /// Resolved forward path.
-    pub path: Vec<NodeId>,
-    /// Demand cap, bytes/s ([`FLUID_UNBOUNDED`] = bottleneck-limited).
+    /// Interned forward route; the solver walks its hops' slots, never
+    /// the topology. A snapshot carries only its nodes, so a decoded
+    /// one holds [`Hop::END`] slots until restore re-interns it.
+    pub path: Arc<[Hop]>,
+    /// Demand cap, bytes/s (`u64::MAX` = bottleneck-limited, the
+    /// demand of a flow started with `peak_bps == 0`).
     pub demand_bps: u64,
     /// Current max-min rate, bytes/s.
     pub rate_bps: u64,
@@ -187,7 +201,7 @@ pub struct FluidFlowEntryState {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FluidWorldState {
     /// Live fluid flows, sorted by flow id.
-    pub flows: Vec<FluidFlowEntryState>,
+    pub flows: Vec<FluidFlow>,
     /// Last packet-load report per (link, direction), bytes/s.
     pub packet_bps: Vec<u64>,
     /// Last aggregate fluid rate reported to the packet side per
@@ -203,50 +217,14 @@ impl FluidWorldState {
     }
 }
 
-/// Struct-of-arrays slab of live fluid flows (PR 6 layout pattern):
-/// parallel arrays indexed by slot, freed slots recycled LIFO, and a
-/// sorted id → slot index. Slot numbers never leak into events or
-/// exports, so recycling order cannot affect results.
+/// Slab of live fluid flows: records indexed by slot, freed slots
+/// recycled LIFO, and a sorted id → slot index. Slot numbers never leak
+/// into events or exports, so recycling order cannot affect results.
+#[derive(Default)]
 struct FluidSlab {
-    flow: Vec<FlowId>,
-    /// Interned route; the solver walks its hops' slots
-    /// ([`route_slots`]), never the topology.
-    path: Vec<Arc<[Hop]>>,
-    /// Demand cap, bytes/s.
-    demand: Vec<u64>,
-    /// Current max-min rate, bytes/s.
-    rate: Vec<u64>,
-    /// Rate the pending finish alarm assumes (0 = parked).
-    armed_rate: Vec<u64>,
-    /// Residual transfer, byte-nanoseconds.
-    remaining: Vec<u128>,
-    /// Last settle time.
-    updated: Vec<SimTime>,
-    /// Finish-alarm epoch.
-    epoch: Vec<u32>,
+    flows: Vec<FluidFlow>,
     free: Vec<u32>,
     by_id: BTreeMap<u64, u32>,
-}
-
-impl FluidSlab {
-    fn new() -> Self {
-        FluidSlab {
-            flow: Vec::new(),
-            path: Vec::new(),
-            demand: Vec::new(),
-            rate: Vec::new(),
-            armed_rate: Vec::new(),
-            remaining: Vec::new(),
-            updated: Vec::new(),
-            epoch: Vec::new(),
-            free: Vec::new(),
-            by_id: BTreeMap::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.flow.len()
-    }
 }
 
 /// All fluid solver state; lives inside the `NodeStates` of whichever
@@ -340,7 +318,7 @@ impl FluidState {
             cap.push(link.cap_bytes_per_sec);
         }
         FluidState {
-            slab: FluidSlab::new(),
+            slab: FluidSlab::default(),
             cap,
             packet_bps: vec![0; slots],
             agg_bps: vec![0; slots],
@@ -398,14 +376,15 @@ impl FluidState {
         Some(route)
     }
 
-    /// Advance `remaining` to `now` at the exact stored rate.
+    /// Advance `remaining_bns` to `now` at the exact stored rate.
     fn settle(&mut self, f: usize, now: SimTime) {
-        let dt = now.saturating_sub(self.slab.updated[f]).as_ns();
-        if dt > 0 && self.slab.rate[f] > 0 {
-            let done = (self.slab.rate[f] as u128) * (dt as u128);
-            self.slab.remaining[f] = self.slab.remaining[f].saturating_sub(done);
+        let fl = &mut self.slab.flows[f];
+        let dt = now.saturating_sub(fl.updated).as_ns();
+        if dt > 0 && fl.rate_bps > 0 {
+            let done = (fl.rate_bps as u128) * (dt as u128);
+            fl.remaining_bns = fl.remaining_bns.saturating_sub(done);
         }
-        self.slab.updated[f] = now;
+        fl.updated = now;
     }
 
     /// Arm the finish alarm for flow slot `f` at its current rate.
@@ -416,56 +395,73 @@ impl FluidState {
         profile: &mut ProfileData,
         out: &mut Emitter<'_, NetEvent>,
     ) {
-        let r = self.slab.rate[f];
+        let fl = &mut self.slab.flows[f];
+        let r = fl.rate_bps;
         debug_assert!(r > 0, "arming a rate-0 flow would never fire");
-        self.slab.epoch[f] = self.slab.epoch[f].wrapping_add(1);
-        self.slab.armed_rate[f] = r;
-        let d = self.slab.remaining[f].div_ceil(r as u128);
+        fl.epoch = fl.epoch.wrapping_add(1);
+        fl.armed_rate_bps = r;
+        let d = fl.remaining_bns.div_ceil(r as u128);
         let headroom = (u64::MAX - now.as_ns()) as u128;
         let delay = SimTime::from_ns(u64::try_from(d.min(headroom)).unwrap_or(u64::MAX));
         out.emit(
             delay,
             LpId(FLUID_COORDINATOR.0),
             NetEvent::FluidFinish {
-                flow: self.slab.flow[f],
-                epoch: self.slab.epoch[f],
+                flow: fl.flow,
+                epoch: fl.epoch,
             },
         );
         profile.fluid.finish_arms += 1;
     }
 
-    fn alloc_slot(&mut self) -> usize {
-        if let Some(s) = self.slab.free.pop() {
-            return s as usize;
-        }
-        self.slab.flow.push(FlowId(0));
-        self.slab.path.push(Arc::from([]));
-        self.slab.demand.push(0);
-        self.slab.rate.push(0);
-        self.slab.armed_rate.push(0);
-        self.slab.remaining.push(0);
-        self.slab.updated.push(SimTime::ZERO);
-        self.slab.epoch.push(0);
-        self.flow_mark.push(0);
-        self.flow_local.push(0);
-        self.slab.len() - 1
+    /// Store `rec` in a recycled slot (or a new one), index it by id,
+    /// and route it. Returns the slot.
+    fn insert(&mut self, rec: FluidFlow) -> usize {
+        let id = rec.flow.0;
+        let f = match self.slab.free.pop() {
+            Some(s) => {
+                self.slab.flows[s as usize] = rec;
+                s as usize
+            }
+            None => {
+                self.slab.flows.push(rec);
+                self.flow_mark.push(0);
+                self.flow_local.push(0);
+                self.slab.flows.len() - 1
+            }
+        };
+        self.slab.by_id.insert(id, f as u32);
+        self.add_membership(f);
+        f
     }
 
-    /// Route flow slot `f` over `route` and seed the next solve with
-    /// its links.
-    fn add_membership(&mut self, f: usize, route: Arc<[Hop]>) {
-        for s in route_slots(&route) {
+    /// Drop flow slot `f` (finished or aborted) and free the slot.
+    fn release(&mut self, f: usize) {
+        self.remove_membership(f);
+        let fl = &mut self.slab.flows[f];
+        self.slab.by_id.remove(&fl.flow.0);
+        fl.rate_bps = 0;
+        fl.armed_rate_bps = 0;
+        fl.path = Arc::from([]);
+        self.slab.free.push(f as u32);
+    }
+
+    /// Enter flow slot `f` in the member lists of its route's links and
+    /// seed the next solve with them.
+    fn add_membership(&mut self, f: usize) {
+        let route = &self.slab.flows[f].path;
+        for s in route_slots(route) {
             self.members[s as usize].push(f as u32);
         }
-        self.seeds.extend(route_slots(&route));
-        self.slab.path[f] = route;
+        self.seeds.extend(route_slots(route));
     }
 
     fn remove_membership(&mut self, f: usize) {
-        for s in route_slots(&self.slab.path[f]) {
+        let route = &self.slab.flows[f].path;
+        for s in route_slots(route) {
             self.members[s as usize].retain(|&m| m != f as u32);
         }
-        self.seeds.extend(route_slots(&self.slab.path[f]));
+        self.seeds.extend(route_slots(route));
     }
 
     /// Handle [`NetEvent::FluidStart`].
@@ -496,23 +492,22 @@ impl FluidState {
         let flow = FlowId::new(FLUID_COORDINATOR, *counter);
         *counter += 1;
         profile.fluid.started += 1;
-        let f = self.alloc_slot();
-        self.slab.flow[f] = flow;
-        // peak_bps is bits/s at the API surface (matching link
-        // bandwidth); stored demand is bytes/s, floored at 1 so a
-        // bounded flow can always finish.
-        self.slab.demand[f] = if peak_bps == 0 {
-            FLUID_UNBOUNDED
-        } else {
-            (peak_bps / 8).max(1)
-        };
-        self.slab.rate[f] = 0;
-        self.slab.armed_rate[f] = 0;
-        self.slab.remaining[f] = bytes as u128 * NS_PER_SEC;
-        self.slab.updated[f] = now;
-        self.slab.epoch[f] = 0;
-        self.slab.by_id.insert(flow.0, f as u32);
-        self.add_membership(f, route);
+        self.insert(FluidFlow {
+            flow,
+            path: route,
+            // peak_bps is bits/s at the API surface (matching link
+            // bandwidth), 0 for bottleneck-limited; stored demand is
+            // bytes/s, floored at 1 so a bounded flow can always finish.
+            demand_bps: match peak_bps {
+                0 => FLUID_UNBOUNDED,
+                bits => (bits / 8).max(1),
+            },
+            rate_bps: 0,
+            armed_rate_bps: 0,
+            remaining_bns: bytes as u128 * NS_PER_SEC,
+            updated: now,
+            epoch: 0,
+        });
         self.solve(shared, now, profile, out);
         Some(flow)
     }
@@ -529,23 +524,18 @@ impl FluidState {
         out: &mut Emitter<'_, NetEvent>,
     ) -> Option<(NodeId, NodeId)> {
         let f = *self.slab.by_id.get(&flow.0)? as usize;
-        if self.slab.epoch[f] != epoch {
+        if self.slab.flows[f].epoch != epoch {
             return None; // stale alarm: the flow was re-armed since
         }
         self.settle(f, now);
-        if self.slab.remaining[f] == 0 {
-            let path = self.slab.path[f].clone();
-            let (src, dst) = (path[0].node, path[path.len() - 1].node);
-            self.remove_membership(f);
-            self.slab.by_id.remove(&flow.0);
-            self.slab.rate[f] = 0;
-            self.slab.armed_rate[f] = 0;
-            self.slab.path[f] = Arc::from([]);
-            self.slab.free.push(f as u32);
+        let fl = &self.slab.flows[f];
+        if fl.remaining_bns == 0 {
+            let (src, dst) = (fl.path[0].node, fl.path[fl.path.len() - 1].node);
+            self.release(f);
             profile.fluid.completed += 1;
             self.solve(shared, now, profile, out);
             Some((src, dst))
-        } else if self.slab.rate[f] > 0 {
+        } else if fl.rate_bps > 0 {
             // Early alarm (the rate dropped since arming, lazily):
             // re-arm at the exact current rate.
             self.arm(f, now, profile, out);
@@ -553,7 +543,7 @@ impl FluidState {
         } else {
             // Fair share is currently zero: park. The next solve that
             // touches this flow's links re-arms it.
-            self.slab.armed_rate[f] = 0;
+            self.slab.flows[f].armed_rate_bps = 0;
             None
         }
     }
@@ -623,7 +613,7 @@ impl FluidState {
                 let mut v: Vec<(u64, u32)> = Vec::new();
                 for &s in &self.seeds {
                     if let Some(m) = self.members.get(s as usize) {
-                        v.extend(m.iter().map(|&f| (self.slab.flow[f as usize].0, f)));
+                        v.extend(m.iter().map(|&f| (self.slab.flows[f as usize].flow.0, f)));
                     }
                 }
                 v.sort_unstable();
@@ -635,24 +625,20 @@ impl FluidState {
         for &(_, fslot) in &affected {
             let f = fslot as usize;
             self.settle(f, now);
-            let old = self.slab.path[f].clone();
+            let old = self.slab.flows[f].path.clone();
             let (src, dst) = (old[0].node, old[old.len() - 1].node);
             match self.resolve(shared, now, src, dst) {
                 Some(new) if new == old => {}
                 Some(new) => {
                     self.remove_membership(f);
-                    self.add_membership(f, new);
+                    self.slab.flows[f].path = new;
+                    self.add_membership(f);
                     profile.fluid.rerouted += 1;
                 }
                 None => {
-                    self.remove_membership(f);
-                    self.slab.by_id.remove(&self.slab.flow[f].0);
-                    self.slab.rate[f] = 0;
-                    self.slab.armed_rate[f] = 0;
-                    self.slab.path[f] = Arc::from([]);
-                    self.slab.free.push(fslot);
+                    self.release(f);
                     profile.fluid.aborted += 1;
-                    aborted.push((self.slab.flow[f], src, dst));
+                    aborted.push((self.slab.flows[f].flow, src, dst));
                 }
             }
         }
@@ -703,8 +689,8 @@ impl FluidState {
                 let f = f as usize;
                 if self.flow_mark[f] != gen {
                     self.flow_mark[f] = gen;
-                    w.fl.push((self.slab.flow[f].0, f as u32));
-                    for slot in route_slots(&self.slab.path[f]) {
+                    w.fl.push((self.slab.flows[f].flow.0, f as u32));
+                    for slot in route_slots(&self.slab.flows[f].path) {
                         let m = &mut self.link_mark[slot as usize];
                         if *m != gen {
                             *m = gen;
@@ -734,11 +720,12 @@ impl FluidState {
         for (fi, &(_, f)) in w.fl.iter().enumerate() {
             let f = f as usize;
             let r = w.newrate[fi];
-            if r != self.slab.rate[f] {
-                self.slab.rate[f] = r;
+            let fl = &mut self.slab.flows[f];
+            if r != fl.rate_bps {
+                fl.rate_bps = r;
                 profile.fluid.rate_recomputes += 1;
             }
-            let armed = self.slab.armed_rate[f];
+            let armed = fl.armed_rate_bps;
             // Lazy on decreases (the pending alarm fires early and
             // re-arms exactly); eager past 25 % hysteresis on
             // increases; always on wake-from-park.
@@ -753,7 +740,7 @@ impl FluidState {
             let s = s as usize;
             let mut agg = 0u64;
             for &f in &self.members[s] {
-                agg = agg.saturating_add(self.slab.rate[f as usize]);
+                agg = agg.saturating_add(self.slab.flows[f as usize].rate_bps);
             }
             self.agg_bps[s] = agg;
             let reported = self.reported_bps[s];
@@ -807,7 +794,8 @@ impl FluidState {
         w.newrate.clear();
         w.newrate.resize(w.fl.len(), 0);
         w.by_demand.clear();
-        let demands = (0..w.fl.len()).map(|fi| (self.slab.demand[w.fl[fi].1 as usize], fi as u32));
+        let demands = (w.fl.iter().enumerate())
+            .map(|(fi, &(_, f))| (self.slab.flows[f as usize].demand_bps, fi as u32));
         w.by_demand.extend(demands);
         w.by_demand.sort_unstable();
         let (mut dp, mut left) = (0usize, w.fl.len());
@@ -826,7 +814,7 @@ impl FluidState {
                 if !std::mem::replace(&mut w.fixed[fi], true) {
                     w.newrate[fi] = r;
                     left -= 1;
-                    for s in route_slots(&self.slab.path[w.fl[fi].1 as usize]) {
+                    for s in route_slots(&self.slab.flows[w.fl[fi].1 as usize].path) {
                         let li = self.link_local[s as usize];
                         w.avail[li as usize] = w.avail[li as usize].saturating_sub(r);
                         w.cnt[li as usize] = w.cnt[li as usize].saturating_sub(1);
@@ -859,24 +847,14 @@ impl FluidState {
         }
     }
 
-    /// Canonical export (see [`FluidWorldState`]).
+    /// Canonical export (see [`FluidWorldState`]): the live records in
+    /// id order.
     pub(crate) fn export(&self) -> FluidWorldState {
-        let mut flows = Vec::with_capacity(self.slab.by_id.len());
-        for (&id, &slot) in &self.slab.by_id {
-            let f = slot as usize;
-            flows.push(FluidFlowEntryState {
-                flow: FlowId(id),
-                path: self.slab.path[f].iter().map(|h| h.node).collect(),
-                demand_bps: self.slab.demand[f],
-                rate_bps: self.slab.rate[f],
-                armed_rate_bps: self.slab.armed_rate[f],
-                remaining_bns: self.slab.remaining[f],
-                updated: self.slab.updated[f],
-                epoch: self.slab.epoch[f],
-            });
-        }
+        let flows = self.slab.by_id.values();
         FluidWorldState {
-            flows,
+            flows: flows
+                .map(|&f| self.slab.flows[f as usize].clone())
+                .collect(),
             packet_bps: self.packet_bps.clone(),
             reported_bps: self.reported_bps.clone(),
         }
@@ -932,24 +910,16 @@ impl FluidState {
                     "fluid flow counter {counter} not yet issued by the coordinator"
                 )));
             }
-            let route = validate_route(shared, &e.path, "fluid")?;
-            let f = fs.alloc_slot();
-            fs.slab.flow[f] = e.flow;
-            fs.slab.demand[f] = e.demand_bps;
-            fs.slab.rate[f] = e.rate_bps;
-            fs.slab.armed_rate[f] = e.armed_rate_bps;
-            fs.slab.remaining[f] = e.remaining_bns;
-            fs.slab.updated[f] = e.updated;
-            fs.slab.epoch[f] = e.epoch;
-            fs.slab.by_id.insert(e.flow.0, f as u32);
-            fs.add_membership(f, route);
+            let path = validate_route(shared, &e.path, "fluid")?;
+            fs.insert(FluidFlow { path, ..e.clone() });
         }
-        fs.seeds.clear(); // nothing to re-solve: the rates came with the state
-                          // Aggregates are derived: rebuild without emitting reports.
+        // Nothing to re-solve: the rates came with the state. The
+        // aggregates are derived: rebuild them without emitting reports.
+        fs.seeds.clear();
         for s in 0..slots {
             let mut agg = 0u64;
             for &f in &fs.members[s] {
-                agg = agg.saturating_add(fs.slab.rate[f as usize]);
+                agg = agg.saturating_add(fs.slab.flows[f as usize].rate_bps);
             }
             fs.agg_bps[s] = agg;
         }
@@ -964,7 +934,7 @@ impl FluidState {
         for (s, members) in self.members.iter().enumerate() {
             let mut agg = 0u64;
             for &f in members {
-                agg = agg.saturating_add(self.slab.rate[f as usize]);
+                agg = agg.saturating_add(self.slab.flows[f as usize].rate_bps);
             }
             if agg != self.agg_bps[s] {
                 return Err(format!(
@@ -980,13 +950,13 @@ impl FluidState {
             }
         }
         for (&id, &slot) in &self.slab.by_id {
-            let f = slot as usize;
-            let (rate, demand) = (self.slab.rate[f], self.slab.demand[f]);
+            let fl = &self.slab.flows[slot as usize];
+            let (rate, demand) = (fl.rate_bps, fl.demand_bps);
             if rate > demand {
                 return Err(format!("flow {id:#x}: rate {rate} above demand {demand}"));
             }
             if rate < demand {
-                let bottlenecked = route_slots(&self.slab.path[f]).any(|s| {
+                let bottlenecked = route_slots(&fl.path).any(|s| {
                     let s = s as usize;
                     self.cap_avail(s).saturating_sub(self.agg_bps[s]) < self.members[s].len() as u64
                 });
@@ -1009,7 +979,7 @@ impl FluidState {
     #[cfg(test)]
     pub(crate) fn slots_of(&self, flow: FlowId) -> Option<Vec<u32>> {
         let f = *self.slab.by_id.get(&flow.0)? as usize;
-        Some(route_slots(&self.slab.path[f]).collect())
+        Some(route_slots(&self.slab.flows[f].path).collect())
     }
 }
 
@@ -1017,18 +987,26 @@ impl FluidState {
 /// side: the fluid rate last reported by the coordinator, and the
 /// packet-load estimator windows. Lazily allocated on the first
 /// [`NetEvent::FluidCapUpdate`] a world receives, so packet-only runs
-/// carry no extra state (and export empty arrays).
-#[derive(Default)]
-pub(crate) struct FluidCoupling {
+/// carry no extra state (and export empty arrays): the four arrays are
+/// all empty or all `2·links` long.
+///
+/// A partition world advances only the slots whose sender node it owns
+/// and leaves the rest unsubscribed, at values the merge ignores: the
+/// numeric maximum in the min-merged arrays, 0 in the max-merged ones
+/// (see [`WorldState::merge_partitions`](crate::WorldState::merge_partitions)).
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct FluidCoupling {
     /// Fluid rate per slot, bytes/s; `u64::MAX` = slot not subscribed
-    /// (no estimator, full line rate for packets).
-    pub(crate) fluid_bps: Vec<u64>,
+    /// (no estimator, full line rate for packets). Min-merged.
+    pub fluid_bps: Vec<u64>,
     /// Open estimator window start per slot; `SimTime::MAX` = closed.
-    pub(crate) est_start: Vec<SimTime>,
-    /// Bytes serialized in the open window.
-    pub(crate) est_bytes: Vec<u64>,
+    /// Min-merged.
+    pub est_start: Vec<SimTime>,
+    /// Bytes serialized in the open window. Max-merged.
+    pub est_bytes: Vec<u64>,
     /// Last load level reported to the coordinator, bytes/s.
-    pub(crate) est_reported: Vec<u64>,
+    /// Max-merged.
+    pub est_reported: Vec<u64>,
 }
 
 impl FluidCoupling {
@@ -1038,6 +1016,61 @@ impl FluidCoupling {
             self.est_start = vec![SimTime::MAX; slots];
             self.est_bytes = vec![0; slots];
             self.est_reported = vec![0; slots];
+        }
+    }
+
+    /// `Ok` when the arrays are all empty or all `slots` long.
+    pub(crate) fn check_len(&self, slots: usize) -> Result<(), String> {
+        let n = self.fluid_bps.len();
+        if [
+            self.est_start.len(),
+            self.est_bytes.len(),
+            self.est_reported.len(),
+        ] != [n; 3]
+        {
+            return Err("fluid coupling arrays have inconsistent lengths".into());
+        }
+        if n != 0 && n != slots {
+            return Err(format!(
+                "fluid coupling covers {n} slots, network has {slots}"
+            ));
+        }
+        Ok(())
+    }
+
+    /// Merge the partition exports `parts` of a `slots`-slot world into
+    /// the full arrays, elementwise min or max (see the type's docs).
+    pub(crate) fn merge<'a>(
+        parts: impl IntoIterator<Item = &'a FluidCoupling>,
+        slots: usize,
+    ) -> Result<FluidCoupling, String> {
+        let mut out = FluidCoupling::default();
+        for (i, p) in parts.into_iter().enumerate() {
+            p.check_len(slots)
+                .map_err(|e| format!("partition {i}: {e}"))?;
+            if !p.fluid_bps.is_empty() {
+                out.ensure(slots);
+            }
+            for s in 0..p.fluid_bps.len() {
+                out.fluid_bps[s] = out.fluid_bps[s].min(p.fluid_bps[s]);
+                out.est_start[s] = out.est_start[s].min(p.est_start[s]);
+                out.est_bytes[s] = out.est_bytes[s].max(p.est_bytes[s]);
+                out.est_reported[s] = out.est_reported[s].max(p.est_reported[s]);
+            }
+        }
+        Ok(out)
+    }
+
+    /// Unsubscribe every slot `keep` refuses, as a partition world that
+    /// does not own the slot's sender holds it.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(u32) -> bool) {
+        for s in 0..self.fluid_bps.len() {
+            if !keep(s as u32) {
+                self.fluid_bps[s] = u64::MAX;
+                self.est_start[s] = SimTime::MAX;
+                self.est_bytes[s] = 0;
+                self.est_reported[s] = 0;
+            }
         }
     }
 
@@ -1160,6 +1193,37 @@ mod tests {
     }
 
     #[test]
+    fn zero_peak_is_the_one_unbounded_demand_at_every_entry_point() {
+        /// Starts a fluid flow to `self.0` from each timer, capped at
+        /// the timer's token.
+        struct Starter(NodeId);
+        impl AppLogic for Starter {
+            fn on_flow_complete(&mut self, _: NodeId, _: FlowId, _: &mut SimApi<'_, '_>) {}
+            fn on_timer(&mut self, _: NodeId, peak_bps: u64, api: &mut SimApi<'_, '_>) {
+                api.start_fluid_flow(self.0, 1_000_000_000_000, peak_bps);
+            }
+        }
+        let (shared, a, b) = dumbbell(8e6);
+        let mut agent = crate::agent::Agent::new();
+        agent.inject_fluid(SimTime::ZERO, a, b, 1_000_000_000_000);
+        agent.inject_fluid_capped(SimTime::ZERO, a, b, 1_000_000_000_000, 0);
+        agent.inject_fluid_capped(SimTime::ZERO, a, b, 1_000_000_000_000, 800_000);
+        let mut events = agent.into_initial_events();
+        for peak_bps in [0, 1_600_000] {
+            events.push((
+                SimTime::ZERO,
+                LpId(a.0),
+                NetEvent::AppTimer { token: peak_bps },
+            ));
+        }
+        let (world, _) = run(shared, Starter(b), events, SimTime::from_ms(100));
+        let st = world.export_state();
+        let demands: Vec<u64> = st.fluid.flows.iter().map(|f| f.demand_bps).collect();
+        // Flow ids follow admission: the agent's three, then the API's.
+        assert_eq!(demands, [u64::MAX, u64::MAX, 100_000, u64::MAX, 200_000]);
+    }
+
+    #[test]
     fn capped_flow_frees_share_for_the_rest() {
         let (shared, a, b) = dumbbell(8e6);
         // 800 kbit/s peak = 100_000 B/s demand; the remaining
@@ -1272,7 +1336,7 @@ mod tests {
     fn restore_rejects_non_adjacent_paths() {
         let (shared, mut st) = exported_mid_run();
         let path = st.fluid.flows[0].path.clone();
-        st.fluid.flows[0].path = vec![path[0], *path.last().expect("path is non-empty")];
+        st.fluid.flows[0].path = [path[0], path[path.len() - 1]].into();
         assert!(NetWorld::restore(shared, NoApp, &st).is_err());
     }
 
@@ -1313,10 +1377,7 @@ mod tests {
         assert_eq!(st1.fluid, st2.fluid);
         assert_eq!(st1.flow_counter, st2.flow_counter);
         assert_eq!(st1.busy_until, st2.busy_until);
-        assert_eq!(st1.fluid_seen_bps, st2.fluid_seen_bps);
-        assert_eq!(st1.fluid_est_start, st2.fluid_est_start);
-        assert_eq!(st1.fluid_est_bytes, st2.fluid_est_bytes);
-        assert_eq!(st1.fluid_est_reported, st2.fluid_est_reported);
+        assert_eq!(st1.coupling, st2.coupling);
     }
 
     // ---- The heap-driven water-fill against the scan it replaced ----
@@ -1341,7 +1402,8 @@ mod tests {
                     .expect("live paths follow links")
             };
             let lidx = |s: u32| links.partition_point(|&x| x < s); // s is always present
-            fs.slab.path[f as usize]
+            fs.slab.flows[f as usize]
+                .path
                 .windows(2)
                 .map(|w| lidx(slot(w)))
                 .collect()
@@ -1356,7 +1418,7 @@ mod tests {
         let mut fixed = vec![false; fl.len()];
         let mut newrate = vec![0u64; fl.len()];
         let mut by_demand: Vec<(u64, usize)> = (0..fl.len())
-            .map(|fi| (fs.slab.demand[fl[fi].1 as usize], fi))
+            .map(|fi| (fs.slab.flows[fl[fi].1 as usize].demand_bps, fi))
             .collect();
         by_demand.sort_unstable();
         let mut dp = 0usize;
@@ -1484,7 +1546,7 @@ mod tests {
             let st = fs.export();
             let mut state = String::new();
             for f in &st.flows {
-                let path = fnv(f.path.iter().flat_map(|n| n.0.to_le_bytes()));
+                let path = fnv(f.path.iter().flat_map(|h| h.node.0.to_le_bytes()));
                 state += &format!(
                     " {:x}:{}/{}/{}/{}/{path:x}",
                     f.flow.0, f.rate_bps, f.armed_rate_bps, f.epoch, f.remaining_bns
@@ -1689,7 +1751,11 @@ mod tests {
         let c = Coordinator::new(&shared, false).run(&events, SimTime::from_ms(10));
         assert_eq!(c.profile.fluid.unroutable, 1);
         assert_eq!(c.profile.fluid.started, 1, "b → a routes normally");
-        assert_eq!(c.fs.slab.len(), 1, "no slot allocated for the bogus path");
+        assert_eq!(
+            c.fs.slab.flows.len(),
+            1,
+            "no slot allocated for the bogus path"
+        );
         let registered: usize = c.fs.members.iter().map(Vec::len).sum();
         assert_eq!(registered, 3, "only the three hops of b → a");
     }

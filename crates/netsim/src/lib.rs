@@ -34,8 +34,8 @@ pub mod world;
 pub use agent::Agent;
 pub use builder::{NetSimBuilder, SimOutput};
 pub use fluid::{
-    FluidFlowEntryState, FluidStats, FluidWorldState, FLUID_CONTROL_DELAY, FLUID_COORDINATOR,
-    FLUID_EST_WINDOW, FLUID_UNBOUNDED,
+    FluidCoupling, FluidFlow, FluidStats, FluidWorldState, FLUID_CONTROL_DELAY, FLUID_COORDINATOR,
+    FLUID_EST_WINDOW,
 };
 pub use massf_faults::{FaultEvent, FaultKind, FaultScript, FaultState};
 pub use massf_routing::RouteCacheStats;
@@ -43,6 +43,6 @@ pub use packet::{FlowId, Hop, NetEvent, Packet, PacketKind};
 pub use profiling::ProfileData;
 pub use tcp::{AbortReason, TcpReceiver, TcpSender, MAX_RETRIES};
 pub use world::{
-    validate_net_event, AppLogic, FlowEntryState, NetWorld, NoApp, ReceiverEntryState, SharedNet,
-    SimApi, TransportKind, WorldState, DEFAULT_ROUTE_CACHE_CAPACITY,
+    validate_net_event, AppLogic, FlowCold, FlowEntryState, NetWorld, NoApp, ReceiverEntryState,
+    SharedNet, SimApi, WorldState, DEFAULT_ROUTE_CACHE_CAPACITY,
 };

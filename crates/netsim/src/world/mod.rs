@@ -23,7 +23,8 @@ mod slab;
 mod state;
 
 pub use api::{AppLogic, NoApp, SimApi};
-pub use shared::{SharedNet, TransportKind};
+pub use shared::SharedNet;
+pub use slab::FlowCold;
 pub(crate) use state::validate_route;
 pub use state::{validate_net_event, FlowEntryState, ReceiverEntryState, WorldState};
 
@@ -788,7 +789,7 @@ mod tests {
         use massf_engine::{run_sequential_resumable, try_run_parallel_resumable};
         let (shared, a, b) = dumbbell(10e6);
         let n = shared.lp_count();
-        let initial = vec![
+        let mut initial = vec![
             (
                 SimTime::ZERO,
                 LpId(a.0),
@@ -806,18 +807,32 @@ mod tests {
                 },
             ),
         ];
+        // Fluid flows both ways across the cut, still live at `mid`:
+        // each partition subscribes the slots it sends on, and the
+        // coordinator (node `a`) sits in partition 0. Capped at 0.5 MB/s
+        // each, they leave TCP room to keep the estimators moving.
+        for (src, dst) in [(a, b), (b, a)] {
+            let ev = NetEvent::FluidStart {
+                src,
+                dst,
+                bytes: 10_000_000,
+                peak_bps: 4_000_000,
+            };
+            initial.push((SimTime::from_ms(2), LpId(FLUID_COORDINATOR.0), ev));
+        }
         let mid = SimTime::from_ms(150);
 
         let mut seq = NetWorld::new(shared.clone(), NoApp);
-        run_sequential_resumable(&mut seq, n, seeded_resume(initial.clone(), n), mid)
-            .expect("sequential segment");
+        let (_, frontier) =
+            run_sequential_resumable(&mut seq, n, seeded_resume(initial.clone(), n), mid)
+                .expect("sequential segment");
         let seq_state = seq.export_state();
 
         // Cut between r1 and r2 (the only cross link, 1 ms latency).
         let assignment = [0u32, 0, 1, 1];
         let shards = vec![
             NetWorld::new(shared.clone(), NoApp),
-            NetWorld::new(shared, NoApp),
+            NetWorld::new(shared.clone(), NoApp),
         ];
         let (shards, _, _) = try_run_parallel_resumable(
             shards,
@@ -829,8 +844,32 @@ mod tests {
         )
         .expect("parallel segment");
         let parts: Vec<WorldState> = shards.iter().map(|w| w.export_state()).collect();
+        let subscribed = |st: &WorldState| st.coupling.fluid_bps.iter().any(|&r| r != u64::MAX);
+        assert!(parts.iter().all(subscribed), "both partitions send fluid");
+        assert_eq!(
+            parts[0].fluid.flows.len(),
+            2,
+            "partition 0 owns the coordinator"
+        );
+        assert!(parts[1].fluid.is_empty());
         let merged = WorldState::merge_partitions(&parts, &assignment).expect("disjoint parts");
         assert_eq!(merged, seq_state);
+
+        // Restored partitions run on to the sequential result: each
+        // keeps only what it owns, or a stale copy wins the merge.
+        let end = SimTime::from_ms(300);
+        run_sequential_resumable(&mut seq, n, frontier.clone(), end).expect("sequential suffix");
+        let shards = (0..2)
+            .map(|p| NetWorld::restore_partition(shared.clone(), NoApp, &seq_state, &assignment, p))
+            .collect::<Result<Vec<_>, _>>()
+            .expect("own export restores");
+        let (shards, _, _) =
+            try_run_parallel_resumable(shards, n, &assignment, frontier, end, SimTime::from_ms(1))
+                .expect("parallel suffix");
+        let parts: Vec<WorldState> = shards.iter().map(|w| w.export_state()).collect();
+        let mut merged = WorldState::merge_partitions(&parts, &assignment).expect("disjoint parts");
+        merged.profile.merge(&seq_state.profile);
+        assert_eq!(merged, seq.export_state());
     }
 
     #[test]
@@ -871,8 +910,19 @@ mod tests {
         reject(&wrong_busy, "oversized busy horizon");
 
         let mut broken_path = good.clone();
-        broken_path.flows[0].path = vec![a, b]; // hosts are not adjacent
+        broken_path.flows[0].cold.path = unslotted(&[a, b]); // hosts are not adjacent
         reject(&broken_path, "non-adjacent path hop");
+
+        // Slots are never trusted: a route whose slots are wrong, or
+        // missing as in a decoded snapshot, restores re-interned.
+        let mut bad_slots = good.clone();
+        let nodes: Vec<NodeId> = good.flows[0].cold.path.iter().map(|h| h.node).collect();
+        bad_slots.flows[0].cold.path = (nodes.iter()).map(|&node| Hop { node, slot: 0 }).collect();
+        let restored = NetWorld::restore(shared.clone(), NoApp, &bad_slots).expect("valid nodes");
+        assert_eq!(restored.export_state().flows, good.flows);
+        bad_slots.flows[0].cold.path = unslotted(&nodes);
+        let restored = NetWorld::restore(shared.clone(), NoApp, &bad_slots).expect("valid nodes");
+        assert_eq!(restored.export_state().flows, good.flows);
 
         let mut unissued_flow = good.clone();
         unissued_flow.flow_counter[a.index()] = 0;

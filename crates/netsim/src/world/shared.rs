@@ -10,13 +10,6 @@ use massf_routing::PathResolver;
 use massf_topology::{Network, NodeId};
 use std::sync::Arc;
 
-/// Transport protocol selector for injected traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportKind {
-    Tcp,
-    Udp,
-}
-
 /// Sorted CSR adjacency from a node pair to the directed link slot
 /// joining them: for each node, its neighbor ids in ascending order and
 /// the slot (`link·2 + dir`) leaving towards each, in parallel `u32`
@@ -182,24 +175,27 @@ impl SharedNet {
         self.port.lookup(from, to)
     }
 
-    /// Intern `path` as a route: each node with the slot it leaves on
-    /// ([`Hop::END`] at the last), in one exact-size allocation. `None`
-    /// when a consecutive pair is not a link or a node is unknown. The
-    /// one place slots are computed, for packet routes and fluid flows
-    /// alike.
-    pub fn hop_route(&self, path: &[NodeId]) -> Option<Arc<[Hop]>> {
+    /// Intern `path` (nodes, or hops whose slots are ignored) as a
+    /// route: each node with the slot it leaves on ([`Hop::END`] at the
+    /// last), in one exact-size allocation. `None` when a consecutive
+    /// pair is not a link or a node is unknown. The one place slots are
+    /// computed, for packet routes and fluid flows alike.
+    pub fn hop_route<T: Copy + Into<NodeId>>(&self, path: &[T]) -> Option<Arc<[Hop]>> {
         if path.len() < 2 {
             return None;
         }
         let route: Arc<[Hop]> = path
             .iter()
             .enumerate()
-            .map(|(i, &node)| Hop {
-                node,
-                slot: path
-                    .get(i + 1)
-                    .and_then(|&next| self.slot_between(node, next))
-                    .unwrap_or(Hop::END),
+            .map(|(i, &node)| {
+                let node = node.into();
+                Hop {
+                    node,
+                    slot: path
+                        .get(i + 1)
+                        .and_then(|&next| self.slot_between(node, next.into()))
+                        .unwrap_or(Hop::END),
+                }
             })
             .collect();
         route[..route.len() - 1]

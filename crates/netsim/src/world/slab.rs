@@ -18,19 +18,23 @@ pub(super) fn flow_counter_of(flow: FlowId) -> u32 {
 
 /// Cold per-flow sender bookkeeping: touched at flow setup, RTO
 /// fail-over, and teardown, but not on the per-ACK hot path (only its
-/// `path`/`dst` words are read there, to stamp outgoing packets).
-pub(super) struct FlowCold {
+/// `path`/`dst` words are read there, to stamp outgoing packets). A
+/// [`super::FlowEntryState`] carries it as is.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlowCold {
     /// Forward route; the `Arc` is interned per `(epoch, src, dst)` by
     /// the world's route cache, so concurrent flows between the same
-    /// pair share one allocation.
-    pub(super) path: Arc<[Hop]>,
+    /// pair share one allocation. A snapshot carries only its nodes, so
+    /// a decoded one holds [`Hop::END`] slots until restore re-interns
+    /// it.
+    pub path: Arc<[Hop]>,
     /// Flow destination, cached out of the path.
-    pub(super) dst: NodeId,
-    /// Epoch of the currently armed RTO timer.
-    pub(super) armed_epoch: u32,
+    pub dst: NodeId,
+    /// Epoch of the currently armed RTO timer (`u32::MAX` = none).
+    pub armed_epoch: u32,
     /// The last fault-driven re-resolution found no path (colors the
     /// abort reason).
-    pub(super) unroutable: bool,
+    pub unroutable: bool,
 }
 
 /// Struct-of-arrays slab of active TCP senders, replacing the former

@@ -5,7 +5,7 @@
 use super::shared::SharedNet;
 use super::slab::{flow_counter_of, FlowCold, FlowSlab, NodeStates, ReceiverSlab};
 use super::{AppLogic, NetWorld};
-use crate::fluid::{FluidCoupling, FluidState, FluidWorldState, FLUID_COORDINATOR};
+use crate::fluid::{slot_sender, FluidCoupling, FluidState, FluidWorldState, FLUID_COORDINATOR};
 use crate::packet::{FlowId, Hop, NetEvent};
 use crate::profiling::ProfileData;
 use crate::tcp::{TcpReceiver, TcpSender};
@@ -15,21 +15,16 @@ use massf_routing::{RouteCache, RouteCacheShardState, RouteCacheState};
 use massf_topology::{MassfError, NodeId};
 use std::sync::Arc;
 
-/// One live TCP flow in a [`WorldState`] (sender side).
+/// One live TCP flow in a [`WorldState`] (sender side): the flow slab's
+/// own two records for it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowEntryState {
     /// Flow id; encodes the owning source host and its per-host counter.
     pub flow: FlowId,
     /// Complete TCP sender state machine.
     pub sender: TcpSender,
-    /// The flow's resolved forward path.
-    pub path: Vec<NodeId>,
-    /// Flow destination.
-    pub dst: NodeId,
-    /// Epoch of the currently armed RTO timer (`u32::MAX` = none).
-    pub armed_epoch: u32,
-    /// Last fault-driven re-resolution found no path.
-    pub unroutable: bool,
+    /// Route, destination and timer bookkeeping.
+    pub cold: FlowCold,
 }
 
 /// One TCP receiver in a [`WorldState`] (destination side).
@@ -74,33 +69,22 @@ pub struct WorldState {
     /// empty in packet-only runs and in partition exports that don't
     /// own the coordinator LP.
     pub fluid: FluidWorldState,
-    /// Packet-side coupling per slot: the fluid rate last installed by
-    /// a `FluidCapUpdate` (`u64::MAX` = slot never subscribed). Length
-    /// `2·links`, or empty when the world never saw fluid traffic.
-    /// Partitions only advance slots whose sender node they own, and
-    /// the unsubscribed value is the numeric maximum, so partition
-    /// exports merge by elementwise **min**.
-    pub fluid_seen_bps: Vec<u64>,
-    /// Open packet-load estimator window start per slot
-    /// (`SimTime::MAX` = closed); same length rules; min-merged.
-    pub fluid_est_start: Vec<SimTime>,
-    /// Bytes accumulated in the open estimator window per slot;
-    /// max-merged (non-owners stay at 0).
-    pub fluid_est_bytes: Vec<u64>,
-    /// Last packet-load level reported to the coordinator per slot;
-    /// max-merged (non-owners stay at 0).
-    pub fluid_est_reported: Vec<u64>,
+    /// Packet-side fluid coupling per slot; empty when the world never
+    /// saw fluid traffic.
+    pub coupling: FluidCoupling,
 }
 
 /// Check that `path` is a plausible source route over `shared`'s
 /// topology — at least two in-range nodes, every consecutive pair
-/// adjacent — and intern it with its link slots. Restored packets and
-/// flows travel these routes through `SimApi::transmit`, which indexes
-/// links by the slots — hostile snapshot input must be stopped here,
-/// not there.
-pub(crate) fn validate_route(
+/// adjacent — and intern it with its link slots. Every route restore
+/// reads (a flow's, a fluid flow's, a cached one, an in-flight
+/// packet's) comes through here, and any slots it carries are ignored:
+/// restored packets and flows travel these routes through
+/// `SimApi::transmit`, which indexes links by the slots — hostile
+/// snapshot input must be stopped here, not there.
+pub(crate) fn validate_route<T: Copy + Into<NodeId>>(
     shared: &SharedNet,
-    path: &[NodeId],
+    path: &[T],
     section: &str,
 ) -> Result<Arc<[Hop]>, MassfError> {
     shared
@@ -137,8 +121,7 @@ pub fn validate_net_event(
     }
     match event {
         NetEvent::Arrive(pkt) => {
-            let nodes: Vec<NodeId> = pkt.path.iter().map(|h| h.node).collect();
-            pkt.path = validate_route(shared, &nodes, "events")?;
+            pkt.path = validate_route(shared, &pkt.path, "events")?;
             let hop = pkt.hop as usize;
             // In-flight packets have always crossed ≥ 1 link and sit on
             // a node of their walk; `handle` reads `node_at(hop - 1)`
@@ -199,7 +182,7 @@ pub fn validate_net_event(
             }
             // Cap updates must land where the slot's packets serialize;
             // `transmit` indexes the coupling arrays blindly there.
-            let sender = crate::fluid::slot_sender(shared, *slot);
+            let sender = slot_sender(shared, *slot);
             if target != LpId(sender.0) {
                 return Err(bad(format!(
                     "fluid cap update for slot {slot} not targeting its sender LP"
@@ -339,48 +322,8 @@ impl WorldState {
                 )));
             }
         }
-        // Packet-side coupling arrays: each partition advances only the
-        // slots whose sender node it owns and leaves the rest at their
-        // defaults, so min-merge (MAX-default fields) / max-merge
-        // (0-default fields) reconstructs the full arrays exactly.
-        let slots = busy_until.len();
-        let arrays_len_ok = |v: usize| -> bool { v == 0 || v == slots };
-        for (i, p) in parts.iter().enumerate() {
-            if !arrays_len_ok(p.fluid_seen_bps.len())
-                || p.fluid_est_start.len() != p.fluid_seen_bps.len()
-                || p.fluid_est_bytes.len() != p.fluid_seen_bps.len()
-                || p.fluid_est_reported.len() != p.fluid_seen_bps.len()
-            {
-                return Err(misuse(format!(
-                    "partition {i} fluid coupling arrays have inconsistent lengths"
-                )));
-            }
-        }
-        let any_coupling = parts.iter().any(|p| !p.fluid_seen_bps.is_empty());
-        let (mut seen, mut est_start, mut est_bytes, mut est_reported) = if any_coupling {
-            (
-                vec![u64::MAX; slots],
-                vec![SimTime::MAX; slots],
-                vec![0u64; slots],
-                vec![0u64; slots],
-            )
-        } else {
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new())
-        };
-        for p in parts {
-            for (a, b) in seen.iter_mut().zip(&p.fluid_seen_bps) {
-                *a = (*a).min(*b);
-            }
-            for (a, b) in est_start.iter_mut().zip(&p.fluid_est_start) {
-                *a = (*a).min(*b);
-            }
-            for (a, b) in est_bytes.iter_mut().zip(&p.fluid_est_bytes) {
-                *a = (*a).max(*b);
-            }
-            for (a, b) in est_reported.iter_mut().zip(&p.fluid_est_reported) {
-                *a = (*a).max(*b);
-            }
-        }
+        let coupling = FluidCoupling::merge(parts.iter().map(|p| &p.coupling), busy_until.len())
+            .map_err(misuse)?;
 
         Ok(WorldState {
             flow_counter,
@@ -394,10 +337,7 @@ impl WorldState {
             profile,
             max_retries: first.max_retries,
             fluid,
-            fluid_seen_bps: seen,
-            fluid_est_start: est_start,
-            fluid_est_bytes: est_bytes,
-            fluid_est_reported: est_reported,
+            coupling,
         })
     }
 }
@@ -412,14 +352,10 @@ impl<A: AppLogic> NetWorld<A> {
         let mut flows = Vec::new();
         for (node, index) in s.flows.by_node.iter().enumerate() {
             for &(counter, slot) in index {
-                let cold = &s.flows.cold[slot as usize];
                 flows.push(FlowEntryState {
                     flow: FlowId::new(NodeId(node as u32), counter),
                     sender: s.flows.hot[slot as usize].clone(),
-                    path: cold.path.iter().map(|h| h.node).collect(),
-                    dst: cold.dst,
-                    armed_epoch: cold.armed_epoch,
-                    unroutable: cold.unroutable,
+                    cold: s.flows.cold[slot as usize].clone(),
                 });
             }
         }
@@ -449,10 +385,7 @@ impl<A: AppLogic> NetWorld<A> {
                 .as_deref()
                 .map(FluidState::export)
                 .unwrap_or_default(),
-            fluid_seen_bps: s.coupling.fluid_bps.clone(),
-            fluid_est_start: s.coupling.est_start.clone(),
-            fluid_est_bytes: s.coupling.est_bytes.clone(),
-            fluid_est_reported: s.coupling.est_reported.clone(),
+            coupling: s.coupling.clone(),
         }
     }
 
@@ -605,11 +538,11 @@ impl<A: AppLogic> NetWorld<A> {
                     src.0
                 )));
             }
-            let path = validate_route(&shared, &f.path, "world")?;
-            if f.path[0] != src || *f.path.last().expect("len ≥ 2 checked") != f.dst {
+            let path = validate_route(&shared, &f.cold.path, "world")?;
+            if path[0].node != src || path[path.len() - 1].node != f.cold.dst {
                 return Err(bad(format!(
                     "flow path endpoints do not match source {} / destination {}",
-                    src.0, f.dst.0
+                    src.0, f.cold.dst.0
                 )));
             }
             f.sender.validate()?;
@@ -617,17 +550,11 @@ impl<A: AppLogic> NetWorld<A> {
                 return Err(bad("finished flow serialized as live".into()));
             }
             if owned(src) {
-                flows.insert(
-                    src,
-                    f.flow,
-                    f.sender.clone(),
-                    FlowCold {
-                        path,
-                        dst: f.dst,
-                        armed_epoch: f.armed_epoch,
-                        unroutable: f.unroutable,
-                    },
-                );
+                let cold = FlowCold {
+                    path,
+                    ..f.cold.clone()
+                };
+                flows.insert(src, f.flow, f.sender.clone(), cold);
             }
         }
 
@@ -646,38 +573,12 @@ impl<A: AppLogic> NetWorld<A> {
             }
         }
 
-        // Packet-side fluid coupling: all four arrays empty (never
-        // subscribed) or all 2·links long. A partition keeps only the
-        // slots whose sending node it owns; the rest revert to their
-        // defaults so the later min/max merge is exact.
-        if state.fluid_seen_bps.len() != state.fluid_est_start.len()
-            || state.fluid_seen_bps.len() != state.fluid_est_bytes.len()
-            || state.fluid_seen_bps.len() != state.fluid_est_reported.len()
-        {
-            return Err(bad("fluid coupling arrays have inconsistent lengths".into()));
-        }
-        if !state.fluid_seen_bps.is_empty() && state.fluid_seen_bps.len() != links * 2 {
-            return Err(bad(format!(
-                "fluid coupling covers {} slots, network has {}",
-                state.fluid_seen_bps.len(),
-                links * 2
-            )));
-        }
-        let mut coupling = FluidCoupling {
-            fluid_bps: state.fluid_seen_bps.clone(),
-            est_start: state.fluid_est_start.clone(),
-            est_bytes: state.fluid_est_bytes.clone(),
-            est_reported: state.fluid_est_reported.clone(),
-        };
+        // Packet-side fluid coupling: a partition keeps only the slots
+        // whose sending node it owns, so the later merge is exact.
+        state.coupling.check_len(links * 2).map_err(bad)?;
+        let mut coupling = state.coupling.clone();
         if filter.is_some() {
-            for s in 0..coupling.fluid_bps.len() {
-                if !owned(crate::fluid::slot_sender(&shared, s as u32)) {
-                    coupling.fluid_bps[s] = u64::MAX;
-                    coupling.est_start[s] = SimTime::MAX;
-                    coupling.est_bytes[s] = 0;
-                    coupling.est_reported[s] = 0;
-                }
-            }
+            coupling.retain(|slot| owned(slot_sender(&shared, slot)));
         }
 
         // Coordinator-side fluid state: loaded only by the coordinator

@@ -21,8 +21,9 @@ use crate::wire::{ByteReader, ByteWriter, Wire};
 use crate::{wire_enum, wire_struct};
 use massf_engine::{EventRecord, RebalanceConfig, RebalanceCounters, ResumeState};
 use massf_netsim::{
-    FaultKind, FlowEntryState, FluidFlowEntryState, FluidStats, FluidWorldState, Hop, NetEvent,
-    Packet, PacketKind, ProfileData, ReceiverEntryState, TcpReceiver, TcpSender, WorldState,
+    FaultKind, FlowCold, FlowEntryState, FluidCoupling, FluidFlow, FluidStats, FluidWorldState,
+    Hop, NetEvent, Packet, PacketKind, ProfileData, ReceiverEntryState, TcpReceiver, TcpSender,
+    WorldState,
 };
 use massf_routing::{RouteCacheEntryState, RouteCacheShardState, RouteCacheState, RouteCacheStats};
 use massf_topology::{MassfError, NodeId};
@@ -36,15 +37,19 @@ wire_struct!(WorldState {
     profile,
     max_retries,
     fluid,
-    fluid_seen_bps,
-    fluid_est_start,
-    fluid_est_bytes,
-    fluid_est_reported
+    coupling
 });
 
-wire_struct!(FlowEntryState {
-    flow,
-    sender,
+wire_struct!(FluidCoupling {
+    fluid_bps,
+    est_start,
+    est_bytes,
+    est_reported
+});
+
+wire_struct!(FlowEntryState { flow, sender, cold });
+
+wire_struct!(FlowCold {
     path,
     dst,
     armed_epoch,
@@ -117,7 +122,7 @@ wire_struct!(FluidWorldState {
     reported_bps
 });
 
-wire_struct!(FluidFlowEntryState {
+wire_struct!(FluidFlow {
     flow,
     path,
     demand_bps,
@@ -183,9 +188,10 @@ wire_struct!(RebalanceCounters {
 });
 
 /// A route travels as its node list, so snapshot bytes do not depend on
-/// link slots: a decoded hop carries [`Hop::END`] until
-/// [`massf_netsim::validate_net_event`] re-interns its route against the
-/// topology.
+/// link slots: a decoded hop carries [`Hop::END`] until restore
+/// ([`massf_netsim::NetWorld::restore`],
+/// [`massf_netsim::validate_net_event`]) re-interns its route against
+/// the topology.
 impl Wire for Hop {
     const MIN_BYTES: usize = NodeId::MIN_BYTES;
     fn put(&self, w: &mut ByteWriter) {
@@ -406,9 +412,9 @@ mod tests {
     fn fluid_world_state_round_trips() {
         let state = FluidWorldState {
             flows: vec![
-                FluidFlowEntryState {
+                FluidFlow {
                     flow: FlowId::new(NodeId(0), 0),
-                    path: vec![NodeId(2), NodeId(0), NodeId(5)],
+                    path: unslotted(&[NodeId(2), NodeId(0), NodeId(5)]),
                     demand_bps: u64::MAX,
                     rate_bps: 125_000,
                     armed_rate_bps: 125_000,
@@ -416,9 +422,9 @@ mod tests {
                     updated: SimTime::from_ms(25),
                     epoch: 3,
                 },
-                FluidFlowEntryState {
+                FluidFlow {
                     flow: FlowId::new(NodeId(0), 7),
-                    path: vec![NodeId(1), NodeId(4)],
+                    path: unslotted(&[NodeId(1), NodeId(4)]),
                     demand_bps: 10_000,
                     rate_bps: 0,
                     armed_rate_bps: 0,
@@ -474,7 +480,7 @@ mod tests {
         }
         exact(&zero_value::<FlowEntryState>(), "flow entry");
         exact(&zero_value::<ReceiverEntryState>(), "receiver");
-        exact(&zero_value::<FluidFlowEntryState>(), "fluid flow");
+        exact(&zero_value::<FluidFlow>(), "fluid flow");
         exact(&zero_value::<RouteCacheEntryState>(), "cache entry");
         exact(&zero_value::<RouteCacheShardState>(), "cache shard");
         exact(&min_event_record(), "event record");
@@ -482,7 +488,7 @@ mod tests {
             [
                 FlowEntryState::MIN_BYTES,
                 ReceiverEntryState::MIN_BYTES,
-                FluidFlowEntryState::MIN_BYTES,
+                FluidFlow::MIN_BYTES,
                 RouteCacheEntryState::MIN_BYTES,
                 RouteCacheShardState::MIN_BYTES,
                 <EventRecord<NetEvent>>::MIN_BYTES,
@@ -578,7 +584,7 @@ mod tests {
             prop_assert!(encode(&record.payload).len() >= NetEvent::MIN_BYTES);
 
             let mut flow: FlowEntryState = zero_value();
-            flow.path = path.clone();
+            flow.cold.path = unslotted(&path);
             flow.sender.srtt = srtt.0.then_some(SimTime(srtt.1));
             flow.sender.rtt_probe = probe.0.then_some((probe.1, SimTime(probe.2)));
             prop_assert!(encode(&flow).len() >= FlowEntryState::MIN_BYTES);
@@ -592,9 +598,9 @@ mod tests {
             prop_assert!(encode(&entry).len() >= RouteCacheEntryState::MIN_BYTES);
             prop_assert!(encode(&shard).len() >= RouteCacheShardState::MIN_BYTES);
 
-            let mut fluid: FluidFlowEntryState = zero_value();
-            fluid.path = path;
-            prop_assert!(encode(&fluid).len() >= FluidFlowEntryState::MIN_BYTES);
+            let mut fluid: FluidFlow = zero_value();
+            fluid.path = unslotted(&path);
+            prop_assert!(encode(&fluid).len() >= FluidFlow::MIN_BYTES);
         }
     }
 }

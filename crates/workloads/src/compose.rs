@@ -57,6 +57,28 @@ impl<A: AppLogic, B: AppLogic> AppLogic for Pair<A, B> {
         self.first.on_flow_aborted(host, flow, reason, api);
         self.second.on_flow_aborted(host, flow, reason, api);
     }
+
+    fn on_fluid_complete(
+        &mut self,
+        src: NodeId,
+        flow: FlowId,
+        dst: NodeId,
+        api: &mut SimApi<'_, '_>,
+    ) {
+        self.first.on_fluid_complete(src, flow, dst, api);
+        self.second.on_fluid_complete(src, flow, dst, api);
+    }
+
+    fn on_fluid_aborted(
+        &mut self,
+        src: NodeId,
+        flow: FlowId,
+        dst: NodeId,
+        api: &mut SimApi<'_, '_>,
+    ) {
+        self.first.on_fluid_aborted(src, flow, dst, api);
+        self.second.on_fluid_aborted(src, flow, dst, api);
+    }
 }
 
 #[cfg(test)]

@@ -19,12 +19,15 @@
 #                             checkpoint_study, rebalance_study,
 #                             scaling_study and ablation_sync_cost runs
 #                             at --scale tiny, fluid_fidelity (it takes
-#                             no flags), and the benchmark crate's own
-#                             gate, perf/check.sh)
+#                             no flags), the five massf-core examples
+#                             (quickstart, single_as_study,
+#                             multi_as_study, bgp_policy_explorer,
+#                             bgp_beacon), and the benchmark crate's
+#                             own gate, perf/check.sh)
 #   scripts/check.sh --fast   skip the release-mode runs
 #
 # The simulator's checks live in `cargo test`; the release-mode runs
-# only prove each study binary still runs end to end.
+# only prove each study binary and example still runs end to end.
 #
 # Each stage is wall-clock timed; a summary table prints at the end,
 # then scripts/loc.sh's count of crates/ lines outside `#[cfg(test)]`
@@ -106,6 +109,10 @@ if [ "$FAST" -eq 0 ]; then
         cargo run --release -q -p massf-bench --bin ablation_sync_cost -- --scale tiny
     stage "fluid_fidelity" \
         cargo run --release -q -p massf-bench --bin fluid_fidelity
+    for example in quickstart single_as_study multi_as_study bgp_policy_explorer bgp_beacon; do
+        stage "example $example" \
+            cargo run --release -q -p massf-core --example "$example"
+    done
     stage "perf/check.sh (benchmark crate: fmt, clippy, tests, --quick suite)" \
         bash perf/check.sh
 else

@@ -24,6 +24,7 @@ use massf_snapshot::{ExecMode, Session};
 use massf_topology::{
     generate_flat_network, AsId, FlatTopologyConfig, Network, NodeId, NodeKind, Point,
 };
+use massf_workloads::Pair;
 use proptest::prelude::*;
 
 /// A small generated network carrying scripted TCP foreground traffic,
@@ -192,9 +193,10 @@ fn flap_on_shared_bottleneck_reroutes_both_fidelities() {
     assert_eq!(out.profile, par.profile);
 }
 
-#[test]
-fn severed_path_terminates_fluid_flows_through_the_callback() {
-    // ha — r0 — r1 — hb chain: no detour exists once r0–r1 dies.
+/// An `ha — r0 — r1 — hb` chain whose middle link dies at 500 ms, with
+/// two 100 MB fluid flows (`ha → hb` at 0, `hb → ha` at 100 ms) too big
+/// to finish before the cut: no detour exists, so both abort.
+fn severed_chain() -> (NetSimBuilder, Agent, NodeId, NodeId) {
     let mut net = Network::new();
     let ha = net.add_node(NodeKind::Host, Point::new(0.0, 0.0), AsId(0));
     let r0 = net.add_node(NodeKind::Router, Point::new(1.0, 0.0), AsId(0));
@@ -206,11 +208,16 @@ fn severed_path_terminates_fluid_flows_through_the_callback() {
     let mut script = FaultScript::new();
     script.link_down(SimTime::from_ms(500), middle);
     let faults = FaultState::flat(&net, CostMetric::Latency, script).expect("script validates");
-    let mut builder = NetSimBuilder::new_with_faults(net, faults);
+    let builder = NetSimBuilder::new_with_faults(net, faults);
     let mut agent = Agent::new();
-    // Big enough that neither flow can finish before the cut.
     agent.inject_fluid(SimTime::ZERO, ha, hb, 100_000_000);
     agent.inject_fluid(SimTime::from_ms(100), hb, ha, 100_000_000);
+    (builder, agent, ha, hb)
+}
+
+#[test]
+fn severed_path_terminates_fluid_flows_through_the_callback() {
+    let (mut builder, agent, ha, hb) = severed_chain();
     builder.add_agent(agent);
 
     #[derive(Clone, Default)]
@@ -238,6 +245,49 @@ fn severed_path_terminates_fluid_flows_through_the_callback() {
     let mut endpoints: Vec<(NodeId, NodeId)> = aborts.iter().map(|&(s, _, d)| (s, d)).collect();
     endpoints.sort();
     assert_eq!(endpoints, vec![(ha, hb), (hb, ha)]);
+}
+
+#[test]
+fn composed_apps_see_every_fluid_callback() {
+    let (mut builder, mut agent, ha, hb) = severed_chain();
+    // 100 kB at about half of 1.25 MB/s: done long before the cut.
+    agent.inject_fluid(SimTime::ZERO, ha, hb, 100_000);
+    builder.add_agent(agent);
+
+    #[derive(Clone, Default, Debug, PartialEq)]
+    struct FluidLog {
+        completed: Vec<FlowId>,
+        aborted: Vec<FlowId>,
+    }
+    impl AppLogic for FluidLog {
+        fn on_flow_complete(&mut self, _: NodeId, _: FlowId, _: &mut SimApi<'_, '_>) {}
+        fn on_timer(&mut self, _: NodeId, _: u64, _: &mut SimApi<'_, '_>) {}
+        fn on_fluid_complete(
+            &mut self,
+            _: NodeId,
+            flow: FlowId,
+            _: NodeId,
+            _: &mut SimApi<'_, '_>,
+        ) {
+            self.completed.push(flow);
+        }
+        fn on_fluid_aborted(&mut self, _: NodeId, flow: FlowId, _: NodeId, _: &mut SimApi<'_, '_>) {
+            self.aborted.push(flow);
+        }
+    }
+
+    let app = Pair::new(FluidLog::default(), FluidLog::default());
+    let out = builder.run_sequential(app, SimTime::from_secs(5));
+    assert_eq!(out.profile.fluid.completed, 1);
+    assert_eq!(out.profile.fluid.aborted, 2);
+    let pair = &out.apps[0];
+    assert_eq!(
+        pair.first.completed.len(),
+        1,
+        "first member missed a completion"
+    );
+    assert_eq!(pair.first.aborted.len(), 2, "first member missed an abort");
+    assert_eq!(pair.second, pair.first, "second member saw other callbacks");
 }
 
 #[test]
