@@ -289,14 +289,14 @@ fn main() {
     // diagnostic: in a parallel run these depend on thread interleaving.
     println!();
     println!(
-        "{:>5} {:>12} {:>16} {:>14} {:>10}",
-        "epoch", "trees_built", "served_reversed", "tie_fallbacks", "evictions"
+        "{:>5} {:>12} {:>16} {:>14}",
+        "epoch", "trees_built", "served_reversed", "tie_fallbacks"
     );
     for e in 0..faults.epoch_count() {
         if let Some(s) = faults.epoch_spt_stats(e) {
             println!(
-                "{:>5} {:>12} {:>16} {:>14} {:>10}",
-                e, s.trees_built, s.served_reversed, s.tie_fallbacks, s.evictions
+                "{:>5} {:>12} {:>16} {:>14}",
+                e, s.trees_built, s.served_reversed, s.tie_fallbacks
             );
         }
     }

@@ -8,9 +8,11 @@
 //! mid-transfer, measuring the live-byte delta of each phase with the
 //! feature-gated counting allocator (`massf_bench::alloccount`).
 //!
-//! Flow destinations are concentrated on a small host set so the lazy
-//! per-destination SPT cache stays bounded: this bench measures bytes,
-//! not routing throughput (`perf/`'s `routing.*` metrics cover that).
+//! Flow destinations are concentrated on a small host set: a domain
+//! keeps one shortest-path tree per distinct root it routes on, so the
+//! destinations bound how many trees the run builds and holds. This
+//! bench measures bytes, not routing throughput (`perf/`'s `routing.*`
+//! metrics cover that).
 //!
 //! ```text
 //! cargo run --release -p massf-bench --features alloc-count \
@@ -33,8 +35,8 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// Flows stay mid-transfer for the whole measured run: far more bytes
 /// than 50 ms of simulated time can deliver.
 const FLOW_BYTES: u64 = 100 << 20;
-/// Destinations are drawn from this many hosts (bounds the lazy SPT
-/// cache; see module docs).
+/// Destinations are drawn from this many hosts (bounds the number of
+/// trees built; see module docs).
 const DST_HOSTS: usize = 64;
 
 struct Config {

@@ -305,6 +305,12 @@ fn run_suite_once(
             cache.evictions,
             cache.hit_rate() * 100.0
         );
+        if let Some(trees) = scenario.resolver.spt_stats() {
+            eprintln!(
+                "# trees ({label}): {} built / {} served reversed / {} tie fallbacks",
+                trees.trees_built, trees.served_reversed, trees.tie_fallbacks
+            );
+        }
         eprintln!(
             "# fluid ({label}): {} started / {} completed / {} aborted, {} rate recomputes / {} bottleneck recomputes, {} cap updates / {} packet-load updates",
             fluid.started,

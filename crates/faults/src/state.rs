@@ -181,7 +181,7 @@ impl FaultState {
     /// epoch builds only the OSPF domain with dead links and dead nodes'
     /// links filtered out; an SPT is computed the first time the epoch
     /// routes between two routers neither of whose trees can answer, and
-    /// never evicted (capacity = node count). A clean epoch *is* the
+    /// kept like every domain's trees. A clean epoch *is* the
     /// base network: it shares `base`.
     pub fn flat(
         net: &Network,
@@ -198,17 +198,11 @@ impl FaultState {
             let members: Vec<NodeId> = owned.nodes.iter().map(|n| n.id).collect();
             let dead_links = &epoch.dead_links;
             let dead_nodes = &epoch.dead_nodes;
-            let domain = OspfDomain::with_link_filter(
-                &owned,
-                members,
-                metric,
-                owned.node_count().max(1),
-                |l| {
-                    dead_links.binary_search(&l.id.0).is_err()
-                        && dead_nodes.binary_search(&l.a.0).is_err()
-                        && dead_nodes.binary_search(&l.b.0).is_err()
-                },
-            );
+            let domain = OspfDomain::with_link_filter(&owned, members, metric, |l| {
+                dead_links.binary_search(&l.id.0).is_err()
+                    && dead_nodes.binary_search(&l.a.0).is_err()
+                    && dead_nodes.binary_search(&l.b.0).is_err()
+            });
             Arc::new(FlatResolver::from_domain(domain))
         });
         Self::with_factory(net, script, base, factory)
@@ -505,9 +499,9 @@ mod tests {
         let mut script = FaultScript::new();
         script.link_down(SimTime::from_ms(100), l);
         let fs = FaultState::flat(&net, CostMetric::Latency, script).expect("valid script");
-        let a = Arc::as_ptr(fs.resolver_at(SimTime::from_ms(150)));
-        let b = Arc::as_ptr(fs.resolver_at(SimTime::from_ms(999)));
-        assert_eq!(a, b, "same epoch → same resolver instance");
+        let a = fs.resolver_at(SimTime::from_ms(150));
+        let b = fs.resolver_at(SimTime::from_ms(999));
+        assert!(Arc::ptr_eq(a, b), "same epoch → same resolver instance");
         assert_eq!(fs.reconvergence_count(), 1);
         fs.reconverge_at(SimTime::from_ms(150));
         assert_eq!(fs.reconvergence_count(), 1, "idempotent");

@@ -3,10 +3,11 @@
 //! An [`OspfDomain`] covers one routing domain — the whole network for
 //! the paper's flat single-AS experiments (Section 4), or one AS of a
 //! multi-AS network. Shortest-path trees (SPTs) are computed with
-//! Dijkstra and cached, so path queries cost O(path length) once a tree
+//! Dijkstra and kept, so path queries cost O(path length) once a tree
 //! rooted at *either end* of the query is held and the domain never
 //! materializes an O(N²) table: it holds the trees that were actually
-//! routed on, at most `cache_capacity` of them.
+//! routed on, at most one per distinct root, so at most
+//! [`OspfDomain::core_count`] of them.
 //!
 //! ## Storage and locking
 //!
@@ -16,11 +17,13 @@
 //! parents and summing link costs — plus one *tie bit* per node (33 bits
 //! per node per tree instead of 12 bytes; a 20,000-router full table is
 //! 1.6 GB, not 4.8 GB — which is why no caller builds one).
-//! SPTs are computed on first use and live in one bounded FIFO cache
-//! behind a mutex, the only SPT store, read through one accessor
-//! (`with_core_walk`). A domain whose capacity is at least its core size
-//! (the fault subsystem's per-epoch domains) never evicts, so it
-//! converges to exactly the trees its traffic needs.
+//! SPTs are computed on first use and never evicted: they live in one
+//! map keyed by root core index behind a mutex, the only SPT store,
+//! read through one accessor (`with_core_walk`), so a domain converges
+//! to exactly the trees its traffic needs. Trees held ≤ distinct roots
+//! routed on ≤ `core_count`, and each tree is `core_count` × 33 bits:
+//! ≈ 82 KB at 20,000 routers, so ≈ 150 MB for the 1,816 roots the
+//! paper-scale flat world routes on.
 //!
 //! ## The heap key
 //!
@@ -41,10 +44,10 @@
 //! toward the lowest index. The accessor produces that walk from, in
 //! this order:
 //!
-//! 1. the tree rooted at `b`, if cached;
-//! 2. the tree rooted at `a`, if cached **and** its walk `b → a` crosses
+//! 1. the tree rooted at `b`, if held;
+//! 2. the tree rooted at `a`, if held **and** its walk `b → a` crosses
 //!    no tied node — reversed;
-//! 3. a newly built tree rooted at `b` (FIFO insert, as ever).
+//! 3. a newly built tree rooted at `b`, which the domain then keeps.
 //!
 //! Rule 2 is exact, not approximate. A node's tie bit is set iff at
 //! least two *distinct* neighbours lie on shortest paths from it to the
@@ -69,7 +72,7 @@
 //! this: members that are single-homed hosts are classified as
 //! *aggregated leaves* at build time and excluded from the Dijkstra
 //! graph entirely — SPTs (and their parent arrays, and the root axis of
-//! the cache) cover only the *core* (routers plus any multi-homed or
+//! the tree map) cover only the *core* (routers plus any multi-homed or
 //! isolated oddballs). Queries compose a leaf endpoint as
 //! `[host] + core walk from its attach router` (and symmetrically at the
 //! destination), which is exact because the access link is the host's
@@ -86,7 +89,7 @@
 use massf_topology::{Network, NodeId, NodeKind};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 
 /// Link cost metric for SPF.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,7 +204,7 @@ struct SptScratch {
     heap: BinaryHeap<Reverse<u64>>,
 }
 
-/// What the SPT cache of one [`OspfDomain`] did so far
+/// What the SPT store of one [`OspfDomain`] did so far
 /// ([`OspfDomain::spt_stats`]).
 ///
 /// A **host-side diagnostic**: which tree serves a query — and so every
@@ -210,21 +213,30 @@ struct SptScratch {
 /// only the *answers* are deterministic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SptStats {
-    /// Dijkstra runs (cache misses at both ends, or a tie fallback).
+    /// Dijkstra runs (no tree at either end, or a tie fallback) — the
+    /// number of trees held, since none is ever dropped.
     pub trees_built: u64,
     /// Queries `a → b` answered by reversing a walk of the tree at `a`.
     pub served_reversed: u64,
-    /// Queries whose tree at `a` was cached but crossed a tied node, so
+    /// Queries whose tree at `a` was held but crossed a tied node, so
     /// the tree at `b` was built after all.
     pub tie_fallbacks: u64,
-    /// Trees dropped by the FIFO to stay within capacity.
-    pub evictions: u64,
+}
+
+impl std::iter::Sum for SptStats {
+    fn sum<I: Iterator<Item = SptStats>>(iter: I) -> Self {
+        iter.fold(SptStats::default(), |acc, s| SptStats {
+            trees_built: acc.trees_built + s.trees_built,
+            served_reversed: acc.served_reversed + s.served_reversed,
+            tie_fallbacks: acc.tie_fallbacks + s.tie_fallbacks,
+        })
+    }
 }
 
 /// An OSPF routing domain over a subset of a [`Network`]'s nodes.
 ///
-/// Queries are thread-safe: SPTs are computed on first use into a
-/// bounded FIFO cache behind a mutex. Each answer is a pure function of
+/// Queries are thread-safe: SPTs are computed on first use and kept in
+/// a map behind a mutex. Each answer is a pure function of
 /// the domain and the (src, dst) pair, so neither query order nor the
 /// querying thread can change one — only which tree is paid for.
 pub struct OspfDomain {
@@ -252,10 +264,8 @@ pub struct OspfDomain {
 
 struct SptCache {
     map: HashMap<u32, Spt>, // keyed by root *core* index
-    order: VecDeque<u32>,   // FIFO for eviction
-    capacity: usize,
-    scratch: SptScratch, // reused across lazy Dijkstra runs
-    walk: Vec<u32>,      // the walk handed to the current query
+    scratch: SptScratch,    // reused across lazy Dijkstra runs
+    walk: Vec<u32>,         // the walk handed to the current query
     stats: SptStats,
 }
 
@@ -285,20 +295,10 @@ impl OspfDomain {
     /// `2^(64 − key_shift)` (module docs, "The heap key") — 2^52 ns of
     /// latency at 4,000 routers.
     pub fn new(net: &Network, members: Vec<NodeId>, metric: CostMetric) -> Self {
-        Self::with_cache_capacity(net, members, metric, 1024)
+        Self::with_link_filter(net, members, metric, |_| true)
     }
 
-    /// Like [`OspfDomain::new`] with an explicit SPT cache capacity.
-    pub fn with_cache_capacity(
-        net: &Network,
-        members: Vec<NodeId>,
-        metric: CostMetric,
-        cache_capacity: usize,
-    ) -> Self {
-        Self::with_link_filter(net, members, metric, cache_capacity, |_| true)
-    }
-
-    /// Like [`OspfDomain::with_cache_capacity`] but only links for which
+    /// Like [`OspfDomain::new`] but only links for which
     /// `alive(link)` holds enter the adjacency — the reconvergence
     /// primitive of the fault subsystem: rebuilding a domain with dead
     /// links (or all links of a crashed router) filtered out yields the
@@ -307,7 +307,6 @@ impl OspfDomain {
         net: &Network,
         members: Vec<NodeId>,
         metric: CostMetric,
-        cache_capacity: usize,
         alive: impl Fn(&massf_topology::Link) -> bool,
     ) -> Self {
         let mut local_of = vec![u32::MAX; net.node_count()];
@@ -390,8 +389,6 @@ impl OspfDomain {
             key_shift,
             cache: Mutex::new(SptCache {
                 map: HashMap::new(),
-                order: VecDeque::new(),
-                capacity: cache_capacity.max(1),
                 scratch: SptScratch::default(),
                 walk: Vec::new(),
                 stats: SptStats::default(),
@@ -421,7 +418,7 @@ impl OspfDomain {
         self.core_member.len()
     }
 
-    /// SPT cache counters so far — a host-side diagnostic, see
+    /// SPT store counters so far — a host-side diagnostic, see
     /// [`SptStats`].
     pub fn spt_stats(&self) -> SptStats {
         self.cache.lock().stats
@@ -494,8 +491,6 @@ impl OspfDomain {
         let mut cache = self.cache.lock();
         let SptCache {
             map,
-            order,
-            capacity,
             scratch,
             walk,
             stats,
@@ -514,18 +509,9 @@ impl OspfDomain {
                     stats.tie_fallbacks += 1;
                     walk.clear();
                 }
-                let spt = self.compute_spt(b, scratch);
                 stats.trees_built += 1;
-                if map.len() >= *capacity {
-                    if let Some(old) = order.pop_front() {
-                        map.remove(&old);
-                        stats.evictions += 1;
-                    }
-                }
-                let found = spt.walk(a, b, walk);
-                order.push_back(b);
-                map.insert(b, spt);
-                found
+                let spt = map.entry(b).or_insert(self.compute_spt(b, scratch));
+                spt.walk(a, b, walk)
             }
         };
         f((found != Walk::Unreachable).then_some(walk.as_slice()))
@@ -897,7 +883,7 @@ mod tests {
             for b in 0..n {
                 let mut dist = vec![u32::MAX; n as usize];
                 dist[b as usize] = 0;
-                let mut queue = VecDeque::from([b]);
+                let mut queue = std::collections::VecDeque::from([b]);
                 while let Some(v) = queue.pop_front() {
                     for &(u, _) in d.adj.row(v) {
                         if dist[u as usize] == u32::MAX {
@@ -928,15 +914,20 @@ mod tests {
         }
     }
 
+    /// A chain longer than 1,024 routers, every router asked for twice
+    /// as a destination from the chain's head: one tree per distinct
+    /// destination, none built again.
     #[test]
-    fn cache_eviction_keeps_answers_correct() {
-        let (net, ids) = diamond();
-        let d = OspfDomain::with_cache_capacity(&net, ids.clone(), CostMetric::Latency, 1);
-        let p03 = d.path(ids[0], ids[3]);
-        let p01 = d.path(ids[0], ids[1]); // evicts dst 3
-        let p03_again = d.path(ids[0], ids[3]); // recompute
-        assert_eq!(p03, p03_again);
-        assert_eq!(p01, Some(vec![ids[0], ids[1]]));
+    fn every_tree_is_kept_past_a_thousand_roots() {
+        let (net, ids) = chain(&[1_000_000; 1500]);
+        let d = OspfDomain::new(&net, ids.clone(), CostMetric::Latency);
+        for _ in 0..2 {
+            for &dst in &ids[1..] {
+                assert_eq!(d.next_hop(ids[0], dst), Some(ids[1]));
+            }
+        }
+        assert_eq!(d.spt_stats().trees_built, ids.len() as u64 - 1);
+        assert_eq!(d.cache.lock().map.len(), ids.len() - 1);
     }
 
     #[test]
@@ -961,9 +952,8 @@ mod tests {
             .find(|l| (l.a, l.b) == (ids[0], ids[1]) || (l.a, l.b) == (ids[1], ids[0]))
             .expect("diamond has a 0-1 link")
             .id;
-        let d = OspfDomain::with_link_filter(&net, ids.clone(), CostMetric::Latency, 1024, |l| {
-            l.id != dead
-        });
+        let d =
+            OspfDomain::with_link_filter(&net, ids.clone(), CostMetric::Latency, |l| l.id != dead);
         assert_eq!(
             d.path(ids[0], ids[3]),
             Some(vec![ids[0], ids[2], ids[3]]),
@@ -1029,7 +1019,7 @@ mod tests {
         // Kill h3's access link: the host becomes an unreachable
         // (isolated, hence core) member; everyone else still routes.
         let h3 = members[6];
-        let faulted = OspfDomain::with_link_filter(&net, members, CostMetric::Latency, 1024, |l| {
+        let faulted = OspfDomain::with_link_filter(&net, members, CostMetric::Latency, |l| {
             l.a != h3 && l.b != h3
         });
         assert_eq!(faulted.path(routers[0], h3), None);
@@ -1042,7 +1032,7 @@ mod tests {
     fn link_filter_can_disconnect() {
         let (net, ids) = diamond();
         // Kill both of node 3's links: it becomes unreachable.
-        let d = OspfDomain::with_link_filter(&net, ids.clone(), CostMetric::Latency, 1024, |l| {
+        let d = OspfDomain::with_link_filter(&net, ids.clone(), CostMetric::Latency, |l| {
             l.a != ids[3] && l.b != ids[3]
         });
         assert_eq!(d.path(ids[0], ids[3]), None);
@@ -1181,10 +1171,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Every ordered pair, in one shuffled order and in its reverse,
-        /// at cache capacities 1, 2 and n: all four queries equal the
-        /// destination-rooted reference, whichever trees happen to be
-        /// held. Under `Hop` both new branches must have run.
+        /// Every ordered pair, in one shuffled order and in its reverse:
+        /// all four queries equal the destination-rooted reference,
+        /// whichever trees happen to be held, and every tree built is
+        /// held. Under `Hop` both either-end branches must have run: a
+        /// query finds the tree at its source held before the one at
+        /// its destination is built.
         #[test]
         fn either_end_trees_match_destination_rooted_reference(
             ring in 4usize..11,
@@ -1210,12 +1202,11 @@ mod tests {
                     between.map(|l| metric.cost(l)).min().expect("path hops are links")
                 };
                 let mut seen = SptStats::default();
-                for capacity in [1, 2, ids.len()] {
-                    for order in [&order, &reversed] {
-                        let d = OspfDomain::with_cache_capacity(&net, ids.clone(), metric, capacity);
+                for order in [&order, &reversed] {
+                        let d = OspfDomain::new(&net, ids.clone(), metric);
                         for &(s, t) in order {
                             let want = reference_path(&oracle, s, t);
-                            let ctx = format!("{metric:?} cap {capacity} {s:?}→{t:?}");
+                            let ctx = format!("{metric:?} {s:?}→{t:?}");
                             prop_assert_eq!(d.path(s, t), want.clone(), "path {}", ctx);
                             let hop = want.as_ref().and_then(|p| p.get(1).copied());
                             prop_assert_eq!(d.next_hop(s, t), hop, "next_hop {}", ctx);
@@ -1237,12 +1228,9 @@ mod tests {
                             }
                         }
                         let stats = d.spt_stats();
-                        let held = d.cache.lock().map.len();
-                        prop_assert!(held <= capacity);
-                        prop_assert_eq!(stats.trees_built - stats.evictions, held as u64);
+                        prop_assert_eq!(stats.trees_built, d.cache.lock().map.len() as u64);
                         seen.served_reversed += stats.served_reversed;
                         seen.tie_fallbacks += stats.tie_fallbacks;
-                    }
                 }
                 if metric == CostMetric::Hop {
                     prop_assert!(seen.served_reversed > 0, "no query was served reversed");

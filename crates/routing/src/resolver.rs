@@ -39,9 +39,10 @@ pub trait PathResolver: Send + Sync {
         self.route(src, dst).map(Arc::from)
     }
 
-    /// Shortest-path-tree counters of a resolver that is one OSPF
-    /// domain, else `None`. A host-side diagnostic ([`SptStats`]): it
-    /// depends on thread interleaving and enters no simulated result.
+    /// Shortest-path-tree counters of a resolver built on OSPF domains
+    /// (summed over its domains), else `None`. A host-side diagnostic
+    /// ([`SptStats`]): it depends on thread interleaving and enters no
+    /// simulated result.
     fn spt_stats(&self) -> Option<SptStats> {
         None
     }
@@ -288,6 +289,11 @@ impl PathResolver for MultiAsResolver {
         }
         Some(path)
     }
+
+    /// The sum of the per-AS domains' counters, in AS order.
+    fn spt_stats(&self) -> Option<SptStats> {
+        Some(self.domains.iter().map(OspfDomain::spt_stats).sum())
+    }
 }
 
 #[cfg(test)]
@@ -350,9 +356,8 @@ mod tests {
     /// from the wrong end would differ. Every thread first asks for a
     /// route into the same cold root at once, then both directions of
     /// every pair in its own order; each answer must be the 1-thread
-    /// answer. The cache-capacity-2 domain evicts on nearly every miss
-    /// while the others race. Only answers are compared: `SptStats`
-    /// depends on the interleaving.
+    /// answer. Only answers are compared: `SptStats` depends on the
+    /// interleaving.
     #[test]
     fn concurrent_lookups_return_the_single_threaded_answers() {
         use massf_topology::{AsId, Network, Point};
@@ -393,36 +398,28 @@ mod tests {
             .collect();
         assert!(want.values().all(Option::is_some), "the ring is connected");
 
-        let evicting = OspfDomain::with_cache_capacity(&net, nodes.clone(), CostMetric::Latency, 2);
         for threads in [2, 4] {
             let flat = FlatResolver::new(&net, CostMetric::Latency);
-            let routes: [&(dyn Fn(NodeId, NodeId) -> Option<Vec<NodeId>> + Sync); 2] =
-                [&|s, t| flat.route(s, t), &|s, t| evicting.path(s, t)];
-            for route in routes {
-                let start = Barrier::new(threads);
-                std::thread::scope(|scope| {
-                    for thread in 0..threads {
-                        let (start, pairs, want, routers) = (&start, &pairs, &want, &routers);
-                        scope.spawn(move || {
-                            let mut order = pairs.clone();
-                            let seed = thread as u64;
-                            order.shuffle(&mut rand_chacha::ChaCha8Rng::seed_from_u64(seed));
-                            order.insert(0, (routers[thread], cold_root));
-                            start.wait();
-                            for (s, t) in order {
-                                for (s, t) in [(s, t), (t, s)] {
-                                    let got = route(s, t);
-                                    assert_eq!(
-                                        got,
-                                        want[&(s, t)],
-                                        "{threads} threads: {s:?} → {t:?}"
-                                    );
-                                }
+            let start = Barrier::new(threads);
+            std::thread::scope(|scope| {
+                for thread in 0..threads {
+                    let (start, pairs, want, routers, flat) =
+                        (&start, &pairs, &want, &routers, &flat);
+                    scope.spawn(move || {
+                        let mut order = pairs.clone();
+                        let seed = thread as u64;
+                        order.shuffle(&mut rand_chacha::ChaCha8Rng::seed_from_u64(seed));
+                        order.insert(0, (routers[thread], cold_root));
+                        start.wait();
+                        for (s, t) in order {
+                            for (s, t) in [(s, t), (t, s)] {
+                                let got = flat.route(s, t);
+                                assert_eq!(got, want[&(s, t)], "{threads} threads: {s:?} → {t:?}");
                             }
-                        });
-                    }
-                });
-            }
+                        }
+                    });
+                }
+            });
         }
     }
 
@@ -443,6 +440,23 @@ mod tests {
             }
         }
         assert!(cross > 0, "test needs at least one cross-AS host pair");
+    }
+
+    #[test]
+    fn multi_as_spt_stats_sum_the_per_as_domains() {
+        let (m, r) = multi();
+        let hosts = m.network.host_ids();
+        let (a, b) = (hosts[0], hosts[hosts.len() - 1]);
+        assert_ne!(
+            m.network.nodes[a.index()].as_id,
+            m.network.nodes[b.index()].as_id
+        );
+        r.route(a, b)
+            .expect("tiny multi-AS network fully reachable");
+        let per_as: SptStats = (0..m.as_graph.n).map(|a| r.domain(a).spt_stats()).sum();
+        let total = r.spt_stats().expect("a multi-AS resolver has domains");
+        assert!(total.trees_built > 0, "the route built no tree");
+        assert_eq!(total, per_as);
     }
 
     #[test]

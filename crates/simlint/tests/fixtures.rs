@@ -239,3 +239,21 @@ fn clean_fixture_is_clean() {
         assert!(found.is_empty(), "{krate}: {found:?}");
     }
 }
+
+#[test]
+fn d5_pointer_sources_fail_clippy_in_netsim() {
+    // Every pointer-making line fires; `Arc::ptr_eq`, a coercion and
+    // `{:p}` do not.
+    let found = clippy_fixture("d5_pointer_source.rs", "netsim");
+    let lints = [
+        "clippy::disallowed_methods",
+        "clippy::disallowed_macros",
+        "clippy::ref_as_ptr",
+        "clippy::borrow_as_ptr",
+    ];
+    assert_eq!(
+        lines_of(&found, &lints),
+        [8, 12, 16, 20, 24, 28, 32, 36, 40],
+        "{found:?}"
+    );
+}

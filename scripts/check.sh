@@ -4,8 +4,9 @@
 # Determinism and safety are split between two tools:
 #   clippy   hash iteration, wall clock and entropy (disallowed_methods,
 #            disallowed_types, iter_over_hash_type; crates/clippy.toml),
-#            unwrap_used, panic, allows without a reason, and narrowing
-#            casts in engine and routing. Root Cargo.toml's
+#            raw-pointer creation (the same paths plus disallowed_macros,
+#            ref_as_ptr, borrow_as_ptr), unwrap_used, panic, allows
+#            without a reason, and narrowing casts in engine and routing. Root Cargo.toml's
 #            [workspace.lints.clippy] carries the set, so a plain
 #            `cargo clippy -- -D warnings` enforces all of it.
 #   simlint  D4 float order and D5 determinism taint, which no lint
@@ -71,7 +72,7 @@ stage "cargo fmt --check" \
 stage "simlint (D4 float order, D5 determinism taint)" \
     cargo run -q -p massf-simlint
 
-stage "cargo clippy (workspace lints: hash/clock/entropy, unwrap, panic, casts, reasons)" \
+stage "cargo clippy (workspace lints: hash/clock/entropy, pointers, unwrap, panic, casts, reasons)" \
     cargo clippy --workspace --all-targets -- -D warnings
 
 # Broken intra-doc links (including stale links to deleted items) are

@@ -32,6 +32,18 @@ const CLOCK_AND_ENTROPY_TYPES: [&str; 3] = [
     "std::hash::RandomState",
 ];
 
+/// Every way safe code makes a raw pointer from a reference without a
+/// cast: an address differs between runs.
+const POINTER_METHODS: [&str; 6] = [
+    "slice::as_ptr",
+    "alloc::vec::Vec::as_ptr",
+    "str::as_ptr",
+    "std::sync::Arc::as_ptr",
+    "std::ptr::from_ref",
+    "std::ptr::from_mut",
+];
+const POINTER_MACROS: [&str; 2] = ["std::ptr::addr_of", "std::ptr::addr_of_mut"];
+
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("..")
@@ -61,6 +73,9 @@ fn workspace_lints_deny_unwrap_panic_hash_loops_and_reasonless_allows() {
         "iter_over_hash_type",
         "disallowed_methods",
         "disallowed_types",
+        "disallowed_macros",
+        "ref_as_ptr",
+        "borrow_as_ptr",
         "allow_attributes_without_reason",
     ] {
         assert!(
@@ -99,7 +114,8 @@ fn every_member_manifest_inherits_the_workspace_lints() {
 #[test]
 fn crates_clippy_toml_bans_hash_iteration_clock_and_entropy() {
     let config = read("crates/clippy.toml");
-    for path in HASH_METHODS.iter().chain(&CLOCK_AND_ENTROPY_TYPES) {
+    let paths = HASH_METHODS.iter().chain(&CLOCK_AND_ENTROPY_TYPES);
+    for path in paths.chain(&POINTER_METHODS).chain(&POINTER_MACROS) {
         assert!(lists(&config, path), "crates/clippy.toml misses {path}");
     }
     assert!(config.contains("\nallow-panic-in-tests = true\n"));
