@@ -172,8 +172,7 @@ fn main() {
         std::env::temp_dir().join(format!("massf-checkpoint-study-{}", std::process::id()));
     std::fs::create_dir_all(&snap_dir).expect("snapshot dir");
     let snap_path = snap_dir.join("prefix.snap");
-    let fingerprint =
-        scenario_fingerprint(&shared, &initial, DEFAULT_ROUTE_CACHE_CAPACITY, MAX_RETRIES);
+    let fingerprint = scenario_fingerprint(&shared, &initial, MAX_RETRIES);
     struct BranchMode {
         prefix_ms: f64,
         save_ms: f64,

@@ -173,7 +173,7 @@ fn main() {
     };
     println!();
     println!("{:<22} {:>14} {:>14}", "metric", "clean", "faulted");
-    let rows: [(&str, u64, u64); 18] = [
+    let rows: [(&str, u64, u64); 17] = [
         (
             "total events",
             clean.stats.total_events,
@@ -214,11 +214,6 @@ fn main() {
             "route-cache misses",
             clean.profile.route_cache.misses,
             faulted.profile.route_cache.misses,
-        ),
-        (
-            "route-cache evictions",
-            clean.profile.route_cache.evictions,
-            faulted.profile.route_cache.evictions,
         ),
         (
             "fluid started",

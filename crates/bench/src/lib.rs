@@ -299,10 +299,9 @@ fn run_suite_once(
         phase(&what, run.run_stats.total_events);
         let (cache, fluid) = (&run.run_profile.route_cache, &run.run_profile.fluid);
         eprintln!(
-            "# route cache ({label}): {} hits / {} misses / {} evictions ({:.1}% hit rate)",
+            "# route cache ({label}): {} hits / {} misses ({:.1}% hit rate)",
             cache.hits,
             cache.misses,
-            cache.evictions,
             cache.hit_rate() * 100.0
         );
         if let Some(trees) = scenario.resolver.spt_stats() {

@@ -8,8 +8,7 @@ use crate::agent::Agent;
 use crate::fluid::FLUID_COORDINATOR;
 use crate::packet::NetEvent;
 use crate::profiling::ProfileData;
-use crate::tcp::MAX_RETRIES;
-use crate::world::{AppLogic, NetWorld, SharedNet, DEFAULT_ROUTE_CACHE_CAPACITY};
+use crate::world::{AppLogic, NetWorld, SharedNet};
 use massf_engine::{
     run_sequential, run_sequential_windowed, try_run_parallel_observed, BarrierObserver,
     ExecutionStats, LpId, MassfError, NoopBarrierObserver, Scoring, SimTime,
@@ -36,7 +35,6 @@ pub struct SimOutput<A, S = ExecutionStats> {
 pub struct NetSimBuilder {
     shared: Arc<SharedNet>,
     initial: Vec<(SimTime, LpId, NetEvent)>,
-    route_cache_capacity: usize,
 }
 
 impl NetSimBuilder {
@@ -45,7 +43,6 @@ impl NetSimBuilder {
         NetSimBuilder {
             shared: SharedNet::new(net, resolver),
             initial: Vec::new(),
-            route_cache_capacity: DEFAULT_ROUTE_CACHE_CAPACITY,
         }
     }
 
@@ -59,17 +56,7 @@ impl NetSimBuilder {
         NetSimBuilder {
             shared: SharedNet::with_faults(net, faults),
             initial: Vec::new(),
-            route_cache_capacity: DEFAULT_ROUTE_CACHE_CAPACITY,
         }
-    }
-
-    /// Per-source route-cache capacity for the worlds this builder
-    /// runs; `0` disables route caching (every resolve goes straight to
-    /// the resolver). Simulation results are bit-identical either way —
-    /// only the `route_cache` profile counters and resolve cost differ.
-    pub fn route_cache_capacity(&mut self, per_src: usize) -> &mut Self {
-        self.route_cache_capacity = per_src;
-        self
     }
 
     /// The shared network handle (topology + routing + link constants).
@@ -147,15 +134,9 @@ impl NetSimBuilder {
         events
     }
 
-    /// One world (a sequential run's model, a parallel run's shard)
-    /// with this builder's tunables.
+    /// One world (a sequential run's model, a parallel run's shard).
     fn world<A: AppLogic>(&self, app: A) -> NetWorld<A> {
-        NetWorld::with_config(
-            self.shared.clone(),
-            app,
-            self.route_cache_capacity,
-            MAX_RETRIES,
-        )
+        NetWorld::new(self.shared.clone(), app)
     }
 
     /// Fold a finished run's worlds into its output: profiles merged,

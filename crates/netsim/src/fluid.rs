@@ -65,6 +65,7 @@
 
 use crate::packet::{FlowId, Hop, NetEvent};
 use crate::profiling::ProfileData;
+use crate::routes::RouteTable;
 use crate::world::{validate_route, SharedNet};
 use massf_engine::{Emitter, LpId, SimTime};
 use massf_faults::FaultKind;
@@ -197,7 +198,7 @@ pub struct FluidFlow {
 /// recycling: flows sorted by id, coordinator-side per-slot arrays
 /// (`packet_bps`, `reported_bps`) either empty (fluid never active) or
 /// exactly `2·links` long. Link membership, per-flow slot lists,
-/// aggregates, and the path memo are derived and rebuilt on restore.
+/// aggregates, and the route table are derived and rebuilt on restore.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FluidWorldState {
     /// Live fluid flows, sorted by flow id.
@@ -243,11 +244,10 @@ pub(crate) struct FluidState {
     reported_bps: Vec<u64>,
     /// Member flow slots per (link, direction).
     members: Vec<Vec<u32>>,
-    /// Path memo for the coordinator (the world's sharded route cache
-    /// is owned per *source* LP and must not be touched from here).
-    /// Cleared on fault-epoch change.
-    path_memo: BTreeMap<u64, Arc<[Hop]>>,
-    memo_epoch: u32,
+    /// The coordinator's own route table (the world's belongs to the
+    /// *source* LPs and must not be touched from here). Uncounted, and
+    /// not in a snapshot: restore starts it empty.
+    routes: RouteTable,
     /// Generation-stamped scratch marks for closure computation (no
     /// per-solve set allocation at million-flow scale).
     link_mark: Vec<u32>,
@@ -324,8 +324,7 @@ impl FluidState {
             agg_bps: vec![0; slots],
             reported_bps: vec![u64::MAX; slots],
             members: vec![Vec::new(); slots],
-            path_memo: BTreeMap::new(),
-            memo_epoch: 0,
+            routes: RouteTable::default(),
             link_mark: vec![0; slots],
             flow_mark: Vec::new(),
             flow_local: Vec::new(),
@@ -349,9 +348,9 @@ impl FluidState {
     }
 
     /// Resolve `src → dst` against the fault epoch at `now` through the
-    /// coordinator's own memo (interns one route per pair per epoch,
-    /// with [`SharedNet::resolve_route`] as the packet path does). A
-    /// path with a hop that is not a link is no route.
+    /// coordinator's own route table (one route per pair per epoch,
+    /// through [`SharedNet::resolve_route`] as the packet path does).
+    /// The coordinator is one LP, so its epochs never decrease.
     fn resolve(
         &mut self,
         shared: &SharedNet,
@@ -363,17 +362,9 @@ impl FluidState {
             Some(f) => f.epoch_at(now) as u32,
             None => 0,
         };
-        if epoch != self.memo_epoch {
-            self.path_memo.clear();
-            self.memo_epoch = epoch;
-        }
-        let key = ((src.0 as u64) << 32) | dst.0 as u64;
-        if let Some(p) = self.path_memo.get(&key) {
-            return Some(p.clone());
-        }
-        let route = shared.resolve_route(now, src, dst)?;
-        self.path_memo.insert(key, route.clone());
-        Some(route)
+        self.routes
+            .get_or_resolve(epoch, src, dst, || shared.resolve_route(now, src, dst))
+            .0
     }
 
     /// Advance `remaining_bns` to `now` at the exact stored rate.

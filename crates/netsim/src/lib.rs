@@ -28,6 +28,7 @@ pub mod builder;
 pub mod fluid;
 pub mod packet;
 pub mod profiling;
+mod routes;
 pub mod tcp;
 pub mod world;
 
@@ -38,9 +39,9 @@ pub use fluid::{
     FLUID_EST_WINDOW,
 };
 pub use massf_faults::{FaultEvent, FaultKind, FaultScript, FaultState};
-pub use massf_routing::RouteCacheStats;
 pub use packet::{FlowId, Hop, NetEvent, Packet, PacketKind};
-pub use profiling::ProfileData;
+pub use profiling::{ProfileData, RouteCacheStats};
+pub use routes::RouteEntry;
 pub use tcp::{AbortReason, TcpReceiver, TcpSender, MAX_RETRIES};
 pub use world::{
     validate_net_event, AppLogic, FlowCold, FlowEntryState, NetWorld, NoApp, ReceiverEntryState,

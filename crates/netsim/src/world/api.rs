@@ -98,7 +98,7 @@ impl SimApi<'_, '_> {
     }
 
     /// Resolve a route from this host to `dst` through the world's route
-    /// cache. Keys embed the fault-epoch index, so a reconvergence can
+    /// table. Entries carry the fault-epoch index, so a reconvergence can
     /// never serve a pre-fault route; repeated pairs in the same epoch
     /// share one `Arc` and skip the resolver entirely. This is where
     /// routes enter the world and get their link slots: a resolver
@@ -107,10 +107,10 @@ impl SimApi<'_, '_> {
     /// shared with the fluid path), so [`SimApi::transmit`] may index
     /// the slots it carries.
     ///
-    /// Determinism: the host is the LP being handled, so the per-source
-    /// cache shard — and with it every hit/miss/evict counter in
-    /// `profile.route_cache` — sees the same query sequence at any
-    /// thread count or partitioning.
+    /// Determinism: the host is the LP being handled, so its entries —
+    /// and with them the hit/miss counters in `profile.route_cache` —
+    /// see the same query sequence, in time order, at any thread count
+    /// or partitioning.
     pub(super) fn route(&mut self, dst: NodeId) -> Option<Arc<[Hop]>> {
         let (shared, src, now) = (self.shared, self.host, self.now);
         if src == dst {
@@ -120,12 +120,17 @@ impl SimApi<'_, '_> {
             Some(f) => f.epoch_at(now) as u32,
             None => 0,
         };
+        let (path, hit) = self
+            .state
+            .routes
+            .get_or_resolve(epoch, src, dst, || shared.resolve_route(now, src, dst));
         let stats = &mut self.profile.route_cache;
-        self.state
-            .route_cache
-            .get_or_insert_with(stats, epoch, src, dst, || {
-                shared.resolve_route(now, src, dst)
-            })
+        if hit {
+            stats.hits += 1;
+        } else {
+            stats.misses += 1;
+        }
+        path
     }
 
     /// Resolve `dst` and issue this host's next flow id for traffic

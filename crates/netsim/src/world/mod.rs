@@ -38,16 +38,10 @@ use massf_topology::{LinkId, NodeId};
 use slab::NodeStates;
 use std::sync::Arc;
 
-/// Default per-source route-cache capacity (destinations per source
-/// node; see [`massf_routing::RouteCache`]). Sized so even a
-/// 20,000-node world stays within tens of MB of cache. Measured on the
-/// four `BENCHMARK.json` workloads (EXPERIMENTS.md, "What a route
-/// lookup costs") the cache answers 0–3 % of resolves — hits / misses
-/// 19 / 6,205, 217 / 6,263, 4 / 2,005 and 0 / 150 — and never evicts:
-/// almost every `(source, destination)` pair is asked once per fault
-/// epoch, so what the table does there is intern each path's `Arc`
-/// for the flow that asked. Pass `0` to [`NetWorld::with_config`] /
-/// [`crate::NetSimBuilder::route_cache_capacity`] to disable caching.
+/// Unused: the world's route table (`crate::routes`) holds every route
+/// it resolved and has no capacity. Kept, with the argument of
+/// [`NetWorld::with_config`] it was passed to, only because the
+/// benchmark harness (`perf/`) still passes it.
 pub const DEFAULT_ROUTE_CACHE_CAPACITY: usize = 128;
 
 /// The packet-level network model (one instance per partition, or a
@@ -60,23 +54,24 @@ pub struct NetWorld<A: AppLogic> {
 }
 
 impl<A: AppLogic> NetWorld<A> {
-    /// A world over `shared` with application logic `app`, the default
-    /// route-cache capacity and the default TCP retry budget.
+    /// A world over `shared` with application logic `app` and the
+    /// default TCP retry budget.
     pub fn new(shared: Arc<SharedNet>, app: A) -> Self {
         Self::with_config(shared, app, DEFAULT_ROUTE_CACHE_CAPACITY, MAX_RETRIES)
     }
 
-    /// Like [`NetWorld::new`] with an explicit per-source route-cache
-    /// capacity (`0` disables route caching) and an explicit TCP retry
-    /// budget for every flow opened in this world (see
+    /// Like [`NetWorld::new`] with an explicit TCP retry budget for
+    /// every flow opened in this world (see
     /// [`crate::tcp::TcpSender::with_retries`]).
+    /// `_route_cache_capacity` is read nowhere; it stays because the
+    /// benchmark harness (`perf/`) passes it.
     pub fn with_config(
         shared: Arc<SharedNet>,
         app: A,
-        route_cache_capacity: usize,
+        _route_cache_capacity: usize,
         max_retries: u32,
     ) -> Self {
-        let state = NodeStates::new(&shared, route_cache_capacity, max_retries);
+        let state = NodeStates::new(&shared, max_retries);
         let profile = ProfileData::new(shared.net.node_count(), shared.net.links.len());
         NetWorld {
             shared,
@@ -946,10 +941,10 @@ mod tests {
         assert!(NetWorld::restore(shared, NoApp, &good).is_ok());
     }
 
-    /// A cached path is served on a hit without re-resolving, and
+    /// An interned path is served on a hit without re-resolving, and
     /// `transmit` trusts its hops to be links: restore must refuse one
-    /// that is not a route from the shard's node to the key's
-    /// destination.
+    /// that is not a route from the entry's source to its destination,
+    /// and a list that is not strictly sorted by `(src, dst)`.
     #[test]
     fn hostile_route_cache_entries_are_rejected() {
         use massf_engine::run_sequential_resumable;
@@ -967,30 +962,58 @@ mod tests {
         run_sequential_resumable(&mut w, n, seeded_resume(initial, n), SimTime::from_ms(100))
             .expect("segment");
         let good = w.export_state();
-        let cached = |s: &WorldState| s.route_cache.shards[a.index()].entries[0].clone();
-        assert_eq!(cached(&good).path, Some(vec![a, NodeId(1), NodeId(2), b]));
+        assert_eq!(good.routes.len(), 1);
+        let nodes = |s: &WorldState| {
+            s.routes[0]
+                .path
+                .as_ref()
+                .map(|p| p.iter().map(|h| h.node).collect::<Vec<_>>())
+        };
+        assert_eq!(nodes(&good), Some(vec![a, NodeId(1), NodeId(2), b]));
         assert!(NetWorld::restore(shared.clone(), NoApp, &good).is_ok());
 
+        let reject = |state: &WorldState, what: &str| match NetWorld::restore(
+            shared.clone(),
+            NoApp,
+            state,
+        ) {
+            Err(MassfError::SnapshotCorrupt { .. }) => {}
+            Err(other) => panic!("{what}: expected SnapshotCorrupt, got {other}"),
+            Ok(_) => panic!("{what}: hostile route entry must be rejected"),
+        };
         for (hostile, what) in [
             (vec![a, b], "hop that is not a link"),
             (
                 vec![a, NodeId(1)],
-                "path ending short of the key's destination",
+                "path ending short of the entry's destination",
             ),
             (
                 vec![NodeId(1), NodeId(2), b],
-                "path not starting at the shard's node",
+                "path not starting at the entry's source",
             ),
             (vec![a, NodeId(9)], "path through an unknown node"),
         ] {
             let mut state = good.clone();
-            state.route_cache.shards[a.index()].entries[0].path = Some(hostile);
-            match NetWorld::restore(shared.clone(), NoApp, &state) {
-                Err(MassfError::SnapshotCorrupt { .. }) => {}
-                Err(other) => panic!("{what}: expected SnapshotCorrupt, got {other}"),
-                Ok(_) => panic!("{what}: hostile cache entry must be rejected"),
-            }
+            state.routes[0].path = Some(unslotted(&hostile));
+            reject(&state, what);
         }
+        let mut state = good.clone();
+        state.routes.push(good.routes[0].clone());
+        reject(&state, "duplicate entry");
+        let mut state = good.clone();
+        let mut earlier = good.routes[0].clone();
+        (earlier.dst, earlier.path) = (NodeId(1), None);
+        state.routes.push(earlier);
+        reject(&state, "unsorted entries");
+        state.routes.reverse();
+        assert!(
+            NetWorld::restore(shared.clone(), NoApp, &state).is_ok(),
+            "the same entries sorted are fine"
+        );
+        let mut state = good.clone();
+        state.routes[0].dst = a;
+        state.routes[0].path = None;
+        reject(&state, "route to itself");
     }
 
     #[test]

@@ -4,9 +4,9 @@
 use super::shared::SharedNet;
 use crate::fluid::{FluidCoupling, FluidState};
 use crate::packet::{FlowId, Hop};
+use crate::routes::RouteTable;
 use crate::tcp::{SendAction, TcpReceiver, TcpSender};
 use massf_engine::SimTime;
-use massf_routing::RouteCache;
 use massf_topology::NodeId;
 use std::sync::Arc;
 
@@ -23,7 +23,7 @@ pub(super) fn flow_counter_of(flow: FlowId) -> u32 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowCold {
     /// Forward route; the `Arc` is interned per `(epoch, src, dst)` by
-    /// the world's route cache, so concurrent flows between the same
+    /// the world's route table, so concurrent flows between the same
     /// pair share one allocation. A snapshot carries only its nodes, so
     /// a decoded one holds [`Hop::END`] slots until restore re-interns
     /// it.
@@ -171,14 +171,14 @@ pub(super) struct NodeStates {
     pub(super) flows: FlowSlab,
     /// TCP receivers (owned by the destination host).
     pub(super) receivers: ReceiverSlab,
-    /// Memoized route resolutions, sharded by source node. Routes are
-    /// only resolved while handling an event at the source's LP, so
-    /// each shard is owned by exactly one partition — per-run state
-    /// that stays bit-identical across executors (see `SimApi::route`).
-    /// Doubles as the world's route *interning* table: every packet of
-    /// a flow (and every concurrent flow between the same pair in the
-    /// same epoch) shares the one `Arc` cached here, slots included.
-    pub(super) route_cache: RouteCache<Arc<[Hop]>>,
+    /// Every route this world resolved, one entry per `(src, dst)`.
+    /// Routes are only resolved while handling an event at the
+    /// source's LP, so each source's entries belong to exactly one
+    /// partition — per-run state that stays bit-identical across
+    /// executors (see `SimApi::route`). Every packet of a flow (and
+    /// every concurrent flow between the same pair in the same epoch)
+    /// shares the one `Arc` interned here, slots included.
+    pub(super) routes: RouteTable,
     /// Reusable `SendAction` buffer, taken (and returned empty) by each
     /// handler batch so the steady-state hot path allocates nothing.
     pub(super) action_scratch: Vec<SendAction>,
@@ -195,14 +195,14 @@ pub(super) struct NodeStates {
 }
 
 impl NodeStates {
-    pub(super) fn new(shared: &SharedNet, route_cache_capacity: usize, max_retries: u32) -> Self {
+    pub(super) fn new(shared: &SharedNet, max_retries: u32) -> Self {
         let nodes = shared.net.node_count();
         NodeStates {
             flow_counter: vec![0; nodes],
             busy_until: vec![SimTime::ZERO; shared.net.links.len() * 2],
             flows: FlowSlab::new(nodes),
             receivers: ReceiverSlab::new(nodes),
-            route_cache: RouteCache::new(nodes, route_cache_capacity),
+            routes: RouteTable::default(),
             action_scratch: Vec::new(),
             max_retries,
             coupling: FluidCoupling::default(),

@@ -8,10 +8,10 @@ use super::{AppLogic, NetWorld};
 use crate::fluid::{slot_sender, FluidCoupling, FluidState, FluidWorldState, FLUID_COORDINATOR};
 use crate::packet::{FlowId, Hop, NetEvent};
 use crate::profiling::ProfileData;
+use crate::routes::{RouteEntry, RouteTable};
 use crate::tcp::{TcpReceiver, TcpSender};
 use massf_engine::{LpId, SimTime};
 use massf_faults::FaultKind;
-use massf_routing::{RouteCache, RouteCacheShardState, RouteCacheState};
 use massf_topology::{MassfError, NodeId};
 use std::sync::Arc;
 
@@ -58,9 +58,10 @@ pub struct WorldState {
     pub flows: Vec<FlowEntryState>,
     /// TCP receivers, sorted by `(node, flow)`.
     pub receivers: Vec<ReceiverEntryState>,
-    /// The path-memo cache (content affects only the route-cache profile
-    /// counters, but those participate in bit-identity checks).
-    pub route_cache: RouteCacheState,
+    /// Interned routes, sorted by `(src, dst)` (content affects only
+    /// the route-lookup profile counters, but those participate in
+    /// bit-identity checks).
+    pub routes: Vec<RouteEntry>,
     /// Profile counters accumulated up to the export.
     pub profile: ProfileData,
     /// TCP retry budget for flows opened after restore.
@@ -77,7 +78,7 @@ pub struct WorldState {
 /// Check that `path` is a plausible source route over `shared`'s
 /// topology — at least two in-range nodes, every consecutive pair
 /// adjacent — and intern it with its link slots. Every route restore
-/// reads (a flow's, a fluid flow's, a cached one, an in-flight
+/// reads (a flow's, a fluid flow's, an interned one, an in-flight
 /// packet's) comes through here, and any slots it carries are ignored:
 /// restored packets and flows travel these routes through
 /// `SimApi::transmit`, which indexes links by the slots — hostile
@@ -230,10 +231,10 @@ impl WorldState {
     /// Merge per-partition exports into the canonical full-world state.
     ///
     /// Partition worlds only advance state they own — flow counters and
-    /// route-cache shards at their nodes, transmit horizons at links
-    /// whose sending endpoint they own — so counters and busy slots
-    /// merge by elementwise max, flow/receiver sets by disjoint union,
-    /// and each node's route-cache shard is taken from its owner.
+    /// routes at their nodes, transmit horizons at links whose sending
+    /// endpoint they own — so counters and busy slots merge by
+    /// elementwise max, and flow, receiver and route sets by disjoint
+    /// union.
     pub fn merge_partitions(parts: &[WorldState], assignment: &[u32]) -> Result<Self, MassfError> {
         let Some(first) = parts.first() else {
             return Err(MassfError::InvalidConfig(
@@ -244,7 +245,6 @@ impl WorldState {
         for p in parts {
             if p.flow_counter.len() != first.flow_counter.len()
                 || p.busy_until.len() != first.busy_until.len()
-                || p.route_cache.shards.len() != first.route_cache.shards.len()
                 || p.max_retries != first.max_retries
             {
                 return Err(misuse("world-state partitions disagree on shape".into()));
@@ -286,21 +286,17 @@ impl WorldState {
         {
             return Err(misuse("two partitions own the same receiver".into()));
         }
-        let shards = first
-            .route_cache
-            .shards
+        let mut routes: Vec<RouteEntry> = parts
             .iter()
-            .enumerate()
-            .map(|(i, _)| {
-                let owner = assignment[i] as usize;
-                parts
-                    .get(owner)
-                    .map(|p| p.route_cache.shards[i].clone())
-                    .ok_or_else(|| {
-                        misuse(format!("node {i} assigned to missing partition {owner}"))
-                    })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+            .flat_map(|p| p.routes.iter().cloned())
+            .collect();
+        routes.sort_by_key(|r| (r.src, r.dst));
+        if routes
+            .windows(2)
+            .any(|w| (w[0].src, w[0].dst) == (w[1].src, w[1].dst))
+        {
+            return Err(misuse("two partitions own the same route".into()));
+        }
 
         // Fluid coordinator state comes from the partition owning the
         // coordinator LP; everyone else must have exported it empty.
@@ -330,10 +326,7 @@ impl WorldState {
             busy_until,
             flows,
             receivers,
-            route_cache: RouteCacheState {
-                capacity: first.route_cache.capacity,
-                shards,
-            },
+            routes,
             profile,
             max_retries: first.max_retries,
             fluid,
@@ -377,7 +370,7 @@ impl<A: AppLogic> NetWorld<A> {
             busy_until: s.busy_until.clone(),
             flows,
             receivers,
-            route_cache: s.route_cache.export_state(),
+            routes: s.routes.export(),
             profile: self.profile.clone(),
             max_retries: s.max_retries,
             fluid: s
@@ -418,7 +411,7 @@ impl<A: AppLogic> NetWorld<A> {
     }
 
     /// Rebuild one partition's world from a canonical state: only the
-    /// flows, receivers, and route-cache shards owned by `partition`
+    /// flows, receivers, and routes owned by `partition`
     /// under `assignment` are loaded (counters and busy horizons are
     /// kept in full — non-owners never advance them, so the later
     /// max-merge is exact).
@@ -467,58 +460,11 @@ impl<A: AppLogic> NetWorld<A> {
         if state.profile.node_packets.len() != nodes || state.profile.link_packets.len() != links {
             return Err(bad("profile dimensions do not match the network".into()));
         }
-        if !state.route_cache.shards.is_empty() && state.route_cache.shards.len() != nodes {
-            return Err(bad(format!(
-                "route cache has {} shards, network has {nodes} nodes",
-                state.route_cache.shards.len()
-            )));
-        }
         let owned = |node: NodeId| match filter {
             Some((assignment, p)) => assignment[node.index()] == p,
             None => true,
         };
-
-        // A cache hit is sent as-is, so every cached route must be one
-        // the resolver could have returned: over links, from the shard's
-        // node to the destination in the low half of the key.
-        let intern = |src: NodeId, dst: NodeId, path: &[NodeId]| {
-            let route = validate_route(&shared, path, "world")?;
-            if path[0] != src || path[path.len() - 1] != dst {
-                return Err(bad(format!(
-                    "cached path in shard {} does not run from node {} to node {}",
-                    src.0, src.0, dst.0
-                )));
-            }
-            Ok(route)
-        };
-        let route_cache = match filter {
-            Some(_) => {
-                // Unowned shards start empty: their contents belong to
-                // (and will be exported by) other partitions.
-                let filtered = RouteCacheState {
-                    capacity: state.route_cache.capacity,
-                    shards: state
-                        .route_cache
-                        .shards
-                        .iter()
-                        .enumerate()
-                        .map(|(i, sh)| {
-                            if owned(NodeId(i as u32)) {
-                                sh.clone()
-                            } else {
-                                RouteCacheShardState {
-                                    entries: Vec::new(),
-                                    queue: Vec::new(),
-                                    stamp: 0,
-                                }
-                            }
-                        })
-                        .collect(),
-                };
-                RouteCache::from_state(&filtered, intern)?
-            }
-            None => RouteCache::from_state(&state.route_cache, intern)?,
-        };
+        let routes = RouteTable::restore(&shared, &state.routes, owned)?;
 
         let mut flows = FlowSlab::new(nodes);
         let mut prev: Option<FlowId> = None;
@@ -605,7 +551,7 @@ impl<A: AppLogic> NetWorld<A> {
                 busy_until: state.busy_until.clone(),
                 flows,
                 receivers,
-                route_cache,
+                routes,
                 action_scratch: Vec::new(),
                 max_retries: state.max_retries,
                 coupling,

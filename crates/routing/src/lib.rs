@@ -21,26 +21,21 @@
 //!   simulator: [`FlatResolver`] for single-AS OSPF networks,
 //!   [`MultiAsResolver`] for BGP+OSPF networks with default routing in
 //!   stub ASes (step 6 of the procedure).
-//! * [`cache`] — a deterministic, bounded, fault-epoch-aware memo of
-//!   resolved paths sitting in front of any resolver (NIx-vector style
-//!   route memoization; DESIGN.md §3 item 11).
+//!
+//! The packet simulator interns each resolved route once per fault
+//! epoch in a route table of its own (DESIGN.md §3 item 11).
 
 #![forbid(unsafe_code)]
 // A silent narrowing cast corrupts state at the million-host scale.
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod bgp;
-pub mod cache;
 pub mod dynamics;
 pub mod ospf;
 pub mod policy;
 pub mod resolver;
 
 pub use bgp::{BgpRib, BgpRoute};
-pub use cache::{
-    CachedRoute, RouteCache, RouteCacheEntryState, RouteCacheShardState, RouteCacheState,
-    RouteCacheStats,
-};
 pub use dynamics::{beacon_schedule, BeaconSim, Convergence};
 pub use massf_topology::MassfError;
 pub use ospf::{CostMetric, OspfDomain, SptStats};

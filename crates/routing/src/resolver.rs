@@ -30,8 +30,7 @@ pub trait PathResolver: Send + Sync {
     fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>>;
 
     /// Like [`PathResolver::route`], returning the path as a shared
-    /// slice, the default type a [`RouteCache`](crate::RouteCache)
-    /// holds. The default wraps `route`; a resolver that keeps its
+    /// slice. The default wraps `route`; a resolver that keeps its
     /// answers may override it to hand one out without copying. (The
     /// packet simulator calls `route`: it interns each answer with its
     /// link slots.)

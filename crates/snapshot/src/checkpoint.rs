@@ -22,7 +22,7 @@
 //!
 //! Snapshots are bound to their scenario by a fingerprint
 //! ([`scenario_fingerprint`]) over the topology, fault script, initial
-//! events, and tuning knobs; restoring a snapshot against a different
+//! events, and TCP retry budget; restoring a snapshot against a different
 //! scenario is refused up front instead of silently diverging.
 
 use crate::format::{
@@ -37,6 +37,7 @@ use massf_engine::{
 };
 use massf_netsim::{
     validate_net_event, NetEvent, NetWorld, NoApp, ProfileData, SharedNet, WorldState,
+    DEFAULT_ROUTE_CACHE_CAPACITY,
 };
 use massf_topology::MassfError;
 use std::path::Path;
@@ -60,14 +61,13 @@ pub enum ExecMode {
 }
 
 /// Deterministic digest binding a snapshot to its scenario: topology
-/// shape and link constants, fault script, initial events, route-cache
-/// capacity, and TCP retry budget. Two runs with equal fingerprints and
+/// shape and link constants, fault script, initial events, and TCP
+/// retry budget. Two runs with equal fingerprints and
 /// equal snapshots are continuations of the same simulation; a loader
 /// seeing a different fingerprint refuses the restore.
 pub fn scenario_fingerprint(
     shared: &SharedNet,
     initial: &[(SimTime, LpId, NetEvent)],
-    route_cache_capacity: usize,
     max_retries: u32,
 ) -> u64 {
     let mut w = ByteWriter::new();
@@ -87,7 +87,6 @@ pub fn scenario_fingerprint(
         lp.put(&mut w);
         ev.put(&mut w);
     }
-    route_cache_capacity.put(&mut w);
     max_retries.put(&mut w);
     fnv1a64(&w.into_inner())
 }
@@ -187,15 +186,17 @@ impl Session {
     /// A session at virtual time zero, seeded with `initial` events
     /// (pass `NetSimBuilder::initial_events()` to match a builder-driven
     /// run exactly — that list already includes scripted fault events).
+    /// `_route_cache_capacity` is read nowhere; it stays because the
+    /// benchmark harness (`perf/`) passes it.
     pub fn new(
         shared: Arc<SharedNet>,
         initial: Vec<(SimTime, LpId, NetEvent)>,
-        route_cache_capacity: usize,
+        _route_cache_capacity: usize,
         max_retries: u32,
     ) -> Self {
         let lp_count = shared.lp_count();
         let meta = Meta {
-            fingerprint: scenario_fingerprint(&shared, &initial, route_cache_capacity, max_retries),
+            fingerprint: scenario_fingerprint(&shared, &initial, max_retries),
             now: SimTime::ZERO,
             next_external: initial.len() as u32,
         };
@@ -204,8 +205,13 @@ impl Session {
         // (time, tag) order. External tags are positional, so the sort
         // is deterministic.
         events.sort_unstable();
-        let world = NetWorld::with_config(shared.clone(), NoApp, route_cache_capacity, max_retries)
-            .export_state();
+        let world = NetWorld::with_config(
+            shared.clone(),
+            NoApp,
+            DEFAULT_ROUTE_CACHE_CAPACITY,
+            max_retries,
+        )
+        .export_state();
         Session {
             shared,
             meta,

@@ -22,10 +22,9 @@ use crate::{wire_enum, wire_struct};
 use massf_engine::{EventRecord, RebalanceConfig, RebalanceCounters, ResumeState};
 use massf_netsim::{
     FaultKind, FlowCold, FlowEntryState, FluidCoupling, FluidFlow, FluidStats, FluidWorldState,
-    Hop, NetEvent, Packet, PacketKind, ProfileData, ReceiverEntryState, TcpReceiver, TcpSender,
-    WorldState,
+    Hop, NetEvent, Packet, PacketKind, ProfileData, ReceiverEntryState, RouteCacheStats,
+    RouteEntry, TcpReceiver, TcpSender, WorldState,
 };
-use massf_routing::{RouteCacheEntryState, RouteCacheShardState, RouteCacheState, RouteCacheStats};
 use massf_topology::{MassfError, NodeId};
 
 wire_struct!(WorldState {
@@ -33,7 +32,7 @@ wire_struct!(WorldState {
     busy_until,
     flows,
     receivers,
-    route_cache,
+    routes,
     profile,
     max_retries,
     fluid,
@@ -86,15 +85,12 @@ wire_struct!(TcpReceiver {
     segments_seen
 });
 
-wire_struct!(RouteCacheState { capacity, shards });
-
-wire_struct!(RouteCacheShardState {
-    entries,
-    queue,
-    stamp
+wire_struct!(RouteEntry {
+    src,
+    dst,
+    epoch,
+    path
 });
-
-wire_struct!(RouteCacheEntryState { key, stamp, path });
 
 wire_struct!(ProfileData {
     node_packets,
@@ -481,19 +477,17 @@ mod tests {
         exact(&zero_value::<FlowEntryState>(), "flow entry");
         exact(&zero_value::<ReceiverEntryState>(), "receiver");
         exact(&zero_value::<FluidFlow>(), "fluid flow");
-        exact(&zero_value::<RouteCacheEntryState>(), "cache entry");
-        exact(&zero_value::<RouteCacheShardState>(), "cache shard");
+        exact(&zero_value::<RouteEntry>(), "route entry");
         exact(&min_event_record(), "event record");
         assert_eq!(
             [
                 FlowEntryState::MIN_BYTES,
                 ReceiverEntryState::MIN_BYTES,
                 FluidFlow::MIN_BYTES,
-                RouteCacheEntryState::MIN_BYTES,
-                RouteCacheShardState::MIN_BYTES,
+                RouteEntry::MIN_BYTES,
                 <EventRecord<NetEvent>>::MIN_BYTES,
             ],
-            [90, 24, 68, 17, 24, 26]
+            [90, 24, 68, 13, 26]
         );
     }
 
@@ -571,7 +565,7 @@ mod tests {
         fn nothing_encodes_below_its_minimum(
             event in (any::<u8>(), any::<u64>(), any::<u64>(), nodes()),
             path in nodes(),
-            cached in (any::<bool>(), nodes()),
+            route in (any::<bool>(), nodes()),
             srtt in (any::<bool>(), any::<u64>()),
             probe in (any::<bool>(), any::<u32>(), any::<u64>()),
         ) {
@@ -589,14 +583,13 @@ mod tests {
             flow.sender.rtt_probe = probe.0.then_some((probe.1, SimTime(probe.2)));
             prop_assert!(encode(&flow).len() >= FlowEntryState::MIN_BYTES);
 
-            let entry = RouteCacheEntryState { key: 1, stamp: 2, path: cached.0.then_some(cached.1) };
-            let shard = RouteCacheShardState {
-                entries: vec![entry.clone()],
-                queue: vec![(2, 1)],
-                stamp: 2,
+            let entry = RouteEntry {
+                src: NodeId(1),
+                dst: NodeId(2),
+                epoch: 3,
+                path: route.0.then(|| unslotted(&route.1)),
             };
-            prop_assert!(encode(&entry).len() >= RouteCacheEntryState::MIN_BYTES);
-            prop_assert!(encode(&shard).len() >= RouteCacheShardState::MIN_BYTES);
+            prop_assert!(encode(&entry).len() >= RouteEntry::MIN_BYTES);
 
             let mut fluid: FluidFlow = zero_value();
             fluid.path = unslotted(&path);

@@ -39,8 +39,9 @@ pub const MAGIC: [u8; 8] = *b"MASSFSNP";
 
 /// Current snapshot format version. Bump on any wire-format change;
 /// readers reject other versions with a structured error rather than
-/// guessing.
-pub const FORMAT_VERSION: u32 = 1;
+/// guessing. Version 2 carries the world's interned routes as one list
+/// sorted by `(src, dst)`.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Session metadata: fingerprint, virtual time, external-tag cursor.
 pub const SECTION_META: u32 = 1;
@@ -282,14 +283,17 @@ mod tests {
 
     #[test]
     fn future_version_is_a_structured_mismatch() {
-        let mut bytes = encode_container(&sample());
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        match decode_container(&bytes) {
-            Err(MassfError::SnapshotVersionMismatch { found, expected }) => {
-                assert_eq!(found, 99);
-                assert_eq!(expected, FORMAT_VERSION);
+        // 1 is the previous format: refused like any other version.
+        for version in [1u32, 99] {
+            let mut bytes = encode_container(&sample());
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            match decode_container(&bytes) {
+                Err(MassfError::SnapshotVersionMismatch { found, expected }) => {
+                    assert_eq!(found, version);
+                    assert_eq!(expected, FORMAT_VERSION);
+                }
+                other => panic!("expected version mismatch, got {other:?}"),
             }
-            other => panic!("expected version mismatch, got {other:?}"),
         }
     }
 

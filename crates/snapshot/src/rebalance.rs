@@ -40,7 +40,7 @@ use massf_engine::{
     imbalance_permille, partition_loads, should_rebalance, LpId, RebalanceConfig,
     RebalanceCounters, SimTime,
 };
-use massf_netsim::{NetEvent, SharedNet};
+use massf_netsim::{NetEvent, SharedNet, DEFAULT_ROUTE_CACHE_CAPACITY};
 use massf_partition::{apply_moves, rebalance, RebalanceParams, WeightedGraph};
 use massf_topology::MassfError;
 use std::sync::Arc;
@@ -265,10 +265,12 @@ impl Session {
     /// migrates LPs whenever an epoch's measured load imbalance exceeds
     /// the policy threshold. The fingerprint binds the policy and the
     /// initial assignment on top of the base scenario.
+    /// `_route_cache_capacity` is read nowhere; it stays because the
+    /// benchmark harness (`perf/`) passes it.
     pub fn new_rebalancing(
         shared: Arc<SharedNet>,
         initial: Vec<(SimTime, LpId, NetEvent)>,
-        route_cache_capacity: usize,
+        _route_cache_capacity: usize,
         max_retries: u32,
         policy: RebalancePolicy,
         assignment: Vec<u32>,
@@ -282,7 +284,7 @@ impl Session {
             counters: RebalanceCounters::default(),
         };
         state.validate(lp_count)?;
-        let mut session = Session::new(shared, initial, route_cache_capacity, max_retries);
+        let mut session = Session::new(shared, initial, DEFAULT_ROUTE_CACHE_CAPACITY, max_retries);
         session.meta.fingerprint =
             rebalancing_fingerprint(session.meta.fingerprint, &policy, &state.assignment);
         session.rebalance = Some(state);

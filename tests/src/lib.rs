@@ -35,7 +35,7 @@ pub fn tiny_mapping_config(engines: usize) -> MappingConfig {
 }
 
 /// A fresh session at time zero over `builder`'s world and initial
-/// events, with the default route-cache capacity and retry limit.
+/// events, with the default retry limit.
 pub fn session_for(builder: &NetSimBuilder) -> Session {
     Session::new(
         builder.shared(),
@@ -47,12 +47,7 @@ pub fn session_for(builder: &NetSimBuilder) -> Session {
 
 /// The scenario fingerprint a [`session_for`] session carries.
 pub fn fingerprint_for(builder: &NetSimBuilder) -> u64 {
-    scenario_fingerprint(
-        &builder.shared(),
-        &builder.initial_events(),
-        DEFAULT_ROUTE_CACHE_CAPACITY,
-        MAX_RETRIES,
-    )
+    scenario_fingerprint(&builder.shared(), &builder.initial_events(), MAX_RETRIES)
 }
 
 /// `session` has handled exactly the events of the straight

@@ -93,7 +93,6 @@ fn session_fingerprint(builder: &NetSimBuilder, policy: &RebalancePolicy, parts:
     let base = massf_snapshot::scenario_fingerprint(
         &builder.shared(),
         &builder.initial_events(),
-        DEFAULT_ROUTE_CACHE_CAPACITY,
         MAX_RETRIES,
     );
     let assignment = block_assignment(builder.shared().lp_count(), parts);

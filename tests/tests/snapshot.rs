@@ -321,17 +321,20 @@ fn corrupted_snapshots_are_structured_errors_never_panics() {
         }
     }
 
-    // A bumped format version is the dedicated mismatch error.
-    let mut evil = bytes.clone();
-    evil[8..12].copy_from_slice(&7u32.to_le_bytes());
-    let err = Session::decode(builder.shared(), fingerprint, &evil)
-        .expect_err("future version must be refused");
-    match err {
-        MassfError::SnapshotVersionMismatch { found, expected } => {
-            assert_eq!(found, 7);
-            assert_eq!(expected, massf_snapshot::FORMAT_VERSION);
+    // Another format version, the previous one (1: per-node route-cache
+    // shards) or a future one, is the dedicated mismatch error.
+    for version in [1u32, 7] {
+        let mut evil = bytes.clone();
+        evil[8..12].copy_from_slice(&version.to_le_bytes());
+        let err = Session::decode(builder.shared(), fingerprint, &evil)
+            .expect_err("another version must be refused");
+        match err {
+            MassfError::SnapshotVersionMismatch { found, expected } => {
+                assert_eq!(found, version);
+                assert_eq!(expected, massf_snapshot::FORMAT_VERSION);
+            }
+            other => panic!("expected SnapshotVersionMismatch, got {other}"),
         }
-        other => panic!("expected SnapshotVersionMismatch, got {other}"),
     }
 }
 
@@ -652,8 +655,9 @@ fn golden_of(session: &Session, builder: &NetSimBuilder) -> (usize, u64, u64) {
 /// The snapshot byte format is pinned: four mid-run sessions (flat with
 /// link flaps, multi-AS, packet + fluid, rebalancing mid-epoch) and one
 /// branch encode to the lengths, FNV-1a digests and fingerprints
-/// recorded when the codec was written by hand, one function per
-/// direction. A codec change that moves any byte fails here.
+/// recorded for format version 2 (the world's routes as one sorted
+/// list; no route-cache capacity in the fingerprint). A codec change
+/// that moves any byte fails here.
 #[test]
 fn snapshot_bytes_match_golden_values() {
     let mut got = Vec::new();
@@ -725,13 +729,13 @@ fn snapshot_bytes_match_golden_values() {
 
     // (snapshot length, FNV-1a of the snapshot, scenario fingerprint)
     let want = [
-        (6588, 0x429a_bad6_edff_e3ac, 0x8476_d7f8_3d7c_9dc1),
-        (17869, 0x72a5_8e08_fb30_4379, 0x7493_17ce_26a4_69b1),
-        (19496, 0xd879_8800_9585_d328, 0x90f6_342e_b214_befb),
-        (10210, 0x9cde_d5ea_32d1_120a, 0xfc3f_c712_3a25_f6a8),
+        (5036, 0x0b9f_fa70_3d24_887d, 0x09e9_0015_a272_1761),
+        (16189, 0x3aa0_57b9_c693_88c1, 0x4aa3_d770_42ec_c551),
+        (17984, 0xcf73_e503_ca86_3dcc, 0xa1cd_2929_8357_15db),
+        (8578, 0xf870_8291_0382_6c58, 0xf883_9020_725a_2968),
     ];
     assert_eq!(got, want);
-    assert_eq!(branch_fingerprint, 0x91ad_2ea5_da32_905f);
+    assert_eq!(branch_fingerprint, 0xf81a_a29a_ba14_8338);
 }
 
 proptest! {
