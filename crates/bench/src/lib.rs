@@ -306,8 +306,11 @@ fn run_suite_once(
         );
         if let Some(trees) = scenario.resolver.spt_stats() {
             eprintln!(
-                "# trees ({label}): {} built / {} served reversed / {} tie fallbacks",
-                trees.trees_built, trees.served_reversed, trees.tie_fallbacks
+                "# trees ({label}): {} built / {} served reversed / {} tie fallbacks, {:.2} MiB",
+                trees.trees_built,
+                trees.served_reversed,
+                trees.tie_fallbacks,
+                trees.tree_bytes as f64 / (1u64 << 20) as f64
             );
         }
         eprintln!(

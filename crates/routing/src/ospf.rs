@@ -11,19 +11,26 @@
 //!
 //! ## Storage and locking
 //!
-//! An SPT stores the parent array — `parent[i]` is the local index of
-//! the next hop from member `i` toward the root, which doubles as the
-//! next-hop table, and distances are recomputed on demand by walking
-//! parents and summing link costs — plus one *tie bit* per node (33 bits
-//! per node per tree instead of 12 bytes; a 20,000-router full table is
-//! 1.6 GB, not 4.8 GB — which is why no caller builds one).
+//! An SPT stores the parent array — `parent[i]` is the *port* of the
+//! next hop from member `i` toward the root: its position in `i`'s own
+//! adjacency row, a `u16`, which doubles as the next-hop table, and
+//! distances are recomputed on demand by walking parents and summing
+//! link costs — plus one *tie bit* per node (17 bits per node per tree
+//! instead of 12 bytes; a 20,000-router full table is 0.85 GB, not
+//! 4.8 GB — which is why no caller builds one). Each adjacency entry
+//! carries the port of its reverse arc in the neighbour's row, so
+//! Dijkstra stores a port as cheaply as it stored a core index, and a
+//! walk reads one row entry per hop to turn a port back into a node.
+//! A core row therefore holds fewer than 65,535 arcs; construction
+//! refuses any other domain.
 //! SPTs are computed on first use and never evicted: they live in one
 //! map keyed by root core index behind a mutex, the only SPT store,
 //! read through one accessor (`with_core_walk`), so a domain converges
 //! to exactly the trees its traffic needs. Trees held ≤ distinct roots
-//! routed on ≤ `core_count`, and each tree is `core_count` × 33 bits:
-//! ≈ 82 KB at 20,000 routers, so ≈ 150 MB for the 1,816 roots the
-//! paper-scale flat world routes on.
+//! routed on ≤ `core_count`, and each tree is `core_count` × 17 bits
+//! (`2n + 8⌈n/64⌉` bytes, [`SptStats::tree_bytes`]): ≈ 42 KB at 20,000
+//! routers, so ≈ 77 MB for the 1,816 roots the paper-scale flat world
+//! routes on (≈ 82 KB and ≈ 150 MB with `u32` core-index parents).
 //!
 //! ## The heap key
 //!
@@ -112,37 +119,75 @@ impl CostMetric {
     }
 }
 
-/// Compressed sparse rows: node `i`'s `(neighbor, cost)` edges are
+/// One directed arc of a [`Csr`] row: 16 bytes, the same as a padded
+/// `(u32, u64)`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Edge {
+    /// The neighbour's core index.
+    to: u32,
+    /// The position of the reverse arc `to → this row` in `to`'s row:
+    /// the port a tree stores as `to`'s parent when this arc relaxes it.
+    back: u16,
+    cost: u64,
+}
+
+const _: () = assert!(size_of::<Edge>() == 16, "the back port sits in the padding");
+
+/// Compressed sparse rows: node `i`'s edges are
 /// `edges[offsets[i]..offsets[i + 1]]` — two allocations per graph.
 struct Csr {
     offsets: Box<[u32]>,
-    edges: Box<[(u32, u64)]>,
+    edges: Box<[Edge]>,
 }
 
 impl Csr {
-    /// `n` rows from directed `(from, to, cost)` arcs; arcs of one row
-    /// keep their relative order.
+    /// `n` rows from directed `(from, to, cost)` arcs pushed in reverse
+    /// pairs (arc `j ^ 1` is arc `j` reversed); arcs of one row keep
+    /// their relative order.
+    ///
+    /// # Panics
+    ///
+    /// When a row holds `u16::MAX` or more arcs: its length, and so each
+    /// of its ports, stays below the `u16::MAX` that marks "no parent"
+    /// in a tree.
     fn from_arcs(n: usize, arcs: &[(u32, u32, u64)]) -> Self {
         let mut offsets = vec![0u32; n + 1].into_boxed_slice();
         for &(from, _, _) in arcs {
             offsets[from as usize + 1] += 1;
         }
         for i in 0..n {
+            assert!(
+                offsets[i + 1] < u32::from(u16::MAX),
+                "a core row has fewer than 65,535 arcs, so its ports fit a u16"
+            );
             offsets[i + 1] += offsets[i];
         }
+        // `slot[j]`: where arc `j` lands in `edges`.
         let mut next = offsets.to_vec();
-        let mut edges = vec![(0u32, 0u64); arcs.len()].into_boxed_slice();
-        for &(from, to, cost) in arcs {
-            let slot = &mut next[from as usize];
-            edges[*slot as usize] = (to, cost);
-            *slot += 1;
+        let slot: Vec<u32> = arcs
+            .iter()
+            .map(|&(from, _, _)| {
+                next[from as usize] += 1;
+                next[from as usize] - 1
+            })
+            .collect();
+        let mut edges = vec![Edge::default(); arcs.len()].into_boxed_slice();
+        for (j, &(from, to, cost)) in arcs.iter().enumerate() {
+            debug_assert_eq!(arcs[j ^ 1], (to, from, cost), "arcs come in reverse pairs");
+            let back = (slot[j ^ 1] - offsets[to as usize]) as u16;
+            edges[slot[j] as usize] = Edge { to, back, cost };
         }
         Csr { offsets, edges }
     }
 
-    fn row(&self, i: u32) -> &[(u32, u64)] {
+    fn row(&self, i: u32) -> &[Edge] {
         let i = i as usize;
         &self.edges[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// The node behind port `port` of row `i`.
+    fn to(&self, i: u32, port: u16) -> u32 {
+        self.row(i)[usize::from(port)].to
     }
 }
 
@@ -163,20 +208,27 @@ enum Walk {
 /// by walking parents (see the module docs).
 #[derive(Debug, Clone)]
 struct Spt {
-    /// `parent[i]` = core index of next hop from core member `i` toward
-    /// the root; `u32::MAX` when unreachable or at the root. Aggregated
-    /// leaves have no row — they resolve through their attach router's.
-    parent: Box<[u32]>,
+    /// `parent[i]` = the port, in core member `i`'s adjacency row, of the
+    /// next hop toward the root; `u16::MAX` when unreachable or at the
+    /// root. Aggregated leaves have no row — they resolve through their
+    /// attach router's.
+    parent: Box<[u16]>,
     /// Bit `i` set ⇔ at least two distinct neighbours of `i` lie on
     /// shortest paths from `i` to the root (`parent[i]` is the lowest).
     tied: Box<[u64]>,
 }
 
 impl Spt {
+    /// Heap bytes of the tree: 2 per core node plus its tie bits.
+    fn bytes(&self) -> u64 {
+        (size_of_val(&*self.parent) + size_of_val(&*self.tied)) as u64
+    }
+
     /// Append the tree walk `from → … → root` (`from != root`, both
-    /// inclusive) to `out`; appends nothing when unreachable.
-    fn walk(&self, from: u32, root: u32, out: &mut Vec<u32>) -> Walk {
-        if self.parent[from as usize] == u32::MAX {
+    /// inclusive) over the adjacency `adj` the tree was built on to
+    /// `out`; appends nothing when unreachable.
+    fn walk(&self, adj: &Csr, from: u32, root: u32, out: &mut Vec<u32>) -> Walk {
+        if self.parent[from as usize] == u16::MAX {
             return Walk::Unreachable;
         }
         let mut tied = false;
@@ -184,7 +236,7 @@ impl Spt {
         out.push(cur);
         while cur != root {
             tied |= (self.tied[cur as usize / 64] >> (cur % 64)) & 1 == 1;
-            cur = self.parent[cur as usize];
+            cur = adj.to(cur, self.parent[cur as usize]);
             out.push(cur);
         }
         if tied {
@@ -221,6 +273,9 @@ pub struct SptStats {
     /// Queries whose tree at `a` was held but crossed a tied node, so
     /// the tree at `b` was built after all.
     pub tie_fallbacks: u64,
+    /// Heap bytes of the trees built — of the trees held, since none is
+    /// ever dropped: `2n + 8⌈n/64⌉` each at `n` core nodes.
+    pub tree_bytes: u64,
 }
 
 impl std::iter::Sum for SptStats {
@@ -229,6 +284,7 @@ impl std::iter::Sum for SptStats {
             trees_built: acc.trees_built + s.trees_built,
             served_reversed: acc.served_reversed + s.served_reversed,
             tie_fallbacks: acc.tie_fallbacks + s.tie_fallbacks,
+            tree_bytes: acc.tree_bytes + s.tree_bytes,
         })
     }
 }
@@ -246,7 +302,7 @@ pub struct OspfDomain {
     /// Global node id → local index (u32::MAX = not a member).
     local_of: Vec<u32>,
     /// *Core* adjacency — aggregated leaves excluded — indexed by core
-    /// index: `(neighbor core index, cost)`.
+    /// index; a tree's parents are ports into its rows.
     adj: Csr,
     /// Member local index → core index; `u32::MAX` marks an aggregated
     /// leaf (single-homed host, resolved through `attach`).
@@ -293,7 +349,10 @@ impl OspfDomain {
     ///
     /// When the summed cost of the domain's core arcs reaches
     /// `2^(64 − key_shift)` (module docs, "The heap key") — 2^52 ns of
-    /// latency at 4,000 routers.
+    /// latency at 4,000 routers — or when a core member has 65,535 or
+    /// more arcs, whose ports would not fit a tree's `u16` parent
+    /// (module docs, "Storage and locking"; the paper world's largest
+    /// degree is 281).
     pub fn new(net: &Network, members: Vec<NodeId>, metric: CostMetric) -> Self {
         Self::with_link_filter(net, members, metric, |_| true)
     }
@@ -327,7 +386,17 @@ impl OspfDomain {
                 arcs.push((lb, la, c));
             }
         }
-        let full_adj = Csr::from_arcs(members.len(), &arcs);
+        // Per member: its first neighbour, whether it has a second,
+        // distinct one, and the cheapest arc to the first.
+        let mut first = vec![(u32::MAX, false, u64::MAX); members.len()];
+        for &(from, to, c) in &arcs {
+            let (nb, more, cost) = &mut first[from as usize];
+            if *nb == u32::MAX || *nb == to {
+                (*nb, *cost) = (to, c.min(*cost));
+            } else {
+                *more = true;
+            }
+        }
 
         // Leaf classification: a host with exactly one distinct (alive,
         // intra-domain) neighbor is aggregated behind that neighbor.
@@ -336,16 +405,14 @@ impl OspfDomain {
         // Purely a function of members + alive links — deterministic.
         let candidate: Vec<bool> = (0..members.len())
             .map(|i| {
-                let nbrs = full_adj.row(i as u32);
-                net.nodes[members[i].index()].kind == NodeKind::Host
-                    && !nbrs.is_empty()
-                    && nbrs.iter().all(|&(nb, _)| nb == nbrs[0].0)
+                let (nb, more, _) = first[i];
+                net.nodes[members[i].index()].kind == NodeKind::Host && nb != u32::MAX && !more
             })
             .collect();
         let is_leaf: Vec<bool> = candidate
             .iter()
-            .enumerate()
-            .map(|(i, &c)| c && !candidate[full_adj.row(i as u32)[0].0 as usize])
+            .zip(&first)
+            .map(|(&c, &(nb, _, _))| c && !candidate[nb as usize])
             .collect();
 
         // Order-preserving core compaction.
@@ -360,16 +427,13 @@ impl OspfDomain {
 
         // Leaf attach records (min cost over parallel access links,
         // matching what Dijkstra would relax) and core adjacency (leaf
-        // edges dropped — no path routes *through* a degree-1 node).
+        // edges dropped — no path routes *through* a degree-1 node). The
+        // filter is symmetric in the two ends, so the kept arcs stay in
+        // reverse pairs.
         let mut attach = vec![(u32::MAX, 0u64); members.len()].into_boxed_slice();
         for i in (0..members.len()).filter(|&i| is_leaf[i]) {
-            let nbrs = full_adj.row(i as u32);
-            let cost = nbrs
-                .iter()
-                .map(|&(_, c)| c)
-                .min()
-                .expect("leaf has at least one access link");
-            attach[i] = (core_of[nbrs[0].0 as usize], cost);
+            let (nb, _, cost) = first[i];
+            attach[i] = (core_of[nb as usize], cost);
         }
         arcs.retain(|&(from, to, _)| !is_leaf[from as usize] && !is_leaf[to as usize]);
         for (from, to, _) in &mut arcs {
@@ -448,7 +512,7 @@ impl OspfDomain {
         scratch.heap.clear();
         let dist = &mut scratch.dist;
         let heap = &mut scratch.heap;
-        let mut parent = vec![u32::MAX; n].into_boxed_slice();
+        let mut parent = vec![u16::MAX; n].into_boxed_slice();
         let mut tied = vec![0u64; n.div_ceil(64)].into_boxed_slice();
         let shift = self.key_shift;
         let index_mask = (1u64 << shift) - 1;
@@ -459,23 +523,28 @@ impl OspfDomain {
             if d > dist[v as usize] {
                 continue;
             }
-            for &(u, c) in self.adj.row(v) {
-                let nd = d + c;
+            for &Edge { to: u, back, cost } in self.adj.row(v) {
+                let nd = d + cost;
                 let ud = dist[u as usize];
                 let bit = 1u64 << (u % 64);
                 if nd < ud {
                     dist[u as usize] = nd;
-                    parent[u as usize] = v;
+                    parent[u as usize] = back;
                     tied[u as usize / 64] &= !bit;
                     heap.push(Reverse(nd << shift | u64::from(u)));
-                } else if nd == ud && v != parent[u as usize] {
-                    // A second neighbour at the same distance: `u` is
-                    // tied. Deterministic tie-break: the lowest-indexed
-                    // parent wins. The distance did not move, so `u`
-                    // is not queued again.
-                    tied[u as usize / 64] |= bit;
-                    if v < parent[u as usize] {
-                        parent[u as usize] = v;
+                } else if nd == ud {
+                    // `u` was reached (cost ≥ 1 rules out the root), so
+                    // its parent port names a node.
+                    let p = self.adj.to(u, parent[u as usize]);
+                    if v != p {
+                        // A second neighbour at the same distance: `u`
+                        // is tied. Deterministic tie-break: the
+                        // lowest-indexed parent wins. The distance did
+                        // not move, so `u` is not queued again.
+                        tied[u as usize / 64] |= bit;
+                        if v < p {
+                            parent[u as usize] = back;
+                        }
                     }
                 }
             }
@@ -497,9 +566,9 @@ impl OspfDomain {
         } = &mut *cache;
         walk.clear();
         let found = if let Some(spt) = map.get(&b) {
-            spt.walk(a, b, walk)
+            spt.walk(&self.adj, a, b, walk)
         } else {
-            let from_a = map.get(&a).map(|spt| spt.walk(b, a, walk));
+            let from_a = map.get(&a).map(|spt| spt.walk(&self.adj, b, a, walk));
             if let Some(found @ (Walk::Unique | Walk::Unreachable)) = from_a {
                 stats.served_reversed += 1;
                 walk.reverse();
@@ -509,9 +578,10 @@ impl OspfDomain {
                     stats.tie_fallbacks += 1;
                     walk.clear();
                 }
-                stats.trees_built += 1;
                 let spt = map.entry(b).or_insert(self.compute_spt(b, scratch));
-                spt.walk(a, b, walk)
+                stats.trees_built += 1;
+                stats.tree_bytes += spt.bytes();
+                spt.walk(&self.adj, a, b, walk)
             }
         };
         f((found != Walk::Unreachable).then_some(walk.as_slice()))
@@ -524,7 +594,7 @@ impl OspfDomain {
     fn reference_walk(&self, a: u32, b: u32) -> Option<Vec<u32>> {
         let spt = self.compute_spt(b, &mut SptScratch::default());
         let mut walk = Vec::new();
-        (spt.walk(a, b, &mut walk) != Walk::Unreachable).then_some(walk)
+        (spt.walk(&self.adj, a, b, &mut walk) != Walk::Unreachable).then_some(walk)
     }
 
     /// Cheapest direct-edge cost `from → to`; both must be adjacent
@@ -534,8 +604,8 @@ impl OspfDomain {
         self.adj
             .row(from)
             .iter()
-            .filter(|&&(nb, _)| nb == to)
-            .map(|&(_, c)| c)
+            .filter(|e| e.to == to)
+            .map(|e| e.cost)
             .min()
             .expect("SPT parents are adjacent members")
     }
@@ -885,7 +955,7 @@ mod tests {
                 dist[b as usize] = 0;
                 let mut queue = std::collections::VecDeque::from([b]);
                 while let Some(v) = queue.pop_front() {
-                    for &(u, _) in d.adj.row(v) {
+                    for &Edge { to: u, .. } in d.adj.row(v) {
                         if dist[u as usize] == u32::MAX {
                             dist[u as usize] = dist[v as usize] + 1;
                             queue.push_back(u);
@@ -893,7 +963,7 @@ mod tests {
                     }
                 }
                 let parent = |u: u32| {
-                    let row = d.adj.row(u).iter().map(|&(v, _)| v);
+                    let row = d.adj.row(u).iter().map(|e| e.to);
                     row.filter(|&v| dist[v as usize] + 1 == dist[u as usize])
                         .min()
                 };
@@ -928,6 +998,141 @@ mod tests {
         }
         assert_eq!(d.spt_stats().trees_built, ids.len() as u64 - 1);
         assert_eq!(d.cache.lock().map.len(), ids.len() - 1);
+        // Each tree is a `u16` port per core node plus its tie bits.
+        let n = d.core_count() as u64;
+        let per_tree = 2 * n + 8 * n.div_ceil(64);
+        assert_eq!(per_tree, 3_002 + 192);
+        let trees = d.spt_stats().trees_built;
+        assert_eq!(d.spt_stats().tree_bytes, trees * per_tree);
+    }
+
+    /// Bellman–Ford distances to `root` over every link of `net`, both
+    /// directions, under `metric`: an oracle independent of the CSR.
+    fn bellman_ford(net: &Network, metric: CostMetric, root: usize) -> Vec<u64> {
+        let mut dist = vec![u64::MAX; net.node_count()];
+        dist[root] = 0;
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for link in &net.links {
+                let c = metric.cost(link);
+                let (ia, ib) = (link.a.index(), link.b.index());
+                for (from, to) in [(ia, ib), (ib, ia)] {
+                    if dist[from] != u64::MAX && dist[from] + c < dist[to] {
+                        dist[to] = dist[from] + c;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        dist
+    }
+
+    /// A hub router with 320 spoke routers, the spokes also in a ring,
+    /// and parallel hub links: every 7th spoke has a second link of equal
+    /// cost, every 11th a cheaper one laid after the first, every 13th a
+    /// dearer one. The hub's row holds 418 arcs, so the ports of most
+    /// spokes in it are above the `u8` range (the paper world's router 0
+    /// has degree 281). Every walk to or from eleven roots, most of them
+    /// behind such ports, equals `reference_walk` and the walk that takes,
+    /// at each node, the lowest-indexed neighbour on a Bellman–Ford
+    /// shortest path; every distance equals Bellman–Ford's.
+    #[test]
+    fn ports_above_the_u8_range_walk_like_the_oracles() {
+        let spokes = 320;
+        let mut net = Network::new();
+        let ids: Vec<NodeId> = (0..=spokes)
+            .map(|i| net.add_node(NodeKind::Router, Point::new(i as f64, 0.0), AsId(0)))
+            .collect();
+        for i in 1..=spokes {
+            net.add_link(ids[0], ids[i], 1e9, 2.0);
+            net.add_link(ids[i], ids[i % spokes + 1], 1e9, 1.0);
+        }
+        for i in 1..=spokes {
+            for (every, ms) in [(7, 2.0), (11, 1.0), (13, 3.0)] {
+                if i % every == 0 {
+                    net.add_link(ids[i], ids[0], 1e9, ms);
+                }
+            }
+        }
+        let roots = [0, 1, 255, 256, 259, 264, 273, 286, 300, 310, 320];
+        for metric in [CostMetric::Hop, CostMetric::Latency] {
+            let d = OspfDomain::new(&net, ids.clone(), metric);
+            assert_eq!(d.core_count(), spokes + 1);
+            assert_eq!(d.adj.row(0).len(), 320 + 45 + 29 + 24);
+            let dist: Vec<Vec<u64>> = (0..=spokes)
+                .map(|r| bellman_ford(&net, metric, r))
+                .collect();
+            // An arc on a shortest path is a cheapest one to its end.
+            let oracle = |a: u32, b: u32| {
+                let to_b = &dist[b as usize];
+                let mut walk = vec![a];
+                while walk[walk.len() - 1] != b {
+                    let cur = walk[walk.len() - 1] as usize;
+                    let row = d.adj.row(cur as u32).iter();
+                    let on_path = row.filter(|e| to_b[e.to as usize] + e.cost == to_b[cur]);
+                    let next = on_path.map(|e| e.to).min();
+                    walk.push(next.expect("a shortest path continues"));
+                }
+                walk
+            };
+            for &b in &roots {
+                for a in (0..=spokes as u32).filter(|&a| a != b) {
+                    for (s, t) in [(a, b), (b, a)] {
+                        let ctx = format!("{metric:?} {s} → {t}");
+                        let got = d.with_core_walk(s, t, |w| w.map(<[u32]>::to_vec));
+                        assert_eq!(got, d.reference_walk(s, t), "{ctx}");
+                        assert_eq!(got, Some(oracle(s, t)), "{ctx}");
+                        let want = dist[t as usize][s as usize];
+                        assert_eq!(
+                            d.distance(ids[s as usize], ids[t as usize]),
+                            Some(want),
+                            "{ctx}"
+                        );
+                    }
+                }
+            }
+            let cache = d.cache.lock();
+            let trees = (0..=spokes as u32).filter_map(|r| cache.map.get(&r));
+            let mut ports = trees.flat_map(|t| t.parent.iter().copied());
+            assert!(
+                ports.any(|p| p != u16::MAX && p > 255),
+                "{metric:?}: no port above 255"
+            );
+        }
+    }
+
+    /// Two routers joined by `links` parallel links, the last one the
+    /// cheapest, so each router's parent in the other's tree is the
+    /// highest port of its row.
+    fn parallel_pair(links: usize) -> (Network, Vec<NodeId>) {
+        let mut net = Network::new();
+        let ids: Vec<NodeId> = (0..2)
+            .map(|i| net.add_node(NodeKind::Router, Point::new(i as f64, 0.0), AsId(0)))
+            .collect();
+        for _ in 1..links {
+            net.add_link(ids[0], ids[1], 1e9, 2.0);
+        }
+        net.add_link(ids[0], ids[1], 1e9, 1.0);
+        (net, ids)
+    }
+
+    /// The widest row a tree can address: 65,534 arcs, ports 0–65,533.
+    #[test]
+    fn a_row_of_65_534_arcs_routes_through_its_last_port() {
+        let (net, ids) = parallel_pair(65_534);
+        let d = OspfDomain::new(&net, ids.clone(), CostMetric::Latency);
+        assert_eq!(d.path(ids[0], ids[1]), Some(vec![ids[0], ids[1]]));
+        assert_eq!(d.distance(ids[1], ids[0]), Some(1_000_000));
+        assert_eq!(d.cache.lock().map[&1].parent[0], 65_533);
+    }
+
+    /// One arc more and the row is refused at construction.
+    #[test]
+    #[should_panic(expected = "a core row has fewer than 65,535 arcs, so its ports fit a u16")]
+    fn a_row_of_65_535_arcs_is_refused() {
+        let (net, ids) = parallel_pair(65_535);
+        OspfDomain::new(&net, ids, CostMetric::Latency);
     }
 
     #[test]
@@ -1086,6 +1291,8 @@ mod tests {
             let want = SptStats {
                 trees_built: 2,
                 tie_fallbacks: 1,
+                // Two trees of four 2-byte ports and one tie-bit word.
+                tree_bytes: 2 * (4 * 2 + 8),
                 ..SptStats::default()
             };
             assert_eq!(d.spt_stats(), want, "down_first = {down_first}");
