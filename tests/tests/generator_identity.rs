@@ -9,10 +9,12 @@
 //! with it every digest downstream — fails here first, by configuration.
 
 use massf_core::prelude::*;
+use massf_netsim::{FaultScript, FaultState};
+use massf_routing::{CostMetric, FlatResolver, MultiAsResolver, PathResolver};
 use massf_snapshot::wire::fnv1a64;
 use massf_topology::{
     generate_flat_network, generate_multi_as_network, FlatTopologyConfig, MultiAsTopologyConfig,
-    Network,
+    Network, NodeId, NodeKind,
 };
 
 /// FNV-1a over link endpoints, latency/bandwidth bits and node
@@ -213,4 +215,101 @@ fn mappers_match_the_recorded_assignments() {
             .collect();
         assert_eq!(got, want, "{kind:?}: got{listing}");
     }
+}
+
+/// FNV-1a over `resolver.route(s, t)` then `route(t, s)` for each pair:
+/// the path's length and node ids, or `u64::MAX` for no route.
+fn route_digest(resolver: &dyn PathResolver, pairs: &[(NodeId, NodeId)]) -> u64 {
+    let mut bytes = Vec::new();
+    for &(s, t) in pairs {
+        for (a, b) in [(s, t), (t, s)] {
+            match resolver.route(a, b) {
+                Some(path) => {
+                    bytes.extend_from_slice(&(path.len() as u64).to_le_bytes());
+                    for n in path {
+                        bytes.extend_from_slice(&n.0.to_le_bytes());
+                    }
+                }
+                None => bytes.extend_from_slice(&u64::MAX.to_le_bytes()),
+            }
+        }
+    }
+    fnv1a64(&bytes)
+}
+
+/// `count` host pairs of `net` (ends distinct) drawn with `seed`.
+fn host_pairs(net: &Network, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
+    use rand::prelude::*;
+    let hosts: Vec<NodeId> = net
+        .nodes
+        .iter()
+        .filter(|n| n.kind == NodeKind::Host)
+        .map(|n| n.id)
+        .collect();
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let mut pairs = Vec::with_capacity(count);
+    while pairs.len() < count {
+        let (s, t) = (
+            hosts[rng.gen_range(0..hosts.len())],
+            hosts[rng.gen_range(0..hosts.len())],
+        );
+        if s != t {
+            pairs.push((s, t));
+        }
+    }
+    pairs
+}
+
+/// The resolvers' answers on both tiny worlds, seed 2004: 400 host
+/// pairs, both orders, through the flat resolver, the multi-AS resolver
+/// and the first faulty epoch of a flat `FaultState` (six link flaps).
+/// A routing change that moves one hop of one route fails here before
+/// any traffic digest moves.
+#[test]
+fn resolvers_match_the_recorded_routes() {
+    let flat = generate_flat_network(&Scale::Tiny.flat_config(2004));
+    let multi_cfg = Scale::Tiny.multi_as_config(2004);
+    let multi = generate_multi_as_network(&multi_cfg);
+    let script = FaultScript::random_link_flaps(
+        &flat,
+        6,
+        SimTime::from_secs(2),
+        SimTime::from_secs(1),
+        SimTime::from_secs(9),
+        2004,
+    )
+    .expect("the tiny flat world has router links");
+    let faults = FaultState::flat(&flat, CostMetric::Latency, script).expect("script validates");
+    let epoch = (0..faults.epoch_count())
+        .find(|&e| !faults.epoch_state(e).is_clean())
+        .expect("a flap opens a faulty epoch");
+    let flat_pairs = host_pairs(&flat, 400, 2004);
+    let multi_pairs = host_pairs(&multi.network, 400, 2004);
+    let got = [
+        (
+            "flat",
+            route_digest(&FlatResolver::new(&flat, CostMetric::Latency), &flat_pairs),
+        ),
+        (
+            "multi-AS",
+            route_digest(
+                &MultiAsResolver::new(&multi, CostMetric::Latency, &multi_cfg),
+                &multi_pairs,
+            ),
+        ),
+        (
+            "flat fault epoch",
+            route_digest(&**faults.resolver_for_epoch(epoch), &flat_pairs),
+        ),
+    ];
+    let want = [
+        ("flat", 0x47bf_3116_fe3b_7c45u64),
+        ("multi-AS", 0xf7fb_b3e0_3f04_7315),
+        ("flat fault epoch", 0xdfed_3037_9213_23c5),
+    ];
+    let listing: String = got
+        .iter()
+        .map(|(name, h)| format!("\n    ({name:?}, {h:#018x}),"))
+        .collect();
+    assert_eq!(got, want, "got{listing}");
 }
