@@ -8,6 +8,12 @@
 //! mid-transfer, measuring the live-byte delta of each phase with the
 //! feature-gated counting allocator (`massf_bench::alloccount`).
 //!
+//! A second table, `multi_as_routing`, holds what `MultiAsResolver::new`
+//! keeps for the paper's multi-AS world (one OSPF domain per AS, the BGP
+//! RIB, the gateway tables) before any route is asked, so before any
+//! tree is built: the per-AS routing state that must stay sized by each
+//! AS, not by ASes × world.
+//!
 //! Flow destinations are concentrated on a small host set: a domain
 //! keeps one shortest-path tree per distinct root it routes on, so the
 //! destinations bound how many trees the run builds and holds. This
@@ -19,14 +25,18 @@
 //!   --bin mem_footprint [-- --smoke]
 //! ```
 //!
-//! `--smoke` runs a seconds-scale configuration for CI; the full run
-//! measures 100k and 1M hosts with 100k flows each.
+//! `--smoke` runs a seconds-scale configuration for CI (2k hosts, and
+//! the tiny multi-AS world); the full run measures 100k and 1M hosts
+//! with 100k flows each, and the multi-AS world at `Scale::Medium`
+//! (100 × 50 routers + 2,000 hosts) and `Scale::Paper` (100 × 200 +
+//! 10,000).
 
 use massf_bench::alloccount::{self, CountingAlloc};
+use massf_core::Scale;
 use massf_engine::{run_sequential, EventRecord, LpId, SimTime};
 use massf_netsim::{NetEvent, NetWorld, NoApp, Packet, SharedNet};
-use massf_routing::{CostMetric, FlatResolver};
-use massf_topology::{generate_flat_network, FlatTopologyConfig};
+use massf_routing::{CostMetric, FlatResolver, MultiAsResolver};
+use massf_topology::{generate_flat_network, generate_multi_as_network, FlatTopologyConfig};
 use std::sync::Arc;
 
 #[global_allocator]
@@ -54,6 +64,11 @@ fn main() {
             eprintln!("error: unknown arguments {other:?}\nusage: mem_footprint [--smoke]");
             std::process::exit(2);
         }
+    };
+    let multi_as: &[(&str, Scale)] = if smoke {
+        &[("tiny", Scale::Tiny)]
+    } else {
+        &[("medium", Scale::Medium), ("paper", Scale::Paper)]
     };
     let configs: &[Config] = if smoke {
         &[Config {
@@ -83,6 +98,12 @@ fn main() {
         std::mem::size_of::<NetEvent>(),
         std::mem::size_of::<EventRecord<NetEvent>>()
     );
+    println!("  \"multi_as_routing\": {{");
+    for (i, &(label, scale)) in multi_as.iter().enumerate() {
+        let comma = if i + 1 < multi_as.len() { "," } else { "" };
+        run_multi_as(label, scale, comma);
+    }
+    println!("  }},");
     for (i, cfg) in configs.iter().enumerate() {
         let comma = if i + 1 < configs.len() { "," } else { "" };
         run_config(cfg, comma);
@@ -189,6 +210,27 @@ fn run_config(cfg: &Config, trailing_comma: &str) {
         gib(peak_total)
     );
     println!("  }}{trailing_comma}");
+}
+
+/// Live bytes `MultiAsResolver::new` keeps for `scale`'s multi-AS
+/// world, seed 2004, before any route is asked.
+fn run_multi_as(label: &str, scale: Scale, trailing_comma: &str) {
+    let cfg = scale.multi_as_config(2004);
+    eprintln!(
+        "# multi-AS {label}: {} ASes × {} routers + {} hosts …",
+        cfg.as_count, cfg.routers_per_as, cfg.hosts
+    );
+    let m = generate_multi_as_network(&cfg);
+    let nodes = m.network.node_count();
+    let before = alloccount::live_bytes();
+    let resolver = MultiAsResolver::new(&m, CostMetric::Latency, &cfg);
+    let routing_bytes = alloccount::live_bytes() - before;
+    drop(resolver);
+    println!(
+        "    \"{label}\": {{ \"ases\": {}, \"nodes\": {nodes}, \"routing_bytes\": {routing_bytes}, \"routing_bytes_per_node\": {:.1} }}{trailing_comma}",
+        cfg.as_count,
+        routing_bytes as f64 / nodes as f64
+    );
 }
 
 fn gib(bytes: usize) -> f64 {

@@ -235,20 +235,14 @@ pub fn run_suite(
         } else {
             for (m, r) in merged.iter_mut().zip(rows) {
                 assert_eq!(m.approach, r.approach);
-                m.metrics.simulation_time_secs += r.metrics.simulation_time_secs;
-                m.metrics.achieved_mll_ms += r.metrics.achieved_mll_ms;
-                m.metrics.load_imbalance += r.metrics.load_imbalance;
-                m.metrics.parallel_efficiency += r.metrics.parallel_efficiency;
+                m.metrics = m.metrics.zip_with(r.metrics, |a, b| a + b);
                 m.total_events += r.total_events;
             }
         }
     }
     let n = opts.repeats as f64;
     for m in merged.iter_mut() {
-        m.metrics.simulation_time_secs /= n;
-        m.metrics.achieved_mll_ms /= n;
-        m.metrics.load_imbalance /= n;
-        m.metrics.parallel_efficiency /= n;
+        m.metrics = m.metrics.zip_with(m.metrics, |sum, _| sum / n);
         m.total_events /= opts.repeats as u64;
     }
     merged
@@ -323,6 +317,19 @@ fn run_suite_once(
             fluid.cap_updates,
             fluid.packet_load_updates
         );
+        for out in &outputs {
+            let m = &out.metrics;
+            eprintln!(
+                "# efficiency ({label} {}): PE {:.4} = 1 / (static {:.4} × per-window {:.4} × (1 + sync {:.4})); heaviest LP {:.4} of a fair share, ρ {:.4}",
+                out.approach.label(),
+                m.parallel_efficiency,
+                m.static_imbalance,
+                m.window_imbalance,
+                m.sync_share,
+                m.heaviest_lp_share,
+                m.rho
+            );
+        }
         rows.extend(outputs.into_iter().map(|out| SuiteRow {
             workload,
             approach: out.approach,

@@ -32,6 +32,14 @@
 //! routers, so ≈ 77 MB for the 1,816 roots the paper-scale flat world
 //! routes on (≈ 82 KB and ≈ 150 MB with `u32` core-index parents).
 //!
+//! Everything else a domain holds is sized by its members, never by
+//! the network around it. The member list, kept ascending, is also the
+//! index: a node's local index is its position there, found by binary
+//! search once per query (a route resolution, never a packet), so a
+//! node outside the domain — even one beyond the network's node count
+//! — is simply not found. A multi-AS world's per-AS domains therefore
+//! add up to the world's size, not to ASes × world.
+//!
 //! ## The heap key
 //!
 //! Dijkstra's heap holds one `u64` per entry, `dist << key_shift |
@@ -296,11 +304,10 @@ impl std::iter::Sum for SptStats {
 /// the domain and the (src, dst) pair, so neither query order nor the
 /// querying thread can change one — only which tree is paid for.
 pub struct OspfDomain {
-    /// Member nodes (routers and hosts of the domain), defining local
-    /// indices.
-    members: Vec<NodeId>,
-    /// Global node id → local index (u32::MAX = not a member).
-    local_of: Vec<u32>,
+    /// Member nodes (routers and hosts of the domain), ascending and
+    /// distinct: a member's position is its local index, found by binary
+    /// search ([`OspfDomain::local`]).
+    members: Box<[NodeId]>,
     /// *Core* adjacency — aggregated leaves excluded — indexed by core
     /// index; a tree's parents are ports into its rows.
     adj: Csr,
@@ -343,7 +350,9 @@ fn key_shift(cores: usize, arcs: &[(u32, u32, u64)]) -> u32 {
 
 impl OspfDomain {
     /// Build a domain over `members` of `net`, using only links whose
-    /// both endpoints are members (intra-domain links).
+    /// both endpoints are members (intra-domain links). `members` may
+    /// come in any order and repeat a node: the domain keeps them
+    /// ascending and distinct, so the order passed changes no answer.
     ///
     /// # Panics
     ///
@@ -364,26 +373,32 @@ impl OspfDomain {
     /// post-fault shortest-path trees. Panics like [`OspfDomain::new`].
     pub fn with_link_filter(
         net: &Network,
-        members: Vec<NodeId>,
+        mut members: Vec<NodeId>,
         metric: CostMetric,
         alive: impl Fn(&massf_topology::Link) -> bool,
     ) -> Self {
-        let mut local_of = vec![u32::MAX; net.node_count()];
-        for (i, &m) in members.iter().enumerate() {
-            local_of[m.index()] = i as u32;
-        }
+        members.sort_unstable();
+        members.dedup();
         // Both directions of every alive intra-domain link, in link
-        // order, over member local indices.
+        // order, over member local indices. The world-sized map lives
+        // only while the links are scanned; queries binary-search
+        // `members` instead.
         let mut arcs: Vec<(u32, u32, u64)> = Vec::new();
-        for link in &net.links {
-            if !alive(link) {
-                continue;
+        {
+            let mut local_of = vec![u32::MAX; net.node_count()];
+            for (i, &m) in members.iter().enumerate() {
+                local_of[m.index()] = i as u32;
             }
-            let (la, lb) = (local_of[link.a.index()], local_of[link.b.index()]);
-            if la != u32::MAX && lb != u32::MAX {
-                let c = metric.cost(link);
-                arcs.push((la, lb, c));
-                arcs.push((lb, la, c));
+            for link in &net.links {
+                if !alive(link) {
+                    continue;
+                }
+                let (la, lb) = (local_of[link.a.index()], local_of[link.b.index()]);
+                if la != u32::MAX && lb != u32::MAX {
+                    let c = metric.cost(link);
+                    arcs.push((la, lb, c));
+                    arcs.push((lb, la, c));
+                }
             }
         }
         // Per member: its first neighbour, whether it has a second,
@@ -443,8 +458,7 @@ impl OspfDomain {
         let key_shift = key_shift(core_member.len(), &arcs);
 
         OspfDomain {
-            members,
-            local_of,
+            members: members.into_boxed_slice(),
             adj,
             core_of,
             core_member: core_member.into_boxed_slice(),
@@ -470,9 +484,16 @@ impl OspfDomain {
         self.members.len()
     }
 
-    /// Is `node` part of this domain?
+    /// Is `node` part of this domain? Any `NodeId` may be asked,
+    /// including one beyond the network's node count.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.local_of[node.index()] != u32::MAX
+        self.local(node).is_some()
+    }
+
+    /// The local index of `node` — its position in `members` — or
+    /// `None` when it is not a member.
+    fn local(&self, node: NodeId) -> Option<u32> {
+        self.members.binary_search(&node).ok().map(|i| i as u32)
     }
 
     /// Number of core (non-aggregated) members — the size of every SPT
@@ -613,8 +634,8 @@ impl OspfDomain {
     /// Next hop from `src` toward `dst`, or `None` if unreachable /
     /// not members / `src == dst`.
     pub fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
-        let (ls, ld) = (self.local_of[src.index()], self.local_of[dst.index()]);
-        if ls == u32::MAX || ld == u32::MAX || ls == ld {
+        let (ls, ld) = (self.local(src)?, self.local(dst)?);
+        if ls == ld {
             return None;
         }
         let (a, _) = self.anchor(ls);
@@ -636,10 +657,7 @@ impl OspfDomain {
     /// Full shortest path `src → … → dst` (inclusive), or `None` if
     /// unreachable. `src == dst` yields `[src]`.
     pub fn path(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        let (ls, ld) = (self.local_of[src.index()], self.local_of[dst.index()]);
-        if ls == u32::MAX || ld == u32::MAX {
-            return None;
-        }
+        let (ls, ld) = (self.local(src)?, self.local(dst)?);
         if ls == ld {
             return Some(vec![src]);
         }
@@ -655,10 +673,9 @@ impl OspfDomain {
     /// — leaving `out` untouched — when either endpoint is not a member
     /// or `dst` is unreachable.
     pub(crate) fn path_append(&self, src: NodeId, dst: NodeId, out: &mut Vec<NodeId>) -> bool {
-        let (ls, ld) = (self.local_of[src.index()], self.local_of[dst.index()]);
-        if ls == u32::MAX || ld == u32::MAX {
+        let (Some(ls), Some(ld)) = (self.local(src), self.local(dst)) else {
             return false;
-        }
+        };
         let skip_src = out.last() == Some(&src);
         if ls == ld {
             if !skip_src {
@@ -719,10 +736,7 @@ impl OspfDomain {
     /// is exactly the distance Dijkstra converged to), plus the access
     /// links of any aggregated-leaf endpoints.
     pub fn distance(&self, src: NodeId, dst: NodeId) -> Option<u64> {
-        let (ls, ld) = (self.local_of[src.index()], self.local_of[dst.index()]);
-        if ls == u32::MAX || ld == u32::MAX {
-            return None;
-        }
+        let (ls, ld) = (self.local(src)?, self.local(dst)?);
         if ls == ld {
             return Some(0);
         }
@@ -1009,12 +1023,22 @@ mod tests {
     /// Bellman–Ford distances to `root` over every link of `net`, both
     /// directions, under `metric`: an oracle independent of the CSR.
     fn bellman_ford(net: &Network, metric: CostMetric, root: usize) -> Vec<u64> {
+        bellman_ford_within(net, metric, root, |_| true)
+    }
+
+    /// [`bellman_ford`] over the links for which `keep` holds.
+    fn bellman_ford_within(
+        net: &Network,
+        metric: CostMetric,
+        root: usize,
+        keep: impl Fn(&massf_topology::Link) -> bool,
+    ) -> Vec<u64> {
         let mut dist = vec![u64::MAX; net.node_count()];
         dist[root] = 0;
         let mut changed = true;
         while changed {
             changed = false;
-            for link in &net.links {
+            for link in net.links.iter().filter(|l| keep(l)) {
                 let c = metric.cost(link);
                 let (ia, ib) = (link.a.index(), link.b.index());
                 for (from, to) in [(ia, ib), (ib, ia)] {
@@ -1307,7 +1331,7 @@ mod tests {
     /// [`OspfDomain::reference_walk`]: a leaf's only edge is its access
     /// link, so it just brackets the core walk between the anchors.
     fn reference_path(d: &OspfDomain, s: NodeId, t: NodeId) -> Option<Vec<NodeId>> {
-        let (ls, lt) = (d.local_of[s.index()], d.local_of[t.index()]);
+        let (ls, lt) = (d.local(s)?, d.local(t)?);
         if ls == lt {
             return Some(vec![s]);
         }
@@ -1373,10 +1397,123 @@ mod tests {
         (net, ids)
     }
 
+    /// A `NodeId` at or beyond the network's node count is not a member:
+    /// every query involving one answers "no", at either end.
+    #[test]
+    fn node_ids_beyond_the_network_are_not_members() {
+        let (net, ids) = diamond();
+        let d = OspfDomain::new(&net, ids.clone(), CostMetric::Latency);
+        for beyond in [NodeId(net.node_count() as u32), NodeId(u32::MAX)] {
+            assert!(!d.contains(beyond));
+            for (s, t) in [(ids[0], beyond), (beyond, ids[0]), (beyond, beyond)] {
+                assert_eq!(d.path(s, t), None, "{s:?} → {t:?}");
+                assert_eq!(d.distance(s, t), None, "{s:?} → {t:?}");
+                assert_eq!(d.next_hop(s, t), None, "{s:?} → {t:?}");
+                let mut out = vec![ids[1]];
+                assert!(!d.path_append(s, t, &mut out), "{s:?} → {t:?}");
+                assert_eq!(out, vec![ids[1]]);
+            }
+        }
+    }
+
+    /// Members passed reversed and with repeats build the domain the
+    /// ascending list builds: same core, same answer to every query.
+    #[test]
+    fn member_order_and_repeats_do_not_change_answers() {
+        for seed in 0..4 {
+            let (net, ids) = ring_chord_world(8, 4, seed);
+            let mut shuffled: Vec<NodeId> = ids.iter().rev().copied().collect();
+            shuffled.extend(ids.iter().step_by(3));
+            for metric in [CostMetric::Hop, CostMetric::Latency] {
+                let want = OspfDomain::new(&net, ids.clone(), metric);
+                let got = OspfDomain::new(&net, shuffled.clone(), metric);
+                assert_eq!(got.member_count(), want.member_count());
+                assert_eq!(got.core_count(), want.core_count());
+                for &s in &ids {
+                    for &t in &ids {
+                        let ctx = format!("seed {seed} {metric:?} {s:?} → {t:?}");
+                        assert_eq!(got.path(s, t), want.path(s, t), "{ctx}");
+                        assert_eq!(got.distance(s, t), want.distance(s, t), "{ctx}");
+                        assert_eq!(got.next_hop(s, t), want.next_hop(s, t), "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
     use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// A domain over a random subset of a random world, with
+        /// non-members below its first member, between members and above
+        /// its last: every member pair's distance is Bellman–Ford's over
+        /// the links between members, its path a chain of such links
+        /// costing exactly that, its next hop the path's second node;
+        /// every query involving a non-member answers `None`.
+        #[test]
+        fn subset_domains_match_bellman_ford_on_their_members(
+            ring in 4usize..11,
+            chords in 0usize..6,
+            seed in 0u64..10_000,
+            mask in any::<u32>(),
+        ) {
+            let (net, ids) = ring_chord_world(ring, chords, seed);
+            let n = ids.len();
+            // The first and last nodes stay out; one node in between
+            // stays out, so a member lies on each side of it.
+            let gap = 2 + (seed as usize) % (n - 4);
+            let is_member: Vec<bool> = (0..n)
+                .map(|i| {
+                    i > 0 && i + 1 < n && i != gap
+                        && (i == gap - 1 || i == gap + 1 || mask >> (i % 32) & 1 == 1)
+                })
+                .collect();
+            let members: Vec<NodeId> = ids
+                .iter()
+                .copied()
+                .filter(|id| is_member[id.index()])
+                .collect();
+            let inside = |l: &massf_topology::Link| is_member[l.a.index()] && is_member[l.b.index()];
+            for metric in [CostMetric::Hop, CostMetric::Latency] {
+                let d = OspfDomain::new(&net, members.clone(), metric);
+                prop_assert_eq!(d.member_count(), members.len());
+                let hop_cost = |a: NodeId, b: NodeId| {
+                    let between = net.links.iter().filter(|l| {
+                        (l.a, l.b) == (a, b) || (l.a, l.b) == (b, a)
+                    });
+                    between.map(|l| metric.cost(l)).min()
+                };
+                for &t in &ids {
+                    let dist = bellman_ford_within(&net, metric, t.index(), inside);
+                    for &s in &ids {
+                        let ctx = format!("{metric:?} {s:?}→{t:?}");
+                        if !is_member[s.index()] || !is_member[t.index()] {
+                            prop_assert!(!d.contains(s) || !d.contains(t), "contains {}", ctx);
+                            prop_assert_eq!(d.path(s, t), None, "path {}", ctx);
+                            prop_assert_eq!(d.distance(s, t), None, "distance {}", ctx);
+                            prop_assert_eq!(d.next_hop(s, t), None, "next_hop {}", ctx);
+                            prop_assert!(!d.path_append(s, t, &mut Vec::new()), "append {}", ctx);
+                            continue;
+                        }
+                        let want = (dist[s.index()] != u64::MAX).then_some(dist[s.index()]);
+                        prop_assert_eq!(d.distance(s, t), want, "distance {}", ctx);
+                        let path = d.path(s, t);
+                        prop_assert_eq!(path.is_some(), want.is_some(), "path {}", ctx);
+                        let Some(path) = path else { continue };
+                        prop_assert_eq!((path[0], path[path.len() - 1]), (s, t), "ends {}", ctx);
+                        let mut cost = 0;
+                        for w in path.windows(2) {
+                            prop_assert!(is_member[w[0].index()] && is_member[w[1].index()]);
+                            cost += hop_cost(w[0], w[1]).expect("path hops are links");
+                        }
+                        prop_assert_eq!(Some(cost), want, "path cost {}", ctx);
+                        prop_assert_eq!(d.next_hop(s, t), path.get(1).copied(), "next_hop {}", ctx);
+                    }
+                }
+            }
+        }
 
         /// Every ordered pair, in one shuffled order and in its reverse:
         /// all four queries equal the destination-rooted reference,

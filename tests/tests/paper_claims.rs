@@ -54,6 +54,45 @@ fn cell(
 
 const WORKLOADS: [WorkloadKind; 2] = [WorkloadKind::ScaLapack, WorkloadKind::GridNpb];
 
+/// Every row's efficiency is the product of its decomposition: PE =
+/// 1 / (static × per-window × (1 + sync)), each imbalance factor ≥ 1,
+/// in both worlds; the heaviest LP's share and ρ are positive wherever
+/// events ran.
+#[test]
+fn efficiency_is_the_product_of_its_decomposition() {
+    for kind in [ScenarioKind::SingleAs, ScenarioKind::MultiAs] {
+        for row in rows(kind) {
+            let m = &row.metrics;
+            let ctx = format!("{kind:?} {:?} {}", row.workload, row.approach.label());
+            let product = 1.0 / (m.static_imbalance * m.window_imbalance * (1.0 + m.sync_share));
+            assert!(
+                (m.parallel_efficiency - product).abs() < 1e-9,
+                "{ctx}: PE {} against 1 / (static {} × per-window {} × (1 + sync {})) = {product}",
+                m.parallel_efficiency,
+                m.static_imbalance,
+                m.window_imbalance,
+                m.sync_share
+            );
+            for (name, factor) in [
+                ("static", m.static_imbalance),
+                ("per-window", m.window_imbalance),
+            ] {
+                assert!(
+                    factor >= 1.0 - 1e-12,
+                    "{ctx}: {name} factor {factor} below 1"
+                );
+            }
+            assert!(m.sync_share >= 0.0, "{ctx}: sync {}", m.sync_share);
+            assert!(
+                m.heaviest_lp_share > 0.0,
+                "{ctx}: heaviest LP {}",
+                m.heaviest_lp_share
+            );
+            assert!(m.rho > 0.0, "{ctx}: ρ {}", m.rho);
+        }
+    }
+}
+
 /// Figures 6 and 10: HPROF's modeled time is below TOP2's; the paper
 /// reads ≈ −40 % (115 s against 190 s) single-AS and −41 % (82 s
 /// against 140 s) multi-AS.
