@@ -132,7 +132,8 @@ fn main() {
         ) {
             Ok(out) => {
                 let waits = &out.stats.barrier_wait_us;
-                let mean = waits.iter().sum::<f64>() / waits.len().max(1) as f64;
+                let mean =
+                    waits.iter().map(|w| w.as_f64()).sum::<f64>() / waits.len().max(1) as f64;
                 println!(
                     "{:>8?} {:>9} {:>10} {:>9} {:>14.1} {:>13.1} {:>13.1}",
                     r.approach,

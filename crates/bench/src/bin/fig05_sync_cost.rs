@@ -88,7 +88,8 @@ fn main() {
         ) {
             Ok(out) => {
                 let waits = &out.stats.barrier_wait_us;
-                let mean = waits.iter().sum::<f64>() / waits.len().max(1) as f64;
+                let mean =
+                    waits.iter().map(|w| w.as_f64()).sum::<f64>() / waits.len().max(1) as f64;
                 let per_round = if out.stats.barrier_rounds > 0 {
                     mean / out.stats.barrier_rounds as f64
                 } else {

@@ -501,10 +501,11 @@ impl massf_engine::BarrierObserver for MeasuredBarriers {
         }
     }
 
-    fn waits_us(&self) -> Vec<f64> {
+    fn waits_us(&self) -> Vec<massf_engine::WallMicros> {
         self.parts
             .iter()
             .map(|m| m.lock().expect("observer mutex poisoned").total_ns as f64 / 1e3)
+            .map(massf_engine::WallMicros::new)
             .collect()
     }
 }

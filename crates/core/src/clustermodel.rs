@@ -16,6 +16,11 @@
 //! `Tseq = TotalEventNumber / MaximalEventRateOnEachNode`
 //! = `TotalEventNumber · t_event`.
 
+#![expect(
+    clippy::float_arithmetic,
+    reason = "the cluster performance model's predicted times are model outputs; none feeds a run"
+)]
+
 use massf_engine::{ExecutionStats, SyncCostModel};
 
 /// Default per-event kernel cost, microseconds. Calibrated to the

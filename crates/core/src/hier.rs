@@ -24,6 +24,11 @@
 //! Tmll to be larger than the synchronization cost") and steps by 0.1 ms
 //! ("0.1ms in our experiments").
 
+#![expect(
+    clippy::float_arithmetic,
+    reason = "the threshold sweep's latencies are a function of the config alone, computed step by step in a fixed order"
+)]
+
 use crate::evaluate::{efficiency, PartitionEvaluation};
 use crate::mappers::MappingConfig;
 use massf_partition::{metis_kway, Partition, UnionFind, WeightedGraph};

@@ -55,6 +55,10 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Each float site says why its order is fixed (DESIGN.md §3 item 15);
+// each `expect` names its invariant.
+#![cfg_attr(not(test), deny(clippy::float_arithmetic))]
+#![cfg_attr(not(test), deny(clippy::expect_used))]
 
 pub mod clustermodel;
 pub mod error;

@@ -31,6 +31,11 @@
 //! the load factor ρ = `E·e / (N · horizon)`: the share of real time an
 //! engine computes when the run keeps pace with simulated time.
 
+#![expect(
+    clippy::float_arithmetic,
+    reason = "experiment metrics are model outputs computed after the run"
+)]
+
 use crate::clustermodel::ClusterModel;
 use massf_engine::ExecutionStats;
 

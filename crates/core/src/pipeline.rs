@@ -109,6 +109,10 @@ pub fn score_mappings(
 
 /// Run the full pipeline for one `(scenario, approach)` pair: the
 /// one-approach case of [`run_approaches`].
+#[expect(
+    clippy::expect_used,
+    reason = "run_approaches returns one output per approach, and it is given one"
+)]
 pub fn run_mapping_experiment(
     scenario: &Scenario,
     approach: MappingApproach,
@@ -126,6 +130,10 @@ pub fn run_mapping_experiment(
 /// on the shared worker pool, then one run scored against all of them.
 /// Output order matches `approaches` order and every step is
 /// deterministic, so results are identical at any thread count.
+#[expect(
+    clippy::expect_used,
+    reason = "map_network assigns every node to one of cfg.engines parts, which is all score_mappings checks"
+)]
 pub fn run_approaches(
     scenario: &Scenario,
     approaches: &[MappingApproach],

@@ -9,6 +9,11 @@
 //! steeper, so the partitioner avoids cutting small-latency links — a
 //! manual, topology-specific fix the hierarchical approach supersedes.
 
+#![expect(
+    clippy::float_arithmetic,
+    reason = "each weight is a function of one link or node, computed in index order"
+)]
+
 use massf_netsim::ProfileData;
 use massf_partition::WeightedGraph;
 use massf_topology::Network;
@@ -88,6 +93,10 @@ pub fn build_weighted_graph(
             .map(|n| ((net.total_bandwidth(n.id) / 1e6) as u64).max(1))
             .collect(),
         VertexWeighting::Profile => {
+            #[expect(
+                clippy::expect_used,
+                reason = "PROF weighting without profile data is a caller bug the signature cannot express"
+            )]
             let p = profile.expect("PROF weighting requires profile data");
             assert_eq!(p.node_packets.len(), net.node_count());
             // Cap the heavy tail: a single node's load beyond a bounded

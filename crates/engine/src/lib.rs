@@ -53,6 +53,10 @@
 #![forbid(unsafe_code)]
 // A silent narrowing cast corrupts state at the million-host scale.
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+// Each float site says why its order is fixed (DESIGN.md §3 item 15);
+// each `expect` names its invariant.
+#![cfg_attr(not(test), deny(clippy::float_arithmetic))]
+#![cfg_attr(not(test), deny(clippy::expect_used))]
 
 pub mod barrier;
 pub mod event;
@@ -77,6 +81,6 @@ pub use par::{
 pub use rebalance::{partition_loads, should_rebalance, RebalanceConfig, RebalanceCounters};
 pub use resume::ResumeState;
 pub use seq::{run_sequential, run_sequential_resumable, run_sequential_windowed};
-pub use stats::{imbalance_permille, ExecutionStats, Scoring, TRACE_BUCKETS};
+pub use stats::{imbalance_permille, ExecutionStats, Scoring, WallMicros, TRACE_BUCKETS};
 pub use synccost::SyncCostModel;
 pub use time::SimTime;

@@ -57,6 +57,10 @@ impl<'a, M> Emitter<'a, M> {
     /// Schedule `payload` for `target` after `delay` (may be zero for
     /// same-LP immediate self-scheduling; cross-partition events need
     /// `delay ≥` the synchronization window, which the executors check).
+    #[expect(
+        clippy::expect_used,
+        reason = "2^64 events from one LP, or a time past u64 nanoseconds, is beyond any run this engine can finish"
+    )]
     pub fn emit(&mut self, delay: SimTime, target: LpId, payload: M) {
         let tag = make_tag(self.source, *self.counter);
         *self.counter = self

@@ -57,7 +57,7 @@ use crate::event::{EventRecord, LpId};
 use crate::model::{seed_events, Emitter, Model};
 use crate::queue::EventQueue;
 use crate::resume::ResumeState;
-use crate::stats::{ExecutionStats, Scoring, WindowAccumulator};
+use crate::stats::{ExecutionStats, Scoring, WallMicros, WindowAccumulator};
 use crate::time::SimTime;
 use massf_topology::MassfError;
 use parking_lot::Mutex;
@@ -76,9 +76,9 @@ pub trait BarrierObserver: Sync {
     fn wait_begin(&self, _partition: usize) {}
     /// Called immediately after the barrier releases the thread.
     fn wait_end(&self, _partition: usize) {}
-    /// Total measured wait per partition, microseconds. Collected into
+    /// Total measured wait per partition. Collected into
     /// [`ExecutionStats::barrier_wait_us`] after the run.
-    fn waits_us(&self) -> Vec<f64> {
+    fn waits_us(&self) -> Vec<WallMicros> {
         Vec::new()
     }
 }
@@ -452,6 +452,7 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
         .filter_map(|(p, r)| r.violation.map(|t| (t, p)))
         .min()
     {
+        #[expect(clippy::expect_used, reason = "partition ids come from u32s")]
         let partition = u32::try_from(partition).expect("partition count fits in u32");
         return Err(MassfError::LookaheadViolation {
             partition,
@@ -904,8 +905,8 @@ mod tests {
             fn wait_end(&self, _p: usize) {
                 self.ends.fetch_add(1, Ordering::Relaxed);
             }
-            fn waits_us(&self) -> Vec<f64> {
-                vec![1.25, 2.5]
+            fn waits_us(&self) -> Vec<WallMicros> {
+                vec![WallMicros::new(1.25), WallMicros::new(2.5)]
             }
         }
         let obs = CountingObserver {
@@ -925,7 +926,7 @@ mod tests {
         let expected = stats.barrier_rounds * 2; // 2 partitions per round
         assert_eq!(obs.begins.load(Ordering::Relaxed), expected);
         assert_eq!(obs.ends.load(Ordering::Relaxed), expected);
-        assert_eq!(stats.barrier_wait_us, vec![1.25, 2.5]);
-        assert!((stats.total_barrier_wait_us() - 3.75).abs() < 1e-12);
+        let waits = [WallMicros::new(1.25), WallMicros::new(2.5)];
+        assert_eq!(stats.barrier_wait_us, waits);
     }
 }

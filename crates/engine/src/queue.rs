@@ -93,6 +93,7 @@ impl<M> EventQueue<M> {
                 slot
             }
             None => {
+                #[expect(clippy::expect_used, reason = "2^32 pending events exceed memory")]
                 let slot = u32::try_from(self.payloads.len()).expect("pending events fit in u32");
                 self.payloads.push(Some(ev.payload));
                 self.tags.push(ev.tag);
@@ -129,6 +130,10 @@ impl<M> EventQueue<M> {
         } else if self.last >= limit.as_ns() {
             return None;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "bucket 0 is non-empty: its bit is set and the early return above handled the empty queue"
+        )]
         let key = self.buckets[0].pop().expect("bucket 0 is marked non-empty");
         if self.buckets[0].is_empty() {
             self.nonempty &= !1;
@@ -157,6 +162,7 @@ impl<M> EventQueue<M> {
         events
     }
 
+    #[expect(clippy::expect_used, reason = "callers pass marked, non-empty buckets")]
     fn bucket_min(&self, b: usize) -> u64 {
         self.buckets[b]
             .iter()
@@ -192,6 +198,7 @@ impl<M> EventQueue<M> {
     }
 
     /// Release `key`'s slot and return its event.
+    #[expect(clippy::expect_used, reason = "a keyed slot holds a payload")]
     fn take(&mut self, key: Key) -> EventRecord<M> {
         let i = key.slot as usize;
         self.free.push(key.slot);

@@ -20,8 +20,9 @@
 //! `partition_totals` (events executed — one per packet/fluid update,
 //! identical on every host and thread count), never
 //! `ExecutionStats::barrier_wait_us`, which is *measured wall clock*
-//! and differs run to run. simlint's D5 determinism-taint rule flags
-//! barrier-wait reads that flow into sim inputs precisely so a future
+//! and differs run to run. Its type, [`crate::WallMicros`], converts
+//! into no `SimTime` and no integer, and clippy refuses its reads
+//! outside the bench crate (`disallowed_methods`), precisely so a future
 //! rebalancer tweak cannot regress this. Epoch boundaries are absolute
 //! multiples of `epoch` from virtual time zero, so a run segmented by
 //! checkpoints replays the same decision sequence as a straight-through

@@ -27,12 +27,47 @@
 //! fast-forwarding parallel executor synchronizes for), and
 //! `windows_skipped` (= `n_windows - windows_executed`).
 
+#![expect(
+    clippy::float_arithmetic,
+    reason = "event rates and wait totals are reported after the run; none feeds one"
+)]
+
 use crate::time::SimTime;
 use massf_topology::MassfError;
 
 /// Maximum number of buckets kept in any per-window aggregate
 /// (`bucket_critical`, `bucket_totals`, `coarse_trace`).
 pub const TRACE_BUCKETS: usize = 512;
+
+/// Measured wall-clock time in microseconds: a [`crate::par::BarrierObserver`]'s
+/// barrier wait. Host time differs between runs, so nothing that feeds a
+/// run may read it. It converts into no [`SimTime`] and no integer:
+///
+/// ```compile_fail
+/// let t: massf_engine::SimTime = massf_engine::WallMicros::new(1.5).into();
+/// ```
+///
+/// ```compile_fail
+/// let us: u64 = massf_engine::WallMicros::new(1.5).into();
+/// ```
+///
+/// Its one read accessor, [`WallMicros::as_f64`], is a
+/// `disallowed-methods` entry of `crates/clippy.toml`: the bench crate
+/// and the benchmark harness report it, and no simulation crate can.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WallMicros(f64);
+
+impl WallMicros {
+    /// A measured duration of `us` microseconds.
+    pub fn new(us: f64) -> Self {
+        WallMicros(us)
+    }
+
+    /// The measurement in microseconds, for reports only.
+    pub fn as_f64(self) -> f64 {
+        self.0
+    }
+}
 
 /// Statistics from one simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,12 +103,12 @@ pub struct ExecutionStats {
     /// Barrier rounds the executor actually performed (zero for
     /// sequential runs, which have no barriers).
     pub barrier_rounds: u64,
-    /// Measured wall-clock barrier-wait time per partition,
-    /// microseconds. Empty unless the run was instrumented with a
-    /// measuring [`crate::par::BarrierObserver`]; the engine itself
-    /// never reads host clocks (`disallowed_types`), so these values come from
-    /// the observer and are *not* deterministic.
-    pub barrier_wait_us: Vec<f64>,
+    /// Measured wall-clock barrier-wait time per partition. Empty unless
+    /// the run was instrumented with a measuring
+    /// [`crate::par::BarrierObserver`]; the engine itself never reads
+    /// host clocks (`disallowed_types`), so these values come from the
+    /// observer and are *not* deterministic ([`WallMicros`]).
+    pub barrier_wait_us: Vec<WallMicros>,
     /// Virtual time at which the run stopped.
     pub end_time: SimTime,
     /// Total events handled.
@@ -120,9 +155,11 @@ impl ExecutionStats {
     }
 
     /// Total measured barrier-wait time across partitions, microseconds
-    /// (zero unless the run was instrumented).
+    /// (zero unless the run was instrumented). A wall-clock reading, so a
+    /// `disallowed-methods` entry outside the bench crate, like
+    /// [`WallMicros::as_f64`].
     pub fn total_barrier_wait_us(&self) -> f64 {
-        self.barrier_wait_us.iter().sum()
+        self.barrier_wait_us.iter().map(|w| w.0).sum()
     }
 
     /// Max/mean load imbalance of `partition_totals` in permille — see
@@ -379,7 +416,7 @@ mod tests {
         assert!(s.partition_event_rates().is_empty());
         assert_eq!(s.n_windows, 0);
         assert_eq!(s.critical_path_events(), 0);
-        assert_eq!(s.total_barrier_wait_us(), 0.0);
+        assert!(s.barrier_wait_us.is_empty());
         assert_eq!(s.imbalance_permille(), 1000);
     }
 

@@ -14,6 +14,11 @@
 //! be built with [`SyncCostModel::new`] for sensitivity studies
 //! (ablation bench `sync_model`).
 
+#![expect(
+    clippy::float_arithmetic,
+    reason = "the barrier-cost model is a model output, a closed form of the engine count"
+)]
+
 use crate::time::SimTime;
 
 /// Affine-in-log2 synchronization cost model `C(N) = a + b·log2(N)`.

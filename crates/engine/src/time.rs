@@ -11,6 +11,10 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
+#[expect(
+    clippy::float_arithmetic,
+    reason = "the `*_f64` unit conversions: one value each, no accumulation, so no order to fix"
+)]
 impl SimTime {
     /// Time zero.
     pub const ZERO: SimTime = SimTime(0);
@@ -152,6 +156,7 @@ impl Div<u64> for SimTime {
     }
 }
 
+#[expect(clippy::float_arithmetic, reason = "display only")]
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.0 >= 1_000_000_000 {

@@ -112,8 +112,8 @@ impl FaultScript {
         let bad = |msg: String| Err(MassfError::InvalidFaultScript(msg));
         let mut link_up = vec![true; net.links.len()];
         let mut node_up = vec![true; net.node_count()];
-        let mut adj_fails: std::collections::HashMap<(u16, u16), i32> =
-            std::collections::HashMap::new();
+        let mut adj_fails: std::collections::BTreeMap<(u16, u16), i32> =
+            std::collections::BTreeMap::new();
         for e in self.sorted_events() {
             match e.kind {
                 FaultKind::LinkDown(l) | FaultKind::LinkUp(l) => {
@@ -212,7 +212,8 @@ impl FaultScript {
         let span = end.as_ns() - start.as_ns();
         // One link can be down once at a time; drawing per-flap links
         // without immediate repetition keeps episodes independent.
-        let mut busy_until: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
+        let mut busy_until: std::collections::BTreeMap<u32, u64> =
+            std::collections::BTreeMap::new();
         for _ in 0..flaps {
             let at = SimTime(start.as_ns() + rng.gen_range(0..span));
             let link = candidates[rng.gen_range(0..candidates.len())];

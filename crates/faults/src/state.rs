@@ -8,7 +8,7 @@ use massf_routing::{
 };
 use massf_topology::mabrite::MultiAsNetwork;
 use massf_topology::{LinkId, MassfError, MultiAsTopologyConfig, Network, NodeId};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -54,9 +54,9 @@ pub struct FaultState {
     /// Failure state per epoch; `epochs[0]` is clean.
     epochs: Vec<EpochState>,
     /// Per-link transitions `(time, up_after)`, only for faulted links.
-    link_transitions: HashMap<u32, Vec<(SimTime, bool)>>,
+    link_transitions: BTreeMap<u32, Vec<(SimTime, bool)>>,
     /// Per-node transitions `(time, up_after)`, only for crashed nodes.
-    node_transitions: HashMap<u32, Vec<(SimTime, bool)>>,
+    node_transitions: BTreeMap<u32, Vec<(SimTime, bool)>>,
     resolvers: Vec<OnceLock<Arc<dyn PathResolver>>>,
     factory: Box<ResolverFactory>,
     /// Epochs entered after epoch 0: the online reconvergence episodes
@@ -105,8 +105,8 @@ impl FaultState {
         let mut dead_links: BTreeSet<u32> = BTreeSet::new();
         let mut dead_nodes: BTreeSet<u32> = BTreeSet::new();
         let mut adj_down: BTreeMap<(u16, u16), i32> = BTreeMap::new();
-        let mut link_transitions: HashMap<u32, Vec<(SimTime, bool)>> = HashMap::new();
-        let mut node_transitions: HashMap<u32, Vec<(SimTime, bool)>> = HashMap::new();
+        let mut link_transitions: BTreeMap<u32, Vec<(SimTime, bool)>> = BTreeMap::new();
+        let mut node_transitions: BTreeMap<u32, Vec<(SimTime, bool)>> = BTreeMap::new();
         let mut epochs = vec![EpochState::default()];
         let mut cursor = 0usize;
         for &start in &epoch_starts {

@@ -9,7 +9,8 @@
 //! bottleneck link by an integer water-filling solver; all schedule-
 //! ordered arithmetic is fixed-point (`u64` bytes/s rates, `u128`
 //! byte-nanosecond residuals), so results are bit-identical at any
-//! thread count and simlint's float-order rule (D4) stays clean.
+//! thread count and the crate's `clippy::float_arithmetic` denial has
+//! nothing here to flag.
 //!
 //! **Placement.** All solver state lives at one coordinator LP
 //! ([`FLUID_COORDINATOR`], node 0): max-min fairness is a global fixed

@@ -74,6 +74,10 @@ impl RouteCacheStats {
     }
 
     /// Hits / (hits + misses), or 0 when nothing was looked up.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "a reported ratio of two integer counters; it feeds no run"
+    )]
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {

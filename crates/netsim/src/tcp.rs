@@ -25,8 +25,9 @@ pub const INITIAL_RTO: SimTime = SimTime(1_000_000_000);
 pub const MIN_RTO: SimTime = SimTime(200_000_000);
 /// Upper bound on the RTO.
 pub const MAX_RTO: SimTime = SimTime(16_000_000_000);
-/// Consecutive retransmission timeouts tolerated before a flow gives
-/// up (≈ 47 s with the default RTO schedule: 1+2+4+8+16+16 s).
+/// Consecutive retransmission timeouts tolerated: the next one aborts
+/// the flow (63 s after the last ACK-free start with the default RTO
+/// schedule: 1+2+4+8+16+16+16 s).
 pub const MAX_RETRIES: u32 = 6;
 
 /// Sender-side actions decided by the state machine; the world layer
@@ -105,6 +106,10 @@ pub struct TcpSender {
     pub aborted: bool,
 }
 
+#[expect(
+    clippy::float_arithmetic,
+    reason = "per-flow cwnd, updated in its sender LP's event order, which is the same under every partition count"
+)]
 impl TcpSender {
     /// A sender for `bytes` of payload with the default retry budget.
     pub fn new(bytes: u64) -> Self {
@@ -262,19 +267,19 @@ impl TcpSender {
     }
 
     fn rtt_sample(&mut self, rtt: SimTime) {
-        match self.srtt {
+        let srtt = match self.srtt {
             None => {
-                self.srtt = Some(rtt);
                 self.rttvar = rtt / 2;
+                rtt
             }
             Some(srtt) => {
                 // RFC 6298 with α=1/8, β=1/4 in integer ns.
                 let delta = if srtt >= rtt { srtt - rtt } else { rtt - srtt };
                 self.rttvar = SimTime((3 * self.rttvar.0 + delta.0) / 4);
-                self.srtt = Some(SimTime((7 * srtt.0 + rtt.0) / 8));
+                SimTime((7 * srtt.0 + rtt.0) / 8)
             }
-        }
-        let srtt = self.srtt.expect("just set");
+        };
+        self.srtt = Some(srtt);
         self.rto = SimTime(srtt.0 + 4 * self.rttvar.0)
             .max(MIN_RTO)
             .min(MAX_RTO);

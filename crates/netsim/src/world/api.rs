@@ -152,6 +152,10 @@ impl SimApi<'_, '_> {
     /// store-and-forward serialization, FIFO queueing, and drop-tail
     /// loss; schedules the arrival at the next hop. Packets offered to a
     /// dead link or dead endpoint are counted as fault drops.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "per-packet serialization and backlog of one link slot, computed from that packet's values alone in its LP's event order"
+    )]
     pub(super) fn transmit(&mut self, mut pkt: Packet) {
         let (shared, now) = (self.shared, self.now);
         let hop = pkt.hop as usize;

@@ -142,6 +142,10 @@ impl SharedNet {
         Self::build(net, resolver, Some(faults))
     }
 
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "per-link unit conversions of one link's bandwidth, no accumulation"
+    )]
     fn build(
         net: Network,
         resolver: Arc<dyn PathResolver>,

@@ -67,11 +67,13 @@ impl WeightedGraph {
             let arcs = &mut arcs[start[row] as usize..start[row + 1] as usize];
             arcs.sort_unstable_by_key(|&(to, _)| to);
             for &(to, w) in arcs.iter() {
-                if adjncy[row_start..].last() == Some(&to) {
-                    *adjwgt.last_mut().expect("parallel to adjncy") += w;
-                } else {
-                    adjncy.push(to);
-                    adjwgt.push(w);
+                // `adjwgt` runs parallel to `adjncy`.
+                match adjwgt.last_mut() {
+                    Some(last) if adjncy[row_start..].last() == Some(&to) => *last += w,
+                    _ => {
+                        adjncy.push(to);
+                        adjwgt.push(w);
+                    }
                 }
             }
             xadj.push(adjncy.len() as u32);

@@ -37,6 +37,10 @@ pub fn greedy_growing(g: &WeightedGraph, k: usize, rng: &mut impl Rng) -> Vec<u3
 
         // Seed: a random unassigned vertex, biased toward the periphery
         // (smallest incident weight) by sampling a few candidates.
+        #[expect(
+            clippy::expect_used,
+            reason = "the loop runs while a vertex is unassigned, and each probe finds one"
+        )]
         let seed = {
             let mut best: Option<(u64, usize)> = None;
             for _ in 0..8 {
@@ -115,6 +119,7 @@ pub fn repair_empty_parts(g: &WeightedGraph, k: usize, assignment: &mut [u32]) {
             return;
         };
         // Donor: part with the most vertices.
+        #[expect(clippy::expect_used, reason = "k >= 1 parts, so count is non-empty")]
         let donor = count
             .iter()
             .enumerate()
@@ -122,6 +127,10 @@ pub fn repair_empty_parts(g: &WeightedGraph, k: usize, assignment: &mut [u32]) {
             .map(|(p, _)| p as u32)
             .expect("k >= 1");
         // Move the donor's lightest vertex.
+        #[expect(
+            clippy::expect_used,
+            reason = "the donor holds the most vertices and some part is empty, so it holds at least two"
+        )]
         let v = (0..n)
             .filter(|&v| assignment[v] == donor)
             .min_by_key(|&v| g.vertex_weight(v))

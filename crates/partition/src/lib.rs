@@ -28,6 +28,10 @@
 //! initial tries ([`INITIAL_TRIES`]) are constants.
 
 #![forbid(unsafe_code)]
+// Each float site says why its order is fixed (DESIGN.md §3 item 15);
+// each `expect` names its invariant.
+#![cfg_attr(not(test), deny(clippy::float_arithmetic))]
+#![cfg_attr(not(test), deny(clippy::expect_used))]
 
 pub mod baselines;
 pub mod coarsen;

@@ -1,5 +1,10 @@
 //! Partition representation and quality metrics.
 
+#![expect(
+    clippy::float_arithmetic,
+    reason = "balance and imbalance are reported quality measures, not simulation state"
+)]
+
 use crate::graph::WeightedGraph;
 
 /// A k-way assignment of graph vertices to parts.
@@ -54,7 +59,8 @@ impl Partition {
             return 1.0;
         }
         let ideal = total as f64 / self.k as f64;
-        let max = *weights.iter().max().expect("k >= 1") as f64;
+        // `total > 0`, so some part has weight.
+        let max = weights.iter().max().copied().unwrap_or(0) as f64;
         max / ideal
     }
 
@@ -90,11 +96,14 @@ impl Partition {
         if loads.is_empty() {
             return 0.0;
         }
-        let mean = loads.iter().sum::<f64>() / loads.len() as f64;
+        let mean = loads.iter().fold(0.0, |sum, &l| sum + l) / loads.len() as f64;
         if mean == 0.0 {
             return 0.0;
         }
-        let var = loads.iter().map(|&l| (l - mean) * (l - mean)).sum::<f64>() / loads.len() as f64;
+        let var = loads
+            .iter()
+            .fold(0.0, |sum, &l| sum + (l - mean) * (l - mean))
+            / loads.len() as f64;
         var.sqrt() / mean
     }
 }

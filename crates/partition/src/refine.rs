@@ -6,6 +6,11 @@
 //! when it repairs an overweight part. This is the refinement used at
 //! every level of the multilevel partitioners.
 
+#![expect(
+    clippy::float_arithmetic,
+    reason = "the balance bound is a function of the graph's integer weights alone"
+)]
+
 use crate::graph::WeightedGraph;
 use crate::kway::BALANCE_TOLERANCE;
 use rand::prelude::*;

@@ -27,6 +27,10 @@
 //! the HPROF sweep and the routing table builds.
 
 #![forbid(unsafe_code)]
+// Each float site says why its order is fixed (DESIGN.md §3 item 15);
+// each `expect` names its invariant.
+#![cfg_attr(not(test), deny(clippy::float_arithmetic))]
+#![cfg_attr(not(test), deny(clippy::expect_used))]
 
 use parking_lot::Mutex;
 use std::cell::Cell;

@@ -140,6 +140,7 @@ impl<'a> BeaconSim<'a> {
     }
 
     /// Relationship of `a` toward `b`.
+    #[expect(clippy::expect_used, reason = "callers pass adjacent ASes only")]
     fn rel(&self, a: usize, b: usize) -> AsRelationship {
         self.graph
             .neighbors(a)

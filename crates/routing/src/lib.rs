@@ -28,6 +28,10 @@
 #![forbid(unsafe_code)]
 // A silent narrowing cast corrupts state at the million-host scale.
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+// Each float site says why its order is fixed (DESIGN.md §3 item 15);
+// each `expect` names its invariant.
+#![cfg_attr(not(test), deny(clippy::float_arithmetic))]
+#![cfg_attr(not(test), deny(clippy::expect_used))]
 
 pub mod bgp;
 pub mod dynamics;

@@ -104,7 +104,7 @@
 use massf_topology::{Network, NodeId, NodeKind};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Link cost metric for SPF.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,6 +118,10 @@ pub enum CostMetric {
 impl CostMetric {
     /// OSPF cost is ≥ 1 under every metric: with a zero-cost link two
     /// mutually tight neighbours could each become the other's parent.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "one link's latency converted to integer nanoseconds, no accumulation: Dijkstra sums the integers"
+    )]
     fn cost(self, link: &massf_topology::Link) -> u64 {
         match self {
             CostMetric::Hop => 1,
@@ -326,9 +330,9 @@ pub struct OspfDomain {
 }
 
 struct SptCache {
-    map: HashMap<u32, Spt>, // keyed by root *core* index
-    scratch: SptScratch,    // reused across lazy Dijkstra runs
-    walk: Vec<u32>,         // the walk handed to the current query
+    map: BTreeMap<u32, Spt>, // keyed by root *core* index
+    scratch: SptScratch,     // reused across lazy Dijkstra runs
+    walk: Vec<u32>,          // the walk handed to the current query
     stats: SptStats,
 }
 
@@ -339,6 +343,10 @@ struct SptCache {
 ///
 /// When the summed arc cost is not below `2^(64 − shift)`, the bound
 /// that makes every packed key exact (module docs).
+#[expect(
+    clippy::expect_used,
+    reason = "the documented panic: a domain whose summed cost overflows cannot order its heap keys"
+)]
 fn key_shift(cores: usize, arcs: &[(u32, u32, u64)]) -> u32 {
     let shift = usize::BITS - cores.saturating_sub(1).leading_zeros();
     arcs.iter()
@@ -466,7 +474,7 @@ impl OspfDomain {
             metric,
             key_shift,
             cache: Mutex::new(SptCache {
-                map: HashMap::new(),
+                map: BTreeMap::new(),
                 scratch: SptScratch::default(),
                 walk: Vec::new(),
                 stats: SptStats::default(),
@@ -621,6 +629,7 @@ impl OspfDomain {
     /// Cheapest direct-edge cost `from → to`; both must be adjacent
     /// (parallel links collapse to the min cost, matching what Dijkstra
     /// relaxed with).
+    #[expect(clippy::expect_used, reason = "a walk's hops are adjacent")]
     fn min_edge_cost(&self, from: u32, to: u32) -> u64 {
         self.adj
             .row(from)

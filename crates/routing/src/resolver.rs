@@ -473,7 +473,7 @@ mod tests {
             .map(|n| m.network.nodes[n.index()].as_id.0)
             .collect();
         as_seq.dedup();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for &a in &as_seq {
             assert!(seen.insert(a), "AS-level loop: {as_seq:?}");
         }

@@ -108,6 +108,14 @@ fn section_crc(id: u32, len: u64, payload: &[u8]) -> u32 {
         .finish()
 }
 
+/// The `N` bytes of `bytes` at `pos`, or a truncation error.
+fn array_at<const N: usize>(bytes: &[u8], pos: usize) -> Result<[u8; N], MassfError> {
+    pos.checked_add(N)
+        .and_then(|end| bytes.get(pos..end))
+        .and_then(|b| b.try_into().ok())
+        .ok_or_else(|| header_corrupt(format!("file truncated at offset {pos}")))
+}
+
 /// Parse and verify a container: magic, version, section bounds, and
 /// every section's CRC.
 pub fn decode_container(bytes: &[u8]) -> Result<Vec<Section>, MassfError> {
@@ -120,20 +128,20 @@ pub fn decode_container(bytes: &[u8]) -> Result<Vec<Section>, MassfError> {
     if take(0, 8)? != MAGIC {
         return Err(header_corrupt("bad magic (not a massf snapshot)"));
     }
-    let version = u32::from_le_bytes(take(8, 4)?.try_into().expect("len 4"));
+    let version = u32::from_le_bytes(array_at(bytes, 8)?);
     if version != FORMAT_VERSION {
         return Err(MassfError::SnapshotVersionMismatch {
             found: version,
             expected: FORMAT_VERSION,
         });
     }
-    let count = u32::from_le_bytes(take(12, 4)?.try_into().expect("len 4"));
+    let count = u32::from_le_bytes(array_at(bytes, 12)?);
     let mut pos = 16usize;
     let mut sections = Vec::new();
     for _ in 0..count {
-        let id = u32::from_le_bytes(take(pos, 4)?.try_into().expect("len 4"));
-        let len = u64::from_le_bytes(take(pos + 4, 8)?.try_into().expect("len 8"));
-        let crc = u32::from_le_bytes(take(pos + 12, 4)?.try_into().expect("len 4"));
+        let id = u32::from_le_bytes(array_at(bytes, pos)?);
+        let len = u64::from_le_bytes(array_at(bytes, pos + 4)?);
+        let crc = u32::from_le_bytes(array_at(bytes, pos + 12)?);
         pos += 16;
         let len = usize::try_from(len)
             .ok()

@@ -246,6 +246,10 @@ impl RebalanceOutcome {
 /// (`round(64 / latency_ms)`, min 1) — low-latency links are expensive
 /// to cut, both for routing locality and because the cut MLL bounds the
 /// barrier window.
+#[expect(
+    clippy::float_arithmetic,
+    reason = "one weight per link from that link's latency alone, in link order"
+)]
 fn conflict_graph(shared: &SharedNet) -> WeightedGraph {
     let edges: Vec<(u32, u32, u64)> = shared
         .net

@@ -153,6 +153,7 @@ impl AsGraph {
             for a in 0..n {
                 if !reachable[a] {
                     // Attach `a` as customer of a random Core AS.
+                    #[expect(clippy::expect_used, reason = "a hierarchy has at least one core AS")]
                     let &core = cores.choose(&mut rng).expect("core set non-empty");
                     if !adj[a].contains(&core) {
                         add_edge(a, core, &mut degree, &mut adj, &mut raw_edges);

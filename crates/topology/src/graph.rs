@@ -238,7 +238,7 @@ impl Network {
         self.links
             .iter()
             .map(|l| l.latency_ms)
-            .min_by(|x, y| x.partial_cmp(y).expect("latencies are finite"))
+            .min_by(f64::total_cmp)
     }
 
     /// Smallest latency (ms) over links whose ends lie in different

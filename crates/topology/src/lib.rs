@@ -22,6 +22,8 @@
 //! hierarchical partitioning (HPROF).
 
 #![forbid(unsafe_code)]
+// Each `expect` names its invariant (DESIGN.md §3 item 15).
+#![cfg_attr(not(test), deny(clippy::expect_used))]
 
 pub mod ashier;
 pub mod brite;

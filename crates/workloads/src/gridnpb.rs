@@ -13,7 +13,7 @@ use crate::{tag, untag};
 use massf_engine::{LpId, SimTime};
 use massf_netsim::{AppLogic, FlowId, NetEvent, SimApi};
 use massf_topology::NodeId;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One workflow task.
@@ -193,9 +193,9 @@ pub struct WorkflowApp {
     spec: Arc<WorkflowSpec>,
     ns: u8,
     /// Remaining unsatisfied inputs per task (kept at the task's host).
-    waiting: HashMap<usize, usize>,
+    waiting: BTreeMap<usize, usize>,
     /// Flow → (successor task) mapping at the flow's source host.
-    flow_edge: HashMap<FlowId, usize>,
+    flow_edge: BTreeMap<FlowId, usize>,
     /// Tasks completed (their outputs fully delivered or none).
     pub tasks_done: u32,
     /// Sinks completed so far.
@@ -213,8 +213,8 @@ impl WorkflowApp {
         WorkflowApp {
             spec: Arc::new(spec),
             ns,
-            waiting: HashMap::new(),
-            flow_edge: HashMap::new(),
+            waiting: BTreeMap::new(),
+            flow_edge: BTreeMap::new(),
             tasks_done: 0,
             sinks_done: 0,
             finished_at: None,

@@ -12,7 +12,7 @@ use massf_engine::{LpId, SimTime};
 use massf_netsim::{AppLogic, FlowId, NetEvent, SimApi};
 use massf_topology::NodeId;
 use rand::Rng;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Mean response size in bytes (paper: 50 kB).
@@ -55,9 +55,9 @@ pub struct HttpTraffic {
     cfg: Arc<HttpConfig>,
     ns: u8,
     rngs: HostRngs,
-    server_set: HashSet<u32>,
+    server_set: BTreeSet<u32>,
     /// Response flows started by servers of this shard.
-    pending: HashSet<FlowId>,
+    pending: BTreeSet<FlowId>,
     /// Completed response flows.
     pub responses_completed: u64,
     /// Requests issued by clients of this shard.
@@ -75,7 +75,7 @@ impl HttpTraffic {
             ns,
             rngs,
             server_set,
-            pending: HashSet::new(),
+            pending: BTreeSet::new(),
             responses_completed: 0,
             requests_sent: 0,
         }

@@ -23,6 +23,8 @@
 //! the paper's background + foreground mix.
 
 #![forbid(unsafe_code)]
+// Each `expect` names its invariant (DESIGN.md §3 item 15).
+#![cfg_attr(not(test), deny(clippy::expect_used))]
 
 pub mod compose;
 pub mod gridnpb;

@@ -9,7 +9,7 @@ use massf_topology::NodeId;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// SplitMix64 finalizer: decorrelates `(seed, host)` pairs.
 fn mix(mut x: u64) -> u64 {
@@ -22,7 +22,7 @@ fn mix(mut x: u64) -> u64 {
 #[derive(Debug, Clone, Default)]
 pub struct HostRngs {
     seed: u64,
-    streams: HashMap<u32, ChaCha8Rng>,
+    streams: BTreeMap<u32, ChaCha8Rng>,
 }
 
 impl HostRngs {
@@ -30,7 +30,7 @@ impl HostRngs {
     pub fn new(seed: u64) -> Self {
         HostRngs {
             seed,
-            streams: HashMap::new(),
+            streams: BTreeMap::new(),
         }
     }
 

@@ -14,7 +14,7 @@ use crate::{tag, untag};
 use massf_engine::{LpId, SimTime};
 use massf_netsim::{AppLogic, FlowId, NetEvent, SimApi};
 use massf_topology::NodeId;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Configuration of the ScaLapack traffic model.
@@ -55,9 +55,9 @@ pub struct ScaLapackApp {
     cfg: Arc<ScaLapackConfig>,
     ns: u8,
     /// Outstanding broadcast flows per iteration (owner-host state).
-    outstanding: HashMap<u32, usize>,
+    outstanding: BTreeMap<u32, usize>,
     /// Flow → iteration, for completion accounting (owner-host state).
-    flow_iter: HashMap<FlowId, u32>,
+    flow_iter: BTreeMap<FlowId, u32>,
     /// Iterations fully completed (incremented at each owner).
     pub iterations_done: u32,
     /// Virtual time the final iteration's broadcast completed.
@@ -70,8 +70,8 @@ impl ScaLapackApp {
         ScaLapackApp {
             cfg: Arc::new(cfg),
             ns,
-            outstanding: HashMap::new(),
-            flow_iter: HashMap::new(),
+            outstanding: BTreeMap::new(),
+            flow_iter: BTreeMap::new(),
             iterations_done: 0,
             finished_at: None,
         }
@@ -143,6 +143,7 @@ impl AppLogic for ScaLapackApp {
         let Some(iter) = self.flow_iter.remove(&flow) else {
             return; // not ours
         };
+        #[expect(clippy::expect_used, reason = "a started iteration counts its flows")]
         let left = self
             .outstanding
             .get_mut(&iter)

@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
 # Workspace gate: formatting, lints, static analysis, and the test suite.
 # Run from anywhere; operates on the repository containing this script.
-# Determinism and safety are split between two tools:
-#   clippy   hash iteration, wall clock and entropy (disallowed_methods,
-#            disallowed_types, iter_over_hash_type; crates/clippy.toml),
-#            raw-pointer creation (the same paths plus disallowed_macros,
-#            ref_as_ptr, borrow_as_ptr), unwrap_used, panic, allows
-#            without a reason, and narrowing casts in engine and routing. Root Cargo.toml's
-#            [workspace.lints.clippy] carries the set, so a plain
-#            `cargo clippy -- -D warnings` enforces all of it.
-#   simlint  D4 float order and D5 determinism taint, which no lint
-#            expresses: every .rs file under crates/ and tests/, any
-#            finding fails the gate.
+# Determinism and safety are one static-analysis tool, clippy: hash
+# containers and iteration, wall clock and entropy (disallowed_types,
+# disallowed_methods, iter_over_hash_type; crates/clippy.toml), raw-pointer
+# creation (the same paths plus disallowed_macros, ref_as_ptr,
+# borrow_as_ptr), measured barrier waits (WallMicros's reads), unwrap_used,
+# panic and allows without a reason (root Cargo.toml's
+# [workspace.lints.clippy]), and, denied in crate roots, float arithmetic
+# where floats feed a run, expect in every simulation crate and narrowing
+# casts in engine and routing. A plain `cargo clippy -- -D warnings`
+# enforces all of it; the one rule clippy cannot see, a turbofish float
+# sum, is a text check in tests/tests/lint_config.rs (DESIGN.md §3
+# item 15).
 #
 #   scripts/check.sh          full gate (including the release-mode
 #                             mem_footprint --smoke run, the
@@ -66,13 +67,7 @@ stage() {
 stage "cargo fmt --check" \
     cargo fmt --all -- --check
 
-# simlint runs before clippy: it needs no compilation, so float-order
-# and taint findings surface in under a second instead of after a full
-# workspace build.
-stage "simlint (D4 float order, D5 determinism taint)" \
-    cargo run -q -p massf-simlint
-
-stage "cargo clippy (workspace lints: hash/clock/entropy, pointers, unwrap, panic, casts, reasons)" \
+stage "cargo clippy (workspace lints: hash/clock/entropy, pointers, waits, floats, unwrap/expect/panic, casts, reasons)" \
     cargo clippy --workspace --all-targets -- -D warnings
 
 # Broken intra-doc links (including stale links to deleted items) are

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Non-test lines of Rust under crates/, per crate and in total: the
 # number CHANGES.md entries cite. For every crates/**/*.rs outside
-# `benches/` and `tests/` directories (simlint's fixtures live under its
-# tests/), count every line except those of `#[cfg(test)]` items. An
+# `benches/` and `tests/` directories (a crate's integration tests and
+# their fixtures), count every line except those of `#[cfg(test)]` items. An
 # item starts at a line whose trimmed text begins with `#[cfg(test)]`
 # and ends where its braces close, or, for a braceless item (a `use`, a
 # struct field), on its first line ending in `;` or `,`.

@@ -1,12 +1,13 @@
 // Fixture: deterministic, panic-free code no lint should flag. Checked
 // with clippy by tests/fixtures.rs; the fixtures directory is never
 // built.
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-fn ordered_world(m: &BTreeMap<u32, u64>, h: &HashMap<u32, u64>) -> u64 {
-    // BTreeMap iteration is ordered; HashMap point lookups are fine.
+fn ordered_world(m: &BTreeMap<u32, u64>, by_id: &[u64]) -> u64 {
+    // BTreeMap iteration is ordered; a Vec indexed by a dense id looks
+    // up without hashing.
     let total: u64 = m.values().sum();
-    total + h.get(&7).copied().unwrap_or(0)
+    total + by_id.get(7).copied().unwrap_or(0)
 }
 
 fn honest_errors(o: Option<u32>) -> Result<u32, String> {

@@ -1,5 +1,6 @@
 // Fixture: every hash-iteration shape clippy denies. Checked with clippy
-// by tests/fixtures.rs; the fixtures directory is never built.
+// by tests/fixtures.rs; the fixtures directory is never built. The hash
+// containers are banned types too, so each line naming one also fires.
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 struct Tables {
@@ -23,7 +24,7 @@ fn iterates(t: &Tables) -> usize {
 }
 
 fn lookups_are_fine(t: &Tables) -> bool {
-    // No violations: point lookups don't depend on iteration order.
+    // No iteration: point lookups don't depend on iteration order.
     t.by_id.contains_key(&7) && t.seen.contains(&7) && t.per_node[0].contains_key(&7)
 }
 

@@ -1,18 +1,17 @@
 //! The route-interning table + CSR port-table shapes from the
-//! million-host memory layout (crates/netsim/src/world/): the
-//! per-source interning shard uses its `HashMap` strictly for point
-//! insert/lookup — never iteration — and every scan the hot path
-//! performs walks sorted CSR arrays, whose order is structural. clippy
-//! must report nothing here, in the crates that use the layout: it is
-//! free of hash iteration by construction, not by an `#[expect]`.
-//!
+//! million-host memory layout (crates/netsim/src/world/): the interning
+//! table keys its routes in an ordered map used strictly for point
+//! insert/lookup, and every scan the hot path performs walks sorted CSR
+//! arrays, whose order is structural. clippy must report nothing here,
+//! in the crates that use the layout: it is free of hash containers by
+//! construction, not by an `#[expect]`.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One interning shard: keyed point lookups only.
 pub struct InternShard {
-    paths: HashMap<(u64, u32, u32), Arc<[u32]>>,
+    paths: BTreeMap<(u64, u32, u32), Arc<[u32]>>,
 }
 
 impl InternShard {

@@ -3,15 +3,16 @@
 
 fn panics(o: Option<u32>, r: Result<u32, String>) -> u32 {
     let a = o.unwrap(); // violation: no message
-    let b = r.expect(""); // the documented gap: no lint matches an empty message
+    let b = r.expect(""); // violation: an expect names no invariant
     if a + b == 0 {
         panic!("zero"); // violation: panic!
     }
     a + b
 }
 
+#[expect(clippy::expect_used, reason = "validated by the caller")]
 fn documented(o: Option<u32>) -> u32 {
-    // No violations: a written justification or a non-panicking fallback.
+    // No violations: a stated invariant or a non-panicking fallback.
     o.expect("validated by the caller") + o.unwrap_or(0)
 }
 

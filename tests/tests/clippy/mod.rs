@@ -1,7 +1,7 @@
 //! Run clippy on a snippet the way `scripts/check.sh` runs it on a
 //! workspace member, so the tests can pin what the clippy configuration
-//! catches: the former simlint rules D1–D3, S1, S2 and the suppression
-//! grammar are clippy lints and `#[expect]` attributes now.
+//! catches: the determinism rules D1–D5, the safety rules S1 and S2 and
+//! the `#[expect]` suppression grammar (DESIGN.md §3 item 15).
 //!
 //! `findings("engine", src)` compiles `src` as a module of a scratch
 //! crate that stands in for `crates/engine`: the member's crate-root lint
@@ -9,8 +9,8 @@
 //! `[workspace.lints.clippy]` table, the `clippy.toml` clippy finds above
 //! its manifest, and `-D warnings`. Like `cargo clippy --all-targets`,
 //! the snippet is checked once as a library and once as a test harness.
-//! Unit tests include this file by path; the integration tests as a
-//! module.
+//! A snippet may name the workspace's library crates (`massf_engine::…`):
+//! each one it names is linked from the build that runs the tests.
 
 use std::fmt;
 use std::fs;
@@ -40,9 +40,40 @@ impl PartialEq<(&str, u32)> for Finding {
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
+        .join("..")
         .canonicalize()
         .expect("repo root exists")
+}
+
+/// `--extern` flags for every workspace library `src` names
+/// (`massf_engine::`), each the newest such rlib beside this test
+/// binary, and the `-L` path their own dependencies resolve from.
+fn extern_flags(src: &str) -> Vec<String> {
+    let exe = std::env::current_exe().expect("test binary path");
+    let deps = exe.parent().expect("test binary sits in a deps directory");
+    let mut flags = vec![format!("-Ldependency={}", deps.display())];
+    let mut named: Vec<&str> = src
+        .split(|c: char| !(c.is_alphanumeric() || c == '_' || c == ':'))
+        .filter_map(|path| path.split_once("::"))
+        .map(|(name, _)| name)
+        .filter(|name| name.starts_with("massf_"))
+        .collect();
+    named.sort_unstable();
+    named.dedup();
+    for name in named {
+        let prefix = format!("lib{name}-");
+        let newest = fs::read_dir(deps)
+            .expect("deps directory is readable")
+            .filter_map(|entry| entry.ok())
+            .filter(|entry| {
+                let file = entry.file_name().to_string_lossy().into_owned();
+                file.starts_with(&prefix) && file.ends_with(".rlib")
+            })
+            .max_by_key(|entry| entry.metadata().and_then(|m| m.modified()).ok())
+            .expect("a named workspace library is a dependency of the tests member");
+        flags.push(format!("--extern={name}={}", newest.path().display()));
+    }
+    flags
 }
 
 /// The toolchain's clippy-driver: beside the cargo running the tests,
@@ -103,7 +134,7 @@ pub fn findings(member: &str, src: &str) -> Vec<Finding> {
         manifest_dir.display()
     );
     let dir = root.join("target").join(format!(
-        "simlint-clippy-{}-{}",
+        "clippy-fixture-{}-{}",
         std::process::id(),
         NEXT.fetch_add(1, Ordering::Relaxed)
     ));
@@ -124,6 +155,7 @@ pub fn findings(member: &str, src: &str) -> Vec<Finding> {
             .args(mode)
             .args(["-Dwarnings", "-Adead_code"])
             .args(workspace_lint_flags(&root, &manifest_dir))
+            .args(extern_flags(src))
             .arg("root.rs")
             .output()
             .expect("clippy-driver runs");

@@ -1,28 +1,19 @@
-//! One fixture file per rule: scan each as one crate and assert exactly
-//! the marked violations fire. simlint's D4 and D5 fixtures are scanned
-//! by simlint; the fixtures of the former rules D1–D3, S1, S2 and of the
-//! suppression forms are checked by clippy under the crate's lint
-//! configuration. The fixtures directory is excluded from workspace scans
-//! and is never built.
+//! One fixture file per rule, checked by clippy under a crate's lint
+//! configuration: assert exactly the marked lines fire. The fixtures
+//! live in `tests/fixtures/`, which is never built; DESIGN.md §3 item 15
+//! maps each determinism and safety rule to the lint or type that holds
+//! it.
 
 mod clippy;
 
 use clippy::{findings, Finding};
-use massf_simlint::{scan_source, Rule};
 use std::path::Path;
 
 fn read_fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
+        .join("fixtures")
         .join(name);
     std::fs::read_to_string(path).expect("fixture file is readable")
-}
-
-fn scan_fixture(name: &str, krate: &str) -> Vec<(Rule, u32)> {
-    scan_source(name, krate, &read_fixture(name))
-        .into_iter()
-        .map(|v| (v.rule, v.line))
-        .collect()
 }
 
 fn clippy_fixture(name: &str, krate: &str) -> Vec<Finding> {
@@ -41,14 +32,47 @@ fn lines_of(found: &[Finding], lints: &[&str]) -> Vec<u32> {
 }
 
 const HASH_LINTS: [&str; 2] = ["clippy::disallowed_methods", "clippy::iter_over_hash_type"];
-const CLOCK_OR_ENTROPY: &str = "clippy::disallowed_types";
+const BANNED_TYPE: &str = "clippy::disallowed_types";
+const BANNED_METHOD: &str = "clippy::disallowed_methods";
+const FLOAT: &str = "clippy::float_arithmetic";
 const UNWRAP: &str = "clippy::unwrap_used";
+
+/// Every member a snippet can stand in for: the `crates/` members and
+/// the workspace `tests` member.
+const MEMBERS: [&str; 12] = [
+    "bench",
+    "core",
+    "engine",
+    "faults",
+    "netsim",
+    "partition",
+    "parutil",
+    "routing",
+    "snapshot",
+    "topology",
+    "workloads",
+    "tests",
+];
 
 #[test]
 fn d1_hash_iteration_fixture() {
     let found = clippy_fixture("d1_hash_iter.rs", "engine");
-    // keys() loop, for-loop over the set, indexed-receiver iter().
-    assert_eq!(lines_of(&found, &HASH_LINTS), [13, 17, 21], "{found:?}");
+    // The `use` line and each field naming a hash container; the keys()
+    // loop, the for-loop over the set, the indexed-receiver iter().
+    let [method, for_loop] = HASH_LINTS;
+    assert_eq!(
+        found,
+        [
+            (BANNED_TYPE, 4),
+            (BANNED_TYPE, 7),
+            (BANNED_TYPE, 8),
+            (BANNED_TYPE, 9),
+            (method, 14),
+            (for_loop, 14),
+            (for_loop, 18),
+            (method, 22)
+        ]
+    );
 }
 
 #[test]
@@ -61,7 +85,7 @@ fn d1_does_not_apply_outside_deterministic_crates() {
 #[test]
 fn d2_wall_clock_fixture() {
     let found = clippy_fixture("d2_wallclock.rs", "engine");
-    let lines = lines_of(&found, &[CLOCK_OR_ENTROPY]);
+    let lines = lines_of(&found, &[BANNED_TYPE]);
     // The test module's clock read is flagged too: clippy checks test
     // builds with the same configuration.
     assert_eq!(lines, [6, 7, 8, 16], "{found:?}");
@@ -93,15 +117,15 @@ fn d2_spin_park_barrier_pattern_is_clean() {
 fn d2_clock_bounded_spin_is_flagged() {
     // The same spin bounded by `Instant::now()` reads the host clock.
     let found = clippy_fixture("d2_spin_clock_bound.rs", "engine");
-    assert_eq!(found, [(CLOCK_OR_ENTROPY, 12)]);
+    assert_eq!(found, [(BANNED_TYPE, 12)]);
     assert!(clippy_fixture("d2_spin_clock_bound.rs", "bench").is_empty());
 }
 
 #[test]
 fn d1_route_interning_pattern_is_clean() {
-    // The million-host layout's interning table (point HashMap lookups
-    // only) and CSR port table (sorted-array walks) must pass every lint
-    // without an expectation in the crates that use the pattern.
+    // The million-host layout's interning table (ordered-map point
+    // lookups only) and CSR port table (sorted-array walks) must pass
+    // every lint without an expectation in the crates that use them.
     for krate in ["netsim", "engine", "routing"] {
         let found = clippy_fixture("route_interning.rs", krate);
         assert!(found.is_empty(), "{krate}: {found:?}");
@@ -122,24 +146,31 @@ fn d1_snapshot_serializer_pattern_is_clean() {
 
 #[test]
 fn d1_applies_to_the_snapshot_crate_by_default() {
-    // A hash-iteration in the snapshot crate is a violation: checkpoint
+    // A hash container in the snapshot crate is a violation: checkpoint
     // bytes must be a pure function of the world.
     let found = clippy_fixture("d1_hash_iter.rs", "snapshot");
-    assert_eq!(lines_of(&found, &HASH_LINTS), [13, 17, 21], "{found:?}");
+    assert_eq!(found, clippy_fixture("d1_hash_iter.rs", "engine"));
 }
 
 #[test]
 fn d3_entropy_fixture() {
     let found = clippy_fixture("d3_entropy.rs", "engine");
-    assert_eq!(found, [(CLOCK_OR_ENTROPY, 7), (CLOCK_OR_ENTROPY, 8)]);
+    assert_eq!(found, [(BANNED_TYPE, 7), (BANNED_TYPE, 8)]);
     assert!(clippy_fixture("d3_entropy.rs", "bench").is_empty());
 }
 
 #[test]
 fn s1_unwrap_fixture() {
     let found = clippy_fixture("s1_unwrap.rs", "workloads");
-    // unwrap and panic!; the empty expect on line 6 is the documented gap.
-    assert_eq!(found, [(UNWRAP, 5), ("clippy::panic", 8)]);
+    // unwrap, an expect whatever its message, and panic!.
+    assert_eq!(
+        found,
+        [
+            (UNWRAP, 5),
+            ("clippy::expect_used", 6),
+            ("clippy::panic", 8)
+        ]
+    );
 }
 
 #[test]
@@ -153,65 +184,82 @@ fn s2_cast_fixture() {
 
 #[test]
 fn d4_float_order_fixture() {
-    let found = scan_fixture("d4_float_order.rs", "engine");
-    assert!(
-        found.iter().all(|(r, _)| *r == Rule::FloatOrder),
-        "{found:?}"
-    );
-    let lines: Vec<u32> = found.iter().map(|(_, l)| *l).collect();
-    // sum::<f64> turbofish, float fold, += in a hinted loop; the
-    // max-fold / unhinted / integer / #[cfg(test)] shapes are silent.
-    assert_eq!(lines, vec![5, 9, 15], "{found:?}");
+    let found = clippy_fixture("d4_float_order.rs", "engine");
+    // The fold's `+` and the loop's `+=`; the adder passed by path. The
+    // turbofish sum on line 8 is lint_config.rs's text check; the
+    // max-fold, integer and test-module shapes are silent.
+    assert_eq!(found, [(FLOAT, 12), (FLOAT, 18), (BANNED_METHOD, 24)]);
 }
 
 #[test]
 fn d4_out_of_scope_crate_is_exempt() {
-    // `workloads` is not in the float-order include list: replay there
-    // never feeds state back into the deterministic core.
-    assert!(scan_fixture("d4_float_order.rs", "workloads").is_empty());
+    // `workloads` does not deny float arithmetic: replay there never
+    // feeds state back into the deterministic core. Only the adder by
+    // path, banned in every crate, still fires.
+    let found = clippy_fixture("d4_float_order.rs", "workloads");
+    assert_eq!(found, [(BANNED_METHOD, 24)]);
 }
 
 #[test]
 fn d4_partition_reduce_pattern_is_clean() {
-    // The documented remediation — sort by partition id, then reduce in
-    // a fixed order — must pass every rule in the strictest scopes.
+    // The documented remediation — sort by partition id, reduce in a
+    // fixed order, and say so in the expectation — must pass every lint
+    // in the strictest scopes.
     for krate in ["engine", "parutil", "core"] {
-        let found = scan_fixture("d4_partition_reduce.rs", krate);
+        let found = clippy_fixture("d4_partition_reduce.rs", krate);
         assert!(found.is_empty(), "{krate}: {found:?}");
     }
 }
 
+/// Introducing a float reduction over per-partition results into
+/// `crates/engine` fails the gate; the same code in `crates/workloads`
+/// passes.
+#[test]
+fn deliberate_float_reduction_in_engine_fails_the_gate() {
+    let reduction = "pub fn total(per_partition: &[f64]) -> f64 {\n\
+                     \x20   per_partition.iter().fold(0.0, |sum, x| sum + x)\n\
+                     }\n";
+    assert_eq!(findings("engine", reduction), [(FLOAT, 2)]);
+    // The same code is fine in a crate whose floats never feed a run.
+    assert!(findings("workloads", reduction).is_empty());
+}
+
 #[test]
 fn d5_taint_fixture() {
-    // The taint rule fires at the four sinks the clock, entropy and
-    // pointer values reach, and nowhere else.
-    let found = scan_fixture("d5_taint.rs", "engine");
+    // Every host value is flagged at its source: the wall clock (also
+    // in the test module), OS entropy, an address, a hash container.
+    let found = clippy_fixture("d5_taint.rs", "engine");
     assert_eq!(
         found,
-        [9, 10, 16, 21].map(|l| (Rule::DeterminismTaint, l)),
-        "{found:?}"
+        [
+            (BANNED_TYPE, 9),
+            (BANNED_TYPE, 16),
+            (BANNED_METHOD, 22),
+            (BANNED_TYPE, 27),
+            (BANNED_TYPE, 43),
+            (BANNED_TYPE, 82)
+        ]
     );
 }
 
 #[test]
 fn d5_barrier_wait_fixture() {
-    let found = scan_fixture("d5_barrier_wait.rs", "engine");
-    assert!(
-        found.iter().all(|(r, _)| *r == Rule::DeterminismTaint),
+    // Both reads of a measured wait, a report-only read included; the
+    // deterministic imbalance and the count of waits stay silent.
+    let found = clippy_fixture("d5_barrier_wait.rs", "engine");
+    assert_eq!(
+        lines_of(&found, &[BANNED_METHOD]),
+        [11, 17, 22],
         "{found:?}"
     );
-    let lines: Vec<u32> = found.iter().map(|(_, l)| *l).collect();
-    // from_us sink, schedule_at sink, `.seed =` field sink; the
-    // deterministic partition_totals decision and the report-only wait
-    // read stay silent.
-    assert_eq!(lines, vec![10, 11, 16], "{found:?}");
     // bench may measure whatever it likes.
-    assert!(scan_fixture("d5_barrier_wait.rs", "bench").is_empty());
+    let found = clippy_fixture("d5_barrier_wait.rs", "bench");
+    assert!(found.is_empty(), "{found:?}");
 }
 
 #[test]
 fn d5_bench_crate_is_exempt() {
-    let found = scan_fixture("d5_taint.rs", "bench");
+    let found = clippy_fixture("d5_taint.rs", "bench");
     assert!(found.is_empty(), "{found:?}");
 }
 
@@ -220,7 +268,7 @@ fn d5_sim_derived_pattern_is_clean() {
     // Event times and seeds derived from scenario config / simulated
     // state hit the same sink functions and must stay silent.
     for krate in ["engine", "core", "netsim"] {
-        let found = scan_fixture("d5_sim_derived.rs", krate);
+        let found = clippy_fixture("d5_sim_derived.rs", krate);
         assert!(found.is_empty(), "{krate}: {found:?}");
     }
 }
@@ -230,6 +278,33 @@ fn suppression_fixture() {
     let found = clippy_fixture("suppressed.rs", "engine");
     // Everything expected except the final undocumented unwrap.
     assert_eq!(found, [(UNWRAP, 19)]);
+}
+
+#[test]
+fn suppressed_site_does_not_fire() {
+    // One suppressed unwrap (doesn't count), one real one.
+    let src = "pub fn f(o: Option<u32>) -> u32 {\n\
+               \x20   #[expect(clippy::unwrap_used, reason = \"fixture: justified on purpose\")]\n\
+               \x20   let v = o.unwrap();\n\
+               \x20   v + 1\n\
+               }\n\
+               pub fn g(o: Option<u32>) -> u32 { o.unwrap() }\n";
+    let found = findings("engine", src);
+    assert_eq!(found, [(UNWRAP, 6)], "suppressed site must not fire");
+}
+
+#[test]
+fn malformed_suppression_always_denies() {
+    // An allow without a reason fails clippy in every member, even one
+    // no other lint reaches.
+    let src = "#[allow(clippy::unwrap_used)]\nfn f() {}\n";
+    for member in MEMBERS {
+        assert_eq!(
+            findings(member, src),
+            [("clippy::allow_attributes_without_reason", 1)],
+            "in {member}"
+        );
+    }
 }
 
 #[test]

@@ -1,9 +1,11 @@
 //! The clippy configuration that holds the determinism and safety rules
-//! simlint used to check itself (hash iteration, wall clock, entropy,
-//! unwrap/panic, narrowing casts, allows without a reason). Clippy
-//! enforces it in `scripts/check.sh`; these tests pin the configuration
-//! so that dropping a path or a manifest's `[lints]` table fails
-//! `cargo test`.
+//! (hash containers and iteration, wall clock, entropy, pointers,
+//! measured waits, float order, unwrap/expect/panic, narrowing casts,
+//! allows without a reason; DESIGN.md §3 item 15). Clippy enforces it in
+//! `scripts/check.sh`; these tests pin the configuration so that dropping
+//! a path, a crate-root attribute or a manifest's `[lints]` table fails
+//! `cargo test`. One rule is a text check here: clippy cannot see a
+//! turbofish float `sum`/`product`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -43,6 +45,45 @@ const POINTER_METHODS: [&str; 6] = [
     "std::ptr::from_mut",
 ];
 const POINTER_MACROS: [&str; 2] = ["std::ptr::addr_of", "std::ptr::addr_of_mut"];
+
+/// The hash containers themselves: clippy cannot name a by-value
+/// `into_iter()` on them, so their iteration order cannot be banned
+/// method by method.
+const HASH_TYPES: [&str; 2] = ["std::collections::HashMap", "std::collections::HashSet"];
+
+/// The reads of a measured barrier wait, and the float adder by path.
+const WALL_CLOCK_AND_ADDER_METHODS: [&str; 3] = [
+    "massf_engine::stats::WallMicros::as_f64",
+    "massf_engine::stats::ExecutionStats::total_barrier_wait_us",
+    "core::ops::Add::add",
+];
+
+/// The crates whose floats feed a run: `clippy::float_arithmetic` is
+/// denied in each root, and no turbofish float reduction hides from it.
+const FLOAT_ORDER_CRATES: [&str; 8] = [
+    "engine",
+    "parutil",
+    "netsim",
+    "routing",
+    "partition",
+    "core",
+    "snapshot",
+    "faults",
+];
+
+/// Every simulation crate: all of `crates/` but the bench crate.
+const SIMULATION_CRATES: [&str; 10] = [
+    "core",
+    "engine",
+    "faults",
+    "netsim",
+    "partition",
+    "parutil",
+    "routing",
+    "snapshot",
+    "topology",
+    "workloads",
+];
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -99,7 +140,11 @@ fn every_member_manifest_inherits_the_workspace_lints() {
         .filter(|manifest| manifest.is_file())
         .collect();
     manifests.sort();
-    assert!(manifests.len() >= 12, "{manifests:?}");
+    assert_eq!(
+        manifests.len(),
+        SIMULATION_CRATES.len() + 1,
+        "{manifests:?}"
+    );
     manifests.push(root.join("tests/Cargo.toml"));
     for manifest in manifests {
         let text = fs::read_to_string(&manifest).expect("manifest is readable");
@@ -119,6 +164,144 @@ fn crates_clippy_toml_bans_hash_iteration_clock_and_entropy() {
         assert!(lists(&config, path), "crates/clippy.toml misses {path}");
     }
     assert!(config.contains("\nallow-panic-in-tests = true\n"));
+}
+
+#[test]
+fn hash_containers_are_banned_types_and_waits_banned_reads() {
+    let config = read("crates/clippy.toml");
+    let section = |key: &str| {
+        config
+            .split(&format!("\n{key} = ["))
+            .nth(1)
+            .and_then(|rest| rest.split("\n]").next())
+            .unwrap_or_default()
+            .to_string()
+    };
+    for path in HASH_TYPES {
+        assert!(lists(&section("disallowed-types"), path), "{path}");
+    }
+    let methods = section("disallowed-methods");
+    for path in WALL_CLOCK_AND_ADDER_METHODS {
+        assert!(lists(&methods, path), "{path}");
+    }
+    // A crate that does not depend on the engine cannot resolve the
+    // engine's paths; without allow-invalid clippy would warn there.
+    let engine_entries = methods
+        .lines()
+        .filter(|line| line.contains("massf_engine::"));
+    for entry in engine_entries {
+        assert!(entry.contains("allow-invalid = true"), "{entry}");
+    }
+}
+
+/// Whether `lib` carries `attribute` as a line of its own.
+fn root_has(krate: &str, attribute: &str) -> bool {
+    read(&format!("crates/{krate}/src/lib.rs")).contains(&format!("\n{attribute}\n"))
+}
+
+#[test]
+fn float_arithmetic_is_denied_in_exactly_the_float_order_crates() {
+    let attribute = "#![cfg_attr(not(test), deny(clippy::float_arithmetic))]";
+    for krate in member_crates() {
+        let expected = FLOAT_ORDER_CRATES.contains(&krate.as_str());
+        assert_eq!(root_has(&krate, attribute), expected, "{krate}");
+    }
+}
+
+#[test]
+fn expect_is_denied_in_every_simulation_crate() {
+    let attribute = "#![cfg_attr(not(test), deny(clippy::expect_used))]";
+    for krate in member_crates() {
+        let expected = SIMULATION_CRATES.contains(&krate.as_str());
+        assert_eq!(root_has(&krate, attribute), expected, "{krate}");
+    }
+}
+
+/// The directory names under `crates/` that hold a member manifest.
+fn member_crates() -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(repo_root().join("crates"))
+        .expect("crates/ is readable")
+        .map(|entry| entry.expect("crates/ entry is readable").path())
+        .filter(|dir| dir.join("Cargo.toml").is_file())
+        .map(|dir| {
+            dir.file_name()
+                .expect("a crate dir")
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    assert_eq!(names.len(), SIMULATION_CRATES.len() + 1, "{names:?}");
+    names
+}
+
+/// The 1-based lines of `src`, outside `#[cfg(test)]` items, that reduce
+/// floats with a turbofish `sum`/`product`: `clippy::float_arithmetic`
+/// sees `a + b` but not these. A test item runs from its attribute to
+/// where its braces close, or to its first `;` if it has none.
+fn turbofish_float_reductions(src: &str) -> Vec<usize> {
+    let reductions = [
+        "sum::<f32>",
+        "sum::<f64>",
+        "product::<f32>",
+        "product::<f64>",
+    ];
+    let (mut found, mut in_test, mut opened, mut depth) = (Vec::new(), false, false, 0i64);
+    for (n, line) in src.lines().enumerate() {
+        let code = line.split("//").next().unwrap_or_default();
+        if !in_test && code.trim_start().starts_with("#[cfg(test)]") {
+            (in_test, opened, depth) = (true, false, 0);
+        }
+        if in_test {
+            let open = code.matches('{').count() as i64;
+            depth += open - code.matches('}').count() as i64;
+            opened |= open > 0;
+            let ended = if opened {
+                depth <= 0
+            } else {
+                code.trim_end().ends_with(';')
+            };
+            in_test = !ended;
+            continue;
+        }
+        if reductions.iter().any(|r| code.contains(r)) {
+            found.push(n + 1);
+        }
+    }
+    found
+}
+
+#[test]
+fn no_turbofish_float_reduction_in_the_float_order_crates() {
+    let mut files = Vec::new();
+    for krate in FLOAT_ORDER_CRATES {
+        rust_files(
+            &repo_root().join("crates").join(krate).join("src"),
+            &mut files,
+        );
+    }
+    assert!(files.len() > 50, "found only {} files", files.len());
+    for file in files {
+        let src = fs::read_to_string(&file).expect("source file is readable");
+        let lines = turbofish_float_reductions(&src);
+        assert!(lines.is_empty(), "{}: lines {lines:?}", file.display());
+    }
+}
+
+#[test]
+fn turbofish_check_flags_the_float_order_fixture() {
+    // The fixture's turbofish sum is its one flagged line clippy cannot
+    // see (tests/fixtures.rs checks the rest); the test module's sum is
+    // exempt.
+    let src = read("tests/fixtures/d4_float_order.rs");
+    assert_eq!(turbofish_float_reductions(&src), [8]);
+    assert!(src.lines().nth(7).is_some_and(|l| l.contains("// flagged")));
+    // A braceless test item ends at its `;`.
+    let src = "#[cfg(test)]
+use x::y;
+fn f(v: &[f64]) -> f64 { v.iter().sum::<f64>() }
+";
+    assert_eq!(turbofish_float_reductions(src), [3]);
 }
 
 #[test]

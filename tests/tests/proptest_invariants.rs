@@ -89,7 +89,7 @@ proptest! {
                     let mut full = vec![s];
                     full.extend(path.iter().map(|&x| x as usize));
                     prop_assert!(is_valley_free(&g, &full), "{:?}", full);
-                    let unique: std::collections::HashSet<_> = full.iter().collect();
+                    let unique: std::collections::BTreeSet<_> = full.iter().collect();
                     prop_assert_eq!(unique.len(), full.len(), "loop in {:?}", full);
                 }
             }

@@ -8,13 +8,23 @@
 //! bandwidth-delay product and no segment is dropped. Segments per RTT
 //! then double from `INITIAL_CWND` until `INITIAL_SSTHRESH` (slow
 //! start) and grow by one per RTT after it (congestion avoidance).
+//!
+//! Step 3, timeouts: the bottleneck fails before the first segment
+//! reaches it, so no RTT sample exists and the retransmission timer runs
+//! its schedule from `INITIAL_RTO`, doubling per timeout up to
+//! `MAX_RTO`. An outage longer than the retry budget aborts the flow at
+//! the `MAX_RETRIES + 1`-th timeout; a shorter one is repaired by the
+//! first timeout after it ends, and the flow completes.
 
 use massf_engine::SimTime;
 use massf_netsim::packet::{ACK_BYTES, HEADER_BYTES, MSS};
-use massf_netsim::tcp::{INITIAL_CWND, INITIAL_SSTHRESH};
-use massf_netsim::{Agent, AppLogic, FlowId, NetSimBuilder, SimApi};
+use massf_netsim::tcp::{INITIAL_CWND, INITIAL_RTO, INITIAL_SSTHRESH, MAX_RTO};
+use massf_netsim::{
+    AbortReason, Agent, AppLogic, FaultScript, FaultState, FlowId, NetSimBuilder, SimApi,
+    MAX_RETRIES,
+};
 use massf_routing::{CostMetric, FlatResolver};
-use massf_topology::{AsId, Network, NodeId, NodeKind, Point};
+use massf_topology::{AsId, LinkId, Network, NodeId, NodeKind, Point};
 use std::sync::Arc;
 
 /// Access links: rate (bit/s) and one-way latency (ms).
@@ -27,6 +37,9 @@ const BOTTLENECK_MS: f64 = 18.0;
 /// The transfer, in full segments: past slow start and a dozen rounds
 /// into congestion avoidance.
 const SEGMENTS: u64 = 1_000;
+
+/// The bottleneck's id: the second link [`dumbbell`] adds.
+const BOTTLENECK: LinkId = LinkId(1);
 
 /// host a — r1 — r2 — host b, the middle link the bottleneck.
 fn dumbbell() -> (Network, NodeId, NodeId) {
@@ -73,15 +86,27 @@ fn closed_form_windows(segments: u64) -> Vec<u64> {
     windows
 }
 
-/// Records when the one flow completed.
+/// Records how the one flow ended, and when.
 #[derive(Clone, Default)]
-struct Completion(Option<SimTime>);
+struct Outcome {
+    completed: Option<SimTime>,
+    aborted: Option<(SimTime, AbortReason)>,
+}
 
-impl AppLogic for Completion {
+impl AppLogic for Outcome {
     fn on_flow_complete(&mut self, _: NodeId, _: FlowId, api: &mut SimApi<'_, '_>) {
-        self.0 = Some(api.now());
+        self.completed = Some(api.now());
     }
     fn on_timer(&mut self, _: NodeId, _: u64, _: &mut SimApi<'_, '_>) {}
+    fn on_flow_aborted(
+        &mut self,
+        _: NodeId,
+        _: FlowId,
+        why: AbortReason,
+        api: &mut SimApi<'_, '_>,
+    ) {
+        self.aborted = Some((api.now(), why));
+    }
 }
 
 /// One `SEGMENTS`-segment transfer a → b from time zero, run to `end`:
@@ -93,8 +118,8 @@ fn transfer(end: SimTime) -> (u64, u64, Option<SimTime>) {
     let mut agent = Agent::new();
     agent.inject_tcp(SimTime::ZERO, a, b, SEGMENTS * u64::from(MSS));
     builder.add_agent(agent);
-    let out = builder.run_sequential(Completion::default(), end);
-    let done = out.apps.first().and_then(|app| app.0);
+    let out = builder.run_sequential(Outcome::default(), end);
+    let done = out.apps.first().and_then(|app| app.completed);
     (out.profile.node_packets[b.index()], out.profile.drops, done)
 }
 
@@ -156,4 +181,100 @@ fn lossless_transfer_follows_slow_start_then_linear_growth() {
     );
     let goodput_bps = (SEGMENTS * u64::from(MSS) * 8) as f64 / done;
     assert!(goodput_bps <= BOTTLENECK_BPS, "{goodput_bps} bit/s");
+}
+
+/// The bottleneck fails this long after the transfer starts: before
+/// the first segment has crossed the access link to reach it.
+const DOWN_AT: SimTime = SimTime(500_000);
+
+/// The `SEGMENTS`-segment transfer a → b from time zero with the
+/// bottleneck down from `DOWN_AT` until `up_at`, run to `end`: how the
+/// flow ended, and the packets dropped at the dead link.
+fn transfer_across_outage(up_at: SimTime, end: SimTime) -> (Outcome, u64) {
+    let (net, a, b) = dumbbell();
+    assert!(DOWN_AT.as_secs_f64() < ser(MSS + HEADER_BYTES, ACCESS_BPS) + ACCESS_MS / 1e3);
+    let mut script = FaultScript::new();
+    script
+        .link_down(DOWN_AT, BOTTLENECK)
+        .link_up(up_at, BOTTLENECK);
+    let faults = FaultState::flat(&net, CostMetric::Latency, script).expect("script validates");
+    let mut builder = NetSimBuilder::new_with_faults(net, faults);
+    let mut agent = Agent::new();
+    agent.inject_tcp(SimTime::ZERO, a, b, SEGMENTS * u64::from(MSS));
+    builder.add_agent(agent);
+    let out = builder.run_sequential(Outcome::default(), end);
+    let outcome = out.apps.first().cloned().unwrap_or_default();
+    (outcome, out.profile.fault_drops)
+}
+
+/// The times of the retransmission timeouts of a flow that never gets
+/// an ACK, from its start: the timer waits `INITIAL_RTO`, then twice as
+/// long after each timeout, never longer than `MAX_RTO`. The flow
+/// aborts at the `MAX_RETRIES + 1`-th, when its retries exceed the
+/// budget.
+fn timeout_schedule() -> Vec<SimTime> {
+    let (mut at, mut rto) = (SimTime::ZERO, INITIAL_RTO);
+    (0..=MAX_RETRIES)
+        .map(|_| {
+            at += rto;
+            rto = (rto + rto).min(MAX_RTO);
+            at
+        })
+        .collect()
+}
+
+#[test]
+fn outage_beyond_the_retry_budget_aborts_at_the_closed_form_time() {
+    let schedule = timeout_schedule();
+    // 1, 3, 7, 15, 31, 47, 63 s with the shipped constants.
+    let abort_at = *schedule.last().expect("MAX_RETRIES + 1 timeouts");
+    let (outcome, fault_drops) = transfer_across_outage(
+        abort_at + SimTime::from_secs(10),
+        abort_at + SimTime::from_secs(20),
+    );
+    assert_eq!(outcome.completed, None);
+    // Each timeout retransmits one segment into the dead link; the
+    // first flight of INITIAL_CWND segments died there too.
+    assert_eq!(fault_drops, INITIAL_CWND as u64 + u64::from(MAX_RETRIES));
+    // Routing has no path around the dead bottleneck, so the sender's
+    // failover at each timeout finds the destination unreachable. Every
+    // timer fires at an exact nanosecond, so the abort time is exact.
+    assert_eq!(outcome.aborted, Some((abort_at, AbortReason::Unroutable)));
+}
+
+#[test]
+fn outage_within_the_retry_budget_recovers_and_completes() {
+    let schedule = timeout_schedule();
+    // The link returns between the third and fourth timeouts; the
+    // fourth finds the path up again and its retransmission gets through.
+    let up_at = SimTime::from_secs(10);
+    assert!(schedule[2] < up_at && up_at < schedule[3]);
+    let repaired_at = schedule[3];
+    let (outcome, fault_drops) = transfer_across_outage(up_at, SimTime::from_secs(100));
+    assert_eq!(outcome.aborted, None);
+    assert_eq!(fault_drops, INITIAL_CWND as u64 + 3);
+
+    // After a timeout the sender restarts in congestion avoidance from
+    // cwnd = ssthresh = 2: round k carries at most k + 2 segments (one
+    // round of the retransmitted hole alone first) and, as in step 1,
+    // at least k + 1. Each round lasts an RTT plus at most its own
+    // serialization at the bottleneck.
+    let rounds = |window: &dyn Fn(u64) -> u64| {
+        let (mut k, mut covered) = (0, 1);
+        while covered < SEGMENTS {
+            covered += window(k);
+            k += 1;
+        }
+        k + 1
+    };
+    let (fewest, most) = (rounds(&|k| k + 2), rounds(&|k| k + 1));
+    let rtt = rtt_s();
+    let round_max = rtt + (most + 1) as f64 * ser(MSS + HEADER_BYTES, BOTTLENECK_BPS);
+    let done = outcome.completed.expect("transfer completes").as_secs_f64();
+    let after = done - repaired_at.as_secs_f64();
+    assert!(
+        fewest as f64 * rtt <= after && after <= most as f64 * round_max,
+        "completed {after:.4} s after the repairing timeout: {fewest}..{most} rounds of \
+         {rtt:.4}..{round_max:.4} s"
+    );
 }
