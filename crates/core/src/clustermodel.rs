@@ -16,11 +16,6 @@
 //! `Tseq = TotalEventNumber / MaximalEventRateOnEachNode`
 //! = `TotalEventNumber · t_event`.
 
-#![expect(
-    clippy::float_arithmetic,
-    reason = "the cluster performance model's predicted times are model outputs; none feeds a run"
-)]
-
 use massf_engine::{ExecutionStats, SyncCostModel};
 
 /// Default per-event kernel cost, microseconds. Calibrated to the
@@ -44,6 +39,10 @@ impl Default for ClusterModel {
     }
 }
 
+#[expect(
+    clippy::float_arithmetic,
+    reason = "the predicted times are model outputs, closed forms of one run's counters"
+)]
 impl ClusterModel {
     /// Model with explicit parameters.
     pub fn new(sync: SyncCostModel, event_cost_us: f64) -> Self {

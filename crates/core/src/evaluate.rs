@@ -11,11 +11,6 @@
 //! "Maximizing Es and Ec separately does not work because they represent
 //! the tradeoff between simulation efficiency and available parallelism."
 
-#![expect(
-    clippy::float_arithmetic,
-    reason = "the mapping evaluation (Es, Ec, E) is a model output computed from fixed inputs; none feeds a run"
-)]
-
 use massf_engine::SyncCostModel;
 use massf_partition::{Partition, WeightedGraph};
 use massf_topology::Network;
@@ -34,6 +29,10 @@ pub struct PartitionEvaluation {
 }
 
 /// Score `partition` of `graph` projected on `net` for `engines` nodes.
+#[expect(
+    clippy::float_arithmetic,
+    reason = "the mapping evaluation (Es, Ec, E) is a model output computed from fixed inputs"
+)]
 pub fn efficiency(
     net: &Network,
     graph: &WeightedGraph,

@@ -24,11 +24,6 @@
 //! Tmll to be larger than the synchronization cost") and steps by 0.1 ms
 //! ("0.1ms in our experiments").
 
-#![expect(
-    clippy::float_arithmetic,
-    reason = "the threshold sweep's latencies are a function of the config alone, computed step by step in a fixed order"
-)]
-
 use crate::evaluate::{efficiency, PartitionEvaluation};
 use crate::mappers::MappingConfig;
 use massf_partition::{metis_kway, Partition, UnionFind, WeightedGraph};
@@ -175,6 +170,10 @@ impl SweepReducer {
 ///
 /// # Panics
 /// Panics when `engines == 0` or the graph is empty.
+#[expect(
+    clippy::float_arithmetic,
+    reason = "the threshold sweep's latencies are a function of the config alone, computed step by step in a fixed order"
+)]
 pub fn hierarchical_partition(
     net: &Network,
     graph: &WeightedGraph,

@@ -31,11 +31,6 @@
 //! the load factor ρ = `E·e / (N · horizon)`: the share of real time an
 //! engine computes when the run keeps pace with simulated time.
 
-#![expect(
-    clippy::float_arithmetic,
-    reason = "experiment metrics are model outputs computed after the run"
-)]
-
 use crate::clustermodel::ClusterModel;
 use massf_engine::ExecutionStats;
 
@@ -76,6 +71,10 @@ pub struct ExperimentMetrics {
 
 impl ExperimentMetrics {
     /// Derive all metrics from a windowed run.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "experiment metrics are model outputs computed after the run"
+    )]
     pub fn from_run(
         stats: &ExecutionStats,
         achieved_mll_ms: f64,

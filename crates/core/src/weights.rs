@@ -9,11 +9,6 @@
 //! steeper, so the partitioner avoids cutting small-latency links — a
 //! manual, topology-specific fix the hierarchical approach supersedes.
 
-#![expect(
-    clippy::float_arithmetic,
-    reason = "each weight is a function of one link or node, computed in index order"
-)]
-
 use massf_netsim::ProfileData;
 use massf_partition::WeightedGraph;
 use massf_topology::Network;
@@ -57,6 +52,7 @@ const TUNED_PENALTY: f64 = 4096.0;
 pub const PROFILE_WEIGHT_CAP: u64 = 16;
 
 /// Convert one link latency to an edge weight.
+#[expect(clippy::float_arithmetic, reason = "a function of one link's latency")]
 pub fn edge_weight(latency_ms: f64, weighting: EdgeWeighting) -> u64 {
     debug_assert!(latency_ms > 0.0);
     let ratio = REFERENCE_LATENCY_MS / latency_ms;
@@ -78,6 +74,10 @@ pub fn edge_weight(latency_ms: f64, weighting: EdgeWeighting) -> u64 {
 /// [`VertexWeighting::Profile`].
 ///
 /// Vertex indices equal node indices in `net`; edges mirror links.
+#[expect(
+    clippy::float_arithmetic,
+    reason = "each vertex weight is a function of one node, computed in index order"
+)]
 pub fn build_weighted_graph(
     net: &Network,
     vertex: VertexWeighting,

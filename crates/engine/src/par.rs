@@ -928,5 +928,8 @@ mod tests {
         assert_eq!(obs.ends.load(Ordering::Relaxed), expected);
         let waits = [WallMicros::new(1.25), WallMicros::new(2.5)];
         assert_eq!(stats.barrier_wait_us, waits);
+        #[expect(clippy::disallowed_methods, reason = "checks the report-only total")]
+        let total_wait = stats.total_barrier_wait_us();
+        assert!((total_wait - 3.75).abs() < 1e-12);
     }
 }

@@ -6,11 +6,6 @@
 //! edge-cut of any partition of the coarse graph equals the cut of the
 //! projected fine partition — the key multilevel invariant (tested here).
 
-#![expect(
-    clippy::float_arithmetic,
-    reason = "the stall test compares two vertex counts; it involves no accumulation"
-)]
-
 use crate::graph::WeightedGraph;
 use rand::prelude::*;
 
@@ -93,6 +88,10 @@ pub fn coarsen_to(
         let level = coarsen_once(current, rng);
         let after = level.graph.vertex_count();
         // Matching stalled (e.g. star graphs): keep any progress, stop.
+        #[expect(
+            clippy::float_arithmetic,
+            reason = "compares two vertex counts; no accumulation"
+        )]
         let stalled = after as f64 > before as f64 * 0.9;
         if after < before {
             levels.push(level);

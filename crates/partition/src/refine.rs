@@ -6,11 +6,6 @@
 //! when it repairs an overweight part. This is the refinement used at
 //! every level of the multilevel partitioners.
 
-#![expect(
-    clippy::float_arithmetic,
-    reason = "the balance bound is a function of the graph's integer weights alone"
-)]
-
 use crate::graph::WeightedGraph;
 use crate::kway::BALANCE_TOLERANCE;
 use rand::prelude::*;
@@ -37,8 +32,11 @@ pub fn refine(
         return 0;
     }
     let total = g.total_vertex_weight();
-    let ideal = total as f64 / k as f64;
-    let max_allowed = (ideal * BALANCE_TOLERANCE).ceil() as u64;
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "the balance bound is a function of the graph's integer weights alone"
+    )]
+    let max_allowed = (total as f64 / k as f64 * BALANCE_TOLERANCE).ceil() as u64;
     // A part made overweight by one giant vertex cannot be repaired;
     // never shed load below the ideal, or every neighbor of the giant
     // gets churned out (cutting whatever edges happen to be there).

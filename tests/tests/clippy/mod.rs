@@ -45,6 +45,20 @@ fn repo_root() -> PathBuf {
         .expect("repo root exists")
 }
 
+/// Every member a snippet can stand in for: each `crates/` directory
+/// that holds a manifest, then the workspace `tests` member.
+pub fn members() -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(repo_root().join("crates"))
+        .expect("crates/ is readable")
+        .map(|entry| entry.expect("crates/ entry is readable").path())
+        .filter(|dir| dir.join("Cargo.toml").is_file())
+        .filter_map(|dir| Some(dir.file_name()?.to_string_lossy().into_owned()))
+        .collect();
+    names.sort();
+    names.push("tests".to_string());
+    names
+}
+
 /// `--extern` flags for every workspace library `src` names
 /// (`massf_engine::`), each the newest such rlib beside this test
 /// binary, and the `-L` path their own dependencies resolve from.

@@ -6,7 +6,7 @@
 
 mod clippy;
 
-use clippy::{findings, Finding};
+use clippy::{findings, members, Finding};
 use std::path::Path;
 
 fn read_fixture(name: &str) -> String {
@@ -36,23 +36,6 @@ const BANNED_TYPE: &str = "clippy::disallowed_types";
 const BANNED_METHOD: &str = "clippy::disallowed_methods";
 const FLOAT: &str = "clippy::float_arithmetic";
 const UNWRAP: &str = "clippy::unwrap_used";
-
-/// Every member a snippet can stand in for: the `crates/` members and
-/// the workspace `tests` member.
-const MEMBERS: [&str; 12] = [
-    "bench",
-    "core",
-    "engine",
-    "faults",
-    "netsim",
-    "partition",
-    "parutil",
-    "routing",
-    "snapshot",
-    "topology",
-    "workloads",
-    "tests",
-];
 
 #[test]
 fn d1_hash_iteration_fixture() {
@@ -298,9 +281,9 @@ fn malformed_suppression_always_denies() {
     // An allow without a reason fails clippy in every member, even one
     // no other lint reaches.
     let src = "#[allow(clippy::unwrap_used)]\nfn f() {}\n";
-    for member in MEMBERS {
+    for member in members() {
         assert_eq!(
-            findings(member, src),
+            findings(&member, src),
             [("clippy::allow_attributes_without_reason", 1)],
             "in {member}"
         );
