@@ -19,12 +19,13 @@
 //! rebalancer under link flaps, see `rebalance_study`'s "fault-flap
 //! region shift" scenario.
 
-use massf_bench::HarnessOptions;
+use massf_bench::{count_list, HarnessOptions};
 use massf_core::prelude::*;
 use massf_netsim::{
     Agent, FaultScript, FaultState, NetSimBuilder, NoApp, ProfileData, SimOutput, MAX_RETRIES,
 };
 use massf_routing::{CostMetric, FlatResolver};
+use massf_topology::Counters;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
@@ -172,107 +173,31 @@ fn main() {
         }
     };
     println!();
-    println!("{:<22} {:>14} {:>14}", "metric", "clean", "faulted");
-    let rows: [(&str, u64, u64); 17] = [
-        (
-            "total events",
-            clean.stats.total_events,
-            faulted.stats.total_events,
-        ),
-        (
-            "completed flows",
-            clean.profile.completed_flows,
-            faulted.profile.completed_flows,
-        ),
-        (
-            "aborted flows",
-            clean.profile.aborted_flows,
-            faulted.profile.aborted_flows,
-        ),
-        (
-            "unroutable",
-            clean.profile.unroutable,
-            faulted.profile.unroutable,
-        ),
-        ("queue drops", clean.profile.drops, faulted.profile.drops),
-        (
-            "fault drops",
-            clean.profile.fault_drops,
-            faulted.profile.fault_drops,
-        ),
-        (
-            "fault events",
-            clean.profile.fault_events,
-            faulted.profile.fault_events,
-        ),
-        (
-            "route-cache hits",
-            clean.profile.route_cache.hits,
-            faulted.profile.route_cache.hits,
-        ),
-        (
-            "route-cache misses",
-            clean.profile.route_cache.misses,
-            faulted.profile.route_cache.misses,
-        ),
-        (
-            "fluid started",
-            clean.profile.fluid.started,
-            faulted.profile.fluid.started,
-        ),
-        (
-            "fluid completed",
-            clean.profile.fluid.completed,
-            faulted.profile.fluid.completed,
-        ),
-        (
-            "fluid aborted",
-            clean.profile.fluid.aborted,
-            faulted.profile.fluid.aborted,
-        ),
-        (
-            "fluid rerouted",
-            clean.profile.fluid.rerouted,
-            faulted.profile.fluid.rerouted,
-        ),
-        (
-            "fluid rate recomputes",
-            clean.profile.fluid.rate_recomputes,
-            faulted.profile.fluid.rate_recomputes,
-        ),
-        (
-            "fluid bottleneck rcmp",
-            clean.profile.fluid.bottleneck_recomputes,
-            faulted.profile.fluid.bottleneck_recomputes,
-        ),
-        (
-            "fluid cap updates",
-            clean.profile.fluid.cap_updates,
-            faulted.profile.fluid.cap_updates,
-        ),
-        (
-            "fluid pkt-load updates",
-            clean.profile.fluid.packet_load_updates,
-            faulted.profile.fluid.packet_load_updates,
-        ),
-    ];
-    for (name, c, f) in rows {
-        println!("{name:<22} {c:>14} {f:>14}");
+    // Every profile count under its declared name, then the derived
+    // rates.
+    println!("{:<27} {:>14} {:>14}", "metric", "clean", "faulted");
+    println!(
+        "{:<27} {:>14} {:>14}",
+        "total events", clean.stats.total_events, faulted.stats.total_events
+    );
+    let faulted_counts = faulted.profile.counts();
+    for ((name, c), (_, f)) in clean.profile.counts().into_iter().zip(faulted_counts) {
+        println!("{name:<27} {c:>14} {f:>14}");
     }
     println!(
-        "{:<22} {:>14.4} {:>14.4}",
+        "{:<27} {:>14.4} {:>14.4}",
         "route-cache hit rate",
         clean.profile.route_cache.hit_rate(),
         faulted.profile.route_cache.hit_rate()
     );
     println!(
-        "{:<22} {:>14.4} {:>14.4}",
+        "{:<27} {:>14.4} {:>14.4}",
         "flow abort rate",
         abort_rate(&clean.profile),
         abort_rate(&faulted.profile)
     );
     println!(
-        "{:<22} {:>14} {:>14}",
+        "{:<27} {:>14} {:>14}",
         "reconvergences",
         0,
         faults.reconvergence_count()
@@ -280,19 +205,12 @@ fn main() {
     println!("  (= fault epochs entered, not tables built: a tree is computed on the first route neither of whose ends has one)");
 
     // Which shortest-path trees each entered epoch paid for (clean
-    // epochs share the base resolver, so they repeat its row). Host-side
+    // epochs share the base resolver, so they repeat its line). Host-side
     // diagnostic: in a parallel run these depend on thread interleaving.
     println!();
-    println!(
-        "{:>5} {:>12} {:>16} {:>14}",
-        "epoch", "trees_built", "served_reversed", "tie_fallbacks"
-    );
     for e in 0..faults.epoch_count() {
         if let Some(s) = faults.epoch_spt_stats(e) {
-            println!(
-                "{:>5} {:>12} {:>16} {:>14}",
-                e, s.trees_built, s.served_reversed, s.tie_fallbacks
-            );
+            println!("epoch {e:>3}: {}", count_list(&s));
         }
     }
 

@@ -29,6 +29,7 @@
 #![cfg_attr(not(feature = "alloc-count"), forbid(unsafe_code))]
 
 use massf_core::prelude::*;
+use massf_topology::Counters;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -291,32 +292,20 @@ fn run_suite_once(
         let run = outputs.first().expect("an approach to score");
         let what = format!("scored run, {} scorings", outputs.len());
         phase(&what, run.run_stats.total_events);
-        let (cache, fluid) = (&run.run_profile.route_cache, &run.run_profile.fluid);
+        let cache = &run.run_profile.route_cache;
         eprintln!(
-            "# route cache ({label}): {} hits / {} misses ({:.1}% hit rate)",
-            cache.hits,
-            cache.misses,
+            "# route cache ({label}): {} ({:.1}% hit rate)",
+            count_list(cache),
             cache.hit_rate() * 100.0
         );
         if let Some(trees) = scenario.resolver.spt_stats() {
             eprintln!(
-                "# trees ({label}): {} built / {} served reversed / {} tie fallbacks, {:.2} MiB",
-                trees.trees_built,
-                trees.served_reversed,
-                trees.tie_fallbacks,
+                "# trees ({label}): {} ({:.2} MiB)",
+                count_list(&trees),
                 trees.tree_bytes as f64 / (1u64 << 20) as f64
             );
         }
-        eprintln!(
-            "# fluid ({label}): {} started / {} completed / {} aborted, {} rate recomputes / {} bottleneck recomputes, {} cap updates / {} packet-load updates",
-            fluid.started,
-            fluid.completed,
-            fluid.aborted,
-            fluid.rate_recomputes,
-            fluid.bottleneck_recomputes,
-            fluid.cap_updates,
-            fluid.packet_load_updates
-        );
+        eprintln!("# fluid ({label}): {}", count_list(&run.run_profile.fluid));
         for out in &outputs {
             let m = &out.metrics;
             eprintln!(
@@ -338,6 +327,16 @@ fn run_suite_once(
         }));
     }
     rows
+}
+
+/// `name value` for every count of `set` in walk order, joined by ` / `.
+pub fn count_list(set: &impl Counters) -> String {
+    let counts: Vec<String> = set
+        .counts()
+        .iter()
+        .map(|(k, n)| format!("{k} {n}"))
+        .collect();
+    counts.join(" / ")
 }
 
 /// Pretty-print one figure: a `workload × approach` metric grid.

@@ -113,16 +113,18 @@ pub fn should_rebalance(cfg: &RebalanceConfig, epoch_partition_loads: &[u64]) ->
     imbalance_permille(epoch_partition_loads) > cfg.threshold_permille
 }
 
-/// Cumulative rebalancer activity, carried in checkpoints.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RebalanceCounters {
-    /// Epoch boundaries evaluated.
-    pub epochs: u64,
-    /// Boundaries where the trigger fired *and* the move search found
-    /// improving moves (i.e. an actual migration round happened).
-    pub rebalances: u64,
-    /// Total LPs migrated across all rebalances.
-    pub migrations: u64,
+massf_topology::counters! {
+    /// Cumulative rebalancer activity, carried in checkpoints.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct RebalanceCounters {
+        /// Epoch boundaries evaluated.
+        pub epochs: u64,
+        /// Boundaries where the trigger fired *and* the move search found
+        /// improving moves (i.e. an actual migration round happened).
+        pub rebalances: u64,
+        /// Total LPs migrated across all rebalances.
+        pub migrations: u64,
+    }
 }
 
 #[cfg(test)]

@@ -112,58 +112,31 @@ const CAP_REPORT_QUANTUM_DIV: u64 = 64;
 
 const NS_PER_SEC: u128 = 1_000_000_000;
 
-/// Fluid-model profile counters, all owned by the coordinator LP (so
-/// per-partition merges are plain sums with no double counting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FluidStats {
-    /// Fluid flows admitted (routable at start time).
-    pub started: u64,
-    /// Flows that transferred all their bytes.
-    pub completed: u64,
-    /// Flows terminated by a fault with no surviving path.
-    pub aborted: u64,
-    /// Fault-driven path replacements on live flows.
-    pub rerouted: u64,
-    /// Start requests with no route (or `src == dst`).
-    pub unroutable: u64,
-    /// Per-flow rate assignments changed by the solver.
-    pub rate_recomputes: u64,
-    /// Link directions water-filled (closure size summed over solves).
-    pub bottleneck_recomputes: u64,
-    /// Finish alarms armed (initial arms plus lazy/eager re-arms).
-    pub finish_arms: u64,
-    /// Fluid → packet residual-capacity reports emitted.
-    pub cap_updates: u64,
-    /// Packet → fluid load reports received.
-    pub packet_load_updates: u64,
-}
-
-impl FluidStats {
-    /// Accumulate another partition's counters. `other` is destructured
-    /// without `..`, so a counter missing here does not compile.
-    pub fn merge(&mut self, other: &FluidStats) {
-        let FluidStats {
-            started,
-            completed,
-            aborted,
-            rerouted,
-            unroutable,
-            rate_recomputes,
-            bottleneck_recomputes,
-            finish_arms,
-            cap_updates,
-            packet_load_updates,
-        } = other;
-        self.started += started;
-        self.completed += completed;
-        self.aborted += aborted;
-        self.rerouted += rerouted;
-        self.unroutable += unroutable;
-        self.rate_recomputes += rate_recomputes;
-        self.bottleneck_recomputes += bottleneck_recomputes;
-        self.finish_arms += finish_arms;
-        self.cap_updates += cap_updates;
-        self.packet_load_updates += packet_load_updates;
+massf_topology::counters! {
+    /// Fluid-model profile counters, all owned by the coordinator LP (so
+    /// per-partition merges are plain sums with no double counting).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct FluidStats {
+        /// Fluid flows admitted (routable at start time).
+        pub started: u64,
+        /// Flows that transferred all their bytes.
+        pub completed: u64,
+        /// Flows terminated by a fault with no surviving path.
+        pub aborted: u64,
+        /// Fault-driven path replacements on live flows.
+        pub rerouted: u64,
+        /// Start requests with no route (or `src == dst`).
+        pub unroutable: u64,
+        /// Per-flow rate assignments changed by the solver.
+        pub rate_recomputes: u64,
+        /// Link directions water-filled (closure size summed over solves).
+        pub bottleneck_recomputes: u64,
+        /// Finish alarms armed (initial arms plus lazy/eager re-arms).
+        pub finish_arms: u64,
+        /// Fluid → packet residual-capacity reports emitted.
+        pub cap_updates: u64,
+        /// Packet → fluid load reports received.
+        pub packet_load_updates: u64,
     }
 }
 
@@ -247,7 +220,11 @@ pub(crate) struct FluidState {
     members: Vec<Vec<u32>>,
     /// The coordinator's own route table (the world's belongs to the
     /// *source* LPs and must not be touched from here). Uncounted, and
-    /// not in a snapshot: restore starts it empty.
+    /// not in a snapshot: restore starts it empty. Kept although the
+    /// benchmark's fluid workloads barely reuse it (6 hits in 1,087
+    /// lookups on `fluid_background`, none in 606 on `flap_session`):
+    /// `fluid_scaling` starts 1,024 flows per host pair, so 1,047,552 of
+    /// its 1,048,576 starts hit, and each pair's flows share one route.
     routes: RouteTable,
     /// Generation-stamped scratch marks for closure computation (no
     /// per-solve set allocation at million-flow scale).

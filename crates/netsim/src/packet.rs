@@ -64,7 +64,7 @@ pub enum PacketKind {
 ///
 /// Memory layout: exactly one `Arc` route reference per packet. The
 /// forward route is interned per `(epoch, src, dst)` by the world's
-/// route cache, so every packet of a flow — and every ACK coming back —
+/// route table, so every packet of a flow — and every ACK coming back —
 /// shares a single allocation; ACKs reuse the *same* `Arc` and derive
 /// the reverse walk from [`PacketKind::Ack`] instead of carrying a
 /// second `rpath` allocation. Each hop carries its outgoing link slot,

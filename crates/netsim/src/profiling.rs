@@ -9,70 +9,62 @@
 //! counts (edge weights).
 
 use crate::fluid::FluidStats;
+use massf_topology::Counters;
 
-/// Traffic counters from one simulation run (or one partition's shard;
-/// merge shards with [`ProfileData::merge`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProfileData {
-    /// Packets handled per node (≈ kernel events; the paper's load
-    /// measure).
-    pub node_packets: Vec<u64>,
-    /// Packets carried per link (both directions summed).
-    pub link_packets: Vec<u64>,
-    /// Packets lost to drop-tail queues.
-    pub drops: u64,
-    /// TCP flows that ran to completion.
-    pub completed_flows: u64,
-    /// Data segments of completed flows.
-    pub completed_segments: u64,
-    /// Flow/datagram requests whose destination was unreachable (BGP
-    /// policy) or identical to the source.
-    pub unroutable: u64,
-    /// Packets lost to injected faults: dropped at a dead link or dead
-    /// node (at transmit or on arrival), as opposed to queue `drops`.
-    pub fault_drops: u64,
-    /// TCP flows that gave up after exhausting their retry budget.
-    pub aborted_flows: u64,
-    /// Scripted fault events handled (link/router/adjacency state flips).
-    pub fault_events: u64,
-    /// Lookups of the world's route table (`crate::routes`), answered
-    /// or resolved. Deterministic (a source's routes are looked up only
-    /// from its own LP), so these counters participate in the
-    /// bit-identity equality checks like any other.
-    pub route_cache: RouteCacheStats,
-    /// Fluid background-traffic counters (see `crate::fluid`). All
-    /// owned by the coordinator LP except `packet_load_updates`'
-    /// emission side, so the merge is a plain sum.
-    pub fluid: FluidStats,
+massf_topology::counters! {
+    /// Traffic counters from one simulation run (or one partition's shard;
+    /// merge shards with [`ProfileData::merge`]).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ProfileData {
+        /// Packets handled per node (≈ kernel events; the paper's load
+        /// measure).
+        pub node_packets: Vec<u64>,
+        /// Packets carried per link (both directions summed).
+        pub link_packets: Vec<u64>,
+        /// Packets lost to drop-tail queues.
+        pub drops: u64,
+        /// TCP flows that ran to completion.
+        pub completed_flows: u64,
+        /// Data segments of completed flows.
+        pub completed_segments: u64,
+        /// Flow/datagram requests whose destination was unreachable (BGP
+        /// policy) or identical to the source.
+        pub unroutable: u64,
+        /// Packets lost to injected faults: dropped at a dead link or dead
+        /// node (at transmit or on arrival), as opposed to queue `drops`.
+        pub fault_drops: u64,
+        /// TCP flows that gave up after exhausting their retry budget.
+        pub aborted_flows: u64,
+        /// Scripted fault events handled (link/router/adjacency state flips).
+        pub fault_events: u64,
+        /// Lookups of the world's route table (`crate::routes`), answered
+        /// or resolved. Deterministic (a source's routes are looked up only
+        /// from its own LP), so these counters participate in the
+        /// bit-identity equality checks like any other.
+        pub route_cache: RouteCacheStats,
+        /// Fluid background-traffic counters (see `crate::fluid`). All
+        /// owned by the coordinator LP except `packet_load_updates`'
+        /// emission side, so the merge is a plain sum.
+        pub fluid: FluidStats,
+    }
 }
 
-/// Route-table lookup counters. Deterministic for a fixed query
-/// sequence; merged across partitions like any other profile counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RouteCacheStats {
-    /// Lookups answered by a route interned earlier in the same epoch.
-    pub hits: u64,
-    /// Lookups that went to the resolver.
-    pub misses: u64,
-    /// Always 0: the route table evicts nothing. Kept because the
-    /// benchmark harness reads it.
-    pub evictions: u64,
+massf_topology::counters! {
+    /// Route-table lookup counters. Deterministic for a fixed query
+    /// sequence; merged across partitions like any other profile counter.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct RouteCacheStats {
+        /// Lookups answered by a route interned earlier in the same epoch.
+        pub hits: u64,
+        /// Lookups that went to the resolver.
+        pub misses: u64,
+        /// Always 0: the route table evicts nothing. Kept because the
+        /// benchmark harness reads it.
+        pub evictions: u64,
+    }
 }
 
 impl RouteCacheStats {
-    /// Accumulate another shard's counters. `other` is destructured
-    /// without `..`, so a counter missing here does not compile.
-    pub fn merge(&mut self, other: &RouteCacheStats) {
-        let RouteCacheStats {
-            hits,
-            misses,
-            evictions,
-        } = other;
-        self.hits += hits;
-        self.misses += misses;
-        self.evictions += evictions;
-    }
-
     /// Hits / (hits + misses), or 0 when nothing was looked up.
     #[expect(
         clippy::float_arithmetic,
@@ -94,54 +86,8 @@ impl ProfileData {
         ProfileData {
             node_packets: vec![0; nodes],
             link_packets: vec![0; links],
-            drops: 0,
-            completed_flows: 0,
-            completed_segments: 0,
-            unroutable: 0,
-            fault_drops: 0,
-            aborted_flows: 0,
-            fault_events: 0,
-            route_cache: RouteCacheStats::default(),
-            fluid: FluidStats::default(),
+            ..Counters::zeroed()
         }
-    }
-
-    /// Accumulate another shard's counters. `other` is destructured
-    /// without `..`, so a counter missing here does not compile.
-    ///
-    /// # Panics
-    /// Panics when sizes disagree.
-    pub fn merge(&mut self, other: &ProfileData) {
-        let ProfileData {
-            node_packets,
-            link_packets,
-            drops,
-            completed_flows,
-            completed_segments,
-            unroutable,
-            fault_drops,
-            aborted_flows,
-            fault_events,
-            route_cache,
-            fluid,
-        } = other;
-        assert_eq!(self.node_packets.len(), node_packets.len());
-        assert_eq!(self.link_packets.len(), link_packets.len());
-        for (a, b) in self.node_packets.iter_mut().zip(node_packets) {
-            *a += b;
-        }
-        for (a, b) in self.link_packets.iter_mut().zip(link_packets) {
-            *a += b;
-        }
-        self.drops += drops;
-        self.completed_flows += completed_flows;
-        self.completed_segments += completed_segments;
-        self.unroutable += unroutable;
-        self.fault_drops += fault_drops;
-        self.aborted_flows += aborted_flows;
-        self.fault_events += fault_events;
-        self.route_cache.merge(route_cache);
-        self.fluid.merge(fluid);
     }
 
     /// Total packets handled across all nodes.
@@ -158,46 +104,59 @@ impl ProfileData {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use massf_topology::Counter;
+
+    /// Gives every counter of `set` a distinct value through the walk,
+    /// merges a copy in, and reads every counter back doubled.
+    fn merged_with_itself<T: Counters + Clone>(mut set: T) -> T {
+        let mut next = 0;
+        let mut fill = |n: &mut u64| {
+            next += 1;
+            *n = next;
+        };
+        set.walk_mut(&mut |counter| {
+            match counter {
+                Counter::Count(n) => fill(n),
+                Counter::PerItem(items) => items.iter_mut().for_each(&mut fill),
+            }
+            Ok::<(), ()>(())
+        })
+        .expect("filling cannot fail");
+        let walk = |set: &T| {
+            let mut out = Vec::new();
+            set.walk("", &mut |name, counter| {
+                let values = match counter {
+                    Counter::Count(n) => vec![n],
+                    Counter::PerItem(items) => items.to_vec(),
+                };
+                out.push((name.to_owned(), values));
+            });
+            out
+        };
+        let before = walk(&set);
+        assert_eq!(before.len(), T::LEAVES);
+        let values: Vec<u64> = before.iter().flat_map(|(_, v)| v.clone()).collect();
+        assert_eq!(values, (1..=values.len() as u64).collect::<Vec<_>>());
+        let mut merged = set.clone();
+        merged.merge(&set);
+        let doubled: Vec<_> = before
+            .into_iter()
+            .map(|(name, v)| (name, v.into_iter().map(|n| 2 * n).collect::<Vec<_>>()))
+            .collect();
+        assert_eq!(walk(&merged), doubled);
+        merged
+    }
 
     #[test]
     fn merge_sums_everything() {
-        let mut a = ProfileData::new(2, 1);
-        a.node_packets = vec![1, 2];
-        a.link_packets = vec![3];
-        a.drops = 1;
-        let mut b = ProfileData::new(2, 1);
-        b.node_packets = vec![10, 20];
-        b.link_packets = vec![30];
-        b.completed_flows = 2;
-        b.unroutable = 5;
-        b.fault_drops = 7;
-        b.aborted_flows = 3;
-        b.fault_events = 4;
-        b.route_cache = RouteCacheStats {
-            hits: 8,
-            misses: 5,
-            evictions: 0,
-        };
-        a.route_cache.hits = 1;
-        a.merge(&b);
-        assert_eq!(a.node_packets, vec![11, 22]);
-        assert_eq!(a.link_packets, vec![33]);
-        assert_eq!(a.drops, 1);
-        assert_eq!(a.completed_flows, 2);
-        assert_eq!(a.unroutable, 5);
-        assert_eq!(a.fault_drops, 7);
-        assert_eq!(a.aborted_flows, 3);
-        assert_eq!(a.fault_events, 4);
-        assert_eq!(
-            a.route_cache,
-            RouteCacheStats {
-                hits: 9,
-                misses: 5,
-                evictions: 0,
-            }
-        );
-        assert_eq!(a.total_node_packets(), 33);
-        assert_eq!(a.total_link_packets(), 33);
+        let profile = merged_with_itself(ProfileData::new(2, 1));
+        assert_eq!(profile.total_node_packets(), 2 * (1 + 2));
+        assert_eq!(profile.total_link_packets(), 2 * 3);
+        assert_eq!(profile.fluid.packet_load_updates, 2 * 23);
+        merged_with_itself(RouteCacheStats::default());
+        merged_with_itself(FluidStats::default());
+        merged_with_itself(massf_routing::SptStats::default());
+        merged_with_itself(massf_engine::RebalanceCounters::default());
     }
 
     #[test]

@@ -211,7 +211,7 @@ impl SharedNet {
     /// Resolve `src → dst` with the resolver in force at `now` and
     /// intern the answer with [`SharedNet::hop_route`]. An answer is
     /// accepted only if it runs from `src` to `dst` over links; anything
-    /// else is no route. The world's route cache and the fluid
+    /// else is no route. The world's route table and the fluid
     /// coordinator's memo both fill through here.
     pub fn resolve_route(&self, now: SimTime, src: NodeId, dst: NodeId) -> Option<Arc<[Hop]>> {
         let path = self.resolver_at(now).route(src, dst)?;

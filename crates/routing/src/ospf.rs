@@ -268,35 +268,35 @@ struct SptScratch {
     heap: BinaryHeap<Reverse<u64>>,
 }
 
-/// What the SPT store of one [`OspfDomain`] did so far
-/// ([`OspfDomain::spt_stats`]).
-///
-/// A **host-side diagnostic**: which tree serves a query — and so every
-/// count here — depends on query order, hence on thread interleaving in
-/// a parallel run. It stays out of `ProfileData` and every digest;
-/// only the *answers* are deterministic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SptStats {
-    /// Dijkstra runs (no tree at either end, or a tie fallback) — the
-    /// number of trees held, since none is ever dropped.
-    pub trees_built: u64,
-    /// Queries `a → b` answered by reversing a walk of the tree at `a`.
-    pub served_reversed: u64,
-    /// Queries whose tree at `a` was held but crossed a tied node, so
-    /// the tree at `b` was built after all.
-    pub tie_fallbacks: u64,
-    /// Heap bytes of the trees built — of the trees held, since none is
-    /// ever dropped: `2n + 8⌈n/64⌉` each at `n` core nodes.
-    pub tree_bytes: u64,
+massf_topology::counters! {
+    /// What the SPT store of one [`OspfDomain`] did so far
+    /// ([`OspfDomain::spt_stats`]).
+    ///
+    /// A **host-side diagnostic**: which tree serves a query — and so every
+    /// count here — depends on query order, hence on thread interleaving in
+    /// a parallel run. It stays out of `ProfileData` and every digest;
+    /// only the *answers* are deterministic.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SptStats {
+        /// Dijkstra runs (no tree at either end, or a tie fallback) — the
+        /// number of trees held, since none is ever dropped.
+        pub trees_built: u64,
+        /// Queries `a → b` answered by reversing a walk of the tree at `a`.
+        pub served_reversed: u64,
+        /// Queries whose tree at `a` was held but crossed a tied node, so
+        /// the tree at `b` was built after all.
+        pub tie_fallbacks: u64,
+        /// Heap bytes of the trees built — of the trees held, since none is
+        /// ever dropped: `2n + 8⌈n/64⌉` each at `n` core nodes.
+        pub tree_bytes: u64,
+    }
 }
 
 impl std::iter::Sum for SptStats {
     fn sum<I: Iterator<Item = SptStats>>(iter: I) -> Self {
-        iter.fold(SptStats::default(), |acc, s| SptStats {
-            trees_built: acc.trees_built + s.trees_built,
-            served_reversed: acc.served_reversed + s.served_reversed,
-            tie_fallbacks: acc.tie_fallbacks + s.tie_fallbacks,
-            tree_bytes: acc.tree_bytes + s.tree_bytes,
+        iter.fold(SptStats::default(), |mut acc, s| {
+            acc.merge(&s);
+            acc
         })
     }
 }

@@ -2,10 +2,12 @@
 //!
 //! Every type is one list in wire order, so its encoder and decoder
 //! cannot disagree: a struct is a [`wire_struct!`](crate::wire_struct)
-//! field list, and an enum a [`wire_enum!`](crate::wire_enum) table of
-//! tags and variants. A field or variant added to or removed from the
-//! type without its list does not compile. Only [`Hop`] is written by
-//! hand: it travels as its node alone.
+//! field list, a counter set the walk of its one declaration
+//! ([`massf_topology::counters!`]), and an enum a
+//! [`wire_enum!`](crate::wire_enum) table of tags and variants. A field
+//! or variant added to or removed from the type without its list does
+//! not compile. Only [`Hop`] is written by hand: it travels as its node
+//! alone.
 //!
 //! Decoding here is *structural* only (see [`crate::wire`]); the state
 //! is checked *semantically* where it is installed
@@ -17,15 +19,15 @@
 //! hash-map iteration anywhere, no clocks, no entropy.
 
 use crate::rebalance::{RebalancePolicy, RebalanceSessionState};
-use crate::wire::{ByteReader, ByteWriter, Wire};
+use crate::wire::{put_slice, ByteReader, ByteWriter, Wire};
 use crate::{wire_enum, wire_struct};
 use massf_engine::{EventRecord, RebalanceConfig, RebalanceCounters, ResumeState};
 use massf_netsim::{
-    FaultKind, FlowCold, FlowEntryState, FluidCoupling, FluidFlow, FluidStats, FluidWorldState,
-    Hop, NetEvent, Packet, PacketKind, ProfileData, ReceiverEntryState, RouteCacheStats,
-    RouteEntry, TcpReceiver, TcpSender, WorldState,
+    FaultKind, FlowCold, FlowEntryState, FluidCoupling, FluidFlow, FluidWorldState, Hop, NetEvent,
+    Packet, PacketKind, ProfileData, ReceiverEntryState, RouteEntry, TcpReceiver, TcpSender,
+    WorldState,
 };
-use massf_topology::{MassfError, NodeId};
+use massf_topology::{Counter, Counters, MassfError, NodeId};
 
 wire_struct!(WorldState {
     flow_counter,
@@ -92,26 +94,6 @@ wire_struct!(RouteEntry {
     path
 });
 
-wire_struct!(ProfileData {
-    node_packets,
-    link_packets,
-    drops,
-    completed_flows,
-    completed_segments,
-    unroutable,
-    fault_drops,
-    aborted_flows,
-    fault_events,
-    route_cache,
-    fluid
-});
-
-wire_struct!(RouteCacheStats {
-    hits,
-    misses,
-    evictions
-});
-
 wire_struct!(FluidWorldState {
     flows,
     packet_bps,
@@ -127,19 +109,6 @@ wire_struct!(FluidFlow {
     remaining_bns,
     updated,
     epoch
-});
-
-wire_struct!(FluidStats {
-    started,
-    completed,
-    aborted,
-    rerouted,
-    unroutable,
-    rate_recomputes,
-    bottleneck_recomputes,
-    finish_arms,
-    cap_updates,
-    packet_load_updates
 });
 
 wire_struct!(ResumeState<NetEvent> { counters, events });
@@ -177,11 +146,37 @@ wire_struct!(RebalanceConfig {
     max_moves
 });
 
-wire_struct!(RebalanceCounters {
-    epochs,
-    rebalances,
-    migrations
-});
+/// A counter set travels as its walk: each count a `u64`, each per-item
+/// vector a count and its items, nested sets inline. The walk visits
+/// the fields in declaration order, so the bytes are those of a
+/// [`wire_struct!`](crate::wire_struct) list of the same fields.
+macro_rules! wire_counters {
+    ($($ty:ty),+) => {$(
+        impl Wire for $ty {
+            // A count and a per-item vector's length are one `u64` each.
+            const MIN_BYTES: usize = <$ty as Counters>::LEAVES * u64::MIN_BYTES;
+            fn put(&self, w: &mut ByteWriter) {
+                self.walk("", &mut |_, counter| match counter {
+                    Counter::Count(n) => n.put(w),
+                    Counter::PerItem(items) => put_slice(items, w),
+                });
+            }
+            fn get(r: &mut ByteReader) -> Result<Self, MassfError> {
+                let mut set = <$ty as Counters>::zeroed();
+                set.walk_mut(&mut |counter| {
+                    match counter {
+                        Counter::Count(n) => *n = u64::get(r)?,
+                        Counter::PerItem(items) => *items = Vec::get(r)?,
+                    }
+                    Ok(())
+                })?;
+                Ok(set)
+            }
+        }
+    )+};
+}
+
+wire_counters!(ProfileData, RebalanceCounters);
 
 /// A route travels as its node list, so snapshot bytes do not depend on
 /// link slots: a decoded hop carries [`Hop::END`] until restore

@@ -3,7 +3,7 @@
 //! Serializes the complete deterministic state of a running simulation
 //! — the engine's pending-event frontier, the netsim world (TCP
 //! senders/receivers, per-link transmit horizons, flow counters, route
-//! cache), and cumulative statistics — into a versioned, per-section
+//! table), and cumulative statistics — into a versioned, per-section
 //! checksummed container written atomically (temp + fsync + rename).
 //!
 //! Three guarantees, each enforced by tests:

@@ -15,6 +15,8 @@
 //!   a power-law AS-level graph, AS classification into Core / Regional
 //!   ISP / Stub, provider–customer and peer–peer relationship assignment,
 //!   and per-AS router topologies with border routers.
+//! * [`counters!`], which declares each set of run counters once and
+//!   derives its merge and its walk by name ([`mod@counters`]).
 //!
 //! Latencies are derived from planar distance at the speed of light in
 //! fiber, so that dense metro clusters produce the small link latencies
@@ -28,6 +30,7 @@
 pub mod ashier;
 pub mod brite;
 pub mod config;
+pub mod counters;
 pub mod error;
 pub mod geom;
 pub mod graph;
@@ -37,6 +40,7 @@ mod sampler;
 pub use ashier::{AsClass, AsGraph, AsRelationship};
 pub use brite::generate_flat_network;
 pub use config::{FlatTopologyConfig, MultiAsTopologyConfig};
+pub use counters::{Counter, Counters};
 pub use error::MassfError;
 pub use geom::{propagation_delay_ms, Point};
 pub use graph::{AsId, Link, LinkId, Network, Node, NodeId, NodeKind};

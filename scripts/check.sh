@@ -77,9 +77,10 @@ stage "cargo doc (intra-doc links resolve)" \
 
 # perf/ is its own workspace, so neither the stages above nor tier-1
 # build it; this catches a refactor that breaks a name perf/README.md
-# lists under "What the harness imports".
-stage "cargo check perf/ (the benchmark harness still compiles)" \
-    cargo check --offline -q --manifest-path perf/Cargo.toml --all-targets
+# lists under "What the harness imports", or leaves perf/ a new warning
+# (a shared type's refactor can, for example `needless_update`).
+stage "cargo clippy perf/ (the benchmark harness compiles without warnings)" \
+    cargo clippy --offline -q --manifest-path perf/Cargo.toml --all-targets -- -D warnings
 
 stage "cargo test" \
     cargo test -q

@@ -15,6 +15,13 @@
 //! `MAX_RTO`. An outage longer than the retry budget aborts the flow at
 //! the `MAX_RETRIES + 1`-th timeout; a shorter one is repaired by the
 //! first timeout after it ends, and the flow completes.
+//!
+//! Step 4, sharing: `FLOWS` long transfers a → b start together. As TCP
+//! flows they split the bottleneck fairly (Jain's index of their
+//! goodputs at least 0.9) and keep it busy (aggregate goodput at least
+//! ¾ of its rate). As fluid flows they get exactly the max-min share,
+//! a `FLOWS`-th of the bottleneck each, so all finish together at the
+//! closed-form time.
 
 use massf_engine::SimTime;
 use massf_netsim::packet::{ACK_BYTES, HEADER_BYTES, MSS};
@@ -25,6 +32,7 @@ use massf_netsim::{
 };
 use massf_routing::{CostMetric, FlatResolver};
 use massf_topology::{AsId, LinkId, Network, NodeId, NodeKind, Point};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Access links: rate (bit/s) and one-way latency (ms).
@@ -276,5 +284,86 @@ fn outage_within_the_retry_budget_recovers_and_completes() {
         fewest as f64 * rtt <= after && after <= most as f64 * round_max,
         "completed {after:.4} s after the repairing timeout: {fewest}..{most} rounds of \
          {rtt:.4}..{round_max:.4} s"
+    );
+}
+
+/// Transfers sharing the bottleneck in step 4.
+const FLOWS: u64 = 4;
+
+/// Each sharing transfer, in full segments: ten times step 1's, so the
+/// slow-start rounds (a few RTTs) are a small part of a transfer that
+/// takes ≈ `FLOWS · LONG_SEGMENTS · MSS · 8 / BOTTLENECK_BPS` ≈ 4.7 s.
+const LONG_SEGMENTS: u64 = 10 * SEGMENTS;
+
+/// When each flow completed, by flow id: TCP flows through
+/// `on_flow_complete`, fluid flows through `on_fluid_complete`.
+#[derive(Clone, Default)]
+struct Completions(BTreeMap<FlowId, SimTime>);
+
+impl AppLogic for Completions {
+    fn on_flow_complete(&mut self, _: NodeId, flow: FlowId, api: &mut SimApi<'_, '_>) {
+        self.0.insert(flow, api.now());
+    }
+    fn on_timer(&mut self, _: NodeId, _: u64, _: &mut SimApi<'_, '_>) {}
+    fn on_fluid_complete(&mut self, _: NodeId, flow: FlowId, _: NodeId, api: &mut SimApi<'_, '_>) {
+        self.0.insert(flow, api.now());
+    }
+}
+
+/// `FLOWS` transfers of `LONG_SEGMENTS` segments a → b from time zero,
+/// TCP or fluid, run until all must have ended: each one's completion
+/// time.
+fn shared_transfers(fluid: bool) -> Vec<SimTime> {
+    let (net, a, b) = dumbbell();
+    let resolver = Arc::new(FlatResolver::new(&net, CostMetric::Latency));
+    let mut builder = NetSimBuilder::new(net, resolver);
+    let mut agent = Agent::new();
+    for _ in 0..FLOWS {
+        let bytes = LONG_SEGMENTS * u64::from(MSS);
+        if fluid {
+            agent.inject_fluid(SimTime::ZERO, a, b, bytes);
+        } else {
+            agent.inject_tcp(SimTime::ZERO, a, b, bytes);
+        }
+    }
+    builder.add_agent(agent);
+    let out = builder.run_sequential(Completions::default(), SimTime::from_secs(60));
+    let done: Vec<SimTime> = out
+        .apps
+        .iter()
+        .flat_map(|app| app.0.values().copied())
+        .collect();
+    assert_eq!(done.len() as u64, FLOWS, "every transfer completes");
+    done
+}
+
+#[test]
+fn long_tcp_flows_share_the_bottleneck_fairly_and_fluid_flows_get_the_max_min_share() {
+    let bits = (LONG_SEGMENTS * u64::from(MSS) * 8) as f64;
+    let done = shared_transfers(false);
+    let goodputs: Vec<f64> = done.iter().map(|t| bits / t.as_secs_f64()).collect();
+    let sum: f64 = goodputs.iter().sum();
+    let squares: f64 = goodputs.iter().map(|g| g * g).sum();
+    let jain = sum * sum / (FLOWS as f64 * squares);
+    assert!(
+        jain >= 0.9,
+        "Jain's index {jain:.4} of goodputs {goodputs:?} bit/s"
+    );
+    let last = done.iter().max().expect("FLOWS > 0");
+    let aggregate = FLOWS as f64 * bits / last.as_secs_f64();
+    assert!(
+        aggregate >= 0.75 * BOTTLENECK_BPS,
+        "aggregate goodput {aggregate:.0} bit/s, bottleneck {BOTTLENECK_BPS} bit/s"
+    );
+
+    // The fluid solver shares the bottleneck's whole byte rate in equal
+    // integer parts and arms each finish at the exact, rounded-up
+    // nanosecond.
+    let share = (BOTTLENECK_BPS / 8.0) as u128 / u128::from(FLOWS);
+    let bytes = u128::from(LONG_SEGMENTS * u64::from(MSS));
+    let at = u64::try_from((bytes * 1_000_000_000).div_ceil(share)).expect("fits");
+    assert_eq!(
+        shared_transfers(true),
+        vec![SimTime::from_ns(at); FLOWS as usize]
     );
 }
