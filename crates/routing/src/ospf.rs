@@ -11,26 +11,36 @@
 //!
 //! ## Storage and locking
 //!
-//! An SPT stores the parent array — `parent[i]` is the *port* of the
-//! next hop from member `i` toward the root: its position in `i`'s own
-//! adjacency row, a `u16`, which doubles as the next-hop table, and
+//! An SPT stores the parent array — the parent of member `i` is the
+//! *port* of the next hop from `i` toward the root: its position in
+//! `i`'s own adjacency row, which doubles as the next-hop table, and
 //! distances are recomputed on demand by walking parents and summing
-//! link costs — plus one *tie bit* per node (17 bits per node per tree
-//! instead of 12 bytes; a 20,000-router full table is 0.85 GB, not
-//! 4.8 GB — which is why no caller builds one). Each adjacency entry
-//! carries the port of its reverse arc in the neighbour's row, so
-//! Dijkstra stores a port as cheaply as it stored a core index, and a
-//! walk reads one row entry per hop to turn a port back into a node.
-//! A core row therefore holds fewer than 65,535 arcs; construction
-//! refuses any other domain.
+//! link costs — plus one *tie bit* per node, in **one byte per node**
+//! (a 20,000-router full table is 0.4 GB instead of 4.8 GB for 12-byte
+//! entries — which is why no caller builds one). The low 7 bits hold a
+//! port below 126 as is; code 126 says "the port is in the overflow
+//! list" and code 127 "no parent"; the high bit is the tie bit. Router
+//! degree is low (median 3 at every scale, at most 85 at
+//! `Scale::Medium`, 281 at the paper's size, where 4 of 20,000 routers
+//! reach 128), so the overflow list — `(core index, port)` pairs sorted
+//! by core index, binary-searched only on the escape code — is empty at
+//! `Scale::Medium` and holds a few hub entries per tree at the paper's
+//! size. Dijkstra relaxes into full-width `u16` parents and tie flags in
+//! the domain's reused scratch, and one O(n) pass packs the finished
+//! tree. Each adjacency entry carries the port of its reverse arc in the
+//! neighbour's row, so Dijkstra stores a port as cheaply as it stored a
+//! core index, and a walk reads one byte and one row entry per hop to
+//! turn a port back into a node. A core row therefore holds fewer than
+//! 65,535 arcs (`u16::MAX` marks "no parent" in the scratch);
+//! construction refuses any other domain.
 //! SPTs are computed on first use and never evicted: they live in one
 //! map keyed by root core index behind a mutex, the only SPT store,
 //! read through one accessor (`with_core_walk`), so a domain converges
 //! to exactly the trees its traffic needs. Trees held ≤ distinct roots
-//! routed on ≤ `core_count`, and each tree is `core_count` × 17 bits
-//! (`2n + 8⌈n/64⌉` bytes, [`SptStats::tree_bytes`]): ≈ 42 KB at 20,000
-//! routers, so ≈ 77 MB for the 1,816 roots the paper-scale flat world
-//! routes on (≈ 82 KB and ≈ 150 MB with `u32` core-index parents).
+//! routed on ≤ `core_count`, and each tree is `n + 8e` bytes at `n`
+//! core routers and `e` overflow entries ([`SptStats::tree_bytes`]):
+//! ≈ 20 KB at 20,000 routers, so ≈ 36 MB for the 1,816 roots the
+//! paper-scale flat world routes on.
 //!
 //! Everything else a domain holds is sized by its members, never by
 //! the network around it. The member list, kept ascending, is also the
@@ -215,42 +225,93 @@ enum Walk {
     Tied,
 }
 
+/// Low bits of a tree byte that hold the port: a port below [`ESCAPE`]
+/// is stored as is.
+const PORT_MASK: u8 = 0x7f;
+/// Tree byte code: the port is in the tree's overflow list.
+const ESCAPE: u8 = 0x7e;
+/// Tree byte code: no parent — the root, or unreachable from it.
+const NO_PARENT: u8 = 0x7f;
+/// The tie bit of a tree byte.
+const TIED: u8 = 0x80;
+
 /// One root's shortest-path tree, stored as a flat parent array — the
 /// parent *is* the next hop toward the root, and distances are recovered
 /// by walking parents (see the module docs).
 #[derive(Debug, Clone)]
 struct Spt {
-    /// `parent[i]` = the port, in core member `i`'s adjacency row, of the
-    /// next hop toward the root; `u16::MAX` when unreachable or at the
-    /// root. Aggregated leaves have no row — they resolve through their
-    /// attach router's.
-    parent: Box<[u16]>,
-    /// Bit `i` set ⇔ at least two distinct neighbours of `i` lie on
-    /// shortest paths from `i` to the root (`parent[i]` is the lowest).
-    tied: Box<[u64]>,
+    /// One byte per core member `i`: the low 7 bits hold the port, in
+    /// `i`'s adjacency row, of the next hop toward the root — or
+    /// [`ESCAPE`] when that port is in `overflow`, or [`NO_PARENT`] when
+    /// unreachable or at the root; the high bit ([`TIED`]) is set ⇔ at
+    /// least two distinct neighbours of `i` lie on shortest paths from
+    /// `i` to the root (the port is the lowest). Aggregated leaves have
+    /// no row — they resolve through their attach router's.
+    code: Box<[u8]>,
+    /// `(core index, port)` of every node whose port is [`ESCAPE`] or
+    /// more, ascending by core index: a hub's few wide ports.
+    overflow: Box<[(u32, u16)]>,
 }
 
 impl Spt {
-    /// Heap bytes of the tree: 2 per core node plus its tie bits.
+    /// Encode the parents and tie bits Dijkstra left in `scratch`.
+    fn encode(scratch: &SptScratch) -> Self {
+        let mut overflow = Vec::new();
+        let code = (0u32..)
+            .zip(scratch.parent.iter().zip(&scratch.tied))
+            .map(|(i, (&port, &tied))| {
+                let low = match u8::try_from(port) {
+                    Ok(p) if p < ESCAPE => p,
+                    _ if port == u16::MAX => NO_PARENT,
+                    _ => {
+                        overflow.push((i, port));
+                        ESCAPE
+                    }
+                };
+                low | if tied { TIED } else { 0 }
+            })
+            .collect();
+        Spt {
+            code,
+            overflow: overflow.into_boxed_slice(),
+        }
+    }
+
+    /// Heap bytes of the tree: 1 per core node plus 8 per overflow entry.
     fn bytes(&self) -> u64 {
-        (size_of_val(&*self.parent) + size_of_val(&*self.tied)) as u64
+        (size_of_val(&*self.code) + size_of_val(&*self.overflow)) as u64
+    }
+
+    /// The port of core member `i`'s parent, or `None` at the root and
+    /// where the root is unreachable.
+    fn port(&self, i: u32) -> Option<u16> {
+        match self.code[i as usize] & PORT_MASK {
+            NO_PARENT => None,
+            ESCAPE => {
+                let at = self.overflow.partition_point(|&(c, _)| c < i);
+                Some(self.overflow[at].1)
+            }
+            p => Some(u16::from(p)),
+        }
     }
 
     /// Append the tree walk `from → … → root` (`from != root`, both
     /// inclusive) over the adjacency `adj` the tree was built on to
     /// `out`; appends nothing when unreachable.
     fn walk(&self, adj: &Csr, from: u32, root: u32, out: &mut Vec<u32>) -> Walk {
-        if self.parent[from as usize] == u16::MAX {
-            return Walk::Unreachable;
-        }
         let mut tied = false;
         let mut cur = from;
-        out.push(cur);
         while cur != root {
-            tied |= (self.tied[cur as usize / 64] >> (cur % 64)) & 1 == 1;
-            cur = adj.to(cur, self.parent[cur as usize]);
+            let Some(port) = self.port(cur) else {
+                // Only the start can lack a parent: every parent of a
+                // reached node is reached.
+                return Walk::Unreachable;
+            };
+            tied |= self.code[cur as usize] & TIED != 0;
             out.push(cur);
+            cur = adj.to(cur, port);
         }
+        out.push(root);
         if tied {
             Walk::Tied
         } else {
@@ -260,12 +321,17 @@ impl Spt {
 }
 
 /// Reusable Dijkstra working memory: one allocation per domain instead
-/// of one per tree.
+/// of one per tree. `parent` and `tied` hold the tree being built, in
+/// full width, until [`Spt::encode`] packs it.
 #[derive(Default)]
 struct SptScratch {
     dist: Vec<u64>,
     /// Packed keys `dist << key_shift | core index` (module docs).
     heap: BinaryHeap<Reverse<u64>>,
+    /// The port of each node's parent; `u16::MAX` for none.
+    parent: Vec<u16>,
+    /// Whether a second neighbour lies on a shortest path to the root.
+    tied: Vec<bool>,
 }
 
 massf_topology::counters! {
@@ -287,7 +353,8 @@ massf_topology::counters! {
         /// the tree at `b` was built after all.
         pub tie_fallbacks: u64,
         /// Heap bytes of the trees built — of the trees held, since none is
-        /// ever dropped: `2n + 8⌈n/64⌉` each at `n` core nodes.
+        /// ever dropped: `n + 8e` each at `n` core nodes and `e` overflow
+        /// entries (ports of 126 and up).
         pub tree_bytes: u64,
     }
 }
@@ -367,7 +434,7 @@ impl OspfDomain {
     /// When the summed cost of the domain's core arcs reaches
     /// `2^(64 − key_shift)` (module docs, "The heap key") — 2^52 ns of
     /// latency at 4,000 routers — or when a core member has 65,535 or
-    /// more arcs, whose ports would not fit a tree's `u16` parent
+    /// more arcs, whose ports would not fit a `u16`
     /// (module docs, "Storage and locking"; the paper world's largest
     /// degree is 281).
     pub fn new(net: &Network, members: Vec<NodeId>, metric: CostMetric) -> Self {
@@ -387,26 +454,33 @@ impl OspfDomain {
     ) -> Self {
         members.sort_unstable();
         members.dedup();
-        // Both directions of every alive intra-domain link, in link
-        // order, over member local indices. The world-sized map lives
-        // only while the links are scanned; queries binary-search
-        // `members` instead.
+        Self::from_links(net, members, metric, net.links.iter().filter(|&l| alive(l)))
+    }
+
+    /// Build over `members` (ascending and distinct) from those of
+    /// `links` whose both ends are members, in the order given: with
+    /// every link of `net`, in link order, this is [`OspfDomain::new`]'s
+    /// domain; the multi-AS resolver passes each AS its own bucket of
+    /// intra-AS links instead, so no domain scans the whole network.
+    pub(crate) fn from_links<'a>(
+        net: &Network,
+        members: Vec<NodeId>,
+        metric: CostMetric,
+        links: impl IntoIterator<Item = &'a massf_topology::Link>,
+    ) -> Self {
+        debug_assert!(
+            members.windows(2).all(|w| w[0] < w[1]),
+            "ascending and distinct"
+        );
+        // Both directions of every link between members, over member
+        // local indices, found by binary search in `members`.
+        let local = |node: NodeId| members.binary_search(&node).ok().map(|i| i as u32);
         let mut arcs: Vec<(u32, u32, u64)> = Vec::new();
-        {
-            let mut local_of = vec![u32::MAX; net.node_count()];
-            for (i, &m) in members.iter().enumerate() {
-                local_of[m.index()] = i as u32;
-            }
-            for link in &net.links {
-                if !alive(link) {
-                    continue;
-                }
-                let (la, lb) = (local_of[link.a.index()], local_of[link.b.index()]);
-                if la != u32::MAX && lb != u32::MAX {
-                    let c = metric.cost(link);
-                    arcs.push((la, lb, c));
-                    arcs.push((lb, la, c));
-                }
+        for link in links {
+            if let (Some(la), Some(lb)) = (local(link.a), local(link.b)) {
+                let c = metric.cost(link);
+                arcs.push((la, lb, c));
+                arcs.push((lb, la, c));
             }
         }
         // Per member: its first neighbour, whether it has a second,
@@ -536,13 +610,19 @@ impl OspfDomain {
 
     fn compute_spt(&self, root: u32, scratch: &mut SptScratch) -> Spt {
         let n = self.core_member.len();
-        scratch.dist.clear();
-        scratch.dist.resize(n, u64::MAX);
-        scratch.heap.clear();
-        let dist = &mut scratch.dist;
-        let heap = &mut scratch.heap;
-        let mut parent = vec![u16::MAX; n].into_boxed_slice();
-        let mut tied = vec![0u64; n.div_ceil(64)].into_boxed_slice();
+        let SptScratch {
+            dist,
+            heap,
+            parent,
+            tied,
+        } = scratch;
+        dist.clear();
+        dist.resize(n, u64::MAX);
+        heap.clear();
+        parent.clear();
+        parent.resize(n, u16::MAX);
+        tied.clear();
+        tied.resize(n, false);
         let shift = self.key_shift;
         let index_mask = (1u64 << shift) - 1;
         dist[root as usize] = 0;
@@ -555,11 +635,10 @@ impl OspfDomain {
             for &Edge { to: u, back, cost } in self.adj.row(v) {
                 let nd = d + cost;
                 let ud = dist[u as usize];
-                let bit = 1u64 << (u % 64);
                 if nd < ud {
                     dist[u as usize] = nd;
                     parent[u as usize] = back;
-                    tied[u as usize / 64] &= !bit;
+                    tied[u as usize] = false;
                     heap.push(Reverse(nd << shift | u64::from(u)));
                 } else if nd == ud {
                     // `u` was reached (cost ≥ 1 rules out the root), so
@@ -570,7 +649,7 @@ impl OspfDomain {
                         // is tied. Deterministic tie-break: the
                         // lowest-indexed parent wins. The distance did
                         // not move, so `u` is not queued again.
-                        tied[u as usize / 64] |= bit;
+                        tied[u as usize] = true;
                         if v < p {
                             parent[u as usize] = back;
                         }
@@ -578,7 +657,7 @@ impl OspfDomain {
                 }
             }
         }
-        Spt { parent, tied }
+        Spt::encode(scratch)
     }
 
     /// The one SPT read path: hand `f` the core walk `a → … → b`
@@ -1021,12 +1100,13 @@ mod tests {
         }
         assert_eq!(d.spt_stats().trees_built, ids.len() as u64 - 1);
         assert_eq!(d.cache.lock().map.len(), ids.len() - 1);
-        // Each tree is a `u16` port per core node plus its tie bits.
+        // Each tree is one byte per core node plus 8 per overflow entry;
+        // a chain's ports are 0 and 1, so no tree has any.
         let n = d.core_count() as u64;
-        let per_tree = 2 * n + 8 * n.div_ceil(64);
-        assert_eq!(per_tree, 3_002 + 192);
+        let overflow: usize = d.cache.lock().map.values().map(|t| t.overflow.len()).sum();
+        assert_eq!((n, overflow), (1_501, 0));
         let trees = d.spt_stats().trees_built;
-        assert_eq!(d.spt_stats().tree_bytes, trees * per_tree);
+        assert_eq!(d.spt_stats().tree_bytes, trees * n + 8 * overflow as u64);
     }
 
     /// Bellman–Ford distances to `root` over every link of `net`, both
@@ -1127,12 +1207,101 @@ mod tests {
             }
             let cache = d.cache.lock();
             let trees = (0..=spokes as u32).filter_map(|r| cache.map.get(&r));
-            let mut ports = trees.flat_map(|t| t.parent.iter().copied());
-            assert!(
-                ports.any(|p| p != u16::MAX && p > 255),
-                "{metric:?}: no port above 255"
-            );
+            let mut ports = trees.flat_map(|t| (0..=spokes as u32).filter_map(|i| t.port(i)));
+            assert!(ports.any(|p| p > 255), "{metric:?}: no port above 255");
         }
+    }
+
+    /// A hub whose port to spoke `i` is `i − 1`, the spokes in a ring,
+    /// and one router `x` behind spokes 200 and 201 at equal cost. In the
+    /// tree at spoke 126 the hub's port is 125, the last a byte holds
+    /// directly; at spokes 127, 128 and 258 it is the escape code's
+    /// value, the no-parent code's value and a port above the `u8`
+    /// range, all three kept in the overflow list; in the tree at `x`
+    /// the hub is tied behind the escaped port 199. Every walk to and
+    /// from those roots equals `reference_walk` and the walk that takes,
+    /// at each node, the lowest-indexed neighbour on a Bellman–Ford
+    /// shortest path; every distance equals Bellman–Ford's.
+    #[test]
+    fn ports_at_the_escape_code_walk_like_the_oracles() {
+        let spokes = 300;
+        let x = spokes + 1;
+        let mut net = Network::new();
+        let ids: Vec<NodeId> = (0..=x)
+            .map(|i| net.add_node(NodeKind::Router, Point::new(i as f64, 0.0), AsId(0)))
+            .collect();
+        for i in 1..=spokes {
+            net.add_link(ids[0], ids[i], 1e9, 2.0);
+        }
+        for i in 1..=spokes {
+            net.add_link(ids[i], ids[i % spokes + 1], 1e9, 1.0);
+        }
+        net.add_link(ids[200], ids[x], 1e9, 1.0);
+        net.add_link(ids[201], ids[x], 1e9, 1.0);
+        let roots = [126, 127, 128, 258, x as u32];
+        for metric in [CostMetric::Hop, CostMetric::Latency] {
+            let d = OspfDomain::new(&net, ids.clone(), metric);
+            assert_eq!(d.adj.row(0).len(), spokes);
+            let dist: Vec<Vec<u64>> = (0..=x).map(|r| bellman_ford(&net, metric, r)).collect();
+            let oracle = |a: u32, b: u32| {
+                let to_b = &dist[b as usize];
+                let mut walk = vec![a];
+                while walk[walk.len() - 1] != b {
+                    let cur = walk[walk.len() - 1] as usize;
+                    let row = d.adj.row(cur as u32).iter();
+                    let on_path = row.filter(|e| to_b[e.to as usize] + e.cost == to_b[cur]);
+                    let next = on_path.map(|e| e.to).min();
+                    walk.push(next.expect("a shortest path continues"));
+                }
+                walk
+            };
+            for &b in &roots {
+                for a in (0..=x as u32).filter(|&a| a != b) {
+                    for (s, t) in [(a, b), (b, a)] {
+                        let ctx = format!("{metric:?} {s} → {t}");
+                        let got = d.with_core_walk(s, t, |w| w.map(<[u32]>::to_vec));
+                        assert_eq!(got, d.reference_walk(s, t), "{ctx}");
+                        assert_eq!(got, Some(oracle(s, t)), "{ctx}");
+                        let want = Some(dist[t as usize][s as usize]);
+                        assert_eq!(d.distance(ids[s as usize], ids[t as usize]), want, "{ctx}");
+                    }
+                }
+            }
+            let hub = |root: u32| {
+                let spt = d.compute_spt(root, &mut SptScratch::default());
+                (spt.code[0], spt.port(0), spt.overflow.len())
+            };
+            assert_eq!(hub(126), (125, Some(125), 0), "{metric:?}");
+            assert_eq!(hub(127), (ESCAPE, Some(126), 1), "{metric:?}");
+            assert_eq!(hub(128), (ESCAPE, Some(127), 1), "{metric:?}");
+            assert_eq!(hub(258), (ESCAPE, Some(257), 1), "{metric:?}");
+            assert_eq!(hub(x as u32), (TIED | ESCAPE, Some(199), 1), "{metric:?}");
+            let cache = d.cache.lock();
+            let overflow: usize = cache.map.values().map(|t| t.overflow.len()).sum();
+            let (trees, n) = (cache.map.len() as u64, d.core_count() as u64);
+            assert_eq!(cache.stats.tree_bytes, trees * n + 8 * overflow as u64);
+        }
+    }
+
+    /// Every port a row can hold survives encoding, the overflow list is
+    /// ascending by core index, and a tie bit never changes a port.
+    #[test]
+    fn tree_encoding_round_trips_every_port() {
+        let parent = [0, 125, 126, u16::MAX, 127, 255, 256, 7, 65_533, 124];
+        let scratch = SptScratch {
+            parent: parent.to_vec(),
+            tied: (0..parent.len()).map(|i| i % 3 == 1).collect(),
+            ..SptScratch::default()
+        };
+        let spt = Spt::encode(&scratch);
+        for (i, &p) in (0u32..).zip(&parent) {
+            assert_eq!(spt.port(i), (p != u16::MAX).then_some(p), "node {i}");
+            let tied = spt.code[i as usize] & TIED != 0;
+            assert_eq!(tied, scratch.tied[i as usize], "node {i}");
+        }
+        let overflow = [(2, 126), (4, 127), (5, 255), (6, 256), (8, 65_533)];
+        assert_eq!(*spt.overflow, overflow);
+        assert_eq!(spt.bytes(), 10 + 8 * 5);
     }
 
     /// Two routers joined by `links` parallel links, the last one the
@@ -1157,7 +1326,7 @@ mod tests {
         let d = OspfDomain::new(&net, ids.clone(), CostMetric::Latency);
         assert_eq!(d.path(ids[0], ids[1]), Some(vec![ids[0], ids[1]]));
         assert_eq!(d.distance(ids[1], ids[0]), Some(1_000_000));
-        assert_eq!(d.cache.lock().map[&1].parent[0], 65_533);
+        assert_eq!(d.cache.lock().map[&1].port(0), Some(65_533));
     }
 
     /// One arc more and the row is refused at construction.
@@ -1324,8 +1493,8 @@ mod tests {
             let want = SptStats {
                 trees_built: 2,
                 tie_fallbacks: 1,
-                // Two trees of four 2-byte ports and one tie-bit word.
-                tree_bytes: 2 * (4 * 2 + 8),
+                // Two trees of four one-byte codes, no overflow.
+                tree_bytes: 2 * 4,
                 ..SptStats::default()
             };
             assert_eq!(d.spt_stats(), want, "down_first = {down_first}");

@@ -132,16 +132,23 @@ impl MultiAsResolver {
     pub fn new(m: &MultiAsNetwork, metric: CostMetric, _cfg: &MultiAsTopologyConfig) -> Self {
         let net = &m.network;
         let n_as = m.as_graph.n;
-        // Each AS's OSPF domain is built independently (membership scan
-        // + adjacency extraction), so they fan out across the shared
-        // worker pool; index order is preserved, keeping domain `a` at
-        // slot `a`.
+        let as_of: Vec<u16> = net.nodes.iter().map(|n| n.as_id.0).collect();
+        // One pass each buckets the nodes and the intra-AS links by AS,
+        // both in ascending order, so each AS's domain is built from its
+        // own bucket. The domains fan out across the shared worker pool;
+        // index order is preserved, keeping domain `a` at slot `a`.
+        let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); n_as];
+        for (node, &a) in net.nodes.iter().zip(&as_of) {
+            members[usize::from(a)].push(node.id);
+        }
+        let mut links: Vec<Vec<&massf_topology::Link>> = vec![Vec::new(); n_as];
+        for link in net.links.iter().filter(|l| !l.inter_as) {
+            links[usize::from(as_of[link.a.index()])].push(link);
+        }
         let domains: Vec<OspfDomain> = massf_parutil::par_map_indexed(n_as, |a| {
-            let members = net.nodes_in_as(massf_topology::AsId(a as u16));
-            OspfDomain::new(net, members, metric)
+            OspfDomain::from_links(net, members[a].clone(), metric, links[a].iter().copied())
         });
         let rib = BgpRib::compute(&m.as_graph);
-        let as_of: Vec<u16> = net.nodes.iter().map(|n| n.as_id.0).collect();
 
         // Deterministic gateway per adjacent AS pair: the lowest-id
         // inter-AS link between them.

@@ -271,15 +271,6 @@ impl Network {
             .collect()
     }
 
-    /// All node ids belonging to AS `as_id`.
-    pub fn nodes_in_as(&self, as_id: AsId) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .filter(|n| n.as_id == as_id)
-            .map(|n| n.id)
-            .collect()
-    }
-
     /// Distinct AS numbers present, ascending.
     pub fn as_ids(&self) -> Vec<AsId> {
         let mut ids: Vec<AsId> = self.nodes.iter().map(|n| n.as_id).collect();
