@@ -14,6 +14,11 @@
 //! tree is built: the per-AS routing state that must stay sized by each
 //! AS, not by ASes × world.
 //!
+//! A third table, `bgp_rib`, holds what `BgpRib::compute` keeps (live)
+//! and allocates at most (peak) for generated AS graphs of 100, 1,000
+//! and 3,000 ASes, with the solve's wall time beside them (printed, not
+//! checked).
+//!
 //! Flow destinations are concentrated on a small host set: a domain
 //! keeps one shortest-path tree per distinct root it routes on, so the
 //! destinations bound how many trees the run builds and holds. This
@@ -25,19 +30,23 @@
 //!   --bin mem_footprint [-- --smoke]
 //! ```
 //!
-//! `--smoke` runs a seconds-scale configuration for CI (2k hosts, and
-//! the tiny multi-AS world); the full run measures 100k and 1M hosts
-//! with 100k flows each, and the multi-AS world at `Scale::Medium`
-//! (100 × 50 routers + 2,000 hosts) and `Scale::Paper` (100 × 200 +
-//! 10,000).
+//! `--smoke` runs a seconds-scale configuration for CI (2k hosts, the
+//! tiny multi-AS world and the 100-AS RIB); the full run measures 100k
+//! and 1M hosts with 100k flows each, and the multi-AS world at
+//! `Scale::Medium` (100 × 50 routers + 2,000 hosts) and `Scale::Paper`
+//! (100 × 200 + 10,000).
 
 use massf_bench::alloccount::{self, CountingAlloc};
 use massf_core::Scale;
 use massf_engine::{run_sequential, EventRecord, LpId, SimTime};
 use massf_netsim::{NetEvent, NetWorld, NoApp, Packet, SharedNet};
-use massf_routing::{CostMetric, FlatResolver, MultiAsResolver};
-use massf_topology::{generate_flat_network, generate_multi_as_network, FlatTopologyConfig};
+use massf_routing::{BgpRib, CostMetric, FlatResolver, MultiAsResolver};
+use massf_topology::config::{AS_LINKS_PER_NEW_AS, CORE_FRACTION};
+use massf_topology::{
+    generate_flat_network, generate_multi_as_network, AsGraph, FlatTopologyConfig,
+};
 use std::sync::Arc;
+use std::time::Instant;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -70,6 +79,7 @@ fn main() {
     } else {
         &[("medium", Scale::Medium), ("paper", Scale::Paper)]
     };
+    let rib_sizes: &[usize] = if smoke { &[100] } else { &[100, 1_000, 3_000] };
     let configs: &[Config] = if smoke {
         &[Config {
             label: "smoke_2k",
@@ -102,6 +112,12 @@ fn main() {
     for (i, &(label, scale)) in multi_as.iter().enumerate() {
         let comma = if i + 1 < multi_as.len() { "," } else { "" };
         run_multi_as(label, scale, comma);
+    }
+    println!("  }},");
+    println!("  \"bgp_rib\": {{");
+    for (i, &ases) in rib_sizes.iter().enumerate() {
+        let comma = if i + 1 < rib_sizes.len() { "," } else { "" };
+        run_bgp_rib(ases, comma);
     }
     println!("  }},");
     for (i, cfg) in configs.iter().enumerate() {
@@ -230,6 +246,26 @@ fn run_multi_as(label: &str, scale: Scale, trailing_comma: &str) {
         "    \"{label}\": {{ \"ases\": {}, \"nodes\": {nodes}, \"routing_bytes\": {routing_bytes}, \"routing_bytes_per_node\": {:.1} }}{trailing_comma}",
         cfg.as_count,
         routing_bytes as f64 / nodes as f64
+    );
+}
+
+/// Live and peak bytes of `BgpRib::compute` on a generated AS graph of
+/// `ases` ASes (the multi-AS generator's link count and core fraction,
+/// seed 2004), and its wall time.
+fn run_bgp_rib(ases: usize, trailing_comma: &str) {
+    eprintln!("# bgp_rib: {ases} ASes …");
+    let g = AsGraph::generate(ases, AS_LINKS_PER_NEW_AS, CORE_FRACTION, 2004);
+    let base = alloccount::live_bytes();
+    alloccount::reset_peak();
+    let start = Instant::now();
+    let rib = BgpRib::compute(&g);
+    let solve_s = start.elapsed().as_secs_f64();
+    let live = alloccount::live_bytes() - base;
+    let peak = alloccount::peak_bytes() - base;
+    drop(rib);
+    println!(
+        "    \"ases_{ases}\": {{ \"ases\": {ases}, \"as_edges\": {}, \"live_bytes\": {live}, \"peak_bytes\": {peak}, \"solve_s\": {solve_s:.3} }}{trailing_comma}",
+        g.edges.len()
     );
 }
 

@@ -41,11 +41,11 @@ fn main() {
     }
     println!("AS adjacencies: {pc} provider/customer, {pp} peer/peer");
 
-    // -- BGP convergence and policy effects --
+    // -- BGP routing and policy effects --
     let rib = BgpRib::compute(g);
     println!(
-        "\nBGP converged in {} rounds; reachability {:.1}%",
-        rib.rounds,
+        "\nBGP next-hop table: {} bytes; reachability {:.1}%",
+        rib.table_bytes(),
         rib.reachability_fraction() * 100.0
     );
 

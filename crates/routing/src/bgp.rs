@@ -2,31 +2,45 @@
 //!
 //! Each AS runs one logical BGP speaker (route reflection collapses an
 //! AS's border routers to a single decision point; intra-AS delivery is
-//! OSPF's job). Every AS originates one prefix — itself — and speakers
-//! exchange announcements until convergence, applying:
+//! OSPF's job) and originates one prefix — itself — under the import
+//! policy ([`crate::policy::local_preference`]), valley-free export
+//! ([`crate::policy::export_allowed`]), loop prevention, and the
+//! decision process of [`BgpRoute::better_than`]: highest local
+//! preference, then shortest AS path, then lowest next-hop AS (standing
+//! in for the MED / router-id tie-breaks of the full protocol).
 //!
-//! * **import policy**: accept all, assign local preference by neighbor
-//!   relationship ([`crate::policy::local_preference`]);
-//! * **decision process**: highest local preference, then shortest AS
-//!   path, then lowest next-hop AS number (standing in for the MED /
-//!   router-id tie-breaks of the full protocol);
-//! * **export policy**: valley-free filters
-//!   ([`crate::policy::export_allowed`]);
-//! * **loop prevention**: a speaker rejects any announcement whose AS
-//!   path already contains its own number.
+//! [`BgpRib`] holds the stable routing: one `u16` next hop per (source,
+//! destination) pair, stored by destination. Each destination `d` is
+//! solved by three passes instead of exchanging messages:
 //!
-//! The result is a [`BgpRib`]: per (source AS, destination AS) the
-//! selected next-hop AS and full AS path — or nothing. With policy
-//! routing, *connectivity does not imply reachability*; the unit tests
-//! exhibit a connected topology with unreachable AS pairs.
+//! 1. customer routes climb provider edges, breadth first from `d`;
+//! 2. peer routes take one peer hop from `d` or an AS with a customer
+//!    route (only those export to peers);
+//! 3. provider routes descend customer edges in order of path length
+//!    (providers export everything to customers).
+//!
+//! Each AS keeps the shortest route of its best class, lowest next hop
+//! on a tie: `better_than`'s order, as each neighbour offers one path.
+//! With policy, *connectivity does not imply reachability*.
+//!
+//! The passes are exact because the provider hierarchy is acyclic: an
+//! [`AsGraph`] is built only by `generate` and `without_edge`, which
+//! make the provider of every provider/customer edge the AS of higher
+//! class rank (Core > Regional ISP > Stub). So no pass can offer an AS
+//! a path through itself, and loop prevention never acts.
+//! `routing::dynamics::BeaconSim`, a per-destination message-passing
+//! solver, is the oracle (`dynamic_convergence_matches_static_rib`,
+//! `tests/tests/bgp_oracle.rs`).
 
 #![expect(
     clippy::cast_possible_truncation,
     reason = "AS numbers here are usize graph indices < AsGraph::n, which the topology layer caps at u16::MAX"
 )]
 
-use crate::policy::{export_allowed, local_preference};
+use crate::policy::{LOCAL_PREF_CUSTOMER, LOCAL_PREF_PEER, LOCAL_PREF_PROVIDER};
 use massf_topology::{AsGraph, AsRelationship};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A BGP route to some destination AS, as held in a speaker's RIB.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,127 +68,118 @@ impl BgpRoute {
     }
 }
 
-/// Converged BGP routing information: `rib[src][dst]` is the selected
-/// route of AS `src` toward AS `dst` (None when `src == dst` or
-/// unreachable under policy).
+/// The next-hop table's "no route" entry.
+const NO_ROUTE: u16 = u16::MAX;
+
+/// Stable BGP routing: every AS's next hop toward every destination AS
+/// (none when `src == dst` or unreachable under policy).
 #[derive(Debug, Clone)]
 pub struct BgpRib {
-    rib: Vec<Vec<Option<BgpRoute>>>,
-    /// Number of propagation rounds to convergence.
-    pub rounds: usize,
+    n: usize,
+    /// `next[dst * n + src]`: `src`'s next hop toward `dst`.
+    next: Box<[u16]>,
+}
+
+/// A route's rank, lower first: local preference (descending), then
+/// AS-path length.
+type Rank = (Reverse<u32>, u16);
+
+/// `via` offers `a` its route, one AS longer, imported at local
+/// preference `pref`; `a` keeps the lower of it and its own by (rank,
+/// next hop). Returns whether `a`'s rank improved.
+fn offer(rank: &mut [Rank], hop: &mut [u16], a: usize, pref: u32, via: usize) -> bool {
+    let new = (Reverse(pref), rank[via].1 + 1);
+    if (new, via as u16) < (rank[a], hop[a]) {
+        hop[a] = via as u16;
+        let improved = new < rank[a];
+        rank[a] = new;
+        return improved;
+    }
+    false
 }
 
 impl BgpRib {
-    /// Run the synchronous path-vector computation to convergence.
-    ///
-    /// Each round recomputes every speaker's candidate set *from
-    /// scratch* out of its neighbors' previous-round selections, then
-    /// selects the best. Recomputing (rather than accumulating) is what
-    /// handles route retraction correctly: when a neighbor switches to
-    /// a route it may no longer export to us, our stale candidate
-    /// disappears. Under the valley-free (Gao–Rexford) policies this
-    /// iteration converges to the unique stable routing.
+    /// Solve each destination by the three passes of the module docs.
     pub fn compute(g: &AsGraph) -> BgpRib {
         let n = g.n;
-        // rib[a][d]: best route of a toward d.
-        let mut rib: Vec<Vec<Option<BgpRoute>>> = vec![vec![None; n]; n];
-
-        // Precompute neighbor lists with relationships.
-        let neighbors: Vec<Vec<(usize, AsRelationship)>> =
-            (0..n).map(|a| g.neighbors(a).collect()).collect();
-
-        let mut rounds = 0usize;
-        loop {
-            rounds += 1;
-            let mut changed = false;
-            let mut next: Vec<Vec<Option<BgpRoute>>> = vec![vec![None; n]; n];
-            for a in 0..n {
-                for d in 0..n {
-                    if d == a {
-                        continue;
+        let providers: Vec<Vec<usize>> = (0..n).map(|a| g.providers(a)).collect();
+        let peers: Vec<Vec<usize>> = (0..n).map(|a| g.peers(a)).collect();
+        let customers: Vec<Vec<usize>> = (0..n).map(|a| g.customers(a)).collect();
+        let mut next = vec![NO_ROUTE; n * n].into_boxed_slice();
+        let mut rank: Vec<Rank> = vec![(Reverse(0), NO_ROUTE); n];
+        let mut climbed: Vec<usize> = Vec::with_capacity(n);
+        let mut by_length: BinaryHeap<Reverse<(u16, usize)>> = BinaryHeap::with_capacity(n);
+        for (d, hop) in next.chunks_mut(n.max(1)).enumerate() {
+            rank.fill((Reverse(0), NO_ROUTE));
+            rank[d] = (Reverse(u32::MAX), 0);
+            // 1. Customer routes: `climbed` is `d` and the ASes above it.
+            climbed.clear();
+            climbed.push(d);
+            let mut i = 0;
+            while let Some(&c) = climbed.get(i) {
+                i += 1;
+                for &p in &providers[c] {
+                    if offer(&mut rank, hop, p, LOCAL_PREF_CUSTOMER, c) {
+                        climbed.push(p);
                     }
-                    let mut best: Option<BgpRoute> = None;
-                    for &(b, rel_a_to_b) in &neighbors[a] {
-                        // What would b export to a this round?
-                        let candidate = if b == d {
-                            // b's own prefix: always exportable.
-                            Some(BgpRoute {
-                                as_path: vec![b as u16],
-                                local_pref: local_preference(rel_a_to_b),
-                                learned_from: Some(rel_a_to_b),
-                            })
-                        } else {
-                            rib[b][d].as_ref().and_then(|route| {
-                                let rel_b_to_a = rel_a_to_b.reverse();
-                                if !export_allowed(route.learned_from, rel_b_to_a) {
-                                    return None;
-                                }
-                                // Loop prevention.
-                                if route.as_path.contains(&(a as u16)) {
-                                    return None;
-                                }
-                                let mut as_path = Vec::with_capacity(route.as_path.len() + 1);
-                                as_path.push(b as u16);
-                                as_path.extend_from_slice(&route.as_path);
-                                Some(BgpRoute {
-                                    as_path,
-                                    local_pref: local_preference(rel_a_to_b),
-                                    learned_from: Some(rel_a_to_b),
-                                })
-                            })
-                        };
-                        if let Some(c) = candidate {
-                            let take = match &best {
-                                None => true,
-                                Some(b) => c.better_than(b),
-                            };
-                            if take {
-                                best = Some(c);
-                            }
-                        }
-                    }
-                    if best != rib[a][d] {
-                        changed = true;
-                    }
-                    next[a][d] = best;
                 }
             }
-            rib = next;
-            if !changed {
-                break;
+            // 2. Peer routes.
+            for &c in &climbed {
+                for &a in &peers[c] {
+                    offer(&mut rank, hop, a, LOCAL_PREF_PEER, c);
+                }
             }
-            assert!(
-                rounds <= 4 * n + 8,
-                "BGP failed to converge after {rounds} rounds"
+            // 3. Provider routes: each AS's route is final before it is
+            // offered to a customer.
+            by_length.extend(
+                (0..n)
+                    .filter(|&a| rank[a].1 != NO_ROUTE)
+                    .map(|a| Reverse((rank[a].1, a))),
             );
+            while let Some(Reverse((_, q))) = by_length.pop() {
+                for &x in &customers[q] {
+                    if offer(&mut rank, hop, x, LOCAL_PREF_PROVIDER, q) {
+                        by_length.push(Reverse((rank[x].1, x)));
+                    }
+                }
+            }
         }
-        BgpRib { rib, rounds }
+        BgpRib { n, next }
     }
 
     /// Number of ASes.
     pub fn as_count(&self) -> usize {
-        self.rib.len()
+        self.n
     }
 
-    /// The selected route of `src` toward `dst`.
-    pub fn route(&self, src: usize, dst: usize) -> Option<&BgpRoute> {
-        self.rib[src][dst].as_ref()
+    /// Bytes the next-hop table holds: two per ordered AS pair.
+    pub fn table_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.next)
     }
 
     /// Next-hop AS of `src` toward `dst`.
     pub fn next_as(&self, src: usize, dst: usize) -> Option<usize> {
-        self.route(src, dst).map(|r| r.as_path[0] as usize)
+        let hop = self.next[dst * self.n + src];
+        (hop != NO_ROUTE).then_some(usize::from(hop))
     }
 
-    /// Full AS-level path `src → … → dst` (exclusive of `src`), if any.
-    pub fn as_path(&self, src: usize, dst: usize) -> Option<&[u16]> {
-        self.route(src, dst).map(|r| r.as_path.as_slice())
+    /// Full AS-level path `src → … → dst` (exclusive of `src`), if any:
+    /// the next hops walked from `src`, each one AS closer to `dst`.
+    pub fn as_path(&self, src: usize, dst: usize) -> Option<Vec<u16>> {
+        let mut path = Vec::new();
+        let mut at = src;
+        while at != dst {
+            at = self.next_as(at, dst)?;
+            path.push(at as u16);
+        }
+        (!path.is_empty()).then_some(path)
     }
 
     /// Is `dst` reachable from `src` under policy? (`src == dst` is
     /// trivially reachable.)
     pub fn reachable(&self, src: usize, dst: usize) -> bool {
-        src == dst || self.rib[src][dst].is_some()
+        src == dst || self.next_as(src, dst).is_some()
     }
 
     /// Fraction of ordered AS pairs (src ≠ dst) that are reachable.
@@ -187,15 +192,8 @@ impl BgpRib {
         if n <= 1 {
             return 1.0;
         }
-        let mut ok = 0usize;
-        for s in 0..n {
-            for d in 0..n {
-                if s != d && self.reachable(s, d) {
-                    ok += 1;
-                }
-            }
-        }
-        ok as f64 / (n * n - n) as f64
+        let unreachable = self.next.iter().filter(|&&h| h == NO_ROUTE).count() - n;
+        (n * n - n - unreachable) as f64 / (n * n - n) as f64
     }
 }
 
@@ -318,7 +316,7 @@ mod tests {
                 if let Some(path) = rib.as_path(s, d) {
                     let mut seen = std::collections::BTreeSet::new();
                     assert!(seen.insert(s as u16));
-                    for &hop in path {
+                    for &hop in &path {
                         assert!(seen.insert(hop), "loop in {s}→{d}: {path:?}");
                     }
                 }
@@ -395,15 +393,9 @@ mod tests {
         for s in 0..g.n {
             for d in g.customers(s) {
                 let path = rib.as_path(s, d).expect("customer reachable");
-                assert_eq!(path, &[d as u16], "s={s} d={d} picked {path:?}");
+                assert_eq!(path, [d as u16], "s={s} d={d} picked {path:?}");
             }
         }
-    }
-
-    #[test]
-    fn convergence_rounds_bounded() {
-        let (_, rib) = generated(60, 5);
-        assert!(rib.rounds < 60, "took {} rounds", rib.rounds);
     }
 
     #[test]

@@ -311,7 +311,7 @@ mod tests {
     #[test]
     fn dynamic_convergence_matches_static_rib() {
         // After an announce episode, every AS's selected path must equal
-        // the path the synchronous whole-table computation selects.
+        // the path the static three-pass solver selects.
         let g = graph(20, 7);
         let rib = BgpRib::compute(&g);
         for origin in 0..g.n {
@@ -322,7 +322,7 @@ mod tests {
                     continue;
                 }
                 assert_eq!(
-                    sim.path_of(a),
+                    sim.path_of(a).map(<[u16]>::to_vec),
                     rib.as_path(a, origin),
                     "AS {a} → beacon {origin} disagrees with static RIB"
                 );

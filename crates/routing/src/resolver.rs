@@ -111,8 +111,8 @@ pub struct MultiAsResolver {
     /// shortest-path trees they have computed so far.
     domains: Arc<[OspfDomain]>,
     rib: BgpRib,
-    /// AS of every node.
-    as_of: Vec<u16>,
+    /// AS of every node. Shared with derived resolvers, like `domains`.
+    as_of: Arc<[u16]>,
     /// For each adjacent AS pair `(a, b)` (both orders), the chosen
     /// inter-AS link endpoints `(border in a, border in b)`. Ordered
     /// map for consistency with the other deterministic-critical state
@@ -121,8 +121,8 @@ pub struct MultiAsResolver {
     /// Primary (and implicit backup) provider per AS, for stub default
     /// routing; `u16::MAX` when the AS has no provider.
     primary_provider: Vec<u16>,
-    /// Is the AS a stub? Stubs route by default (step 6d).
-    is_stub: Vec<bool>,
+    /// Is the AS a stub? Stubs route by default (step 6d). Shared too.
+    is_stub: Arc<[bool]>,
 }
 
 impl MultiAsResolver {
@@ -163,21 +163,21 @@ impl MultiAsResolver {
         }
 
         let primary_provider = primary_providers(&m.as_graph);
-        let is_stub: Vec<bool> = (0..n_as)
+        let is_stub: Arc<[bool]> = (0..n_as)
             .map(|a| m.as_graph.classes[a] == AsClass::Stub)
             .collect();
 
         MultiAsResolver {
             domains: domains.into(),
             rib,
-            as_of,
+            as_of: as_of.into(),
             gateways,
             primary_provider,
             is_stub,
         }
     }
 
-    /// The converged BGP RIB.
+    /// The BGP RIB: every AS's next hop toward every destination AS.
     pub fn rib(&self) -> &BgpRib {
         &self.rib
     }
@@ -213,12 +213,12 @@ impl MultiAsResolver {
         Ok(MultiAsResolver {
             domains: Arc::clone(&self.domains),
             rib: BgpRib::compute(&reduced),
-            as_of: self.as_of.clone(),
+            as_of: Arc::clone(&self.as_of),
             gateways,
             // A stub whose sole provider link failed falls back to its
             // backup.
             primary_provider: primary_providers(&reduced),
-            is_stub: self.is_stub.clone(),
+            is_stub: Arc::clone(&self.is_stub),
         })
     }
 
@@ -653,11 +653,13 @@ mod failover_tests {
             .with_failed_adjacencies(&m, &[fail_a, fail_b])
             .expect("both pairs are AS-graph edges");
 
-        // Only inter-domain state is rebuilt: every OSPF domain is the
-        // base resolver's own.
+        // Only inter-domain state is rebuilt: every OSPF domain, the
+        // node → AS map and the stub flags are the base resolver's own.
         for a in 0..m.as_graph.n {
             assert!(std::ptr::eq(failed.domain(a), resolver.domain(a)), "AS {a}");
         }
+        assert!(Arc::ptr_eq(&failed.as_of, &resolver.as_of));
+        assert!(Arc::ptr_eq(&failed.is_stub, &resolver.is_stub));
         // Reference: the from-scratch construction — fresh domains from
         // the network, then the reduced graph's RIB, gateways and
         // providers patched in.

@@ -16,10 +16,15 @@
 //! the converged RIB picks a route that is on offer), none may rank
 //! strictly better (ranking), and among the equally ranked the selected
 //! one has the lowest next hop.
+//!
+//! On random AS graphs the RIB is also held against
+//! `routing::dynamics::BeaconSim`, which reaches each destination's
+//! routes by exchanging announcements, not by `BgpRib`'s passes.
 
 use massf_core::prelude::*;
-use massf_routing::{CostMetric, MultiAsResolver};
+use massf_routing::{BeaconSim, BgpRib, CostMetric, MultiAsResolver};
 use massf_topology::{generate_multi_as_network, AsGraph, AsRelationship};
+use proptest::prelude::*;
 
 /// Rank of a route by the relationship of the AS toward the neighbour it
 /// was learned from: customer 0, peer 1, provider 2 (lower is better).
@@ -32,10 +37,12 @@ fn class(ours_toward_neighbour: AsRelationship) -> u8 {
 }
 
 /// Every route `a` is offered toward `d`, as `(class, AS path)`, the
-/// path starting at the neighbour and ending at `d`.
+/// path starting at the neighbour and ending at `d`. `customer(c, b)`
+/// says whether `c` is a customer of `b`.
 fn candidates(
     g: &AsGraph,
     selected: impl Fn(usize, usize) -> Option<Vec<u16>>,
+    customer: impl Fn(usize, usize) -> bool,
     a: usize,
     d: usize,
 ) -> Vec<(u8, Vec<u16>)> {
@@ -51,9 +58,7 @@ fn candidates(
             };
             // `b` learned `route` from its first hop: a customer's route
             // goes everywhere, anything else only to `b`'s customers.
-            let from_customer = g
-                .neighbors(b)
-                .any(|(c, rel)| c == usize::from(route[0]) && rel == AsRelationship::ProviderOf);
+            let from_customer = customer(usize::from(route[0]), b);
             let a_is_customer_of_b = ours == AsRelationship::CustomerOf;
             if !(from_customer || a_is_customer_of_b) || route.contains(&as_u16(a)) {
                 continue;
@@ -65,18 +70,26 @@ fn candidates(
     offered
 }
 
-fn check_world(scale: Scale, seed: u64) {
-    let cfg = scale.multi_as_config(seed);
-    let m = generate_multi_as_network(&cfg);
-    let resolver = MultiAsResolver::new(&m, CostMetric::Latency, &cfg);
-    let rib = resolver.rib();
-    let g = &m.as_graph;
-    let selected = |s: usize, d: usize| rib.as_path(s, d).map(<[u16]>::to_vec);
+/// Checks every route `rib` selects on `g` against the candidates its
+/// neighbours offer (the module docs' stability, ranking and tie-break
+/// rules) and returns how many pairs have a route.
+fn check_rib(g: &AsGraph, rib: &BgpRib, what: &str) -> usize {
+    let paths: Vec<Option<Vec<u16>>> = (0..g.n * g.n)
+        .map(|i| rib.as_path(i / g.n, i % g.n))
+        .collect();
+    let selected = |s: usize, d: usize| paths[s * g.n + d].clone();
+    let mut customers = vec![false; g.n * g.n];
+    for b in 0..g.n {
+        for c in g.customers(b) {
+            customers[c * g.n + b] = true;
+        }
+    }
+    let customer = |c: usize, b: usize| customers[c * g.n + b];
     let mut routes = 0;
     for a in 0..g.n {
         for d in (0..g.n).filter(|&d| d != a) {
-            let ctx = format!("{scale:?} seed {seed}: AS {a} → AS {d}");
-            let offered = candidates(g, selected, a, d);
+            let ctx = format!("{what}: AS {a} → AS {d}");
+            let offered = candidates(g, selected, customer, a, d);
             let Some(path) = selected(a, d) else {
                 assert!(
                     offered.is_empty(),
@@ -105,6 +118,15 @@ fn check_world(scale: Scale, seed: u64) {
             );
         }
     }
+    routes
+}
+
+fn check_world(scale: Scale, seed: u64) {
+    let cfg = scale.multi_as_config(seed);
+    let m = generate_multi_as_network(&cfg);
+    let resolver = MultiAsResolver::new(&m, CostMetric::Latency, &cfg);
+    let g = &m.as_graph;
+    let routes = check_rib(g, resolver.rib(), &format!("{scale:?} seed {seed}"));
     assert!(
         routes > g.n * (g.n - 1) / 2,
         "{scale:?}: {routes} routes selected"
@@ -119,4 +141,41 @@ fn small_world_routes_rank_first_among_the_exportable_candidates() {
 #[test]
 fn medium_world_routes_rank_first_among_the_exportable_candidates() {
     check_world(Scale::Medium, 2004);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// On a random AS graph (up to 300 ASes, 1–3 links per new AS, a
+    /// random core fraction, up to five adjacencies removed), every
+    /// AS's path toward every destination is the one the beacon's
+    /// message passing converges to, and every selected route passes
+    /// the stability check above.
+    #[test]
+    fn rib_matches_message_passing_on_random_graphs(
+        n in 3usize..=300,
+        links in 1usize..=3,
+        core_fraction in 0.01f64..0.4,
+        seed in any::<u64>(),
+        cuts in proptest::collection::vec(any::<usize>(), 0..6),
+    ) {
+        let mut g = AsGraph::generate(n, links, core_fraction, seed);
+        for pick in cuts {
+            let e = g.edges[pick % g.edges.len()];
+            g = g.without_edge(e.a, e.b);
+        }
+        let rib = BgpRib::compute(&g);
+        for d in 0..n {
+            let mut beacon = BeaconSim::new(&g, d);
+            beacon.announce();
+            for s in (0..n).filter(|&s| s != d) {
+                prop_assert_eq!(
+                    rib.as_path(s, d).as_deref(),
+                    beacon.path_of(s),
+                    "AS {} → AS {}", s, d
+                );
+            }
+        }
+        check_rib(&g, &rib, &format!("{n} ASes, seed {seed}"));
+    }
 }

@@ -12,19 +12,23 @@
 //! paths are checked against Bellman–Ford on the independently filtered
 //! graph, in shuffled query order and from concurrent threads — an
 //! epoch computes a destination's tree when it first routes there, so
-//! the answer must not depend on who asked first.
+//! the answer must not depend on who asked first. Its multi-AS twin
+//! checks AS-adjacency fault epochs against BGP message passing on the
+//! reduced AS graph.
 
 use massf_engine::SimTime;
 use massf_netsim::{
     AbortReason, AppLogic, FaultScript, FaultState, FlowId, NetEvent, NetSimBuilder, NoApp, SimApi,
 };
-use massf_routing::{CostMetric, PathResolver};
+use massf_routing::{BeaconSim, CostMetric, PathResolver};
 use massf_topology::{
-    generate_flat_network, AsId, FlatTopologyConfig, Link, LinkId, Network, NodeId, NodeKind, Point,
+    generate_flat_network, generate_multi_as_network, AsClass, AsId, FlatTopologyConfig, Link,
+    LinkId, MultiAsTopologyConfig, Network, Node, NodeId, NodeKind, Point,
 };
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeSet;
 use std::sync::{Arc, Barrier};
 
 /// ha — r0 — r1 — hb with a detour r0 — r2 — r1. The primary r0–r1 hop
@@ -421,6 +425,119 @@ proptest! {
                     }
                     prop_assert_eq!(cost, want, "epoch {} {:?}→{:?} not shortest", e, s, d);
                 }
+            }
+            answers.push(path);
+        }
+        for (&(e, s, d), got) in queries.iter().zip(&answers).rev() {
+            prop_assert_eq!(&mirror.resolver_for_epoch(e).route(s, d), got);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The multi-AS twin of the test above, for AS-adjacency faults: a
+    /// random fail/restore script over the tiny multi-AS world's
+    /// adjacencies, at a random generator seed. The endpoints are the
+    /// hosts (all in stub ASes) and the lowest-numbered router of every
+    /// AS. In every epoch each pair's path is contiguous over links and
+    /// crosses no failed adjacency. From a source AS that is not a stub (stubs route by
+    /// default, step 6d), the path's AS sequence is the one BGP message
+    /// passing (`BeaconSim`) converges to on the AS graph with the
+    /// epoch's failed adjacencies removed, and the path exists iff that
+    /// one does. A second `FaultState` queried in the reverse order
+    /// returns the identical paths.
+    #[test]
+    fn multi_as_epoch_routes_match_message_passing_on_the_reduced_graph(
+        seed in any::<u64>(),
+        ops in proptest::collection::vec(any::<u32>(), 1..7),
+    ) {
+        let m = generate_multi_as_network(&MultiAsTopologyConfig {
+            seed,
+            ..MultiAsTopologyConfig::tiny()
+        });
+        let g = &m.as_graph;
+        let adjacencies: Vec<(u16, u16)> = g
+            .edges
+            .iter()
+            .map(|e| (e.a.min(e.b) as u16, e.a.max(e.b) as u16))
+            .collect();
+
+        // One toggle per op at its own time, so epoch k + 1 is the state
+        // after op k.
+        let mut down: BTreeSet<(u16, u16)> = BTreeSet::new();
+        let mut dead = vec![down.clone()];
+        let mut script = FaultScript::new();
+        for (k, &pick) in ops.iter().enumerate() {
+            let at = SimTime::from_ms(100 * (k as u64 + 1));
+            let (a, b) = adjacencies[pick as usize % adjacencies.len()];
+            if down.insert((a, b)) {
+                script.adjacency_fail(at, a, b);
+            } else {
+                down.remove(&(a, b));
+                script.adjacency_restore(at, a, b);
+            }
+            dead.push(down.clone());
+        }
+        let faults = FaultState::multi_as(&m, CostMetric::Latency, script.clone())
+            .expect("toggles of AS-graph edges validate");
+        let mirror = FaultState::multi_as(&m, CostMetric::Latency, script)
+            .expect("toggles of AS-graph edges validate");
+        prop_assert_eq!(faults.epoch_count(), dead.len());
+
+        // beacon[e][d][s]: the AS path `s` selects toward `d` in epoch e.
+        let beacon: Vec<Vec<Vec<Option<Vec<u16>>>>> = dead
+            .iter()
+            .map(|failed| {
+                let reduced = failed.iter().fold(g.clone(), |r, &(a, b)| {
+                    r.without_edge(usize::from(a), usize::from(b))
+                });
+                (0..g.n)
+                    .map(|d| {
+                        let mut sim = BeaconSim::new(&reduced, d);
+                        sim.announce();
+                        (0..g.n).map(|s| sim.path_of(s).map(<[u16]>::to_vec)).collect()
+                    })
+                    .collect()
+            })
+            .collect();
+
+        let as_of = |n: NodeId| m.network.nodes[n.index()].as_id.0;
+        let mut ends = m.network.host_ids();
+        for a in 0..g.n {
+            let router = |n: &&Node| n.kind == NodeKind::Router && usize::from(n.as_id.0) == a;
+            ends.extend(m.network.nodes.iter().find(router).map(|n| n.id));
+        }
+        let ends = &ends;
+        let mut queries: Vec<(usize, NodeId, NodeId)> = (0..dead.len())
+            .flat_map(|e| ends.iter().flat_map(move |&s| ends.iter().map(move |&d| (e, s, d))))
+            .collect();
+        queries.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
+
+        let mut answers = Vec::with_capacity(queries.len());
+        for &(e, s, d) in &queries {
+            let path = faults.resolver_for_epoch(e).route(s, d);
+            let (as_s, as_d) = (as_of(s), as_of(d));
+            if let Some(p) = &path {
+                prop_assert_eq!((p[0], p[p.len() - 1]), (s, d));
+                for w in p.windows(2) {
+                    prop_assert!(m.network.has_link(w[0], w[1]), "epoch {} hop {:?}", e, w);
+                    let (x, y) = (as_of(w[0]), as_of(w[1]));
+                    prop_assert!(
+                        !dead[e].contains(&(x.min(y), x.max(y))),
+                        "epoch {} {:?}→{:?} crosses failed AS {}–{}", e, s, d, x, y
+                    );
+                }
+            }
+            if as_s != as_d && g.classes[usize::from(as_s)] != AsClass::Stub {
+                let want = &beacon[e][usize::from(as_d)][usize::from(as_s)];
+                let got: Option<Vec<u16>> = path.as_ref().map(|p| {
+                    let mut seq: Vec<u16> = p.iter().map(|&n| as_of(n)).collect();
+                    seq.dedup();
+                    seq.split_off(1)
+                });
+                prop_assert_eq!(&got, want, "epoch {} {:?}→{:?}", e, s, d);
             }
             answers.push(path);
         }
